@@ -17,7 +17,7 @@ Layering:
 * :mod:`dunklpoly.quad`        weights, Gauss quadrature, norms, Pearson
 * :mod:`dunklpoly.limits`      contraction limits with convergence orders
 * :mod:`dunklpoly.report`      verification records and serialization
-* :mod:`dunklpoly.suites`      pinned verification suites
+* :mod:`dunklpoly.suites`      the check layer and the pinned suites over it
 * :mod:`dunklpoly.cli`         command-line driver (``dunklpoly``)
 """
 

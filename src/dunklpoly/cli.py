@@ -26,68 +26,53 @@ Conventions
   failed (the first failing record is printed to stderr), 2 for usage
   errors.  Identical argv produce identical records and, aside from the
   wall-time field, byte-identical JSON.
-* ``DUNKLPOLY_THREADS`` (positive integer) caps suite parallelism.
+* Handlers only parse arguments and print; every check runs in
+  :mod:`dunklpoly.suites`, the same code the pinned suites use.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
-import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .dunklop import GaussianPoly, build_operator, eigencheck, expected_eigenvalue
-from .exactnum import NotPolynomial
 from .families import (
+    FAMILIES,
     DegenerateParameters,
     FamilySpec,
-    big_m1_jacobi_family,
-    big_q_jacobi_family,
-    cbi_family,
-    chihara_family,
-    ext_hermite_family,
-    gegenbauer_family,
-    gen_hermite_family,
     generate_monic,
     recurrence_coeffs,
 )
-from .limits import (
-    LIMIT_IDS,
-    LimitReport,
-    beta_case,
-    bigq_case,
-    cbi_case,
-    geometric_steps,
-    run_limit,
-)
-from .quad import (
-    gram_matrix,
-    gram_offdiag_worst,
-    norm_ratio_check,
-    norm_ratio_exact,
-    verify_pearson,
-    weight_for,
-)
-from .report import (
-    VerificationRecord,
-    emit,
-    exact_record,
-    float_record,
-    rational_str,
-)
-from .suites import SUITE_NAMES, run_suites
-from .transforms import (
-    christoffel,
-    geronimus,
-    kernel_map,
-    kernel_recurrence_coeffs,
-    kernel_to_chihara,
-    kernel_to_chihara_float,
-    split_ratios,
+from .limits import LIMIT_IDS
+from .quad import weight_for
+from .report import VerificationRecord, emit, exact_record, rational_str
+from .suites import (
+    ALGEBRA_CAP,
+    ALGEBRA_PARAMS,
+    EIGEN_OPERATORS,
+    GRAM_CAP,
+    GRAM_TOLERANCE,
+    LIMIT_DEGREE_CAP,
+    NORM_CAP,
+    NORM_EXACT_CAP,
+    NORM_TOLERANCE,
+    ORDER_TOLERANCE,
+    PEARSON_SAMPLES,
+    REFLECTION_TOLERANCE,
+    SUITE_NAMES,
+    TRANSFORM_CAP,
+    TRANSFORM_TOLERANCE,
+    algebra_records,
+    eigen_sweep,
+    gram_records,
+    limit_check,
+    norm_records,
+    pearson_records,
+    run_suites,
+    transform_records,
 )
 
 __all__ = ["run", "main", "build_parser"]
@@ -117,98 +102,33 @@ def _steps(text: str) -> Tuple[float, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """An argparse type accepting integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be a {kind} integer")
+        return value
+
+    return parse
 
 
-# --------------------------------------------------------------------------
-# Families and operators reachable from the command line.
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
-FAMILY_BUILDERS: Dict[str, Callable[..., FamilySpec]] = {
-    "chihara": chihara_family,
-    "gegenbauer": gegenbauer_family,
-    "cbi": cbi_family,
-    "ext_hermite": ext_hermite_family,
-    "gen_hermite": gen_hermite_family,
-    "big_m1_jacobi": big_m1_jacobi_family,
-    "big_q_jacobi": big_q_jacobi_family,
-}
 
-FAMILY_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "chihara": ("alpha", "beta", "gamma"),
-    "gegenbauer": ("alpha", "beta"),
-    "cbi": ("rho1", "rho2", "r1", "r2"),
-    "ext_hermite": ("mu", "gamma"),
-    "gen_hermite": ("mu",),
-    "big_m1_jacobi": ("a", "b", "c"),
-    "big_q_jacobi": ("qalpha", "qbeta", "qgamma", "q"),
-}
+def _union(tables: Iterable[Sequence[str]]) -> Tuple[str, ...]:
+    """The names of several parameter lists, each once, first seen first."""
+    return tuple(dict.fromkeys(name for names in tables for name in names))
 
-_ALL_FAMILY_FLAGS: Tuple[str, ...] = (
-    "alpha", "beta", "gamma", "mu",
-    "rho1", "rho2", "r1", "r2",
-    "a", "b", "c",
-    "qalpha", "qbeta", "qgamma", "q",
-)
 
-# Eigenvalue operators: required parameters, matching polynomial family,
-# default sweep cap, and whether eigenvectors live in the Gaussian class.
-OPERATOR_TABLE: Dict[str, Tuple[Tuple[str, ...], Callable[[Dict[str, Fraction]], FamilySpec], int, bool]] = {
-    "chihara_D": (
-        ("alpha", "beta", "gamma", "eps"),
-        lambda p: chihara_family(p["alpha"], p["beta"], p["gamma"]),
-        16,
-        False,
-    ),
-    "cbi_K": (
-        ("rho1", "rho2", "r1", "r2", "alpha"),
-        lambda p: cbi_family(p["rho1"], p["rho2"], p["r1"], p["r2"]),
-        12,
-        False,
-    ),
-    "gegenbauer_W": (
-        ("alpha", "beta", "eps"),
-        lambda p: gegenbauer_family(p["alpha"], p["beta"]),
-        16,
-        False,
-    ),
-    "gegenbauer_Q": (
-        ("mu", "a"),
-        lambda p: gegenbauer_family(p["mu"] - Fraction(1, 2), p["a"]),
-        16,
-        False,
-    ),
-    "y_Z": (
-        ("mu", "gamma", "eps"),
-        lambda p: ext_hermite_family(p["mu"], p["gamma"]),
-        16,
-        False,
-    ),
-    "gh_Omega": (
-        ("mu", "eps"),
-        lambda p: gen_hermite_family(p["mu"]),
-        16,
-        False,
-    ),
-    "gh_OmegaTilde": (
-        ("mu", "eps"),
-        lambda p: gen_hermite_family(p["mu"]),
-        12,
-        True,
-    ),
-}
-
-LIMIT_BUILDERS: Dict[str, Callable[..., object]] = {
-    "cbi_h_to_0": cbi_case,
-    "bigq_q_to_minus1": bigq_case,
-    "chihara_beta_to_inf": beta_case,
-}
+# Every family parameter flag; with --eps, the flags a command rejects when
+# they do not apply to the chosen family or operator.
+_ALL_FAMILY_FLAGS = _union(names for _, names in FAMILIES.values())
 
 
 def _collect_params(args: argparse.Namespace, names: Sequence[str],
@@ -229,9 +149,9 @@ def _collect_params(args: argparse.Namespace, names: Sequence[str],
 
 
 def _build_family(args: argparse.Namespace) -> FamilySpec:
-    names = FAMILY_PARAMS[args.family]
+    builder, names = FAMILIES[args.family]
     params = _collect_params(args, names, f"--family {args.family}")
-    return FAMILY_BUILDERS[args.family](*(params[name] for name in names))
+    return builder(*(params[name] for name in names))
 
 
 def _say(args: argparse.Namespace, text: str = "") -> None:
@@ -239,18 +159,20 @@ def _say(args: argparse.Namespace, text: str = "") -> None:
         print(text)
 
 
-def _add_family_flags(parser: argparse.ArgumentParser,
-                      families: Optional[Sequence[str]] = None,
-                      with_eps: bool = False) -> None:
-    chosen = sorted(families or FAMILY_BUILDERS)
-    parser.add_argument("--family", required=True, choices=chosen,
-                        help="polynomial family")
-    flags = sorted({name for fam in chosen for name in FAMILY_PARAMS[fam]})
-    for name in flags:
+def _add_rational_flags(parser: argparse.ArgumentParser,
+                        names: Sequence[str]) -> None:
+    for name in names:
         parser.add_argument(f"--{name}", type=_rational, default=None,
                             metavar="p/q")
-    if with_eps:
-        parser.add_argument("--eps", type=_rational, default=None, metavar="p/q")
+
+
+def _add_family_flags(parser: argparse.ArgumentParser,
+                      families: Optional[Sequence[str]] = None) -> None:
+    chosen = sorted(families or FAMILIES)
+    parser.add_argument("--family", required=True, choices=chosen,
+                        help="polynomial family")
+    _add_rational_flags(parser, sorted({name for fam in chosen
+                                        for name in FAMILIES[fam][1]}))
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -320,162 +242,65 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 
 def _cmd_eigencheck(args: argparse.Namespace) -> int:
     token = args.operator
-    names, family_of, default_cap, gaussian = OPERATOR_TABLE[token]
-    params = _collect_params(args, names, f"--operator {token}")
-    cap = args.cap if args.cap is not None else default_cap
-    family = family_of(params)
-    operator = build_operator(token, **params)
-    polys = generate_monic(family, cap)
-    records: List[VerificationRecord] = []
-    for n, poly in enumerate(polys):
-        start = time.perf_counter()
-        eigenvalue = expected_eigenvalue(token, n, **params)
-        vector = GaussianPoly(poly) if gaussian else poly
-        try:
-            ok = eigencheck(operator, vector, eigenvalue).is_zero
-            residual = "0" if ok else "nonzero"
-        except NotPolynomial:
-            ok, residual = False, "not a polynomial"
-        record = exact_record(
-            "eigencheck", token, family.label(), str(n),
-            millis=(time.perf_counter() - start) * 1e3,
-            passed=ok, residual=residual,
-        )
+    spec = EIGEN_OPERATORS[token]
+    params = _collect_params(args, spec.params, f"--operator {token}")
+    cap = args.cap if args.cap is not None else spec.cap
+    label = spec.family(params).label()
+    records = []
+    for n, eigenvalue, ok, residual, millis in eigen_sweep(token, params, cap):
+        record = exact_record("eigencheck", token, label, str(n), millis=millis,
+                              passed=ok, residual=residual)
         records.append(record)
         _say(args, f"n={n:2d} lambda={rational_str(eigenvalue)} {record.outcome}")
     return _finish(records, args)
 
 
 def _cmd_algebra(args: argparse.Namespace) -> int:
-    from .dunklop import verify_algebra
-
-    if args.which == "chihara":
-        names = ("alpha", "beta", "gamma", "eps")
-    else:
-        names = ("mu", "gamma", "eps")
-    params = _collect_params(args, names, f"--which {args.which}")
-    reports = verify_algebra(args.which, args.cap, **params)
-    label = ",".join(f"{k}={rational_str(v)}" for k, v in params.items())
-    records = []
-    for report in reports:
-        record = exact_record(
-            "algebra", f"{args.which}:{report.relation}", label,
-            f"0..{report.degree_cap}", passed=report.passed,
-            residual="0" if report.passed else
-            f"first failure at degree {report.first_failure}",
-        )
-        records.append(record)
-        _say(args, f"{report.relation:12s} {record.outcome}")
+    params = _collect_params(args, ALGEBRA_PARAMS[args.which],
+                             f"--which {args.which}")
+    records = algebra_records(args.which, args.cap, params)
+    for record in records:
+        relation = record.target.split(":", 1)[1]
+        _say(args, f"{relation:12s} {record.outcome}")
     return _finish(records, args)
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    family = _build_family(args)
-    worst = gram_offdiag_worst(gram_matrix(family, args.cap))
-    record = float_record("gram", family.name, family.label(),
-                          f"0..{args.cap}", residual=worst,
-                          tolerance=args.tolerance)
-    _say(args, f"offdiag worst {worst:.3e} tolerance {args.tolerance:.1e} "
-               f"{record.outcome}")
+    [record] = gram_records(_build_family(args), args.cap, args.tolerance,
+                            suite="gram")
+    _say(args, f"offdiag worst {float(record.residual):.3e} "
+               f"tolerance {args.tolerance:.1e} {record.outcome}")
     return _finish([record], args)
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    family = _build_family(args)
-    worst = 0.0
-    for n in range(1, args.cap + 1):
-        exact, quad = norm_ratio_check(family, n)
-        worst = max(worst, abs(quad / float(exact) - 1.0))
-    quad_rec = float_record("norms", family.name, family.label(),
-                            f"1..{args.cap}", residual=worst,
-                            tolerance=args.tolerance)
-    ok = all(norm_ratio_exact(family, n) == family.sub(n)
-             for n in range(1, args.exact_cap + 1))
-    exact_rec = exact_record("norms", family.name + "-ratio-identity",
-                             family.label(), f"1..{args.exact_cap}",
-                             passed=ok, residual="0" if ok else "nonzero")
-    _say(args, f"quadrature ratio worst {worst:.3e} {quad_rec.outcome}")
+    quad_rec, exact_rec = norm_records(_build_family(args), args.cap,
+                                       args.exact_cap, args.tolerance)
+    _say(args, f"quadrature ratio worst {float(quad_rec.residual):.3e} "
+               f"{quad_rec.outcome}")
     _say(args, f"exact ratio identity {exact_rec.outcome}")
     return _finish([quad_rec, exact_rec], args)
 
 
 def _cmd_pearson(args: argparse.Namespace) -> int:
-    family = _build_family(args)
-    report = verify_pearson(family, samples_per_side=args.samples,
-                            tolerance=args.tolerance)
-    ode_rec = exact_record("pearson", "weight-equation", family.label(),
-                           "weight", passed=report.ode_exact,
-                           residual="0" if report.ode_exact else "nonzero")
-    refl_rec = float_record("pearson", "reflection-samples", family.label(),
-                            f"{report.reflection_samples} points",
-                            residual=report.reflection_worst,
-                            tolerance=args.tolerance)
+    ode_rec, refl_rec = pearson_records(_build_family(args), args.samples,
+                                        args.tolerance)
     _say(args, f"weight equation {ode_rec.outcome}")
-    _say(args, f"reflection worst {report.reflection_worst:.3e} "
-               f"over {report.reflection_samples} points {refl_rec.outcome}")
+    _say(args, f"reflection worst {float(refl_rec.residual):.3e} "
+               f"over {refl_rec.degrees} {refl_rec.outcome}")
     return _finish([ode_rec, refl_rec], args)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    params = _collect_params(args, ("a", "b", "c"), "transform")
-    a, b, c = params["a"], params["b"], params["c"]
-    family = big_m1_jacobi_family(a, b, c)
-    label = family.label()
-    cap = args.cap
-    polys = generate_monic(family, cap + 1)
-    a_ratios, c_ratios = split_ratios(family, cap + 1)
-    kernels = christoffel(polys, a_ratios)
-    back = geronimus(kernels, c_ratios)
-    records = [
-        exact_record("transform", "roundtrip", label, f"0..{cap}",
-                     passed=all(back[n] == polys[n] for n in range(len(back))),
-                     residual="nonzero"),
-        exact_record("transform", "evaluation-at-one", label, f"0..{cap}",
-                     passed=all(
-                         polys[n + 1].evaluate(Fraction(1))
-                         == a_ratios[n] * polys[n].evaluate(Fraction(1))
-                         for n in range(cap + 1)),
-                     residual="nonzero"),
-    ]
-    kmap = kernel_map(a, b, c)
-    if kmap.is_exact:
-        residuals = kernel_to_chihara(kmap, kernels)
-        records.append(exact_record(
-            "transform", "chihara-map", label, f"0..{len(kernels) - 1}",
-            passed=all(r.is_zero for r in residuals), residual="nonzero"))
-        mapped = chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact)
-        ok = all(
-            mapped.sub(n) * (1 - c * c) == kernel_recurrence_coeffs(a, b, c, n)[1]
-            for n in range(1, cap + 1))
-        records.append(exact_record(
-            "transform", "coefficient-identity", label, f"1..{cap}",
-            passed=ok, residual="nonzero"))
-    else:
-        worst = max(kernel_to_chihara_float(kmap, kernels))
-        records.append(float_record(
-            "transform", "chihara-map", label, f"0..{len(kernels) - 1}",
-            residual=worst, tolerance=args.tolerance))
-        mapped = chihara_family(kmap.alpha, kmap.beta,
-                                Fraction(kmap.gamma_float))
-        worst = max(
-            abs(float(mapped.sub(n) * (1 - c * c)
-                      - kernel_recurrence_coeffs(a, b, c, n)[1]))
-            for n in range(1, cap + 1))
-        records.append(float_record(
-            "transform", "coefficient-identity", label, f"1..{cap}",
-            residual=worst, tolerance=args.tolerance))
+    params = _collect_params(args, FAMILIES["big_m1_jacobi"][1], "transform")
+    records = transform_records(**params, cap=args.cap, tolerance=args.tolerance)
     for record in records:
         _say(args, f"{record.target:22s} {record.outcome}")
     return _finish(records, args)
 
 
 def _cmd_limits(args: argparse.Namespace) -> int:
-    builder = LIMIT_BUILDERS[args.case]
-    kwargs = {"degree_cap": args.cap}
-    if args.steps is not None:
-        kwargs["steps"] = args.steps
-    case = builder(**kwargs)
-    report: LimitReport = run_limit(case)
+    report, record = limit_check(args.case, args.cap, args.steps, args.tolerance)
     for result in report.results:
         _say(args, f"step {result.step:.3e}  max poly error "
                    f"{result.max_poly_error:.6e}  max coeff error "
@@ -492,17 +317,6 @@ def _cmd_limits(args: argparse.Namespace) -> int:
                + (f"{overall:.3f}" if overall is not None else "noise floor"))
     _say(args, f"monotone: {'yes' if report.monotone_ok else 'no'}; "
                f"orders in band: {'yes' if report.orders_ok else 'no'}")
-    orders = [o for o in report.poly_orders if o is not None]
-    orders += [o for o in (coeff, overall) if o is not None]
-    if report.monotone_ok and orders:
-        residual = max(abs(o - 1.0) for o in orders)
-    else:
-        residual = 1.0
-    record = float_record("limits", args.case,
-                          ",".join(f"{k}={v}" for k, v in
-                                   report.results[0].source_params),
-                          f"0..{case.degree_cap}",
-                          residual=residual, tolerance=args.tolerance)
     return _finish([record], args)
 
 
@@ -537,8 +351,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown suite name(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
-    workers = _threads_from_env()
-    records = run_suites(names=names, max_workers=workers)
+    records = run_suites(names=names)
     width = max(len(n) for n in names)
     _say(args, f"{'suite':{width}s}  records  exact  float  fail")
     for name in names:
@@ -556,21 +369,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return _finish(records, args)
 
 
-def _threads_from_env() -> Optional[int]:
-    raw = os.environ.get("DUNKLPOLY_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"DUNKLPOLY_THREADS must be a positive integer, "
-                         f"got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"DUNKLPOLY_THREADS must be a positive integer, "
-                         f"got {raw!r}")
-    return value
-
-
 # --------------------------------------------------------------------------
 # Parser assembly.
 
@@ -585,61 +383,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="print exact recurrence coefficients")
     _add_family_flags(p)
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
     p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("poly", help="print one monic polynomial")
     _add_family_flags(p)
-    p.add_argument("--n", type=int, required=True, metavar="N")
+    p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
     p.set_defaults(handler=_cmd_poly)
 
     p = sub.add_parser("eigencheck", help="sweep an eigenvalue operator")
-    p.add_argument("--operator", required=True, choices=sorted(OPERATOR_TABLE))
-    for name in ("alpha", "beta", "gamma", "mu", "a",
-                 "rho1", "rho2", "r1", "r2", "eps"):
-        p.add_argument(f"--{name}", type=_rational, default=None, metavar="p/q")
+    p.add_argument("--operator", required=True, choices=sorted(EIGEN_OPERATORS))
+    _add_rational_flags(p, _union(op.params for op in EIGEN_OPERATORS.values()))
     p.add_argument("--cap", type=_positive_int, default=None, metavar="N")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_eigencheck)
 
     p = sub.add_parser("algebra", help="check operator structure relations")
-    p.add_argument("--which", required=True, choices=("chihara", "ext_hermite"))
-    for name in ("alpha", "beta", "gamma", "mu", "eps"):
-        p.add_argument(f"--{name}", type=_rational, default=None, metavar="p/q")
-    p.add_argument("--cap", type=_positive_int, default=12, metavar="N")
+    p.add_argument("--which", required=True, choices=tuple(ALGEBRA_PARAMS))
+    _add_rational_flags(p, _union(ALGEBRA_PARAMS.values()))
+    p.add_argument("--cap", type=_positive_int, default=ALGEBRA_CAP, metavar="N")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_algebra)
 
     p = sub.add_parser("gram", help="Gram matrix off-diagonal check")
     _add_family_flags(p, families=("chihara", "gegenbauer", "ext_hermite",
                                    "gen_hermite"))
-    p.add_argument("--cap", type=_positive_int, default=12, metavar="N")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
+    p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("norms", help="norm-ratio checks")
     _add_family_flags(p, families=("chihara", "gegenbauer", "ext_hermite",
                                    "gen_hermite"))
-    p.add_argument("--cap", type=_positive_int, default=12, metavar="N")
-    p.add_argument("--exact-cap", type=_positive_int, default=30, metavar="N")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
+    p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
+                   metavar="N")
+    p.add_argument("--tolerance", type=float, default=NORM_TOLERANCE)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_norms)
 
     p = sub.add_parser("pearson", help="weight equation and reflection checks")
     _add_family_flags(p, families=("chihara",))
-    p.add_argument("--samples", type=_positive_int, default=20,
+    p.add_argument("--samples", type=_positive_int, default=PEARSON_SAMPLES,
                    help="sample points per support component")
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=REFLECTION_TOLERANCE)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_pearson)
 
     p = sub.add_parser("transform", help="kernel transform checks")
-    for name in ("a", "b", "c"):
-        p.add_argument(f"--{name}", type=_rational, default=None, metavar="p/q")
-    p.add_argument("--cap", type=_positive_int, default=12, metavar="N")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    _add_rational_flags(p, FAMILIES["big_m1_jacobi"][1])
+    p.add_argument("--cap", type=_positive_int, default=TRANSFORM_CAP, metavar="N")
+    p.add_argument("--tolerance", type=float, default=TRANSFORM_TOLERANCE)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_transform)
 
@@ -647,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=LIMIT_IDS)
     p.add_argument("--steps", type=_steps, default=None,
                    metavar="s1,s2,...", help="geometric step grid (floats)")
-    p.add_argument("--cap", type=_positive_int, default=6, metavar="N")
-    p.add_argument("--tolerance", type=float, default=0.2,
+    p.add_argument("--cap", type=_positive_int, default=LIMIT_DEGREE_CAP,
+                   metavar="N")
+    p.add_argument("--tolerance", type=float, default=ORDER_TOLERANCE,
                    help="allowed |empirical order - 1|")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_limits)

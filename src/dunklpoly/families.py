@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction
 
@@ -107,6 +107,18 @@ def big_q_jacobi_family(qalpha: Scalar, qbeta: Scalar, qgamma: Scalar, q: Scalar
     if q in (Fraction(0), Fraction(1), Fraction(-1)):
         raise DegenerateParameters("big_q_jacobi requires q outside {0, 1, -1}")
     return FamilySpec("big_q_jacobi", _params(qalpha=qalpha, qbeta=qbeta, qgamma=qgamma, q=q))
+
+
+#: The family registry: name -> (builder, parameter names in argument order).
+FAMILIES: Dict[str, Tuple[Callable[..., FamilySpec], Tuple[str, ...]]] = {
+    "chihara": (chihara_family, ("alpha", "beta", "gamma")),
+    "gegenbauer": (gegenbauer_family, ("alpha", "beta")),
+    "ext_hermite": (ext_hermite_family, ("mu", "gamma")),
+    "gen_hermite": (gen_hermite_family, ("mu",)),
+    "cbi": (cbi_family, ("rho1", "rho2", "r1", "r2")),
+    "big_m1_jacobi": (big_m1_jacobi_family, ("a", "b", "c")),
+    "big_q_jacobi": (big_q_jacobi_family, ("qalpha", "qbeta", "qgamma", "q")),
+}
 
 
 # -- recurrence coefficients -------------------------------------------------
@@ -203,6 +215,28 @@ def generate_monic(family: FamilySpec, N: int) -> List[LaurentPoly]:
     polys.append(x - family.diag(0))
     for n in range(1, N):
         nxt = (x - family.diag(n)) * polys[n] - family.sub(n) * polys[n - 1]
+        polys.append(nxt)
+    return polys
+
+
+def float_monic(diag: Sequence[float], sub: Sequence[float], N: int) -> List[List[float]]:
+    """Dense float coefficient lists of monic P_0..P_N (index j = x^j).
+
+    The float twin of ``generate_monic`` for coefficients known only in
+    double precision; ``diag`` and ``sub`` need entries 0..N-1.
+    """
+    polys = [[1.0]]
+    if N == 0:
+        return polys
+    polys.append([-diag[0], 1.0])
+    for n in range(1, N):
+        cur, prev = polys[n], polys[n - 1]
+        nxt = [0.0] * (n + 2)
+        for j, c in enumerate(cur):
+            nxt[j + 1] += c
+            nxt[j] -= diag[n] * c
+        for j, c in enumerate(prev):
+            nxt[j] -= sub[n] * c
         polys.append(nxt)
     return polys
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .exactnum import Scalar, _as_fraction
 from .families import (
@@ -60,6 +60,7 @@ from .families import (
     big_q_jacobi_AC,
     chihara_family,
     ext_hermite_family,
+    float_monic,
     generate_monic,
 )
 from .transforms import IrrationalScale, _rational_sqrt
@@ -382,24 +383,6 @@ def _probe(fn: Callable[[int], float], n: int, step: float, what: str) -> float:
     return value
 
 
-def _float_monic(diag: Sequence[float], sub: Sequence[float], N: int) -> List[List[float]]:
-    """Dense float coefficient lists of monic P_0..P_N (index j = x^j)."""
-    polys = [[1.0]]
-    if N == 0:
-        return polys
-    polys.append([-diag[0], 1.0])
-    for n in range(1, N):
-        cur, prev = polys[n], polys[n - 1]
-        nxt = [0.0] * (n + 2)
-        for j, c in enumerate(cur):
-            nxt[j + 1] += c
-            nxt[j] -= diag[n] * c
-        for j, c in enumerate(prev):
-            nxt[j] -= sub[n] * c
-        polys.append(nxt)
-    return polys
-
-
 def _order(coarse: float, fine: float, ratio: float) -> Optional[float]:
     if coarse <= NOISE_FLOOR or fine <= NOISE_FLOOR:
         return None
@@ -436,7 +419,7 @@ def run_limit(case: LimitCase) -> LimitReport:
             raise DegenerateStep(f"rescale factor degenerate at step {h:g}")
         diag = [_probe(model.diag, n, h, "diag") for n in range(cap + 1)]
         sub = [_probe(model.sub, n, h, "sub") for n in range(cap + 1)]
-        polys = _float_monic(diag, sub, cap)
+        polys = float_monic(diag, sub, cap)
         poly_errors = tuple(
             max(
                 abs(polys[n][j] * sigma ** (j - n) - tcoeffs[n][j])

@@ -32,7 +32,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 OUTCOMES = ("exact_pass", "float_pass", "fail")
 
@@ -45,7 +45,7 @@ def rational_str(value: Union[Fraction, int]) -> str:
     return str(Fraction(value))
 
 
-def format_params(pairs: Sequence[Tuple[str, Union[Fraction, int]]]) -> str:
+def format_params(pairs: Iterable[Tuple[str, Union[Fraction, int]]]) -> str:
     """``name=p/q`` pairs joined by commas; the canonical params field."""
     return ",".join(f"{name}={rational_str(value)}" for name, value in pairs)
 

@@ -1,9 +1,13 @@
-"""Pinned verification suites covering every acceptance criterion.
+"""The check layer: one function per check, and the pinned suites over it.
 
-Each ``suite_*`` function runs one criterion against a fixed, named set of
-parameter choices and returns a list of :class:`VerificationRecord`.  The
-parameter sets are module constants so the command-line runner, the tests,
-and the acceptance gate all exercise literally the same instances.
+Each check is one function over one instance that returns its records:
+``eigen_sweep`` (per degree), ``algebra_records``, ``gram_records``,
+``norm_records``, ``pearson_records``, ``transform_records`` and
+``limit_check``.  The ``suite_*`` functions run the checks over fixed,
+named parameter sets (module constants, so the command-line runner, the
+tests, and the acceptance gate all exercise literally the same instances),
+and the command-line handlers run the same functions over the parameters a
+user gives.  One instance therefore yields the same records either way.
 
 Design notes
 ------------
@@ -14,19 +18,26 @@ Design notes
 * Float checks (Gram matrices, norm ratios, weight reflection samples,
   limit convergence orders) produce ``float_pass``/``fail`` records whose
   residual and tolerance are recorded verbatim.
-* ``run_suites`` may fan the chosen suites out over a thread pool.  Every
-  suite function is a pure computation on exact inputs (no shared mutable
-  state, no I/O), and results are collected with order-preserving ``map``,
-  so the record list is identical for any worker count.
+* Every record carries the wall time of the work behind it, measured with
+  ``report.stopwatch``.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .dunklop import (
     DunklOperator,
@@ -39,6 +50,7 @@ from .dunklop import (
 )
 from .exactnum import LaurentPoly, NotDivisible, NotPolynomial, RatFunc
 from .families import (
+    FAMILIES,
     FamilySpec,
     big_m1_jacobi_family,
     cbi_family,
@@ -50,7 +62,18 @@ from .families import (
     gen_hermite_family,
     generate_monic,
 )
-from .limits import NOISE_FLOOR, beta_case, bigq_case, cbi_case, run_limit
+from .limits import (
+    BETA_LIMIT_DEFAULTS,
+    BIGQ_LIMIT_DEFAULTS,
+    CBI_LIMIT_DEFAULTS,
+    NOISE_FLOOR,
+    LimitCase,
+    LimitReport,
+    beta_case,
+    bigq_case,
+    cbi_case,
+    run_limit,
+)
 from .quad import (
     gram_matrix,
     gram_offdiag_worst,
@@ -66,7 +89,7 @@ from .report import (
     exact_record,
     float_record,
     format_params,
-    rational_str,
+    stopwatch,
 )
 from .transforms import (
     christoffel,
@@ -74,13 +97,23 @@ from .transforms import (
     kernel_map,
     kernel_recurrence_coeffs,
     kernel_to_chihara,
+    kernel_to_chihara_float,
     split_ratios,
 )
 
 __all__ = [
     "ALL_SUITES",
     "SUITE_NAMES",
+    "EIGEN_OPERATORS",
+    "ALGEBRA_PARAMS",
     "run_suites",
+    "eigen_sweep",
+    "algebra_records",
+    "gram_records",
+    "norm_records",
+    "pearson_records",
+    "transform_records",
+    "limit_check",
     "suite_construction",
     "suite_eigen",
     "suite_algebra",
@@ -160,6 +193,7 @@ GRAM_TOLERANCE = 1e-10
 REDUCTION_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 REFLECTION_TOLERANCE = 1e-12
+TRANSFORM_TOLERANCE = 1e-10
 ORDER_TOLERANCE = 0.2
 CONSTANT_SPREAD_TOLERANCE = 0.5
 
@@ -179,8 +213,78 @@ JACOBI_CAP = 8
 GRAM_CAP = 12
 NORM_CAP = 12
 NORM_EXACT_CAP = 30
+PEARSON_SAMPLES = 20
 TRANSFORM_CAP = 12
 LIMIT_DEGREE_CAP = 6
+
+
+class EigenOperator(NamedTuple):
+    """An eigenvalue operator token: its parameter names, its polynomial
+    family, its default sweep cap, and whether its eigenvectors live in the
+    Gaussian class ``e^(-x^2/2) * poly``."""
+
+    params: Tuple[str, ...]
+    family: Callable[[Mapping[str, Fraction]], FamilySpec]
+    cap: int
+    gaussian: bool
+
+
+EIGEN_OPERATORS: Dict[str, EigenOperator] = {
+    "chihara_D": EigenOperator(
+        ("alpha", "beta", "gamma", "eps"),
+        lambda p: chihara_family(p["alpha"], p["beta"], p["gamma"]),
+        EIGEN_CAP, False),
+    "cbi_K": EigenOperator(
+        ("rho1", "rho2", "r1", "r2", "alpha"),
+        lambda p: cbi_family(p["rho1"], p["rho2"], p["r1"], p["r2"]),
+        EIGEN_CAP_CBI, False),
+    "gegenbauer_W": EigenOperator(
+        ("alpha", "beta", "eps"),
+        lambda p: gegenbauer_family(p["alpha"], p["beta"]),
+        EIGEN_CAP, False),
+    "gegenbauer_Q": EigenOperator(
+        ("mu", "a"),
+        lambda p: gegenbauer_family(p["mu"] - F(1, 2), p["a"]),
+        EIGEN_CAP, False),
+    "y_Z": EigenOperator(
+        ("mu", "gamma", "eps"),
+        lambda p: ext_hermite_family(p["mu"], p["gamma"]),
+        EIGEN_CAP, False),
+    "gh_Omega": EigenOperator(
+        ("mu", "eps"),
+        lambda p: gen_hermite_family(p["mu"]),
+        EIGEN_CAP, False),
+    "gh_OmegaTilde": EigenOperator(
+        ("mu", "eps"),
+        lambda p: gen_hermite_family(p["mu"]),
+        EIGEN_CAP_GAUSSIAN, True),
+}
+
+# The pinned eigen instances, in record order: (token, parameter values in
+# the order of EIGEN_OPERATORS[token].params).
+EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
+    *(("chihara_D", (*abc, eps)) for abc in CHIHARA_SETS for eps in EIGEN_EPS),
+    *(("cbi_K", (*rhos, F(2, 3))) for rhos in CBI_SETS),
+    *(("gegenbauer_W", (*ab, eps)) for ab in GEGENBAUER_SETS for eps in EIGEN_EPS),
+    *(("gegenbauer_Q", mu_a) for mu_a in GEGENBAUER_Q_SETS),
+    *(("y_Z", (*mu_gamma, eps)) for mu_gamma in EXT_HERMITE_SETS for eps in EIGEN_EPS),
+    *((token, (mu, eps)) for mu in GEN_HERMITE_MUS for eps in EIGEN_EPS
+      for token in ("gh_Omega", "gh_OmegaTilde")),
+)
+
+#: Parameter names of each operator-algebra table of ``verify_algebra``.
+ALGEBRA_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "chihara": ("alpha", "beta", "gamma", "eps"),
+    "ext_hermite": ("mu", "gamma", "eps"),
+}
+
+# Contraction limits: case builder and the default source parameters that
+# label the pinned records.
+_LIMIT_CASES: Dict[str, Tuple[Callable[..., LimitCase], Dict[str, Fraction]]] = {
+    "cbi_h_to_0": (cbi_case, CBI_LIMIT_DEFAULTS),
+    "bigq_q_to_minus1": (bigq_case, BIGQ_LIMIT_DEFAULTS),
+    "chihara_beta_to_inf": (beta_case, BETA_LIMIT_DEFAULTS),
+}
 
 
 def _quadrature_families() -> Tuple[FamilySpec, ...]:
@@ -196,21 +300,6 @@ def _quadrature_families() -> Tuple[FamilySpec, ...]:
         gen_hermite_family(F(1, 2)),
         gen_hermite_family(F(3, 2)),
     )
-
-
-def _millis(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
-
-
-def _family_for(name: str, params: Sequence[Fraction]) -> FamilySpec:
-    builders: Dict[str, Callable[..., FamilySpec]] = {
-        "chihara": chihara_family,
-        "cbi": cbi_family,
-        "gegenbauer": gegenbauer_family,
-        "ext_hermite": ext_hermite_family,
-        "gen_hermite": gen_hermite_family,
-    }
-    return builders[name](*params)
 
 
 _CONSTRUCTION_SETS: Dict[str, Tuple[Tuple[Fraction, ...], ...]] = {
@@ -230,19 +319,19 @@ def suite_construction() -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for name, cap in CONSTRUCTION_CAPS:
         for params in _CONSTRUCTION_SETS[name]:
-            family = _family_for(name, params)
-            start = time.perf_counter()
-            polys = generate_monic(family, cap)
-            ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
+            family = FAMILIES[name][0](*params)
+            with stopwatch() as ms:
+                polys = generate_monic(family, cap)
+                ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
             records.append(
                 exact_record(
                     "construction",
                     family.name,
                     family.label(),
                     f"0..{cap}",
-                    millis=_millis(start),
+                    millis=ms[0],
                     passed=ok,
-                    residual="0" if ok else "nonzero",
+                    residual="nonzero",
                 )
             )
     return records
@@ -253,139 +342,59 @@ def suite_construction() -> List[VerificationRecord]:
 # residual on the matching polynomial family.
 
 
-def _eigen_sweep(
+def eigen_sweep(
     token: str,
-    family: FamilySpec,
+    params: Mapping[str, Fraction],
     cap: int,
-    label: str,
-    gaussian: bool = False,
-    **params: Fraction,
-) -> VerificationRecord:
-    start = time.perf_counter()
-    operator = build_operator(token, **params)
-    polys = generate_monic(family, cap)
-    ok = True
-    residual = "0"
-    for n, poly in enumerate(polys):
-        eigenvalue = expected_eigenvalue(token, n, **params)
-        vector = GaussianPoly(poly) if gaussian else poly
-        try:
-            if not eigencheck(operator, vector, eigenvalue).is_zero:
-                ok = False
-                residual = f"nonzero at n={n}"
+    operator: Optional[DunklOperator] = None,
+) -> Iterator[Tuple[int, Fraction, bool, str, float]]:
+    """Check the eigen-equation of ``token`` on P_0..P_cap, degree by degree.
+
+    Yields ``(n, eigenvalue, ok, residual, millis)`` per degree, where
+    ``residual`` is ``"0"``, ``"nonzero"`` or ``"not a polynomial"``.
+    ``operator`` replaces the operator built from ``token`` and ``params``;
+    the negative controls pass a corrupted one.
+    """
+    spec = EIGEN_OPERATORS[token]
+    if operator is None:
+        operator = build_operator(token, **params)
+    for n, poly in enumerate(generate_monic(spec.family(params), cap)):
+        with stopwatch() as ms:
+            eigenvalue = expected_eigenvalue(token, n, **params)
+            vector = GaussianPoly(poly) if spec.gaussian else poly
+            try:
+                ok = eigencheck(operator, vector, eigenvalue).is_zero
+                residual = "0" if ok else "nonzero"
+            except NotPolynomial:
+                ok, residual = False, "not a polynomial"
+        yield n, eigenvalue, ok, residual, ms[0]
+
+
+def _eigen_record(token: str, params: Mapping[str, Fraction]) -> VerificationRecord:
+    """The sweep to the token's default cap, stopped at the first failure."""
+    cap = EIGEN_OPERATORS[token].cap
+    passed, residual = True, "0"
+    with stopwatch() as ms:
+        for n, _, ok, why, _ in eigen_sweep(token, params, cap):
+            if not ok:
+                passed, residual = False, f"{why} at n={n}"
                 break
-        except NotPolynomial:
-            ok = False
-            residual = f"not a polynomial at n={n}"
-            break
     return exact_record(
         "eigen",
         token,
-        label,
+        format_params(params.items()),
         f"0..{cap}",
-        millis=_millis(start),
-        passed=ok,
+        millis=ms[0],
+        passed=passed,
         residual=residual,
     )
 
 
 def suite_eigen() -> List[VerificationRecord]:
-    records: List[VerificationRecord] = []
-    for alpha, beta, gamma in CHIHARA_SETS:
-        family = chihara_family(alpha, beta, gamma)
-        for eps in EIGEN_EPS:
-            records.append(
-                _eigen_sweep(
-                    "chihara_D",
-                    family,
-                    EIGEN_CAP,
-                    family.label() + ",eps=" + rational_str(eps),
-                    alpha=alpha,
-                    beta=beta,
-                    gamma=gamma,
-                    eps=eps,
-                )
-            )
-    for rho1, rho2, r1, r2 in CBI_SETS:
-        family = cbi_family(rho1, rho2, r1, r2)
-        records.append(
-            _eigen_sweep(
-                "cbi_K",
-                family,
-                EIGEN_CAP_CBI,
-                family.label() + ",alpha=2/3",
-                rho1=rho1,
-                rho2=rho2,
-                r1=r1,
-                r2=r2,
-                alpha=F(2, 3),
-            )
-        )
-    for alpha, beta in GEGENBAUER_SETS:
-        family = gegenbauer_family(alpha, beta)
-        for eps in EIGEN_EPS:
-            records.append(
-                _eigen_sweep(
-                    "gegenbauer_W",
-                    family,
-                    EIGEN_CAP,
-                    family.label() + ",eps=" + rational_str(eps),
-                    alpha=alpha,
-                    beta=beta,
-                    eps=eps,
-                )
-            )
-    for mu, a in GEGENBAUER_Q_SETS:
-        family = gegenbauer_family(mu - F(1, 2), a)
-        records.append(
-            _eigen_sweep(
-                "gegenbauer_Q",
-                family,
-                EIGEN_CAP,
-                format_params((("mu", mu), ("a", a))),
-                mu=mu,
-                a=a,
-            )
-        )
-    for mu, gamma in EXT_HERMITE_SETS:
-        family = ext_hermite_family(mu, gamma)
-        for eps in EIGEN_EPS:
-            records.append(
-                _eigen_sweep(
-                    "y_Z",
-                    family,
-                    EIGEN_CAP,
-                    family.label() + ",eps=" + rational_str(eps),
-                    mu=mu,
-                    gamma=gamma,
-                    eps=eps,
-                )
-            )
-    for mu in GEN_HERMITE_MUS:
-        family = gen_hermite_family(mu)
-        for eps in EIGEN_EPS:
-            records.append(
-                _eigen_sweep(
-                    "gh_Omega",
-                    family,
-                    EIGEN_CAP,
-                    family.label() + ",eps=" + rational_str(eps),
-                    mu=mu,
-                    eps=eps,
-                )
-            )
-            records.append(
-                _eigen_sweep(
-                    "gh_OmegaTilde",
-                    family,
-                    EIGEN_CAP_GAUSSIAN,
-                    family.label() + ",eps=" + rational_str(eps),
-                    gaussian=True,
-                    mu=mu,
-                    eps=eps,
-                )
-            )
-    return records
+    return [
+        _eigen_record(token, dict(zip(EIGEN_OPERATORS[token].params, values)))
+        for token, values in EIGEN_CASES
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -393,48 +402,52 @@ def suite_eigen() -> List[VerificationRecord]:
 # the degree cap, for several parameter sets and reflection weights.
 
 
+def algebra_records(
+    which: str, cap: int, params: Mapping[str, Fraction]
+) -> List[VerificationRecord]:
+    """One record per structure relation of the ``which`` operator algebra.
+
+    The relations are checked in one pass, so each record carries an equal
+    share of its wall time.
+    """
+    with stopwatch() as ms:
+        reports = verify_algebra(which, cap, **params)
+    label = format_params(params.items())
+    return [
+        exact_record(
+            "algebra",
+            f"{which}:{report.relation}",
+            label,
+            f"0..{report.degree_cap}",
+            millis=ms[0] / len(reports),
+            passed=report.passed,
+            residual=f"first failure at degree {report.first_failure}",
+        )
+        for report in reports
+    ]
+
+
 def suite_algebra() -> List[VerificationRecord]:
+    cases = [("chihara", (*abc, eps)) for abc in CHIHARA_SETS for eps in ALGEBRA_EPS]
+    cases += [("ext_hermite", (*mu_gamma, eps))
+              for mu_gamma in EXT_HERMITE_SETS for eps in ALGEBRA_EPS]
     records: List[VerificationRecord] = []
-    for alpha, beta, gamma in CHIHARA_SETS:
-        for eps in ALGEBRA_EPS:
-            start = time.perf_counter()
-            reports = verify_algebra(
-                "chihara", ALGEBRA_CAP, alpha=alpha, beta=beta, gamma=gamma, eps=eps
+    for which, values in cases:
+        params = dict(zip(ALGEBRA_PARAMS[which], values))
+        with stopwatch() as ms:
+            reports = verify_algebra(which, ALGEBRA_CAP, **params)
+        bad = next((r.relation for r in reports if not r.passed), None)
+        records.append(
+            exact_record(
+                "algebra",
+                which,
+                format_params(params.items()),
+                f"0..{ALGEBRA_CAP}",
+                millis=ms[0],
+                passed=bad is None,
+                residual=f"fails {bad}",
             )
-            ok = all(r.passed for r in reports)
-            bad = next((r.relation for r in reports if not r.passed), None)
-            records.append(
-                exact_record(
-                    "algebra",
-                    "chihara",
-                    format_params(
-                        (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("eps", eps))
-                    ),
-                    f"0..{ALGEBRA_CAP}",
-                    millis=_millis(start),
-                    passed=ok,
-                    residual="0" if ok else f"fails {bad}",
-                )
-            )
-    for mu, gamma in EXT_HERMITE_SETS:
-        for eps in ALGEBRA_EPS:
-            start = time.perf_counter()
-            reports = verify_algebra(
-                "ext_hermite", ALGEBRA_CAP, mu=mu, gamma=gamma, eps=eps
-            )
-            ok = all(r.passed for r in reports)
-            bad = next((r.relation for r in reports if not r.passed), None)
-            records.append(
-                exact_record(
-                    "algebra",
-                    "ext_hermite",
-                    format_params((("mu", mu), ("gamma", gamma), ("eps", eps))),
-                    f"0..{ALGEBRA_CAP}",
-                    millis=_millis(start),
-                    passed=ok,
-                    residual="0" if ok else f"fails {bad}",
-                )
-            )
+        )
     return records
 
 
@@ -448,32 +461,32 @@ def suite_jacobi() -> List[VerificationRecord]:
     x = LaurentPoly.x()
     for alpha, beta, gamma in JACOBI_SETS:
         family = chihara_family(alpha, beta, gamma)
-        start = time.perf_counter()
-        polys = generate_monic(family, 2 * JACOBI_CAP + 1)
-        quad_var = LaurentPoly({0: 1 + 2 * gamma * gamma, 2: F(-2)})
-        ok = True
-        residual = "0"
-        for n in range(JACOBI_CAP + 1):
-            scale = F(-1, 2) ** n
-            even = classical_jacobi_monic(n, alpha, beta).compose(quad_var) * scale
-            if polys[2 * n] != even:
-                ok = False
-                residual = f"even half fails at n={n}"
-                break
-            odd = (x - gamma) * (
-                classical_jacobi_monic(n, alpha + 1, beta).compose(quad_var) * scale
-            )
-            if polys[2 * n + 1] != odd:
-                ok = False
-                residual = f"odd half fails at n={n}"
-                break
+        with stopwatch() as ms:
+            polys = generate_monic(family, 2 * JACOBI_CAP + 1)
+            quad_var = LaurentPoly({0: 1 + 2 * gamma * gamma, 2: F(-2)})
+            ok = True
+            residual = "0"
+            for n in range(JACOBI_CAP + 1):
+                scale = F(-1, 2) ** n
+                even = classical_jacobi_monic(n, alpha, beta).compose(quad_var) * scale
+                if polys[2 * n] != even:
+                    ok = False
+                    residual = f"even half fails at n={n}"
+                    break
+                odd = (x - gamma) * (
+                    classical_jacobi_monic(n, alpha + 1, beta).compose(quad_var) * scale
+                )
+                if polys[2 * n + 1] != odd:
+                    ok = False
+                    residual = f"odd half fails at n={n}"
+                    break
         records.append(
             exact_record(
                 "jacobi",
                 "chihara",
                 family.label(),
                 f"0..{2 * JACOBI_CAP + 1}",
-                millis=_millis(start),
+                millis=ms[0],
                 passed=ok,
                 residual=residual,
             )
@@ -486,33 +499,43 @@ def suite_jacobi() -> List[VerificationRecord]:
 # closed-form moment reduction agrees with direct adaptive integration.
 
 
+def gram_records(
+    family: FamilySpec,
+    cap: int = GRAM_CAP,
+    tolerance: float = GRAM_TOLERANCE,
+    suite: str = "orthogonality",
+) -> List[VerificationRecord]:
+    """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
+    with stopwatch() as ms:
+        worst = gram_offdiag_worst(gram_matrix(family, cap))
+    return [
+        float_record(
+            suite,
+            family.name,
+            family.label(),
+            f"0..{cap}",
+            residual=worst,
+            tolerance=tolerance,
+            millis=ms[0],
+        )
+    ]
+
+
 def suite_orthogonality() -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for family in _quadrature_families():
-        start = time.perf_counter()
-        worst = gram_offdiag_worst(gram_matrix(family, GRAM_CAP))
-        records.append(
-            float_record(
-                "orthogonality",
-                family.name,
-                family.label(),
-                f"0..{GRAM_CAP}",
-                residual=worst,
-                tolerance=GRAM_TOLERANCE,
-                millis=_millis(start),
-            )
-        )
+        records += gram_records(family)
     # Cross-check the quadrature reduction against a direct adaptive
     # integral on generic (non-orthogonal) integrands.
     probe = LaurentPoly({0: F(1), 2: F(1), 3: F(1)})
     mate = LaurentPoly({1: F(1), 2: F(1)})
     for alpha, beta, gamma in ((F(1), F(1), F(1, 2)), (F(1, 2), F(3, 4), F(1, 3))):
         family = chihara_family(alpha, beta, gamma)
-        start = time.perf_counter()
-        spec = weight_for(family)
-        reduced = inner_product(spec, probe, mate)
-        raw = raw_inner_product(spec, probe, mate)
-        rel = abs(reduced - raw) / max(abs(raw), 1e-300)
+        with stopwatch() as ms:
+            spec = weight_for(family)
+            reduced = inner_product(spec, probe, mate)
+            raw = raw_inner_product(spec, probe, mate)
+            rel = abs(reduced - raw) / max(abs(raw), 1e-300)
         records.append(
             float_record(
                 "orthogonality",
@@ -521,7 +544,7 @@ def suite_orthogonality() -> List[VerificationRecord]:
                 "integrand deg 3",
                 residual=rel,
                 tolerance=REDUCTION_TOLERANCE,
-                millis=_millis(start),
+                millis=ms[0],
             )
         )
     return records
@@ -532,42 +555,51 @@ def suite_orthogonality() -> List[VerificationRecord]:
 # closed-form ratio equals the recurrence coefficient exactly.
 
 
-def suite_norms() -> List[VerificationRecord]:
-    records: List[VerificationRecord] = []
-    for family in _quadrature_families():
-        start = time.perf_counter()
+def norm_records(
+    family: FamilySpec,
+    cap: int = NORM_CAP,
+    exact_cap: int = NORM_EXACT_CAP,
+    tolerance: float = NORM_TOLERANCE,
+) -> List[VerificationRecord]:
+    """Quadrature norm ratios against the closed form for n = 1..cap, then
+    the closed form against the recurrence coefficient for n = 1..exact_cap."""
+    with stopwatch() as ms:
         worst = 0.0
-        for n in range(1, NORM_CAP + 1):
+        for n in range(1, cap + 1):
             exact, quad = norm_ratio_check(family, n)
             worst = max(worst, abs(quad / float(exact) - 1.0))
-        records.append(
-            float_record(
-                "norms",
-                family.name,
-                family.label(),
-                f"1..{NORM_CAP}",
-                residual=worst,
-                tolerance=NORM_TOLERANCE,
-                millis=_millis(start),
-            )
+    records = [
+        float_record(
+            "norms",
+            family.name,
+            family.label(),
+            f"1..{cap}",
+            residual=worst,
+            tolerance=tolerance,
+            millis=ms[0],
         )
-        start = time.perf_counter()
+    ]
+    with stopwatch() as ms:
         ok = all(
             norm_ratio_exact(family, n) == family.sub(n)
-            for n in range(1, NORM_EXACT_CAP + 1)
+            for n in range(1, exact_cap + 1)
         )
-        records.append(
-            exact_record(
-                "norms",
-                family.name + "-ratio-identity",
-                family.label(),
-                f"1..{NORM_EXACT_CAP}",
-                millis=_millis(start),
-                passed=ok,
-                residual="0" if ok else "nonzero",
-            )
+    records.append(
+        exact_record(
+            "norms",
+            family.name + "-ratio-identity",
+            family.label(),
+            f"1..{exact_cap}",
+            millis=ms[0],
+            passed=ok,
+            residual="nonzero",
         )
+    )
     return records
+
+
+def suite_norms() -> List[VerificationRecord]:
+    return [r for family in _quadrature_families() for r in norm_records(family)]
 
 
 # --------------------------------------------------------------------------
@@ -575,36 +607,42 @@ def suite_norms() -> List[VerificationRecord]:
 # exactly, and reflected samples agree to float tolerance.
 
 
+def pearson_records(
+    family: FamilySpec,
+    samples: int = PEARSON_SAMPLES,
+    tolerance: float = REFLECTION_TOLERANCE,
+) -> List[VerificationRecord]:
+    """The exact weight equation and the reflection samples of one weight.
+
+    Both come from one ``verify_pearson`` call, so each record carries half
+    of its wall time.
+    """
+    with stopwatch() as ms:
+        report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
+    return [
+        exact_record(
+            "pearson",
+            "weight-equation",
+            family.label(),
+            "weight",
+            millis=ms[0] / 2,
+            passed=report.ode_exact,
+            residual="nonzero",
+        ),
+        float_record(
+            "pearson",
+            "reflection-samples",
+            family.label(),
+            f"{report.reflection_samples} points",
+            residual=report.reflection_worst,
+            tolerance=tolerance,
+            millis=ms[0] / 2,
+        ),
+    ]
+
+
 def suite_pearson() -> List[VerificationRecord]:
-    records: List[VerificationRecord] = []
-    for alpha, beta, gamma in PEARSON_SETS:
-        family = chihara_family(alpha, beta, gamma)
-        start = time.perf_counter()
-        report = verify_pearson(family, samples_per_side=20, tolerance=REFLECTION_TOLERANCE)
-        elapsed = _millis(start)
-        records.append(
-            exact_record(
-                "pearson",
-                "weight-equation",
-                family.label(),
-                "weight",
-                millis=elapsed / 2,
-                passed=report.ode_exact,
-                residual="0" if report.ode_exact else "nonzero",
-            )
-        )
-        records.append(
-            float_record(
-                "pearson",
-                "reflection-samples",
-                family.label(),
-                f"{report.reflection_samples} points",
-                residual=report.reflection_worst,
-                tolerance=REFLECTION_TOLERANCE,
-                millis=elapsed / 2,
-            )
-        )
-    return records
+    return [r for abc in PEARSON_SETS for r in pearson_records(chihara_family(*abc))]
 
 
 # --------------------------------------------------------------------------
@@ -612,79 +650,73 @@ def suite_pearson() -> List[VerificationRecord]:
 # transform point, and the exact kernel-to-Chihara parameter map.
 
 
-def suite_transform() -> List[VerificationRecord]:
-    records: List[VerificationRecord] = []
-    for a, b, c in TRANSFORM_SETS:
-        family = big_m1_jacobi_family(a, b, c)
-        label = family.label()
-        start = time.perf_counter()
-        polys = generate_monic(family, TRANSFORM_CAP + 1)
-        a_ratios, c_ratios = split_ratios(family, TRANSFORM_CAP + 1)
+def transform_records(
+    a: Fraction,
+    b: Fraction,
+    c: Fraction,
+    cap: int = TRANSFORM_CAP,
+    tolerance: float = TRANSFORM_TOLERANCE,
+) -> List[VerificationRecord]:
+    """Kernel-transform checks on big -1 Jacobi (a, b, c) up to degree cap.
+
+    The round trip and the evaluation identity are exact.  The Chihara map
+    and the coefficient identity are exact when 1 - c^2 is a rational
+    square, and compared in double precision against ``tolerance`` when it
+    is not.
+    """
+    family = big_m1_jacobi_family(a, b, c)
+    label = family.label()
+    with stopwatch() as ms:
+        polys = generate_monic(family, cap + 1)
+        a_ratios, c_ratios = split_ratios(family, cap + 1)
         kernels = christoffel(polys, a_ratios)
         back = geronimus(kernels, c_ratios)
         ok = all(back[n] == polys[n] for n in range(len(back)))
-        records.append(
-            exact_record(
-                "transform",
-                "roundtrip",
-                label,
-                f"0..{len(back) - 1}",
-                millis=_millis(start),
-                passed=ok,
-                residual="0" if ok else "nonzero",
-            )
-        )
-        start = time.perf_counter()
+    records = [exact_record("transform", "roundtrip", label, f"0..{len(back) - 1}",
+                            millis=ms[0], passed=ok, residual="nonzero")]
+    with stopwatch() as ms:
         ok = all(
             polys[n + 1].evaluate(F(1)) == a_ratios[n] * polys[n].evaluate(F(1))
-            for n in range(TRANSFORM_CAP + 1)
+            for n in range(cap + 1)
         )
-        records.append(
-            exact_record(
-                "transform",
-                "evaluation-at-one",
-                label,
-                f"0..{TRANSFORM_CAP}",
-                millis=_millis(start),
-                passed=ok,
-                residual="0" if ok else "nonzero",
+    records.append(exact_record("transform", "evaluation-at-one", label, f"0..{cap}",
+                                millis=ms[0], passed=ok, residual="nonzero"))
+    kmap = kernel_map(a, b, c)
+    map_degrees, coeff_degrees = f"0..{len(kernels) - 1}", f"1..{cap}"
+    if kmap.is_exact:
+        with stopwatch() as ms:
+            ok = all(r.is_zero for r in kernel_to_chihara(kmap, kernels))
+        records.append(exact_record("transform", "chihara-map", label, map_degrees,
+                                    millis=ms[0], passed=ok, residual="nonzero"))
+        with stopwatch() as ms:
+            mapped = chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact)
+            ok = all(
+                mapped.sub(n) * (1 - c * c) == kernel_recurrence_coeffs(a, b, c, n)[1]
+                for n in range(1, cap + 1)
             )
-        )
-        start = time.perf_counter()
-        kmap = kernel_map(a, b, c)
-        residuals = kernel_to_chihara(kmap, kernels)
-        ok = all(r.is_zero for r in residuals)
-        records.append(
-            exact_record(
-                "transform",
-                "chihara-map",
-                label,
-                f"0..{len(kernels) - 1}",
-                millis=_millis(start),
-                passed=ok,
-                residual="0" if ok else "nonzero",
+        records.append(exact_record("transform", "coefficient-identity", label,
+                                    coeff_degrees, millis=ms[0], passed=ok,
+                                    residual="nonzero"))
+    else:
+        with stopwatch() as ms:
+            worst = max(kernel_to_chihara_float(kmap, kernels))
+        records.append(float_record("transform", "chihara-map", label, map_degrees,
+                                    residual=worst, tolerance=tolerance, millis=ms[0]))
+        with stopwatch() as ms:
+            mapped = chihara_family(kmap.alpha, kmap.beta, F(kmap.gamma_float))
+            worst = max(
+                abs(float(mapped.sub(n) * (1 - c * c)
+                          - kernel_recurrence_coeffs(a, b, c, n)[1]))
+                for n in range(1, cap + 1)
             )
-        )
-        start = time.perf_counter()
-        mapped = chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact)
-        ok = True
-        for n in range(1, TRANSFORM_CAP + 1):
-            f_n = kernel_recurrence_coeffs(a, b, c, n)[1]
-            if mapped.sub(n) * (1 - c * c) != f_n:
-                ok = False
-                break
-        records.append(
-            exact_record(
-                "transform",
-                "coefficient-identity",
-                label,
-                f"1..{TRANSFORM_CAP}",
-                millis=_millis(start),
-                passed=ok,
-                residual="0" if ok else "nonzero",
-            )
-        )
+        records.append(float_record("transform", "coefficient-identity", label,
+                                    coeff_degrees, residual=worst, tolerance=tolerance,
+                                    millis=ms[0]))
     return records
+
+
+def suite_transform() -> List[VerificationRecord]:
+    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc)]
 
 
 # --------------------------------------------------------------------------
@@ -692,61 +724,63 @@ def suite_transform() -> List[VerificationRecord]:
 # empirical order near one, and the scaled-coefficient constant is stable.
 
 
+def limit_check(
+    limit_id: str,
+    degree_cap: int = LIMIT_DEGREE_CAP,
+    steps: Optional[Sequence[float]] = None,
+    tolerance: float = ORDER_TOLERANCE,
+    label: Optional[str] = None,
+) -> Tuple[LimitReport, VerificationRecord]:
+    """Run one contraction limit at its default source parameters.
+
+    The record's residual is the worst ``|order - 1|`` over the computable
+    empirical orders, or 1.0 when the errors do not decay monotonically or
+    no order is computable.  ``label`` defaults to the source parameters at
+    the first step.
+    """
+    builder, _ = _LIMIT_CASES[limit_id]
+    with stopwatch() as ms:
+        report = run_limit(builder(degree_cap=degree_cap, steps=steps))
+    orders = [o for o in (*report.poly_orders, report.coeff_order, report.overall_order)
+              if o is not None]
+    if report.monotone_ok and orders:
+        residual = max(abs(o - 1.0) for o in orders)
+    else:
+        residual = 1.0
+    if label is None:
+        label = ",".join(f"{k}={v}" for k, v in report.results[0].source_params)
+    record = float_record("limits", limit_id, label, f"0..{degree_cap}",
+                          residual=residual, tolerance=tolerance, millis=ms[0])
+    return report, record
+
+
 def suite_limits() -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
-    cases = (
-        ("cbi_h_to_0", cbi_case(), "a1=5,a2=3,b1=3/2,b2=1/2"),
-        ("bigq_q_to_minus1", bigq_case(), "alpha=1,beta=1,g=3/5"),
-        ("chihara_beta_to_inf", beta_case(), "mu=3/2,gamma=1/2"),
-    )
-    beta_report = None
-    for limit_id, case, label in cases:
-        start = time.perf_counter()
-        report = run_limit(case)
-        if limit_id == "chihara_beta_to_inf":
-            beta_report = report
-        orders = [o for o in report.poly_orders if o is not None]
-        if report.coeff_order is not None:
-            orders.append(report.coeff_order)
-        if report.overall_order is not None:
-            orders.append(report.overall_order)
-        if report.monotone_ok and orders:
-            residual = max(abs(o - 1.0) for o in orders)
-        else:
-            residual = 1.0
-        records.append(
-            float_record(
-                "limits",
-                limit_id,
-                label,
-                f"0..{case.degree_cap}",
-                residual=residual,
-                tolerance=ORDER_TOLERANCE,
-                millis=_millis(start),
-            )
-        )
+    reports: Dict[str, LimitReport] = {}
+    for limit_id, (_, defaults) in _LIMIT_CASES.items():
+        reports[limit_id], record = limit_check(
+            limit_id, label=format_params(defaults.items()))
+        records.append(record)
     # Stability of the scaled sub-coefficient constant for the large-beta
     # contraction: max_n beta * |sigma_n(beta) - theta_n / beta| should stay
     # bounded by the same constant on every step of the grid.
-    start = time.perf_counter()
-    assert beta_report is not None
-    constants = []
-    for result in beta_report.results:
-        step = result.step
-        relevant = [e for e in result.sub_errors if e > NOISE_FLOOR]
-        if relevant:
-            constants.append(max(relevant) / step)
-    finite = all(math.isfinite(c) for c in constants) and len(constants) >= 2
-    spread = (max(constants) / min(constants) - 1.0) if finite else float("inf")
+    with stopwatch() as ms:
+        constants = []
+        for result in reports["chihara_beta_to_inf"].results:
+            relevant = [e for e in result.sub_errors if e > NOISE_FLOOR]
+            if relevant:
+                constants.append(max(relevant) / result.step)
+        finite = all(math.isfinite(c) for c in constants) and len(constants) >= 2
+        spread = (max(constants) / min(constants) - 1.0) if finite else float("inf")
     records.append(
         float_record(
             "limits",
             "beta-constant-stability",
-            "mu=3/2,gamma=1/2",
+            format_params(BETA_LIMIT_DEFAULTS.items()),
             f"{len(constants)} steps",
             residual=spread if finite else 1.0,
             tolerance=CONSTANT_SPREAD_TOLERANCE,
-            millis=_millis(start),
+            millis=ms[0],
         )
     )
     return records
@@ -763,62 +797,50 @@ def suite_negative_controls() -> List[VerificationRecord]:
 
     # Perturb the reflection-free first-derivative term of the eigenvalue
     # operator by one unit and confirm the eigen-equation check fails.
-    start = time.perf_counter()
     alpha, beta, gamma = CHIHARA_SETS[0]
-    eps = F(2, 3)
-    family = chihara_family(alpha, beta, gamma)
-    polys = generate_monic(family, 4)
-    good = build_operator("chihara_D", alpha=alpha, beta=beta, gamma=gamma, eps=eps)
-    bad = good + DunklOperator(
-        (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
-    )
-    detected = False
-    for n, poly in enumerate(polys):
-        eigenvalue = expected_eigenvalue(
-            "chihara_D", n, alpha=alpha, beta=beta, eps=eps
+    params = {"alpha": alpha, "beta": beta, "gamma": gamma, "eps": F(2, 3)}
+    with stopwatch() as ms:
+        bad = build_operator("chihara_D", **params) + DunklOperator(
+            (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
         )
-        try:
-            if not eigencheck(bad, poly, eigenvalue).is_zero:
-                detected = True
-                break
-        except NotPolynomial:
-            detected = True
-            break
+        detected = not all(
+            ok for _, _, ok, _, _ in eigen_sweep("chihara_D", params, 4, operator=bad)
+        )
     records.append(
         exact_record(
             "negative-controls",
             "perturbed-eigen-operator",
-            family.label() + ",eps=2/3",
+            format_params(params.items()),
             "0..4",
-            millis=_millis(start),
+            millis=ms[0],
             passed=detected,
-            residual="0" if detected else "undetected",
+            residual="undetected",
         )
     )
 
     # Perturb one Christoffel ratio by one unit and confirm the kernel
     # construction rejects the now-inconsistent division.
-    start = time.perf_counter()
     a, b, c = TRANSFORM_SETS[0]
     fam = big_m1_jacobi_family(a, b, c)
-    polys = generate_monic(fam, 6)
-    a_ratios, _ = split_ratios(fam, 6)
-    corrupted = list(a_ratios)
-    corrupted[2] = corrupted[2] + 1
-    detected = False
-    try:
-        christoffel(polys, corrupted)
-    except NotDivisible:
-        detected = True
+    with stopwatch() as ms:
+        polys = generate_monic(fam, 6)
+        a_ratios, _ = split_ratios(fam, 6)
+        corrupted = list(a_ratios)
+        corrupted[2] = corrupted[2] + 1
+        detected = False
+        try:
+            christoffel(polys, corrupted)
+        except NotDivisible:
+            detected = True
     records.append(
         exact_record(
             "negative-controls",
             "perturbed-transform-ratio",
             fam.label(),
             "0..5",
-            millis=_millis(start),
+            millis=ms[0],
             passed=detected,
-            residual="0" if detected else "undetected",
+            residual="undetected",
         )
     )
     return records
@@ -844,28 +866,11 @@ ALL_SUITES: Dict[str, Callable[[], List[VerificationRecord]]] = {
 SUITE_NAMES: Tuple[str, ...] = tuple(ALL_SUITES)
 
 
-def run_suites(
-    names: Optional[Iterable[str]] = None,
-    max_workers: Optional[int] = None,
-) -> List[VerificationRecord]:
-    """Run the named suites (all by default) and return their records.
-
-    Runs sequentially unless ``max_workers`` asks for a thread pool.  The
-    suites are independent pure computations and results are collected with
-    order-preserving ``map``, so the returned list is identical for every
-    ``max_workers`` value.
-    """
+def run_suites(names: Optional[Iterable[str]] = None) -> List[VerificationRecord]:
+    """Run the named suites (all by default), in order, and return their records."""
 
     chosen = list(SUITE_NAMES) if names is None else list(names)
     unknown = [name for name in chosen if name not in ALL_SUITES]
     if unknown:
         raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
-    functions = [ALL_SUITES[name] for name in chosen]
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be a positive integer")
-    if max_workers is None or max_workers == 1 or len(functions) <= 1:
-        batches = [fn() for fn in functions]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            batches = list(pool.map(lambda fn: fn(), functions))
-    return [record for batch in batches for record in batch]
+    return [record for name in chosen for record in ALL_SUITES[name]()]

@@ -37,7 +37,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div
-from .families import FamilySpec, big_m1_jacobi_AC, chihara_family, generate_monic
+from .families import (
+    FamilySpec,
+    big_m1_jacobi_AC,
+    chihara_family,
+    float_monic,
+    generate_monic,
+)
 
 
 class IrrationalScale(ValueError):
@@ -230,21 +236,10 @@ def kernel_to_chihara_float(kmap: KernelMap, kernels: Sequence[LaurentPoly]) -> 
     s = kmap.scale_float
     gamma = kmap.gamma_float
     family = chihara_family(kmap.alpha, kmap.beta, 0)
-    diag = lambda n: (-1) ** n * gamma  # noqa: E731 - float gamma variant
-    subs = [float(family.sub(n)) for n in range(len(kernels))]
-    # Generate the float Chihara coefficients through the recurrence.
-    targets: List[List[float]] = [[1.0]]
-    if len(kernels) > 1:
-        targets.append([-diag(0), 1.0])
-    for n in range(1, len(kernels) - 1):
-        prev, prev2 = targets[n], targets[n - 1]
-        nxt = [0.0] * (n + 2)
-        for j, coef in enumerate(prev):
-            nxt[j + 1] += coef
-            nxt[j] -= diag(n) * coef
-        for j, coef in enumerate(prev2):
-            nxt[j] -= subs[n] * coef
-        targets.append(nxt)
+    top = len(kernels) - 1
+    # The float Chihara coefficients, with the irrational gamma in the diagonal.
+    targets = float_monic([(-1) ** n * gamma for n in range(top)],
+                          [float(family.sub(n)) for n in range(len(kernels))], top)
     out: List[float] = []
     for n, kernel in enumerate(kernels):
         worst = 0.0

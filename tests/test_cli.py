@@ -13,7 +13,8 @@ import json
 import pytest
 
 from dunklpoly.cli import run
-from dunklpoly.report import parse
+from dunklpoly.report import emit, parse
+from dunklpoly.suites import ALL_SUITES
 
 
 def _run(capsys, argv):
@@ -177,15 +178,29 @@ def test_suite_stream_is_deterministic_excluding_millis(capsys):
     assert json.dumps(rows_a) == json.dumps(rows_b)
 
 
-def test_threads_env_changes_nothing(capsys, monkeypatch):
-    argv = ["suite", "--only", "jacobi", "--json"]
-    _, out_seq, _ = _run(capsys, argv)
-    monkeypatch.setenv("DUNKLPOLY_THREADS", "3")
-    _, out_par, _ = _run(capsys, argv)
-    rows_seq, rows_par = json.loads(out_seq), json.loads(out_par)
-    for row in rows_seq + rows_par:
-        row["millis"] = 0.0
-    assert rows_seq == rows_par
+def _without(rows, ignored):
+    return [{k: v for k, v in row.items() if k not in ignored} for row in rows]
+
+
+def test_cli_records_equal_pinned_suite_records(capsys):
+    # Each command runs the same check as the suite does for its instance;
+    # only the suite field differs, and for limits also the params label
+    # (first-step source parameters on the command line, the case defaults
+    # in the suite).
+    cases = [
+        (["gram", "--family", "chihara", "--alpha", "1", "--beta", "1",
+          "--gamma", "1/2"], "orthogonality", 0, 1),
+        (["norms", "--family", "chihara", "--alpha", "1", "--beta", "1",
+          "--gamma", "1/2"], "norms", 0, 2),
+        (["transform", "--a", "1", "--b", "1", "--c", "3/5"], "transform", 0, 4),
+        (["limits", "--case", "bigq_q_to_minus1"], "limits", 1, 2),
+    ]
+    for argv, suite, first, stop in cases:
+        code, out, _ = _run(capsys, argv + ["--json"])
+        assert code == 0, argv
+        ignored = {"millis", "suite"} | ({"params"} if suite == "limits" else set())
+        expected = json.loads(emit(ALL_SUITES[suite]()[first:stop]))
+        assert _without(json.loads(out), ignored) == _without(expected, ignored), argv
 
 
 # -- exit statuses ------------------------------------------------------------------
@@ -202,7 +217,7 @@ def test_failing_check_exits_1_with_first_record(capsys):
     assert "suite=gram" in err
 
 
-def test_usage_errors_exit_2(capsys, monkeypatch):
+def test_usage_errors_exit_2(capsys):
     cases = [
         [],                                                  # no subcommand
         ["coeffs", "--family", "chihara", "--alpha", "1",
@@ -220,21 +235,17 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
          "--steps", "1e-3,1e-4"],                            # too-short grid
         ["coeffs", "--family", "chihara", "--alpha", "0",
          "--beta", "-2", "--gamma", "3/4", "--n", "2"],      # degenerate family
+        ["coeffs", "--family", "gen_hermite", "--mu", "1/2",
+         "--n", "-1"],                                       # negative degree
+        ["coeffs", "--family", "chihara", "--alpha", "1",
+         "--beta", "1", "--gamma", "1/2", "--n", "-3"],      # negative degree
+        ["poly", "--family", "chihara", "--alpha", "1",
+         "--beta", "1", "--gamma", "1/2", "--n", "-1"],      # negative degree
     ]
     for argv in cases:
         code = run(argv)
         capsys.readouterr()
         assert code == 2, argv
-
-
-def test_threads_env_must_be_positive_integer(capsys, monkeypatch):
-    monkeypatch.setenv("DUNKLPOLY_THREADS", "zero")
-    code, _, err = _run(capsys, ["suite", "--only", "jacobi"])
-    assert code == 2
-    assert "DUNKLPOLY_THREADS" in err
-    monkeypatch.setenv("DUNKLPOLY_THREADS", "0")
-    assert run(["suite", "--only", "jacobi"]) == 2
-    capsys.readouterr()
 
 
 def test_help_exits_0(capsys):
