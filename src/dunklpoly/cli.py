@@ -24,8 +24,11 @@ Conventions
   the usual output is still printed.
 * Exit status: 0 when every check passed, 1 when any verification record
   failed (the first failing record is printed to stderr), 2 for usage
-  errors.  Identical argv produce identical records and, aside from the
-  wall-time field, byte-identical JSON.
+  errors, 3 for an internal error: an exact division or polynomial check
+  that failed outside a sweep (``NotDivisible``, ``NotPolynomial``), an
+  eigen-solver that did not converge (``NoConvergence``) or a degenerate
+  limit step (``DegenerateStep``).  Identical argv produce identical
+  records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use.
 """
@@ -39,6 +42,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from .exactnum import NotDivisible, NotPolynomial
 from .families import (
     FAMILIES,
     DegenerateParameters,
@@ -46,8 +50,8 @@ from .families import (
     generate_monic,
     recurrence_coeffs,
 )
-from .limits import LIMIT_IDS
-from .quad import weight_for
+from .limits import LIMIT_IDS, DegenerateStep
+from .quad import NoConvergence, weight_for
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
@@ -467,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv and execute; returns the exit status (0, 1, or 2)."""
+    """Parse argv and execute; returns the exit status (0, 1, 2 or 3)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,6 +481,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args._quiet = fmt is not None and dest == "-"
     try:
         return args.handler(args)
+    except (NotPolynomial, NotDivisible, NoConvergence, DegenerateStep) as exc:
+        print(f"{PROG}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, DegenerateParameters, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,21 @@ acts on a function f as
 the reflection R is (1, 0, -1, 0), the shifts T^+ / T^- are
 (1, 0, +1, +1) / (1, 0, +1, -1), and T^+ R is (1, 0, -1, -1).
 
-Applying an operator to a polynomial produces a rational function whose
-denominator must cancel exactly; a leftover denominator raises
-``NotPolynomial`` and is the primary detector for a mistranscribed
-coefficient.  Besides plain polynomials the module supports the class
-e^{-x^2/2} * poly, which is closed under every shift-free operator here
-(``apply_gaussian``).
+Applying an operator to a polynomial works over one common denominator.
+Each operator, on first use, takes the monic lcm L of its term
+denominators and turns every term coefficient num_i/den_i into the
+polynomial multiplier num_i * L/den_i.  The image of x^j times L is then the
+polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j], cached on
+the operator per exponent j (the Gaussian class below keeps its own table).
+The image of f is (sum_j f_j N_j) / L, found by one exact division: a zero
+remainder gives the image, a nonzero one raises ``NotPolynomial`` with the
+reduced leftover denominator.  That error is the primary detector for a
+mistranscribed coefficient.  The caches hold numerators, not quotients, so
+they stay correct when the image of a single monomial is not a polynomial,
+and they are invisible to ``==`` and ``hash``.  Besides plain polynomials
+the module supports the class e^{-x^2/2} * poly, which is closed under
+every shift-free operator here (``apply_gaussian``); there d/dx acts on the
+polynomial factor as g -> g' - x*g.
 
 ``build_operator`` knows the eigenoperators of each family:
 
@@ -47,7 +56,8 @@ monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -58,7 +68,11 @@ from .exactnum import (
     Scalar,
     _as_fraction,
     exact_polynomial_check,
+    poly_divmod,
+    poly_exact_div,
+    poly_gcd,
 )
+from .report import stopwatch
 
 X = LaurentPoly.x()
 
@@ -95,28 +109,62 @@ class DunklOperator:
         """Exact image of a polynomial; raises NotPolynomial if it is not one."""
         if not f.is_polynomial:
             raise ValueError("operators act on true polynomials here")
-        total = RatFunc.zero()
-        for t in self.terms:
-            g = f.substitute_affine(t.eps, t.delta)
-            for _ in range(t.k):
-                g = g.derivative()
-            total = total + t.coeff * RatFunc.from_laurent(g)
-        return exact_polynomial_check(total)
+        return self._image(f, self._images, LaurentPoly.derivative)
 
     def apply_gaussian(self, f: "GaussianPoly") -> "GaussianPoly":
         """Image of e^{-x^2/2} p(x); defined for shift-free operators."""
-        total = RatFunc.zero()
         for t in self.terms:
             if t.delta != 0:
                 raise UnsupportedTermForGaussianClass(
                     f"shift delta={t.delta} leaves the class e^(-x^2/2)*poly"
                 )
-            # e^{-x^2/2} is even, so substitution only touches the factor p
-            g = f.poly.substitute_affine(t.eps, 0)
-            for _ in range(t.k):
-                g = g.derivative() - X * g
-            total = total + t.coeff * RatFunc.from_laurent(g)
-        return GaussianPoly(exact_polynomial_check(total))
+        # e^{-x^2/2} is even, so substitution only touches the factor p, and
+        # d/dx [e^{-x^2/2} g] = e^{-x^2/2} (g' - x g)
+        return GaussianPoly(self._image(f.poly, self._gaussian_images, _gaussian_step))
+
+    @cached_property
+    def _common(self) -> Tuple[LaurentPoly, Tuple[LaurentPoly, ...]]:
+        """The lcm L of the term denominators and the multipliers num_i L/den_i."""
+        L = LaurentPoly.one()
+        for t in self.terms:
+            L = L * poly_exact_div(t.coeff.den, poly_gcd(L, t.coeff.den))
+        return L, tuple(t.coeff.num * poly_exact_div(L, t.coeff.den) for t in self.terms)
+
+    @cached_property
+    def _images(self) -> Dict[int, LaurentPoly]:
+        return {}
+
+    @cached_property
+    def _gaussian_images(self) -> Dict[int, LaurentPoly]:
+        return {}
+
+    def _image(
+        self,
+        f: LaurentPoly,
+        images: Dict[int, LaurentPoly],
+        step: Callable[[LaurentPoly], LaurentPoly],
+    ) -> LaurentPoly:
+        """(sum_j f_j N_j) / L, where N_j = L * image of x^j, cached in ``images``."""
+        L, multipliers = self._common
+        total = LaurentPoly.zero()
+        for j, c in f.items():
+            numerator = images.get(j)
+            if numerator is None:
+                numerator = LaurentPoly.zero()
+                for t, m in zip(self.terms, multipliers):
+                    g = LaurentPoly.monomial(j).substitute_affine(t.eps, t.delta)
+                    for _ in range(t.k):
+                        g = step(g)
+                    numerator = numerator + m * g
+                images[j] = numerator
+            total = total + numerator * c
+        # a Laurent factor handed to apply_gaussian can leave negative powers,
+        # which poly_divmod refuses; RatFunc normalises those and reports them
+        if total.is_polynomial:
+            quotient, remainder = poly_divmod(total, L)
+            if remainder.is_zero:
+                return quotient
+        return exact_polynomial_check(RatFunc(total, L))
 
     def __add__(self, other: "DunklOperator") -> "DunklOperator":
         return _merge(self.terms + other.terms)
@@ -151,6 +199,10 @@ class DunklOperator:
                     )
                     inner = inner.derivative()
         return _merge(tuple(out))
+
+
+def _gaussian_step(g: LaurentPoly) -> LaurentPoly:
+    return g.derivative() - X * g
 
 
 def _merge(terms: Sequence[OperatorTerm]) -> DunklOperator:
@@ -457,6 +509,7 @@ class AlgebraRelationReport:
     constants: Tuple[Tuple[str, str], ...]
     passed: bool
     first_failure: int | None
+    millis: float = field(compare=False)  # wall time of this relation's check
 
 
 Poly = LaurentPoly
@@ -471,17 +524,19 @@ def _relation_report(
     constants: Dict[str, Fraction],
 ) -> AlgebraRelationReport:
     first_failure = None
-    for j in range(degree_cap + 1):
-        mono = LaurentPoly.monomial(j)
-        if lhs(mono) != rhs(mono):
-            first_failure = j
-            break
+    with stopwatch() as ms:
+        for j in range(degree_cap + 1):
+            mono = LaurentPoly.monomial(j)
+            if lhs(mono) != rhs(mono):
+                first_failure = j
+                break
     return AlgebraRelationReport(
         relation=name,
         degree_cap=degree_cap,
         constants=tuple((k, str(v)) for k, v in sorted(constants.items())),
         passed=first_failure is None,
         first_failure=first_failure,
+        millis=ms[0],
     )
 
 

@@ -14,13 +14,17 @@ deliberately small and strict:
   exponents), denominator monic, numerator and denominator coprime.  With
   that normalization equality of rational functions is plain field equality,
   and "is this actually a polynomial" is decidable by looking at the
-  denominator.
+  denominator.  Operators are built from RatFunc coefficients; they are
+  applied through polynomial arithmetic over one common denominator and a
+  single ``poly_divmod`` (see :mod:`dunklpoly.dunklop`), not through RatFunc
+  sums.
 
 ``exact_polynomial_check`` converts a RatFunc back to a LaurentPoly and
 raises ``NotPolynomial`` otherwise.  That failure is meaningful, not an
 inconvenience: eigenoperator images of polynomials must close among
 polynomials, so a residual denominator is a primary detector for a wrongly
-transcribed operator coefficient.
+transcribed operator coefficient.  Operator application reports a nonzero
+remainder through this check, so its message names the reduced denominator.
 """
 
 from __future__ import annotations
@@ -328,15 +332,26 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
     if b.is_zero:
         raise ZeroDenominator("polynomial division by zero")
     q: Dict[int, Fraction] = {}
-    r = a
+    r = dict(a._coeffs)
     db = b.degree
     lb = b.leading_coeff()
-    while not r.is_zero and r.degree >= db:
-        shift = r.degree - db
-        factor = r.leading_coeff() / lb
-        q[shift] = factor
-        r = r - LaurentPoly.monomial(shift, factor) * b
-    return _wrap(q), r
+    rest = [(e - db, c) for e, c in b._coeffs.items() if e != db]
+    # Long division on one remainder dict: each step cancels the leading
+    # term exactly and subtracts factor * (b minus its leading term).
+    while r:
+        top = max(r)
+        if top < db:
+            break
+        factor = r.pop(top) / lb
+        q[top - db] = factor
+        for e, c in rest:
+            e += top
+            s = r.get(e, Fraction(0)) - factor * c
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return _wrap(q), _wrap(r)
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

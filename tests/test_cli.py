@@ -251,3 +251,17 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_internal_errors_exit_3(capsys):
+    cases = [
+        ["norms", "--family", "ext_hermite", "--mu=1/19", "--gamma=4/7",
+         "--cap", "20"],                                     # NoConvergence
+        ["limits", "--case", "bigq_q_to_minus1",
+         "--steps", "1e-100,1e-101,1e-102"],                 # DegenerateStep
+    ]
+    for argv in cases:
+        code, _, err = _run(capsys, argv)
+        assert code == 3, argv
+        assert err.startswith("dunklpoly: internal error: "), argv
+        assert "Traceback" not in err, argv

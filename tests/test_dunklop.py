@@ -10,9 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dunklpoly.exactnum import LaurentPoly, NotPolynomial, RatFunc
+from dunklpoly.exactnum import LaurentPoly, NotPolynomial, RatFunc, exact_polynomial_check
 from dunklpoly.dunklop import (
+    OPERATOR_TOKENS,
     DunklOperator,
     GaussianPoly,
     OperatorTerm,
@@ -234,6 +237,80 @@ def test_perturbed_coefficient_is_detected():
     assert not res.is_zero
 
 
+# -- the common-denominator route against the term-by-term RatFunc route --------
+
+
+def _ratfunc_route(op, f, gaussian=False):
+    """Reference image: every term reduced as a RatFunc, then summed."""
+    total = RatFunc.zero()
+    for t in op.terms:
+        g = f.substitute_affine(t.eps, t.delta)
+        for _ in range(t.k):
+            g = g.derivative() - X * g if gaussian else g.derivative()
+        total = total + t.coeff * RatFunc.from_laurent(g)
+    return exact_polynomial_check(total)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotPolynomial as exc:
+        return f"NotPolynomial: {exc}"
+
+
+TOKEN_PARAMS = {
+    "cbi_K": ("rho1", "rho2", "r1", "r2", "alpha"),
+    "chihara_D": ("alpha", "beta", "gamma", "eps"),
+    "dunkl_derivative": ("mu",),
+    "gegenbauer_Q": ("mu", "a"),
+    "gegenbauer_W": ("alpha", "beta", "eps"),
+    "gh_Omega": ("mu", "eps"),
+    "gh_OmegaTilde": ("mu", "eps"),
+    "involution_P": ("gamma",),
+    "reflection_component": ("gamma",),
+    "y_Z": ("mu", "gamma", "eps"),
+}
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_polys = st.lists(_rationals, max_size=11).map(LaurentPoly.from_coeffs)
+
+
+@st.composite
+def _extra_terms(draw):
+    """Zero or one extra term c/x^m or c/(x - r), as in the perturbed control."""
+    if not draw(st.booleans()):
+        return ()
+    c = draw(_rationals.filter(bool))
+    den = X ** draw(st.integers(0, 3)) if draw(st.booleans()) else X - draw(_rationals)
+    delta = draw(st.sampled_from((1, -1, F(1, 2)))) if draw(st.booleans()) else 0
+    return (term(RatFunc.of(LaurentPoly.const(c), den), k=draw(st.integers(0, 2)),
+                 eps=draw(st.sampled_from((1, -1))), delta=delta),)
+
+
+def test_token_params_cover_every_operator():
+    assert sorted(TOKEN_PARAMS) == list(OPERATOR_TOKENS)
+
+
+@pytest.mark.parametrize("token", OPERATOR_TOKENS)
+@settings(deadline=None, max_examples=12)
+@given(data=st.data())
+def test_apply_matches_ratfunc_route(token, data):
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
+    extra = data.draw(_extra_terms())
+    op = build_operator(token, **params) + DunklOperator(extra)
+    shift_free = all(t.delta == 0 for t in op.terms)
+    for f in (data.draw(_polys), data.draw(_polys)):
+        assert _outcome(op.apply, f) == _outcome(_ratfunc_route, op, f)
+        if shift_free:
+            # the Gaussian class also takes a Laurent factor
+            f = f * LaurentPoly.monomial(-data.draw(st.integers(0, 2)))
+            got = _outcome(lambda g: op.apply_gaussian(GaussianPoly(g)).poly, f)
+            assert got == _outcome(_ratfunc_route, op, f, True)
+    # the per-operator caches are invisible to equality and hashing
+    fresh = build_operator(token, **params) + DunklOperator(extra)
+    assert op == fresh and hash(op) == hash(fresh)
+
+
 def test_unknown_operator_token():
     with pytest.raises(ValueError):
         build_operator("not_an_operator", mu=1)
@@ -297,3 +374,4 @@ def test_algebra_report_shape():
     assert rep.degree_cap == 4
     assert dict(rep.constants)["d3"] == "1/2"
     assert rep.first_failure is None
+    assert rep.millis > 0

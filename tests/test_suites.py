@@ -17,14 +17,16 @@ Expected record counts are frozen from the pinned parameter tables:
 
 import hashlib
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from dunklpoly.report import FIELD_NAMES, emit, parse, worst_outcome
+from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
 from dunklpoly.suites import (
     ALL_SUITES,
     SUITE_NAMES,
+    algebra_records,
     run_suites,
 )
 
@@ -168,3 +170,14 @@ def test_registry_order_is_criteria_order():
         "limits",
         "negative-controls",
     )
+
+
+def test_algebra_records_time_each_relation():
+    # each relation is timed on its own, not given a share of the whole call
+    params = {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)}
+    with stopwatch() as ms:
+        records = algebra_records("ext_hermite", 6, params)
+    assert len(records) == 6
+    assert all(r.millis > 0 for r in records)
+    assert len({r.millis for r in records}) > 1
+    assert sum(r.millis for r in records) <= ms[0]
