@@ -403,7 +403,8 @@ def run_limit(case: LimitCase) -> LimitReport:
     three-term recurrence, rescale them to the target normalization
     (coefficient ``j`` of degree ``n`` picks up ``sigma^{j-n}``), and record
     per-degree coefficient errors plus the rescaled recurrence-coefficient
-    errors.  Raises ``DegenerateStep`` if a source denominator vanishes.
+    errors.  Raises ``DegenerateStep`` if a source denominator vanishes or
+    a source parameter or rescale power overflows.
     """
     cap = case.degree_cap
     target_polys = generate_monic(case.target, cap)
@@ -413,20 +414,28 @@ def run_limit(case: LimitCase) -> LimitReport:
 
     results = []
     for h in case.steps:
-        model = case.source(h)
+        try:
+            model = case.source(h)
+        except OverflowError:
+            raise DegenerateStep(f"source parameters overflow at step {h:g}") from None
         sigma = model.rescale
         if not math.isfinite(sigma) or sigma <= 0:
             raise DegenerateStep(f"rescale factor degenerate at step {h:g}")
         diag = [_probe(model.diag, n, h, "diag") for n in range(cap + 1)]
         sub = [_probe(model.sub, n, h, "sub") for n in range(cap + 1)]
         polys = float_monic(diag, sub, cap)
-        poly_errors = tuple(
-            max(
-                abs(polys[n][j] * sigma ** (j - n) - tcoeffs[n][j])
-                for j in range(n + 1)
+        try:
+            poly_errors = tuple(
+                max(
+                    abs(polys[n][j] * sigma ** (j - n) - tcoeffs[n][j])
+                    for j in range(n + 1)
+                )
+                for n in range(cap + 1)
             )
-            for n in range(cap + 1)
-        )
+        except OverflowError:
+            raise DegenerateStep(
+                f"rescale factor power overflows at step {h:g}"
+            ) from None
         diag_errors = tuple(abs(diag[n] / sigma - tdiag[n]) for n in range(cap + 1))
         sub_errors = tuple(
             abs(sub[n] / (sigma * sigma) - tsub[n]) for n in range(cap + 1)

@@ -30,6 +30,11 @@ nodes are the eigenvalues and weights are ``mu0`` times the squared first
 eigenvector components.  Every rule is validated at build time against
 closed-form moments up to degree ``min(2n-1, 8)``.
 
+Gram matrices and norm ratios evaluate the family polynomials at the
+branch points through the float three-term recurrence; its exact rational
+coefficients are converted to float once per ``gram_matrix`` or
+``norm_ratio_check`` call and shared by every node.
+
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); an absolute-normalization value
 through the platform Gamma function is used only for the ``k_0`` and
@@ -39,12 +44,14 @@ through the platform Gamma function is used only for the ``k_0`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, Scalar, _as_fraction
 from .families import FamilySpec, generate_monic, pochhammer
+from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
 RESIDUAL_BOUND = 1e-12
@@ -216,6 +223,13 @@ def _laguerre_recurrence(a: Fraction, k: int) -> Tuple[Fraction, Fraction]:
     return 2 * k + a + 1, Fraction(k) * (k + a)
 
 
+def _check_exponents(weight_class: Tuple) -> None:
+    """Reject a classical weight that is not integrable at its endpoints."""
+    for param in weight_class[1:]:
+        if param <= -1:
+            raise ValueError("weight parameters must exceed -1")
+
+
 def _zeroth_moment(weight_class: Tuple) -> float:
     if weight_class[0] == "jacobi":
         _, a, b = weight_class
@@ -260,9 +274,7 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
     weight_class = _normalize_weight_class(weight_class)
     if n < 1:
         raise ValueError("a Gauss rule needs at least one node")
-    for param in weight_class[1:]:
-        if param <= -1:
-            raise ValueError("weight parameters must exceed -1")
+    _check_exponents(weight_class)
     if weight_class[0] == "jacobi":
         recurrence = lambda k: _jacobi01_recurrence(weight_class[1], weight_class[2], k)
     else:
@@ -331,8 +343,12 @@ class WeightSpec:
             return ((-math.inf, -g), (g, math.inf))
         return ((-math.inf, math.inf),)
 
+    @cached_property
+    def _float_params(self) -> Dict[str, float]:
+        return {key: float(v) for key, v in self.params}
+
     def weight_value(self, x: float) -> float:
-        p = {key: float(v) for key, v in self.params}
+        p = self._float_params
         if self.family == "chihara":
             g = p["gamma"]
             return (
@@ -374,10 +390,16 @@ _SUPPORT_TEXT = {
 
 
 def weight_for(family: FamilySpec) -> WeightSpec:
-    """The weight specification attached to an orthogonal family."""
+    """The weight specification attached to an orthogonal family.
+
+    Raises ``ValueError`` when the reduced classical weight is not
+    integrable (an exponent at or below -1).
+    """
     if family.name not in _SUPPORT_TEXT:
         raise ValueError(f"no continuous weight carried for family {family.name!r}")
-    return WeightSpec(family.name, family.params, _SUPPORT_TEXT[family.name])
+    spec = WeightSpec(family.name, family.params, _SUPPORT_TEXT[family.name])
+    _check_exponents(spec.reduced_weight_class())
+    return spec
 
 
 # -- inner products through the even/odd reduction -----------------------------------
@@ -471,22 +493,27 @@ def inner_product(
     return _branch_sum(spec, rule, us, pos, neg)
 
 
-def _basis_values(family: FamilySpec, N: int, x: float) -> List[float]:
-    """[P_0(x) .. P_N(x)] through the float three-term recurrence.
+def _basis_table(
+    family: FamilySpec, N: int, points: Sequence[float]
+) -> List[List[float]]:
+    """One row [P_0(x) .. P_N(x)] per x in ``points``, by the float recurrence.
 
-    Recurrence evaluation avoids the coefficient cancellation of Horner on
-    expanded monic coefficients, which matters for the tiny high-degree
-    norms in the Gram matrix.
+    The exact recurrence coefficients are converted to float once, then
+    shared by every point.  Recurrence evaluation avoids the coefficient
+    cancellation of Horner on expanded monic coefficients, which matters for
+    the tiny high-degree norms in the Gram matrix.
     """
-    values = [1.0]
-    if N >= 1:
-        values.append(x - float(family.diag(0)))
-    for n in range(1, N):
-        values.append(
-            (x - float(family.diag(n))) * values[n]
-            - float(family.sub(n)) * values[n - 1]
-        )
-    return values
+    diag = [float(family.diag(n)) for n in range(N)]
+    sub = [float(family.sub(n)) for n in range(N)]
+    table = []
+    for x in points:
+        values = [1.0]
+        if N >= 1:
+            values.append(x - diag[0])
+        for n in range(1, N):
+            values.append((x - diag[n]) * values[n] - sub[n] * values[n - 1])
+        table.append(values)
+    return table
 
 
 def gram_matrix(
@@ -496,8 +523,8 @@ def gram_matrix(
     spec = weight_for(family)
     rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N, nodes))
     us = _branch_points(spec, rule)
-    table_pos = [_basis_values(family, N, u) for u in us]
-    table_neg = [_basis_values(family, N, -u) for u in us]
+    table = _basis_table(family, N, us + [-u for u in us])
+    table_pos, table_neg = table[: len(us)], table[len(us) :]
     gram = [[0.0] * (N + 1) for _ in range(N + 1)]
     for m in range(N + 1):
         for n in range(m, N + 1):
@@ -628,8 +655,9 @@ def norm_ratio_check(
     """(exact ratio, quadrature ratio) of consecutive squared norms.
 
     The quadrature side evaluates P_n at the Gauss nodes through the float
-    recurrence (see ``_basis_values``) so both norms keep full relative
-    accuracy even when they are geometrically small.
+    recurrence (see ``_basis_table``) so both norms keep full relative
+    accuracy even when they are geometrically small.  The recurrence
+    coefficients are converted to float once per call, not once per node.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
@@ -637,8 +665,8 @@ def norm_ratio_check(
     spec = weight_for(family)
     rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * n, nodes))
     us = _branch_points(spec, rule)
-    table_pos = [_basis_values(family, n, u) for u in us]
-    table_neg = [_basis_values(family, n, -u) for u in us]
+    table = _basis_table(family, n, us + [-u for u in us])
+    table_pos, table_neg = table[: len(us)], table[len(us) :]
     norms = [
         _branch_sum(
             spec,
@@ -669,13 +697,15 @@ def norm_head(family: FamilySpec) -> float:
 
 @dataclass(frozen=True)
 class PearsonReport:
-    """Outcome of the two weight-function conditions."""
+    """Outcome of the two weight-function conditions, each with its wall time."""
 
     ode_residual: str
     ode_exact: bool
     reflection_samples: int
     reflection_worst: float
     reflection_ok: bool
+    ode_millis: float = field(compare=False)
+    reflection_millis: float = field(compare=False)
 
     @property
     def passed(self) -> bool:
@@ -700,36 +730,41 @@ def verify_pearson(
         raise ValueError("the Pearson conditions are carried for the chihara family")
     p = family.p
     alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
-    x = LaurentPoly.x()
-    one = LaurentPoly.one()
-    log_derivative = (
-        RatFunc.of(one, x + gamma)
-        + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
-        - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
-    )
-    symmetry_side = (
-        RatFunc.of(one * alpha, x - gamma)
-        + RatFunc.of(one * (alpha + 1), x + gamma)
-        - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
-    )
-    residual = log_derivative - symmetry_side
-    ode_exact = residual.is_zero
+    with stopwatch() as ode_ms:
+        x = LaurentPoly.x()
+        one = LaurentPoly.one()
+        log_derivative = (
+            RatFunc.of(one, x + gamma)
+            + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
+            - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
+        )
+        symmetry_side = (
+            RatFunc.of(one * alpha, x - gamma)
+            + RatFunc.of(one * (alpha + 1), x + gamma)
+            - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
+        )
+        residual = log_derivative - symmetry_side
+        ode_exact = residual.is_zero
 
-    spec = weight_for(family)
-    worst = 0.0
-    count = 0
-    for lo, hi in spec.support_intervals():
-        for i in range(samples_per_side):
-            xx = lo + (hi - lo) * (i + 0.5) / samples_per_side
-            wx = spec.weight_value(xx)
-            wmx = spec.weight_value(-xx)
-            relative = abs((xx + float(gamma)) * wmx + (-xx + float(gamma)) * wx) / abs(wx)
-            worst = max(worst, relative)
-            count += 1
+    with stopwatch() as reflection_ms:
+        spec = weight_for(family)
+        g = float(gamma)
+        worst = 0.0
+        count = 0
+        for lo, hi in spec.support_intervals():
+            for i in range(samples_per_side):
+                xx = lo + (hi - lo) * (i + 0.5) / samples_per_side
+                wx = spec.weight_value(xx)
+                wmx = spec.weight_value(-xx)
+                relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
+                worst = max(worst, relative)
+                count += 1
     return PearsonReport(
         ode_residual=str(residual),
         ode_exact=ode_exact,
         reflection_samples=count,
         reflection_worst=worst,
         reflection_ok=worst <= tolerance,
+        ode_millis=ode_ms[0],
+        reflection_millis=reflection_ms[0],
     )

@@ -612,18 +612,18 @@ def pearson_records(
 ) -> List[VerificationRecord]:
     """The exact weight equation and the reflection samples of one weight.
 
-    Both come from one ``verify_pearson`` call, so each record carries half
-    of its wall time.
+    Both come from one ``verify_pearson`` call; each record carries the
+    measured wall time of its own condition (``PearsonReport.ode_millis``,
+    ``PearsonReport.reflection_millis``).
     """
-    with stopwatch() as ms:
-        report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
+    report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
     return [
         exact_record(
             "pearson",
             "weight-equation",
             family.label(),
             "weight",
-            millis=ms[0] / 2,
+            millis=report.ode_millis,
             passed=report.ode_exact,
             residual="nonzero",
         ),
@@ -634,7 +634,7 @@ def pearson_records(
             f"{report.reflection_samples} points",
             residual=report.reflection_worst,
             tolerance=tolerance,
-            millis=ms[0] / 2,
+            millis=report.reflection_millis,
         ),
     ]
 

@@ -241,6 +241,8 @@ def test_usage_errors_exit_2(capsys):
          "--beta", "1", "--gamma", "1/2", "--n", "-3"],      # negative degree
         ["poly", "--family", "chihara", "--alpha", "1",
          "--beta", "1", "--gamma", "1/2", "--n", "-1"],      # negative degree
+        ["weight-sample", "--family", "gen_hermite", "--mu=-3/2",
+         "--points", "3"],                                   # non-integrable weight
     ]
     for argv in cases:
         code = run(argv)
@@ -259,6 +261,10 @@ def test_internal_errors_exit_3(capsys):
          "--cap", "20"],                                     # NoConvergence
         ["limits", "--case", "bigq_q_to_minus1",
          "--steps", "1e-100,1e-101,1e-102"],                 # DegenerateStep
+        ["limits", "--case", "chihara_beta_to_inf",
+         "--steps", "1e-300,1e-301,1e-302"],                 # rescale power overflows
+        ["limits", "--case", "bigq_q_to_minus1",
+         "--steps", "1e200,1e199,1e198"],                    # source parameters overflow
     ]
     for argv in cases:
         code, _, err = _run(capsys, argv)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
+    FamilySpec,
     chihara_family,
     ext_hermite_family,
     gegenbauer_family,
@@ -21,6 +22,7 @@ from dunklpoly.quad import (
     QuadratureRule,
     RuleTooSmall,
     SymTridiag,
+    _basis_table,
     gauss_rule,
     gram_matrix,
     gram_offdiag_worst,
@@ -259,6 +261,61 @@ def test_gram_matrix_orthogonal_to_tolerance(fam):
     assert gram_offdiag_worst(gram) <= 1e-10
 
 
+def _per_node_basis_values(family, N, x):
+    """Reference: the per-node recurrence that converted every coefficient
+    to float again at each point."""
+    values = [1.0]
+    if N >= 1:
+        values.append(x - float(family.diag(0)))
+    for n in range(1, N):
+        values.append(
+            (x - float(family.diag(n))) * values[n]
+            - float(family.sub(n)) * values[n - 1]
+        )
+    return values
+
+
+_positive = st.fractions(min_value=F(1, 8), max_value=3, max_denominator=12)
+_signed = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+_quadrature_families = st.one_of(
+    st.builds(chihara_family, _positive, _positive, _signed),
+    st.builds(gegenbauer_family, _positive, _positive),
+    st.builds(ext_hermite_family, _positive, _signed),
+    st.builds(gen_hermite_family, _positive),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    family=_quadrature_families,
+    N=st.integers(0, 20),
+    points=st.lists(st.floats(-4, 4), max_size=8),
+)
+def test_basis_table_equals_per_node_recurrence(family, N, points):
+    # same floats in the same operation order: equal bit for bit
+    table = _basis_table(family, N, points)
+    assert table == [_per_node_basis_values(family, N, x) for x in points]
+
+
+@pytest.mark.parametrize("check", [gram_matrix, norm_ratio_check])
+@pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
+def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
+    # O(n) coefficient evaluations per call, not O(n) per Gauss node
+    calls = {"diag": 0, "sub": 0}
+    for name in calls:
+        original = getattr(FamilySpec, name)
+
+        def counted(self, k, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, k)
+
+        monkeypatch.setattr(FamilySpec, name, counted)
+    n = 12
+    check(fam, n)
+    assert 0 < calls["diag"] <= 2 * (n + 1)
+    assert 0 < calls["sub"] <= 2 * (n + 1)
+
+
 # -- norms -----------------------------------------------------------------------------
 
 
@@ -313,6 +370,41 @@ def test_weight_positive_inside_support(fam):
         for i in range(8):
             x = lo + (hi - lo) * (i + 0.5) / 8
             assert spec.weight_value(x) > 0
+
+
+def _dict_per_call_weight_value(spec, x):
+    """Reference: the weight formula with its float parameters rebuilt per call."""
+    p = {key: float(v) for key, v in spec.params}
+    if spec.family == "chihara":
+        g = p["gamma"]
+        return (
+            math.copysign(1.0, x)
+            * (x + g)
+            * (x * x - g * g) ** p["alpha"]
+            * (1 + g * g - x * x) ** p["beta"]
+        )
+    if spec.family == "gegenbauer":
+        return abs(x) ** (2 * p["alpha"] + 1) * (1 - x * x) ** p["beta"]
+    if spec.family == "ext_hermite":
+        g = p["gamma"]
+        return (
+            math.copysign(1.0, x)
+            * (x + g)
+            * (x * x - g * g) ** (p["mu"] - 0.5)
+            * math.exp(-x * x)
+        )
+    return abs(x) ** (2 * p["mu"]) * math.exp(-x * x)
+
+
+@pytest.mark.parametrize("fam", FAMILY_SETS)
+def test_weight_value_equals_dict_per_call_formula(fam):
+    spec = weight_for(fam)
+    for lo, hi in spec.support_intervals():
+        lo = max(lo, -8.0)
+        hi = min(hi, 8.0)
+        for i in range(17):
+            x = lo + (hi - lo) * (i + 0.5) / 17
+            assert spec.weight_value(x) == _dict_per_call_weight_value(spec, x)
 
 
 def test_support_descriptors():

@@ -22,11 +22,13 @@ from pathlib import Path
 
 import pytest
 
+from dunklpoly.families import chihara_family
 from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
 from dunklpoly.suites import (
     ALL_SUITES,
     SUITE_NAMES,
     algebra_records,
+    pearson_records,
     run_suites,
 )
 
@@ -180,4 +182,15 @@ def test_algebra_records_time_each_relation():
     assert len(records) == 6
     assert all(r.millis > 0 for r in records)
     assert len({r.millis for r in records}) > 1
+    assert sum(r.millis for r in records) <= ms[0]
+
+
+def test_pearson_records_time_each_condition():
+    # the weight equation and the reflection samples are timed on their own,
+    # not given half each of the whole call
+    with stopwatch() as ms:
+        records = pearson_records(chihara_family(1, 2, F(1, 3)), samples=200)
+    assert [r.target for r in records] == ["weight-equation", "reflection-samples"]
+    assert all(r.millis > 0 for r in records)
+    assert records[0].millis != records[1].millis
     assert sum(r.millis for r in records) <= ms[0]
