@@ -26,8 +26,10 @@ Conventions
   failed (the first failing record is printed to stderr), 2 for usage
   errors, 3 for an internal error: an exact division or polynomial check
   that failed outside a sweep (``NotDivisible``, ``NotPolynomial``), an
-  eigen-solver that did not converge (``NoConvergence``) or a degenerate
-  limit step (``DegenerateStep``).  Identical argv produce identical
+  eigen-solver that did not converge (``NoConvergence``), a degenerate
+  limit step (``DegenerateStep``) or a float computation that left the
+  double range (``ArithmeticError``: an overflow, or a division by a value
+  that underflowed to zero).  Identical argv produce identical
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use.
@@ -51,7 +53,7 @@ from .families import (
     recurrence_coeffs,
 )
 from .limits import LIMIT_IDS, DegenerateStep
-from .quad import NoConvergence, weight_for
+from .quad import WEIGHTED_FAMILIES, NoConvergence, weight_for
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
@@ -410,16 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_algebra)
 
     p = sub.add_parser("gram", help="Gram matrix off-diagonal check")
-    _add_family_flags(p, families=("chihara", "gegenbauer", "ext_hermite",
-                                   "gen_hermite"))
+    _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
     p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_gram)
 
     p = sub.add_parser("norms", help="norm-ratio checks")
-    _add_family_flags(p, families=("chihara", "gegenbauer", "ext_hermite",
-                                   "gen_hermite"))
+    _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
     p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
                    metavar="N")
@@ -454,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_limits)
 
     p = sub.add_parser("weight-sample", help="CSV samples of a weight function")
-    _add_family_flags(p, families=("chihara", "gegenbauer", "ext_hermite",
-                                   "gen_hermite"))
+    _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--points", type=_positive_int, required=True, metavar="M",
                    help="sample points per support component")
     p.set_defaults(handler=_cmd_weight_sample)
@@ -481,7 +480,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args._quiet = fmt is not None and dest == "-"
     try:
         return args.handler(args)
-    except (NotPolynomial, NotDivisible, NoConvergence, DegenerateStep) as exc:
+    except (NotPolynomial, NotDivisible, NoConvergence, DegenerateStep,
+            ArithmeticError) as exc:
         print(f"{PROG}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (UsageError, DegenerateParameters, ValueError) as exc:

@@ -492,9 +492,6 @@ class RatFunc:
             raise ZeroDenominator(f"denominator vanishes at {value}")
         return self.num.evaluate(value) / d
 
-    def evaluate_float(self, value: float) -> float:
-        return self.num.evaluate_float(value) / self.den.evaluate_float(value)
-
     def __str__(self) -> str:
         if self.den == LaurentPoly.one():
             return str(self.num)

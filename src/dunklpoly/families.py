@@ -46,7 +46,11 @@ class DegenerateParameters(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family with exact recurrence coefficient callables."""
+    """A named family with recurrence coefficient callables.
+
+    The coefficient table is evaluated at exact rational parameters for every
+    check, and at float parameters for the source families of ``limits``.
+    """
 
     name: str
     params: Tuple[Tuple[str, Fraction], ...]
@@ -341,24 +345,32 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     raise ValueError(f"no terminating ordinary hypergeometric form for {family.name}")
 
 
+def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+    """Monic recurrence (diag, sub) in z for the weight (1-z)^alpha (1+z)^beta.
+
+    Raises ``ZeroDivisionError`` where a denominator vanishes.
+    """
+    if k == 0:
+        return (beta - alpha) / (alpha + beta + 2), Fraction(0)
+    s = 2 * k + alpha + beta
+    diag = (beta * beta - alpha * alpha) / (s * (s + 2))
+    if k == 1:
+        # k + alpha + beta cancels against s - 1, which is 0 at alpha + beta = -1
+        return diag, 4 * (1 + alpha) * (1 + beta) / ((2 + alpha + beta) ** 2 * (3 + alpha + beta))
+    return diag, 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
+        s * s * (s + 1) * (s - 1)
+    )
+
+
 def classical_jacobi_monic(n: int, alpha: Scalar, beta: Scalar) -> LaurentPoly:
     """Monic Jacobi polynomial in z for the weight (1-z)^alpha (1+z)^beta."""
     alpha, beta = _as_fraction(alpha), _as_fraction(beta)
     z = LaurentPoly.x()
-    polys = [LaurentPoly.one()]
+    prev, cur = LaurentPoly.zero(), LaurentPoly.one()
     try:
         for k in range(n):
-            if k == 0:
-                ak = (beta - alpha) / (alpha + beta + 2)
-                nxt = z - ak
-            else:
-                s = 2 * k + alpha + beta
-                ak = (beta**2 - alpha**2) / (s * (s + 2))
-                bk = 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
-                    s * s * (s + 1) * (s - 1)
-                )
-                nxt = (z - ak) * polys[k] - bk * polys[k - 1]
-            polys.append(nxt)
+            diag, sub = jacobi_recurrence(alpha, beta, k)
+            prev, cur = cur, (z - diag) * cur - sub * prev
     except ZeroDivisionError:
         raise DegenerateParameters(f"jacobi({alpha},{beta}) recurrence degenerate at k={k}") from None
-    return polys[n]
+    return cur

@@ -41,6 +41,12 @@ Rescale factors are kept exact-rational on the target side, so the source
 parameters must make ``s`` rational (``IrrationalScale`` otherwise); the
 default grids use Pythagorean choices (``a1=5, a2=3``; ``g=3/5``).
 
+Each case builder maps a step to a ``SourceStep``: the source ``FamilySpec``
+at float parameters (its coefficients come from the table in ``families``)
+and the rescale factor ``sigma``.  ``LIMIT_CASES`` maps each limit id to its
+builder and default parameters; builders run on ``DEFAULT_STEPS`` unless
+given a grid, and ``LimitCase`` validates every grid.
+
 Steps are independent of each other and every function here is pure, so the
 per-step work may safely run concurrently.
 """
@@ -54,10 +60,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .exactnum import Scalar, _as_fraction
 from .families import (
+    DegenerateParameters,
     FamilySpec,
-    _chihara_sigma,
-    _cbi_tau,
-    big_q_jacobi_AC,
     chihara_family,
     ext_hermite_family,
     float_monic,
@@ -65,12 +69,8 @@ from .families import (
 )
 from .transforms import IrrationalScale, _rational_sqrt
 
-LIMIT_IDS = ("cbi_h_to_0", "bigq_q_to_minus1", "chihara_beta_to_inf")
-
-#: Default step grid: first step, geometric ratio, and step count.
-DEFAULT_FIRST_STEP = 1e-3
-DEFAULT_STEP_RATIO = 0.1
-DEFAULT_STEP_COUNT = 3
+#: Default step grid: 1e-3, 1e-4, 1e-5 (as ``1e-3 * 0.1**k``).
+DEFAULT_STEPS: Tuple[float, ...] = tuple(1e-3 * 0.1**k for k in range(3))
 
 #: Default parameters of the three standard cases.
 CBI_LIMIT_DEFAULTS: Dict[str, Fraction] = {
@@ -106,18 +106,17 @@ class DegenerateStep(RuntimeError):
 
 @dataclass(frozen=True)
 class SourceStep:
-    """Float recurrence model of the source family at one step value.
-
-    ``diag``/``sub`` give the monic three-term coefficients of the source
-    polynomials; ``rescale`` is the factor ``sigma`` such that
-    ``sigma^{-n} P_n(sigma x)`` is the object compared against the target.
-    ``params`` echoes the concrete source-family parameters for the record.
+    """The source family at one step value: its ``FamilySpec`` at float
+    parameters, whose ``params`` the record echoes, and the rescale factor
+    ``sigma`` such that ``sigma^{-n} P_n(sigma x)`` is compared to the target.
     """
 
-    params: Tuple[Tuple[str, float], ...]
-    diag: Callable[[int], float]
-    sub: Callable[[int], float]
+    family: FamilySpec
     rescale: float
+
+
+def _source(name: str, params: Dict[str, float], rescale: float) -> SourceStep:
+    return SourceStep(FamilySpec(name, tuple(sorted(params.items()))), rescale)
 
 
 @dataclass(frozen=True)
@@ -154,21 +153,6 @@ class LimitCase:
         return self.steps[1] / self.steps[0]
 
 
-def geometric_steps(
-    first: float = DEFAULT_FIRST_STEP,
-    count: int = DEFAULT_STEP_COUNT,
-    ratio: float = DEFAULT_STEP_RATIO,
-) -> Tuple[float, ...]:
-    """Strictly decreasing geometric grid ``first * ratio**k``, k < count."""
-    if count < 3:
-        raise ValueError("at least 3 steps are required")
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must lie in (0, 1)")
-    if first <= 0:
-        raise ValueError("first step must be positive")
-    return tuple(first * ratio**k for k in range(count))
-
-
 # -- case constructors --------------------------------------------------------
 
 
@@ -198,23 +182,11 @@ def cbi_case(
     a1f, a2f, b1f, b2f, sf = float(a1), float(a2), float(b1), float(b2), float(s)
 
     def source(h: float) -> SourceStep:
-        p = {
-            "rho1": a1f / h + b1f,
-            "rho2": a2f / h + b2f,
-            "r1": a1f / h,
-            "r2": a2f / h,
-        }
-        return SourceStep(
-            params=tuple(sorted(p.items())),
-            diag=lambda n: (-1) ** n * p["rho2"],
-            sub=lambda n: 0.0 if n == 0 else float(_cbi_tau(p, n)),
-            rescale=sf / h,
-        )
+        p = {"rho1": a1f / h + b1f, "rho2": a2f / h + b2f, "r1": a1f / h, "r2": a2f / h}
+        return _source("cbi", p, sf / h)
 
-    return LimitCase(
-        "cbi_h_to_0", source, target, degree_cap,
-        tuple(steps) if steps is not None else geometric_steps(),
-    )
+    return LimitCase("cbi_h_to_0", source, target, degree_cap,
+                     DEFAULT_STEPS if steps is None else steps)
 
 
 def bigq_case(
@@ -252,23 +224,10 @@ def bigq_case(
             "qgamma": sign * gf,
             "q": -math.exp(eps),
         }
+        return _source("big_q_jacobi", p, sf)
 
-        def sub(n: int) -> float:
-            if n == 0:
-                return 0.0
-            return float(big_q_jacobi_AC(p, n - 1)[0] * big_q_jacobi_AC(p, n)[1])
-
-        return SourceStep(
-            params=tuple(sorted(p.items())),
-            diag=lambda n: float(1 - sum(big_q_jacobi_AC(p, n))),
-            sub=sub,
-            rescale=sf,
-        )
-
-    return LimitCase(
-        "bigq_q_to_minus1", source, target, degree_cap,
-        tuple(steps) if steps is not None else geometric_steps(),
-    )
+    return LimitCase("bigq_q_to_minus1", source, target, degree_cap,
+                     DEFAULT_STEPS if steps is None else steps)
 
 
 def beta_case(
@@ -291,22 +250,19 @@ def beta_case(
     def source(h: float) -> SourceStep:
         root_h = math.sqrt(h)
         p = {"alpha": alphaf, "beta": 1.0 / h, "gamma": gammaf * root_h}
-        return SourceStep(
-            params=tuple(sorted(p.items())),
-            diag=lambda n: (-1) ** n * p["gamma"],
-            sub=lambda n: 0.0 if n == 0 else float(_chihara_sigma(p, n)),
-            rescale=root_h,
-        )
+        return _source("chihara", p, root_h)
 
-    return LimitCase(
-        "chihara_beta_to_inf", source, target, degree_cap,
-        tuple(steps) if steps is not None else geometric_steps(),
-    )
+    return LimitCase("chihara_beta_to_inf", source, target, degree_cap,
+                     DEFAULT_STEPS if steps is None else steps)
 
 
-def default_cases() -> Tuple[LimitCase, LimitCase, LimitCase]:
-    """The three standard cases at their default parameters and grids."""
-    return (cbi_case(), bigq_case(), beta_case())
+#: The limit registry: id -> (case builder, default source parameters).
+LIMIT_CASES: Dict[str, Tuple[Callable[..., LimitCase], Dict[str, Fraction]]] = {
+    "cbi_h_to_0": (cbi_case, CBI_LIMIT_DEFAULTS),
+    "bigq_q_to_minus1": (bigq_case, BIGQ_LIMIT_DEFAULTS),
+    "chihara_beta_to_inf": (beta_case, BETA_LIMIT_DEFAULTS),
+}
+LIMIT_IDS = tuple(LIMIT_CASES)
 
 
 # -- running a case -----------------------------------------------------------
@@ -362,10 +318,6 @@ class LimitReport:
     def converged(self) -> bool:
         return self.monotone_ok and self.orders_ok
 
-    @property
-    def final(self) -> StepResult:
-        return self.results[-1]
-
     def max_errors(self) -> Tuple[float, ...]:
         """Max polynomial coefficient error at each step, coarse to fine."""
         return tuple(r.max_poly_error for r in self.results)
@@ -373,8 +325,8 @@ class LimitReport:
 
 def _probe(fn: Callable[[int], float], n: int, step: float, what: str) -> float:
     try:
-        value = fn(n)
-    except ZeroDivisionError:
+        value = float(fn(n))
+    except DegenerateParameters:
         raise DegenerateStep(
             f"source {what}({n}) denominator vanishes at step {step:g}"
         ) from None
@@ -403,8 +355,9 @@ def run_limit(case: LimitCase) -> LimitReport:
     three-term recurrence, rescale them to the target normalization
     (coefficient ``j`` of degree ``n`` picks up ``sigma^{j-n}``), and record
     per-degree coefficient errors plus the rescaled recurrence-coefficient
-    errors.  Raises ``DegenerateStep`` if a source denominator vanishes or
-    a source parameter or rescale power overflows.
+    errors.  Raises ``DegenerateStep`` if a source denominator vanishes, a
+    source parameter or rescale power overflows, or the rescale factor
+    squared underflows to zero.
     """
     cap = case.degree_cap
     target_polys = generate_monic(case.target, cap)
@@ -421,8 +374,9 @@ def run_limit(case: LimitCase) -> LimitReport:
         sigma = model.rescale
         if not math.isfinite(sigma) or sigma <= 0:
             raise DegenerateStep(f"rescale factor degenerate at step {h:g}")
-        diag = [_probe(model.diag, n, h, "diag") for n in range(cap + 1)]
-        sub = [_probe(model.sub, n, h, "sub") for n in range(cap + 1)]
+        source = model.family
+        diag = [_probe(source.diag, n, h, "diag") for n in range(cap + 1)]
+        sub = [_probe(source.sub, n, h, "sub") for n in range(cap + 1)]
         polys = float_monic(diag, sub, cap)
         try:
             poly_errors = tuple(
@@ -436,12 +390,14 @@ def run_limit(case: LimitCase) -> LimitReport:
             raise DegenerateStep(
                 f"rescale factor power overflows at step {h:g}"
             ) from None
+        if sigma * sigma == 0:
+            raise DegenerateStep(f"rescale factor squared underflows at step {h:g}")
         diag_errors = tuple(abs(diag[n] / sigma - tdiag[n]) for n in range(cap + 1))
         sub_errors = tuple(
             abs(sub[n] / (sigma * sigma) - tsub[n]) for n in range(cap + 1)
         )
         results.append(
-            StepResult(h, model.params, poly_errors, diag_errors, sub_errors)
+            StepResult(h, source.params, poly_errors, diag_errors, sub_errors)
         )
 
     ratio = case.steps[-1] / case.steps[-2]

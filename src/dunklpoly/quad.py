@@ -49,8 +49,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import LaurentPoly, RatFunc, Scalar, _as_fraction
-from .families import FamilySpec, generate_monic, pochhammer
+from .exactnum import LaurentPoly, RatFunc, _as_fraction
+from .families import FamilySpec, jacobi_recurrence, pochhammer
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -198,23 +198,10 @@ def _normalize_weight_class(weight_class) -> Tuple:
 
 
 def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1].
-
-    Derived from the classical monic Jacobi coefficients on [-1, 1] for
-    (1-z)^b (1+z)^a through the affine map t = (1+z)/2.
+    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1]:
+    the classical Jacobi recurrence for (1-z)^b (1+z)^a under t = (1+z)/2.
     """
-    s = 2 * k + a + b
-    if k == 0:
-        diag_z = (a - b) / (a + b + 2)
-        sub_z = Fraction(0)
-    else:
-        diag_z = (a * a - b * b) / (s * (s + 2))
-        if k == 1:
-            sub_z = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-        else:
-            sub_z = (
-                4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))
-            )
+    diag_z, sub_z = jacobi_recurrence(b, a, k)
     return (diag_z + 1) / 2, sub_z / 4
 
 
@@ -255,11 +242,6 @@ class QuadratureRule:
     weights: Tuple[float, ...]
     weight_class: Tuple
     exact_degree: int
-
-    def integrate(self, poly: LaurentPoly) -> float:
-        return sum(
-            w * poly.evaluate_float(t) for t, w in zip(self.nodes, self.weights)
-        )
 
 
 def gauss_rule(weight_class, n: int) -> QuadratureRule:
@@ -387,6 +369,9 @@ _SUPPORT_TEXT = {
     "ext_hermite": "(-inf, -|gamma|] U [|gamma|, inf)",
     "gen_hermite": "(-inf, inf)",
 }
+
+#: The families that carry a continuous weight (``weight_for``).
+WEIGHTED_FAMILIES = tuple(_SUPPORT_TEXT)
 
 
 def weight_for(family: FamilySpec) -> WeightSpec:

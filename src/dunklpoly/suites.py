@@ -64,14 +64,9 @@ from .families import (
 )
 from .limits import (
     BETA_LIMIT_DEFAULTS,
-    BIGQ_LIMIT_DEFAULTS,
-    CBI_LIMIT_DEFAULTS,
+    LIMIT_CASES,
     NOISE_FLOOR,
-    LimitCase,
     LimitReport,
-    beta_case,
-    bigq_case,
-    cbi_case,
     run_limit,
 )
 from .quad import (
@@ -276,14 +271,6 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
 ALGEBRA_PARAMS: Dict[str, Tuple[str, ...]] = {
     "chihara": ("alpha", "beta", "gamma", "eps"),
     "ext_hermite": ("mu", "gamma", "eps"),
-}
-
-# Contraction limits: case builder and the default source parameters that
-# label the pinned records.
-_LIMIT_CASES: Dict[str, Tuple[Callable[..., LimitCase], Dict[str, Fraction]]] = {
-    "cbi_h_to_0": (cbi_case, CBI_LIMIT_DEFAULTS),
-    "bigq_q_to_minus1": (bigq_case, BIGQ_LIMIT_DEFAULTS),
-    "chihara_beta_to_inf": (beta_case, BETA_LIMIT_DEFAULTS),
 }
 
 
@@ -736,7 +723,7 @@ def limit_check(
     no order is computable.  ``label`` defaults to the source parameters at
     the first step.
     """
-    builder, _ = _LIMIT_CASES[limit_id]
+    builder, _ = LIMIT_CASES[limit_id]
     with stopwatch() as ms:
         report = run_limit(builder(degree_cap=degree_cap, steps=steps))
     orders = [o for o in (*report.poly_orders, report.coeff_order, report.overall_order)
@@ -755,7 +742,7 @@ def limit_check(
 def suite_limits() -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     reports: Dict[str, LimitReport] = {}
-    for limit_id, (_, defaults) in _LIMIT_CASES.items():
+    for limit_id, (_, defaults) in LIMIT_CASES.items():
         reports[limit_id], record = limit_check(
             limit_id, label=format_params(defaults.items()))
         records.append(record)

@@ -265,6 +265,18 @@ def test_internal_errors_exit_3(capsys):
          "--steps", "1e-300,1e-301,1e-302"],                 # rescale power overflows
         ["limits", "--case", "bigq_q_to_minus1",
          "--steps", "1e200,1e199,1e198"],                    # source parameters overflow
+        ["limits", "--case", "cbi_h_to_0",
+         "--steps", "1e200,1e199,1e198", "--cap", "1"],      # rescale square underflows
+        ["gram", "--family", "ext_hermite", "--mu=1000", "--gamma=5",
+         "--cap", "5"],                                      # zeroth moment overflows
+        ["weight-sample", "--family", "gen_hermite", "--mu=1000",
+         "--points", "3"],                                   # weight value overflows
+        ["pearson", "--family", "chihara", "--alpha=-1/3", "--beta=1000",
+         "--gamma=3", "--samples", "3"],                     # weight underflows to 0
+        ["norms", "--family", "ext_hermite", "--mu=100", "--gamma=100",
+         "--cap", "2", "--exact-cap", "3"],                  # norm underflows to 0
+        ["gram", "--family", "ext_hermite", "--mu=1", "--gamma=1000",
+         "--cap", "4"],                                      # Gram diagonal underflows
     ]
     for argv in cases:
         code, _, err = _run(capsys, argv)

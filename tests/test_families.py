@@ -252,6 +252,15 @@ def test_classical_jacobi_frozen_values():
     ]
 
 
+def test_classical_jacobi_chebyshev_alpha_plus_beta_minus_one():
+    # alpha + beta = -1 zeroes the factor s - 1 of the general sub formula at
+    # k = 1; the monic Chebyshev polynomials 2^(1-n) T_n must still come out
+    half = F(-1, 2)
+    assert coeffs_desc(classical_jacobi_monic(2, half, half), 2) == [1, 0, F(-1, 2)]
+    assert coeffs_desc(classical_jacobi_monic(3, half, half), 3) == [1, 0, F(-3, 4), 0]
+    assert coeffs_desc(classical_jacobi_monic(4, half, half), 4) == [1, 0, -1, 0, F(1, 8)]
+
+
 def _jacobi_moment(j: int, a: int, b: int) -> Fraction:
     """Exact integral of z^j (1-z)^a (1+z)^b over [-1, 1] for integer a, b."""
     from math import comb

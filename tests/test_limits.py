@@ -18,17 +18,18 @@ Richardson orders; the module under test must reproduce them:
       (order ~ -8e-5), even degrees still decay; flagged non-convergent.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklpoly.families import DegenerateParameters, chihara_family
+from dunklpoly.families import DegenerateParameters, FamilySpec, chihara_family
 from dunklpoly.limits import (
-    BETA_LIMIT_DEFAULTS,
-    BIGQ_LIMIT_DEFAULTS,
-    CBI_LIMIT_DEFAULTS,
+    DEFAULT_STEPS,
+    LIMIT_CASES,
+    LIMIT_IDS,
     DegenerateStep,
     LimitCase,
     NOISE_FLOOR,
@@ -37,8 +38,6 @@ from dunklpoly.limits import (
     beta_case,
     bigq_case,
     cbi_case,
-    default_cases,
-    geometric_steps,
     run_limit,
 )
 from dunklpoly.transforms import IrrationalScale
@@ -48,24 +47,23 @@ from dunklpoly.transforms import IrrationalScale
 
 
 def test_geometric_steps_default():
-    steps = geometric_steps()
-    assert len(steps) == 3
-    assert steps[0] == pytest.approx(1e-3)
-    assert steps[1] / steps[0] == pytest.approx(0.1)
-    assert steps[2] / steps[1] == pytest.approx(0.1)
+    # bit-identical to first * ratio**k, so the default records stay the same
+    assert DEFAULT_STEPS == (1e-3, 1e-3 * 0.1, 1e-3 * 0.1**2)
+    assert DEFAULT_STEPS[0] == pytest.approx(1e-3)
+    assert DEFAULT_STEPS[1] / DEFAULT_STEPS[0] == pytest.approx(0.1)
+    assert DEFAULT_STEPS[2] / DEFAULT_STEPS[1] == pytest.approx(0.1)
+    for make in (cbi_case, bigq_case, beta_case):
+        assert make().steps == DEFAULT_STEPS
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(count=2), dict(ratio=1.0), dict(ratio=0.0), dict(first=0.0)],
-)
-def test_geometric_steps_rejects_bad_grid(kwargs):
-    with pytest.raises(ValueError):
-        geometric_steps(**kwargs)
+def test_limit_registry_builds_every_id():
+    assert LIMIT_IDS == ("cbi_h_to_0", "bigq_q_to_minus1", "chihara_beta_to_inf")
+    for limit_id, (builder, defaults) in LIMIT_CASES.items():
+        assert builder(**defaults).limit_id == limit_id
 
 
 def _dummy_source(h):
-    return SourceStep(params=(), diag=lambda n: 0.0, sub=lambda n: 0.0, rescale=1.0)
+    return SourceStep(FamilySpec("gegenbauer", (("alpha", 1.0), ("beta", 1.0))), 1.0)
 
 
 _TARGET = chihara_family(1, 1, F(1, 2))
@@ -84,6 +82,11 @@ def test_case_rejects_short_step_list():
 def test_case_rejects_increasing_steps():
     with pytest.raises(ValueError):
         LimitCase("cbi_h_to_0", _dummy_source, _TARGET, 4, (1e-3, 1e-2, 1e-1))
+
+
+def test_case_rejects_nonpositive_steps():
+    with pytest.raises(ValueError, match="positive"):
+        LimitCase("cbi_h_to_0", _dummy_source, _TARGET, 4, (1e-2, 1e-3, 0.0))
 
 
 def test_case_rejects_non_geometric_steps():
@@ -136,12 +139,96 @@ def test_beta_case_default_target():
 
 def test_source_params_echo():
     step = cbi_case().source(1e-3)
-    p = dict(step.params)
+    assert step.family.name == "cbi"
+    p = step.family.p
     assert p["rho1"] == pytest.approx(5001.5)
     assert p["rho2"] == pytest.approx(3000.5)
     assert p["r1"] == pytest.approx(5000.0)
     assert p["r2"] == pytest.approx(3000.0)
     assert step.rescale == pytest.approx(4000.0)
+
+
+# Reference source models written out independently of ``families``: the
+# step -> parameter maps and the float recurrence coefficients, in the
+# operation order the coefficient table must keep for the limit records to
+# stay bit-identical.
+
+
+def _old_cbi_source(h, a1=5.0, a2=3.0, b1=1.5, b2=0.5):
+    p = {"rho1": a1 / h + b1, "rho2": a2 / h + b2, "r1": a1 / h, "r2": a2 / h}
+
+    def tau(n):
+        rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
+        g = rho1 + rho2 - r1 - r2
+        m = n // 2
+        if n % 2 == 0:
+            return -F(m) * (m + rho1 - r1 + F(1, 2)) * (
+                m + rho1 - r2 + F(1, 2)
+            ) * (m - r1 - r2) / ((2 * m + g) * (2 * m + g + 1))
+        return -(m + g + 1) * (m + rho1 + rho2 + 1) * (m + rho2 - r1 + F(1, 2)) * (
+            m + rho2 - r2 + F(1, 2)
+        ) / ((2 * m + g + 1) * (2 * m + g + 2))
+
+    return (lambda n: (-1) ** n * p["rho2"],
+            lambda n: 0.0 if n == 0 else float(tau(n)))
+
+
+def _old_bigq_source(eps, alpha=1.0, beta=1.0, g=0.6, sign=-1.0):
+    p = {
+        "qalpha": math.exp(2 * eps * beta),
+        "qbeta": -math.exp(eps * (2 * alpha + 1)),
+        "qgamma": sign * g,
+        "q": -math.exp(eps),
+    }
+
+    def ac(n):
+        al, be, ga, q = p["qalpha"], p["qbeta"], p["qgamma"], p["q"]
+        qn = q**n
+        ups = (1 - al * qn * q) * (1 - al * be * qn * q) * (1 - ga * qn * q) / (
+            (1 - al * be * qn * qn * q) * (1 - al * be * qn * qn * q * q)
+        )
+        nu = -al * ga * qn * q * (1 - qn) * (1 - al * be * qn / ga) * (1 - be * qn) / (
+            (1 - al * be * qn * qn) * (1 - al * be * qn * qn * q)
+        )
+        return ups, nu
+
+    return (lambda n: float(1 - sum(ac(n))),
+            lambda n: 0.0 if n == 0 else float(ac(n - 1)[0] * ac(n)[1]))
+
+
+def _old_beta_source(h, mu=1.5, gamma=0.5):
+    p = {"alpha": mu - 0.5, "beta": 1.0 / h, "gamma": gamma * math.sqrt(h)}
+
+    def sigma(n):
+        alpha, beta = p["alpha"], p["beta"]
+        m = n // 2
+        if n % 2 == 0:
+            return F(m) * (m + beta) / ((2 * m + alpha + beta) * (2 * m + alpha + beta + 1))
+        return (m + alpha + 1) * (m + alpha + beta + 1) / (
+            (2 * m + alpha + beta + 1) * (2 * m + alpha + beta + 2)
+        )
+
+    return (lambda n: (-1) ** n * p["gamma"],
+            lambda n: 0.0 if n == 0 else float(sigma(n)))
+
+
+@pytest.mark.parametrize("case, old", [
+    (cbi_case(), _old_cbi_source),
+    (cbi_case(a1=13, a2=5, b1=F(3, 4), b2=F(5, 2)),
+     lambda h: _old_cbi_source(h, 13.0, 5.0, 0.75, 2.5)),
+    (bigq_case(), _old_bigq_source),
+    (bigq_case(alpha=F(1, 2), beta=3, g=F(5, 13), wrong_gamma_sign=True),
+     lambda eps: _old_bigq_source(eps, 0.5, 3.0, 5 / 13, 1.0)),
+    (beta_case(), _old_beta_source),
+    (beta_case(mu=F(3, 4), gamma=F(-2)), lambda h: _old_beta_source(h, 0.75, -2.0)),
+], ids=["cbi", "cbi-13-5", "bigq", "bigq-wrong-sign", "beta", "beta-3/4"])
+def test_source_coefficients_bit_identical_to_former_closures(case, old):
+    for h in (0.3, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7):
+        family = case.source(h).family
+        old_diag, old_sub = old(h)
+        for n in range(13):
+            assert family.diag(n) == old_diag(n), (h, n)
+            assert family.sub(n) == old_sub(n), (h, n)
 
 
 # -- frozen convergence numbers ------------------------------------------------
@@ -174,8 +261,12 @@ def test_beta_frozen_errors():
     assert report.converged
 
 
+def _default_cases():
+    return [builder(**defaults) for builder, defaults in LIMIT_CASES.values()]
+
+
 def test_default_cases_all_converge_with_unit_order():
-    for case in default_cases():
+    for case in _default_cases():
         report = run_limit(case)
         assert report.converged, case.limit_id
         for p in report.poly_orders:
@@ -188,14 +279,14 @@ def test_default_cases_all_converge_with_unit_order():
 
 
 def test_max_errors_decrease():
-    for case in default_cases():
+    for case in _default_cases():
         errs = run_limit(case).max_errors()
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_monotone_decay_on_longer_grid():
     for make in (cbi_case, bigq_case, beta_case):
-        case = make(steps=geometric_steps(1e-2, count=5))
+        case = make(steps=tuple(1e-2 * 0.1**k for k in range(5)))
         report = run_limit(case)
         assert report.monotone_ok, case.limit_id
         for n in range(1, case.degree_cap + 1):
@@ -246,35 +337,31 @@ def test_wrong_gamma_sign_flagged_as_non_convergent():
     assert report.poly_orders[2] == pytest.approx(1.0, abs=0.05)
 
 
+def _float_source_case(name, params):
+    family = FamilySpec(name, tuple(sorted(params.items())))
+    return LimitCase("cbi_h_to_0", lambda h: SourceStep(family, 1.0), _TARGET, 4,
+                     (1e-1, 1e-2, 1e-3))
+
+
 def test_degenerate_source_diag_raises():
-    case = LimitCase(
-        "cbi_h_to_0",
-        lambda h: SourceStep(
-            params=(), diag=lambda n: 1.0 / (n - 2), sub=lambda n: 0.0, rescale=1.0
-        ),
-        _TARGET,
-        4,
-        (1e-1, 1e-2, 1e-3),
-    )
-    with pytest.raises(DegenerateStep, match="diag"):
+    # qalpha * qbeta * q = 1 zeroes the upsilon_0 denominator of big q-Jacobi
+    case = _float_source_case(
+        "big_q_jacobi", {"qalpha": 2.0, "qbeta": 0.25, "qgamma": 0.5, "q": 2.0})
+    with pytest.raises(DegenerateStep, match=r"source diag\(0\) denominator vanishes"):
         run_limit(case)
 
 
 def test_non_finite_source_sub_raises():
-    case = LimitCase(
-        "cbi_h_to_0",
-        lambda h: SourceStep(
-            params=(),
-            diag=lambda n: 0.0,
-            sub=lambda n: float("inf") if n == 1 else 0.0,
-            rescale=1.0,
-        ),
-        _TARGET,
-        4,
-        (1e-1, 1e-2, 1e-3),
-    )
-    with pytest.raises(DegenerateStep, match="sub"):
+    case = _float_source_case(
+        "cbi", {"rho1": math.inf, "rho2": 1.0, "r1": 0.5, "r2": 0.25})
+    with pytest.raises(DegenerateStep, match=r"source sub\(1\) is not finite"):
         run_limit(case)
+
+
+def test_underflowing_rescale_square_raises_degenerate_step():
+    # sigma = 4/h = 4e-200 at h = 1e200: sigma^2 underflows to 0
+    with pytest.raises(DegenerateStep, match=r"rescale factor squared underflows at step 1e\+200"):
+        run_limit(cbi_case(degree_cap=1, steps=(1e200, 1e199, 1e198)))
 
 
 def test_overflowing_steps_raise_degenerate_step():
