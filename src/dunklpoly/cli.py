@@ -29,7 +29,9 @@ Conventions
   eigen-solver that did not converge (``NoConvergence``), a degenerate
   limit step (``DegenerateStep``) or a float computation that left the
   double range (``ArithmeticError``: an overflow, or a division by a value
-  that underflowed to zero).  Identical argv produce identical
+  that underflowed to zero; the check layer names the family and the
+  degree or sample point).  ``weight-sample`` evaluates every sample
+  before it prints the CSV.  Identical argv produce identical
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use.
@@ -38,7 +40,6 @@ Conventions
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from fractions import Fraction
@@ -53,7 +54,7 @@ from .families import (
     recurrence_coeffs,
 )
 from .limits import LIMIT_IDS, DegenerateStep
-from .quad import WEIGHTED_FAMILIES, NoConvergence, weight_for
+from .quad import WEIGHTED_FAMILIES, NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
@@ -79,6 +80,7 @@ from .suites import (
     pearson_records,
     run_suites,
     transform_records,
+    weight_samples,
 )
 
 __all__ = ["run", "main", "build_parser"]
@@ -327,26 +329,12 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _cmd_weight_sample(args: argparse.Namespace) -> int:
-    family = _build_family(args)
-    spec = weight_for(family)
+    # every sample is evaluated before the first line is printed
+    rows = weight_samples(_build_family(args), args.points)
     print("x,weight")
-    for lo, hi in spec.support_intervals():
-        lo, hi = _finite_window(lo, hi)
-        for j in range(args.points):
-            x = lo + (j + 0.5) * (hi - lo) / args.points
-            print(f"{x!r},{spec.weight_value(x)!r}")
+    for x, weight in rows:
+        print(f"{x!r},{weight!r}")
     return 0
-
-
-def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
-    """Clip an unbounded support component to a Gaussian-decay window."""
-    if math.isinf(lo) and math.isinf(hi):
-        return -8.0, 8.0
-    if math.isinf(lo):
-        return hi - 8.0, hi
-    if math.isinf(hi):
-        return lo, lo + 8.0
-    return lo, hi
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:

@@ -27,8 +27,10 @@ weight (exact rational recurrence coefficients, then rounded) is
 diagonalized by an implicit-shift QL iteration with deflation at negligible
 off-diagonal entries (threshold 1e-15 of the matrix scale, sweep cap 10^4),
 nodes are the eigenvalues and weights are ``mu0`` times the squared first
-eigenvector components.  Every rule is validated at build time against
-closed-form moments up to degree ``min(2n-1, 8)``.
+eigenvector components; only that first row is rotated, so a rule costs
+O(n^2).  Every node is checked by Sturm counts (the inertia of ``T - x I``
+within 1e-12 of the scale on either side), and every rule is validated at
+build time against closed-form moments up to degree ``min(2n-1, 8)``.
 
 Gram matrices and norm ratios evaluate the family polynomials at the
 branch points through the float three-term recurrence; its exact rational
@@ -44,6 +46,7 @@ through the platform Gamma function is used only for the ``k_0`` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,13 +57,14 @@ from .families import FamilySpec, jacobi_recurrence, pochhammer
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
-RESIDUAL_BOUND = 1e-12
+NODE_MARGIN = 1e-12
 MOMENT_TOLERANCE = 1e-13
 MAX_SWEEPS = 10_000
 
 
 class NoConvergence(RuntimeError):
-    """The QL iteration exceeded its sweep cap or failed its residual bound."""
+    """The QL iteration exceeded its sweep cap, a node failed its Sturm count,
+    or a Gauss rule failed its moment validation."""
 
 
 class RuleTooSmall(ValueError):
@@ -104,9 +108,11 @@ def symtridiag_eigen(
     """Eigenvalues (ascending) and first components of the unit eigenvectors.
 
     Implicit-shift QL with deflation at off-diagonal entries below
-    ``1e-15 * scale``.  The result is verified against the residual bound
-    ``max ||T v - lambda v||_inf <= 1e-12 * scale``; a sweep-cap overflow or
-    a residual violation raises ``NoConvergence``.
+    ``1e-15 * scale``.  Only row 0 of the eigenvector matrix is rotated: a
+    Givens rotation acts on each row on its own, so the first components are
+    bit for bit those of the full-matrix iteration, at O(n^2) work.  Each
+    eigenvalue is verified by Sturm counts (``_check_nodes``); a sweep-cap
+    overflow or a failed count raises ``NoConvergence``.
     """
     n = len(T.diag)
     if n == 0:
@@ -116,7 +122,7 @@ def symtridiag_eigen(
         return [0.0] * n, [1.0] + [0.0] * (n - 1)
     d = list(T.diag)
     e = list(T.offdiag) + [0.0]
-    z = [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+    z = [1.0] + [0.0] * (n - 1)
     threshold = SPLIT_THRESHOLD * scale
     sweeps = 0
     for l in range(n):
@@ -150,37 +156,44 @@ def symtridiag_eigen(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                for row in z:
-                    f = row[i + 1]
-                    row[i + 1] = s * row[i] + c * f
-                    row[i] = c * row[i] - s * f
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
     order = sorted(range(n), key=lambda i: d[i])
     values = [d[i] for i in order]
-    vectors = [[z[r][i] for r in range(n)] for i in order]
-    _check_residuals(T, values, vectors, scale)
-    return values, [vec[0] for vec in vectors]
+    _check_nodes(T, values, scale)
+    return values, [z[i] for i in order]
 
 
-def _check_residuals(
-    T: SymTridiag, values: List[float], vectors: List[List[float]], scale: float
-) -> None:
-    n = len(values)
-    for lam, vec in zip(values, vectors):
-        for r in range(n):
-            tv = T.diag[r] * vec[r]
-            if r > 0:
-                tv += T.offdiag[r - 1] * vec[r - 1]
-            if r < n - 1:
-                tv += T.offdiag[r] * vec[r + 1]
-            if abs(tv - lam * vec[r]) > RESIDUAL_BOUND * scale:
-                raise NoConvergence(
-                    f"eigen residual {abs(tv - lam * vec[r]):.3e} exceeds "
-                    f"{RESIDUAL_BOUND:.0e} * {scale:.3e}"
-                )
+def _sturm_count(T: SymTridiag, x: float) -> int:
+    """Number of eigenvalues of T below x: the negative pivots of the LDL^T
+    factorization of T - x I (Sylvester inertia; Golub & Van Loan, §8.4)."""
+    count = 0
+    pivot = 1.0
+    for k, a in enumerate(T.diag):
+        b = T.offdiag[k - 1] if k else 0.0
+        pivot = a - x - b * b / pivot
+        if pivot == 0.0:
+            pivot = -sys.float_info.min
+        count += pivot < 0.0
+    return count
+
+
+def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
+    """Each ascending eigenvalue lambda_i must bracket eigenvalue i of T:
+    fewer than i + 1 below lambda_i - delta, at least i + 1 below
+    lambda_i + delta, with delta = ``NODE_MARGIN * scale``."""
+    delta = NODE_MARGIN * scale
+    for i, lam in enumerate(values):
+        if _sturm_count(T, lam - delta) > i or _sturm_count(T, lam + delta) < i + 1:
+            raise NoConvergence(
+                f"node {i} at {lam!r} fails the Sturm count within "
+                f"{NODE_MARGIN:.0e} * {scale:.3e}"
+            )
 
 
 # -- classical weights and their Gauss rules ---------------------------------------

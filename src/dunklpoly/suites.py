@@ -20,11 +20,14 @@ Design notes
   residual and tolerance are recorded verbatim.
 * Every record carries the wall time of the work behind it, measured with
   ``report.stopwatch``.
+* A float check that leaves the double range names the family and the
+  degree or sample point in its ``ArithmeticError`` (``_in_double_range``).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import (
     Callable,
@@ -109,6 +112,7 @@ __all__ = [
     "pearson_records",
     "transform_records",
     "limit_check",
+    "weight_samples",
     "suite_construction",
     "suite_eigen",
     "suite_algebra",
@@ -272,6 +276,16 @@ ALGEBRA_PARAMS: Dict[str, Tuple[str, ...]] = {
     "chihara": ("alpha", "beta", "gamma", "eps"),
     "ext_hermite": ("mu", "gamma", "eps"),
 }
+
+
+@contextmanager
+def _in_double_range(family: FamilySpec, where: str) -> Iterator[None]:
+    """Raise an ``ArithmeticError`` again, same type, naming the family and
+    ``where`` (the degree or sample point) it left the double range."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise type(exc)(f"{family.name}({family.label()}) {where}: {exc}") from exc
 
 
 def _quadrature_families() -> Tuple[FamilySpec, ...]:
@@ -491,7 +505,7 @@ def gram_records(
     suite: str = "orthogonality",
 ) -> List[VerificationRecord]:
     """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
-    with stopwatch() as ms:
+    with stopwatch() as ms, _in_double_range(family, f"Gram matrix 0..{cap}"):
         worst = gram_offdiag_worst(gram_matrix(family, cap))
     return [
         float_record(
@@ -551,8 +565,9 @@ def norm_records(
     with stopwatch() as ms:
         worst = 0.0
         for n in range(1, cap + 1):
-            exact, quad = norm_ratio_check(family, n)
-            worst = max(worst, abs(quad / float(exact) - 1.0))
+            with _in_double_range(family, f"norm ratio at degree {n}"):
+                exact, quad = norm_ratio_check(family, n)
+                worst = max(worst, abs(quad / float(exact) - 1.0))
     records = [
         float_record(
             "norms",
@@ -603,7 +618,8 @@ def pearson_records(
     measured wall time of its own condition (``PearsonReport.ode_millis``,
     ``PearsonReport.reflection_millis``).
     """
-    report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
+    with _in_double_range(family, "Pearson conditions"):
+        report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
     return [
         exact_record(
             "pearson",
@@ -624,6 +640,30 @@ def pearson_records(
             millis=report.reflection_millis,
         ),
     ]
+
+
+def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]:
+    """(x, w(x)) at ``points`` midpoints of each support component."""
+    spec = weight_for(family)
+    rows = []
+    for lo, hi in spec.support_intervals():
+        lo, hi = _finite_window(lo, hi)
+        for j in range(points):
+            x = lo + (j + 0.5) * (hi - lo) / points
+            with _in_double_range(family, f"weight at x={x!r}"):
+                rows.append((x, spec.weight_value(x)))
+    return rows
+
+
+def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
+    """Clip an unbounded support component to a Gaussian-decay window."""
+    if math.isinf(lo) and math.isinf(hi):
+        return -8.0, 8.0
+    if math.isinf(lo):
+        return hi - 8.0, hi
+    if math.isinf(hi):
+        return lo, lo + 8.0
+    return lo, hi
 
 
 def suite_pearson() -> List[VerificationRecord]:

@@ -278,8 +278,23 @@ def test_internal_errors_exit_3(capsys):
         ["gram", "--family", "ext_hermite", "--mu=1", "--gamma=1000",
          "--cap", "4"],                                      # Gram diagonal underflows
     ]
+    errors = []
     for argv in cases:
         code, _, err = _run(capsys, argv)
         assert code == 3, argv
         assert err.startswith("dunklpoly: internal error: "), argv
         assert "Traceback" not in err, argv
+        assert err.count("\n") == 1, argv
+        errors.append(err)
+    # a float-range failure names the family and where it left the range
+    assert "gen_hermite(mu=1000) weight at x=" in errors[6]
+    assert "ext_hermite(mu=100,gamma=100) norm ratio at degree 1" in errors[8]
+    assert "ext_hermite(mu=1,gamma=1000) Gram matrix 0..4" in errors[9]
+
+
+def test_weight_sample_prints_nothing_when_a_sample_fails(capsys):
+    code, out, err = _run(capsys, ["weight-sample", "--family", "gen_hermite",
+                                   "--mu=1000", "--points", "3"])
+    assert code == 3
+    assert out == ""
+    assert "OverflowError" in err

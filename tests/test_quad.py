@@ -17,6 +17,7 @@ from dunklpoly.families import (
     gen_hermite_family,
     generate_monic,
 )
+from dunklpoly import quad
 from dunklpoly.quad import (
     NoConvergence,
     QuadratureRule,
@@ -101,6 +102,125 @@ def test_symtridiag_shape_validation():
         SymTridiag((1.0, 2.0), (0.5, 0.5))
 
 
+def _full_matrix_ql(T):
+    """Reference: the QL iteration that rotated the whole n x n eigenvector
+    matrix and read the first components off its columns."""
+    n = len(T.diag)
+    if n == 0:
+        return [], []
+    scale = T.scale
+    if scale == 0.0:
+        return [0.0] * n, [1.0] + [0.0] * (n - 1)
+    d = list(T.diag)
+    e = list(T.offdiag) + [0.0]
+    z = [[1.0 if r == c else 0.0 for c in range(n)] for r in range(n)]
+    threshold = 1e-15 * scale
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > threshold:
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                for row in z:
+                    f = row[i + 1]
+                    row[i + 1] = s * row[i] + c * f
+                    row[i] = c * row[i] - s * f
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    order = sorted(range(n), key=lambda i: d[i])
+    return [d[i] for i in order], [z[0][i] for i in order]
+
+
+def _classical_jacobi_matrix(weight_class, n):
+    """The Jacobi matrix ``gauss_rule`` diagonalizes for a classical weight."""
+    if weight_class[0] == "jacobi":
+        coeffs = [quad._jacobi01_recurrence(weight_class[1], weight_class[2], k)
+                  for k in range(n)]
+    else:
+        coeffs = [quad._laguerre_recurrence(weight_class[1], k) for k in range(n)]
+    return SymTridiag(tuple(float(d) for d, _ in coeffs),
+                      tuple(math.sqrt(float(s)) for _, s in coeffs[1:]))
+
+
+def _random_weight_class(rng):
+    if rng.random() < 0.5:
+        return ("jacobi", F(rng.randint(-3, 16), 4), F(rng.randint(-3, 16), 4))
+    return ("generalized_laguerre", F(rng.randint(-3, 24), 4))
+
+
+def test_first_row_ql_equals_full_matrix_ql():
+    # each rotation acts on every row on its own: row 0 alone is bit-identical
+    rng = random.Random(2013)
+    for _ in range(200):
+        T = _classical_jacobi_matrix(_random_weight_class(rng), rng.randint(1, 60))
+        assert symtridiag_eigen(T) == _full_matrix_ql(T)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        T = SymTridiag(tuple(rng.uniform(-2, 2) for _ in range(n)),
+                       tuple(rng.uniform(-2, 2) for _ in range(n - 1)))
+        assert symtridiag_eigen(T) == _full_matrix_ql(T)
+
+
+def test_sturm_check_rejects_moved_node():
+    rng = random.Random(19)
+    for _ in range(20):
+        T = _classical_jacobi_matrix(_random_weight_class(rng), rng.randint(2, 30))
+        values, _ = symtridiag_eigen(T)
+        quad._check_nodes(T, values, T.scale)
+        i = rng.randrange(len(values))
+        for sign in (1.0, -1.0):
+            moved = list(values)
+            moved[i] += sign * 1e-9 * T.scale
+            with pytest.raises(NoConvergence, match=f"node {i} at "):
+                quad._check_nodes(T, moved, T.scale)
+
+
+def test_moved_node_fails_symtridiag_eigen(monkeypatch):
+    check = quad._check_nodes
+
+    def move_node_3(T, values, scale):
+        values = list(values)
+        values[3] += 1e-9 * scale
+        check(T, values, scale)
+
+    monkeypatch.setattr(quad, "_check_nodes", move_node_3)
+    T = _classical_jacobi_matrix(("jacobi", F(1, 2), F(3, 4)), 8)
+    with pytest.raises(NoConvergence, match="node 3 at "):
+        symtridiag_eigen(T)
+
+
+def test_sturm_count_brackets_closed_form_eigenvalues():
+    # eigenvalues of the 3 x 3 matrix with zero diagonal: 0, +-a sqrt 2
+    T = SymTridiag((0.0, 0.0, 0.0), (0.7, 0.7))
+    edge = 0.7 * math.sqrt(2)
+    counts = [quad._sturm_count(T, x) for x in (-2.0, -edge + 1e-9, 1e-9, edge + 1e-9)]
+    assert counts == [0, 1, 2, 3]
+
+
 # -- Gauss rules --------------------------------------------------------------------
 
 
@@ -142,6 +262,23 @@ def test_rule_invariants(weight_class, n):
     assert all(w > 0 for w in rule.weights)
     lo, hi = (0.0, 1.0) if weight_class[0] == "jacobi" else (0.0, math.inf)
     assert all(lo < t < hi for t in rule.nodes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chebyshev_rule_at_a_plus_b_minus_one(n):
+    # t^(-1/2) (1-t)^(-1/2) on [0, 1] is Chebyshev's first-kind weight under
+    # t = (1+z)/2: nodes sin^2((2k-1) pi / (4n)), weights pi / n.  For n >= 2
+    # the rule reads the k = 1 branch of jacobi_recurrence.
+    rule = gauss_rule(("jacobi", F(-1, 2), F(-1, 2)), n)
+    nodes = [math.sin((2 * k - 1) * math.pi / (4 * n)) ** 2 for k in range(1, n + 1)]
+    assert rule.nodes == pytest.approx(nodes, abs=1e-14)
+    assert rule.weights == pytest.approx([math.pi / n] * n, rel=1e-13)
+    moment = F(1)  # mu_j / pi = prod_(i <= j) (i - 1/2) / i
+    for j in range(2 * n):
+        if j:
+            moment *= F(2 * j - 1, 2 * j)
+        computed = sum(w * t**j for t, w in zip(rule.nodes, rule.weights))
+        assert computed == pytest.approx(math.pi * float(moment), rel=1e-13)
 
 
 def test_rule_rejects_bad_parameters():
