@@ -133,6 +133,10 @@ def _chihara_sigma(p: Dict[str, Fraction], n: int) -> Fraction:
     m = n // 2
     if n % 2 == 0:
         return Fraction(m) * (m + beta) / ((2 * m + alpha + beta) * (2 * m + alpha + beta + 1))
+    if m == 0 and alpha + beta + 1 == 0:
+        # the alpha + beta + 1 factors cancel, here as 0/0; elsewhere the
+        # uncancelled form stays, since float limit sources must keep its bits
+        return (alpha + 1) / (alpha + beta + 2)
     return (m + alpha + 1) * (m + alpha + beta + 1) / (
         (2 * m + alpha + beta + 1) * (2 * m + alpha + beta + 2)
     )

@@ -23,19 +23,22 @@ validated in the test suite against a brute-force adaptive Simpson
 integration of the raw two-interval integral.
 
 Gauss rules are built from scratch: the Jacobi matrix of the classical
-weight (exact rational recurrence coefficients, then rounded) is
-diagonalized by an implicit-shift QL iteration with deflation at negligible
-off-diagonal entries (threshold 1e-15 of the matrix scale, sweep cap 10^4),
-nodes are the eigenvalues and weights are ``mu0`` times the squared first
-eigenvector components; only that first row is rotated, so a rule costs
-O(n^2).  Every node is checked by Sturm counts (the inertia of ``T - x I``
+weight (exact rational recurrence coefficients, then rounded; see
+``ClassicalWeight``) is diagonalized by an implicit-shift QL iteration with
+deflation at negligible off-diagonal entries (threshold 1e-15 of the matrix
+scale, sweep cap 10^4), nodes are the eigenvalues and weights are ``mu0``
+times the squared first eigenvector components; only that first row is
+rotated, so a rule costs O(n^2).  Every node is checked by Sturm counts (the inertia of ``T - x I``
 within 1e-12 of the scale on either side), and every rule is validated at
 build time against closed-form moments up to degree ``min(2n-1, 8)``.
 
 Gram matrices and norm ratios evaluate the family polynomials at the
 branch points through the float three-term recurrence; its exact rational
-coefficients are converted to float once per ``gram_matrix`` or
-``norm_ratio_check`` call and shared by every node.
+coefficients are converted to float once per ``gram_matrix`` call and
+shared by every node.  A norms request builds one Gauss rule per degree;
+the reduced weight's Jacobi matrix and the family's recurrence are
+converted once per request (``NormTables``) and shared by every degree,
+each rule diagonalizing the leading block it needs.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); an absolute-normalization value
@@ -199,17 +202,6 @@ def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
 # -- classical weights and their Gauss rules ---------------------------------------
 
 
-def _normalize_weight_class(weight_class) -> Tuple:
-    kind = weight_class[0]
-    if kind == "jacobi":
-        _, a, b = weight_class
-        return ("jacobi", _as_fraction(a), _as_fraction(b))
-    if kind == "generalized_laguerre":
-        _, a = weight_class
-        return ("generalized_laguerre", _as_fraction(a))
-    raise ValueError(f"unknown weight class {weight_class!r}")
-
-
 def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
     """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1]:
     the classical Jacobi recurrence for (1-z)^b (1+z)^a under t = (1+z)/2.
@@ -221,6 +213,49 @@ def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fr
 def _laguerre_recurrence(a: Fraction, k: int) -> Tuple[Fraction, Fraction]:
     """Monic recurrence (diag, sub) for the weight t^a e^(-t) on [0, inf)."""
     return 2 * k + a + 1, Fraction(k) * (k + a)
+
+
+class ClassicalWeight(tuple):
+    """``("jacobi", a, b)`` or ``("generalized_laguerre", a)`` with exact
+    parameters, carrying the float entries of its Jacobi matrix.
+
+    It compares and hashes as the plain tuple.  ``jacobi_matrix(n)``
+    converts only the coefficients no earlier call converted and keeps them,
+    so the rules of growing size built from one instance (one per degree of
+    a norms request) share every conversion.  The entries live as long as
+    the instance.
+    """
+
+    def __new__(cls, weight_class) -> "ClassicalWeight":
+        kind = weight_class[0]
+        if kind == "jacobi":
+            _, a, b = weight_class
+            params = (_as_fraction(a), _as_fraction(b))
+        elif kind == "generalized_laguerre":
+            _, a = weight_class
+            params = (_as_fraction(a),)
+        else:
+            raise ValueError(f"unknown weight class {weight_class!r}")
+        self = super().__new__(cls, (kind,) + params)
+        self._diag: List[float] = []
+        self._offdiag: List[float] = []
+        return self
+
+    def jacobi_matrix(self, n: int) -> SymTridiag:
+        """The leading n x n block: diagonal ``float(diag_k)``, off-diagonal
+        ``sqrt(float(sub_k))``; a sub-coefficient must be positive."""
+        for k in range(len(self._diag), n):
+            if self[0] == "jacobi":
+                dk, sk = _jacobi01_recurrence(self[1], self[2], k)
+            else:
+                dk, sk = _laguerre_recurrence(self[1], k)
+            diag = float(dk)
+            if k >= 1:
+                if sk <= 0:
+                    raise ValueError("recurrence sub-coefficient must be positive")
+                self._offdiag.append(math.sqrt(float(sk)))
+            self._diag.append(diag)
+        return SymTridiag(tuple(self._diag[:n]), tuple(self._offdiag[: max(n - 1, 0)]))
 
 
 def _check_exponents(weight_class: Tuple) -> None:
@@ -265,25 +300,15 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
     Nodes are Jacobi-matrix eigenvalues; weights are mu0 times the squared
     first eigenvector components.  The rule is validated against the exact
     moments of its weight up to degree min(2n-1, 8) before being returned.
+    A ``ClassicalWeight`` passed in lends its converted Jacobi matrix, so
+    rules built from one instance share the conversions.
     """
-    weight_class = _normalize_weight_class(weight_class)
+    if not isinstance(weight_class, ClassicalWeight):
+        weight_class = ClassicalWeight(weight_class)
     if n < 1:
         raise ValueError("a Gauss rule needs at least one node")
     _check_exponents(weight_class)
-    if weight_class[0] == "jacobi":
-        recurrence = lambda k: _jacobi01_recurrence(weight_class[1], weight_class[2], k)
-    else:
-        recurrence = lambda k: _laguerre_recurrence(weight_class[1], k)
-    diag = []
-    subs = []
-    for k in range(n):
-        dk, sk = recurrence(k)
-        diag.append(float(dk))
-        if k >= 1:
-            if sk <= 0:
-                raise ValueError("recurrence sub-coefficient must be positive")
-            subs.append(math.sqrt(float(sk)))
-    values, firsts = symtridiag_eigen(SymTridiag(tuple(diag), tuple(subs)))
+    values, firsts = symtridiag_eigen(weight_class.jacobi_matrix(n))
     mu0 = _zeroth_moment(weight_class)
     rule = QuadratureRule(
         nodes=tuple(values),
@@ -491,18 +516,41 @@ def inner_product(
     return _branch_sum(spec, rule, us, pos, neg)
 
 
+class FloatRecurrence:
+    """A family's monic recurrence coefficients in float, converted on demand.
+
+    ``upto(N)`` converts diag(k) and sub(k) for the k < N that no earlier
+    call converted (the diag entries first, as one fresh conversion would)
+    and keeps them for the instance's lifetime.
+    """
+
+    def __init__(self, family: FamilySpec):
+        self.family = family
+        self.diag: List[float] = []
+        self.sub: List[float] = []
+
+    def upto(self, N: int) -> Tuple[List[float], List[float]]:
+        """(diag, sub) lists holding at least the entries k < N."""
+        ks = range(len(self.diag), N)
+        diag = [float(self.family.diag(k)) for k in ks]
+        sub = [float(self.family.sub(k)) for k in ks]
+        self.diag += diag
+        self.sub += sub
+        return self.diag, self.sub
+
+
 def _basis_table(
-    family: FamilySpec, N: int, points: Sequence[float]
+    recurrence: FloatRecurrence, N: int, points: Sequence[float]
 ) -> List[List[float]]:
     """One row [P_0(x) .. P_N(x)] per x in ``points``, by the float recurrence.
 
-    The exact recurrence coefficients are converted to float once, then
-    shared by every point.  Recurrence evaluation avoids the coefficient
-    cancellation of Horner on expanded monic coefficients, which matters for
-    the tiny high-degree norms in the Gram matrix.
+    The exact recurrence coefficients are converted to float once per
+    ``FloatRecurrence``, then shared by every point.  Recurrence evaluation
+    avoids the coefficient cancellation of Horner on expanded monic
+    coefficients, which matters for the tiny high-degree norms in the Gram
+    matrix.
     """
-    diag = [float(family.diag(n)) for n in range(N)]
-    sub = [float(family.sub(n)) for n in range(N)]
+    diag, sub = recurrence.upto(N)
     table = []
     for x in points:
         values = [1.0]
@@ -521,7 +569,7 @@ def gram_matrix(
     spec = weight_for(family)
     rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N, nodes))
     us = _branch_points(spec, rule)
-    table = _basis_table(family, N, us + [-u for u in us])
+    table = _basis_table(FloatRecurrence(family), N, us + [-u for u in us])
     table_pos, table_neg = table[: len(us)], table[len(us) :]
     gram = [[0.0] * (N + 1) for _ in range(N + 1)]
     for m in range(N + 1):
@@ -613,6 +661,9 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     m = n // 2
     if family.name in ("chihara", "gegenbauer"):
         alpha, beta = p["alpha"], p["beta"]
+        if n == 1 and alpha + beta + 1 == 0:
+            # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
+            return (alpha + 1) / (alpha + beta + 2)
         if n % 2 == 1:
             # Gamma(m+alpha+2)/Gamma(m+alpha+1) and the Pochhammer-square ratio.
             return (
@@ -647,23 +698,50 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     raise ValueError(f"no closed-form norms carried for family {family.name!r}")
 
 
+class NormTables:
+    """The float tables that the norm checks of one family share: the
+    Jacobi matrix of its reduced weight and its own recurrence.
+
+    ``suites.norm_records`` makes one per request; each degree's
+    ``norm_ratio_check`` grows both by the entries it needs, so a
+    conversion fails at the same degree as a fresh one would.
+    """
+
+    def __init__(self, family: FamilySpec):
+        self.family = family
+        self.recurrence = FloatRecurrence(family)
+
+    @cached_property
+    def weight(self) -> ClassicalWeight:
+        return ClassicalWeight(weight_for(self.family).reduced_weight_class())
+
+
 def norm_ratio_check(
-    family: FamilySpec, n: int, nodes: Optional[int] = None
+    family: FamilySpec,
+    n: int,
+    nodes: Optional[int] = None,
+    tables: Optional[NormTables] = None,
 ) -> Tuple[Fraction, float]:
     """(exact ratio, quadrature ratio) of consecutive squared norms.
 
     The quadrature side evaluates P_n at the Gauss nodes through the float
     recurrence (see ``_basis_table``) so both norms keep full relative
-    accuracy even when they are geometrically small.  The recurrence
-    coefficients are converted to float once per call, not once per node.
+    accuracy even when they are geometrically small.  The weight's Jacobi
+    matrix and the family's recurrence are converted to float once per
+    ``tables``: a norms request passes one ``NormTables`` to every degree,
+    and a call without it converts its own.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
     exact = norm_ratio_exact(family, n)
     spec = weight_for(family)
-    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * n, nodes))
+    if tables is None:
+        tables = NormTables(family)
+    elif tables.family != family:
+        raise ValueError("norm tables belong to another family")
+    rule = gauss_rule(tables.weight, _rule_size(2 * n, nodes))
     us = _branch_points(spec, rule)
-    table = _basis_table(family, n, us + [-u for u in us])
+    table = _basis_table(tables.recurrence, n, us + [-u for u in us])
     table_pos, table_neg = table[: len(us)], table[len(us) :]
     norms = [
         _branch_sum(

@@ -121,6 +121,31 @@ def test_gram_and_norms_and_pearson(capsys):
         assert "fail" not in out
 
 
+@pytest.mark.parametrize("params, operator", [
+    (["--family", "gegenbauer", "--alpha=-1/2", "--beta=-1/2"], "gegenbauer_W"),
+    (["--family", "chihara", "--alpha=-1/4", "--beta=-3/4", "--gamma=1/2"],
+     "chihara_D"),
+])
+def test_alpha_plus_beta_minus_one_checks_pass(capsys, params, operator):
+    # alpha + beta + 1 = 0 cancels in sub(1) and in the first norm ratio
+    for argv in (
+        ["poly", *params, "--n", "4"],
+        ["gram", *params],
+        ["norms", *params],
+        ["eigencheck", "--operator", operator, *params[2:], "--eps", "1"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert "fail" not in out
+
+
+def test_chebyshev_weight_poly_example(capsys):
+    code, out, _ = _run(capsys, ["poly", "--family", "gegenbauer", "--alpha=-1/2",
+                                 "--beta=-1/2", "--n", "4"])
+    assert code == 0
+    assert out.strip() == "x^4 - x^2 + 1/8"  # 2^-3 T_4
+
+
 def test_transform_exact_route(capsys):
     code, out, _ = _run(capsys, [
         "transform", "--a", "1", "--b", "1", "--c", "3/5", "--cap", "6",

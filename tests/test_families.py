@@ -261,6 +261,27 @@ def test_classical_jacobi_chebyshev_alpha_plus_beta_minus_one():
     assert coeffs_desc(classical_jacobi_monic(4, half, half), 4) == [1, 0, -1, 0, F(1, 8)]
 
 
+def test_gegenbauer_chebyshev_weight_gives_monic_chebyshev():
+    # alpha = beta = -1/2 is the weight (1-x^2)^(-1/2): alpha + beta + 1 = 0
+    # cancels in sub(1), which must still give the monic 2^(1-n) T_n
+    x = LaurentPoly.x()
+    cheb = [LaurentPoly.one(), x]
+    for _ in range(9):
+        cheb.append(x * cheb[-1] * 2 - cheb[-2])
+    monic = generate_monic(gegenbauer_family(F(-1, 2), F(-1, 2)), 10)
+    assert monic[0] == cheb[0]
+    for n in range(1, 11):
+        assert monic[n] == cheb[n] * F(1, 2 ** (n - 1))
+
+
+def test_chihara_sub_one_at_alpha_plus_beta_minus_one():
+    # (alpha+1)/(alpha+beta+2), the value of the cancelled general formula
+    fam = chihara_family(F(-1, 4), F(-3, 4), F(1, 2))
+    assert fam.sub(1) == F(3, 4)
+    # sub(3) = (1+alpha+1)(1+alpha+beta+1) / ((2+alpha+beta+1)(2+alpha+beta+2))
+    assert fam.sub(3) == F(7, 24)
+
+
 def _jacobi_moment(j: int, a: int, b: int) -> Fraction:
     """Exact integral of z^j (1-z)^a (1+z)^b over [-1, 1] for integer a, b."""
     from math import comb

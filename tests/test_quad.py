@@ -36,6 +36,7 @@ from dunklpoly.quad import (
     verify_pearson,
     weight_for,
 )
+from dunklpoly.suites import norm_records
 
 FAMILY_SETS = [
     chihara_family(1, 1, F(1, 2)),
@@ -304,6 +305,26 @@ def test_rule_moment_property(a, b, n):
     assert rule.exact_degree == 2 * n - 1
 
 
+def test_weights_equal_christoffel_numbers():
+    # w_i = mu0 / sum_(k < n) p_k(lambda_i)^2 with p_k the orthonormal
+    # recurrence scaled to p_0 = 1 (Gautschi 2004, section 3.1.1); tiny
+    # weights carry only absolute accuracy, so the bound is 1e-13 mu0
+    rng = random.Random(1969)
+    for _ in range(60):
+        weight_class = _random_weight_class(rng)
+        n = rng.randint(1, 40)
+        rule = gauss_rule(weight_class, n)
+        T = _classical_jacobi_matrix(weight_class, n)
+        mu0 = quad._zeroth_moment(quad.ClassicalWeight(weight_class))
+        for node, w in zip(rule.nodes, rule.weights):
+            prev, cur, total = 0.0, 1.0, 1.0
+            for k in range(n - 1):
+                b_prev = T.offdiag[k - 1] if k else 0.0
+                prev, cur = cur, ((node - T.diag[k]) * cur - b_prev * prev) / T.offdiag[k]
+                total += cur * cur
+            assert abs(w - mu0 / total) <= 1e-13 * mu0, (weight_class, n, node)
+
+
 # -- inner products -------------------------------------------------------------------
 
 
@@ -430,16 +451,22 @@ _quadrature_families = st.one_of(
 )
 def test_basis_table_equals_per_node_recurrence(family, N, points):
     # same floats in the same operation order: equal bit for bit
-    table = _basis_table(family, N, points)
+    table = _basis_table(quad.FloatRecurrence(family), N, points)
     assert table == [_per_node_basis_values(family, N, x) for x in points]
 
 
-@pytest.mark.parametrize("check", [gram_matrix, norm_ratio_check])
+def norm_request(family, cap):
+    """One norms request; exact_cap=1 reads sub(1) once more."""
+    return norm_records(family, cap, exact_cap=1)
+
+
+@pytest.mark.parametrize("check", [gram_matrix, norm_ratio_check, norm_request])
 @pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
 def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
-    # O(n) coefficient evaluations per call, not O(n) per Gauss node
-    calls = {"diag": 0, "sub": 0}
-    for name in calls:
+    # O(n) coefficient evaluations per call, not O(n) per Gauss node, and a
+    # norms request converts once for all its degrees, not once per degree
+    calls = {"diag": 0, "sub": 0, "weight": 0}
+    for name in ("diag", "sub"):
         original = getattr(FamilySpec, name)
 
         def counted(self, k, _name=name, _original=original):
@@ -447,10 +474,64 @@ def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch
             return _original(self, k)
 
         monkeypatch.setattr(FamilySpec, name, counted)
+    for name in ("_jacobi01_recurrence", "_laguerre_recurrence"):
+        original = getattr(quad, name)
+
+        def counted_weight(*args, _original=original):
+            calls["weight"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(quad, name, counted_weight)
     n = 12
     check(fam, n)
-    assert 0 < calls["diag"] <= 2 * (n + 1)
-    assert 0 < calls["sub"] <= 2 * (n + 1)
+    assert 0 < calls["diag"] <= n + 1
+    assert 0 < calls["sub"] <= n + 1
+    # every rule here has at most n + 2 nodes
+    assert 0 < calls["weight"] <= n + 2
+
+
+def _per_degree_norm_ratio(family, n):
+    """Reference: the norm check that converted the weight's recurrence and
+    the family's to float again for every degree."""
+    spec = weight_for(family)
+    weight_class = spec.reduced_weight_class()
+    values, firsts = symtridiag_eigen(_classical_jacobi_matrix(weight_class, n + 2))
+    mu0 = quad._zeroth_moment(quad.ClassicalWeight(weight_class))
+    rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts),
+                          weight_class, 2 * n + 3)
+    us = quad._branch_points(spec, rule)
+    rows = [_per_node_basis_values(family, n, x) for x in us + [-u for u in us]]
+    pos, neg = rows[: len(us)], rows[len(us) :]
+    norms = [
+        quad._branch_sum(spec, rule, us, [r[k] * r[k] for r in pos],
+                         [r[k] * r[k] for r in neg])
+        for k in (n, n - 1)
+    ]
+    return norm_ratio_exact(family, n), norms[0] / norms[1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=_quadrature_families, cap=st.integers(1, 12))
+def test_shared_norm_tables_equal_per_degree_route(family, cap):
+    # float(Fraction) rounds correctly, so every leading block of the shared
+    # tables is the per-degree conversion bit for bit
+    tables = quad.NormTables(family)
+    worst = 0.0
+    for n in range(1, cap + 1):
+        exact, ratio = norm_ratio_check(family, n, tables=tables)
+        assert (exact, ratio) == _per_degree_norm_ratio(family, n)
+        worst = max(worst, abs(ratio / float(exact) - 1.0))
+    [quad_record, _] = norm_records(family, cap, exact_cap=1)
+    assert quad_record.residual == repr(worst)
+    # grown tables still lend each degree its own leading block
+    for n in range(cap - 1, 0, -1):
+        assert norm_ratio_check(family, n, tables=tables) == _per_degree_norm_ratio(family, n)
+
+
+def test_norm_tables_reject_another_family():
+    tables = quad.NormTables(FAMILY_SETS[0])
+    with pytest.raises(ValueError, match="another family"):
+        norm_ratio_check(FAMILY_SETS[1], 1, tables=tables)
 
 
 # -- norms -----------------------------------------------------------------------------
