@@ -146,18 +146,20 @@ class DunklOperator:
     ) -> LaurentPoly:
         """(sum_j f_j N_j) / L, where N_j = L * image of x^j, cached in ``images``."""
         L, multipliers = self._common
-        total = LaurentPoly.zero()
-        for j, c in f.items():
-            numerator = images.get(j)
-            if numerator is None:
-                numerator = LaurentPoly.zero()
+
+        def numerator(j: int) -> LaurentPoly:
+            image = images.get(j)
+            if image is None:
+                image = LaurentPoly.zero()
                 for t, m in zip(self.terms, multipliers):
                     g = LaurentPoly.monomial(j).substitute_affine(t.eps, t.delta)
                     for _ in range(t.k):
                         g = step(g)
-                    numerator = numerator + m * g
-                images[j] = numerator
-            total = total + numerator * c
+                    image = image + m * g
+                images[j] = image
+            return image
+
+        total = f.map_monomials(numerator)
         # a Laurent factor handed to apply_gaussian can leave negative powers,
         # which poly_divmod refuses; RatFunc normalises those and reports them
         if total.is_polynomial:

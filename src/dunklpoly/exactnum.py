@@ -6,10 +6,17 @@ deliberately small and strict:
 
 * ``BigRational`` is ``fractions.Fraction``: arbitrary-precision, always
   gcd-normalized with a positive denominator.
-* ``LaurentPoly`` is a finite rational combination of integer powers of x,
-  stored sparsely as ``{exponent: coefficient}`` with no zero coefficients
-  kept.  Negative exponents are first-class; operator coefficients need
-  poles at x = 0 up to order four.
+* ``LaurentPoly`` is a finite rational combination of integer powers of x.
+  It stores integer numerators sparsely as ``{exponent: numerator}`` over
+  one positive integer denominator shared by every coefficient, in
+  canonical form: no zero numerator is kept, and the denominator is coprime
+  to the numerators together (Geddes, Czapor and Labahn, *Algorithms for
+  Computer Algebra*, ch. 2).  Ring operations, substitution and division
+  then run on Python ints, with one gcd per result instead of one per
+  coefficient; ``Fraction`` coefficients appear only where they are read
+  out (``items``, ``coeff``, ``leading_coeff``, ``evaluate``, ``str``).
+  Negative exponents are first-class; operator coefficients need poles at
+  x = 0 up to order four.
 * ``RatFunc`` is a reduced ratio of two true polynomials (no negative
   exponents), denominator monic, numerator and denominator coprime.  With
   that normalization equality of rational functions is plain field equality,
@@ -31,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from math import gcd, lcm
+from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 
 BigRational = Fraction
 
@@ -59,22 +67,37 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial with Fraction coefficients."""
+    """Immutable sparse Laurent polynomial with rational coefficients, held
+    as integer numerators over one common denominator.
 
-    __slots__ = ("_coeffs", "_hash")
+    ``_nums`` maps each exponent to a nonzero int and ``_den`` is a positive
+    int with ``gcd(_den, *_nums.values()) == 1``, so the coefficient of x^e
+    is ``_nums[e] / _den`` and equal polynomials have equal fields.  Results
+    keep their terms in the insertion order the coefficient-wise
+    computation would give, which fixes the summation order of
+    ``evaluate_float``.
+    """
+
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[Tuple[int, Scalar]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: Dict[int, Fraction] = {}
+        store: Dict[int, Scalar] = {}
         for exp, c in items:
             if not isinstance(exp, int):
                 raise TypeError("exponents must be int")
-            c = _as_fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                _as_fraction(c)  # raises the TypeError
             if c:
-                store[exp] = store.get(exp, Fraction(0)) + c
-                if not store[exp]:
+                s = store.get(exp, 0) + c
+                if s:
+                    store[exp] = s
+                else:
                     del store[exp]
-        self._coeffs = store
+        # lcm of reduced denominators: canonical without a further gcd
+        den = lcm(*(c.denominator for c in store.values()))
+        self._nums = {e: c.numerator * (den // c.denominator) for e, c in store.items()}
+        self._den = den
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -107,32 +130,33 @@ class LaurentPoly:
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return tuple(sorted(self._coeffs.items()))
+        den = self._den
+        return tuple(sorted((e, Fraction(n, den)) for e, n in self._nums.items()))
 
     def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
+        return Fraction(self._nums.get(exp, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def degree(self):
         """Largest exponent, or None for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else None
+        return max(self._nums) if self._nums else None
 
     @property
     def min_exp(self):
-        return min(self._coeffs) if self._coeffs else None
+        return min(self._nums) if self._nums else None
 
     @property
     def is_polynomial(self) -> bool:
-        return (not self._coeffs) or min(self._coeffs) >= 0
+        return (not self._nums) or min(self._nums) >= 0
 
     def leading_coeff(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             return Fraction(0)
-        return self._coeffs[max(self._coeffs)]
+        return Fraction(self._nums[max(self._nums)], self._den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -140,19 +164,22 @@ class LaurentPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            s = out.get(exp, Fraction(0)) + c
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        out = {e: n * ma for e, n in self._nums.items()} if ma != 1 else dict(self._nums)
+        for exp, n in other._nums.items():
+            s = out.get(exp, 0) + n * mb
             if s:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return _wrap(out)
+        return _canonical(out, da * ma)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self._coeffs.items()})
+        return _wrap({e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
@@ -168,21 +195,23 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = _as_fraction(other)
-            if not c0:
+            if not other:
                 return LaurentPoly()
-            return _wrap({e: c * c0 for e, c in self._coeffs.items()})
+            p = other.numerator
+            return _canonical({e: n * p for e, n in self._nums.items()}, self._den * other.denominator)
         if isinstance(other, LaurentPoly):
-            out: Dict[int, Fraction] = {}
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
+            out: Dict[int, int] = {}
+            get = out.get
+            right = tuple(other._nums.items())
+            for e1, n1 in self._nums.items():
+                for e2, n2 in right:
                     e = e1 + e2
-                    s = out.get(e, Fraction(0)) + c1 * c2
+                    s = get(e, 0) + n1 * n2
                     if s:
                         out[e] = s
                     else:
                         out.pop(e, None)
-            return _wrap(out)
+            return _canonical(out, self._den * other._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -213,7 +242,7 @@ class LaurentPoly:
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self):
@@ -225,7 +254,7 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Formal derivative; d/dx x^k = k x^(k-1) for every integer k."""
-        return _wrap({e - 1: c * e for e, c in self._coeffs.items() if e != 0})
+        return _canonical({e - 1: n * e for e, n in self._nums.items() if e != 0}, self._den)
 
     def substitute_affine(self, eps: Scalar, delta: Scalar):
         """Exact substitution x -> eps*x + delta.
@@ -239,58 +268,82 @@ class LaurentPoly:
         if not eps:
             raise ValueError("eps must be nonzero")
         if not delta:
-            return _wrap({e: c * eps**e for e, c in self._coeffs.items()})
+            terms, scale = _power_terms(self._nums, eps)
+            return _canonical(terms, self._den * scale)
+        # sum over the numerators, one division by the denominator at the end
         inner = LaurentPoly({1: eps, 0: delta})
         pos = LaurentPoly()
-        neg_parts: Dict[int, Fraction] = {}
-        for e, c in self._coeffs.items():
+        neg_parts: Dict[int, int] = {}
+        for e, n in self._nums.items():
             if e >= 0:
-                pos = pos + c * inner**e
+                pos = pos + n * inner**e
             else:
-                neg_parts[-e] = c
+                neg_parts[-e] = n
+        scale = Fraction(1, self._den)
         if not neg_parts:
-            return pos
+            return pos * scale
         m = max(neg_parts)
         num = pos * inner**m
-        for k, c in neg_parts.items():
-            num = num + c * inner ** (m - k)
-        return RatFunc.of(num, inner**m)
+        for k, n in neg_parts.items():
+            num = num + n * inner ** (m - k)
+        return RatFunc.of(num * scale, inner**m)
 
     def compose(self, inner: "LaurentPoly") -> "LaurentPoly":
         """Polynomial composition self(inner(x)); self must be a polynomial."""
         if not self.is_polynomial:
             raise ValueError("compose requires a polynomial outer factor")
-        # Horner with sparse exponent gaps: fold in descending exponent order.
+        # Horner with sparse exponent gaps over the numerators: fold in
+        # descending exponent order, divide by the denominator at the end.
         result = LaurentPoly()
         prev_exp = None
-        for e in sorted(self._coeffs, reverse=True):
+        for e in sorted(self._nums, reverse=True):
             if prev_exp is None:
-                result = LaurentPoly.const(self._coeffs[e])
+                result = LaurentPoly.const(self._nums[e])
             else:
-                result = result * inner ** (prev_exp - e) + LaurentPoly.const(self._coeffs[e])
+                result = result * inner ** (prev_exp - e) + LaurentPoly.const(self._nums[e])
             prev_exp = e
         if prev_exp is None:
             return LaurentPoly()
-        return result * inner**prev_exp
+        return result * inner**prev_exp * Fraction(1, self._den)
+
+    def map_monomials(self, image: Callable[[int], "LaurentPoly"]) -> "LaurentPoly":
+        """sum_j f_j * image(j) for self = sum_j f_j x^j: the linear map that
+        sends each x^j to ``image(j)``, applied to self.
+
+        ``image`` is called once per term, in ascending exponent order.  The
+        sum runs on integers over the lcm of the images' denominators.
+        """
+        terms = [(n, image(j)) for j, n in sorted(self._nums.items())]
+        den = lcm(*(p._den for _, p in terms))
+        out: Dict[int, int] = {}
+        get = out.get
+        for n, p in terms:
+            scale = n * (den // p._den)
+            for e, m in p._nums.items():
+                s = get(e, 0) + scale * m
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return _canonical(out, den * self._den)
 
     def evaluate(self, value: Scalar) -> Fraction:
-        value = _as_fraction(value)
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * value**e
-        return total
+        terms, scale = _power_terms(self._nums, _as_fraction(value))
+        return Fraction(sum(terms.values()), self._den * scale)
 
     def evaluate_float(self, value: float) -> float:
-        return float(sum(float(c) * value**e for e, c in self._coeffs.items()))
+        # int / int rounds correctly, like float(Fraction)
+        den = self._den
+        return float(sum(n / den * value**e for e, n in self._nums.items()))
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "0"
         pieces = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
+        for e in sorted(self._nums, reverse=True):
+            c = Fraction(self._nums[e], self._den)
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -307,11 +360,39 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
-def _wrap(coeffs: Dict[int, Fraction]) -> LaurentPoly:
+def _wrap(nums: Dict[int, int], den: int) -> LaurentPoly:
+    """A LaurentPoly on fields already in canonical form."""
     p = LaurentPoly.__new__(LaurentPoly)
-    p._coeffs = coeffs
+    p._nums = nums
+    p._den = den
     p._hash = None
     return p
+
+
+def _canonical(nums: Dict[int, int], den: int) -> LaurentPoly:
+    """nums / den for nonzero numerators and any nonzero den: divides out
+    the common content and makes the denominator positive."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+    return _wrap(nums, den)
+
+
+def _power_terms(nums: Dict[int, int], value: Fraction) -> Tuple[Dict[int, int], int]:
+    """Integers t_e and one factor s with n_e * value**e == t_e / s.
+
+    With value = p/q and lo <= 0 <= hi bounding the exponents,
+    t_e = n_e p^(e-lo) q^(hi-e) and s = p^(-lo) q^hi.
+    """
+    p, q = value.numerator, value.denominator
+    lo = min(min(nums, default=0), 0)
+    hi = max(max(nums, default=0), 0)
+    terms = {e: n * p ** (e - lo) * q ** (hi - e) for e, n in nums.items()}
+    return terms, p ** (-lo) * q**hi
 
 
 def _coerce_poly(value):
@@ -326,32 +407,53 @@ def _coerce_poly(value):
 
 
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division a = q*b + r with deg r < deg b; inputs polynomial."""
+    """Euclidean division a = q*b + r with deg r < deg b; inputs polynomial.
+
+    Fraction-free long division (Knuth, TAOCP vol. 2, §4.6.1) on the
+    integer numerators: the remainder r = R / rden keeps integer entries.
+    A step cancels R's leading term t against b's leading numerator lb by
+    R <- (lb/g) R - (t/g) x^k B with g = gcd(t, lb), and rden takes the
+    factor lb/g, which is 1 whenever lb divides t (always for monic
+    integer divisors).  The quotient terms are collected over the final
+    rden, and one gcd per result restores the canonical form.
+    """
     if not (a.is_polynomial and b.is_polynomial):
         raise ValueError("poly_divmod requires true polynomials")
     if b.is_zero:
         raise ZeroDenominator("polynomial division by zero")
-    q: Dict[int, Fraction] = {}
-    r = dict(a._coeffs)
+    r = dict(a._nums)
+    rden = a._den
     db = b.degree
-    lb = b.leading_coeff()
-    rest = [(e - db, c) for e, c in b._coeffs.items() if e != db]
-    # Long division on one remainder dict: each step cancels the leading
-    # term exactly and subtracts factor * (b minus its leading term).
+    lb = b._nums[db]
+    rest = [(e - db, n) for e, n in b._nums.items() if e != db]
+    steps = []
     while r:
         top = max(r)
         if top < db:
             break
-        factor = r.pop(top) / lb
-        q[top - db] = factor
-        for e, c in rest:
+        lead = r.pop(top)
+        g = gcd(lead, lb)
+        scale, factor = lb // g, lead // g
+        if scale != 1:
+            for e in r:
+                r[e] *= scale
+            rden *= scale
+        steps.append((top - db, factor, scale))
+        for e, n in rest:
             e += top
-            s = r.get(e, Fraction(0)) - factor * c
+            s = r.get(e, 0) - factor * n
             if s:
                 r[e] = s
             else:
                 r.pop(e, None)
-    return _wrap(q), _wrap(r)
+    # step i's quotient term is factor_i * b._den / rden after step i; put
+    # every term over the final rden by the scales of the later steps
+    quotient = []
+    later = b._den
+    for exp, factor, scale in reversed(steps):
+        quotient.append((exp, factor * later))
+        later *= scale
+    return _canonical(dict(reversed(quotient)), rden), _canonical(r, rden)
 
 
 def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -368,7 +470,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         a, b = b, rem
     if a.is_zero:
         return a
-    return a * (Fraction(1) / a.leading_coeff())
+    # a / lc(a) is the numerators over the leading numerator
+    return _canonical(a._nums, a._nums[a.degree])
 
 
 @dataclass(frozen=True)

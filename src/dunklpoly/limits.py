@@ -46,9 +46,6 @@ at float parameters (its coefficients come from the table in ``families``)
 and the rescale factor ``sigma``.  ``LIMIT_CASES`` maps each limit id to its
 builder and default parameters; builders run on ``DEFAULT_STEPS`` unless
 given a grid, and ``LimitCase`` validates every grid.
-
-Steps are independent of each other and every function here is pure, so the
-per-step work may safely run concurrently.
 """
 
 from __future__ import annotations

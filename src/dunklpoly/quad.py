@@ -56,7 +56,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import FamilySpec, jacobi_recurrence, pochhammer
+from .families import FamilySpec, jacobi_recurrence
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -219,11 +219,11 @@ class ClassicalWeight(tuple):
     """``("jacobi", a, b)`` or ``("generalized_laguerre", a)`` with exact
     parameters, carrying the float entries of its Jacobi matrix.
 
-    It compares and hashes as the plain tuple.  ``jacobi_matrix(n)``
-    converts only the coefficients no earlier call converted and keeps them,
-    so the rules of growing size built from one instance (one per degree of
-    a norms request) share every conversion.  The entries live as long as
-    the instance.
+    It compares and hashes as the plain tuple.  ``jacobi_matrix(n)`` and
+    ``moments(n)`` convert only the entries no earlier call converted and
+    keep them, so the rules of growing size built from one instance (one
+    per degree of a norms request) share every conversion.  The entries
+    live as long as the instance.
     """
 
     def __new__(cls, weight_class) -> "ClassicalWeight":
@@ -239,6 +239,7 @@ class ClassicalWeight(tuple):
         self = super().__new__(cls, (kind,) + params)
         self._diag: List[float] = []
         self._offdiag: List[float] = []
+        self._moments: List[float] = []
         return self
 
     def jacobi_matrix(self, n: int) -> SymTridiag:
@@ -256,6 +257,15 @@ class ClassicalWeight(tuple):
                 self._offdiag.append(math.sqrt(float(sk)))
             self._diag.append(diag)
         return SymTridiag(tuple(self._diag[:n]), tuple(self._offdiag[: max(n - 1, 0)]))
+
+    def moments(self, n: int) -> List[float]:
+        """mu_0 .. mu_(n-1) in float: the Gamma value of mu_0, then one
+        product by ``float(mu_j / mu_(j-1))`` per degree."""
+        if not self._moments:
+            self._moments.append(_zeroth_moment(self))
+        for j in range(len(self._moments), n):
+            self._moments.append(self._moments[-1] * float(_moment_ratio(self, j)))
+        return self._moments[:n]
 
 
 def _check_exponents(weight_class: Tuple) -> None:
@@ -309,7 +319,7 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
         raise ValueError("a Gauss rule needs at least one node")
     _check_exponents(weight_class)
     values, firsts = symtridiag_eigen(weight_class.jacobi_matrix(n))
-    mu0 = _zeroth_moment(weight_class)
+    [mu0] = weight_class.moments(1)
     rule = QuadratureRule(
         nodes=tuple(values),
         weights=tuple(mu0 * v * v for v in firsts),
@@ -321,10 +331,7 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
 
 
 def _validate_moments(rule: QuadratureRule) -> None:
-    moment = _zeroth_moment(rule.weight_class)
-    for j in range(0, min(rule.exact_degree, 8) + 1):
-        if j > 0:
-            moment *= float(_moment_ratio(rule.weight_class, j))
+    for j, moment in enumerate(rule.weight_class.moments(min(rule.exact_degree, 8) + 1)):
         computed = sum(w * t**j for t, w in zip(rule.nodes, rule.weights))
         if abs(computed - moment) > MOMENT_TOLERANCE * abs(moment):
             raise NoConvergence(
@@ -653,7 +660,12 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     """<P_n, P_n> / <P_(n-1), P_(n-1)> as an exact rational.
 
     Obtained from the closed-form normalization constants with every Gamma
-    ratio cancelled into Pochhammer products; no floating point involved.
+    ratio cancelled into Pochhammer products, and those telescoped:
+    (a)_m / (a+1)_m = a / (a+m) and (a)_(m-1) / (a)_m = 1 / (a+m-1) with
+    a = m + alpha + beta + 1.  No floating point is involved, and the cost
+    does not grow with n.  Where a Pochhammer factor vanishes (alpha + beta
+    an integer in [-(n+1), -(m+1)], outside every integrable weight) the
+    ratio raises ``ZeroDivisionError``, as the untelescoped products do.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
@@ -661,33 +673,17 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     m = n // 2
     if family.name in ("chihara", "gegenbauer"):
         alpha, beta = p["alpha"], p["beta"]
-        if n == 1 and alpha + beta + 1 == 0:
+        s = alpha + beta
+        if n == 1 and s + 1 == 0:
             # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
             return (alpha + 1) / (alpha + beta + 2)
+        if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
+            raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
         if n % 2 == 1:
-            # Gamma(m+alpha+2)/Gamma(m+alpha+1) and the Pochhammer-square ratio.
-            return (
-                (m + alpha + 1)
-                / (m + alpha + beta + 1)
-                * (2 * m + alpha + beta + 1)
-                / (2 * m + alpha + beta + 2)
-                * (
-                    pochhammer(m + alpha + beta + 1, m)
-                    / pochhammer(m + alpha + beta + 2, m)
-                )
-                ** 2
-            )
-        return (
-            Fraction(m)
-            * (m + beta)
-            * (2 * m + alpha + beta)
-            / (2 * m + alpha + beta + 1)
-            * (
-                pochhammer(m + alpha + beta + 1, m - 1)
-                / pochhammer(m + alpha + beta + 1, m)
-            )
-            ** 2
-        )
+            # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
+            return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
+        # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
+        return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
     if family.name in ("ext_hermite", "gen_hermite"):
         mu = p["mu"]
         if n % 2 == 1:

@@ -275,6 +275,17 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("family_args", [
+    ["--family", "gegenbauer", "--alpha=-5", "--beta=2"],
+    ["--family", "chihara", "--alpha=1", "--beta=-4", "--gamma=1/3"],
+    ["--family", "gegenbauer", "--alpha=-3/2", "--beta=-3/2"],
+])
+def test_norms_reject_nonintegrable_weights(family_args, capsys):
+    # parameters at which the closed-form ratio raises never reach it
+    assert run(["norms"] + family_args + ["--cap", "8"]) == 2
+    assert capsys.readouterr().err.strip() == "dunklpoly: error: weight parameters must exceed -1"
+
+
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

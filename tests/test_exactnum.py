@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,3 +187,321 @@ def test_substitution_is_evaluation_compatible(p, eps, delta):
         return
     image = p.substitute_affine(eps, delta)
     assert image.evaluate(x0) == p.evaluate(target)
+
+
+# -- differential tests against the Fraction-per-coefficient form ---------------
+#
+# ``RefPoly`` is the earlier LaurentPoly: one Fraction per coefficient in a
+# dict, with the same insertion and pop order in every operation.  The
+# integer-numerator form must give the same coefficients, strings and hashes,
+# and the same ``evaluate_float`` bit for bit, which holds only if every
+# result keeps its terms in the same order.
+
+
+def _ref_wrap(coeffs):
+    p = RefPoly.__new__(RefPoly)
+    p.c = coeffs
+    return p
+
+
+class RefPoly:
+    def __init__(self, coeffs=()):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        store = {}
+        for exp, c in items:
+            c = Fraction(c)
+            if c:
+                store[exp] = store.get(exp, Fraction(0)) + c
+                if not store[exp]:
+                    del store[exp]
+        self.c = store
+
+    def items(self):
+        return tuple(sorted(self.c.items()))
+
+    @property
+    def degree(self):
+        return max(self.c) if self.c else None
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for exp, c in other.c.items():
+            s = out.get(exp, Fraction(0)) + c
+            if s:
+                out[exp] = s
+            else:
+                out.pop(exp, None)
+        return _ref_wrap(out)
+
+    def __neg__(self):
+        return _ref_wrap({e: -c for e, c in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c0):
+        c0 = Fraction(c0)
+        if not c0:
+            return RefPoly()
+        return _ref_wrap({e: c * c0 for e, c in self.c.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.c.items():
+            for e2, c2 in other.c.items():
+                e = e1 + e2
+                s = out.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return _ref_wrap(out)
+
+    def __pow__(self, n):
+        result, base = RefPoly({0: 1}), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def derivative(self):
+        return _ref_wrap({e - 1: c * e for e, c in self.c.items() if e != 0})
+
+    def substitute_affine(self, eps, delta):
+        """A RefPoly, or a reduced (num, den) pair when a pole stays."""
+        eps, delta = Fraction(eps), Fraction(delta)
+        if not delta:
+            return _ref_wrap({e: c * eps**e for e, c in self.c.items()})
+        inner = RefPoly({1: eps, 0: delta})
+        pos = RefPoly()
+        neg_parts = {}
+        for e, c in self.c.items():
+            if e >= 0:
+                pos = pos + (inner**e).scale(c)
+            else:
+                neg_parts[-e] = c
+        if not neg_parts:
+            return pos
+        m = max(neg_parts)
+        num = pos * inner**m
+        for k, c in neg_parts.items():
+            num = num + (inner ** (m - k)).scale(c)
+        return ref_reduce(num, inner**m)
+
+    def compose(self, inner):
+        result, prev_exp = RefPoly(), None
+        for e in sorted(self.c, reverse=True):
+            if prev_exp is None:
+                result = RefPoly({0: self.c[e]})
+            else:
+                result = result * inner ** (prev_exp - e) + RefPoly({0: self.c[e]})
+            prev_exp = e
+        if prev_exp is None:
+            return RefPoly()
+        return result * inner**prev_exp
+
+    def evaluate(self, value):
+        total = Fraction(0)
+        for e, c in self.c.items():
+            total += c * Fraction(value) ** e
+        return total
+
+    def evaluate_float(self, value):
+        return float(sum(float(c) * value**e for e, c in self.c.items()))
+
+
+def ref_divmod(a, b):
+    q, r = {}, dict(a.c)
+    db = b.degree
+    lb = b.c[db]
+    rest = [(e - db, c) for e, c in b.c.items() if e != db]
+    while r:
+        top = max(r)
+        if top < db:
+            break
+        factor = r.pop(top) / lb
+        q[top - db] = factor
+        for e, c in rest:
+            e += top
+            s = r.get(e, Fraction(0)) - factor * c
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return _ref_wrap(q), _ref_wrap(r)
+
+
+def ref_gcd(a, b):
+    while b.c:
+        a, b = b, ref_divmod(a, b)[1]
+    if not a.c:
+        return a
+    return a.scale(1 / a.c[a.degree])
+
+
+def ref_reduce(num, den):
+    """RatFunc normalisation of two true polynomials: (num, den) reduced,
+    den monic."""
+    if not num.c:
+        return num, RefPoly({0: 1})
+    g = ref_gcd(num, den)
+    if g.degree:
+        num, den = ref_divmod(num, g)[0], ref_divmod(den, g)[0]
+    inv = 1 / den.c[den.degree]
+    if inv != 1:
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
+FLOAT_POINTS = (0.7, -1.3, 2.5, -0.45)
+
+
+def assert_same(new, ref):
+    assert new.items() == ref.items()
+    assert new == LaurentPoly(ref.c)
+    assert str(new) == str(LaurentPoly(ref.c))
+    assert repr(new) == f"LaurentPoly({dict(ref.items())!r})"
+    assert hash(new) == hash(ref.items())
+    for x in FLOAT_POINTS:
+        assert new.evaluate_float(x) == ref.evaluate_float(x)
+
+
+def assert_same_ratfunc(new, ref_pair):
+    assert_same(new.num, ref_pair[0])
+    assert_same(new.den, ref_pair[1])
+
+
+diff_scalars = st.fractions(min_value=-40, max_value=40, max_denominator=30) | st.integers(-50, 50)
+_term_lists = st.lists(st.tuples(st.integers(-4, 6), diff_scalars), max_size=7)
+_plain_term_lists = st.lists(st.tuples(st.integers(0, 7), diff_scalars), max_size=7)
+
+
+def both(terms):
+    """The same term list (repeats and cancellations included) in both forms."""
+    return LaurentPoly(terms), RefPoly(terms)
+
+
+@settings(deadline=None)
+@given(_term_lists, _term_lists, diff_scalars, st.integers(0, 3))
+def test_ring_operations_match_fraction_form(ta, tb, c, k):
+    (a, ra), (b, rb) = both(ta), both(tb)
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(-a, -ra)
+    assert_same(a * b, ra * rb)
+    assert_same(a * c, ra.scale(c))
+    assert_same(c * a, ra.scale(c))
+    if c:
+        assert_same(a / c, ra.scale(1 / Fraction(c)))
+    assert_same(a**k, ra**k)
+    assert_same(a.derivative(), ra.derivative())
+    assert a.coeff(2) == ra.c.get(2, 0)
+    assert a.leading_coeff() == (ra.c[ra.degree] if ra.c else 0)
+
+
+@settings(deadline=None)
+@given(
+    _term_lists,
+    st.sampled_from([1, -1]) | st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    st.just(0) | st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_substitution_matches_fraction_form(terms, eps, delta):
+    p, ref = both(terms)
+    image, ref_image = p.substitute_affine(eps, delta), ref.substitute_affine(eps, delta)
+    if isinstance(ref_image, tuple):
+        assert isinstance(image, RatFunc)
+        assert_same_ratfunc(image, ref_image)
+    else:
+        assert isinstance(image, LaurentPoly)
+        assert_same(image, ref_image)
+
+
+@settings(deadline=None)
+@given(_plain_term_lists, _term_lists)
+def test_compose_matches_fraction_form(outer_terms, inner_terms):
+    (outer, ref_outer), (inner, ref_inner) = both(outer_terms), both(inner_terms)
+    assert_same(outer.compose(inner), ref_outer.compose(ref_inner))
+
+
+@settings(deadline=None)
+@given(_term_lists, st.fractions(min_value=-5, max_value=5, max_denominator=7) | st.integers(-3, 3))
+def test_evaluate_matches_fraction_form(terms, value):
+    p, ref = both(terms)
+    try:
+        expected = ref.evaluate(value)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            p.evaluate(value)
+        return
+    assert p.evaluate(value) == expected
+    assert isinstance(p.evaluate(value), Fraction)
+
+
+@settings(deadline=None)
+@given(_plain_term_lists, _plain_term_lists, _plain_term_lists)
+def test_division_gcd_and_reduction_match_fraction_form(ta, tb, tc):
+    (a, ra), (b, rb), (c, rc) = both(ta), both(tb), both(tc)
+    if b.is_zero:
+        b, rb = both([(0, 1)])
+    q, r = poly_divmod(a, b)
+    rq, rr = ref_divmod(ra, rb)
+    assert_same(q, rq)
+    assert_same(r, rr)
+    assert_same(poly_gcd(a, b), ref_gcd(ra, rb))
+    # a common factor c makes the gcd and the reduction nontrivial
+    if not c.is_zero:
+        assert_same(poly_gcd(a * c, b * c), ref_gcd(ra * rc, rb * rc))
+        assert_same_ratfunc(RatFunc.of(a * c, b * c), ref_reduce(ra * rc, rb * rc))
+    assert_same_ratfunc(RatFunc.of(a, b), ref_reduce(ra, rb))
+    if r.is_zero:
+        assert_same(poly_exact_div(a, b), rq)
+    else:
+        with pytest.raises(NotDivisible, match=re.escape(f"remainder {r} is nonzero")):
+            poly_exact_div(a, b)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), diff_scalars), max_size=5),
+    st.lists(st.lists(st.tuples(st.integers(-2, 4), diff_scalars), max_size=4), min_size=5, max_size=5),
+)
+def test_map_monomials_matches_fraction_form(terms, images):
+    # the operator route's sum_j f_j N_j, term by term over Fractions
+    f, ref_f = both(terms)
+    basis = [both(t) for t in images]
+    calls = []
+
+    def image(j):
+        calls.append(j)
+        return basis[j][0]
+
+    total = RefPoly()
+    for j, c in ref_f.items():
+        total = total + basis[j][1].scale(c)
+    assert_same(f.map_monomials(image), total)
+    assert calls == sorted(ref_f.c)
+
+
+def assert_canonical(p):
+    assert isinstance(p._den, int) and p._den > 0
+    assert all(isinstance(n, int) and n for n in p._nums.values())
+    assert math.gcd(p._den, *p._nums.values()) == 1
+
+
+@given(_term_lists, _term_lists, diff_scalars)
+def test_results_are_in_canonical_form(ta, tb, c):
+    a, b = LaurentPoly(ta), LaurentPoly(tb)
+    results = [a, b, a + b, a - b, a * b, a * c, a.derivative(),
+               a.substitute_affine(-1, 0), a.substitute_affine(Fraction(-2, 3), 0)]
+    pa = a * LaurentPoly.monomial(-(a.min_exp or 0))
+    pb = b * LaurentPoly.monomial(-(b.min_exp or 0))
+    if not pb.is_zero:
+        results += list(poly_divmod(pa, pb)) + [poly_gcd(pa, pb)]
+        reduced = RatFunc.of(pa, pb)
+        results += [reduced.num, reduced.den]
+    for p in results:
+        assert_canonical(p)
+    assert (a + b == b + a) and hash(a + b) == hash(b + a)

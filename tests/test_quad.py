@@ -1,5 +1,6 @@
 """Quadrature tests: eigensolver, Gauss rules, reduction, norms, Pearson."""
 
+import collections
 import math
 import random
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from dunklpoly.families import (
     gegenbauer_family,
     gen_hermite_family,
     generate_monic,
+    pochhammer,
 )
 from dunklpoly import quad
 from dunklpoly.quad import (
@@ -490,6 +492,23 @@ def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch
     assert 0 < calls["weight"] <= n + 2
 
 
+@pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
+def test_moments_converted_once_per_norms_request(fam, monkeypatch):
+    # the rules of one request share one weight and so one moment table
+    calls = collections.Counter()
+    for name in ("_moment_ratio", "_zeroth_moment"):
+        original = getattr(quad, name)
+
+        def counted(weight_class, *j, _name=name, _original=original):
+            calls[(_name, tuple(weight_class)) + j] += 1
+            return _original(weight_class, *j)
+
+        monkeypatch.setattr(quad, name, counted)
+    norm_records(fam, 12, exact_cap=1)
+    assert calls and max(calls.values()) == 1
+    assert sum(1 for key in calls if key[0] == "_moment_ratio") == 8
+
+
 def _per_degree_norm_ratio(family, n):
     """Reference: the norm check that converted the weight's recurrence and
     the family's to float again for every degree."""
@@ -544,6 +563,49 @@ def test_norm_ratio_exact_worked_values():
     assert norm_ratio_exact(fam, 2) == F(1, 10)
     # Laguerre type, mu = 3/2: ratio Gamma(mu+3/2)/Gamma(mu+1/2) = mu + 1/2 = 2.
     assert norm_ratio_exact(ext_hermite_family(F(3, 2), F(1, 2)), 1) == 2
+
+
+def _pochhammer_norm_ratio(family, n):
+    """Reference: the Jacobi-type closed form with its Pochhammer products
+    multiplied out, as it stood before they were telescoped."""
+    alpha, beta = family.p["alpha"], family.p["beta"]
+    m = n // 2
+    if n == 1 and alpha + beta + 1 == 0:
+        return (alpha + 1) / (alpha + beta + 2)
+    if n % 2 == 1:
+        return (
+            (m + alpha + 1) / (m + alpha + beta + 1)
+            * (2 * m + alpha + beta + 1) / (2 * m + alpha + beta + 2)
+            * (pochhammer(m + alpha + beta + 1, m) / pochhammer(m + alpha + beta + 2, m)) ** 2
+        )
+    return (
+        F(m) * (m + beta) * (2 * m + alpha + beta) / (2 * m + alpha + beta + 1)
+        * (pochhammer(m + alpha + beta + 1, m - 1) / pochhammer(m + alpha + beta + 1, m)) ** 2
+    )
+
+
+def test_telescoped_norm_ratio_equals_pochhammer_form():
+    rng = random.Random(2013)
+    params = [(F(rng.randint(-40, 40), rng.randint(1, 6)), F(rng.randint(-40, 40), rng.randint(1, 6)))
+              for _ in range(30)]
+    # alpha + beta = -1 (Chebyshev type), and integer sums where a
+    # Pochhammer factor vanishes at some degree
+    params += [(F(-1, 2), F(-1, 2)), (F(-1, 4), F(-3, 4)), (F(2), F(-3)), (F(5, 3), F(-8, 3))]
+    params += [(F(-5), F(2)), (F(1, 2), F(-37, 2)), (F(-20), F(-21)), (F(-1, 3), F(-8, 3))]
+    raised = 0
+    for alpha, beta in params:
+        for fam in (gegenbauer_family(alpha, beta), chihara_family(alpha, beta, F(1, 3))):
+            for n in range(1, 61):
+                try:
+                    expected = _pochhammer_norm_ratio(fam, n)
+                except ArithmeticError as exc:
+                    raised += 1
+                    with pytest.raises(type(exc)):
+                        norm_ratio_exact(fam, n)
+                else:
+                    got = norm_ratio_exact(fam, n)
+                    assert got == expected and type(got) is F, (alpha, beta, n)
+    assert raised > 0
 
 
 def test_norm_ratio_rejects_n_zero():
