@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 
 BigRational = Fraction
@@ -126,6 +126,35 @@ class LaurentPoly:
     def from_coeffs(coeffs: Iterable[Scalar]) -> "LaurentPoly":
         """Dense constructor: coeffs[k] multiplies x^k."""
         return LaurentPoly({k: c for k, c in enumerate(coeffs)})
+
+    @staticmethod
+    def affine_power(j: int, eps: Scalar, delta: Scalar) -> "LaurentPoly":
+        """(eps*x + delta)^j: the power ``substitute_affine`` expands x^j into.
+
+        With eps = a/b and delta = p/q the binomial theorem gives the
+        coefficient of x^i as C(j,i) (aq)^i (pb)^(j-i) over (bq)^j.  The
+        terms are inserted from x^j down to x^0, the order repeated
+        squaring of eps*x + delta gives, and one gcd makes the result
+        canonical.  A negative j needs delta == 0; the result is then
+        eps^j x^j, exact.
+        """
+        eps = _as_fraction(eps)
+        delta = _as_fraction(delta)
+        if not eps:
+            raise ValueError("eps must be nonzero")
+        if not delta:
+            terms, scale = _power_terms({j: 1}, eps)
+            return _canonical(terms, scale)
+        if j < 0:
+            raise ValueError("negative powers need delta == 0")
+        a, b = eps.numerator, eps.denominator
+        p, q = delta.numerator, delta.denominator
+        lead, tail = [1], [1]   # (aq)^i and (pb)^i for i = 0..j
+        for _ in range(j):
+            lead.append(lead[-1] * a * q)
+            tail.append(tail[-1] * p * b)
+        nums = {i: comb(j, i) * lead[i] * tail[j - i] for i in range(j, -1, -1)}
+        return _canonical(nums, (b * q) ** j)
 
     # -- inspection --------------------------------------------------------
 
@@ -271,22 +300,23 @@ class LaurentPoly:
             terms, scale = _power_terms(self._nums, eps)
             return _canonical(terms, self._den * scale)
         # sum over the numerators, one division by the denominator at the end
-        inner = LaurentPoly({1: eps, 0: delta})
+        power = LaurentPoly.affine_power
         pos = LaurentPoly()
         neg_parts: Dict[int, int] = {}
         for e, n in self._nums.items():
             if e >= 0:
-                pos = pos + n * inner**e
+                pos = pos + n * power(e, eps, delta)
             else:
                 neg_parts[-e] = n
         scale = Fraction(1, self._den)
         if not neg_parts:
             return pos * scale
         m = max(neg_parts)
-        num = pos * inner**m
+        den = power(m, eps, delta)
+        num = pos * den
         for k, n in neg_parts.items():
-            num = num + n * inner ** (m - k)
-        return RatFunc.of(num * scale, inner**m)
+            num = num + n * power(m - k, eps, delta)
+        return RatFunc.of(num * scale, den)
 
     def compose(self, inner: "LaurentPoly") -> "LaurentPoly":
         """Polynomial composition self(inner(x)); self must be a polynomial."""
@@ -416,6 +446,12 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
     factor lb/g, which is 1 whenever lb divides t (always for monic
     integer divisors).  The quotient terms are collected over the final
     rden, and one gcd per result restores the canonical form.
+
+    The steps run in one pass over the exponents, from deg a down to
+    deg b: each pops its exponent from R (a missing one is a zero term and
+    skipped), so no step searches R for its leading term.  The dict
+    operations are those of a search-per-step loop in the same order, and
+    quotient and remainder keep its insertion order.
     """
     if not (a.is_polynomial and b.is_polynomial):
         raise ValueError("poly_divmod requires true polynomials")
@@ -427,11 +463,12 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
     lb = b._nums[db]
     rest = [(e - db, n) for e, n in b._nums.items() if e != db]
     steps = []
-    while r:
-        top = max(r)
-        if top < db:
-            break
-        lead = r.pop(top)
+    for top in range(max(r, default=-1), db - 1, -1):
+        lead = r.pop(top, 0)
+        if not lead:
+            if not r:
+                break
+            continue
         g = gcd(lead, lb)
         scale, factor = lb // g, lead // g
         if scale != 1:

@@ -6,7 +6,8 @@ independent ways:
 * through the three-term recurrence
   ``P_{n+1} = (x - diag(n)) P_n - sub(n) P_{n-1}``, and
 * where a terminating hypergeometric expression exists, through
-  ``explicit_poly``, built from exact Pochhammer products.
+  ``explicit_poly``: exact Pochhammer prefactors times a series summed by
+  its term ratio.
 
 Agreement of the two routes, coefficient by coefficient over the rationals,
 is the construction-equivalence check of the acceptance suite.
@@ -278,6 +279,13 @@ def hypergeometric_terminating(
     polynomials (the complementary Bannai-Ito series carries rho2 +/- x in
     the numerator); denominator parameters must be scalars, and a vanishing
     denominator Pochhammer raises DegenerateParameters.
+
+    Each term comes from the one before by the term ratio
+    t_k / t_{k-1} = z prod (a_j + k - 1) / (k prod (b_i + k - 1))
+    (Koekoek, Lesky and Swarttouw 2010, §1.4), so a call takes O(n)
+    polynomial products.  (b_i)_k first vanishes at the k whose factor
+    b_i + k - 1 is zero, and that factor is checked before the term is
+    formed.
     """
     if not num_params:
         raise ValueError("at least one numerator parameter required")
@@ -289,20 +297,30 @@ def hypergeometric_terminating(
         raise ValueError(f"terminating parameter must be a nonpositive integer, got {first}")
     n = -int(first)
     dens = [_as_fraction(b) for b in den_params]
-    total = LaurentPoly.zero()
-    for k in range(n + 1):
-        den = Fraction(1)
+    scalars = [_as_fraction(a) for a in num_params if not isinstance(a, LaurentPoly)]
+    polys = [a for a in num_params if isinstance(a, LaurentPoly)]
+    term = total = LaurentPoly.one()
+    for k in range(1, n + 1):
+        ratio = Fraction(1, k)
         for b in dens:
-            den *= pochhammer(b, k)
-        if den == 0:
-            raise DegenerateParameters(f"denominator Pochhammer vanishes at k={k}")
-        for i in range(1, k + 1):
-            den *= i
-        term = LaurentPoly.one()
-        for a in num_params:
-            term = term * pochhammer(a, k)
-        total = total + term * argument**k / den
+            if b + k - 1 == 0:
+                raise DegenerateParameters(f"denominator Pochhammer vanishes at k={k}")
+            ratio /= b + k - 1
+        for a in scalars:
+            ratio *= a + k - 1
+        step = argument
+        for a in polys:
+            step = step * (a + (k - 1))
+        term = term * (step * ratio)
+        total = total + term
     return total
+
+
+def _prefactor(family: FamilySpec, n: int, num: Fraction, den: Fraction) -> Fraction:
+    """num / den for the normalising prefactor of ``explicit_poly``."""
+    if not den:
+        raise DegenerateParameters(f"{family.name} explicit_poly({n}) prefactor denominator vanishes")
+    return num / den
 
 
 def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
@@ -315,8 +333,10 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
         gamma = p.get("gamma", Fraction(0))
         z = x * x - LaurentPoly.const(gamma**2)
         shift = 1 if odd else 0
-        pref = Fraction((-1) ** m) * pochhammer(alpha + 1 + shift, m) / pochhammer(
-            m + alpha + beta + 1 + shift, m
+        pref = _prefactor(
+            family, n,
+            (-1) ** m * pochhammer(alpha + 1 + shift, m),
+            pochhammer(m + alpha + beta + 1 + shift, m),
         )
         series = hypergeometric_terminating(
             [Fraction(-m), m + alpha + beta + 1 + shift], [alpha + 1 + shift], z
@@ -337,8 +357,10 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
         s = 1 if odd else 0
         h = Fraction(1, 2) + s
         dens = [rho1 + rho2 + 1 + s, rho2 - r1 + h, rho2 - r2 + h]
-        eta = pochhammer(dens[0], m) * pochhammer(dens[1], m) * pochhammer(dens[2], m) / pochhammer(
-            m + g + 1 + s, m
+        eta = _prefactor(
+            family, n,
+            pochhammer(dens[0], m) * pochhammer(dens[1], m) * pochhammer(dens[2], m),
+            pochhammer(m + g + 1 + s, m),
         )
         series = hypergeometric_terminating(
             [Fraction(-m), m + g + 1 + s, x + rho2 + s, -x + rho2 + s],

@@ -375,3 +375,87 @@ def test_algebra_report_shape():
     assert dict(rep.constants)["d3"] == "1/2"
     assert rep.first_failure is None
     assert rep.millis > 0
+
+
+# -- the per-relation application memo of verify_algebra ------------------------
+
+
+def _count_applications(monkeypatch):
+    """One dict per relation checked from now on: how often each operator
+    was applied to each input."""
+    from dunklpoly import dunklop
+
+    counts = []
+    apply, relation_report = DunklOperator.apply, dunklop._relation_report
+
+    def counted_apply(self, f):
+        counts[-1][id(self), f] = counts[-1].get((id(self), f), 0) + 1
+        return apply(self, f)
+
+    def marked_report(*args, **kwargs):
+        counts.append({})
+        return relation_report(*args, **kwargs)
+
+    monkeypatch.setattr(DunklOperator, "apply", counted_apply)
+    monkeypatch.setattr(dunklop, "_relation_report", marked_report)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "which, params",
+    [
+        ("chihara", dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))),
+        ("ext_hermite", dict(mu=F(3, 2), gamma=F(1, 2), eps=F(5))),
+    ],
+)
+def test_algebra_applies_each_operator_once_per_input(monkeypatch, which, params):
+    counts = _count_applications(monkeypatch)
+    reports = verify_algebra(which, 8, **params)
+    assert all(r.passed for r in reports)
+    assert len(counts) == len(reports) == 6
+    monomials = {LaurentPoly.monomial(j) for j in range(9)}
+    for report, applied in zip(reports, counts):
+        assert set(applied.values()) == {1}, report.relation
+        # every relation applies P to each monomial itself: no image is
+        # carried over from the relations before it
+        inputs = {}
+        for op, f in applied:
+            inputs.setdefault(op, set()).add(f)
+        assert any(monomials <= seen for seen in inputs.values()), report.relation
+    # nothing carries over into the next call
+    verify_algebra(which, 8, **params)
+    assert [len(c) for c in counts[6:]] == [len(c) for c in counts[:6]]
+
+
+# (m, k) adds -x^m/(2x) d^k to the Chihara eigenoperator: (0, 1) is the
+# negative control's term, whose images of odd monomials keep a pole; the
+# failure points below are those of the unmemoized nested application
+_PERTURBED_FAILURES = {
+    (1, 1): [None, 1, None, 0, 0, 0],
+    (6, 5): [None, 5, None, 4, 3, 4],
+}
+
+
+@pytest.mark.parametrize("mk", sorted(_PERTURBED_FAILURES))
+@pytest.mark.parametrize(
+    "params",
+    [dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3)), dict(alpha=F(1, 2), beta=F(3, 4), gamma=F(1, 3), eps=0)],
+)
+def test_perturbed_algebra_fails_where_it_did(monkeypatch, mk, params):
+    _perturb_chihara(monkeypatch, *mk)
+    reports = verify_algebra("chihara", 12, **params)
+    assert [r.first_failure for r in reports] == _PERTURBED_FAILURES[mk]
+
+
+def test_perturbed_algebra_raises_where_it_did(monkeypatch):
+    _perturb_chihara(monkeypatch, 0, 1)
+    with pytest.raises(NotPolynomial, match="^denominator x does not cancel$"):
+        verify_algebra("chihara", 12, alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
+
+
+def _perturb_chihara(monkeypatch, m, k):
+    from dunklpoly import dunklop
+
+    build = dunklop.chihara_eigenop
+    extra = DunklOperator((term(RatFunc.of(LaurentPoly.const(F(-1)) * X**m, 2 * X), k=k),))
+    monkeypatch.setattr(dunklop, "chihara_eigenop", lambda *args: build(*args) + extra)

@@ -505,3 +505,53 @@ def test_results_are_in_canonical_form(ta, tb, c):
     for p in results:
         assert_canonical(p)
     assert (a + b == b + a) and hash(a + b) == hash(b + a)
+
+
+# -- binomial monomial images and one-pass division ---------------------------
+
+
+def test_affine_power_frozen_examples():
+    assert LaurentPoly.affine_power(3, -1, 2) == lp({3: -1, 2: 6, 1: -12, 0: 8})
+    assert LaurentPoly.affine_power(0, 1, Fraction(1, 2)) == LaurentPoly.one()
+    # Laurent powers at delta == 0, as the Gaussian class hands them over:
+    # exact coefficients, never floats
+    assert LaurentPoly.affine_power(-3, -1, 0) == lp({-3: -1})
+    assert LaurentPoly.affine_power(-2, Fraction(2, 3), 0) == lp({-2: Fraction(9, 4)})
+    assert all(type(c) is Fraction for _, c in LaurentPoly.affine_power(-4, -1, 0).items())
+    with pytest.raises(ValueError):
+        LaurentPoly.affine_power(-1, 1, 1)
+    with pytest.raises(ValueError):
+        LaurentPoly.affine_power(2, 0, 1)
+
+
+_deltas = (
+    st.just(0)
+    | st.integers(-6, -1)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(lambda d: d.denominator != 1)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_affine_power_matches_substitution(data):
+    delta = data.draw(_deltas)
+    j = data.draw(st.integers(0 if delta else -4, 40))
+    eps = data.draw(st.sampled_from([1, -1]))
+    got = LaurentPoly.affine_power(j, eps, delta)
+    want = LaurentPoly.monomial(j).substitute_affine(eps, delta)
+    assert_canonical(got)
+    assert got == want and str(got) == str(want) and hash(got) == hash(want)
+    # against repeated squaring in the Fraction form: same terms in the same
+    # order, so float evaluation agrees bit for bit
+    assert_same(got, RefPoly({j: 1}).substitute_affine(eps, delta))
+
+
+@pytest.mark.parametrize("divisor", [{3: 1}, {2: 1, 0: 1}, {2: Fraction(3, 2), 0: -5}])
+def test_sparse_division_matches_fraction_form(divisor):
+    # x^200 + 1: the one-pass loop walks 200 exponents, most of them absent
+    (a, ra), (b, rb) = both([(200, 1), (0, 1)]), both(divisor.items())
+    q, r = poly_divmod(a, b)
+    rq, rr = ref_divmod(ra, rb)
+    assert_same(q, rq)
+    assert_same(r, rr)
+    assert q * b + r == a

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
@@ -140,6 +142,71 @@ def test_terminating_parameter_validation():
 def test_denominator_pochhammer_degenerate():
     with pytest.raises(DegenerateParameters):
         hypergeometric_terminating([F(-3), F(1)], [F(-1)], X)
+
+
+def _pochhammer_per_k(num_params, den_params, argument):
+    """Reference sum: every Pochhammer product rebuilt at every k."""
+    n = -int(num_params[0])
+    total = LaurentPoly.zero()
+    for k in range(n + 1):
+        den = F(1)
+        for b in den_params:
+            den *= pochhammer(b, k)
+        if den == 0:
+            raise DegenerateParameters(f"denominator Pochhammer vanishes at k={k}")
+        for i in range(1, k + 1):
+            den *= i
+        term = LaurentPoly.one()
+        for a in num_params:
+            term = term * pochhammer(a, k)
+        total = total + term * argument**k / den
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateParameters as exc:
+        return f"DegenerateParameters: {exc}"
+
+
+_series_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+# degree-one numerator parameters, like rho2 +/- x in the cBI series
+_series_params = _series_scalars | st.tuples(st.sampled_from([1, -1]), _series_scalars).map(
+    lambda t: t[0] * X + t[1]
+)
+# nonpositive integers make a denominator Pochhammer vanish at k = 1 - b
+_series_dens = _series_scalars.filter(bool) | st.integers(-6, 0)
+_arguments = st.sampled_from([X, X * X - F(1, 9), LaurentPoly.one(), -2 * X])
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.integers(0, 9),
+    st.lists(_series_params, max_size=3),
+    st.lists(_series_dens, max_size=3),
+    _arguments,
+)
+def test_term_ratio_sum_matches_pochhammer_route(n, num_rest, dens, argument):
+    num = [F(-n), *num_rest]
+    got = _outcome(hypergeometric_terminating, num, dens, argument)
+    assert got == _outcome(_pochhammer_per_k, num, dens, argument)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        chihara_family(F(-1, 2), F(-3, 2), F(1, 3)),
+        cbi_family(F(-1, 2), F(-1, 2), F(1, 2), F(1, 2)),
+        cbi_family(F(1, 2), F(-5, 2), 0, 0),
+    ],
+    ids=["chihara", "cbi-zero-over-zero", "cbi"],
+)
+def test_vanishing_prefactor_raises_degenerate(family):
+    with pytest.raises(
+        DegenerateParameters, match=rf"^{family.name} explicit_poly\(2\) prefactor denominator vanishes$"
+    ):
+        explicit_poly(family, 2)
 
 
 # -- explicit vs recurrence construction -------------------------------------------
