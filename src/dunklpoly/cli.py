@@ -35,6 +35,10 @@ Conventions
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use.
+* The parser of a request holds only the invoked subcommand: ``run``
+  builds the subparser that ``argv[0]`` names and no other.  Top-level
+  help, a missing command and an unknown one get the parser of every
+  subcommand, and both parsers print the same usage, help and errors.
 """
 
 from __future__ import annotations
@@ -364,73 +368,61 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# Parser assembly.
+# Parser assembly.  Each subcommand is one entry of ``_COMMANDS``: its help
+# line, the function that adds its arguments, and its handler.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="Exact and float verification checks for -1 orthogonal "
-                    "polynomial families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="print exact recurrence coefficients")
+def _family_degree_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p)
     p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
-    p.set_defaults(handler=_cmd_coeffs)
 
-    p = sub.add_parser("poly", help="print one monic polynomial")
-    _add_family_flags(p)
-    p.add_argument("--n", type=_nonnegative_int, required=True, metavar="N")
-    p.set_defaults(handler=_cmd_poly)
 
-    p = sub.add_parser("eigencheck", help="sweep an eigenvalue operator")
+def _eigencheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--operator", required=True, choices=sorted(EIGEN_OPERATORS))
     _add_rational_flags(p, _union(op.params for op in EIGEN_OPERATORS.values()))
     p.add_argument("--cap", type=_positive_int, default=None, metavar="N")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_eigencheck)
 
-    p = sub.add_parser("algebra", help="check operator structure relations")
+
+def _algebra_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", required=True, choices=tuple(ALGEBRA_PARAMS))
     _add_rational_flags(p, _union(ALGEBRA_PARAMS.values()))
     p.add_argument("--cap", type=_positive_int, default=ALGEBRA_CAP, metavar="N")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_algebra)
 
-    p = sub.add_parser("gram", help="Gram matrix off-diagonal check")
+
+def _gram_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
     p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_gram)
 
-    p = sub.add_parser("norms", help="norm-ratio checks")
+
+def _norms_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
     p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
                    metavar="N")
     p.add_argument("--tolerance", type=float, default=NORM_TOLERANCE)
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_norms)
 
-    p = sub.add_parser("pearson", help="weight equation and reflection checks")
+
+def _pearson_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=("chihara",))
     p.add_argument("--samples", type=_positive_int, default=PEARSON_SAMPLES,
                    help="sample points per support component")
     p.add_argument("--tolerance", type=float, default=REFLECTION_TOLERANCE)
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_pearson)
 
-    p = sub.add_parser("transform", help="kernel transform checks")
+
+def _transform_args(p: argparse.ArgumentParser) -> None:
     _add_rational_flags(p, FAMILIES["big_m1_jacobi"][1])
     p.add_argument("--cap", type=_positive_int, default=TRANSFORM_CAP, metavar="N")
     p.add_argument("--tolerance", type=float, default=TRANSFORM_TOLERANCE)
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("limits", help="run one contraction limit")
+
+def _limits_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True, choices=LIMIT_IDS)
     p.add_argument("--steps", type=_steps, default=None,
                    metavar="s1,s2,...", help="geometric step grid (floats)")
@@ -439,27 +431,73 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=ORDER_TOLERANCE,
                    help="allowed |empirical order - 1|")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_limits)
 
-    p = sub.add_parser("weight-sample", help="CSV samples of a weight function")
+
+def _weight_sample_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=WEIGHTED_FAMILIES)
     p.add_argument("--points", type=_positive_int, required=True, metavar="M",
                    help="sample points per support component")
-    p.set_defaults(handler=_cmd_weight_sample)
 
-    p = sub.add_parser("suite", help="run the pinned verification suites")
+
+def _suite_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all", action="store_true", help="run every suite")
     p.add_argument("--only", default=None, metavar="NAME[,NAME...]",
                    help="run a comma-separated subset of suites")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_suite)
 
+
+_COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], int]]] = {
+    "coeffs": ("print exact recurrence coefficients", _family_degree_args,
+               _cmd_coeffs),
+    "poly": ("print one monic polynomial", _family_degree_args, _cmd_poly),
+    "eigencheck": ("sweep an eigenvalue operator", _eigencheck_args,
+                   _cmd_eigencheck),
+    "algebra": ("check operator structure relations", _algebra_args,
+                _cmd_algebra),
+    "gram": ("Gram matrix off-diagonal check", _gram_args, _cmd_gram),
+    "norms": ("norm-ratio checks", _norms_args, _cmd_norms),
+    "pearson": ("weight equation and reflection checks", _pearson_args,
+                _cmd_pearson),
+    "transform": ("kernel transform checks", _transform_args, _cmd_transform),
+    "limits": ("run one contraction limit", _limits_args, _cmd_limits),
+    "weight-sample": ("CSV samples of a weight function", _weight_sample_args,
+                      _cmd_weight_sample),
+    "suite": ("run the pinned verification suites", _suite_args, _cmd_suite),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser: only ``command``'s subparser when it names one.
+
+    Any other ``command`` (None, ``-h``, an unknown name) gets every
+    subcommand, for the top-level help and argparse's own errors.  The
+    one-subcommand parser names every command in its usage line, which
+    argparse prints with an "unrecognized arguments" error; the full parser
+    keeps the default, so a missing command is still reported as
+    ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Exact and float verification checks for -1 orthogonal "
+                    "polynomial families.",
+    )
+    names, metavar = tuple(_COMMANDS), None
+    if command in _COMMANDS:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and execute; returns the exit status (0, 1, 2 or 3)."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

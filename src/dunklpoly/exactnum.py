@@ -452,11 +452,22 @@ def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> Tuple[LaurentPoly, LaurentPol
     skipped), so no step searches R for its leading term.  The dict
     operations are those of a search-per-step loop in the same order, and
     quotient and remainder keep its insertion order.
+
+    A single-term divisor c*x^k only splits a's terms: the quotient is
+    those with e >= k, shifted down by k and divided by c, in descending
+    order, and the remainder those with e < k, in a's order, as the loop
+    would give them.
     """
     if not (a.is_polynomial and b.is_polynomial):
         raise ValueError("poly_divmod requires true polynomials")
     if b.is_zero:
         raise ZeroDenominator("polynomial division by zero")
+    if len(b._nums) == 1:
+        [(k, c)] = b._nums.items()
+        high = sorted((e for e in a._nums if e >= k), reverse=True)
+        quotient = {e - k: a._nums[e] * b._den for e in high}
+        low = {e: n for e, n in a._nums.items() if e < k}
+        return _canonical(quotient, a._den * c), _canonical(low, a._den)
     r = dict(a._nums)
     rden = a._den
     db = b.degree
@@ -501,8 +512,15 @@ def poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of two polynomials (gcd(0, 0) = 0)."""
+    """Monic gcd of two polynomials (gcd(0, 0) = 0).
+
+    A single-term divisor c*x^k ends the Euclidean loop: the gcd is
+    x^min(k, v), with v the lowest exponent of the dividend.
+    """
     while not b.is_zero:
+        if len(b._nums) == 1 and a.is_polynomial and b.is_polynomial:
+            [k] = b._nums
+            return _wrap({min(k, min(a._nums, default=k)): 1}, 1)
         _, rem = poly_divmod(a, b)
         a, b = b, rem
     if a.is_zero:

@@ -8,11 +8,14 @@ Frozen expectations used below (independently checkable by hand):
   weight-sample run with M points per component prints 2M data rows.
 """
 
+import argparse
 import json
+import sys
 
 import pytest
 
-from dunklpoly.cli import run
+from dunklpoly import cli
+from dunklpoly.cli import build_parser, main, run
 from dunklpoly.report import emit, parse
 from dunklpoly.suites import ALL_SUITES
 
@@ -334,3 +337,133 @@ def test_weight_sample_prints_nothing_when_a_sample_fails(capsys):
     assert code == 3
     assert out == ""
     assert "OverflowError" in err
+
+
+# -- one subparser per request ---------------------------------------------------
+
+# one valid argv and one bad value (a choices or type error, or exclusive
+# formats for suite) per subcommand; argv[0] is the subcommand
+_VALID = {
+    "coeffs": ["--family", "chihara", "--alpha", "1", "--beta", "1",
+               "--gamma", "1/2", "--n", "2"],
+    "poly": ["--family", "gen_hermite", "--mu", "1/2", "--n", "3"],
+    "eigencheck": ["--operator", "chihara_D", "--alpha", "1", "--beta", "1",
+                   "--gamma", "1/2", "--eps", "2/3", "--cap", "4"],
+    "algebra": ["--which", "ext_hermite", "--mu=1/3", "--gamma=2", "--eps=-1",
+                "--cap", "3", "--json"],
+    "gram": ["--family", "gegenbauer", "--alpha", "1", "--beta", "1",
+             "--cap", "4", "--tolerance", "1e-9"],
+    "norms": ["--family", "gen_hermite", "--mu", "1/2", "--exact-cap", "3",
+              "--csv", "out.csv"],
+    "pearson": ["--family", "chihara", "--alpha", "1", "--beta", "1",
+                "--gamma", "1/2", "--samples", "3"],
+    "transform": ["--a", "1", "--b", "1", "--c", "3/5", "--cap", "6"],
+    "limits": ["--case", "cbi_h_to_0", "--steps", "1e-2,1e-3,1e-4", "--cap", "2"],
+    "weight-sample": ["--family", "gegenbauer", "--alpha", "1", "--beta", "1",
+                      "--points", "3"],
+    "suite": ["--only", "jacobi,transform", "--json", "-"],
+}
+_BAD_VALUE = {
+    "coeffs": ["--family", "nope", "--n", "2"],
+    "poly": ["--family", "chihara", "--n", "-1"],
+    "eigencheck": ["--operator", "nope"],
+    "algebra": ["--which", "gegenbauer"],
+    "gram": ["--family", "big_m1_jacobi"],
+    "norms": ["--family", "gegenbauer", "--cap", "0"],
+    "pearson": ["--family", "gegenbauer"],
+    "transform": ["--a", "1.5"],
+    "limits": ["--case", "nope"],
+    "weight-sample": ["--family", "chihara", "--points", "x"],
+    "suite": ["--all", "--json", "-", "--csv", "-"],
+}
+
+
+def _parse(capsys, parser, argv):
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_parity_corpus_covers_every_subcommand():
+    assert set(_VALID) == set(_BAD_VALUE) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_one_subcommand_parser_matches_the_full_parser(command, capsys):
+    valid = [command] + _VALID[command]
+    corpus = [
+        [command, "-h"],
+        [command],                          # a missing required flag, if any
+        [command] + _BAD_VALUE[command],
+        valid + ["--bogus"],                # top-level "unrecognized arguments"
+        valid,
+    ]
+    for argv in corpus:
+        restricted = _parse(capsys, build_parser(command), argv)
+        full = _parse(capsys, build_parser(), argv)
+        assert restricted == full, argv
+    # the valid argv gives a Namespace, the others usage output and exit 0 or 2
+    assert isinstance(restricted[0], argparse.Namespace)
+    assert restricted[0].handler is cli._COMMANDS[command][2]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["--help"], 0), ([], 2), (["nope"], 2), (["Gram"], 2),
+    (["--", "gram"], 2),
+])
+def test_no_known_command_gets_the_full_parser(argv, code, capsys):
+    full = _parse(capsys, build_parser(), argv)
+    assert full[0] == code
+    assert _run(capsys, argv) == (code, full[1], full[2])
+    listing = "{" + ",".join(cli._COMMANDS) + "}"
+    if code == 0:
+        assert set(cli._COMMANDS) <= set(full[1].split())   # one help line each
+    else:
+        usage = " ".join(full[2].split())      # as wrapped to any width
+        assert usage.startswith(f"usage: {cli.PROG} [-h] {listing} ... ")
+
+
+def _count_subparsers(monkeypatch):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return calls
+
+
+def test_a_request_registers_only_its_own_subparser(monkeypatch, capsys):
+    calls = _count_subparsers(monkeypatch)
+    assert run(["coeffs"] + _VALID["coeffs"]) == 0
+    assert calls == ["coeffs"]
+    calls.clear()
+    assert run(["-h"]) == 0
+    assert calls == list(cli._COMMANDS)
+    capsys.readouterr()
+
+
+def test_entry_point_reads_sys_argv(monkeypatch, capsys):
+    calls = _count_subparsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["dunklpoly", "coeffs"] + _VALID["coeffs"])
+    assert run() == 0
+    assert calls == ["coeffs"]
+    assert capsys.readouterr().out == "diag 1/2\nsub 1/10\n"
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "diag 1/2\nsub 1/10\n"
+    monkeypatch.setattr(sys, "argv", ["dunklpoly", "gram", "--help"])
+    assert run(None) == 0
+    assert capsys.readouterr().out.startswith("usage: dunklpoly gram [-h]")
+    monkeypatch.setattr(sys, "argv", ["dunklpoly"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")

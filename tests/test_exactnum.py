@@ -16,6 +16,7 @@ from dunklpoly.exactnum import (
     NotPolynomial,
     RatFunc,
     ZeroDenominator,
+    _canonical,
     exact_polynomial_check,
     poly_divmod,
     poly_exact_div,
@@ -555,3 +556,102 @@ def test_sparse_division_matches_fraction_form(divisor):
     assert_same(q, rq)
     assert_same(r, rr)
     assert q * b + r == a
+
+
+# -- single-term divisors ------------------------------------------------------
+# ``poly_divmod`` and ``poly_gcd`` split the terms for a divisor c*x^k instead
+# of running their loops.  The loops are copied here as the general route:
+# both routes must give the same fields with the terms in the same order.
+
+
+def general_divmod(a, b):
+    r = dict(a._nums)
+    rden = a._den
+    db = b.degree
+    lb = b._nums[db]
+    rest = [(e - db, n) for e, n in b._nums.items() if e != db]
+    steps = []
+    for top in range(max(r, default=-1), db - 1, -1):
+        lead = r.pop(top, 0)
+        if not lead:
+            if not r:
+                break
+            continue
+        g = math.gcd(lead, lb)
+        scale, factor = lb // g, lead // g
+        if scale != 1:
+            for e in r:
+                r[e] *= scale
+            rden *= scale
+        steps.append((top - db, factor, scale))
+        for e, n in rest:
+            e += top
+            s = r.get(e, 0) - factor * n
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    quotient = []
+    later = b._den
+    for exp, factor, scale in reversed(steps):
+        quotient.append((exp, factor * later))
+        later *= scale
+    return _canonical(dict(reversed(quotient)), rden), _canonical(r, rden)
+
+
+def general_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, general_divmod(a, b)[1]
+    if a.is_zero:
+        return a
+    return _canonical(a._nums, a._nums[a.degree])
+
+
+def assert_identical(new, old):
+    assert new._den == old._den
+    assert list(new._nums.items()) == list(old._nums.items())
+    for x in FLOAT_POINTS:
+        assert new.evaluate_float(x) == old.evaluate_float(x)
+
+
+@settings(deadline=None)
+@given(
+    _plain_term_lists | st.lists(st.tuples(st.integers(0, 30), diff_scalars), max_size=12),
+    st.integers(0, 9),
+    diff_scalars.filter(bool),
+    _plain_term_lists,
+)
+def test_single_term_divisor_matches_general_route(ta, k, c, tc):
+    (a, ra), (b, rb) = both(ta), both([(k, c)])
+    other = LaurentPoly(tc)
+    q, r = poly_divmod(a, b)
+    gq, gr = general_divmod(a, b)
+    assert_identical(q, gq)
+    assert_identical(r, gr)
+    assert_canonical(q)
+    assert_canonical(r)
+    rq, rr = ref_divmod(ra, rb)
+    assert_same(q, rq)
+    assert_same(r, rr)
+    # the divisor is single-term at the first step, or (for a monomial a)
+    # after one general step
+    for x, y in ((a, b), (b, a), (a * other, b), (b, a * other)):
+        if not y.is_zero:
+            assert_identical(poly_gcd(x, y), general_gcd(x, y))
+    assert_same(poly_gcd(a, b), ref_gcd(ra, rb))
+    assert_same_ratfunc(RatFunc.of(a, b), ref_reduce(ra, rb))
+
+
+def test_single_term_divisor_frozen_examples():
+    a = lp({0: 5, 4: 3, 1: -2, 6: Fraction(1, 2)})
+    q, r = poly_divmod(a, lp({2: Fraction(-2, 3)}))
+    assert list(q._nums.items()) == [(4, -3), (2, -18)] and q._den == 4
+    assert list(r._nums.items()) == [(0, 5), (1, -2)] and r._den == 1
+    assert poly_gcd(lp({3: 2, 5: 1}), lp({4: 7})) == lp({3: 1})
+    assert poly_gcd(LaurentPoly.zero(), lp({2: 3})) == lp({2: 1})
+    assert poly_gcd(lp({2: 1, 0: 1}), X) == LaurentPoly.one()
+    # the shortcuts keep the polynomial-input checks
+    with pytest.raises(ValueError):
+        poly_divmod(lp({-1: 1}), X)
+    with pytest.raises(ValueError):
+        poly_gcd(lp({-1: 1}), X)
