@@ -28,22 +28,31 @@ weight (exact rational recurrence coefficients, then rounded; see
 deflation at negligible off-diagonal entries (threshold 1e-15 of the matrix
 scale, sweep cap 10^4), nodes are the eigenvalues and weights are ``mu0``
 times the squared first eigenvector components; only that first row is
-rotated, so a rule costs O(n^2).  Every node is checked by Sturm counts (the inertia of ``T - x I``
-within 1e-12 of the scale on either side), and every rule is validated at
-build time against closed-form moments up to degree ``min(2n-1, 8)``.
+rotated, so a rule costs O(n^2).  Every node is checked by Sturm counts (the
+inertia of ``T - x I`` within 1e-12 of the scale on either side); a count
+stops as soon as it reaches the bracketing value i + 1, the only value it is
+compared with.  Every rule is validated at build time against closed-form
+moments up to degree ``min(2n-1, 8)``.
 
 Gram matrices and norm ratios evaluate the family polynomials at the
 branch points through the float three-term recurrence; its exact rational
 coefficients are converted to float once per ``gram_matrix`` call and
-shared by every node.  A norms request builds one Gauss rule per degree;
-the reduced weight's Jacobi matrix and the family's recurrence are
-converted once per request (``NormTables``) and shared by every degree,
-each rule diagonalizing the leading block it needs.
+shared by every node.  A Gram matrix needs every row P_0 .. P_N
+(``_basis_table``) and forms the per-node factors of the branch sum once.  A
+norm check at degree n keeps only P_n and P_(n-1) of the recurrence.  A
+norms request builds one Gauss rule per degree; the reduced weight's Jacobi
+matrix and the family's recurrence are converted once per request
+(``NormTables``) and shared by every degree, each rule diagonalizing the
+leading block it needs.  These shortcuts perform the same float operations
+in the same order as the straightforward loops, so every value is the same
+bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); an absolute-normalization value
 through the platform Gamma function is used only for the ``k_0`` and
-``l_0`` spot checks (``norm_head``).
+``l_0`` spot checks (``norm_head``) and the zeroth moments of the Gauss
+rules.  Where a Gamma value leaves the double range, the Beta function of
+the Jacobi weights comes through ``lgamma`` instead.
 """
 
 from __future__ import annotations
@@ -127,6 +136,7 @@ def symtridiag_eigen(
     e = list(T.offdiag) + [0.0]
     z = [1.0] + [0.0] * (n - 1)
     threshold = SPLIT_THRESHOLD * scale
+    hypot = math.hypot
     sweeps = 0
     for l in range(n):
         while True:
@@ -139,18 +149,23 @@ def symtridiag_eigen(
             if sweeps > max_sweeps:
                 raise NoConvergence(f"QL sweep cap {max_sweeps} exceeded")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
+            r = hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
             s = c = 1.0
             p = 0.0
+            # z_next carries z[i + 1] between rotations; it is stored once
+            # the sweep moves past it
+            z_next = z[m]
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
+                e_i = e[i]
+                f = s * e_i
+                b = c * e_i
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
                     e[m] = 0.0
+                    z[i + 1] = z_next
                     break
                 s = f / r
                 c = g / r
@@ -159,10 +174,12 @@ def symtridiag_eigen(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
+                f = z_next
+                z_i = z[i]
+                z[i + 1] = s * z_i + c * f
+                z_next = c * z_i - s * f
             else:
+                z[l] = z_next
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
@@ -172,27 +189,45 @@ def symtridiag_eigen(
     return values, [z[i] for i in order]
 
 
-def _sturm_count(T: SymTridiag, x: float) -> int:
-    """Number of eigenvalues of T below x: the negative pivots of the LDL^T
-    factorization of T - x I (Sylvester inertia; Golub & Van Loan, §8.4)."""
+def _sturm_pairs(T: SymTridiag) -> List[Tuple[float, float]]:
+    """(diag_k, offdiag_(k-1)^2) per row of T, with 0.0 for row 0."""
+    return list(zip(T.diag, [0.0] + [b * b for b in T.offdiag]))
+
+
+def _negative_pivots(pairs: Sequence[Tuple[float, float]], x: float, stop: int) -> int:
+    """Negative pivots of the LDL^T factorization of T - x I, counted up to
+    ``stop``: the number of eigenvalues of T below x when that is smaller
+    (Sylvester inertia; Golub & Van Loan, §8.4)."""
     count = 0
     pivot = 1.0
-    for k, a in enumerate(T.diag):
-        b = T.offdiag[k - 1] if k else 0.0
-        pivot = a - x - b * b / pivot
+    for a, bb in pairs:
+        pivot = a - x - bb / pivot
         if pivot == 0.0:
             pivot = -sys.float_info.min
-        count += pivot < 0.0
+        if pivot < 0.0:
+            count += 1
+            if count == stop:
+                break
     return count
+
+
+def _sturm_count(T: SymTridiag, x: float) -> int:
+    """Number of eigenvalues of T below x."""
+    return _negative_pivots(_sturm_pairs(T), x, len(T.diag) + 1)
 
 
 def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
     """Each ascending eigenvalue lambda_i must bracket eigenvalue i of T:
     fewer than i + 1 below lambda_i - delta, at least i + 1 below
-    lambda_i + delta, with delta = ``NODE_MARGIN * scale``."""
+    lambda_i + delta, with delta = ``NODE_MARGIN * scale``.  Both tests only
+    compare a count with i + 1, so each count stops when it reaches i + 1."""
     delta = NODE_MARGIN * scale
+    pairs = _sturm_pairs(T)
     for i, lam in enumerate(values):
-        if _sturm_count(T, lam - delta) > i or _sturm_count(T, lam + delta) < i + 1:
+        if (
+            _negative_pivots(pairs, lam - delta, i + 1) > i
+            or _negative_pivots(pairs, lam + delta, i + 1) < i + 1
+        ):
             raise NoConvergence(
                 f"node {i} at {lam!r} fails the Sturm count within "
                 f"{NODE_MARGIN:.0e} * {scale:.3e}"
@@ -275,12 +310,19 @@ def _check_exponents(weight_class: Tuple) -> None:
             raise ValueError("weight parameters must exceed -1")
 
 
+def _beta_function(a: float, b: float) -> float:
+    """B(a+1, b+1) = Gamma(a+1) Gamma(b+1) / Gamma(a+b+2): the Gamma product,
+    or through ``lgamma`` where a Gamma value leaves the double range."""
+    try:
+        return math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    except OverflowError:
+        return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
+
+
 def _zeroth_moment(weight_class: Tuple) -> float:
     if weight_class[0] == "jacobi":
         _, a, b = weight_class
-        return math.gamma(float(a) + 1) * math.gamma(float(b) + 1) / math.gamma(
-            float(a) + float(b) + 2
-        )
+        return _beta_function(float(a), float(b))
     return math.gamma(float(weight_class[1]) + 1)
 
 
@@ -569,6 +611,17 @@ def _basis_table(
     return table
 
 
+def _last_two_values(
+    diag: Sequence[float], sub: Sequence[float], n: int, x: float
+) -> Tuple[float, float]:
+    """(P_(n-1)(x), P_n(x)) for n >= 1: the last two entries of the
+    ``_basis_table`` row of x, by the same float operations."""
+    previous, value = 1.0, x - diag[0]
+    for k in range(1, n):
+        previous, value = value, (x - diag[k]) * value - sub[k] * previous
+    return previous, value
+
+
 def gram_matrix(
     family: FamilySpec, N: int, nodes: Optional[int] = None
 ) -> List[List[float]]:
@@ -577,18 +630,21 @@ def gram_matrix(
     rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N, nodes))
     us = _branch_points(spec, rule)
     table = _basis_table(FloatRecurrence(family), N, us + [-u for u in us])
-    table_pos, table_neg = table[: len(us)], table[len(us) :]
+    # the per-node factors of _branch_sum, formed once for every (m, n)
+    g = float(spec.gamma)
+    per_node = [
+        (w, u + g, u - g, 2.0 * u, pos, neg)
+        for w, u, pos, neg in zip(rule.weights, us, table, table[len(us) :])
+    ]
+    prefactor = spec.reduced_prefactor()
     gram = [[0.0] * (N + 1) for _ in range(N + 1)]
     for m in range(N + 1):
         for n in range(m, N + 1):
-            value = _branch_sum(
-                spec,
-                rule,
-                us,
-                [row[m] * row[n] for row in table_pos],
-                [row[m] * row[n] for row in table_neg],
-            )
-            gram[m][n] = gram[n][m] = value
+            total = 0.0
+            for w, u_plus, u_minus, two_u, pos, neg in per_node:
+                bracket = u_plus * (pos[m] * pos[n]) + u_minus * (neg[m] * neg[n])
+                total += w * bracket / two_u
+            gram[m][n] = gram[n][m] = prefactor * total
     return gram
 
 
@@ -720,9 +776,10 @@ def norm_ratio_check(
 ) -> Tuple[Fraction, float]:
     """(exact ratio, quadrature ratio) of consecutive squared norms.
 
-    The quadrature side evaluates P_n at the Gauss nodes through the float
-    recurrence (see ``_basis_table``) so both norms keep full relative
-    accuracy even when they are geometrically small.  The weight's Jacobi
+    The quadrature side evaluates only P_n and P_(n-1) at the branch points
+    of the Gauss nodes, through the float recurrence
+    (``_last_two_values``), so both norms keep full relative accuracy even
+    when they are geometrically small.  The weight's Jacobi
     matrix and the family's recurrence are converted to float once per
     ``tables``: a norms request passes one ``NormTables`` to every degree,
     and a call without it converts its own.
@@ -737,17 +794,18 @@ def norm_ratio_check(
         raise ValueError("norm tables belong to another family")
     rule = gauss_rule(tables.weight, _rule_size(2 * n, nodes))
     us = _branch_points(spec, rule)
-    table = _basis_table(tables.recurrence, n, us + [-u for u in us])
-    table_pos, table_neg = table[: len(us)], table[len(us) :]
+    diag, sub = tables.recurrence.upto(n)
+    rows = [_last_two_values(diag, sub, n, x) for x in us + [-u for u in us]]
+    rows_pos, rows_neg = rows[: len(us)], rows[len(us) :]
     norms = [
         _branch_sum(
             spec,
             rule,
             us,
-            [row[k] * row[k] for row in table_pos],
-            [row[k] * row[k] for row in table_neg],
+            [row[k] * row[k] for row in rows_pos],
+            [row[k] * row[k] for row in rows_neg],
         )
-        for k in (n, n - 1)
+        for k in (1, 0)
     ]
     return exact, norms[0] / norms[1]
 
@@ -756,8 +814,7 @@ def norm_head(family: FamilySpec) -> float:
     """Absolute <P_0, P_0> from the closed-form constants (Gamma evaluation)."""
     p = {key: float(v) for key, v in family.params}
     if family.name in ("chihara", "gegenbauer"):
-        a, b = p["alpha"], p["beta"]
-        return math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+        return _beta_function(p["alpha"], p["beta"])
     if family.name in ("ext_hermite", "gen_hermite"):
         g = p.get("gamma", 0.0)
         return math.exp(-g * g) * math.gamma(p["mu"] + 0.5)
@@ -820,14 +877,22 @@ def verify_pearson(
 
     with stopwatch() as reflection_ms:
         spec = weight_for(family)
-        g = float(gamma)
+        g, a, b = float(gamma), float(alpha), float(beta)
+        copysign = math.copysign
+
+        def weight_value(x: float) -> float:
+            # WeightSpec.weight_value of the chihara weight
+            return (
+                copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
+            )
+
         worst = 0.0
         count = 0
         for lo, hi in spec.support_intervals():
             for i in range(samples_per_side):
                 xx = lo + (hi - lo) * (i + 0.5) / samples_per_side
-                wx = spec.weight_value(xx)
-                wmx = spec.weight_value(-xx)
+                wx = weight_value(xx)
+                wmx = weight_value(-xx)
                 relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
                 worst = max(worst, relative)
                 count += 1

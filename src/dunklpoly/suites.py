@@ -645,7 +645,11 @@ def pearson_records(
 
 
 def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]:
-    """(x, w(x)) at ``points`` midpoints of each support component."""
+    """(x, w(x)) at ``points`` midpoints of each support component.
+
+    A midpoint at x = 0 where the weight has a factor |x|^e with e < 0 (an
+    integrable singularity) is reported as ``inf``.
+    """
     spec = weight_for(family)
     rows = []
     for lo, hi in spec.support_intervals():
@@ -653,7 +657,13 @@ def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]
         for j in range(points):
             x = lo + (j + 0.5) * (hi - lo) / points
             with _in_double_range(family, f"weight at x={x!r}"):
-                rows.append((x, spec.weight_value(x)))
+                try:
+                    value = spec.weight_value(x)
+                except ZeroDivisionError:
+                    if x != 0.0:
+                        raise
+                    value = math.inf
+                rows.append((x, value))
     return rows
 
 

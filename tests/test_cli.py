@@ -339,6 +339,34 @@ def test_weight_sample_prints_nothing_when_a_sample_fails(capsys):
     assert "OverflowError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "--family", "chihara", "--alpha=2/3", "--beta=1000",
+     "--gamma=-5/2", "--cap", "30"],
+    ["norms", "--family", "chihara", "--alpha=2/3", "--beta=1000",
+     "--gamma=-5/2", "--cap", "6"],
+])
+def test_beta_function_past_the_gamma_range_passes(argv, capsys):
+    # Gamma(1001) overflows; B(5/3, 1001) = Gamma(5/3) Gamma(1001) / Gamma(1002 + 2/3)
+    # is about 8e-6 and comes through lgamma
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert "float_pass" in out
+
+
+@pytest.mark.parametrize("family_args", [
+    ["--family", "gen_hermite", "--mu=-1/1000", "--points", "7"],
+    ["--family", "gegenbauer", "--alpha=-3/4", "--beta=1", "--points", "5"],
+])
+def test_weight_sample_reports_the_singularity_at_zero_as_inf(family_args, capsys):
+    # an odd midpoint grid hits x = 0, where |x|^e with e < 0 is infinite
+    code, out, err = _run(capsys, ["weight-sample"] + family_args)
+    assert code == 0, err
+    rows = out.splitlines()
+    assert rows[0] == "x,weight"
+    assert len(rows) == 1 + int(family_args[-1])
+    assert [row for row in rows if row.endswith(",inf")] == ["0.0,inf"]
+
+
 # -- one subparser per request ---------------------------------------------------
 
 # one valid argv and one bad value (a choices or type error, or exclusive

@@ -224,6 +224,48 @@ def test_sturm_count_brackets_closed_form_eigenvalues():
     assert counts == [0, 1, 2, 3]
 
 
+def _full_count_check_nodes(T, values, scale):
+    """Reference: the node check that counted every pivot of both Sturm
+    sequences before comparing with i + 1."""
+    delta = quad.NODE_MARGIN * scale
+    for i, lam in enumerate(values):
+        if quad._sturm_count(T, lam - delta) > i or quad._sturm_count(T, lam + delta) < i + 1:
+            raise NoConvergence(
+                f"node {i} at {lam!r} fails the Sturm count within "
+                f"{quad.NODE_MARGIN:.0e} * {scale:.3e}"
+            )
+
+
+def _check_outcome(check, T, values):
+    try:
+        check(T, values, T.scale)
+    except NoConvergence as exc:
+        return str(exc)
+    return None
+
+
+def test_early_exit_node_check_equals_full_count():
+    # moves inside and outside the 1e-12 margin, on both sides, of every node
+    rng = random.Random(1969)
+    failures = 0
+    for _ in range(40):
+        if rng.random() < 0.7:
+            T = _classical_jacobi_matrix(_random_weight_class(rng), rng.randint(1, 30))
+        else:
+            n = rng.randint(1, 20)
+            T = SymTridiag(tuple(rng.uniform(-2, 2) for _ in range(n)),
+                           tuple(rng.uniform(-2, 2) for _ in range(n - 1)))
+        values, _ = symtridiag_eigen(T)
+        for i in range(len(values)):
+            for shift in (0.0, 1e-14, -1e-14, 1e-9, -1e-9, 1e-3, -1e-3):
+                moved = list(values)
+                moved[i] += shift * T.scale
+                expected = _check_outcome(_full_count_check_nodes, T, moved)
+                assert _check_outcome(quad._check_nodes, T, moved) == expected
+                failures += expected is not None
+    assert failures > 0
+
+
 # -- Gauss rules --------------------------------------------------------------------
 
 
@@ -457,6 +499,31 @@ def test_basis_table_equals_per_node_recurrence(family, N, points):
     assert table == [_per_node_basis_values(family, N, x) for x in points]
 
 
+def _pairwise_gram_matrix(family, N):
+    """Reference: the Gram matrix from the full basis table, one
+    ``_branch_sum`` with freshly built product lists per (m, n)."""
+    spec = weight_for(family)
+    rule = gauss_rule(spec.reduced_weight_class(), quad._rule_size(2 * N, None))
+    us = quad._branch_points(spec, rule)
+    table = _basis_table(quad.FloatRecurrence(family), N, us + [-u for u in us])
+    pos, neg = table[: len(us)], table[len(us) :]
+    gram = [[0.0] * (N + 1) for _ in range(N + 1)]
+    for m in range(N + 1):
+        for n in range(m, N + 1):
+            gram[m][n] = gram[n][m] = quad._branch_sum(
+                spec, rule, us, [r[m] * r[n] for r in pos], [r[m] * r[n] for r in neg]
+            )
+    return gram
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=_quadrature_families, N=st.integers(0, 16))
+def test_gram_matrix_equals_pairwise_branch_sums(family, N):
+    # the per-node factors are formed once, but every entry is the same
+    # float operations in the same order
+    assert gram_matrix(family, N) == _pairwise_gram_matrix(family, N)
+
+
 def norm_request(family, cap):
     """One norms request; exact_cap=1 reads sub(1) once more."""
     return norm_records(family, cap, exact_cap=1)
@@ -636,6 +703,22 @@ def test_norm_head_matches_quadrature():
         assert inner_product(weight_for(fam), one, one) == pytest.approx(head, rel=1e-12)
 
 
+def test_beta_function_past_the_gamma_range():
+    # B(a+1, b+1) = b! / ((a+1) (a+2) ... (a+b+1)) for an integer b, exactly;
+    # Gamma(1001) overflows, so the value comes through lgamma
+    a, b = F(2, 3), 1000
+    exact = F(math.factorial(b))
+    for k in range(1, b + 2):
+        exact /= a + k
+    fam = chihara_family(a, b, F(-5, 2))
+    head = norm_head(fam)
+    assert head == quad._zeroth_moment(quad.ClassicalWeight(("jacobi", a, b)))
+    assert head == pytest.approx(float(exact), rel=1e-11)
+    # inside the range the Gamma product is kept bit for bit
+    small = chihara_family(F(1, 2), 3, F(1, 3))
+    assert norm_head(small) == math.gamma(1.5) * math.gamma(4.0) / math.gamma(5.5)
+
+
 # -- weights ----------------------------------------------------------------------------
 
 
@@ -719,6 +802,34 @@ def test_pearson_symmetric_point_trivial():
     report = verify_pearson(chihara_family(1, 1, 0))
     assert report.passed
     assert report.reflection_worst == 0.0
+
+
+def _per_sample_reflection(family, samples_per_side, tolerance=1e-12):
+    """Reference: condition (ii) through ``WeightSpec.weight_value`` per sample."""
+    spec = weight_for(family)
+    g = float(spec.gamma)
+    worst = 0.0
+    for lo, hi in spec.support_intervals():
+        for i in range(samples_per_side):
+            xx = lo + (hi - lo) * (i + 0.5) / samples_per_side
+            wx = spec.weight_value(xx)
+            wmx = spec.weight_value(-xx)
+            worst = max(worst, abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx))
+    return worst, worst <= tolerance
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    alpha=_positive,
+    beta=_positive,
+    gamma=_signed,
+    samples=st.integers(1, 40),
+)
+def test_pearson_reflection_equals_per_sample_weight_values(alpha, beta, gamma, samples):
+    report = verify_pearson(chihara_family(alpha, beta, gamma), samples)
+    worst, ok = _per_sample_reflection(chihara_family(alpha, beta, gamma), samples)
+    assert report.reflection_worst == worst
+    assert report.reflection_ok == ok
 
 
 def test_pearson_rejects_other_families():
