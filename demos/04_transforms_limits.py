@@ -4,8 +4,11 @@ Two ways the families are related to each other:
 
 * The Christoffel transform at the point x = 1 maps the big -1 Jacobi
   polynomials to their kernel partners, and the Geronimus transform maps
-  them back; when 1 - c^2 is a rational square the kernel sequence is,
-  after exact rescaling, a Chihara sequence.  All of this is exact.
+  them back.  The kernel sequence is a rescaled Chihara sequence,
+  K_n(x) = s^n C_n(x/s) with s = sqrt(1 - c^2) and gamma = -c/s; its
+  recurrence needs only s^2, so the comparison is exact for every
+  rational c, also where s is irrational (c = 1/3 below).  All of this
+  is exact.
 
 * Three parameter contractions connect the families analytically.  They
   involve irrational scalings, so they are verified in floating point on
@@ -37,11 +40,13 @@ def main() -> None:
     print(f"  round trip P -> K -> P exact for n <= 8: "
           f"{all(back[n] == polys[n] for n in range(9))}")
 
-    kmap = kernel_map(a, b, c)
-    residuals = kernel_to_chihara(kmap, kernels)
-    print(f"  kernel sequence is Chihara(alpha={kmap.alpha}, beta={kmap.beta}, "
-          f"gamma={kmap.gamma_exact}) after rescaling by {kmap.scale_exact}: "
-          f"{all(r.is_zero for r in residuals)}")
+    for c in (F(3, 5), F(1, 3)):
+        family = big_m1_jacobi_family(a, b, c)
+        kernels = christoffel(generate_monic(family, 9), split_ratios(family, 9)[0])
+        kmap = kernel_map(a, b, c)
+        residuals = kernel_to_chihara(kmap, kernels)
+        print(f"  c = {c}: K_n = s^n C_n(x/s; alpha={kmap.alpha}, beta={kmap.beta}, "
+              f"gamma=-c/s), s^2 = {1 - c * c}: {all(r.is_zero for r in residuals)}")
     print()
 
     print("contraction limit: shift family -> Chihara (step h -> 0):")

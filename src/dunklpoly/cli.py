@@ -75,7 +75,6 @@ from .suites import (
     REFLECTION_TOLERANCE,
     SUITE_NAMES,
     TRANSFORM_CAP,
-    TRANSFORM_TOLERANCE,
     algebra_records,
     eigen_sweep,
     gram_records,
@@ -305,7 +304,7 @@ def _cmd_pearson(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     params = _collect_params(args, FAMILIES["big_m1_jacobi"][1], "transform")
-    records = transform_records(**params, cap=args.cap, tolerance=args.tolerance)
+    records = transform_records(**params, cap=args.cap)
     for record in records:
         _say(args, f"{record.target:22s} {record.outcome}")
     return _finish(records, args)
@@ -418,7 +417,6 @@ def _pearson_args(p: argparse.ArgumentParser) -> None:
 def _transform_args(p: argparse.ArgumentParser) -> None:
     _add_rational_flags(p, FAMILIES["big_m1_jacobi"][1])
     p.add_argument("--cap", type=_positive_int, default=TRANSFORM_CAP, metavar="N")
-    p.add_argument("--tolerance", type=float, default=TRANSFORM_TOLERANCE)
     _add_format_flags(p)
 
 

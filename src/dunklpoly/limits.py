@@ -37,9 +37,12 @@ odd-degree errors plateau at order ~0 and the report flags non-convergence.
 The weight functions themselves are not limits of the source weights, so no
 weight-level check is attempted here.
 
-Rescale factors are kept exact-rational on the target side, so the source
-parameters must make ``s`` rational (``IrrationalScale`` otherwise); the
-default grids use Pythagorean choices (``a1=5, a2=3``; ``g=3/5``).
+The exact targets are built at their stated Chihara parameters, which
+contain ``s`` itself (``gamma = a2/s``, ``g/s``), so ``cbi_h_to_0`` and
+``bigq_q_to_minus1`` need ``s`` rational and raise ``IrrationalScale``
+otherwise; the default grids use Pythagorean choices (``a1=5, a2=3``;
+``g=3/5``).  Building the targets in the rescaled variable, as
+``transforms.kernel_to_chihara`` does, would need only ``s^2``.
 
 Each case builder maps a step to a ``SourceStep``: the source ``FamilySpec``
 at float parameters (its coefficients come from the table in ``families``)
@@ -64,7 +67,22 @@ from .families import (
     float_monic,
     generate_monic,
 )
-from .transforms import IrrationalScale, _rational_sqrt
+
+
+class IrrationalScale(ValueError):
+    """The rescale factor s is irrational; the exact target needs it rational."""
+
+
+def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
+    """The exact square root of a nonnegative rational, or None."""
+    if value < 0:
+        return None
+    num_root = math.isqrt(value.numerator)
+    den_root = math.isqrt(value.denominator)
+    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
+        return Fraction(num_root, den_root)
+    return None
+
 
 #: Default step grid: 1e-3, 1e-4, 1e-5 (as ``1e-3 * 0.1**k``).
 DEFAULT_STEPS: Tuple[float, ...] = tuple(1e-3 * 0.1**k for k in range(3))
@@ -314,10 +332,6 @@ class LimitReport:
     @property
     def converged(self) -> bool:
         return self.monotone_ok and self.orders_ok
-
-    def max_errors(self) -> Tuple[float, ...]:
-        """Max polynomial coefficient error at each step, coarse to fine."""
-        return tuple(r.max_poly_error for r in self.results)
 
 
 def _probe(fn: Callable[[int], float], n: int, step: float, what: str) -> float:

@@ -96,7 +96,6 @@ from .transforms import (
     kernel_map,
     kernel_recurrence_coeffs,
     kernel_to_chihara,
-    kernel_to_chihara_float,
     split_ratios,
 )
 
@@ -193,7 +192,6 @@ GRAM_TOLERANCE = 1e-10
 REDUCTION_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 REFLECTION_TOLERANCE = 1e-12
-TRANSFORM_TOLERANCE = 1e-10
 ORDER_TOLERANCE = 0.2
 CONSTANT_SPREAD_TOLERANCE = 0.5
 
@@ -692,14 +690,13 @@ def transform_records(
     b: Fraction,
     c: Fraction,
     cap: int = TRANSFORM_CAP,
-    tolerance: float = TRANSFORM_TOLERANCE,
 ) -> List[VerificationRecord]:
     """Kernel-transform checks on big -1 Jacobi (a, b, c) up to degree cap.
 
-    The round trip and the evaluation identity are exact.  The Chihara map
-    and the coefficient identity are exact when 1 - c^2 is a rational
-    square, and compared in double precision against ``tolerance`` when it
-    is not.
+    All four are exact for every rational c with |c| < 1: the round trip,
+    the evaluation identity, the Chihara map (the kernels against the
+    rescaled Chihara list, built from a recurrence that needs only
+    1 - c^2), and the coefficient identity (1 - c^2) sigma_n = A_n C_n.
     """
     family = big_m1_jacobi_family(a, b, c)
     label = family.label()
@@ -719,36 +716,19 @@ def transform_records(
     records.append(exact_record("transform", "evaluation-at-one", label, f"0..{cap}",
                                 millis=ms[0], passed=ok, residual="nonzero"))
     kmap = kernel_map(a, b, c)
-    map_degrees, coeff_degrees = f"0..{len(kernels) - 1}", f"1..{cap}"
-    if kmap.is_exact:
-        with stopwatch() as ms:
-            ok = all(r.is_zero for r in kernel_to_chihara(kmap, kernels))
-        records.append(exact_record("transform", "chihara-map", label, map_degrees,
-                                    millis=ms[0], passed=ok, residual="nonzero"))
-        with stopwatch() as ms:
-            mapped = chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact)
-            ok = all(
-                mapped.sub(n) * (1 - c * c) == kernel_recurrence_coeffs(a, b, c, n)[1]
-                for n in range(1, cap + 1)
-            )
-        records.append(exact_record("transform", "coefficient-identity", label,
-                                    coeff_degrees, millis=ms[0], passed=ok,
-                                    residual="nonzero"))
-    else:
-        with stopwatch() as ms:
-            worst = max(kernel_to_chihara_float(kmap, kernels))
-        records.append(float_record("transform", "chihara-map", label, map_degrees,
-                                    residual=worst, tolerance=tolerance, millis=ms[0]))
-        with stopwatch() as ms:
-            mapped = chihara_family(kmap.alpha, kmap.beta, F(kmap.gamma_float))
-            worst = max(
-                abs(float(mapped.sub(n) * (1 - c * c)
-                          - kernel_recurrence_coeffs(a, b, c, n)[1]))
-                for n in range(1, cap + 1)
-            )
-        records.append(float_record("transform", "coefficient-identity", label,
-                                    coeff_degrees, residual=worst, tolerance=tolerance,
-                                    millis=ms[0]))
+    with stopwatch() as ms:
+        ok = all(r.is_zero for r in kernel_to_chihara(kmap, kernels))
+    records.append(exact_record("transform", "chihara-map", label,
+                                f"0..{len(kernels) - 1}", millis=ms[0], passed=ok,
+                                residual="nonzero"))
+    with stopwatch() as ms:
+        sigma = chihara_family(kmap.alpha, kmap.beta, 0)
+        ok = all(
+            sigma.sub(n) * (1 - c * c) == kernel_recurrence_coeffs(a, b, c, n)[1]
+            for n in range(1, cap + 1)
+        )
+    records.append(exact_record("transform", "coefficient-identity", label, f"1..{cap}",
+                                millis=ms[0], passed=ok, residual="nonzero"))
     return records
 
 

@@ -17,37 +17,28 @@ recurrence has
 
     diag(n) = (-1)^(n+1) c,      sub(n) = f_n = A_n C_n,
 
-and after the rescaling x -> s x with s = sqrt(1 - c^2) it coincides with
-the Chihara recurrence at
+and f_n = (1 - c^2) sigma_n(alpha, beta), where sigma_n is the Chihara
+sub-diagonal at
 
-    alpha = b/2 - 1/2,   beta = a/2 + 1/2,   gamma = -c/s.
+    alpha = b/2 - 1/2,   beta = a/2 + 1/2.
 
-``kernel_to_chihara`` performs that comparison exactly, coefficient by
-coefficient: it needs s rational, i.e. 1 - c^2 a square of a rational
-(c = 3/5, 5/13, 8/17, ...).  For any other c in (0, 1) it raises
-``IrrationalScale`` and ``kernel_to_chihara_float`` provides the floating
-route (compare residuals against 1e-12).
+So K_n = s^n C_n(x/s; alpha, beta, -c/s) with s = sqrt(1 - c^2): the kernel
+list is the Chihara list at gamma = -c/s, rescaled.  sigma_n does not
+depend on gamma, and the rescaled list has the recurrence above, whose
+coefficients are rational for every rational c with |c| < 1 even where s
+is not.  ``kernel_to_chihara`` builds the rescaled targets from that
+recurrence and compares them with the kernels exactly, coefficient by
+coefficient (Vinet-Zhedanov, Trans. AMS 364 (2012); Chihara 1978, ch. I).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div
-from .families import (
-    FamilySpec,
-    big_m1_jacobi_AC,
-    chihara_family,
-    float_monic,
-    generate_monic,
-)
-
-
-class IrrationalScale(ValueError):
-    """1 - c^2 is not the square of a rational; use the float comparison."""
+from .families import FamilySpec, big_m1_jacobi_AC, chihara_family
 
 
 # -- ratio lists ---------------------------------------------------------------
@@ -139,25 +130,13 @@ def extract_recurrence(polys: Sequence[LaurentPoly]) -> Tuple[List[Fraction], Li
 # -- parameter map ---------------------------------------------------------------
 
 
-def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """The exact square root of a nonnegative rational, or None."""
-    if value < 0:
-        return None
-    num_root = math.isqrt(value.numerator)
-    den_root = math.isqrt(value.denominator)
-    if num_root * num_root == value.numerator and den_root * den_root == value.denominator:
-        return Fraction(num_root, den_root)
-    return None
-
-
 @dataclass(frozen=True)
 class KernelMap:
     """Parameter map from a big -1 Jacobi triple to its Chihara image.
 
-    ``alpha = b/2 - 1/2`` and ``beta = a/2 + 1/2`` are always exact; the
-    scale ``s = sqrt(1 - c^2)`` and ``gamma = -c/s`` carry exact rational
-    values only when 1 - c^2 is a rational square (``is_exact``), and float
-    values otherwise.
+    ``alpha = b/2 - 1/2`` and ``beta = a/2 + 1/2``; the image's
+    ``gamma = -c/s`` enters only through the rescaled recurrence, which
+    needs c and s^2 = 1 - c^2 alone.
     """
 
     a: Fraction
@@ -165,86 +144,32 @@ class KernelMap:
     c: Fraction
     alpha: Fraction
     beta: Fraction
-    scale_exact: Optional[Fraction]
-    gamma_exact: Optional[Fraction]
-
-    @property
-    def is_exact(self) -> bool:
-        return self.scale_exact is not None
-
-    @property
-    def scale_float(self) -> float:
-        if self.scale_exact is not None:
-            return float(self.scale_exact)
-        return math.sqrt(1.0 - float(self.c) ** 2)
-
-    @property
-    def gamma_float(self) -> float:
-        if self.gamma_exact is not None:
-            return float(self.gamma_exact)
-        return -float(self.c) / self.scale_float
 
 
 def kernel_map(a: Scalar, b: Scalar, c: Scalar) -> KernelMap:
-    """Build the parameter map for source parameters (a, b, c), 0 < |c| < 1."""
+    """Build the parameter map for source parameters (a, b, c), |c| < 1."""
     a, b, c = _as_fraction(a), _as_fraction(b), _as_fraction(c)
     if not abs(c) < 1:
         raise ValueError("kernel map requires |c| < 1")
-    scale = _rational_sqrt(1 - c * c)
-    gamma = None if scale is None else -c / scale
-    return KernelMap(
-        a=a,
-        b=b,
-        c=c,
-        alpha=b / 2 - Fraction(1, 2),
-        beta=a / 2 + Fraction(1, 2),
-        scale_exact=scale,
-        gamma_exact=gamma,
-    )
+    return KernelMap(a=a, b=b, c=c, alpha=b / 2 - Fraction(1, 2), beta=a / 2 + Fraction(1, 2))
 
 
 def kernel_to_chihara(kmap: KernelMap, kernels: Sequence[LaurentPoly]) -> List[LaurentPoly]:
-    """Residuals s^(-n) K_n(s x) - C_n(x; alpha, beta, gamma), all exact.
+    """Residuals K_n - s^n C_n(x/s; alpha, beta, -c/s), all exact.
 
-    Zero residuals certify that the rescaled kernel list is the Chihara list
-    at the mapped parameters.  Requires an exact map; otherwise raises
-    ``IrrationalScale`` (use ``kernel_to_chihara_float`` with a 1e-12
-    tolerance instead).
+    The targets come from their monic recurrence, diag(n) = (-1)^(n+1) c
+    and sub(n) = (1 - c^2) sigma_n(alpha, beta).  Zero residuals certify
+    that the kernel list is the rescaled Chihara list at the mapped
+    parameters.
     """
-    if not kmap.is_exact:
-        raise IrrationalScale(
-            "1 - c^2 is not a rational square at c = %s; "
-            "use kernel_to_chihara_float (tolerance 1e-12)" % kmap.c
-        )
-    s = kmap.scale_exact
-    targets = generate_monic(
-        chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact), len(kernels) - 1
-    )
+    c, s_squared = kmap.c, 1 - kmap.c * kmap.c
+    sigma = chihara_family(kmap.alpha, kmap.beta, 0)
+    x = LaurentPoly.x()
+    prev, target = LaurentPoly.zero(), LaurentPoly.one()
     out: List[LaurentPoly] = []
     for n, kernel in enumerate(kernels):
-        rescaled = kernel.substitute_affine(s, 0) * (Fraction(1) / s**n)
-        out.append(rescaled - targets[n])
-    return out
-
-
-def kernel_to_chihara_float(kmap: KernelMap, kernels: Sequence[LaurentPoly]) -> List[float]:
-    """Max absolute coefficient error of s^(-n) K_n(s x) against C_n, per n.
-
-    The floating route for maps whose scale is irrational; coefficients of
-    the rescaled kernel are K_n[j] * s^(j - n) evaluated in double precision.
-    """
-    s = kmap.scale_float
-    gamma = kmap.gamma_float
-    family = chihara_family(kmap.alpha, kmap.beta, 0)
-    top = len(kernels) - 1
-    # The float Chihara coefficients, with the irrational gamma in the diagonal.
-    targets = float_monic([(-1) ** n * gamma for n in range(top)],
-                          [float(family.sub(n)) for n in range(len(kernels))], top)
-    out: List[float] = []
-    for n, kernel in enumerate(kernels):
-        worst = 0.0
-        for j in range(n + 1):
-            rescaled = float(kernel.coeff(j)) * s ** (j - n)
-            worst = max(worst, abs(rescaled - targets[n][j]))
-        out.append(worst)
+        out.append(kernel - target)
+        if n + 1 < len(kernels):
+            diag, sub = (-1) ** (n + 1) * c, s_squared * sigma.sub(n)
+            prev, target = target, (x - diag) * target - sub * prev
     return out

@@ -159,17 +159,23 @@ def test_transform_exact_route(capsys):
     assert all(line.endswith("exact_pass") for line in lines)
 
 
-def test_transform_irrational_scale_falls_back_to_float(capsys):
-    code, out, _ = _run(capsys, [
-        "transform", "--a", "1", "--b", "1", "--c", "1/3", "--cap", "6",
-        "--csv",
-    ])
+@pytest.mark.parametrize("c_flag", [["--c", "1/3"], ["--c=-1/3"]], ids=["c=1/3", "c=-1/3"])
+def test_transform_exact_at_irrational_scale(capsys, c_flag):
+    """1 - c^2 is not a rational square; all four records are still exact."""
+    code, out, _ = _run(capsys, ["transform", "--a", "1", "--b", "1", *c_flag, "--csv"])
     assert code == 0
     records = parse(out, "csv")
-    outcomes = {r.target: r.outcome for r in records}
-    assert outcomes["roundtrip"] == "exact_pass"
-    assert outcomes["chihara-map"] == "float_pass"
-    assert outcomes["coefficient-identity"] == "float_pass"
+    assert [r.target for r in records] == [
+        "roundtrip", "evaluation-at-one", "chihara-map", "coefficient-identity"]
+    assert all(r.outcome == "exact_pass" for r in records)
+
+
+def test_transform_has_no_tolerance(capsys):
+    code, _, err = _run(capsys, [
+        "transform", "--a", "1", "--b", "1", "--c", "1/3", "--tolerance", "1e-9",
+    ])
+    assert code == 2
+    assert "unrecognized arguments: --tolerance 1e-9" in err
 
 
 def test_limits_prints_steps_and_orders(capsys):

@@ -31,6 +31,7 @@ from dunklpoly.limits import (
     LIMIT_CASES,
     LIMIT_IDS,
     DegenerateStep,
+    IrrationalScale,
     LimitCase,
     NOISE_FLOOR,
     ORDER_BAND,
@@ -40,7 +41,6 @@ from dunklpoly.limits import (
     cbi_case,
     run_limit,
 )
-from dunklpoly.transforms import IrrationalScale
 
 
 # -- construction and validation ----------------------------------------------
@@ -280,7 +280,7 @@ def test_default_cases_all_converge_with_unit_order():
 
 def test_max_errors_decrease():
     for case in _default_cases():
-        errs = run_limit(case).max_errors()
+        errs = [step.max_poly_error for step in run_limit(case).results]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 

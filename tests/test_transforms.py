@@ -14,14 +14,12 @@ from dunklpoly.families import (
     recurrence_coeffs,
 )
 from dunklpoly.transforms import (
-    IrrationalScale,
     christoffel,
     extract_recurrence,
     geronimus,
     kernel_map,
     kernel_recurrence_coeffs,
     kernel_to_chihara,
-    kernel_to_chihara_float,
     split_ratios,
 )
 
@@ -112,18 +110,9 @@ def test_extract_recurrence_rejects_non_recurrent_lists():
 
 def test_kernel_map_exact_at_rational_scale():
     kmap = kernel_map(1, 1, F(3, 5))
-    assert kmap.is_exact
+    assert (kmap.a, kmap.b, kmap.c) == (1, 1, F(3, 5))
     assert kmap.alpha == 0
     assert kmap.beta == 1
-    assert kmap.scale_exact == F(4, 5)
-    assert kmap.gamma_exact == F(-3, 4)
-
-
-def test_kernel_map_inexact_scale_detected():
-    kmap = kernel_map(1, 1, F(1, 3))
-    assert not kmap.is_exact
-    assert kmap.scale_float == pytest.approx((1 - (1 / 3) ** 2) ** 0.5)
-    assert kmap.gamma_float == pytest.approx(-(1 / 3) / (8 / 9) ** 0.5)
 
 
 def test_kernel_map_rejects_large_c():
@@ -141,21 +130,29 @@ def test_kernel_to_chihara_exact(c):
 def test_kernel_to_chihara_symmetric_point():
     _, _, kernels, _, _ = kernel_pipeline(F(3, 2), F(1, 2), F(0), 10)
     kmap = kernel_map(F(3, 2), F(1, 2), 0)
-    assert kmap.gamma_exact == 0
     residuals = kernel_to_chihara(kmap, kernels)
+    assert all(r.is_zero for r in residuals)
+    # at c = 0 the targets are the Chihara list itself, gamma = 0 and s = 1
+    chihara = generate_monic(chihara_family(kmap.alpha, kmap.beta, 0), 10)
+    assert [k - r for k, r in zip(kernels, residuals)] == chihara
+
+
+@pytest.mark.parametrize("c", [F(1, 3), F(-2, 7), F(1, 2)])
+def test_kernel_to_chihara_exact_at_irrational_scale(c):
+    """1 - c^2 is not a rational square, and the map is still exact."""
+    _, _, kernels, _, _ = kernel_pipeline(F(1, 2), F(3, 4), c, 24)
+    residuals = kernel_to_chihara(kernel_map(F(1, 2), F(3, 4), c), kernels)
+    assert len(residuals) == 25
     assert all(r.is_zero for r in residuals)
 
 
-def test_kernel_to_chihara_requires_exact_scale():
-    _, _, kernels, _, _ = kernel_pipeline(F(1), F(1), F(1, 3), 4)
-    with pytest.raises(IrrationalScale):
-        kernel_to_chihara(kernel_map(1, 1, F(1, 3)), kernels)
-
-
-def test_kernel_to_chihara_float_route():
-    _, _, kernels, _, _ = kernel_pipeline(F(1), F(1), F(1, 3), 10)
-    residuals = kernel_to_chihara_float(kernel_map(1, 1, F(1, 3)), kernels)
-    assert all(r <= 1e-12 for r in residuals)
+def test_kernel_to_chihara_detects_wrong_c():
+    """Kernels at c checked against the map at c + 1/100 leave a residual."""
+    c = F(1, 3)
+    _, _, kernels, _, _ = kernel_pipeline(F(1), F(1), c, 12)
+    residuals = kernel_to_chihara(kernel_map(1, 1, c + F(1, 100)), kernels)
+    assert residuals[0].is_zero
+    assert all(not r.is_zero for r in residuals[1:])
 
 
 @pytest.mark.parametrize("a,b,c", PARAM_SETS)
@@ -171,7 +168,7 @@ def test_mapped_sub_coefficients_consistent(a, b, c):
 def test_mapped_sigma_worked_value():
     # c = 3/5: sigma_1 at (alpha, beta) = (0, 1) is 1/3 and f_1 = (1 - c^2)/3.
     kmap = kernel_map(1, 1, F(3, 5))
-    fam = chihara_family(kmap.alpha, kmap.beta, kmap.gamma_exact)
+    fam = chihara_family(kmap.alpha, kmap.beta, F(-3, 4))
     assert fam.sub(1) == F(1, 3)
     assert kernel_recurrence_coeffs(1, 1, F(3, 5), 1)[1] == F(1, 3) * (1 - F(9, 25))
 
@@ -229,3 +226,13 @@ def test_kernel_recurrence_property(a, b, c):
         diag_ref, sub_ref = kernel_recurrence_coeffs(a, b, c, n)
         assert diags[n] == diag_ref
         assert subs[n] == sub_ref
+
+
+@settings(deadline=None, max_examples=25)
+@given(a=small_rationals, b=small_rationals, c=inner_c)
+def test_kernel_to_chihara_property(a, b, c):
+    fam = big_m1_jacobi_family(a, b, c)
+    polys = generate_monic(fam, 9)
+    A, _ = split_ratios(fam, 9)
+    kernels = christoffel(polys, A)
+    assert all(r.is_zero for r in kernel_to_chihara(kernel_map(a, b, c), kernels))
