@@ -7,13 +7,14 @@ applying an operator to a polynomial gives another exact polynomial, so
 an eigen-equation either has a literally zero residual or it fails.
 
 The operators also close into a quadratic algebra together with the
-parity involution; the structure relations are checked on all monomials
-up to a degree cap.
+parity involution; the structure relations of every algebra in
+``ALGEBRAS`` are checked on all monomials up to a degree cap.
 """
 
 from fractions import Fraction as F
 
 from dunklpoly import (
+    ALGEBRAS,
     GaussianPoly,
     build_operator,
     chihara_family,
@@ -52,10 +53,12 @@ def main() -> None:
         print(f"  n={n}: eigenvalue {str(lam):>5s}  zero residual: {residual.is_zero}")
     print()
 
-    print("quadratic algebra relations on monomials up to degree 8:")
-    for report in verify_algebra("chihara", 8, alpha=alpha, beta=beta,
-                                 gamma=gamma, eps=eps):
-        print(f"  {report.relation:12s} holds: {report.passed}")
+    values = {"alpha": alpha, "beta": beta, "gamma": gamma, "eps": eps, "mu": mu}
+    for which, spec in ALGEBRAS.items():
+        params = {name: values[name] for name in spec.params}
+        print(f"quadratic algebra relations of {which} on monomials up to degree 8:")
+        for report in verify_algebra(which, 8, **params):
+            print(f"  {report.relation:12s} holds: {report.passed}")
 
 
 if __name__ == "__main__":

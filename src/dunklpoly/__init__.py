@@ -37,6 +37,7 @@ from .families import (
     recurrence_coeffs,
 )
 from .dunklop import (
+    ALGEBRAS,
     DunklOperator,
     GaussianPoly,
     build_operator,
@@ -72,6 +73,7 @@ __all__ = [
     "expected_eigenvalue",
     "eigencheck",
     "verify_algebra",
+    "ALGEBRAS",
     "VerificationRecord",
     "emit",
     "parse",

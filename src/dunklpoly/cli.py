@@ -49,6 +49,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
+from .dunklop import ALGEBRAS
 from .exactnum import NotDivisible, NotPolynomial
 from .families import (
     FAMILIES,
@@ -62,7 +63,6 @@ from .quad import WEIGHTED_FAMILIES, NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
-    ALGEBRA_PARAMS,
     EIGEN_OPERATORS,
     GRAM_CAP,
     GRAM_TOLERANCE,
@@ -267,7 +267,7 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_algebra(args: argparse.Namespace) -> int:
-    params = _collect_params(args, ALGEBRA_PARAMS[args.which],
+    params = _collect_params(args, ALGEBRAS[args.which].params,
                              f"--which {args.which}")
     records = algebra_records(args.which, args.cap, params)
     for record in records:
@@ -384,8 +384,8 @@ def _eigencheck_args(p: argparse.ArgumentParser) -> None:
 
 
 def _algebra_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", required=True, choices=tuple(ALGEBRA_PARAMS))
-    _add_rational_flags(p, _union(ALGEBRA_PARAMS.values()))
+    p.add_argument("--which", required=True, choices=tuple(ALGEBRAS))
+    _add_rational_flags(p, _union(spec.params for spec in ALGEBRAS.values()))
     p.add_argument("--cap", type=_positive_int, default=ALGEBRA_CAP, metavar="N")
     _add_format_flags(p)
 

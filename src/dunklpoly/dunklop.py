@@ -53,16 +53,22 @@ reflection_component  (x-gamma)/(2x) (I - R), the parity projector
 (eigenoperator, multiplication by x, P) by applying both sides of each
 relation to every monomial x^j up to a degree cap; all arithmetic is exact,
 so a relation either holds identically on that space or fails at a specific
-monomial.
+monomial.  ``ALGEBRAS`` holds each algebra as data: its parameter names and
+a builder returning K, P, the structure constants and the relations
+``(name, lhs, rhs)``.  Each side maps a word to its coefficient; a word is a
+string over K, X (times x), P and B = KX - XK that acts right to left ("KP"
+is f -> K(P(f)), "" the identity).  A new algebra is one builder, which
+reuses ``_involution_relations``, and one ``ALGEBRAS`` entry; the CLI and
+the algebra suite read its names from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial, reduce
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
     LaurentPoly,
@@ -433,17 +439,18 @@ def reflection_component(gamma: Scalar) -> DunklOperator:
     )
 
 
+# Each builder's parameter names are the token's parameter names.
 _BUILDERS: Dict[str, Callable[..., DunklOperator]] = {
-    "chihara_D": lambda p: chihara_eigenop(p["alpha"], p["beta"], p["gamma"], p["eps"]),
-    "cbi_K": lambda p: cbi_eigenop(p["rho1"], p["rho2"], p["r1"], p["r2"], p["alpha"]),
-    "gegenbauer_W": lambda p: gegenbauer_eigenop(p["alpha"], p["beta"], p["eps"]),
-    "gegenbauer_Q": lambda p: gegenbauer_dunkl_square(p["mu"], p["a"]),
-    "dunkl_derivative": lambda p: dunkl_derivative(p["mu"]),
-    "y_Z": lambda p: ext_hermite_eigenop(p["mu"], p["gamma"], p["eps"]),
-    "gh_Omega": lambda p: gen_hermite_eigenop(p["mu"], p["eps"]),
-    "gh_OmegaTilde": lambda p: gen_hermite_oscillator(p["mu"], p["eps"]),
-    "involution_P": lambda p: parity_involution(p["gamma"]),
-    "reflection_component": lambda p: reflection_component(p["gamma"]),
+    "chihara_D": chihara_eigenop,
+    "cbi_K": cbi_eigenop,
+    "gegenbauer_W": gegenbauer_eigenop,
+    "gegenbauer_Q": gegenbauer_dunkl_square,
+    "dunkl_derivative": dunkl_derivative,
+    "y_Z": ext_hermite_eigenop,
+    "gh_Omega": gen_hermite_eigenop,
+    "gh_OmegaTilde": gen_hermite_oscillator,
+    "involution_P": parity_involution,
+    "reflection_component": reflection_component,
 }
 
 OPERATOR_TOKENS = tuple(sorted(_BUILDERS))
@@ -453,7 +460,7 @@ def build_operator(which: str, **params: Scalar) -> DunklOperator:
     """Build a named operator; ``which`` is one of OPERATOR_TOKENS."""
     if which not in _BUILDERS:
         raise ValueError(f"unknown operator {which!r}; know {OPERATOR_TOKENS}")
-    return _BUILDERS[which]({k: _as_fraction(v) for k, v in params.items()})
+    return _BUILDERS[which](**{k: _as_fraction(v) for k, v in params.items()})
 
 
 def expected_eigenvalue(which: str, n: int, **params: Scalar) -> Fraction:
@@ -497,12 +504,6 @@ def eigencheck(op: DunklOperator, vec, eigenvalue: Scalar):
     return op.apply(vec) - vec * lam
 
 
-def reflection_parity_check(gamma: Scalar, polys: Sequence[LaurentPoly]) -> List[LaurentPoly]:
-    """Residuals of the parity identity: the projector acts as n mod 2."""
-    proj = reflection_component(gamma)
-    return [proj.apply(p) - (n % 2) * p for n, p in enumerate(polys)]
-
-
 # -- quadratic algebra relations ------------------------------------------------
 
 
@@ -516,8 +517,94 @@ class AlgebraRelationReport:
     millis: float = field(compare=False)  # wall time of this relation's check
 
 
-Poly = LaurentPoly
-Applier = Callable[[Poly], Poly]
+Applier = Callable[[LaurentPoly], LaurentPoly]
+Combination = Dict[str, Scalar]  # word over K, X, P, B -> coefficient
+Relation = Tuple[str, Combination, Combination]  # (name, lhs, rhs)
+
+
+class Algebra(NamedTuple):
+    """Parameter names, and a builder that takes the parameters in that order
+    and returns (eigenoperator K, involution P, constants, relations)."""
+
+    params: Tuple[str, ...]
+    build: Callable[..., Tuple[DunklOperator, DunklOperator, Dict[str, Fraction], List[Relation]]]
+
+
+def _involution_relations(gamma: Fraction) -> List[Relation]:
+    """The relations of P = R + (gamma/x)(I - R) with K, X and B, which
+    every algebra here shares."""
+    return [
+        ("involution-squares-to-identity", {"PP": 1}, {"": 1}),
+        ("eigenop-commutes-with-involution", {"KP": 1}, {"PK": 1}),
+        ("position-anticommutes-with-involution", {"XP": 1, "PX": 1}, {"": 2 * gamma}),
+        ("bracket-anticommutes-with-involution", {"BP": 1, "PB": 1}, {}),
+    ]
+
+
+def _chihara_algebra(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fraction):
+    d1 = eps * (alpha + beta + 1 - eps)
+    d2 = alpha + beta + Fraction(3, 2) - 2 * eps
+    d3 = gamma
+    d4 = (gamma**2 + 1) / 2
+    d5 = gamma**2 * d2 + alpha + Fraction(1, 2)
+    half = Fraction(1, 2)
+    relations = _involution_relations(d3) + [
+        ("bracket-position-commutator", {"BX": 1, "XB": -1},
+         {"XX": half, "XXP": d2, "BP": 2 * d3, "P": -d5, "": -d4}),
+        ("eigenop-bracket-commutator", {"KB": 1, "BK": -1},
+         {"KX": half, "XK": half, "BP": -d2, "KP": -d3, "X": d1, "P": -d1 * d3}),
+    ]
+    constants = {"d1": d1, "d2": d2, "d3": d3, "d4": d4, "d5": d5}
+    return chihara_eigenop(alpha, beta, gamma, eps), parity_involution(gamma), constants, relations
+
+
+def _ext_hermite_algebra(mu: Fraction, gamma: Fraction, eps: Fraction):
+    # The coefficients of the last two relations are the unique exact fit
+    # over Q of these words to the images of the monomials x^j: the linear
+    # system has full rank.  The P-coefficients gamma^2(1-2eps)+mu and
+    # gamma*eps*(1-eps) follow the gamma != 0 pattern of the chihara algebra.
+    relations = _involution_relations(gamma) + [
+        ("position-bracket-commutator", {"XB": 1, "BX": -1},
+         {"XXP": 2 * eps - 1, "BP": -2 * gamma, "P": gamma**2 * (1 - 2 * eps) + mu,
+          "": Fraction(1, 2)}),
+        ("bracket-eigenop-commutator", {"BK": 1, "KB": -1},
+         {"BP": 1 - 2 * eps, "X": eps * (eps - 1), "P": gamma * eps * (1 - eps)}),
+    ]
+    constants = {"gamma": gamma, "mu": mu, "eps": eps}
+    return ext_hermite_eigenop(mu, gamma, eps), parity_involution(gamma), constants, relations
+
+
+ALGEBRAS: Dict[str, Algebra] = {
+    "chihara": Algebra(("alpha", "beta", "gamma", "eps"), _chihara_algebra),
+    "ext_hermite": Algebra(("mu", "gamma", "eps"), _ext_hermite_algebra),
+}
+
+
+def _evaluate(letters: Dict[str, Applier], combination: Combination, f: LaurentPoly) -> LaurentPoly:
+    """The sum of c * word(f), folded from the first term; a coefficient of
+    +1 or -1 costs no scalar product."""
+    total = None
+    for word, c in combination.items():
+        g = reduce(lambda g, letter: letters[letter](g), reversed(word), f)
+        if c == -1 and total is not None:
+            total = total - g
+        else:
+            g = g if c == 1 else c * g
+            total = g if total is None else total + g
+    return LaurentPoly.zero() if total is None else total
+
+
+def _sides(K: DunklOperator, P: DunklOperator, lhs: Combination, rhs: Combination):
+    """Both sides of one relation as functions of f, over one fresh memo: K,
+    P and B keep their images per input, so each is applied once per input."""
+    k = cache(K.apply)
+    letters: Dict[str, Applier] = {
+        "K": k,
+        "X": lambda f: X * f,
+        "P": cache(P.apply),
+        "B": cache(lambda f: k(X * f) - X * k(f)),
+    }
+    return partial(_evaluate, letters, lhs), partial(_evaluate, letters, rhs)
 
 
 def _relation_report(
@@ -547,113 +634,19 @@ def _relation_report(
 def verify_algebra(
     which: str, degree_cap: int = 12, **params: Scalar
 ) -> List[AlgebraRelationReport]:
-    """Check the operator algebra of (eigenoperator, x, P) on monomials.
+    """Check the relations of ``ALGEBRAS[which]`` on monomials.
 
-    ``which`` is "chihara" (needs alpha, beta, gamma, eps) or "ext_hermite"
-    (needs mu, gamma, eps).  Products of operators are evaluated by nested
-    application, never by symbolic multiplication, so the check is an
-    independent route onto the stated structure constants.  Within one
-    relation each operator is applied once per distinct input.
+    ``params`` holds the algebra's parameters by name.  Both sides of a
+    relation are evaluated by nested application, never by symbolic
+    multiplication, so the check is an independent route onto the stated
+    structure constants.  Each relation starts with an empty memo, so its
+    ``millis`` does not depend on the relations before it.
     """
-    p = {k: _as_fraction(v) for k, v in params.items()}
-    gamma, eps = p["gamma"], p["eps"]
-    P = parity_involution(gamma)
-
-    if which == "chihara":
-        alpha, beta = p["alpha"], p["beta"]
-        K1 = chihara_eigenop(alpha, beta, gamma, eps)
-        d1 = eps * (alpha + beta + 1 - eps)
-        d2 = alpha + beta + Fraction(3, 2) - 2 * eps
-        d3 = gamma
-        d4 = (gamma**2 + 1) / 2
-        d5 = gamma**2 * d2 + alpha + Fraction(1, 2)
-        consts = {"d1": d1, "d2": d2, "d3": d3, "d4": d4, "d5": d5}
-    elif which == "ext_hermite":
-        mu = p["mu"]
-        K1 = ext_hermite_eigenop(mu, gamma, eps)
-        consts = {"gamma": gamma, "mu": mu, "eps": eps}
-    else:
+    if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")
-
-    # Within one relation both sides apply the same operators to the same
-    # polynomials many times; k1, pp and k3 keep their images per input.
-    # The caches are emptied when each relation starts, so its ``millis``
-    # does not depend on the relations before it.
-    k1 = cache(K1.apply)
-    pp = cache(P.apply)
-
-    def k2(f: Poly) -> Poly:
-        return X * f
-
-    k3 = cache(lambda f: k1(k2(f)) - k2(k1(f)))
-
-    reports: List[AlgebraRelationReport] = []
-
-    def add(name: str, lhs: Applier, rhs: Applier):
-        for memo in (k1, pp, k3):
-            memo.cache_clear()
-        reports.append(_relation_report(name, lhs, rhs, degree_cap, consts))
-
-    add("involution-squares-to-identity", lambda f: pp(pp(f)), lambda f: f)
-    add("eigenop-commutes-with-involution", lambda f: k1(pp(f)), lambda f: pp(k1(f)))
-    if which == "chihara":
-        d1, d2, d3, d4, d5 = (consts[k] for k in ("d1", "d2", "d3", "d4", "d5"))
-        add(
-            "position-anticommutes-with-involution",
-            lambda f: k2(pp(f)) + pp(k2(f)),
-            lambda f: 2 * d3 * f,
-        )
-        add(
-            "bracket-anticommutes-with-involution",
-            lambda f: k3(pp(f)) + pp(k3(f)),
-            lambda f: LaurentPoly.zero(),
-        )
-        add(
-            "bracket-position-commutator",
-            lambda f: k3(k2(f)) - k2(k3(f)),
-            lambda f: Fraction(1, 2) * (X * X * f)
-            + d2 * (X * X * pp(f))
-            + 2 * d3 * k3(pp(f))
-            - d5 * pp(f)
-            - d4 * f,
-        )
-        add(
-            "eigenop-bracket-commutator",
-            lambda f: k1(k3(f)) - k3(k1(f)),
-            lambda f: Fraction(1, 2) * (k1(k2(f)) + k2(k1(f)))
-            - d2 * k3(pp(f))
-            - d3 * k1(pp(f))
-            + d1 * k2(f)
-            - d1 * d3 * pp(f),
-        )
-    else:
-        mu = consts["mu"]
-        add(
-            "position-anticommutes-with-involution",
-            lambda f: k2(pp(f)) + pp(k2(f)),
-            lambda f: 2 * gamma * f,
-        )
-        add(
-            "bracket-anticommutes-with-involution",
-            lambda f: k3(pp(f)) + pp(k3(f)),
-            lambda f: LaurentPoly.zero(),
-        )
-        # P-coefficient is gamma^2(1-2eps)+mu and the last constant is
-        # gamma*eps*(1-eps): the unique exact fit, matching the gamma != 0
-        # pattern of the chihara algebra (see decisions ledger).
-        add(
-            "position-bracket-commutator",
-            lambda f: k2(k3(f)) - k3(k2(f)),
-            lambda f: (2 * eps - 1) * (X * X * pp(f))
-            - 2 * gamma * k3(pp(f))
-            + (gamma**2 * (1 - 2 * eps) + mu) * pp(f)
-            + Fraction(1, 2) * f,
-        )
-        add(
-            "bracket-eigenop-commutator",
-            lambda f: k3(k1(f)) - k1(k3(f)),
-            lambda f: (1 - 2 * eps) * k3(pp(f))
-            + eps * (eps - 1) * k2(f)
-            + gamma * eps * (1 - eps) * pp(f),
-        )
-    return reports
+    spec = ALGEBRAS[which]
+    K, P, constants, relations = spec.build(*(_as_fraction(params[n]) for n in spec.params))
+    return [
+        _relation_report(name, *_sides(K, P, lhs, rhs), degree_cap, constants)
+        for name, lhs, rhs in relations
+    ]

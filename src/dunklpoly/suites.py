@@ -43,6 +43,7 @@ from typing import (
 )
 
 from .dunklop import (
+    ALGEBRAS,
     DunklOperator,
     GaussianPoly,
     build_operator,
@@ -103,7 +104,6 @@ __all__ = [
     "ALL_SUITES",
     "SUITE_NAMES",
     "EIGEN_OPERATORS",
-    "ALGEBRA_PARAMS",
     "run_suites",
     "eigen_sweep",
     "algebra_records",
@@ -270,12 +270,6 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
       for token in ("gh_Omega", "gh_OmegaTilde")),
 )
 
-#: Parameter names of each operator-algebra table of ``verify_algebra``.
-ALGEBRA_PARAMS: Dict[str, Tuple[str, ...]] = {
-    "chihara": ("alpha", "beta", "gamma", "eps"),
-    "ext_hermite": ("mu", "gamma", "eps"),
-}
-
 
 @contextmanager
 def _in_double_range(family: FamilySpec, where: str) -> Iterator[None]:
@@ -431,7 +425,7 @@ def suite_algebra() -> List[VerificationRecord]:
               for mu_gamma in EXT_HERMITE_SETS for eps in ALGEBRA_EPS]
     records: List[VerificationRecord] = []
     for which, values in cases:
-        params = dict(zip(ALGEBRA_PARAMS[which], values))
+        params = dict(zip(ALGEBRAS[which].params, values))
         with stopwatch() as ms:
             reports = verify_algebra(which, ALGEBRA_CAP, **params)
         bad = next((r.relation for r in reports if not r.passed), None)

@@ -16,6 +16,7 @@ import pytest
 
 from dunklpoly import cli
 from dunklpoly.cli import build_parser, main, run
+from dunklpoly.dunklop import ALGEBRAS
 from dunklpoly.report import emit, parse
 from dunklpoly.suites import ALL_SUITES
 
@@ -100,15 +101,23 @@ def test_eigencheck_json_stream(capsys):
     assert out.lstrip().startswith("[")
 
 
+# one value per parameter name of any ALGEBRAS entry
+_ALGEBRA_VALUES = {"alpha": "1", "beta": "1", "gamma": "1/2", "eps": "2/3", "mu": "3/2"}
+
+
 def test_algebra_lists_relations(capsys):
-    code, out, _ = _run(capsys, [
-        "algebra", "--which", "chihara", "--alpha", "1", "--beta", "1",
-        "--gamma", "1/2", "--eps", "2/3", "--cap", "4",
-    ])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 6
-    assert all(line.endswith("exact_pass") for line in lines)
+    for which, spec in ALGEBRAS.items():
+        flags = [f"--{name}={_ALGEBRA_VALUES[name]}" for name in spec.params]
+        code, out, _ = _run(capsys, ["algebra", "--which", which, *flags, "--cap", "4"])
+        assert code == 0, which
+        lines = out.strip().splitlines()
+        assert len(lines) == 6, which
+        assert all(line.endswith("exact_pass") for line in lines), which
+    # --which offers exactly the table's entries
+    parser = argparse.ArgumentParser()
+    cli._algebra_args(parser)
+    [choice] = [action for action in parser._actions if action.dest == "which"]
+    assert tuple(choice.choices) == tuple(ALGEBRAS)
 
 
 def test_gram_and_norms_and_pearson(capsys):

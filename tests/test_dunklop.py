@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly, NotPolynomial, RatFunc, exact_polynomial_check
 from dunklpoly.dunklop import (
+    ALGEBRAS,
     OPERATOR_TOKENS,
+    Algebra,
     DunklOperator,
     GaussianPoly,
     OperatorTerm,
@@ -23,7 +25,6 @@ from dunklpoly.dunklop import (
     build_operator,
     eigencheck,
     expected_eigenvalue,
-    reflection_parity_check,
     term,
     verify_algebra,
 )
@@ -58,11 +59,12 @@ def test_involution_squares_to_identity():
 
 
 def test_reflection_parity_identity():
+    # the projector acts on P_n as multiplication by n mod 2
     polys = generate_monic(chihara_family(1, 1, F(1, 2)), 12)
-    residuals = reflection_parity_check(F(1, 2), polys)
-    assert all(r.is_zero for r in residuals)
-    # n=1 by hand: (x-gamma)/(2x) * ((x-gamma) - (-x-gamma)) = x - gamma
     proj = build_operator("reflection_component", gamma=F(1, 2))
+    for n, p in enumerate(polys):
+        assert proj.apply(p) == (n % 2) * p, n
+    # n=1 by hand: (x-gamma)/(2x) * ((x-gamma) - (-x-gamma)) = x - gamma
     assert proj.apply(polys[1]) == polys[1]
 
 
@@ -367,6 +369,37 @@ def test_algebra_constants_are_sharp():
     rhs_bad = (2 * eps - 1) * (X * X * pp(f)) - 2 * gamma * k3(pp(f)) + c_bad * pp(f) + F(1, 2) * f
     assert lhs == rhs_good
     assert lhs != rhs_bad
+
+
+# two parameter sets per entry of ALGEBRAS, by parameter name
+_ALGEBRA_SETS = {
+    "chihara": (dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3)),
+                dict(alpha=F(1, 2), beta=F(3, 4), gamma=F(-1, 3), eps=F(5))),
+    "ext_hermite": (dict(mu=F(3, 2), gamma=F(1, 2), eps=F(2, 3)),
+                    dict(mu=F(1, 2), gamma=F(1, 3), eps=F(5))),
+}
+
+
+@pytest.mark.parametrize("which", list(ALGEBRAS))
+@pytest.mark.parametrize("index", [0, 1])
+def test_every_rhs_coefficient_is_sharp(monkeypatch, which, index):
+    # negative control of the whole table: adding 1 to any coefficient of a
+    # right-hand side (to the empty word, where the side is empty) must
+    # break that relation at degree 0 or 1 and leave the other five intact
+    spec, params = ALGEBRAS[which], _ALGEBRA_SETS[which][index]
+    _, _, _, relations = spec.build(*(F(params[n]) for n in spec.params))
+    for i, (_, _, rhs) in enumerate(relations):
+        for word in rhs or {"": 0}:
+            def build(*args, i=i, word=word):
+                K, P, constants, relations = spec.build(*args)
+                name, lhs, rhs = relations[i]
+                rhs = {**rhs, word: rhs.get(word, 0) + 1}
+                return K, P, constants, [*relations[:i], (name, lhs, rhs), *relations[i + 1:]]
+
+            monkeypatch.setitem(ALGEBRAS, which, Algebra(spec.params, build))
+            failures = [r.first_failure for r in verify_algebra(which, 6, **params)]
+            assert failures.pop(i) in (0, 1), (i, word)
+            assert failures == [None] * 5, (i, word)
 
 
 def test_algebra_report_shape():
