@@ -38,6 +38,7 @@ from .families import (
 )
 from .dunklop import (
     ALGEBRAS,
+    EIGEN_OPERATORS,
     DunklOperator,
     GaussianPoly,
     build_operator,
@@ -74,6 +75,7 @@ __all__ = [
     "eigencheck",
     "verify_algebra",
     "ALGEBRAS",
+    "EIGEN_OPERATORS",
     "VerificationRecord",
     "emit",
     "parse",

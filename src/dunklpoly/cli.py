@@ -49,7 +49,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .dunklop import ALGEBRAS
+from .dunklop import ALGEBRAS, EIGEN_OPERATORS
 from .exactnum import NotDivisible, NotPolynomial
 from .families import (
     FAMILIES,
@@ -63,7 +63,6 @@ from .quad import WEIGHTED_FAMILIES, NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
-    EIGEN_OPERATORS,
     GRAM_CAP,
     GRAM_TOLERANCE,
     LIMIT_DEGREE_CAP,

@@ -29,7 +29,7 @@ the module supports the class e^{-x^2/2} * poly, which is closed under
 every shift-free operator here (``apply_gaussian``); there d/dx acts on the
 polynomial factor as g -> g' - x*g.
 
-``build_operator`` knows the eigenoperators of each family:
+``build_operator`` builds each operator by its token:
 
 =================  ============================================================
 token              operator
@@ -48,6 +48,14 @@ gh_OmegaTilde      oscillator form -(1/2)(D^mu)^2 + x^2/2 + (eps/2)(I - R),
 involution_P       P = R + (gamma/x)(I - R), the algebra involution
 reflection_component  (x-gamma)/(2x) (I - R), the parity projector
 =================  ============================================================
+
+``EIGEN_OPERATORS`` holds each eigen-operator token as data: its parameter
+names, its builder, its eigenvalue on the n-th polynomial, its polynomial
+family, its default sweep cap and whether it acts on the Gaussian class.
+``build_operator``, ``expected_eigenvalue``, the eigen suite and the
+``eigencheck`` command all read it, so a new eigen operator is one entry.
+chihara_D, gegenbauer_W, y_Z and gh_Omega share one shape,
+S d^2 + T d R + U d + V (I - R), written once as ``_reflection_form``.
 
 ``verify_algebra`` checks the quadratic algebra relations satisfied by
 (eigenoperator, multiplication by x, P) by applying both sides of each
@@ -68,7 +76,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial, reduce
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactnum import (
     LaurentPoly,
@@ -79,6 +87,14 @@ from .exactnum import (
     poly_divmod,
     poly_exact_div,
     poly_gcd,
+)
+from .families import (
+    FamilySpec,
+    cbi_family,
+    chihara_family,
+    ext_hermite_family,
+    gegenbauer_family,
+    gen_hermite_family,
 )
 from .report import stopwatch
 
@@ -276,36 +292,25 @@ def _chihara_coeffs(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fract
     return S, T, U, V
 
 
-def chihara_eigenop(alpha: Scalar, beta: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator:
-    S, T, U, V = _chihara_coeffs(
-        _as_fraction(alpha), _as_fraction(beta), _as_fraction(gamma), _as_fraction(eps)
-    )
+def _reflection_form(S: RatFunc, T: RatFunc, U: RatFunc, V: RatFunc) -> DunklOperator:
+    """S d^2 + T d R + U d + V (I - R), the shape of chihara_D, y_Z and
+    gh_Omega; a zero coefficient drops its term."""
+    zero = Fraction(0)
     return _merge(
         (
-            OperatorTerm(S, 2, 1, Fraction(0)),
-            OperatorTerm(T, 1, -1, Fraction(0)),
-            OperatorTerm(U, 1, 1, Fraction(0)),
-            OperatorTerm(V, 0, 1, Fraction(0)),
-            OperatorTerm(-V, 0, -1, Fraction(0)),
+            OperatorTerm(S, 2, 1, zero),
+            OperatorTerm(T, 1, -1, zero),
+            OperatorTerm(U, 1, 1, zero),
+            OperatorTerm(V, 0, 1, zero),
+            OperatorTerm(-V, 0, -1, zero),
         )
     )
 
 
-def gegenbauer_eigenop(alpha: Scalar, beta: Scalar, eps: Scalar) -> DunklOperator:
-    alpha, beta, eps = _as_fraction(alpha), _as_fraction(beta), _as_fraction(eps)
-    ab = alpha + beta + Fraction(3, 2)
-    ah = alpha + Fraction(1, 2)
-    S = RatFunc.of(X * X - 1, 4)
-    U = RatFunc.of(X * X * ab - ah, 2 * X)
-    V = RatFunc.of(LaurentPoly.const(ah), 4 * X**2) + RatFunc.from_laurent(
-        LaurentPoly.const(-ab / 4 + eps / 2)
-    )
-    return _merge(
-        (
-            OperatorTerm(S, 2, 1, Fraction(0)),
-            OperatorTerm(U, 1, 1, Fraction(0)),
-            OperatorTerm(V, 0, 1, Fraction(0)),
-            OperatorTerm(-V, 0, -1, Fraction(0)),
+def chihara_eigenop(alpha: Scalar, beta: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator:
+    return _reflection_form(
+        *_chihara_coeffs(
+            _as_fraction(alpha), _as_fraction(beta), _as_fraction(gamma), _as_fraction(eps)
         )
     )
 
@@ -381,15 +386,7 @@ def ext_hermite_eigenop(mu: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator
         + RatFunc.of(eps * (X - gamma), 2 * X)
         - RatFunc.from_laurent(LaurentPoly.const(Fraction(1, 4)))
     )
-    return _merge(
-        (
-            OperatorTerm(S, 2, 1, Fraction(0)),
-            OperatorTerm(-T, 1, -1, Fraction(0)),
-            OperatorTerm(U, 1, 1, Fraction(0)),
-            OperatorTerm(V, 0, 1, Fraction(0)),
-            OperatorTerm(-V, 0, -1, Fraction(0)),
-        )
-    )
+    return _reflection_form(S, -T, U, V)
 
 
 def gen_hermite_eigenop(mu: Scalar, eps: Scalar) -> DunklOperator:
@@ -397,14 +394,8 @@ def gen_hermite_eigenop(mu: Scalar, eps: Scalar) -> DunklOperator:
     W = RatFunc.of(LaurentPoly.const(mu), 2 * X**2) + RatFunc.from_laurent(
         LaurentPoly.const((eps - 1) / 2)
     )
-    return _merge(
-        (
-            OperatorTerm(RatFunc.from_laurent(LaurentPoly.const(Fraction(-1, 2))), 2, 1, Fraction(0)),
-            OperatorTerm(RatFunc.of(X * X - mu, X), 1, 1, Fraction(0)),
-            OperatorTerm(W, 0, 1, Fraction(0)),
-            OperatorTerm(-W, 0, -1, Fraction(0)),
-        )
-    )
+    S = RatFunc.from_laurent(LaurentPoly.const(Fraction(-1, 2)))
+    return _reflection_form(S, RatFunc.zero(), RatFunc.of(X * X - mu, X), W)
 
 
 def gen_hermite_oscillator(mu: Scalar, eps: Scalar) -> DunklOperator:
@@ -439,16 +430,86 @@ def reflection_component(gamma: Scalar) -> DunklOperator:
     )
 
 
-# Each builder's parameter names are the token's parameter names.
+# -- the eigen-operator table -----------------------------------------------------
+
+
+class EigenOperator(NamedTuple):
+    """An eigen-operator token: its parameter names; its builder, which takes
+    them by name; its eigenvalue on P_n as ``eigenvalue(m, odd, params)``
+    with n = 2m + odd; its polynomial family; its default sweep cap; and
+    whether its eigenvectors live in the Gaussian class e^(-x^2/2) * poly."""
+
+    params: Tuple[str, ...]
+    build: Callable[..., DunklOperator]
+    eigenvalue: Callable[[int, int, Mapping[str, Fraction]], Fraction]
+    family: Callable[[Mapping[str, Fraction]], FamilySpec]
+    cap: int
+    gaussian: bool = False
+
+
+def _chihara_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
+    s = p["alpha"] + p["beta"]
+    return m * (m + s + 2) + p["eps"] if odd else Fraction(m) * (m + s + 1)
+
+
+def _cbi_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
+    g = p["rho1"] + p["rho2"] - p["r1"] - p["r2"]
+    if not odd:
+        return Fraction(m) * (m + g + 1)
+    omega = (
+        p["rho1"] * (1 - p["r1"] - p["r2"])
+        + p["r1"] * p["r2"]
+        - Fraction(3, 2) * (p["r1"] + p["r2"])
+        + Fraction(5, 4)
+    )
+    return m * (m + g + 2) + omega + p["alpha"]
+
+
+def _gegenbauer_q_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
+    mu, a = p["mu"], p["a"]
+    if odd:
+        return -(2 * m + 2 * mu + 1) * (2 * m + 2 * a + 2)
+    return Fraction(-2 * m) * (2 * m + 2 * a + 2 * mu + 1)
+
+
+def _oscillator_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
+    base = 2 * m + p["mu"] + Fraction(1, 2)
+    return base + 1 + p["eps"] if odd else base
+
+
+EIGEN_OPERATORS: Dict[str, EigenOperator] = {
+    "chihara_D": EigenOperator(
+        ("alpha", "beta", "gamma", "eps"), chihara_eigenop, _chihara_eigenvalue,
+        lambda p: chihara_family(p["alpha"], p["beta"], p["gamma"]), 16),
+    "cbi_K": EigenOperator(
+        ("rho1", "rho2", "r1", "r2", "alpha"), cbi_eigenop, _cbi_eigenvalue,
+        lambda p: cbi_family(p["rho1"], p["rho2"], p["r1"], p["r2"]), 12),
+    # chihara_D at gamma = 0 (generalized Gegenbauer)
+    "gegenbauer_W": EigenOperator(
+        ("alpha", "beta", "eps"),
+        lambda alpha, beta, eps: chihara_eigenop(alpha, beta, Fraction(0), eps),
+        _chihara_eigenvalue, lambda p: gegenbauer_family(p["alpha"], p["beta"]), 16),
+    "gegenbauer_Q": EigenOperator(
+        ("mu", "a"), gegenbauer_dunkl_square, _gegenbauer_q_eigenvalue,
+        lambda p: gegenbauer_family(p["mu"] - Fraction(1, 2), p["a"]), 16),
+    "y_Z": EigenOperator(
+        ("mu", "gamma", "eps"), ext_hermite_eigenop,
+        lambda m, odd, p: m + p["eps"] if odd else Fraction(m),
+        lambda p: ext_hermite_family(p["mu"], p["gamma"]), 16),
+    "gh_Omega": EigenOperator(
+        ("mu", "eps"), gen_hermite_eigenop,
+        lambda m, odd, p: 2 * m + p["eps"] if odd else Fraction(2 * m),
+        lambda p: gen_hermite_family(p["mu"]), 16),
+    "gh_OmegaTilde": EigenOperator(
+        ("mu", "eps"), gen_hermite_oscillator, _oscillator_eigenvalue,
+        lambda p: gen_hermite_family(p["mu"]), 12, gaussian=True),
+}
+
+# Every token build_operator knows; each builder's parameter names are the
+# token's parameter names.
 _BUILDERS: Dict[str, Callable[..., DunklOperator]] = {
-    "chihara_D": chihara_eigenop,
-    "cbi_K": cbi_eigenop,
-    "gegenbauer_W": gegenbauer_eigenop,
-    "gegenbauer_Q": gegenbauer_dunkl_square,
+    **{token: op.build for token, op in EIGEN_OPERATORS.items()},
     "dunkl_derivative": dunkl_derivative,
-    "y_Z": ext_hermite_eigenop,
-    "gh_Omega": gen_hermite_eigenop,
-    "gh_OmegaTilde": gen_hermite_oscillator,
     "involution_P": parity_involution,
     "reflection_component": reflection_component,
 }
@@ -464,36 +525,11 @@ def build_operator(which: str, **params: Scalar) -> DunklOperator:
 
 
 def expected_eigenvalue(which: str, n: int, **params: Scalar) -> Fraction:
-    """Eigenvalue on the n-th family polynomial for each eigenoperator token."""
+    """Eigenvalue on the n-th family polynomial, from ``EIGEN_OPERATORS``."""
+    if which not in EIGEN_OPERATORS:
+        raise ValueError(f"{which} has no eigenvalue table")
     p = {k: _as_fraction(v) for k, v in params.items()}
-    m, odd = divmod(n, 2)
-    if which in ("chihara_D", "gegenbauer_W"):
-        s = p["alpha"] + p["beta"]
-        return m * (m + s + 2) + p["eps"] if odd else Fraction(m) * (m + s + 1)
-    if which == "cbi_K":
-        g = p["rho1"] + p["rho2"] - p["r1"] - p["r2"]
-        if not odd:
-            return Fraction(m) * (m + g + 1)
-        omega = (
-            p["rho1"] * (1 - p["r1"] - p["r2"])
-            + p["r1"] * p["r2"]
-            - Fraction(3, 2) * (p["r1"] + p["r2"])
-            + Fraction(5, 4)
-        )
-        return m * (m + g + 2) + omega + p["alpha"]
-    if which == "gegenbauer_Q":
-        mu, a = p["mu"], p["a"]
-        if odd:
-            return -(2 * m + 2 * mu + 1) * (2 * m + 2 * a + 2)
-        return Fraction(-2 * m) * (2 * m + 2 * a + 2 * mu + 1)
-    if which == "y_Z":
-        return m + p["eps"] if odd else Fraction(m)
-    if which == "gh_Omega":
-        return 2 * m + p["eps"] if odd else Fraction(2 * m)
-    if which == "gh_OmegaTilde":
-        base = 2 * m + p["mu"] + Fraction(1, 2)
-        return base + 1 + p["eps"] if odd else base
-    raise ValueError(f"{which} has no eigenvalue table")
+    return EIGEN_OPERATORS[which].eigenvalue(*divmod(n, 2), p)
 
 
 def eigencheck(op: DunklOperator, vec, eigenvalue: Scalar):

@@ -123,11 +123,6 @@ class LaurentPoly:
         return LaurentPoly({exp: c})
 
     @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar]) -> "LaurentPoly":
-        """Dense constructor: coeffs[k] multiplies x^k."""
-        return LaurentPoly({k: c for k, c in enumerate(coeffs)})
-
-    @staticmethod
     def affine_power(j: int, eps: Scalar, delta: Scalar) -> "LaurentPoly":
         """(eps*x + delta)^j: the power ``substitute_affine`` expands x^j into.
 

@@ -79,10 +79,6 @@ class NoConvergence(RuntimeError):
     or a Gauss rule failed its moment validation."""
 
 
-class RuleTooSmall(ValueError):
-    """The requested node count cannot integrate the given polynomial degree."""
-
-
 # -- symmetric tridiagonal eigenproblem ------------------------------------------
 
 
@@ -413,30 +409,23 @@ class WeightSpec:
         return ((-math.inf, math.inf),)
 
     @cached_property
-    def _float_params(self) -> Dict[str, float]:
-        return {key: float(v) for key, v in self.params}
-
-    def weight_value(self, x: float) -> float:
-        p = self._float_params
+    def weight_value(self) -> Callable[[float], float]:
+        """The pointwise weight x -> w(x), its float parameters bound once."""
+        p = {key: float(v) for key, v in self.params}
+        copysign, exp = math.copysign, math.exp
         if self.family == "chihara":
-            g = p["gamma"]
-            return (
-                math.copysign(1.0, x)
-                * (x + g)
-                * (x * x - g * g) ** p["alpha"]
-                * (1 + g * g - x * x) ** p["beta"]
+            g, a, b = p["gamma"], p["alpha"], p["beta"]
+            return lambda x: (
+                copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
             )
         if self.family == "gegenbauer":
-            return abs(x) ** (2 * p["alpha"] + 1) * (1 - x * x) ** p["beta"]
+            e, b = 2 * p["alpha"] + 1, p["beta"]
+            return lambda x: abs(x) ** e * (1 - x * x) ** b
         if self.family == "ext_hermite":
-            g = p["gamma"]
-            return (
-                math.copysign(1.0, x)
-                * (x + g)
-                * (x * x - g * g) ** (p["mu"] - 0.5)
-                * math.exp(-x * x)
-            )
-        return abs(x) ** (2 * p["mu"]) * math.exp(-x * x)
+            g, e = p["gamma"], p["mu"] - 0.5
+            return lambda x: copysign(1.0, x) * (x + g) * (x * x - g * g) ** e * exp(-x * x)
+        e = 2 * p["mu"]
+        return lambda x: abs(x) ** e * exp(-x * x)
 
     def reduced_weight_class(self) -> Tuple:
         p = self.p
@@ -501,15 +490,9 @@ def reduced_integrand(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> Laure
     return even.substitute_affine(1, shift) + odd.substitute_affine(1, shift) * gamma
 
 
-def _rule_size(degree: int, nodes: Optional[int]) -> int:
-    """Default rule size with exactness margin; reject undersized requests."""
-    if nodes is None:
-        return degree // 2 + 2
-    if 2 * nodes - 1 < degree + 1:
-        raise RuleTooSmall(
-            f"{nodes} nodes integrate degree {2 * nodes - 1} < {degree + 1}"
-        )
-    return nodes
+def _rule_size(degree: int) -> int:
+    """Rule size for a polynomial of ``degree``, with an exactness margin."""
+    return degree // 2 + 2
 
 
 def _branch_points(spec: WeightSpec, rule: QuadratureRule) -> List[float]:
@@ -540,9 +523,7 @@ def _branch_sum(
     return spec.reduced_prefactor() * total
 
 
-def inner_product(
-    spec: WeightSpec, f: LaurentPoly, g: LaurentPoly, nodes: Optional[int] = None
-) -> float:
+def inner_product(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> float:
     """<f, g> against the family weight, via the even/odd reduction.
 
     With f g = E(x^2) + x O(x^2), the two support branches collapse to the
@@ -550,15 +531,13 @@ def inner_product(
     the integrand is evaluated at the Gauss nodes in its branch-sum form
     [(u+gamma) f(u) g(u) + (u-gamma) f(-u) g(-u)]/(2u), u = sqrt(t+gamma^2).
 
-    The default rule size ceil((deg f + deg g)/2) + 2 leaves an exactness
-    margin; an explicit ``nodes`` below the required degree raises
-    ``RuleTooSmall``.
+    The rule size ceil((deg f + deg g)/2) + 2 leaves an exactness margin.
     """
     if not (f.is_polynomial and g.is_polynomial):
         raise ValueError("inner products are defined for polynomial arguments")
     if f.is_zero or g.is_zero:
         return 0.0
-    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(f.degree + g.degree, nodes))
+    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(f.degree + g.degree))
     us = _branch_points(spec, rule)
     pos = [f.evaluate_float(u) * g.evaluate_float(u) for u in us]
     neg = [f.evaluate_float(-u) * g.evaluate_float(-u) for u in us]
@@ -622,12 +601,10 @@ def _last_two_values(
     return previous, value
 
 
-def gram_matrix(
-    family: FamilySpec, N: int, nodes: Optional[int] = None
-) -> List[List[float]]:
+def gram_matrix(family: FamilySpec, N: int) -> List[List[float]]:
     """[<P_m, P_n>] for m, n = 0..N against the family weight."""
     spec = weight_for(family)
-    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N, nodes))
+    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N))
     us = _branch_points(spec, rule)
     table = _basis_table(FloatRecurrence(family), N, us + [-u for u in us])
     # the per-node factors of _branch_sum, formed once for every (m, n)
@@ -771,7 +748,6 @@ class NormTables:
 def norm_ratio_check(
     family: FamilySpec,
     n: int,
-    nodes: Optional[int] = None,
     tables: Optional[NormTables] = None,
 ) -> Tuple[Fraction, float]:
     """(exact ratio, quadrature ratio) of consecutive squared norms.
@@ -792,7 +768,7 @@ def norm_ratio_check(
         tables = NormTables(family)
     elif tables.family != family:
         raise ValueError("norm tables belong to another family")
-    rule = gauss_rule(tables.weight, _rule_size(2 * n, nodes))
+    rule = gauss_rule(tables.weight, _rule_size(2 * n))
     us = _branch_points(spec, rule)
     diag, sub = tables.recurrence.upto(n)
     rows = [_last_two_values(diag, sub, n, x) for x in us + [-u for u in us]]
@@ -877,15 +853,8 @@ def verify_pearson(
 
     with stopwatch() as reflection_ms:
         spec = weight_for(family)
-        g, a, b = float(gamma), float(alpha), float(beta)
-        copysign = math.copysign
-
-        def weight_value(x: float) -> float:
-            # WeightSpec.weight_value of the chihara weight
-            return (
-                copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
-            )
-
+        g = float(gamma)
+        weight_value = spec.weight_value
         worst = 0.0
         count = 0
         for lo, hi in spec.support_intervals():

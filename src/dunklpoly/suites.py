@@ -8,6 +8,10 @@ named parameter sets (module constants, so the command-line runner, the
 tests, and the acceptance gate all exercise literally the same instances),
 and the command-line handlers run the same functions over the parameters a
 user gives.  One instance therefore yields the same records either way.
+What each eigen-operator token and each algebra means (parameter names,
+builder, eigenvalue, family, default cap) is data in
+``dunklop.EIGEN_OPERATORS`` and ``dunklop.ALGEBRAS``; the checks here and
+the command line read it from there.
 
 Design notes
 ------------
@@ -36,7 +40,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -44,6 +47,7 @@ from typing import (
 
 from .dunklop import (
     ALGEBRAS,
+    EIGEN_OPERATORS,
     DunklOperator,
     GaussianPoly,
     build_operator,
@@ -57,7 +61,6 @@ from .families import (
     FAMILIES,
     FamilySpec,
     big_m1_jacobi_family,
-    cbi_family,
     chihara_family,
     classical_jacobi_monic,
     explicit_poly,
@@ -103,7 +106,6 @@ from .transforms import (
 __all__ = [
     "ALL_SUITES",
     "SUITE_NAMES",
-    "EIGEN_OPERATORS",
     "run_suites",
     "eigen_sweep",
     "algebra_records",
@@ -203,9 +205,6 @@ CONSTRUCTION_CAPS: Tuple[Tuple[str, int], ...] = (
     ("ext_hermite", 16),
     ("gen_hermite", 16),
 )
-EIGEN_CAP = 16
-EIGEN_CAP_CBI = 12
-EIGEN_CAP_GAUSSIAN = 12
 ALGEBRA_CAP = 12
 JACOBI_CAP = 8
 GRAM_CAP = 12
@@ -215,48 +214,6 @@ PEARSON_SAMPLES = 20
 TRANSFORM_CAP = 12
 LIMIT_DEGREE_CAP = 6
 
-
-class EigenOperator(NamedTuple):
-    """An eigenvalue operator token: its parameter names, its polynomial
-    family, its default sweep cap, and whether its eigenvectors live in the
-    Gaussian class ``e^(-x^2/2) * poly``."""
-
-    params: Tuple[str, ...]
-    family: Callable[[Mapping[str, Fraction]], FamilySpec]
-    cap: int
-    gaussian: bool
-
-
-EIGEN_OPERATORS: Dict[str, EigenOperator] = {
-    "chihara_D": EigenOperator(
-        ("alpha", "beta", "gamma", "eps"),
-        lambda p: chihara_family(p["alpha"], p["beta"], p["gamma"]),
-        EIGEN_CAP, False),
-    "cbi_K": EigenOperator(
-        ("rho1", "rho2", "r1", "r2", "alpha"),
-        lambda p: cbi_family(p["rho1"], p["rho2"], p["r1"], p["r2"]),
-        EIGEN_CAP_CBI, False),
-    "gegenbauer_W": EigenOperator(
-        ("alpha", "beta", "eps"),
-        lambda p: gegenbauer_family(p["alpha"], p["beta"]),
-        EIGEN_CAP, False),
-    "gegenbauer_Q": EigenOperator(
-        ("mu", "a"),
-        lambda p: gegenbauer_family(p["mu"] - F(1, 2), p["a"]),
-        EIGEN_CAP, False),
-    "y_Z": EigenOperator(
-        ("mu", "gamma", "eps"),
-        lambda p: ext_hermite_family(p["mu"], p["gamma"]),
-        EIGEN_CAP, False),
-    "gh_Omega": EigenOperator(
-        ("mu", "eps"),
-        lambda p: gen_hermite_family(p["mu"]),
-        EIGEN_CAP, False),
-    "gh_OmegaTilde": EigenOperator(
-        ("mu", "eps"),
-        lambda p: gen_hermite_family(p["mu"]),
-        EIGEN_CAP_GAUSSIAN, True),
-}
 
 # The pinned eigen instances, in record order: (token, parameter values in
 # the order of EIGEN_OPERATORS[token].params).

@@ -101,32 +101,6 @@ def kernel_recurrence_coeffs(a: Scalar, b: Scalar, c: Scalar, n: int) -> Tuple[F
     return diag, sub
 
 
-def extract_recurrence(polys: Sequence[LaurentPoly]) -> Tuple[List[Fraction], List[Fraction]]:
-    """Recover (diag, sub) lists from a monic sequence, verifying exactness.
-
-    For each n with P_{n+1} available, x P_n - P_{n+1} must equal
-    diag(n) P_n + sub(n) P_{n-1} exactly; any higher-degree leftover raises
-    ``ValueError`` (the input was not generated by a three-term recurrence).
-    """
-    x = LaurentPoly.x()
-    diags: List[Fraction] = []
-    subs: List[Fraction] = []
-    for n in range(len(polys) - 1):
-        rest = x * polys[n] - polys[n + 1]
-        diag = rest.coeff(n)
-        rest = rest - polys[n] * diag
-        if n == 0:
-            sub = Fraction(0)
-        else:
-            sub = rest.coeff(n - 1)
-            rest = rest - polys[n - 1] * sub
-        if not rest.is_zero:
-            raise ValueError(f"no three-term recurrence at index {n}: leftover {rest}")
-        diags.append(diag)
-        subs.append(sub)
-    return diags, subs
-
-
 # -- parameter map ---------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dunklpoly.exactnum import LaurentPoly, NotPolynomial, RatFunc, exact_polynomial_check
 from dunklpoly.dunklop import (
     ALGEBRAS,
+    EIGEN_OPERATORS,
     OPERATOR_TOKENS,
     Algebra,
     DunklOperator,
@@ -36,6 +37,7 @@ from dunklpoly.families import (
     generate_monic,
     ext_hermite_family,
 )
+from dunklpoly.suites import EIGEN_CASES, eigen_sweep
 
 F = Fraction
 X = LaurentPoly.x()
@@ -218,6 +220,29 @@ def test_eigenvalue_table_spot_values():
     assert expected_eigenvalue("gh_OmegaTilde", 0, mu=F(3, 2), eps=0) == 2
 
 
+def test_expected_eigenvalue_rejects_non_eigen_token():
+    with pytest.raises(ValueError):
+        expected_eigenvalue("involution_P", 0, gamma=1)
+
+
+@pytest.mark.parametrize("token", list(EIGEN_OPERATORS))
+def test_every_eigenvalue_branch_is_sharp(monkeypatch, token):
+    # negative control of the whole table: adding 1 to the even branch of a
+    # token's eigenvalue must fail its sweep at n = 0 and 2, and adding 1 to
+    # the odd branch at n = 1 and 3; the first pinned instance is used
+    spec = EIGEN_OPERATORS[token]
+    values = next(v for t, v in EIGEN_CASES if t == token)
+    params = dict(zip(spec.params, values))
+    assert all(ok for _, _, ok, _, _ in eigen_sweep(token, params, 3))
+    for bumped in (0, 1):
+        def eigenvalue(m, odd, p, bumped=bumped):
+            return spec.eigenvalue(m, odd, p) + (1 if odd == bumped else 0)
+
+        monkeypatch.setitem(EIGEN_OPERATORS, token, spec._replace(eigenvalue=eigenvalue))
+        failures = [n for n, _, ok, _, _ in eigen_sweep(token, params, 3) if not ok]
+        assert failures == [bumped, bumped + 2], bumped
+
+
 # -- failure detectors ------------------------------------------------------------
 
 
@@ -274,7 +299,7 @@ TOKEN_PARAMS = {
 }
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
-_polys = st.lists(_rationals, max_size=11).map(LaurentPoly.from_coeffs)
+_polys = st.lists(_rationals, max_size=11).map(lambda cs: LaurentPoly(dict(enumerate(cs))))
 
 
 @st.composite
@@ -291,6 +316,11 @@ def _extra_terms(draw):
 
 def test_token_params_cover_every_operator():
     assert sorted(TOKEN_PARAMS) == list(OPERATOR_TOKENS)
+
+
+def test_eigen_table_params_are_token_params():
+    for token, spec in EIGEN_OPERATORS.items():
+        assert spec.params == TOKEN_PARAMS[token], token
 
 
 @pytest.mark.parametrize("token", OPERATOR_TOKENS)

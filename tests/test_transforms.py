@@ -15,7 +15,6 @@ from dunklpoly.families import (
 )
 from dunklpoly.transforms import (
     christoffel,
-    extract_recurrence,
     geronimus,
     kernel_map,
     kernel_recurrence_coeffs,
@@ -28,6 +27,31 @@ PARAM_SETS = [
     (F(1, 2), F(3, 4), F(1, 3)),
     (F(2), F(1), F(5, 13)),
 ]
+
+
+def extract_recurrence(polys):
+    """Recover (diag, sub) lists from a monic sequence, verifying exactness.
+
+    For each n with P_{n+1} available, x P_n - P_{n+1} must equal
+    diag(n) P_n + sub(n) P_{n-1} exactly; any higher-degree leftover raises
+    ``ValueError`` (the input was not generated by a three-term recurrence).
+    """
+    x = LaurentPoly.x()
+    diags, subs = [], []
+    for n in range(len(polys) - 1):
+        rest = x * polys[n] - polys[n + 1]
+        diag = rest.coeff(n)
+        rest = rest - polys[n] * diag
+        if n == 0:
+            sub = F(0)
+        else:
+            sub = rest.coeff(n - 1)
+            rest = rest - polys[n - 1] * sub
+        if not rest.is_zero:
+            raise ValueError(f"no three-term recurrence at index {n}: leftover {rest}")
+        diags.append(diag)
+        subs.append(sub)
+    return diags, subs
 
 
 def kernel_pipeline(a, b, c, N):
