@@ -15,19 +15,25 @@ Applying an operator to a polynomial works over one common denominator.
 Each operator, on first use, takes the monic lcm L of its term
 denominators and turns every term coefficient num_i/den_i into the
 polynomial multiplier num_i * L/den_i.  The image of x^j times L is then the
-polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j], cached on
-the operator per exponent j (the Gaussian class below keeps its own table).
-Each power (eps_i*x + delta_i)^j is written down by the binomial theorem
-(``LaurentPoly.affine_power``), not multiplied out.
-The image of f is (sum_j f_j N_j) / L, found by one exact division: a zero
-remainder gives the image, a nonzero one raises ``NotPolynomial`` with the
-reduced leftover denominator.  That error is the primary detector for a
-mistranscribed coefficient.  The caches hold numerators, not quotients, so
-they stay correct when the image of a single monomial is not a polynomial,
-and they are invisible to ``==`` and ``hash``.  Besides plain polynomials
-the module supports the class e^{-x^2/2} * poly, which is closed under
-every shift-free operator here (``apply_gaussian``); there d/dx acts on the
-polynomial factor as g -> g' - x*g.
+polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j].  Each power
+(eps_i*x + delta_i)^j is written down by the binomial theorem
+(``LaurentPoly.affine_power``), not multiplied out.  Division by the fixed
+L is linear, so each N_j is divided once, N_j = Q_j L + R_j, and the pair
+(Q_j, R_j) is cached on the operator per exponent j (the Gaussian class
+below keeps its own table).  The image of f is sum_j f_j Q_j with
+remainder sum_j f_j R_j.  When every R_j that f uses is zero, as for every
+eigenoperator and every P here, applying the operator divides nothing
+beyond filling the table.  A nonzero remainder sends the numerator
+L * sum_j f_j Q_j + sum_j f_j R_j through ``RatFunc``, which raises
+``NotPolynomial`` with the reduced leftover denominator.  That error is the
+primary detector for a mistranscribed coefficient.  The tables keep each
+remainder beside its quotient, so they stay correct when the image of a
+single monomial is not a polynomial, and they are invisible to ``==`` and
+``hash``.  Besides plain polynomials the module supports the class
+e^{-x^2/2} * poly, which is closed under every shift-free operator here
+(``apply_gaussian``); there d/dx acts on the polynomial factor as
+g -> g' - x*g, and a negative power of x, whose N_j poly_divmod refuses,
+keeps all of N_j as its R_j.
 
 ``build_operator`` builds each operator by its token:
 
@@ -133,7 +139,7 @@ class DunklOperator:
         """Exact image of a polynomial; raises NotPolynomial if it is not one."""
         if not f.is_polynomial:
             raise ValueError("operators act on true polynomials here")
-        return self._image(f, self._images, LaurentPoly.derivative)
+        return self._image(f, self._quotients, LaurentPoly.derivative)
 
     def apply_gaussian(self, f: "GaussianPoly") -> "GaussianPoly":
         """Image of e^{-x^2/2} p(x); defined for shift-free operators."""
@@ -144,7 +150,7 @@ class DunklOperator:
                 )
         # e^{-x^2/2} is even, so substitution only touches the factor p, and
         # d/dx [e^{-x^2/2} g] = e^{-x^2/2} (g' - x g)
-        return GaussianPoly(self._image(f.poly, self._gaussian_images, _gaussian_step))
+        return GaussianPoly(self._image(f.poly, self._gaussian_quotients, _gaussian_step))
 
     @cached_property
     def _common(self) -> Tuple[LaurentPoly, Tuple[LaurentPoly, ...]]:
@@ -155,42 +161,53 @@ class DunklOperator:
         return L, tuple(t.coeff.num * poly_exact_div(L, t.coeff.den) for t in self.terms)
 
     @cached_property
-    def _images(self) -> Dict[int, LaurentPoly]:
+    def _quotients(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
         return {}
 
     @cached_property
-    def _gaussian_images(self) -> Dict[int, LaurentPoly]:
+    def _gaussian_quotients(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
         return {}
 
     def _image(
         self,
         f: LaurentPoly,
-        images: Dict[int, LaurentPoly],
+        quotients: Dict[int, Tuple[LaurentPoly, LaurentPoly]],
         step: Callable[[LaurentPoly], LaurentPoly],
     ) -> LaurentPoly:
-        """(sum_j f_j N_j) / L, where N_j = L * image of x^j, cached in ``images``."""
+        """sum_j f_j Q_j, where N_j = Q_j L + R_j is L times the image of x^j;
+        (Q_j, R_j) is cached in ``quotients``."""
         L, multipliers = self._common
+        leftover = []
 
-        def numerator(j: int) -> LaurentPoly:
-            image = images.get(j)
-            if image is None:
-                image = LaurentPoly.zero()
+        def quotient(j: int) -> LaurentPoly:
+            pair = quotients.get(j)
+            if pair is None:
+                numerator = LaurentPoly.zero()
                 for t, m in zip(self.terms, multipliers):
                     g = LaurentPoly.affine_power(j, t.eps, t.delta)
                     for _ in range(t.k):
                         g = step(g)
-                    image = image + m * g
-                images[j] = image
-            return image
+                    numerator = numerator + m * g
+                # a negative power handed to apply_gaussian can leave
+                # negative powers, which poly_divmod refuses: R_j = N_j
+                if numerator.is_polynomial:
+                    pair = poly_divmod(numerator, L)
+                else:
+                    pair = (LaurentPoly.zero(), numerator)
+                quotients[j] = pair
+            if not pair[1].is_zero:
+                leftover.append(j)
+            return pair[0]
 
-        total = f.map_monomials(numerator)
-        # a Laurent factor handed to apply_gaussian can leave negative powers,
-        # which poly_divmod refuses; RatFunc normalises those and reports them
-        if total.is_polynomial:
-            quotient, remainder = poly_divmod(total, L)
-            if remainder.is_zero:
-                return quotient
-        return exact_polynomial_check(RatFunc(total, L))
+        image = f.map_monomials(quotient)
+        if not leftover:
+            return image
+        remainder = f.map_monomials(lambda j: quotients[j][1])
+        if remainder.is_zero:
+            return image
+        # a pole is left, or a Laurent term: the numerator L * image +
+        # remainder goes through RatFunc, which names the leftover denominator
+        return exact_polynomial_check(RatFunc(L * image + remainder, L))
 
     def __add__(self, other: "DunklOperator") -> "DunklOperator":
         return _merge(self.terms + other.terms)
@@ -675,8 +692,10 @@ def verify_algebra(
     ``params`` holds the algebra's parameters by name.  Both sides of a
     relation are evaluated by nested application, never by symbolic
     multiplication, so the check is an independent route onto the stated
-    structure constants.  Each relation starts with an empty memo, so its
-    ``millis`` does not depend on the relations before it.
+    structure constants.  Each relation starts with an empty memo of
+    images, but K and P keep their monomial quotient tables across the
+    relations: the first relation fills them, so its ``millis`` includes
+    that cost and the later ones' mostly do not.
     """
     if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")

@@ -22,9 +22,9 @@ deliberately small and strict:
   that normalization equality of rational functions is plain field equality,
   and "is this actually a polynomial" is decidable by looking at the
   denominator.  Operators are built from RatFunc coefficients; they are
-  applied through polynomial arithmetic over one common denominator and a
-  single ``poly_divmod`` (see :mod:`dunklpoly.dunklop`), not through RatFunc
-  sums.
+  applied through polynomial arithmetic over one common denominator, with
+  one ``poly_divmod`` per monomial cached on the operator (see
+  :mod:`dunklpoly.dunklop`), not through RatFunc sums.
 
 ``exact_polynomial_check`` converts a RatFunc back to a LaurentPoly and
 raises ``NotPolynomial`` otherwise.  That failure is meaningful, not an
@@ -36,6 +36,7 @@ remainder through this check, so its message names the reduced denominator.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -44,6 +45,8 @@ from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 BigRational = Fraction
 
 Scalar = Union[BigRational, int]
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -270,8 +273,22 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        """hash(self.items()), without building a Fraction per term.
+
+        Python hashes the rational n/d as it hashes the int n * d^-1, with
+        d^-1 the inverse modulo ``sys.hash_info.modulus``: the residue of
+        |n| * d^-1 with n's sign, and -1 mapped to -2.  So each exponent
+        paired with n * d^-1 gives the tuple hash of ``items()``.  A
+        denominator that is a multiple of the modulus has no inverse; it
+        takes the Fraction route.
+        """
         if self._hash is None:
-            self._hash = hash(self.items())
+            try:
+                dinv = pow(self._den, -1, _HASH_MODULUS)
+            except ValueError:
+                self._hash = hash(self.items())
+            else:
+                self._hash = hash(tuple((e, n * dinv) for e, n in sorted(self._nums.items())))
         return self._hash
 
     # -- calculus and substitution -----------------------------------------

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklpoly.exactnum import LaurentPoly, NotPolynomial, RatFunc, exact_polynomial_check
+from dunklpoly.exactnum import (
+    LaurentPoly,
+    NotPolynomial,
+    RatFunc,
+    exact_polynomial_check,
+    poly_divmod,
+)
 from dunklpoly.dunklop import (
     ALGEBRAS,
     EIGEN_OPERATORS,
@@ -343,6 +349,66 @@ def test_apply_matches_ratfunc_route(token, data):
     assert op == fresh and hash(op) == hash(fresh)
 
 
+# -- cached monomial quotients against one division per input -------------------
+
+
+def _numerator_route(op, f, gaussian=False):
+    """Reference image: the numerator sum_j f_j N_j over L, divided once per
+    input, the route the cached quotient tables replace."""
+    L, multipliers = op._common
+
+    def numerator(j):
+        image = LaurentPoly.zero()
+        for t, m in zip(op.terms, multipliers):
+            g = LaurentPoly.affine_power(j, t.eps, t.delta)
+            for _ in range(t.k):
+                g = g.derivative() - X * g if gaussian else g.derivative()
+            image = image + m * g
+        return image
+
+    total = f.map_monomials(numerator)
+    if total.is_polynomial:
+        quotient, remainder = poly_divmod(total, L)
+        if remainder.is_zero:
+            return quotient
+    return exact_polynomial_check(RatFunc(total, L))
+
+
+def _assert_same_images(op, data):
+    """apply and, for a shift-free op, apply_gaussian give the reference's
+    image with the same denominator, or the same NotPolynomial message."""
+
+    def same(got_fn, want_fn, f):
+        got, want = _outcome(got_fn, f), _outcome(want_fn, f)
+        assert got == want
+        if isinstance(want, LaurentPoly):
+            assert got._den == want._den
+
+    shift_free = all(t.delta == 0 for t in op.terms)
+    for f in (data.draw(_polys), data.draw(_polys), data.draw(_polys)):
+        same(op.apply, lambda p: _numerator_route(op, p), f)
+        if shift_free:
+            f = f * LaurentPoly.monomial(-data.draw(st.integers(0, 2)))
+            same(lambda p: op.apply_gaussian(GaussianPoly(p)).poly,
+                 lambda p: _numerator_route(op, p, True), f)
+
+
+@pytest.mark.parametrize("token", (*EIGEN_OPERATORS, "involution_P"))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_apply_matches_numerator_route(token, data):
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
+    _assert_same_images(build_operator(token, **params), data)
+
+
+@pytest.mark.parametrize("mk", [(0, 1), (1, 1)])
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_perturbed_apply_matches_numerator_route(mk, data):
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS["chihara_D"]}
+    _assert_same_images(build_operator("chihara_D", **params) + _perturbation(*mk), data)
+
+
 def test_unknown_operator_token():
     with pytest.raises(ValueError):
         build_operator("not_an_operator", mu=1)
@@ -516,9 +582,14 @@ def test_perturbed_algebra_raises_where_it_did(monkeypatch):
         verify_algebra("chihara", 12, alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
 
 
+def _perturbation(m, k):
+    """The term -x^m/(2x) d^k."""
+    return DunklOperator((term(RatFunc.of(LaurentPoly.const(F(-1)) * X**m, 2 * X), k=k),))
+
+
 def _perturb_chihara(monkeypatch, m, k):
     from dunklpoly import dunklop
 
     build = dunklop.chihara_eigenop
-    extra = DunklOperator((term(RatFunc.of(LaurentPoly.const(F(-1)) * X**m, 2 * X), k=k),))
+    extra = _perturbation(m, k)
     monkeypatch.setattr(dunklop, "chihara_eigenop", lambda *args: build(*args) + extra)

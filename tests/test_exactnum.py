@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -506,6 +507,29 @@ def test_results_are_in_canonical_form(ta, tb, c):
     for p in results:
         assert_canonical(p)
     assert (a + b == b + a) and hash(a + b) == hash(b + a)
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {},                                          # the zero polynomial
+        {0: -1},                                     # a term hashing to -1
+        {3: Fraction(-(_MODULUS + 2), 2), 0: Fraction(1, 2)},  # -1 over den 2
+        {1: -(_MODULUS + 1), 2: 1},                  # an int reducing to -1
+        {5: -10**60 - 7, -2: Fraction(10**45 + 1, 3)},  # negative and huge
+        {0: Fraction(10**80, 7**30), 4: Fraction(-1, 7**30)},
+        {1: _MODULUS, 0: Fraction(-_MODULUS, 11)},   # numerators of the modulus
+        {1: Fraction(1, _MODULUS), 0: 5},            # den = modulus: fallback
+        {2: Fraction(-3, 2 * _MODULUS), -1: Fraction(1, 4)},  # den a multiple
+    ],
+)
+def test_hash_is_the_hash_of_items(coeffs):
+    p = LaurentPoly(coeffs)
+    assert hash(p) == hash(p.items())
+    assert hash(p) == hash(LaurentPoly(reversed(list(coeffs.items()))))
 
 
 # -- binomial monomial images and one-pass division ---------------------------
