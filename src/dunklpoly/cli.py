@@ -60,7 +60,7 @@ from .families import (
 )
 from .limits import LIMIT_IDS, DegenerateStep
 from .quad import WEIGHTED_FAMILIES, NoConvergence
-from .report import VerificationRecord, emit, exact_record, rational_str
+from .report import VerificationRecord, emit, exact_record, rational_str, stopwatch
 from .suites import (
     ALGEBRA_CAP,
     GRAM_CAP,
@@ -347,22 +347,26 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"unknown suite name(s): {', '.join(unknown)}; "
                          f"choose from {', '.join(SUITE_NAMES)}")
-    records = run_suites(names=names)
     width = max(len(n) for n in names)
-    _say(args, f"{'suite':{width}s}  records  exact  float  fail")
+    _say(args, f"{'suite':{width}s}  records  exact  float  fail      ms")
+    records = []
+    total_ms = 0.0
     for name in names:
-        batch = [r for r in records if r.suite == name]
-        exact = sum(r.outcome == "exact_pass" for r in batch)
-        flt = sum(r.outcome == "float_pass" for r in batch)
-        fail = sum(r.outcome == "fail" for r in batch)
-        _say(args, f"{name:{width}s}  {len(batch):7d}  {exact:5d}  "
-                   f"{flt:5d}  {fail:4d}")
-    total_fail = sum(r.outcome == "fail" for r in records)
-    _say(args, f"{'total':{width}s}  {len(records):7d}  "
-               f"{sum(r.outcome == 'exact_pass' for r in records):5d}  "
-               f"{sum(r.outcome == 'float_pass' for r in records):5d}  "
-               f"{total_fail:4d}")
+        with stopwatch() as ms:   # the suite's own wall time
+            batch = run_suites(names=[name])
+        records += batch
+        total_ms += ms[0]
+        _say(args, _suite_row(name, width, batch, ms[0]))
+    _say(args, _suite_row("total", width, records, total_ms))
     return _finish(records, args)
+
+
+def _suite_row(name: str, width: int, batch: Sequence[VerificationRecord],
+               millis: float) -> str:
+    exact, flt, fail = (sum(r.outcome == o for r in batch)
+                        for o in ("exact_pass", "float_pass", "fail"))
+    return (f"{name:{width}s}  {len(batch):7d}  {exact:5d}  {flt:5d}  "
+            f"{fail:4d}  {millis:6.0f}")
 
 
 # --------------------------------------------------------------------------

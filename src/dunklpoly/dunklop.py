@@ -15,11 +15,13 @@ Applying an operator to a polynomial works over one common denominator.
 Each operator, on first use, takes the monic lcm L of its term
 denominators and turns every term coefficient num_i/den_i into the
 polynomial multiplier num_i * L/den_i.  The image of x^j times L is then the
-polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j].  Each power
-(eps_i*x + delta_i)^j is written down by the binomial theorem
-(``LaurentPoly.affine_power``), not multiplied out.  Division by the fixed
-L is linear, so each N_j is divided once, N_j = Q_j L + R_j, and the pair
-(Q_j, R_j) is cached on the operator per exponent j (the Gaussian class
+polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j].
+``exactnum.monomial_numerator`` forms N_j on integer numerators over one
+common denominator, with one gcd: each derivative by its closed form
+eps^k j!/(j-k)! (eps*x + delta)^(j-k), whose binomial coefficients are
+written down, not multiplied out.  Division by the fixed L is linear, so
+each N_j is divided once, N_j = Q_j L + R_j, and the pair (Q_j, R_j) is
+cached on the operator per exponent j (the Gaussian class
 below keeps its own table).  The image of f is sum_j f_j Q_j with
 remainder sum_j f_j R_j.  When every R_j that f uses is zero, as for every
 eigenoperator and every P here, applying the operator divides nothing
@@ -32,8 +34,10 @@ single monomial is not a polynomial, and they are invisible to ``==`` and
 ``hash``.  Besides plain polynomials the module supports the class
 e^{-x^2/2} * poly, which is closed under every shift-free operator here
 (``apply_gaussian``); there d/dx acts on the polynomial factor as
-g -> g' - x*g, and a negative power of x, whose N_j poly_divmod refuses,
-keeps all of N_j as its R_j.
+g -> g' - x*g, a step ``monomial_numerator`` iterates on the numerators,
+and a negative power of x, whose N_j poly_divmod refuses, keeps all of N_j
+as its R_j.  ``eigencheck`` forms its residual op(P) - lambda*P with
+``exactnum.residual``, one canonical form for the result.
 
 ``build_operator`` builds each operator by its token:
 
@@ -90,9 +94,11 @@ from .exactnum import (
     Scalar,
     _as_fraction,
     exact_polynomial_check,
+    monomial_numerator,
     poly_divmod,
     poly_exact_div,
     poly_gcd,
+    residual,
 )
 from .families import (
     FamilySpec,
@@ -139,7 +145,7 @@ class DunklOperator:
         """Exact image of a polynomial; raises NotPolynomial if it is not one."""
         if not f.is_polynomial:
             raise ValueError("operators act on true polynomials here")
-        return self._image(f, self._quotients, LaurentPoly.derivative)
+        return self._image(f, self._quotients, False)
 
     def apply_gaussian(self, f: "GaussianPoly") -> "GaussianPoly":
         """Image of e^{-x^2/2} p(x); defined for shift-free operators."""
@@ -150,7 +156,7 @@ class DunklOperator:
                 )
         # e^{-x^2/2} is even, so substitution only touches the factor p, and
         # d/dx [e^{-x^2/2} g] = e^{-x^2/2} (g' - x g)
-        return GaussianPoly(self._image(f.poly, self._gaussian_quotients, _gaussian_step))
+        return GaussianPoly(self._image(f.poly, self._gaussian_quotients, True))
 
     @cached_property
     def _common(self) -> Tuple[LaurentPoly, Tuple[LaurentPoly, ...]]:
@@ -172,7 +178,7 @@ class DunklOperator:
         self,
         f: LaurentPoly,
         quotients: Dict[int, Tuple[LaurentPoly, LaurentPoly]],
-        step: Callable[[LaurentPoly], LaurentPoly],
+        gaussian: bool,
     ) -> LaurentPoly:
         """sum_j f_j Q_j, where N_j = Q_j L + R_j is L times the image of x^j;
         (Q_j, R_j) is cached in ``quotients``."""
@@ -182,12 +188,8 @@ class DunklOperator:
         def quotient(j: int) -> LaurentPoly:
             pair = quotients.get(j)
             if pair is None:
-                numerator = LaurentPoly.zero()
-                for t, m in zip(self.terms, multipliers):
-                    g = LaurentPoly.affine_power(j, t.eps, t.delta)
-                    for _ in range(t.k):
-                        g = step(g)
-                    numerator = numerator + m * g
+                terms = [(m, t.k, t.eps, t.delta) for t, m in zip(self.terms, multipliers)]
+                numerator = monomial_numerator(j, terms, gaussian)
                 # a negative power handed to apply_gaussian can leave
                 # negative powers, which poly_divmod refuses: R_j = N_j
                 if numerator.is_polynomial:
@@ -244,10 +246,6 @@ class DunklOperator:
         return _merge(tuple(out))
 
 
-def _gaussian_step(g: LaurentPoly) -> LaurentPoly:
-    return g.derivative() - X * g
-
-
 def _merge(terms: Sequence[OperatorTerm]) -> DunklOperator:
     buckets: Dict[Tuple[int, int, Fraction], RatFunc] = {}
     order: List[Tuple[int, int, Fraction]] = []
@@ -269,15 +267,6 @@ class GaussianPoly:
     """A function e^{-x^2/2} * poly, closed under the shift-free operators."""
 
     poly: LaurentPoly
-
-    def __add__(self, other: "GaussianPoly") -> "GaussianPoly":
-        return GaussianPoly(self.poly + other.poly)
-
-    def __sub__(self, other: "GaussianPoly") -> "GaussianPoly":
-        return GaussianPoly(self.poly - other.poly)
-
-    def scale(self, c: Scalar) -> "GaussianPoly":
-        return GaussianPoly(self.poly * _as_fraction(c))
 
     @property
     def is_zero(self) -> bool:
@@ -553,8 +542,8 @@ def eigencheck(op: DunklOperator, vec, eigenvalue: Scalar):
     """Residual op(vec) - eigenvalue*vec, exact; zero residual means pass."""
     lam = _as_fraction(eigenvalue)
     if isinstance(vec, GaussianPoly):
-        return op.apply_gaussian(vec) - vec.scale(lam)
-    return op.apply(vec) - vec * lam
+        return GaussianPoly(residual(op.apply_gaussian(vec).poly, vec.poly, lam))
+    return residual(op.apply(vec), vec, lam)
 
 
 # -- quadratic algebra relations ------------------------------------------------

@@ -26,6 +26,23 @@ deliberately small and strict:
   one ``poly_divmod`` per monomial cached on the operator (see
   :mod:`dunklpoly.dunklop`), not through RatFunc sums.
 
+Three kernels form whole results that would otherwise be chains of
+canonical LaurentPolys, each with its own gcd.  They work on the raw
+integer numerators over one common denominator and take one gcd at the end
+(Geddes, Czapor and Labahn, ch. 2; Knuth, TAOCP vol. 2, §4.6):
+
+* ``monomial_numerator``: N_j = sum_i m_i * d^{k_i}[(eps_i*x + delta_i)^j],
+  the numerator of an operator's image of x^j, with each derivative in
+  closed form (or the Gaussian-class step g -> g' - x*g iterated);
+* ``three_term_step``: (x - diag)*p - sub*q, the step of every monic
+  recurrence over the rationals (``families`` and ``transforms``);
+* ``residual``: a - c*b, an eigen-equation's residual.
+
+Each makes the dict operations of the route it replaces, on values scaled
+by nonzero integers, so its partial sums reach zero at the same steps: the
+result has the same terms in the same insertion order, and float
+evaluation gives the same bits.
+
 ``exact_polynomial_check`` converts a RatFunc back to a LaurentPoly and
 raises ``NotPolynomial`` otherwise.  That failure is meaningful, not an
 inconvenience: eigenoperator images of polynomials must close among
@@ -39,7 +56,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 
 BigRational = Fraction
@@ -136,23 +153,7 @@ class LaurentPoly:
         canonical.  A negative j needs delta == 0; the result is then
         eps^j x^j, exact.
         """
-        eps = _as_fraction(eps)
-        delta = _as_fraction(delta)
-        if not eps:
-            raise ValueError("eps must be nonzero")
-        if not delta:
-            terms, scale = _power_terms({j: 1}, eps)
-            return _canonical(terms, scale)
-        if j < 0:
-            raise ValueError("negative powers need delta == 0")
-        a, b = eps.numerator, eps.denominator
-        p, q = delta.numerator, delta.denominator
-        lead, tail = [1], [1]   # (aq)^i and (pb)^i for i = 0..j
-        for _ in range(j):
-            lead.append(lead[-1] * a * q)
-            tail.append(tail[-1] * p * b)
-        nums = {i: comb(j, i) * lead[i] * tail[j - i] for i in range(j, -1, -1)}
-        return _canonical(nums, (b * q) ** j)
+        return _canonical(*_affine_terms(j, _as_fraction(eps), _as_fraction(delta)))
 
     # -- inspection --------------------------------------------------------
 
@@ -191,17 +192,7 @@ class LaurentPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        out = {e: n * ma for e, n in self._nums.items()} if ma != 1 else dict(self._nums)
-        for exp, n in other._nums.items():
-            s = out.get(exp, 0) + n * mb
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return _canonical(out, da * ma)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
@@ -212,13 +203,13 @@ class LaurentPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _combine(other, self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -227,18 +218,7 @@ class LaurentPoly:
             p = other.numerator
             return _canonical({e: n * p for e, n in self._nums.items()}, self._den * other.denominator)
         if isinstance(other, LaurentPoly):
-            out: Dict[int, int] = {}
-            get = out.get
-            right = tuple(other._nums.items())
-            for e1, n1 in self._nums.items():
-                for e2, n2 in right:
-                    e = e1 + e2
-                    s = get(e, 0) + n1 * n2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return _canonical(out, self._den * other._den)
+            return _canonical(_product(self._nums, other._nums), self._den * other._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -358,15 +338,8 @@ class LaurentPoly:
         terms = [(n, image(j)) for j, n in sorted(self._nums.items())]
         den = lcm(*(p._den for _, p in terms))
         out: Dict[int, int] = {}
-        get = out.get
         for n, p in terms:
-            scale = n * (den // p._den)
-            for e, m in p._nums.items():
-                s = get(e, 0) + scale * m
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            _add_scaled(out, p._nums, n * (den // p._den))
         return _canonical(out, den * self._den)
 
     def evaluate(self, value: Scalar) -> Fraction:
@@ -374,9 +347,14 @@ class LaurentPoly:
         return Fraction(sum(terms.values()), self._den * scale)
 
     def evaluate_float(self, value: float) -> float:
-        # int / int rounds correctly, like float(Fraction)
+        # int / int rounds correctly, like float(Fraction).  The terms are
+        # added left to right in insertion order: sum() of floats compensates
+        # its rounding from Python 3.12 on, which would change the bits.
         den = self._den
-        return float(sum(n / den * value**e for e, n in self._nums.items()))
+        total = 0.0
+        for e, n in self._nums.items():
+            total += n / den * value**e
+        return total
 
     # -- formatting ---------------------------------------------------------
 
@@ -424,6 +402,71 @@ def _canonical(nums: Dict[int, int], den: int) -> LaurentPoly:
     return _wrap(nums, den)
 
 
+def _add_scaled(out: Dict[int, int], nums: Dict[int, int], scale: int) -> None:
+    """out[e] += scale * n for each term n x^e of nums, in nums' order,
+    dropping a sum that reaches zero.  Every sum here makes these dict
+    operations in the order of the coefficient-wise computation, so equal
+    results keep equal insertion orders."""
+    get = out.get
+    for e, n in nums.items():
+        s = get(e, 0) + scale * n
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+
+
+def _product(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The numerators of a product: ``_add_scaled`` of each row n1 x^e1 * b
+    over a, in b's order, written out because every product runs it."""
+    out: Dict[int, int] = {}
+    get = out.get
+    right = tuple(b.items())
+    for e1, n1 in a.items():
+        for e2, n2 in right:
+            e = e1 + e2
+            s = get(e, 0) + n1 * n2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _combine(a: LaurentPoly, b: LaurentPoly, c: Scalar) -> LaurentPoly:
+    """a + c*b over the lcm of the two denominators, in the order of a."""
+    bden = b._den * c.denominator
+    g = gcd(a._den, bden)
+    ma = bden // g
+    out = {e: n * ma for e, n in a._nums.items()} if ma != 1 else dict(a._nums)
+    _add_scaled(out, b._nums, c.numerator * (a._den // g))
+    return _canonical(out, a._den * ma)
+
+
+def _affine_terms(n: int, eps: Scalar, delta: Scalar, c: int = 1) -> Tuple[Dict[int, int], int]:
+    """Integers t_i and one s with c * (eps*x + delta)^n == sum_i t_i x^i / s.
+
+    With eps = a/b and delta = p/q the binomial theorem gives t_i as
+    c C(n,i) (aq)^i (pb)^(n-i) over (bq)^n.  The terms run from x^n down to
+    x^0, the order repeated squaring of eps*x + delta gives.  A negative n
+    needs delta == 0; the one term is then c eps^n x^n, exact.
+    """
+    if not eps:
+        raise ValueError("eps must be nonzero")
+    a, b = eps.numerator, eps.denominator
+    if not delta:
+        return ({n: c * a**n}, b**n) if n >= 0 else ({n: c * b**-n}, a**-n)
+    if n < 0:
+        raise ValueError("negative powers need delta == 0")
+    p, q = delta.numerator, delta.denominator
+    lead, tail = [1], [1]   # (aq)^i and (pb)^i for i = 0..n
+    for _ in range(n):
+        lead.append(lead[-1] * a * q)
+        tail.append(tail[-1] * p * b)
+    terms = {i: c * comb(n, i) * lead[i] * tail[n - i] for i in range(n, -1, -1)}
+    return terms, (b * q) ** n
+
+
 def _power_terms(nums: Dict[int, int], value: Fraction) -> Tuple[Dict[int, int], int]:
     """Integers t_e and one factor s with n_e * value**e == t_e / s.
 
@@ -443,6 +486,72 @@ def _coerce_poly(value):
     if isinstance(value, (int, Fraction)):
         return LaurentPoly.const(value)
     return NotImplemented
+
+
+# -- integer-numerator kernels (see the module docstring) ----------------------
+
+
+def monomial_numerator(
+    j: int, terms: Iterable[Tuple[LaurentPoly, int, Scalar, Scalar]], gaussian: bool = False
+) -> LaurentPoly:
+    """N_j = sum_i m_i * d^{k_i}[(eps_i*x + delta_i)^j] for the terms
+    (m_i, k_i, eps_i, delta_i): L times an operator's image of x^j.
+
+    d/dx is the plain derivative, with the closed form
+    d^k (eps*x + delta)^j = eps^k j!/(j-k)! (eps*x + delta)^(j-k); or, with
+    ``gaussian``, the step g -> g' - x*g that d/dx makes on the factor g of
+    e^(-x^2/2) g, iterated on the numerators.  The terms are summed in
+    order, as ``zero + m_1*g_1 + m_2*g_2 + ...``.
+    """
+    out: Dict[int, int] = {}
+    den = 1
+    for m, k, eps, delta in terms:
+        if gaussian:
+            nums, gden = _affine_terms(j, eps, delta)
+            for _ in range(k):
+                step = {e - 1: n * e for e, n in nums.items() if e}
+                _add_scaled(step, {e + 1: n for e, n in nums.items()}, -1)
+                nums = step
+        else:
+            falling = prod(range(j - k + 1, j + 1))   # j!/(j-k)!, 0 for 0 <= j < k
+            if not falling:
+                continue
+            nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
+            gden *= eps.denominator**k
+        if not nums:
+            continue
+        pden = m._den * gden
+        g = gcd(den, pden)
+        ma = pden // g
+        if ma != 1:
+            out = {e: n * ma for e, n in out.items()}
+        _add_scaled(out, _product(m._nums, nums), den // g)
+        den *= ma
+    return _canonical(out, den)
+
+
+def three_term_step(p: LaurentPoly, q: LaurentPoly, diag: Scalar, sub: Scalar) -> LaurentPoly:
+    """(x - diag)*p - sub*q: one step of a monic three-term recurrence.
+
+    The numerators are those of x*p, then of -diag*p and -sub*q added in
+    the order of p and of q.
+    """
+    diag, sub = _as_fraction(diag), _as_fraction(sub)
+    pden = p._den * diag.denominator
+    qden = q._den * sub.denominator
+    den = lcm(pden, qden)
+    cp = den // pden
+    out = {e + 1: n * diag.denominator * cp for e, n in p._nums.items()}
+    if diag:
+        _add_scaled(out, p._nums, -diag.numerator * cp)
+    if sub:
+        _add_scaled(out, q._nums, -sub.numerator * (den // qden))
+    return _canonical(out, den)
+
+
+def residual(a: LaurentPoly, b: LaurentPoly, c: Scalar) -> LaurentPoly:
+    """a - c*b, the residual of an eigen-equation a = c*b."""
+    return _combine(a, b, -_as_fraction(c))
 
 
 # -- dense polynomial division and gcd (plain polynomials only) -------------

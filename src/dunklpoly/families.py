@@ -4,7 +4,9 @@ Every family is presented in monic normalized form and generated two
 independent ways:
 
 * through the three-term recurrence
-  ``P_{n+1} = (x - diag(n)) P_n - sub(n) P_{n-1}``, and
+  ``P_{n+1} = (x - diag(n)) P_n - sub(n) P_{n-1}``, each step one call of
+  ``exactnum.three_term_step`` on the integer numerators of P_n and
+  P_{n-1}, with one gcd per new polynomial, and
 * where a terminating hypergeometric expression exists, through
   ``explicit_poly``: exact Pochhammer prefactors times a series summed by
   its term ratio.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction
+from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction, three_term_step
 
 PolyOrScalar = Union[LaurentPoly, BigRational, int]
 
@@ -217,15 +219,10 @@ def generate_monic(family: FamilySpec, N: int) -> List[LaurentPoly]:
     """P_0 .. P_N through the recurrence; every entry monic of degree n."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    polys = [LaurentPoly.one()]
-    if N == 0:
-        return polys
-    x = LaurentPoly.x()
-    polys.append(x - family.diag(0))
-    for n in range(1, N):
-        nxt = (x - family.diag(n)) * polys[n] - family.sub(n) * polys[n - 1]
-        polys.append(nxt)
-    return polys
+    polys = [LaurentPoly.zero(), LaurentPoly.one()]   # P_{-1}, P_0
+    for n in range(N):
+        polys.append(three_term_step(polys[-1], polys[-2], family.diag(n), family.sub(n)))
+    return polys[1:]
 
 
 def float_monic(diag: Sequence[float], sub: Sequence[float], N: int) -> List[List[float]]:
@@ -391,12 +388,11 @@ def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction
 def classical_jacobi_monic(n: int, alpha: Scalar, beta: Scalar) -> LaurentPoly:
     """Monic Jacobi polynomial in z for the weight (1-z)^alpha (1+z)^beta."""
     alpha, beta = _as_fraction(alpha), _as_fraction(beta)
-    z = LaurentPoly.x()
     prev, cur = LaurentPoly.zero(), LaurentPoly.one()
     try:
         for k in range(n):
             diag, sub = jacobi_recurrence(alpha, beta, k)
-            prev, cur = cur, (z - diag) * cur - sub * prev
+            prev, cur = cur, three_term_step(cur, prev, diag, sub)
     except ZeroDivisionError:
         raise DegenerateParameters(f"jacobi({alpha},{beta}) recurrence degenerate at k={k}") from None
     return cur

@@ -370,7 +370,9 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
 
 def _validate_moments(rule: QuadratureRule) -> None:
     for j, moment in enumerate(rule.weight_class.moments(min(rule.exact_degree, 8) + 1)):
-        computed = sum(w * t**j for t, w in zip(rule.nodes, rule.weights))
+        computed = 0.0   # left to right: sum() compensates from Python 3.12 on
+        for t, w in zip(rule.nodes, rule.weights):
+            computed += w * t**j
         if abs(computed - moment) > MOMENT_TOLERANCE * abs(moment):
             raise NoConvergence(
                 f"moment validation failed at degree {j}: "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div
+from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div, three_term_step
 from .families import FamilySpec, big_m1_jacobi_AC, chihara_family
 
 
@@ -138,12 +138,11 @@ def kernel_to_chihara(kmap: KernelMap, kernels: Sequence[LaurentPoly]) -> List[L
     """
     c, s_squared = kmap.c, 1 - kmap.c * kmap.c
     sigma = chihara_family(kmap.alpha, kmap.beta, 0)
-    x = LaurentPoly.x()
     prev, target = LaurentPoly.zero(), LaurentPoly.one()
     out: List[LaurentPoly] = []
     for n, kernel in enumerate(kernels):
         out.append(kernel - target)
         if n + 1 < len(kernels):
             diag, sub = (-1) ** (n + 1) * c, s_squared * sigma.sub(n)
-            prev, target = target, (x - diag) * target - sub * prev
+            prev, target = target, three_term_step(target, prev, diag, sub)
     return out

@@ -9,14 +9,19 @@ Frozen expectations used below (independently checkable by hand):
 """
 
 import argparse
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklpoly import cli
 from dunklpoly.cli import build_parser, main, run
-from dunklpoly.dunklop import ALGEBRAS
+from dunklpoly.dunklop import ALGEBRAS, EIGEN_OPERATORS
+from dunklpoly.families import FAMILIES
 from dunklpoly.report import emit, parse
 from dunklpoly.suites import ALL_SUITES
 
@@ -206,6 +211,12 @@ def test_suite_subset_table_and_file_output(capsys, tmp_path):
     ])
     assert code == 0
     assert "jacobi" in out and "negative-controls" in out and "total" in out
+    # one row per suite and a total, each ending in its measured wall time
+    header, *table = out.splitlines()
+    assert header.split() == ["suite", "records", "exact", "float", "fail", "ms"]
+    assert [row.split()[0] for row in table] == ["jacobi", "negative-controls", "total"]
+    millis = [int(row.split()[-1]) for row in table]
+    assert all(ms >= 0 for ms in millis) and abs(millis[2] - millis[0] - millis[1]) <= 1
     rows = json.loads(out_path.read_text())
     assert [row["suite"] for row in rows] == ["jacobi"] * 3 + ["negative-controls"] * 2
 
@@ -510,3 +521,139 @@ def test_entry_point_reads_sys_argv(monkeypatch, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: command\n")
+
+
+# -- argv fuzz ---------------------------------------------------------------------
+# Random argv for every subcommand: a request that names a family, operator,
+# algebra, case or suites and gives each of its parameters a value, then up
+# to two further flags of the subcommand.  Values are good, extreme or
+# malformed.  Whatever the argv, ``run`` returns 0, 1, 2 or 3 and no
+# exception escapes it.  Every integer flag (caps, degrees, sample counts)
+# is first set to 1-3 so that one example stays cheap; a later flag may
+# replace it with a bad value.  ``suite --all`` and the costly suites are
+# left to the suite tests.
+
+# Each pool is (good values, extreme or malformed ones); half the draws
+# come from the good ones.
+_FUZZ_VALUES = {
+    "rational": (("1", "2", "1/2", "3/7", "5/2", "-1/3", "-3/7"),
+                 ("0", "-1", "1000", "-1000", "1/1000", "x", "1/0", "")),
+    "int": (("1", "2", "3"), ("0", "-1", "x")),
+    "float": (("1e-9", "1e-6"), ("0", "-1", "nan", "inf", "x")),
+    "steps": (("1e-2,1e-3,1e-4", "1e-3,1e-4,1e-5"), ("1e-1", "0", "1e-2,0", "-1e-2,1e-3", "x")),
+    "only": (("jacobi", "transform,limits", "negative-controls,pearson"), ("nope", "")),
+    "format": ((None, "-"), ()),
+    "flag": ((None,), ()),
+}
+_INT_DESTS = {"n", "cap", "exact_cap", "samples", "points"}
+# the flag that names what a request checks, and the parameter names it needs
+_SUBJECTS = {
+    "family": lambda name: FAMILIES[name][1],
+    "operator": lambda name: EIGEN_OPERATORS[name].params,
+    "which": lambda name: ALGEBRAS[name].params,
+    "case": lambda name: (),
+    "only": lambda name: (),
+}
+
+# Known limits the fuzz reaches: float checks whose numbers leave the double
+# range at parameters of size 1000 exit 3, naming the error.  exp(-gamma^2)
+# underflows to 0.0 at |gamma| = 1000, and the ext_hermite quadrature
+# divides by it; the Pearson conditions divide by a weight that underflows
+# at alpha = 1000; the Gram matrix at mu = 1000 overflows.
+_KNOWN_LIMITS = [
+    (["gram", "--family", "ext_hermite", "--mu", "1", "--gamma", "1000"], "ZeroDivisionError"),
+    (["norms", "--family", "ext_hermite", "--mu", "1", "--gamma=-1000"], "ZeroDivisionError"),
+    (["pearson", "--family", "chihara", "--alpha", "1000", "--beta", "1/2", "--gamma", "-1",
+      "--samples", "2"], "ZeroDivisionError"),
+    (["gram", "--family", "gen_hermite", "--mu", "1000", "--cap", "3"], "OverflowError"),
+]
+
+
+def _fuzz_kind(action):
+    if action.dest in _INT_DESTS:
+        return "int"
+    if action.choices is not None:
+        return tuple(action.choices), ("nope",)
+    if action.type is cli._rational:
+        return "rational"
+    if action.type is float:
+        return "float"
+    if action.type is cli._steps:
+        return "steps"
+    if action.dest in ("json", "csv"):
+        return "format"
+    if action.dest == "only":
+        return "only"
+    return "flag" if action.nargs == 0 else None
+
+
+def _fuzz_flags(command):
+    [sub] = [a for a in build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in sub.choices[command]._actions
+            if a.option_strings and a.dest not in ("help", "all")}
+
+
+def test_fuzz_vocabulary_covers_every_flag():
+    for command in cli._COMMANDS:
+        flags = _fuzz_flags(command)
+        assert all(_fuzz_kind(a) is not None for a in flags.values()), command
+        # every subcommand but transform names its subject by one flag
+        assert len(set(flags) & set(_SUBJECTS)) == (command != "transform"), command
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = _fuzz_flags(command)
+    argv = [command]
+
+    def add(action):
+        kind = _fuzz_kind(action)
+        good, bad = kind if isinstance(kind, tuple) else _FUZZ_VALUES[kind]
+        value = draw(st.sampled_from(good) | st.sampled_from(good + bad))
+        flag = action.option_strings[0]
+        if value is None:
+            argv.append(flag)
+        elif value.startswith("-") and draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv.extend([flag, value])
+
+    for dest in sorted(_INT_DESTS & set(flags)):
+        argv += [flags[dest].option_strings[0], draw(st.sampled_from(("1", "2", "3")))]
+    params = FAMILIES["big_m1_jacobi"][1] if command == "transform" else ()
+    for dest in sorted(set(_SUBJECTS) & set(flags)):
+        add(flags[dest])
+        try:
+            params = _SUBJECTS[dest](argv[-1])
+        except KeyError:   # an unknown name
+            pass
+    for name in params:
+        add(flags[name])
+    for dest in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2)):
+        add(flags[dest])
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "stray", "-h"))))
+    return argv
+
+
+def _quiet_run(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(_argvs())
+def test_any_argv_exits_with_a_documented_status(argv):
+    code, _ = _quiet_run(argv)
+    assert code in (0, 1, 2, 3), argv
+
+
+@pytest.mark.parametrize("argv, error", _KNOWN_LIMITS)
+def test_known_fuzz_limits_exit_3(argv, error):
+    code, err = _quiet_run(argv)
+    assert code == 3
+    assert err.startswith(f"dunklpoly: internal error: {error}: ")

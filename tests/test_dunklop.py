@@ -18,6 +18,7 @@ from dunklpoly.exactnum import (
     NotPolynomial,
     RatFunc,
     exact_polynomial_check,
+    monomial_numerator,
     poly_divmod,
 )
 from dunklpoly.dunklop import (
@@ -407,6 +408,54 @@ def test_apply_matches_numerator_route(token, data):
 def test_perturbed_apply_matches_numerator_route(mk, data):
     params = {name: data.draw(_rationals) for name in TOKEN_PARAMS["chihara_D"]}
     _assert_same_images(build_operator("chihara_D", **params) + _perturbation(*mk), data)
+
+
+def _composed_numerator(op, j, gaussian):
+    """N_j as a sum of canonical LaurentPolys: the route ``monomial_numerator``
+    replaces in the table fill."""
+    L, multipliers = op._common
+    numerator = LaurentPoly.zero()
+    for t, m in zip(op.terms, multipliers):
+        g = LaurentPoly.affine_power(j, t.eps, t.delta)
+        for _ in range(t.k):
+            g = g.derivative() - X * g if gaussian else g.derivative()
+        numerator = numerator + m * g
+    return numerator
+
+
+@pytest.mark.parametrize("token", (*EIGEN_OPERATORS, "involution_P"))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_monomial_numerators_match_composed_route(token, data):
+    # cbi_K carries the shifts; a shift-free operator also takes the
+    # Gaussian class, down to negative powers
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
+    op = build_operator(token, **params)
+    L, multipliers = op._common
+    terms = [(m, t.k, t.eps, t.delta) for t, m in zip(op.terms, multipliers)]
+    gaussian = all(t.delta == 0 for t in op.terms) and data.draw(st.booleans())
+    for j in data.draw(st.lists(st.integers(-3 if gaussian else 0, 14), min_size=1, max_size=4)):
+        got = monomial_numerator(j, terms, gaussian)
+        want = _composed_numerator(op, j, gaussian)
+        assert got._den == want._den
+        assert list(got._nums.items()) == list(want._nums.items())
+
+
+@pytest.mark.parametrize("token", sorted(EIGEN_OPERATORS))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_eigen_residual_matches_composed_route(token, data):
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
+    op = build_operator(token, **params)
+    lam = data.draw(_rationals)
+    f = data.draw(_polys)
+    if EIGEN_OPERATORS[token].gaussian:
+        got = eigencheck(op, GaussianPoly(f), lam).poly
+        want = op.apply_gaussian(GaussianPoly(f)).poly - f * lam
+    else:
+        got, want = eigencheck(op, f, lam), op.apply(f) - f * lam
+    assert got._den == want._den
+    assert list(got._nums.items()) == list(want._nums.items())
 
 
 def test_unknown_operator_token():

@@ -19,9 +19,12 @@ from dunklpoly.exactnum import (
     ZeroDenominator,
     _canonical,
     exact_polynomial_check,
+    monomial_numerator,
     poly_divmod,
     poly_exact_div,
     poly_gcd,
+    residual,
+    three_term_step,
 )
 
 X = LaurentPoly.x()
@@ -311,7 +314,11 @@ class RefPoly:
         return total
 
     def evaluate_float(self, value):
-        return float(sum(float(c) * value**e for e, c in self.c.items()))
+        # left to right in insertion order, the documented summation order
+        total = 0.0
+        for e, c in self.c.items():
+            total += float(c) * value**e
+        return total
 
 
 def ref_divmod(a, b):
@@ -679,3 +686,91 @@ def test_single_term_divisor_frozen_examples():
         poly_divmod(lp({-1: 1}), X)
     with pytest.raises(ValueError):
         poly_gcd(lp({-1: 1}), X)
+
+
+# -- integer-numerator kernels against the composed routes ---------------------
+# Each kernel replaces a chain of canonical LaurentPoly results.  The chains
+# are written out here as they stood: the kernels must give the same fields
+# with the terms in the same order.
+
+
+def composed_step(p, q, diag, sub):
+    return (X - diag) * p - sub * q
+
+
+def composed_numerator(j, terms, gaussian=False):
+    numerator = LaurentPoly.zero()
+    for m, k, eps, delta in terms:
+        g = LaurentPoly.affine_power(j, eps, delta)
+        for _ in range(k):
+            g = g.derivative() - X * g if gaussian else g.derivative()
+        numerator = numerator + m * g
+    return numerator
+
+
+_maybe_zero = st.just(0) | diff_scalars
+
+
+@settings(deadline=None)
+@given(_term_lists, _term_lists, _maybe_zero, _maybe_zero)
+def test_three_term_step_matches_composed_route(tp, tq, diag, sub):
+    p, q = LaurentPoly(tp), LaurentPoly(tq)
+    got = three_term_step(p, q, diag, sub)
+    assert_identical(got, composed_step(p, q, diag, sub))
+    assert_canonical(got)
+
+
+def test_three_term_step_frozen_examples():
+    one = LaurentPoly.one()
+    # the first step of every recurrence: P_1 = x - diag(0)
+    assert_identical(three_term_step(one, LaurentPoly.zero(), Fraction(2, 3), 0), X - Fraction(2, 3))
+    assert_identical(three_term_step(one, LaurentPoly.zero(), 0, 0), X)
+    # x^2 - 1/2 from (x - 0) x - (1/2) 1; a zero sum drops its term
+    assert list(three_term_step(X, one, 0, Fraction(1, 2))._nums.items()) == [(2, 2), (0, -1)]
+    assert three_term_step(X + 1, one, -1, 1) == lp({2: 1, 1: 2})
+
+
+_term_shapes = st.tuples(
+    _term_lists,
+    st.integers(0, 3),
+    st.sampled_from([1, -1]),
+    st.sampled_from([0, 1, -1]) | st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_term_shapes, min_size=1, max_size=4), st.integers(-4, 12), st.booleans())
+def test_monomial_numerator_matches_composed_route(shapes, j, gaussian):
+    terms = [(LaurentPoly(tm), k, eps, delta) for tm, k, eps, delta in shapes]
+    try:
+        want = composed_numerator(j, terms, gaussian)
+    except ValueError as exc:   # a negative power of a shifted argument
+        with pytest.raises(ValueError, match=str(exc)):
+            monomial_numerator(j, terms, gaussian)
+        return
+    got = monomial_numerator(j, terms, gaussian)
+    assert_identical(got, want)
+    assert_canonical(got)
+
+
+def test_monomial_numerator_frozen_examples():
+    one = LaurentPoly.one()
+    # d^2 (-x + 1)^4 = 12 (-x + 1)^2, and 2 d^0 (x - 1/2)^4 beside it
+    got = monomial_numerator(4, [(one, 2, -1, 1), (2 * one, 0, 1, Fraction(-1, 2))])
+    assert got == 12 * lp({2: 1, 1: -2, 0: 1}) + 2 * lp({1: 1, 0: Fraction(-1, 2)}) ** 4
+    # the Gaussian class at a negative power: d/dx [e^(-x^2/2) x^-2]
+    assert monomial_numerator(-2, [(one, 1, 1, 0)], gaussian=True) == lp({-3: -2, -1: -1})
+    # a derivative order above the power leaves nothing of the term
+    assert monomial_numerator(1, [(X, 2, 1, 1)]).is_zero
+    with pytest.raises(ValueError, match="negative powers need delta == 0"):
+        monomial_numerator(-1, [(one, 0, 1, 1)])
+
+
+@settings(deadline=None)
+@given(_term_lists, _term_lists, _maybe_zero)
+def test_residual_matches_composed_route(ta, tb, c):
+    a, b = LaurentPoly(ta), LaurentPoly(tb)
+    got = residual(a, b, c)
+    assert_identical(got, a - b * c)
+    assert_canonical(got)
+    assert residual(b * c, b, c).is_zero

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
+    FAMILIES,
     DegenerateParameters,
     big_m1_jacobi_AC,
     big_m1_jacobi_family,
@@ -378,3 +379,26 @@ def test_classical_jacobi_against_gram_schmidt(a, b):
             v = v - inner(v, u) / inner(u, u) * u
         basis.append(v)
         assert classical_jacobi_monic(n, a, b) == v
+
+
+# -- the three-term step against the composed route ----------------------------
+
+_step_params = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_generate_monic_matches_composed_steps(name, data):
+    # gegenbauer and gen_hermite have diag(n) = 0, and every family sub(0) = 0
+    build, params = FAMILIES[name]
+    try:
+        family = build(*(data.draw(_step_params) for _ in params))
+        want = [LaurentPoly.zero(), LaurentPoly.one()]
+        for n in range(8):
+            want.append((X - family.diag(n)) * want[-1] - family.sub(n) * want[-2])
+    except (DegenerateParameters, ZeroDivisionError):
+        return
+    for got, ref in zip(generate_monic(family, 8), want[1:]):
+        assert got._den == ref._den
+        assert list(got._nums.items()) == list(ref._nums.items())
