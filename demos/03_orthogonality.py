@@ -42,7 +42,7 @@ def main() -> None:
 
     print("norm ratios h_n/h_(n-1): quadrature vs exact closed form:")
     for n in (1, 2, 3, 4):
-        exact, quad = norm_ratio_check(family, n)
+        exact, quad = norm_ratio_check(spec, n)
         print(f"  n={n}: exact {str(exact):>8s} = {float(exact):.12f}   "
               f"quadrature {quad:.12f}")
     print()

@@ -59,7 +59,7 @@ from .families import (
     recurrence_coeffs,
 )
 from .limits import LIMIT_IDS, DegenerateStep
-from .quad import WEIGHTED_FAMILIES, NoConvergence
+from .quad import WEIGHTS, NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str, stopwatch
 from .suites import (
     ALGEBRA_CAP,
@@ -177,7 +177,7 @@ def _add_rational_flags(parser: argparse.ArgumentParser,
 
 
 def _add_family_flags(parser: argparse.ArgumentParser,
-                      families: Optional[Sequence[str]] = None) -> None:
+                      families: Optional[Iterable[str]] = None) -> None:
     chosen = sorted(families or FAMILIES)
     parser.add_argument("--family", required=True, choices=chosen,
                         help="polynomial family")
@@ -394,14 +394,14 @@ def _algebra_args(p: argparse.ArgumentParser) -> None:
 
 
 def _gram_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTED_FAMILIES)
+    _add_family_flags(p, families=WEIGHTS)
     p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
     p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
     _add_format_flags(p)
 
 
 def _norms_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTED_FAMILIES)
+    _add_family_flags(p, families=WEIGHTS)
     p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
     p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
                    metavar="N")
@@ -435,7 +435,7 @@ def _limits_args(p: argparse.ArgumentParser) -> None:
 
 
 def _weight_sample_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTED_FAMILIES)
+    _add_family_flags(p, families=WEIGHTS)
     p.add_argument("--points", type=_positive_int, required=True, metavar="M",
                    help="sample points per support component")
 

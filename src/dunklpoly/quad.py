@@ -34,25 +34,31 @@ stops as soon as it reaches the bracketing value i + 1, the only value it is
 compared with.  Every rule is validated at build time against closed-form
 moments up to degree ``min(2n-1, 8)``.
 
+The weighted families are the entries of one table, ``WEIGHTS``: the
+reduced classical weight (from the exact parameters), the float pointwise
+weight and the support text.  The rest follows from the reduced kind and
+from whether the family has a gamma: a Jacobi support ends at
+sqrt(1+gamma^2), a Laguerre one runs to infinity and carries the prefactor
+exp(-gamma^2), and a gamma splits the support at |gamma|.
+
 Gram matrices and norm ratios evaluate the family polynomials at the
-branch points through the float three-term recurrence; its exact rational
-coefficients are converted to float once per ``gram_matrix`` call and
-shared by every node.  A Gram matrix needs every row P_0 .. P_N
-(``_basis_table``) and forms the per-node factors of the branch sum once.  A
-norm check at degree n keeps only P_n and P_(n-1) of the recurrence.  A
-norms request builds one Gauss rule per degree; the reduced weight's Jacobi
-matrix and the family's recurrence are converted once per request
-(``NormTables``) and shared by every degree, each rule diagonalizing the
-leading block it needs.  These shortcuts perform the same float operations
-in the same order as the straightforward loops, so every value is the same
-bit for bit.
+branch points through the float three-term recurrence.  A ``WeightSpec``
+owns the float tables its checks share, each converted on demand and once:
+the Jacobi matrix and moments of its reduced weight (``classical_weight``)
+and the family's recurrence (``recurrence``).  A Gram matrix needs every
+row P_0 .. P_N (``_basis_table``) and forms the per-node factors of the
+branch sum once.  A norm check at degree n keeps only P_n and P_(n-1) of
+the recurrence.  A norms request builds one spec and one Gauss rule per
+degree, each rule diagonalizing the leading block it needs.  These
+shortcuts perform the same float operations in the same order as the
+straightforward loops, so every value is the same bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); an absolute-normalization value
-through the platform Gamma function is used only for the ``k_0`` and
-``l_0`` spot checks (``norm_head``) and the zeroth moments of the Gauss
-rules.  Where a Gamma value leaves the double range, the Beta function of
-the Jacobi weights comes through ``lgamma`` instead.
+through the platform Gamma function is used only by ``norm_head`` (the
+absolute <P_0, P_0>) and by the zeroth moments of the Gauss rules.  Where a
+Gamma value leaves the double range, the Beta function of the Jacobi
+weights comes through ``lgamma`` instead.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
 from .families import FamilySpec, jacobi_recurrence
@@ -383,73 +389,100 @@ def _validate_moments(rule: QuadratureRule) -> None:
 # -- weights of the polynomial families --------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight function of a family: params, support, and pointwise values."""
+class Weight(NamedTuple):
+    """A weighted family: its classical weight in t = x^2 - gamma^2, from the
+    exact parameters; its pointwise weight x -> w(x), from the float ones;
+    and its support as text."""
 
-    family: str
-    params: Tuple[Tuple[str, Fraction], ...]
+    reduced: Callable[[Mapping[str, Fraction]], Tuple]
+    value: Callable[[Mapping[str, float]], Callable[[float], float]]
     support: str
 
+
+def _jacobi(p: Mapping[str, Fraction]) -> Tuple:
+    return ("jacobi", p["alpha"], p["beta"])
+
+
+def _laguerre(p: Mapping[str, Fraction]) -> Tuple:
+    return ("generalized_laguerre", p["mu"] - Fraction(1, 2))
+
+
+def _chihara_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    g, a, b = p["gamma"], p["alpha"], p["beta"]
+    return lambda x: (
+        math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
+    )
+
+
+def _gegenbauer_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    e, b = 2 * p["alpha"] + 1, p["beta"]
+    return lambda x: abs(x) ** e * (1 - x * x) ** b
+
+
+def _ext_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    g, e = p["gamma"], p["mu"] - 0.5
+    return lambda x: math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** e * math.exp(-x * x)
+
+
+def _gen_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    e = 2 * p["mu"]
+    return lambda x: abs(x) ** e * math.exp(-x * x)
+
+
+#: One entry per weighted family, keyed by family name.
+WEIGHTS: Dict[str, Weight] = {
+    "chihara": Weight(_jacobi, _chihara_weight,
+                      "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]"),
+    "gegenbauer": Weight(_jacobi, _gegenbauer_weight, "[-1, 1]"),
+    "ext_hermite": Weight(_laguerre, _ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
+    "gen_hermite": Weight(_laguerre, _gen_hermite_weight, "(-inf, inf)"),
+}
+
+
+@dataclass(frozen=True)
+class WeightSpec:
+    """The weight of a family: its ``WEIGHTS`` entry at the family's
+    parameters, and the float tables that the checks of the family share."""
+
+    family: FamilySpec
+
+    def __post_init__(self):
+        if self.family.name not in WEIGHTS:
+            raise ValueError(f"no continuous weight carried for family {self.family.name!r}")
+
     @property
-    def p(self) -> Dict[str, Fraction]:
-        return dict(self.params)
+    def support(self) -> str:
+        return WEIGHTS[self.family.name].support
 
     @property
     def gamma(self) -> Fraction:
-        return self.p.get("gamma", Fraction(0))
+        return self.family.p.get("gamma", Fraction(0))
 
     def support_intervals(self) -> Tuple[Tuple[float, float], ...]:
         g = abs(float(self.gamma))
-        if self.family == "chihara":
-            hi = math.sqrt(1 + g * g)
-            return ((-hi, -g), (g, hi))
-        if self.family == "gegenbauer":
-            return ((-1.0, 1.0),)
-        if self.family == "ext_hermite":
-            return ((-math.inf, -g), (g, math.inf))
-        return ((-math.inf, math.inf),)
+        hi = math.sqrt(1 + g * g) if self.classical_weight[0] == "jacobi" else math.inf
+        return ((-hi, -g), (g, hi)) if "gamma" in self.family.p else ((-hi, hi),)
 
     @cached_property
     def weight_value(self) -> Callable[[float], float]:
         """The pointwise weight x -> w(x), its float parameters bound once."""
-        p = {key: float(v) for key, v in self.params}
-        copysign, exp = math.copysign, math.exp
-        if self.family == "chihara":
-            g, a, b = p["gamma"], p["alpha"], p["beta"]
-            return lambda x: (
-                copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
-            )
-        if self.family == "gegenbauer":
-            e, b = 2 * p["alpha"] + 1, p["beta"]
-            return lambda x: abs(x) ** e * (1 - x * x) ** b
-        if self.family == "ext_hermite":
-            g, e = p["gamma"], p["mu"] - 0.5
-            return lambda x: copysign(1.0, x) * (x + g) * (x * x - g * g) ** e * exp(-x * x)
-        e = 2 * p["mu"]
-        return lambda x: abs(x) ** e * exp(-x * x)
+        return WEIGHTS[self.family.name].value({key: float(v) for key, v in self.family.params})
 
     def reduced_weight_class(self) -> Tuple:
-        p = self.p
-        if self.family in ("chihara", "gegenbauer"):
-            return ("jacobi", p["alpha"], p["beta"])
-        return ("generalized_laguerre", p["mu"] - Fraction(1, 2))
+        return WEIGHTS[self.family.name].reduced(self.family.p)
 
     def reduced_prefactor(self) -> float:
-        if self.family == "ext_hermite":
-            return math.exp(-float(self.gamma) ** 2)
-        return 1.0
+        return 1.0 if self.classical_weight[0] == "jacobi" else math.exp(-float(self.gamma) ** 2)
 
+    @cached_property
+    def classical_weight(self) -> ClassicalWeight:
+        """The reduced weight, whose float Jacobi matrix and moments its rules share."""
+        return ClassicalWeight(self.reduced_weight_class())
 
-_SUPPORT_TEXT = {
-    "chihara": "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]",
-    "gegenbauer": "[-1, 1]",
-    "ext_hermite": "(-inf, -|gamma|] U [|gamma|, inf)",
-    "gen_hermite": "(-inf, inf)",
-}
-
-#: The families that carry a continuous weight (``weight_for``).
-WEIGHTED_FAMILIES = tuple(_SUPPORT_TEXT)
+    @cached_property
+    def recurrence(self) -> FloatRecurrence:
+        """The family's recurrence in float, shared by every check of the spec."""
+        return FloatRecurrence(self.family)
 
 
 def weight_for(family: FamilySpec) -> WeightSpec:
@@ -458,10 +491,8 @@ def weight_for(family: FamilySpec) -> WeightSpec:
     Raises ``ValueError`` when the reduced classical weight is not
     integrable (an exponent at or below -1).
     """
-    if family.name not in _SUPPORT_TEXT:
-        raise ValueError(f"no continuous weight carried for family {family.name!r}")
-    spec = WeightSpec(family.name, family.params, _SUPPORT_TEXT[family.name])
-    _check_exponents(spec.reduced_weight_class())
+    spec = WeightSpec(family)
+    _check_exponents(spec.classical_weight)
     return spec
 
 
@@ -539,7 +570,7 @@ def inner_product(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> float:
         raise ValueError("inner products are defined for polynomial arguments")
     if f.is_zero or g.is_zero:
         return 0.0
-    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(f.degree + g.degree))
+    rule = gauss_rule(spec.classical_weight, _rule_size(f.degree + g.degree))
     us = _branch_points(spec, rule)
     pos = [f.evaluate_float(u) * g.evaluate_float(u) for u in us]
     neg = [f.evaluate_float(-u) * g.evaluate_float(-u) for u in us]
@@ -606,9 +637,9 @@ def _last_two_values(
 def gram_matrix(family: FamilySpec, N: int) -> List[List[float]]:
     """[<P_m, P_n>] for m, n = 0..N against the family weight."""
     spec = weight_for(family)
-    rule = gauss_rule(spec.reduced_weight_class(), _rule_size(2 * N))
+    rule = gauss_rule(spec.classical_weight, _rule_size(2 * N))
     us = _branch_points(spec, rule)
-    table = _basis_table(FloatRecurrence(family), N, us + [-u for u in us])
+    table = _basis_table(spec.recurrence, N, us + [-u for u in us])
     # the per-node factors of _branch_sum, formed once for every (m, n)
     g = float(spec.gamma)
     per_node = [
@@ -704,75 +735,43 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
-    p = family.p
+    reduced = WeightSpec(family).reduced_weight_class()
     m = n // 2
-    if family.name in ("chihara", "gegenbauer"):
-        alpha, beta = p["alpha"], p["beta"]
-        s = alpha + beta
-        if n == 1 and s + 1 == 0:
-            # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
-            return (alpha + 1) / (alpha + beta + 2)
-        if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
-            raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
-        if n % 2 == 1:
-            # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
-            return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
-        # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
-        return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
-    if family.name in ("ext_hermite", "gen_hermite"):
-        mu = p["mu"]
-        if n % 2 == 1:
-            # Gamma(m+mu+3/2)/Gamma(m+mu+1/2) = m+mu+1/2.
-            return m + mu + Fraction(1, 2)
-        # m!/(m-1)! = m; the Gamma factors coincide and cancel.
-        return Fraction(m)
-    raise ValueError(f"no closed-form norms carried for family {family.name!r}")
+    if reduced[0] == "generalized_laguerre":
+        # a = mu - 1/2.  Odd n: Gamma(m+a+2)/Gamma(m+a+1) = m+a+1; even n:
+        # m!/(m-1)! = m, the Gamma factors coinciding and cancelling
+        return m + reduced[1] + 1 if n % 2 == 1 else Fraction(m)
+    _, alpha, beta = reduced
+    s = alpha + beta
+    if n == 1 and s + 1 == 0:
+        # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
+        return (alpha + 1) / (alpha + beta + 2)
+    if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
+        raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
+    if n % 2 == 1:
+        # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
+        return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
+    # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
+    return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
 
 
-class NormTables:
-    """The float tables that the norm checks of one family share: the
-    Jacobi matrix of its reduced weight and its own recurrence.
-
-    ``suites.norm_records`` makes one per request; each degree's
-    ``norm_ratio_check`` grows both by the entries it needs, so a
-    conversion fails at the same degree as a fresh one would.
-    """
-
-    def __init__(self, family: FamilySpec):
-        self.family = family
-        self.recurrence = FloatRecurrence(family)
-
-    @cached_property
-    def weight(self) -> ClassicalWeight:
-        return ClassicalWeight(weight_for(self.family).reduced_weight_class())
-
-
-def norm_ratio_check(
-    family: FamilySpec,
-    n: int,
-    tables: Optional[NormTables] = None,
-) -> Tuple[Fraction, float]:
+def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     """(exact ratio, quadrature ratio) of consecutive squared norms.
 
     The quadrature side evaluates only P_n and P_(n-1) at the branch points
     of the Gauss nodes, through the float recurrence
     (``_last_two_values``), so both norms keep full relative accuracy even
-    when they are geometrically small.  The weight's Jacobi
-    matrix and the family's recurrence are converted to float once per
-    ``tables``: a norms request passes one ``NormTables`` to every degree,
-    and a call without it converts its own.
+    when they are geometrically small.  The weight's Jacobi matrix and the
+    family's recurrence are converted to float once per ``spec``
+    (``classical_weight``, ``recurrence``): a norms request passes one spec
+    to every degree, and each degree grows both by the entries it needs.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
-    exact = norm_ratio_exact(family, n)
-    spec = weight_for(family)
-    if tables is None:
-        tables = NormTables(family)
-    elif tables.family != family:
-        raise ValueError("norm tables belong to another family")
-    rule = gauss_rule(tables.weight, _rule_size(2 * n))
+    exact = norm_ratio_exact(spec.family, n)
+    rule = gauss_rule(spec.classical_weight, _rule_size(2 * n))
     us = _branch_points(spec, rule)
-    diag, sub = tables.recurrence.upto(n)
+    diag, sub = spec.recurrence.upto(n)
     rows = [_last_two_values(diag, sub, n, x) for x in us + [-u for u in us]]
     rows_pos, rows_neg = rows[: len(us)], rows[len(us) :]
     norms = [
@@ -790,13 +789,11 @@ def norm_ratio_check(
 
 def norm_head(family: FamilySpec) -> float:
     """Absolute <P_0, P_0> from the closed-form constants (Gamma evaluation)."""
-    p = {key: float(v) for key, v in family.params}
-    if family.name in ("chihara", "gegenbauer"):
-        return _beta_function(p["alpha"], p["beta"])
-    if family.name in ("ext_hermite", "gen_hermite"):
-        g = p.get("gamma", 0.0)
-        return math.exp(-g * g) * math.gamma(p["mu"] + 0.5)
-    raise ValueError(f"no closed-form norms carried for family {family.name!r}")
+    spec = WeightSpec(family)
+    if spec.classical_weight[0] == "jacobi":
+        return _zeroth_moment(spec.classical_weight)
+    g = float(spec.gamma)
+    return math.exp(-g * g) * math.gamma(float(family.p["mu"]) + 0.5)
 
 
 # -- Pearson verification -----------------------------------------------------------

@@ -77,7 +77,6 @@ from .limits import (
     run_limit,
 )
 from .quad import (
-    NormTables,
     gram_matrix,
     gram_offdiag_worst,
     inner_product,
@@ -514,10 +513,10 @@ def norm_records(
     the closed form against the recurrence coefficient for n = 1..exact_cap."""
     with stopwatch() as ms:
         worst = 0.0
-        tables = NormTables(family)
+        spec = weight_for(family)
         for n in range(1, cap + 1):
             with _in_double_range(family, f"norm ratio at degree {n}"):
-                exact, quad = norm_ratio_check(family, n, tables=tables)
+                exact, quad = norm_ratio_check(spec, n)
                 worst = max(worst, abs(quad / float(exact) - 1.0))
     records = [
         float_record(

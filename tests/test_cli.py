@@ -308,6 +308,8 @@ def test_usage_errors_exit_2(capsys):
     ["--family", "gegenbauer", "--alpha=-5", "--beta=2"],
     ["--family", "chihara", "--alpha=1", "--beta=-4", "--gamma=1/3"],
     ["--family", "gegenbauer", "--alpha=-3/2", "--beta=-3/2"],
+    # the ratio's Pochhammer factor vanishes already at degree 1
+    ["--family", "chihara", "--alpha=-1", "--beta=-1", "--gamma=1/2"],
 ])
 def test_norms_reject_nonintegrable_weights(family_args, capsys):
     # parameters at which the closed-form ratio raises never reach it
@@ -527,8 +529,9 @@ def test_entry_point_reads_sys_argv(monkeypatch, capsys):
 # Random argv for every subcommand: a request that names a family, operator,
 # algebra, case or suites and gives each of its parameters a value, then up
 # to two further flags of the subcommand.  Values are good, extreme or
-# malformed.  Whatever the argv, ``run`` returns 0, 1, 2 or 3 and no
-# exception escapes it.  Every integer flag (caps, degrees, sample counts)
+# malformed.  Whatever the argv, ``run`` returns 0, 1, 2 or 3, no exception
+# escapes it and stderr holds no traceback; exit 3 writes one stderr line,
+# "dunklpoly: internal error: ...".  Every integer flag (caps, degrees, sample counts)
 # is first set to 1-3 so that one example stays cheap; a later flag may
 # replace it with a bad value.  ``suite --all`` and the costly suites are
 # left to the suite tests.
@@ -648,8 +651,12 @@ def _quiet_run(argv):
 @settings(deadline=None, max_examples=300)
 @given(_argvs())
 def test_any_argv_exits_with_a_documented_status(argv):
-    code, _ = _quiet_run(argv)
+    code, err = _quiet_run(argv)
     assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code == 3:
+        [line] = err.splitlines()
+        assert line.startswith("dunklpoly: internal error: "), argv
 
 
 @pytest.mark.parametrize("argv, error", _KNOWN_LIMITS)

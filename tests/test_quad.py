@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
+    FAMILIES,
     FamilySpec,
     chihara_family,
     ext_hermite_family,
@@ -521,7 +522,14 @@ def norm_request(family, cap):
     return norm_records(family, cap, exact_cap=1)
 
 
-@pytest.mark.parametrize("check", [gram_matrix, norm_ratio_check, norm_request])
+def norm_check(family, n):
+    """One norm check at degree n, on a weight of its own."""
+    return norm_ratio_check(weight_for(family), n)
+
+
+@pytest.mark.parametrize(
+    "check", [gram_matrix, pytest.param(norm_check, id="norm_ratio_check"), norm_request]
+)
 @pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
 def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
     # O(n) coefficient evaluations per call, not O(n) per Gauss node, and a
@@ -591,25 +599,19 @@ def _per_degree_norm_ratio(family, n):
 @settings(deadline=None, max_examples=40)
 @given(family=_quadrature_families, cap=st.integers(1, 12))
 def test_shared_norm_tables_equal_per_degree_route(family, cap):
-    # float(Fraction) rounds correctly, so every leading block of the shared
-    # tables is the per-degree conversion bit for bit
-    tables = quad.NormTables(family)
+    # float(Fraction) rounds correctly, so every leading block of the tables
+    # one weight shares is the per-degree conversion bit for bit
+    spec = weight_for(family)
     worst = 0.0
     for n in range(1, cap + 1):
-        exact, ratio = norm_ratio_check(family, n, tables=tables)
+        exact, ratio = norm_ratio_check(spec, n)
         assert (exact, ratio) == _per_degree_norm_ratio(family, n)
         worst = max(worst, abs(ratio / float(exact) - 1.0))
     [quad_record, _] = norm_records(family, cap, exact_cap=1)
     assert quad_record.residual == repr(worst)
     # grown tables still lend each degree its own leading block
     for n in range(cap - 1, 0, -1):
-        assert norm_ratio_check(family, n, tables=tables) == _per_degree_norm_ratio(family, n)
-
-
-def test_norm_tables_reject_another_family():
-    tables = quad.NormTables(FAMILY_SETS[0])
-    with pytest.raises(ValueError, match="another family"):
-        norm_ratio_check(FAMILY_SETS[1], 1, tables=tables)
+        assert norm_ratio_check(spec, n) == _per_degree_norm_ratio(family, n)
 
 
 # -- norms -----------------------------------------------------------------------------
@@ -684,7 +686,7 @@ def test_norm_ratio_equals_recurrence_sub(fam):
 )
 def test_norm_ratio_quadrature_agreement(fam):
     for n in range(1, 13):
-        exact, quad = norm_ratio_check(fam, n)
+        exact, quad = norm_ratio_check(weight_for(fam), n)
         assert quad == pytest.approx(float(exact), rel=1e-10)
 
 
@@ -727,10 +729,10 @@ def test_weight_positive_inside_support(fam):
             assert spec.weight_value(x) > 0
 
 
-def _dict_per_call_weight_value(spec, x):
+def _dict_per_call_weight_value(fam, x):
     """Reference: the weight formula with its float parameters rebuilt per call."""
-    p = {key: float(v) for key, v in spec.params}
-    if spec.family == "chihara":
+    p = {key: float(v) for key, v in fam.params}
+    if fam.name == "chihara":
         g = p["gamma"]
         return (
             math.copysign(1.0, x)
@@ -738,9 +740,9 @@ def _dict_per_call_weight_value(spec, x):
             * (x * x - g * g) ** p["alpha"]
             * (1 + g * g - x * x) ** p["beta"]
         )
-    if spec.family == "gegenbauer":
+    if fam.name == "gegenbauer":
         return abs(x) ** (2 * p["alpha"] + 1) * (1 - x * x) ** p["beta"]
-    if spec.family == "ext_hermite":
+    if fam.name == "ext_hermite":
         g = p["gamma"]
         return (
             math.copysign(1.0, x)
@@ -759,7 +761,7 @@ def test_weight_value_equals_dict_per_call_formula(fam):
         hi = min(hi, 8.0)
         for i in range(17):
             x = lo + (hi - lo) * (i + 0.5) / 17
-            assert spec.weight_value(x) == _dict_per_call_weight_value(spec, x)
+            assert spec.weight_value(x) == _dict_per_call_weight_value(fam, x)
 
 
 def test_support_descriptors():
@@ -770,8 +772,99 @@ def test_support_descriptors():
     assert weight_for(gen_hermite_family(F(1, 2))).support_intervals() == (
         (-math.inf, math.inf),
     )
-    with pytest.raises(ValueError):
-        weight_for(__import__("dunklpoly").families.big_m1_jacobi_family(1, 1, F(1, 2)))
+
+
+# Reference: the weight layer as one branch per family name, before the
+# families became entries of one table.
+_PER_FAMILY_SUPPORT_TEXT = {
+    "chihara": "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]",
+    "gegenbauer": "[-1, 1]",
+    "ext_hermite": "(-inf, -|gamma|] U [|gamma|, inf)",
+    "gen_hermite": "(-inf, inf)",
+}
+
+
+def _per_family_weight(fam):
+    """Reference: (support intervals, reduced class, prefactor, support
+    text, norm head) by one branch per family name."""
+    p = fam.p
+    f = {key: float(v) for key, v in fam.params}
+    gamma = p.get("gamma", F(0))
+    g = abs(float(gamma))
+    if fam.name == "chihara":
+        hi = math.sqrt(1 + g * g)
+        intervals = ((-hi, -g), (g, hi))
+    elif fam.name == "gegenbauer":
+        intervals = ((-1.0, 1.0),)
+    elif fam.name == "ext_hermite":
+        intervals = ((-math.inf, -g), (g, math.inf))
+    else:
+        intervals = ((-math.inf, math.inf),)
+    if fam.name in ("chihara", "gegenbauer"):
+        reduced = ("jacobi", p["alpha"], p["beta"])
+        head = quad._beta_function(f["alpha"], f["beta"])
+    else:
+        reduced = ("generalized_laguerre", p["mu"] - F(1, 2))
+        fg = f.get("gamma", 0.0)
+        head = math.exp(-fg * fg) * math.gamma(f["mu"] + 0.5)
+    prefactor = math.exp(-float(gamma) ** 2) if fam.name == "ext_hermite" else 1.0
+    return intervals, reduced, prefactor, _PER_FAMILY_SUPPORT_TEXT[fam.name], head
+
+
+def _per_family_norm_ratio(fam, n):
+    """Reference: the closed-form norm ratio by one branch per family name."""
+    p = fam.p
+    m = n // 2
+    if fam.name in ("chihara", "gegenbauer"):
+        alpha, beta = p["alpha"], p["beta"]
+        s = alpha + beta
+        if n == 1 and s + 1 == 0:
+            return (alpha + 1) / (alpha + beta + 2)
+        if n % 2 == 1:
+            return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
+        return F(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
+    return m + p["mu"] + F(1, 2) if n % 2 == 1 else F(m)
+
+
+def _assert_weight_matches_per_family_branches(fam):
+    spec = weight_for(fam)
+    intervals, reduced, prefactor, text, head = _per_family_weight(fam)
+    assert spec.support_intervals() == intervals
+    assert spec.reduced_weight_class() == reduced
+    assert spec.reduced_prefactor() == prefactor
+    assert spec.support == text
+    assert norm_head(fam) == head
+    for n in range(1, 31):
+        got = norm_ratio_exact(fam, n)
+        assert got == _per_family_norm_ratio(fam, n) and type(got) is F, n
+
+
+_WEIGHT_TABLE_SETS = FAMILY_SETS + [
+    chihara_family(F(1, 2), F(3, 4), 0),
+    chihara_family(2, F(1, 3), F(-5, 2)),
+    ext_hermite_family(F(3, 2), 0),
+    ext_hermite_family(F(5, 7), F(-7, 3)),
+]
+
+
+@pytest.mark.parametrize("fam", _WEIGHT_TABLE_SETS)
+def test_weight_layer_equals_per_family_branches(fam):
+    _assert_weight_matches_per_family_branches(fam)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fam=_quadrature_families)
+def test_drawn_weight_layer_equals_per_family_branches(fam):
+    _assert_weight_matches_per_family_branches(fam)
+
+
+def test_weight_for_rejects_every_family_without_a_weight():
+    rejected = sorted(set(FAMILIES) - set(_PER_FAMILY_SUPPORT_TEXT))
+    assert rejected == ["big_m1_jacobi", "big_q_jacobi", "cbi"]
+    for name in rejected:
+        build, params = FAMILIES[name]
+        with pytest.raises(ValueError, match="no continuous weight"):
+            weight_for(build(*[F(1, 2)] * len(params)))
 
 
 # -- Pearson ---------------------------------------------------------------------------
