@@ -138,7 +138,7 @@ def _union(tables: Iterable[Sequence[str]]) -> Tuple[str, ...]:
 
 # Every family parameter flag; with --eps, the flags a command rejects when
 # they do not apply to the chosen family or operator.
-_ALL_FAMILY_FLAGS = _union(names for _, names in FAMILIES.values())
+_ALL_FAMILY_FLAGS = _union(family.params for family in FAMILIES.values())
 
 
 def _collect_params(args: argparse.Namespace, names: Sequence[str],
@@ -159,9 +159,9 @@ def _collect_params(args: argparse.Namespace, names: Sequence[str],
 
 
 def _build_family(args: argparse.Namespace) -> FamilySpec:
-    builder, names = FAMILIES[args.family]
-    params = _collect_params(args, names, f"--family {args.family}")
-    return builder(*(params[name] for name in names))
+    family = FAMILIES[args.family]
+    params = _collect_params(args, family.params, f"--family {args.family}")
+    return family.build(*(params[name] for name in family.params))
 
 
 def _say(args: argparse.Namespace, text: str = "") -> None:
@@ -182,7 +182,7 @@ def _add_family_flags(parser: argparse.ArgumentParser,
     parser.add_argument("--family", required=True, choices=chosen,
                         help="polynomial family")
     _add_rational_flags(parser, sorted({name for fam in chosen
-                                        for name in FAMILIES[fam][1]}))
+                                        for name in FAMILIES[fam].params}))
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -302,7 +302,7 @@ def _cmd_pearson(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    params = _collect_params(args, FAMILIES["big_m1_jacobi"][1], "transform")
+    params = _collect_params(args, FAMILIES["big_m1_jacobi"].params, "transform")
     records = transform_records(**params, cap=args.cap)
     for record in records:
         _say(args, f"{record.target:22s} {record.outcome}")
@@ -418,7 +418,7 @@ def _pearson_args(p: argparse.ArgumentParser) -> None:
 
 
 def _transform_args(p: argparse.ArgumentParser) -> None:
-    _add_rational_flags(p, FAMILIES["big_m1_jacobi"][1])
+    _add_rational_flags(p, FAMILIES["big_m1_jacobi"].params)
     p.add_argument("--cap", type=_positive_int, default=TRANSFORM_CAP, metavar="N")
     _add_format_flags(p)
 

@@ -1,4 +1,4 @@
-"""Polynomial families: recurrence coefficients and explicit constructions.
+"""Polynomial families: recurrences, reduced weights and explicit forms.
 
 Every family is presented in monic normalized form and generated two
 independent ways:
@@ -13,6 +13,16 @@ independent ways:
 
 Agreement of the two routes, coefficient by coefficient over the rationals,
 is the construction-equivalence check of the acceptance suite.
+
+The families are the entries of one table, ``FAMILIES``.  A weighted
+family's entry holds ``reduced(p)``, the classical weight of its even half:
+both halves are monic classical polynomials in t = x^2 - gamma^2 (gamma = 0
+where the family has none), P_2m = R_m^(a,b)(t) and P_2m+1 =
+(x - gamma) R_m^(a+1,b)(t), with R the Jacobi polynomial for t^a (1-t)^b on
+[0, 1], (a, b) = (alpha, beta), for chihara and gegenbauer, and the Laguerre
+polynomial for t^a e^(-t), a = mu - 1/2, for the two Hermite families
+(Chihara, *An Introduction to Orthogonal Polynomials*, 1978, ch. I; Koekoek,
+Lesky and Swarttouw 2010, §§9.8, 9.12).  ``quad`` reads the same entry.
 
 Families carried here:
 
@@ -36,9 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction, three_term_step
+from .report import format_params
 
 PolyOrScalar = Union[LaurentPoly, BigRational, int]
 
@@ -49,22 +61,21 @@ class DegenerateParameters(ValueError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family with recurrence coefficient callables.
-
-    The coefficient table is evaluated at exact rational parameters for every
-    check, and at float parameters for the source families of ``limits``.
-    """
+    """A named family at given parameters; its ``FAMILIES`` entry holds its
+    formulas, evaluated at exact rational parameters for every check and at
+    float parameters for the source families of ``limits``."""
 
     name: str
     params: Tuple[Tuple[str, Fraction], ...]
 
-    @property
+    @cached_property
     def p(self) -> Dict[str, Fraction]:
+        """The parameters by name, built once per spec."""
         return dict(self.params)
 
     def diag(self, n: int) -> Fraction:
         try:
-            return _DIAG[self.name](self.p, n)
+            return FAMILIES[self.name].diag(self.p, n)
         except ZeroDivisionError:
             raise DegenerateParameters(f"{self.name} diag({n}) denominator vanishes") from None
 
@@ -73,12 +84,12 @@ class FamilySpec:
             # multiplies P_{-1} = 0; value is conventional
             return Fraction(0)
         try:
-            return _SUB[self.name](self.p, n)
+            return FAMILIES[self.name].sub(self.p, n)
         except ZeroDivisionError:
             raise DegenerateParameters(f"{self.name} sub({n}) denominator vanishes") from None
 
     def label(self) -> str:
-        return ",".join(f"{k}={v}" for k, v in self.params)
+        return format_params(self.params)
 
 
 def _params(**kwargs: Scalar) -> Tuple[Tuple[str, Fraction], ...]:
@@ -114,18 +125,6 @@ def big_q_jacobi_family(qalpha: Scalar, qbeta: Scalar, qgamma: Scalar, q: Scalar
     if q in (Fraction(0), Fraction(1), Fraction(-1)):
         raise DegenerateParameters("big_q_jacobi requires q outside {0, 1, -1}")
     return FamilySpec("big_q_jacobi", _params(qalpha=qalpha, qbeta=qbeta, qgamma=qgamma, q=q))
-
-
-#: The family registry: name -> (builder, parameter names in argument order).
-FAMILIES: Dict[str, Tuple[Callable[..., FamilySpec], Tuple[str, ...]]] = {
-    "chihara": (chihara_family, ("alpha", "beta", "gamma")),
-    "gegenbauer": (gegenbauer_family, ("alpha", "beta")),
-    "ext_hermite": (ext_hermite_family, ("mu", "gamma")),
-    "gen_hermite": (gen_hermite_family, ("mu",)),
-    "cbi": (cbi_family, ("rho1", "rho2", "r1", "r2")),
-    "big_m1_jacobi": (big_m1_jacobi_family, ("a", "b", "c")),
-    "big_q_jacobi": (big_q_jacobi_family, ("qalpha", "qbeta", "qgamma", "q")),
-}
 
 
 # -- recurrence coefficients -------------------------------------------------
@@ -189,24 +188,62 @@ def big_q_jacobi_AC(p: Dict[str, Fraction], n: int) -> Tuple[Fraction, Fraction]
     return ups, nu
 
 
-_DIAG = {
-    "chihara": lambda p, n: (-1) ** n * p["gamma"],
-    "gegenbauer": lambda p, n: Fraction(0),
-    "cbi": lambda p, n: (-1) ** n * p["rho2"],
-    "ext_hermite": lambda p, n: (-1) ** n * p["gamma"],
-    "gen_hermite": lambda p, n: Fraction(0),
-    "big_m1_jacobi": lambda p, n: 1 - sum(big_m1_jacobi_AC(p, n)),
-    "big_q_jacobi": lambda p, n: 1 - sum(big_q_jacobi_AC(p, n)),
-}
+# -- explicit forms and the family table ---------------------------------------
 
-_SUB = {
-    "chihara": _chihara_sigma,
-    "gegenbauer": lambda p, n: _chihara_sigma({**p, "gamma": Fraction(0)}, n),
-    "cbi": _cbi_tau,
-    "ext_hermite": _ext_hermite_theta,
-    "gen_hermite": lambda p, n: _ext_hermite_theta({**p, "gamma": Fraction(0)}, n),
-    "big_m1_jacobi": lambda p, n: big_m1_jacobi_AC(p, n - 1)[0] * big_m1_jacobi_AC(p, n)[1],
-    "big_q_jacobi": lambda p, n: big_q_jacobi_AC(p, n - 1)[0] * big_q_jacobi_AC(p, n)[1],
+
+def _jacobi_reduced(p: Mapping[str, Fraction]) -> Tuple:
+    return ("jacobi", p["alpha"], p["beta"])
+
+
+def _laguerre_reduced(p: Mapping[str, Fraction]) -> Tuple:
+    return ("generalized_laguerre", p["mu"] - Fraction(1, 2))
+
+
+def _cbi_series(p: Mapping[str, Fraction], m: int, odd: int) -> Tuple:
+    """The complementary Bannai-Ito 4F3 at argument 1, with root rho2."""
+    rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
+    g = rho1 + rho2 - r1 - r2
+    h = Fraction(1, 2) + odd
+    x = LaurentPoly.x()
+    dens = [rho1 + rho2 + 1 + odd, rho2 - r1 + h, rho2 - r2 + h]
+    num = pochhammer(dens[0], m) * pochhammer(dens[1], m) * pochhammer(dens[2], m)
+    upper = [Fraction(-m), m + g + 1 + odd, x + rho2 + odd, -x + rho2 + odd]
+    return num, pochhammer(m + g + 1 + odd, m), upper, dens, LaurentPoly.one(), rho2
+
+
+class Family(NamedTuple):
+    """A builder taking the parameters in ``params`` order, the recurrence
+    ``diag(p, n)`` and ``sub(p, n)``, and the explicit form: a ``reduced(p)``
+    weight, or an own ``series(p, m, odd)`` for P_(2m+odd) as (prefactor
+    numerator and denominator, upper and lower parameters, argument, root)."""
+
+    build: Callable[..., FamilySpec]
+    params: Tuple[str, ...]
+    diag: Callable[[Mapping[str, Fraction], int], Fraction]
+    sub: Callable[[Mapping[str, Fraction], int], Fraction]
+    reduced: Optional[Callable[[Mapping[str, Fraction]], Tuple]] = None
+    series: Optional[Callable[[Mapping[str, Fraction], int, int], Tuple]] = None
+
+
+#: The family registry, keyed by family name.
+FAMILIES: Dict[str, Family] = {
+    "chihara": Family(chihara_family, ("alpha", "beta", "gamma"),
+                      lambda p, n: (-1) ** n * p["gamma"], _chihara_sigma, _jacobi_reduced),
+    "gegenbauer": Family(gegenbauer_family, ("alpha", "beta"),
+                         lambda p, n: Fraction(0), _chihara_sigma, _jacobi_reduced),
+    "ext_hermite": Family(ext_hermite_family, ("mu", "gamma"),
+                          lambda p, n: (-1) ** n * p["gamma"], _ext_hermite_theta, _laguerre_reduced),
+    "gen_hermite": Family(gen_hermite_family, ("mu",),
+                          lambda p, n: Fraction(0), _ext_hermite_theta, _laguerre_reduced),
+    "cbi": Family(cbi_family, ("rho1", "rho2", "r1", "r2"),
+                  lambda p, n: (-1) ** n * p["rho2"], _cbi_tau, series=_cbi_series),
+    "big_m1_jacobi": Family(
+        big_m1_jacobi_family, ("a", "b", "c"), lambda p, n: 1 - sum(big_m1_jacobi_AC(p, n)),
+        lambda p, n: big_m1_jacobi_AC(p, n - 1)[0] * big_m1_jacobi_AC(p, n)[1]),
+    "big_q_jacobi": Family(
+        big_q_jacobi_family, ("qalpha", "qbeta", "qgamma", "q"),
+        lambda p, n: 1 - sum(big_q_jacobi_AC(p, n)),
+        lambda p, n: big_q_jacobi_AC(p, n - 1)[0] * big_q_jacobi_AC(p, n)[1]),
 }
 
 
@@ -313,59 +350,33 @@ def hypergeometric_terminating(
     return total
 
 
-def _prefactor(family: FamilySpec, n: int, num: Fraction, den: Fraction) -> Fraction:
-    """num / den for the normalising prefactor of ``explicit_poly``."""
-    if not den:
-        raise DegenerateParameters(f"{family.name} explicit_poly({n}) prefactor denominator vanishes")
-    return num / den
-
-
 def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
-    """Monic P_n through its terminating hypergeometric expression."""
+    """Monic P_n through the entry's ``series``, or its ``reduced`` form with
+    R_m^(a,b) = (-1)^m (a+1)_m/(m+a+b+1)_m 2F1(-m, m+a+b+1; a+1; t) and
+    R_m^(a) = (-1)^m (a+1)_m 1F1(-m; a+1; t), t = x^2 - gamma^2."""
+    entry = FAMILIES[family.name]
     p = family.p
     x = LaurentPoly.x()
     m, odd = divmod(n, 2)
-    if family.name in ("chihara", "gegenbauer"):
-        alpha, beta = p["alpha"], p["beta"]
-        gamma = p.get("gamma", Fraction(0))
-        z = x * x - LaurentPoly.const(gamma**2)
-        shift = 1 if odd else 0
-        pref = _prefactor(
-            family, n,
-            (-1) ** m * pochhammer(alpha + 1 + shift, m),
-            pochhammer(m + alpha + beta + 1 + shift, m),
-        )
-        series = hypergeometric_terminating(
-            [Fraction(-m), m + alpha + beta + 1 + shift], [alpha + 1 + shift], z
-        )
-        return pref * series * (x - gamma) if odd else pref * series
-    if family.name in ("ext_hermite", "gen_hermite"):
-        mu = p["mu"]
-        gamma = p.get("gamma", Fraction(0))
-        z = x * x - LaurentPoly.const(gamma**2)
-        half = mu + Fraction(1, 2) + (1 if odd else 0)
-        pref = Fraction((-1) ** m) * pochhammer(half, m)
-        series = hypergeometric_terminating([Fraction(-m)], [half], z)
-        return pref * series * (x - gamma) if odd else pref * series
-    if family.name == "cbi":
-        rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
-        g = rho1 + rho2 - r1 - r2
-        one = LaurentPoly.one()
-        s = 1 if odd else 0
-        h = Fraction(1, 2) + s
-        dens = [rho1 + rho2 + 1 + s, rho2 - r1 + h, rho2 - r2 + h]
-        eta = _prefactor(
-            family, n,
-            pochhammer(dens[0], m) * pochhammer(dens[1], m) * pochhammer(dens[2], m),
-            pochhammer(m + g + 1 + s, m),
-        )
-        series = hypergeometric_terminating(
-            [Fraction(-m), m + g + 1 + s, x + rho2 + s, -x + rho2 + s],
-            dens,
-            one,
-        )
-        return eta * series * (x - rho2) if odd else eta * series
-    raise ValueError(f"no terminating ordinary hypergeometric form for {family.name}")
+    if entry.series is not None:
+        num, den, upper, lower, z, root = entry.series(p, m, odd)
+    elif entry.reduced is not None:
+        kind, a, *b = entry.reduced(p)
+        a += odd
+        num, den = (-1) ** m * pochhammer(a + 1, m), Fraction(1)
+        upper, lower = [Fraction(-m)], [a + 1]
+        if kind == "jacobi":
+            upper.append(m + a + b[0] + 1)
+            den = pochhammer(upper[1], m)
+        root = p.get("gamma", Fraction(0))
+        z = x * x - LaurentPoly.const(root**2)
+    else:
+        raise ValueError(f"no terminating ordinary hypergeometric form for {family.name}")
+    if not den:
+        raise DegenerateParameters(f"{family.name} explicit_poly({n}) prefactor denominator vanishes")
+    pref = num / den
+    series = hypergeometric_terminating(upper, lower, z)
+    return pref * series * (x - root) if odd else pref * series
 
 
 def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction, Fraction]:

@@ -34,12 +34,12 @@ stops as soon as it reaches the bracketing value i + 1, the only value it is
 compared with.  Every rule is validated at build time against closed-form
 moments up to degree ``min(2n-1, 8)``.
 
-The weighted families are the entries of one table, ``WEIGHTS``: the
-reduced classical weight (from the exact parameters), the float pointwise
-weight and the support text.  The rest follows from the reduced kind and
-from whether the family has a gamma: a Jacobi support ends at
-sqrt(1+gamma^2), a Laguerre one runs to infinity and carries the prefactor
-exp(-gamma^2), and a gamma splits the support at |gamma|.
+The weighted families are the entries of one table, ``WEIGHTS``: the float
+pointwise weight and the support text.  The rest follows from the reduced
+classical weight, which ``families.FAMILIES`` holds, and from whether the
+family has a gamma: a Jacobi support ends at sqrt(1+gamma^2), a Laguerre one
+runs to infinity and carries the prefactor exp(-gamma^2), and a gamma splits
+the support at |gamma|.
 
 Gram matrices and norm ratios evaluate the family polynomials at the
 branch points through the float three-term recurrence.  A ``WeightSpec``
@@ -71,7 +71,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import FamilySpec, jacobi_recurrence
+from .families import FAMILIES, FamilySpec, jacobi_recurrence
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -390,21 +390,12 @@ def _validate_moments(rule: QuadratureRule) -> None:
 
 
 class Weight(NamedTuple):
-    """A weighted family: its classical weight in t = x^2 - gamma^2, from the
-    exact parameters; its pointwise weight x -> w(x), from the float ones;
-    and its support as text."""
+    """A weighted family: its pointwise weight x -> w(x), from the float
+    parameters, and its support as text.  Its classical weight in
+    t = x^2 - gamma^2 is the ``reduced`` of its ``FAMILIES`` entry."""
 
-    reduced: Callable[[Mapping[str, Fraction]], Tuple]
     value: Callable[[Mapping[str, float]], Callable[[float], float]]
     support: str
-
-
-def _jacobi(p: Mapping[str, Fraction]) -> Tuple:
-    return ("jacobi", p["alpha"], p["beta"])
-
-
-def _laguerre(p: Mapping[str, Fraction]) -> Tuple:
-    return ("generalized_laguerre", p["mu"] - Fraction(1, 2))
 
 
 def _chihara_weight(p: Mapping[str, float]) -> Callable[[float], float]:
@@ -431,11 +422,11 @@ def _gen_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
 
 #: One entry per weighted family, keyed by family name.
 WEIGHTS: Dict[str, Weight] = {
-    "chihara": Weight(_jacobi, _chihara_weight,
+    "chihara": Weight(_chihara_weight,
                       "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]"),
-    "gegenbauer": Weight(_jacobi, _gegenbauer_weight, "[-1, 1]"),
-    "ext_hermite": Weight(_laguerre, _ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
-    "gen_hermite": Weight(_laguerre, _gen_hermite_weight, "(-inf, inf)"),
+    "gegenbauer": Weight(_gegenbauer_weight, "[-1, 1]"),
+    "ext_hermite": Weight(_ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
+    "gen_hermite": Weight(_gen_hermite_weight, "(-inf, inf)"),
 }
 
 
@@ -468,16 +459,13 @@ class WeightSpec:
         """The pointwise weight x -> w(x), its float parameters bound once."""
         return WEIGHTS[self.family.name].value({key: float(v) for key, v in self.family.params})
 
-    def reduced_weight_class(self) -> Tuple:
-        return WEIGHTS[self.family.name].reduced(self.family.p)
-
     def reduced_prefactor(self) -> float:
         return 1.0 if self.classical_weight[0] == "jacobi" else math.exp(-float(self.gamma) ** 2)
 
     @cached_property
     def classical_weight(self) -> ClassicalWeight:
-        """The reduced weight, whose float Jacobi matrix and moments its rules share."""
-        return ClassicalWeight(self.reduced_weight_class())
+        """The ``FAMILIES`` reduced weight, whose float tables its rules share."""
+        return ClassicalWeight(FAMILIES[self.family.name].reduced(self.family.p))
 
     @cached_property
     def recurrence(self) -> FloatRecurrence:
@@ -735,7 +723,7 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
-    reduced = WeightSpec(family).reduced_weight_class()
+    reduced = WeightSpec(family).classical_weight
     m = n // 2
     if reduced[0] == "generalized_laguerre":
         # a = mu - 1/2.  Odd n: Gamma(m+a+2)/Gamma(m+a+1) = m+a+1; even n:

@@ -45,9 +45,9 @@ def rational_str(value: Union[Fraction, int]) -> str:
     return str(Fraction(value))
 
 
-def format_params(pairs: Iterable[Tuple[str, Union[Fraction, int]]]) -> str:
-    """``name=p/q`` pairs joined by commas; the canonical params field."""
-    return ",".join(f"{name}={rational_str(value)}" for name, value in pairs)
+def format_params(pairs: Iterable[Tuple[str, object]]) -> str:
+    """``name=value`` pairs joined by commas (a rational as p/q); the canonical params field."""
+    return ",".join(f"{name}={value}" for name, value in pairs)
 
 
 @dataclass(frozen=True)

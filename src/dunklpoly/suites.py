@@ -269,7 +269,7 @@ def suite_construction() -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for name, cap in CONSTRUCTION_CAPS:
         for params in _CONSTRUCTION_SETS[name]:
-            family = FAMILIES[name][0](*params)
+            family = FAMILIES[name].build(*params)
             with stopwatch() as ms:
                 polys = generate_monic(family, cap)
                 ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
@@ -715,7 +715,7 @@ def limit_check(
     else:
         residual = 1.0
     if label is None:
-        label = ",".join(f"{k}={v}" for k, v in report.results[0].source_params)
+        label = format_params(report.results[0].source_params)
     record = float_record("limits", limit_id, label, f"0..{degree_cap}",
                           residual=residual, tolerance=tolerance, millis=ms[0])
     return report, record

@@ -551,7 +551,7 @@ _FUZZ_VALUES = {
 _INT_DESTS = {"n", "cap", "exact_cap", "samples", "points"}
 # the flag that names what a request checks, and the parameter names it needs
 _SUBJECTS = {
-    "family": lambda name: FAMILIES[name][1],
+    "family": lambda name: FAMILIES[name].params,
     "operator": lambda name: EIGEN_OPERATORS[name].params,
     "which": lambda name: ALGEBRAS[name].params,
     "case": lambda name: (),
@@ -624,7 +624,7 @@ def _argvs(draw):
 
     for dest in sorted(_INT_DESTS & set(flags)):
         argv += [flags[dest].option_strings[0], draw(st.sampled_from(("1", "2", "3")))]
-    params = FAMILIES["big_m1_jacobi"][1] if command == "transform" else ()
+    params = FAMILIES["big_m1_jacobi"].params if command == "transform" else ()
     for dest in sorted(set(_SUBJECTS) & set(flags)):
         add(flags[dest])
         try:

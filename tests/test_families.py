@@ -265,6 +265,23 @@ def test_no_explicit_form_for_recurrence_only_families():
         explicit_poly(big_m1_jacobi_family(1, 1, F(3, 5)), 2)
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name, entry in FAMILIES.items() if entry.reduced or entry.series)
+)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_drawn_explicit_equals_recurrence(name, data):
+    entry = FAMILIES[name]
+    draw = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    family = entry.build(*(data.draw(draw) for _ in entry.params))
+    try:
+        polys = generate_monic(family, 10)
+        explicit = [explicit_poly(family, n) for n in range(11)]
+    except DegenerateParameters:
+        return
+    assert explicit == polys
+
+
 # -- structural invariants -----------------------------------------------------
 
 
@@ -391,9 +408,9 @@ _step_params = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 @given(data=st.data())
 def test_generate_monic_matches_composed_steps(name, data):
     # gegenbauer and gen_hermite have diag(n) = 0, and every family sub(0) = 0
-    build, params = FAMILIES[name]
+    entry = FAMILIES[name]
     try:
-        family = build(*(data.draw(_step_params) for _ in params))
+        family = entry.build(*(data.draw(_step_params) for _ in entry.params))
         want = [LaurentPoly.zero(), LaurentPoly.one()]
         for n in range(8):
             want.append((X - family.diag(n)) * want[-1] - family.sub(n) * want[-2])

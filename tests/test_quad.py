@@ -1,6 +1,7 @@
 """Quadrature tests: eigensolver, Gauss rules, reduction, norms, Pearson."""
 
 import collections
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -496,7 +497,7 @@ def _pairwise_gram_matrix(family, N):
     """Reference: the Gram matrix from the full basis table, one
     ``_branch_sum`` with freshly built product lists per (m, n)."""
     spec = weight_for(family)
-    rule = gauss_rule(spec.reduced_weight_class(), quad._rule_size(2 * N))
+    rule = gauss_rule(spec.classical_weight, quad._rule_size(2 * N))
     us = quad._branch_points(spec, rule)
     table = _basis_table(quad.FloatRecurrence(family), N, us + [-u for u in us])
     pos, neg = table[: len(us)], table[len(us) :]
@@ -580,7 +581,7 @@ def _per_degree_norm_ratio(family, n):
     """Reference: the norm check that converted the weight's recurrence and
     the family's to float again for every degree."""
     spec = weight_for(family)
-    weight_class = spec.reduced_weight_class()
+    weight_class = spec.classical_weight
     values, firsts = symtridiag_eigen(_classical_jacobi_matrix(weight_class, n + 2))
     mu0 = quad._zeroth_moment(quad.ClassicalWeight(weight_class))
     rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts),
@@ -830,7 +831,7 @@ def _assert_weight_matches_per_family_branches(fam):
     spec = weight_for(fam)
     intervals, reduced, prefactor, text, head = _per_family_weight(fam)
     assert spec.support_intervals() == intervals
-    assert spec.reduced_weight_class() == reduced
+    assert spec.classical_weight == reduced
     assert spec.reduced_prefactor() == prefactor
     assert spec.support == text
     assert norm_head(fam) == head
@@ -858,13 +859,21 @@ def test_drawn_weight_layer_equals_per_family_branches(fam):
     _assert_weight_matches_per_family_branches(fam)
 
 
+def test_family_table_matches_builders_and_weights():
+    for name, entry in FAMILIES.items():
+        assert tuple(inspect.signature(entry.build).parameters) == entry.params, name
+    assert set(quad.WEIGHTS) == {name for name, entry in FAMILIES.items() if entry.reduced}
+    for fam in FAMILY_SETS:
+        assert weight_for(fam).classical_weight == FAMILIES[fam.name].reduced(fam.p)
+
+
 def test_weight_for_rejects_every_family_without_a_weight():
     rejected = sorted(set(FAMILIES) - set(_PER_FAMILY_SUPPORT_TEXT))
     assert rejected == ["big_m1_jacobi", "big_q_jacobi", "cbi"]
     for name in rejected:
-        build, params = FAMILIES[name]
+        entry = FAMILIES[name]
         with pytest.raises(ValueError, match="no continuous weight"):
-            weight_for(build(*[F(1, 2)] * len(params)))
+            weight_for(entry.build(*[F(1, 2)] * len(entry.params)))
 
 
 # -- Pearson ---------------------------------------------------------------------------
