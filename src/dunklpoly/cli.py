@@ -27,11 +27,12 @@ Conventions
   errors, 3 for an internal error: an exact division or polynomial check
   that failed outside a sweep (``NotDivisible``, ``NotPolynomial``), an
   eigen-solver that did not converge (``NoConvergence``), a degenerate
-  limit step (``DegenerateStep``) or a float computation that left the
-  double range (``ArithmeticError``: an overflow, or a division by a value
-  that underflowed to zero; the check layer names the family and the
-  degree or sample point).  ``weight-sample`` evaluates every sample
-  before it prints the CSV.  Identical argv produce identical
+  limit step or limit error (``DegenerateStep``) or a float computation
+  that left the double range (``ArithmeticError``: an overflow, a
+  non-finite Gram entry or norm, or a division by a value that underflowed
+  to zero; the check layer names the family and the degree, entry or
+  sample point).  ``weight-sample`` evaluates every sample before it
+  prints the CSV.  Identical argv produce identical
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use.
@@ -59,7 +60,7 @@ from .families import (
     recurrence_coeffs,
 )
 from .limits import LIMIT_IDS, DegenerateStep
-from .quad import WEIGHTS, NoConvergence
+from .quad import NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str, stopwatch
 from .suites import (
     ALGEBRA_CAP,
@@ -139,6 +140,9 @@ def _union(tables: Iterable[Sequence[str]]) -> Tuple[str, ...]:
 # Every family parameter flag; with --eps, the flags a command rejects when
 # they do not apply to the chosen family or operator.
 _ALL_FAMILY_FLAGS = _union(family.params for family in FAMILIES.values())
+
+# The families with a pointwise weight, for gram, norms and weight-sample.
+_WEIGHTED = tuple(name for name, family in FAMILIES.items() if family.weight)
 
 
 def _collect_params(args: argparse.Namespace, names: Sequence[str],
@@ -394,14 +398,14 @@ def _algebra_args(p: argparse.ArgumentParser) -> None:
 
 
 def _gram_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTS)
+    _add_family_flags(p, families=_WEIGHTED)
     p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
     p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
     _add_format_flags(p)
 
 
 def _norms_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTS)
+    _add_family_flags(p, families=_WEIGHTED)
     p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
     p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
                    metavar="N")
@@ -435,7 +439,7 @@ def _limits_args(p: argparse.ArgumentParser) -> None:
 
 
 def _weight_sample_args(p: argparse.ArgumentParser) -> None:
-    _add_family_flags(p, families=WEIGHTS)
+    _add_family_flags(p, families=_WEIGHTED)
     p.add_argument("--points", type=_positive_int, required=True, metavar="M",
                    help="sample points per support component")
 

@@ -53,7 +53,6 @@ remainder through this check, so its message names the reduced denominator.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
@@ -62,8 +61,6 @@ from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
 BigRational = Fraction
 
 Scalar = Union[BigRational, int]
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 class ZeroDenominator(ZeroDivisionError):
@@ -253,22 +250,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        """hash(self.items()), without building a Fraction per term.
-
-        Python hashes the rational n/d as it hashes the int n * d^-1, with
-        d^-1 the inverse modulo ``sys.hash_info.modulus``: the residue of
-        |n| * d^-1 with n's sign, and -1 mapped to -2.  So each exponent
-        paired with n * d^-1 gives the tuple hash of ``items()``.  A
-        denominator that is a multiple of the modulus has no inverse; it
-        takes the Fraction route.
-        """
+        """The hash of the canonical fields, computed once: equal polynomials
+        have equal fields, so they hash equal."""
         if self._hash is None:
-            try:
-                dinv = pow(self._den, -1, _HASH_MODULUS)
-            except ValueError:
-                self._hash = hash(self.items())
-            else:
-                self._hash = hash(tuple((e, n * dinv) for e, n in sorted(self._nums.items())))
+            self._hash = hash((self._den, tuple(sorted(self._nums.items()))))
         return self._hash
 
     # -- calculus and substitution -----------------------------------------

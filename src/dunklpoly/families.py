@@ -22,7 +22,10 @@ where the family has none), P_2m = R_m^(a,b)(t) and P_2m+1 =
 [0, 1], (a, b) = (alpha, beta), for chihara and gegenbauer, and the Laguerre
 polynomial for t^a e^(-t), a = mu - 1/2, for the two Hermite families
 (Chihara, *An Introduction to Orthogonal Polynomials*, 1978, ch. I; Koekoek,
-Lesky and Swarttouw 2010, §§9.8, 9.12).  ``quad`` reads the same entry.
+Lesky and Swarttouw 2010, §§9.8, 9.12).  The entry also holds the family's
+float pointwise ``weight`` and its ``support`` text.  Each reduced kind is
+an entry of ``CLASSICAL``, keyed by its tag: its formulas in t and whether
+its support is finite.  ``quad`` reads both tables and compares no kind.
 
 Families carried here:
 
@@ -44,6 +47,7 @@ offending index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -188,6 +192,97 @@ def big_q_jacobi_AC(p: Dict[str, Fraction], n: int) -> Tuple[Fraction, Fraction]
     return ups, nu
 
 
+# -- classical weights in t ----------------------------------------------------
+
+
+def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+    """Monic recurrence (diag, sub) in z for the weight (1-z)^alpha (1+z)^beta.
+
+    Raises ``ZeroDivisionError`` where a denominator vanishes.
+    """
+    if k == 0:
+        return (beta - alpha) / (alpha + beta + 2), Fraction(0)
+    s = 2 * k + alpha + beta
+    diag = (beta * beta - alpha * alpha) / (s * (s + 2))
+    if k == 1:
+        # k + alpha + beta cancels against s - 1, which is 0 at alpha + beta = -1
+        return diag, 4 * (1 + alpha) * (1 + beta) / ((2 + alpha + beta) ** 2 * (3 + alpha + beta))
+    return diag, 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
+        s * s * (s + 1) * (s - 1)
+    )
+
+
+def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1]:
+    the classical Jacobi recurrence for (1-z)^b (1+z)^a under t = (1+z)/2."""
+    diag_z, sub_z = jacobi_recurrence(b, a, k)
+    return (diag_z + 1) / 2, sub_z / 4
+
+
+def _beta_function(a: Fraction, b: Fraction) -> float:
+    """B(a+1, b+1) = Gamma(a+1) Gamma(b+1) / Gamma(a+b+2) in float: the Gamma
+    product, or through ``lgamma`` where a Gamma value leaves the double range."""
+    a, b = float(a), float(b)
+    try:
+        return math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+    except OverflowError:
+        return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
+
+
+def _jacobi_norm_ratio(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
+    """<P_n, P_n> / <P_(n-1), P_(n-1)> of a family reduced to t^alpha (1-t)^beta.
+
+    The Gamma ratios of the closed-form constants cancel into Pochhammer
+    products, telescoped: (a)_m / (a+1)_m = a / (a+m) and (a)_(m-1) / (a)_m
+    = 1 / (a+m-1) with a = m + alpha + beta + 1.  Where a Pochhammer factor
+    vanishes (alpha + beta an integer in [-(n+1), -(m+1)], outside every
+    integrable weight) it raises ``ZeroDivisionError``, as the products do.
+    """
+    m = n // 2
+    s = alpha + beta
+    if n == 1 and s + 1 == 0:
+        # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
+        return (alpha + 1) / (alpha + beta + 2)
+    if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
+        raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
+    if n % 2 == 1:
+        # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
+        return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
+    # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
+    return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
+
+
+class Classical(NamedTuple):
+    """A classical weight in t.  Each formula takes the exact parameters
+    named in ``params``, then an index: the monic recurrence (diag, sub),
+    mu_j / mu_(j-1), the float mu_0 (no index), R_m's upper series
+    parameters beyond -m, and the closed-form norm ratio of a family
+    reduced to it.  ``finite`` tells a bounded support."""
+
+    params: Tuple[str, ...]
+    recurrence: Callable[..., Tuple[Fraction, Fraction]]
+    moment_ratio: Callable[..., Fraction]
+    zeroth_moment: Callable[..., float]
+    upper: Callable[..., List[Fraction]]
+    norm_ratio: Callable[..., Fraction]
+    finite: bool
+
+
+#: The classical weights in t, keyed by the tag of a reduced weight class.
+CLASSICAL: Dict[str, Classical] = {
+    # t^a (1-t)^b on [0, 1]
+    "jacobi": Classical(
+        ("a", "b"), _jacobi01_recurrence, lambda a, b, j: (a + j) / (a + b + j + 1),
+        _beta_function, lambda a, b, m: [m + a + b + 1], _jacobi_norm_ratio, True),
+    # t^a e^(-t) on [0, inf); the norm ratio is Gamma(m+a+2)/Gamma(m+a+1)
+    # at odd n and m!/(m-1)! at even n
+    "generalized_laguerre": Classical(
+        ("a",), lambda a, k: (2 * k + a + 1, Fraction(k) * (k + a)), lambda a, j: a + j,
+        lambda a: math.gamma(float(a) + 1), lambda a, m: [],
+        lambda a, n: n // 2 + a + 1 if n % 2 == 1 else Fraction(n // 2), False),
+}
+
+
 # -- explicit forms and the family table ---------------------------------------
 
 
@@ -197,6 +292,28 @@ def _jacobi_reduced(p: Mapping[str, Fraction]) -> Tuple:
 
 def _laguerre_reduced(p: Mapping[str, Fraction]) -> Tuple:
     return ("generalized_laguerre", p["mu"] - Fraction(1, 2))
+
+
+def _chihara_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    g, a, b = p["gamma"], p["alpha"], p["beta"]
+    return lambda x: (
+        math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
+    )
+
+
+def _gegenbauer_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    e, b = 2 * p["alpha"] + 1, p["beta"]
+    return lambda x: abs(x) ** e * (1 - x * x) ** b
+
+
+def _ext_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    g, e = p["gamma"], p["mu"] - 0.5
+    return lambda x: math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** e * math.exp(-x * x)
+
+
+def _gen_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
+    e = 2 * p["mu"]
+    return lambda x: abs(x) ** e * math.exp(-x * x)
 
 
 def _cbi_series(p: Mapping[str, Fraction], m: int, odd: int) -> Tuple:
@@ -215,26 +332,35 @@ class Family(NamedTuple):
     """A builder taking the parameters in ``params`` order, the recurrence
     ``diag(p, n)`` and ``sub(p, n)``, and the explicit form: a ``reduced(p)``
     weight, or an own ``series(p, m, odd)`` for P_(2m+odd) as (prefactor
-    numerator and denominator, upper and lower parameters, argument, root)."""
+    numerator and denominator, upper and lower parameters, argument, root).
+    A weighted family has a ``weight`` factory of float parameters and a
+    ``support`` text."""
 
     build: Callable[..., FamilySpec]
     params: Tuple[str, ...]
     diag: Callable[[Mapping[str, Fraction], int], Fraction]
     sub: Callable[[Mapping[str, Fraction], int], Fraction]
     reduced: Optional[Callable[[Mapping[str, Fraction]], Tuple]] = None
+    weight: Optional[Callable[[Mapping[str, float]], Callable[[float], float]]] = None
+    support: Optional[str] = None
     series: Optional[Callable[[Mapping[str, Fraction], int, int], Tuple]] = None
 
 
 #: The family registry, keyed by family name.
 FAMILIES: Dict[str, Family] = {
     "chihara": Family(chihara_family, ("alpha", "beta", "gamma"),
-                      lambda p, n: (-1) ** n * p["gamma"], _chihara_sigma, _jacobi_reduced),
+                      lambda p, n: (-1) ** n * p["gamma"], _chihara_sigma, _jacobi_reduced,
+                      _chihara_weight,
+                      "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]"),
     "gegenbauer": Family(gegenbauer_family, ("alpha", "beta"),
-                         lambda p, n: Fraction(0), _chihara_sigma, _jacobi_reduced),
+                         lambda p, n: Fraction(0), _chihara_sigma, _jacobi_reduced,
+                         _gegenbauer_weight, "[-1, 1]"),
     "ext_hermite": Family(ext_hermite_family, ("mu", "gamma"),
-                          lambda p, n: (-1) ** n * p["gamma"], _ext_hermite_theta, _laguerre_reduced),
+                          lambda p, n: (-1) ** n * p["gamma"], _ext_hermite_theta, _laguerre_reduced,
+                          _ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
     "gen_hermite": Family(gen_hermite_family, ("mu",),
-                          lambda p, n: Fraction(0), _ext_hermite_theta, _laguerre_reduced),
+                          lambda p, n: Fraction(0), _ext_hermite_theta, _laguerre_reduced,
+                          _gen_hermite_weight, "(-inf, inf)"),
     "cbi": Family(cbi_family, ("rho1", "rho2", "r1", "r2"),
                   lambda p, n: (-1) ** n * p["rho2"], _cbi_tau, series=_cbi_series),
     "big_m1_jacobi": Family(
@@ -352,8 +478,9 @@ def hypergeometric_terminating(
 
 def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     """Monic P_n through the entry's ``series``, or its ``reduced`` form with
-    R_m^(a,b) = (-1)^m (a+1)_m/(m+a+b+1)_m 2F1(-m, m+a+b+1; a+1; t) and
-    R_m^(a) = (-1)^m (a+1)_m 1F1(-m; a+1; t), t = x^2 - gamma^2."""
+    R_m = (-1)^m (a+1)_m / prod (u)_m pFq(-m, u...; a+1; t), t = x^2 -
+    gamma^2, the upper parameters u from the ``CLASSICAL`` entry: 2F1 with
+    u = m+a+b+1 for Jacobi, 1F1 with none for Laguerre."""
     entry = FAMILIES[family.name]
     p = family.p
     x = LaurentPoly.x()
@@ -361,13 +488,11 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     if entry.series is not None:
         num, den, upper, lower, z, root = entry.series(p, m, odd)
     elif entry.reduced is not None:
-        kind, a, *b = entry.reduced(p)
+        tag, a, *b = entry.reduced(p)
         a += odd
-        num, den = (-1) ** m * pochhammer(a + 1, m), Fraction(1)
-        upper, lower = [Fraction(-m)], [a + 1]
-        if kind == "jacobi":
-            upper.append(m + a + b[0] + 1)
-            den = pochhammer(upper[1], m)
+        upper, lower = [Fraction(-m), *CLASSICAL[tag].upper(a, *b, m)], [a + 1]
+        num = (-1) ** m * pochhammer(a + 1, m)
+        den = math.prod(pochhammer(u, m) for u in upper[1:])
         root = p.get("gamma", Fraction(0))
         z = x * x - LaurentPoly.const(root**2)
     else:
@@ -377,23 +502,6 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     pref = num / den
     series = hypergeometric_terminating(upper, lower, z)
     return pref * series * (x - root) if odd else pref * series
-
-
-def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) in z for the weight (1-z)^alpha (1+z)^beta.
-
-    Raises ``ZeroDivisionError`` where a denominator vanishes.
-    """
-    if k == 0:
-        return (beta - alpha) / (alpha + beta + 2), Fraction(0)
-    s = 2 * k + alpha + beta
-    diag = (beta * beta - alpha * alpha) / (s * (s + 2))
-    if k == 1:
-        # k + alpha + beta cancels against s - 1, which is 0 at alpha + beta = -1
-        return diag, 4 * (1 + alpha) * (1 + beta) / ((2 + alpha + beta) ** 2 * (3 + alpha + beta))
-    return diag, 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
-        s * s * (s + 1) * (s - 1)
-    )
 
 
 def classical_jacobi_monic(n: int, alpha: Scalar, beta: Scalar) -> LaurentPoly:

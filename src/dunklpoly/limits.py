@@ -367,8 +367,8 @@ def run_limit(case: LimitCase) -> LimitReport:
     (coefficient ``j`` of degree ``n`` picks up ``sigma^{j-n}``), and record
     per-degree coefficient errors plus the rescaled recurrence-coefficient
     errors.  Raises ``DegenerateStep`` if a source denominator vanishes, a
-    source parameter or rescale power overflows, or the rescale factor
-    squared underflows to zero.
+    source parameter or rescale power overflows, the rescale factor squared
+    underflows to zero, or an error is not finite.
     """
     cap = case.degree_cap
     target_polys = generate_monic(case.target, cap)
@@ -407,6 +407,8 @@ def run_limit(case: LimitCase) -> LimitReport:
         sub_errors = tuple(
             abs(sub[n] / (sigma * sigma) - tsub[n]) for n in range(cap + 1)
         )
+        if not all(map(math.isfinite, poly_errors + diag_errors + sub_errors)):
+            raise DegenerateStep(f"a coefficient error is not finite at step {h:g}")
         results.append(
             StepResult(h, source.params, poly_errors, diag_errors, sub_errors)
         )

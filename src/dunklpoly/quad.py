@@ -34,12 +34,12 @@ stops as soon as it reaches the bracketing value i + 1, the only value it is
 compared with.  Every rule is validated at build time against closed-form
 moments up to degree ``min(2n-1, 8)``.
 
-The weighted families are the entries of one table, ``WEIGHTS``: the float
-pointwise weight and the support text.  The rest follows from the reduced
-classical weight, which ``families.FAMILIES`` holds, and from whether the
-family has a gamma: a Jacobi support ends at sqrt(1+gamma^2), a Laguerre one
-runs to infinity and carries the prefactor exp(-gamma^2), and a gamma splits
-the support at |gamma|.
+The formulas are data in ``families``: a family's ``FAMILIES`` entry holds
+its reduced weight, pointwise weight and support text, and the ``CLASSICAL``
+entry of the reduced kind its recurrence, moments, norm ratio and whether
+its support is finite.  A finite support ends at sqrt(1+gamma^2), an
+infinite one carries the prefactor exp(-gamma^2), and a gamma splits the
+support at |gamma|.
 
 Gram matrices and norm ratios evaluate the family polynomials at the
 branch points through the float three-term recurrence.  A ``WeightSpec``
@@ -58,7 +58,8 @@ Pochhammer products over the rationals); an absolute-normalization value
 through the platform Gamma function is used only by ``norm_head`` (the
 absolute <P_0, P_0>) and by the zeroth moments of the Gauss rules.  Where a
 Gamma value leaves the double range, the Beta function of the Jacobi
-weights comes through ``lgamma`` instead.
+weights comes through ``lgamma`` instead.  A Gram entry or normaliser or a
+quadrature norm that is not finite raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import FAMILIES, FamilySpec, jacobi_recurrence
+from .families import CLASSICAL, FAMILIES, FamilySpec
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -239,22 +240,10 @@ def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
 # -- classical weights and their Gauss rules ---------------------------------------
 
 
-def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1]:
-    the classical Jacobi recurrence for (1-z)^b (1+z)^a under t = (1+z)/2.
-    """
-    diag_z, sub_z = jacobi_recurrence(b, a, k)
-    return (diag_z + 1) / 2, sub_z / 4
-
-
-def _laguerre_recurrence(a: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) for the weight t^a e^(-t) on [0, inf)."""
-    return 2 * k + a + 1, Fraction(k) * (k + a)
-
-
 class ClassicalWeight(tuple):
     """``("jacobi", a, b)`` or ``("generalized_laguerre", a)`` with exact
-    parameters, carrying the float entries of its Jacobi matrix.
+    parameters, carrying its ``families.CLASSICAL`` entry as ``kind`` and
+    the float entries of its Jacobi matrix.
 
     It compares and hashes as the plain tuple.  ``jacobi_matrix(n)`` and
     ``moments(n)`` convert only the entries no earlier call converted and
@@ -264,16 +253,11 @@ class ClassicalWeight(tuple):
     """
 
     def __new__(cls, weight_class) -> "ClassicalWeight":
-        kind = weight_class[0]
-        if kind == "jacobi":
-            _, a, b = weight_class
-            params = (_as_fraction(a), _as_fraction(b))
-        elif kind == "generalized_laguerre":
-            _, a = weight_class
-            params = (_as_fraction(a),)
-        else:
+        kind = CLASSICAL.get(weight_class[0])
+        if kind is None or len(weight_class) != 1 + len(kind.params):
             raise ValueError(f"unknown weight class {weight_class!r}")
-        self = super().__new__(cls, (kind,) + params)
+        self = super().__new__(cls, (weight_class[0],) + tuple(map(_as_fraction, weight_class[1:])))
+        self.kind = kind
         self._diag: List[float] = []
         self._offdiag: List[float] = []
         self._moments: List[float] = []
@@ -283,10 +267,7 @@ class ClassicalWeight(tuple):
         """The leading n x n block: diagonal ``float(diag_k)``, off-diagonal
         ``sqrt(float(sub_k))``; a sub-coefficient must be positive."""
         for k in range(len(self._diag), n):
-            if self[0] == "jacobi":
-                dk, sk = _jacobi01_recurrence(self[1], self[2], k)
-            else:
-                dk, sk = _laguerre_recurrence(self[1], k)
+            dk, sk = self.kind.recurrence(*self[1:], k)
             diag = float(dk)
             if k >= 1:
                 if sk <= 0:
@@ -299,9 +280,9 @@ class ClassicalWeight(tuple):
         """mu_0 .. mu_(n-1) in float: the Gamma value of mu_0, then one
         product by ``float(mu_j / mu_(j-1))`` per degree."""
         if not self._moments:
-            self._moments.append(_zeroth_moment(self))
+            self._moments.append(self.kind.zeroth_moment(*self[1:]))
         for j in range(len(self._moments), n):
-            self._moments.append(self._moments[-1] * float(_moment_ratio(self, j)))
+            self._moments.append(self._moments[-1] * float(self.kind.moment_ratio(*self[1:], j)))
         return self._moments[:n]
 
 
@@ -310,30 +291,6 @@ def _check_exponents(weight_class: Tuple) -> None:
     for param in weight_class[1:]:
         if param <= -1:
             raise ValueError("weight parameters must exceed -1")
-
-
-def _beta_function(a: float, b: float) -> float:
-    """B(a+1, b+1) = Gamma(a+1) Gamma(b+1) / Gamma(a+b+2): the Gamma product,
-    or through ``lgamma`` where a Gamma value leaves the double range."""
-    try:
-        return math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
-    except OverflowError:
-        return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
-
-
-def _zeroth_moment(weight_class: Tuple) -> float:
-    if weight_class[0] == "jacobi":
-        _, a, b = weight_class
-        return _beta_function(float(a), float(b))
-    return math.gamma(float(weight_class[1]) + 1)
-
-
-def _moment_ratio(weight_class: Tuple, j: int) -> Fraction:
-    """Exact mu_j / mu_(j-1) for the classical weight, j >= 1."""
-    if weight_class[0] == "jacobi":
-        _, a, b = weight_class
-        return (a + j) / (a + b + j + 1)
-    return weight_class[1] + j
 
 
 @dataclass(frozen=True)
@@ -389,61 +346,21 @@ def _validate_moments(rule: QuadratureRule) -> None:
 # -- weights of the polynomial families --------------------------------------------
 
 
-class Weight(NamedTuple):
-    """A weighted family: its pointwise weight x -> w(x), from the float
-    parameters, and its support as text.  Its classical weight in
-    t = x^2 - gamma^2 is the ``reduced`` of its ``FAMILIES`` entry."""
-
-    value: Callable[[Mapping[str, float]], Callable[[float], float]]
-    support: str
-
-
-def _chihara_weight(p: Mapping[str, float]) -> Callable[[float], float]:
-    g, a, b = p["gamma"], p["alpha"], p["beta"]
-    return lambda x: (
-        math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
-    )
-
-
-def _gegenbauer_weight(p: Mapping[str, float]) -> Callable[[float], float]:
-    e, b = 2 * p["alpha"] + 1, p["beta"]
-    return lambda x: abs(x) ** e * (1 - x * x) ** b
-
-
-def _ext_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
-    g, e = p["gamma"], p["mu"] - 0.5
-    return lambda x: math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** e * math.exp(-x * x)
-
-
-def _gen_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
-    e = 2 * p["mu"]
-    return lambda x: abs(x) ** e * math.exp(-x * x)
-
-
-#: One entry per weighted family, keyed by family name.
-WEIGHTS: Dict[str, Weight] = {
-    "chihara": Weight(_chihara_weight,
-                      "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]"),
-    "gegenbauer": Weight(_gegenbauer_weight, "[-1, 1]"),
-    "ext_hermite": Weight(_ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
-    "gen_hermite": Weight(_gen_hermite_weight, "(-inf, inf)"),
-}
-
-
 @dataclass(frozen=True)
 class WeightSpec:
-    """The weight of a family: its ``WEIGHTS`` entry at the family's
-    parameters, and the float tables that the checks of the family share."""
+    """The weight of a family: the weight fields of its ``FAMILIES`` entry at
+    the family's parameters, and the float tables that the checks of the
+    family share."""
 
     family: FamilySpec
 
     def __post_init__(self):
-        if self.family.name not in WEIGHTS:
+        if FAMILIES[self.family.name].weight is None:
             raise ValueError(f"no continuous weight carried for family {self.family.name!r}")
 
     @property
     def support(self) -> str:
-        return WEIGHTS[self.family.name].support
+        return FAMILIES[self.family.name].support
 
     @property
     def gamma(self) -> Fraction:
@@ -451,16 +368,16 @@ class WeightSpec:
 
     def support_intervals(self) -> Tuple[Tuple[float, float], ...]:
         g = abs(float(self.gamma))
-        hi = math.sqrt(1 + g * g) if self.classical_weight[0] == "jacobi" else math.inf
+        hi = math.sqrt(1 + g * g) if self.classical_weight.kind.finite else math.inf
         return ((-hi, -g), (g, hi)) if "gamma" in self.family.p else ((-hi, hi),)
 
     @cached_property
     def weight_value(self) -> Callable[[float], float]:
         """The pointwise weight x -> w(x), its float parameters bound once."""
-        return WEIGHTS[self.family.name].value({key: float(v) for key, v in self.family.params})
+        return FAMILIES[self.family.name].weight({key: float(v) for key, v in self.family.params})
 
     def reduced_prefactor(self) -> float:
-        return 1.0 if self.classical_weight[0] == "jacobi" else math.exp(-float(self.gamma) ** 2)
+        return 1.0 if self.classical_weight.kind.finite else math.exp(-float(self.gamma) ** 2)
 
     @cached_property
     def classical_weight(self) -> ClassicalWeight:
@@ -647,11 +564,16 @@ def gram_matrix(family: FamilySpec, N: int) -> List[List[float]]:
 
 
 def gram_offdiag_worst(gram: Sequence[Sequence[float]]) -> float:
-    """max |G_mn| / sqrt(G_mm G_nn) over m != n."""
+    """max |G_mn| / sqrt(G_mm G_nn) over m != n; an entry or normaliser that
+    is not finite, where a ratio would read 0 or nan, raises OverflowError."""
     worst = 0.0
     for m in range(len(gram)):
         for n in range(m + 1, len(gram)):
-            worst = max(worst, abs(gram[m][n]) / math.sqrt(gram[m][m] * gram[n][n]))
+            norm = math.sqrt(gram[m][m] * gram[n][n])
+            if not (math.isfinite(gram[m][n]) and math.isfinite(norm)):
+                raise OverflowError(f"Gram entry ({m}, {n}) is {gram[m][n]!r}, "
+                                    f"its normaliser {norm!r}")
+            worst = max(worst, abs(gram[m][n]) / norm)
     return worst
 
 
@@ -711,36 +633,12 @@ def raw_inner_product(
 
 
 def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
-    """<P_n, P_n> / <P_(n-1), P_(n-1)> as an exact rational.
-
-    Obtained from the closed-form normalization constants with every Gamma
-    ratio cancelled into Pochhammer products, and those telescoped:
-    (a)_m / (a+1)_m = a / (a+m) and (a)_(m-1) / (a)_m = 1 / (a+m-1) with
-    a = m + alpha + beta + 1.  No floating point is involved, and the cost
-    does not grow with n.  Where a Pochhammer factor vanishes (alpha + beta
-    an integer in [-(n+1), -(m+1)], outside every integrable weight) the
-    ratio raises ``ZeroDivisionError``, as the untelescoped products do.
-    """
+    """<P_n, P_n> / <P_(n-1), P_(n-1)> as an exact rational: the closed form
+    of the family's reduced weight, at a cost that does not grow with n."""
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
     reduced = WeightSpec(family).classical_weight
-    m = n // 2
-    if reduced[0] == "generalized_laguerre":
-        # a = mu - 1/2.  Odd n: Gamma(m+a+2)/Gamma(m+a+1) = m+a+1; even n:
-        # m!/(m-1)! = m, the Gamma factors coinciding and cancelling
-        return m + reduced[1] + 1 if n % 2 == 1 else Fraction(m)
-    _, alpha, beta = reduced
-    s = alpha + beta
-    if n == 1 and s + 1 == 0:
-        # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
-        return (alpha + 1) / (alpha + beta + 2)
-    if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
-        raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
-    if n % 2 == 1:
-        # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
-        return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
-    # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
-    return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
+    return reduced.kind.norm_ratio(*reduced[1:], n)
 
 
 def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
@@ -749,7 +647,8 @@ def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     The quadrature side evaluates only P_n and P_(n-1) at the branch points
     of the Gauss nodes, through the float recurrence
     (``_last_two_values``), so both norms keep full relative accuracy even
-    when they are geometrically small.  The weight's Jacobi matrix and the
+    when they are geometrically small; a norm that is not finite raises
+    ``OverflowError``.  The weight's Jacobi matrix and the
     family's recurrence are converted to float once per ``spec``
     (``classical_weight``, ``recurrence``): a norms request passes one spec
     to every degree, and each degree grows both by the entries it needs.
@@ -763,23 +662,21 @@ def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     rows = [_last_two_values(diag, sub, n, x) for x in us + [-u for u in us]]
     rows_pos, rows_neg = rows[: len(us)], rows[len(us) :]
     norms = [
-        _branch_sum(
-            spec,
-            rule,
-            us,
-            [row[k] * row[k] for row in rows_pos],
-            [row[k] * row[k] for row in rows_neg],
-        )
+        _branch_sum(spec, rule, us, [row[k] * row[k] for row in rows_pos],
+                    [row[k] * row[k] for row in rows_neg])
         for k in (1, 0)
     ]
+    if not all(map(math.isfinite, norms)):
+        raise OverflowError(f"quadrature norms of P_{n} and P_{n - 1} are "
+                            f"{norms[0]!r}, {norms[1]!r}")
     return exact, norms[0] / norms[1]
 
 
 def norm_head(family: FamilySpec) -> float:
     """Absolute <P_0, P_0> from the closed-form constants (Gamma evaluation)."""
     spec = WeightSpec(family)
-    if spec.classical_weight[0] == "jacobi":
-        return _zeroth_moment(spec.classical_weight)
+    if spec.classical_weight.kind.finite:
+        return spec.classical_weight.moments(1)[0]
     g = float(spec.gamma)
     return math.exp(-g * g) * math.gamma(float(family.p["mu"]) + 0.5)
 

