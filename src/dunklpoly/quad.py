@@ -22,17 +22,16 @@ classical weight integrates it exactly up to rounding.  The reduction is
 validated in the test suite against a brute-force adaptive Simpson
 integration of the raw two-interval integral.
 
-Gauss rules are built from scratch: the Jacobi matrix of the classical
-weight (exact rational recurrence coefficients, then rounded; see
-``ClassicalWeight``) is diagonalized by an implicit-shift QL iteration with
-deflation at negligible off-diagonal entries (threshold 1e-15 of the matrix
-scale, sweep cap 10^4), nodes are the eigenvalues and weights are ``mu0``
-times the squared first eigenvector components; only that first row is
-rotated, so a rule costs O(n^2).  Every node is checked by Sturm counts (the
-inertia of ``T - x I`` within 1e-12 of the scale on either side); a count
-stops as soon as it reaches the bracketing value i + 1, the only value it is
-compared with.  Every rule is validated at build time against closed-form
-moments up to degree ``min(2n-1, 8)``.
+Gauss rules are built from scratch (Golub & Welsch 1969): the Jacobi matrix
+of the classical weight, its exact recurrence rounded once per
+``ClassicalWeight``, is diagonalized by an implicit-shift QL iteration with
+deflation at off-diagonal entries below 1e-15 of the matrix scale (sweep
+cap 10^4).  Nodes are the eigenvalues, weights ``mu0`` times the squared
+first eigenvector components; only that first row is rotated, so a rule
+costs O(n^2).  Every node is checked by Sturm counts (the inertia of
+``T - x I`` within 1e-12 of the scale on either side), each stopping once
+it reaches i + 1, the only value it is compared with, and every rule
+against closed-form moments up to degree ``min(2n-1, 8)``.
 
 The formulas are data in ``families``: a family's ``FAMILIES`` entry holds
 its reduced weight, pointwise weight and support text, and the ``CLASSICAL``
@@ -41,24 +40,24 @@ its support is finite.  A finite support ends at sqrt(1+gamma^2), an
 infinite one carries the prefactor exp(-gamma^2), and a gamma splits the
 support at |gamma|.
 
-Gram matrices and norm ratios evaluate the family polynomials at the
-branch points through the float three-term recurrence.  A ``WeightSpec``
-owns the float tables its checks share, each converted on demand and once:
-the Jacobi matrix and moments of its reduced weight (``classical_weight``)
-and the family's recurrence (``recurrence``).  A Gram matrix needs every
-row P_0 .. P_N (``_basis_table``) and forms the per-node factors of the
-branch sum once.  A norm check at degree n keeps only P_n and P_(n-1) of
-the recurrence.  A norms request builds one spec and one Gauss rule per
-degree, each rule diagonalizing the leading block it needs.  These
-shortcuts perform the same float operations in the same order as the
-straightforward loops, so every value is the same bit for bit.
+Every quadrature inner product goes through one kernel, which builds the
+Gauss rule, forms the per-node factors of the branch sum once and returns
+<v_m, v_n> for each index pair asked for, over rows of values at the branch
+points u = +-sqrt(t + gamma^2).  ``inner_product`` asks for (0, 1) over the
+rows (f(x), g(x)); ``gram_matrix`` for every m <= n over the rows P_0 .. P_N
+of the float three-term recurrence (``_basis_table``), and
+``norm_ratio_check`` for (1, 1) and (0, 0) over its rows P_(n-1), P_n.  The
+family's recurrence and the reduced weight's are one ``FloatRecurrence``
+each, converted on demand and once, so the per-degree rules of a norms
+request, sharing one spec, share every conversion.  All of this performs
+the same float operations in the same order as the straightforward loops,
+so every value is the same bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
-Pochhammer products over the rationals); an absolute-normalization value
-through the platform Gamma function is used only by ``norm_head`` (the
-absolute <P_0, P_0>) and by the zeroth moments of the Gauss rules.  Where a
-Gamma value leaves the double range, the Beta function of the Jacobi
-weights comes through ``lgamma`` instead.  A Gram entry or normaliser or a
+Pochhammer products over the rationals); the platform Gamma function
+enters only through the zeroth moments of the Gauss rules.  Where a Gamma
+value leaves the double range, the Beta function of the Jacobi weights
+comes through ``lgamma`` instead.  A Gram entry or normaliser or a
 quadrature norm that is not finite raises ``OverflowError``.
 """
 
@@ -68,11 +67,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, List, Sequence, Tuple
+from functools import cached_property, partial
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import CLASSICAL, FAMILIES, FamilySpec
+from .families import CLASSICAL, FAMILIES, FamilySpec, recurrence_coeffs
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -240,10 +239,33 @@ def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
 # -- classical weights and their Gauss rules ---------------------------------------
 
 
+class FloatRecurrence:
+    """Monic recurrence coefficients in float, converted on demand.
+
+    ``pair(k)`` gives the exact (diag_k, sub_k).  ``upto(N)`` converts the
+    pairs k < N that no earlier call converted and keeps them for the
+    instance's lifetime, so every check sharing the instance shares each
+    conversion.
+    """
+
+    def __init__(self, pair: Callable[[int], Tuple[Fraction, Fraction]]):
+        self.pair = pair
+        self.diag: List[float] = []
+        self.sub: List[float] = []
+
+    def upto(self, N: int) -> Tuple[List[float], List[float]]:
+        """(diag, sub) lists holding at least the entries k < N."""
+        for k in range(len(self.diag), N):
+            diag, sub = self.pair(k)
+            self.diag.append(float(diag))
+            self.sub.append(float(sub))
+        return self.diag, self.sub
+
+
 class ClassicalWeight(tuple):
     """``("jacobi", a, b)`` or ``("generalized_laguerre", a)`` with exact
     parameters, carrying its ``families.CLASSICAL`` entry as ``kind`` and
-    the float entries of its Jacobi matrix.
+    its recurrence in float as ``recurrence``.
 
     It compares and hashes as the plain tuple.  ``jacobi_matrix(n)`` and
     ``moments(n)`` convert only the entries no earlier call converted and
@@ -257,24 +279,24 @@ class ClassicalWeight(tuple):
         if kind is None or len(weight_class) != 1 + len(kind.params):
             raise ValueError(f"unknown weight class {weight_class!r}")
         self = super().__new__(cls, (weight_class[0],) + tuple(map(_as_fraction, weight_class[1:])))
+        params = self[1:]
+
+        def pair(k: int) -> Tuple[Fraction, Fraction]:
+            diag, sub = kind.recurrence(*params, k)
+            if k >= 1 and sub <= 0:
+                raise ValueError("recurrence sub-coefficient must be positive")
+            return diag, sub
+
         self.kind = kind
-        self._diag: List[float] = []
-        self._offdiag: List[float] = []
+        self.recurrence = FloatRecurrence(pair)
         self._moments: List[float] = []
         return self
 
     def jacobi_matrix(self, n: int) -> SymTridiag:
         """The leading n x n block: diagonal ``float(diag_k)``, off-diagonal
         ``sqrt(float(sub_k))``; a sub-coefficient must be positive."""
-        for k in range(len(self._diag), n):
-            dk, sk = self.kind.recurrence(*self[1:], k)
-            diag = float(dk)
-            if k >= 1:
-                if sk <= 0:
-                    raise ValueError("recurrence sub-coefficient must be positive")
-                self._offdiag.append(math.sqrt(float(sk)))
-            self._diag.append(diag)
-        return SymTridiag(tuple(self._diag[:n]), tuple(self._offdiag[: max(n - 1, 0)]))
+        diag, sub = self.recurrence.upto(n)
+        return SymTridiag(tuple(diag[:n]), tuple(map(math.sqrt, sub[1:n])))
 
     def moments(self, n: int) -> List[float]:
         """mu_0 .. mu_(n-1) in float: the Gamma value of mu_0, then one
@@ -371,6 +393,14 @@ class WeightSpec:
         hi = math.sqrt(1 + g * g) if self.classical_weight.kind.finite else math.inf
         return ((-hi, -g), (g, hi)) if "gamma" in self.family.p else ((-hi, hi),)
 
+    def midpoints(self, n: int) -> Iterator[float]:
+        """lo + (i + 1/2) (hi - lo) / n for i < n on each support component
+        in turn, an unbounded one clipped to a Gaussian-decay window."""
+        for lo, hi in self.support_intervals():
+            lo, hi = _finite_window(lo, hi)
+            for i in range(n):
+                yield lo + (i + 0.5) * (hi - lo) / n
+
     @cached_property
     def weight_value(self) -> Callable[[float], float]:
         """The pointwise weight x -> w(x), its float parameters bound once."""
@@ -387,7 +417,18 @@ class WeightSpec:
     @cached_property
     def recurrence(self) -> FloatRecurrence:
         """The family's recurrence in float, shared by every check of the spec."""
-        return FloatRecurrence(self.family)
+        return FloatRecurrence(partial(recurrence_coeffs, self.family))
+
+
+def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
+    """Clip an unbounded support component to a Gaussian-decay window."""
+    if math.isinf(lo) and math.isinf(hi):
+        return -8.0, 8.0
+    if math.isinf(lo):
+        return hi - 8.0, hi
+    if math.isinf(hi):
+        return lo, lo + 8.0
+    return lo, hi
 
 
 def weight_for(family: FamilySpec) -> WeightSpec:
@@ -433,32 +474,39 @@ def _rule_size(degree: int) -> int:
     return degree // 2 + 2
 
 
-def _branch_points(spec: WeightSpec, rule: QuadratureRule) -> List[float]:
-    """x-values u_i = sqrt(t_i + gamma^2) over the positive support branch."""
-    g = float(spec.gamma)
-    return [math.sqrt(t + g * g) for t in rule.nodes]
-
-
-def _branch_sum(
+def _inner_products(
     spec: WeightSpec,
-    rule: QuadratureRule,
-    us: Sequence[float],
-    pos: Sequence[float],
-    neg: Sequence[float],
-) -> float:
-    """sum_i w_i [(u_i+gamma) pos_i + (u_i-gamma) neg_i] / (2 u_i), prefactored.
+    size: int,
+    rows: Callable[[List[float]], Sequence[Sequence[float]]],
+    pairs: Sequence[Tuple[int, int]],
+) -> List[float]:
+    """<v_m, v_n> for each (m, n) in ``pairs`` by the Gauss rule of ``size``
+    nodes: sum_i w_i [(u_i+gamma) v_m(u_i) v_n(u_i) + (u_i-gamma) v_m(-u_i)
+    v_n(-u_i)] / (2 u_i), prefactored, with u_i = sqrt(t_i + gamma^2).
 
-    ``pos_i``/``neg_i`` are the products f(u_i) g(u_i) and f(-u_i) g(-u_i);
-    the bracket equals the reduced integrand E(t_i+gamma^2) + gamma
-    O(t_i+gamma^2) identically, but is evaluated from pointwise polynomial
-    values, which keeps tiny inner products accurate: for f = g both terms
-    are nonnegative (u_i >= |gamma|), so no cancellation occurs.
+    ``rows(points)`` gives one row [v_0(x), v_1(x), ...] per point, for the
+    u_i and then the -u_i.  The bracket equals the reduced integrand
+    E(t_i+gamma^2) + gamma O(t_i+gamma^2) of v_m v_n identically, but from
+    pointwise values it keeps tiny inner products accurate: for m = n both
+    terms are nonnegative (u_i >= |gamma|), so no cancellation occurs.
     """
+    rule = gauss_rule(spec.classical_weight, size)
     g = float(spec.gamma)
-    total = 0.0
-    for w, u, p_val, n_val in zip(rule.weights, us, pos, neg):
-        total += w * ((u + g) * p_val + (u - g) * n_val) / (2.0 * u)
-    return spec.reduced_prefactor() * total
+    us = [math.sqrt(t + g * g) for t in rule.nodes]
+    table = rows(us + [-u for u in us])
+    per_node = [
+        (w, u + g, u - g, 2.0 * u, pos, neg)
+        for w, u, pos, neg in zip(rule.weights, us, table, table[len(us) :])
+    ]
+    prefactor = spec.reduced_prefactor()
+    products = []
+    for m, n in pairs:
+        total = 0.0
+        for w, u_plus, u_minus, two_u, pos, neg in per_node:
+            bracket = u_plus * (pos[m] * pos[n]) + u_minus * (neg[m] * neg[n])
+            total += w * bracket / two_u
+        products.append(prefactor * total)
+    return products
 
 
 def inner_product(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> float:
@@ -475,91 +523,53 @@ def inner_product(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> float:
         raise ValueError("inner products are defined for polynomial arguments")
     if f.is_zero or g.is_zero:
         return 0.0
-    rule = gauss_rule(spec.classical_weight, _rule_size(f.degree + g.degree))
-    us = _branch_points(spec, rule)
-    pos = [f.evaluate_float(u) * g.evaluate_float(u) for u in us]
-    neg = [f.evaluate_float(-u) * g.evaluate_float(-u) for u in us]
-    return _branch_sum(spec, rule, us, pos, neg)
-
-
-class FloatRecurrence:
-    """A family's monic recurrence coefficients in float, converted on demand.
-
-    ``upto(N)`` converts diag(k) and sub(k) for the k < N that no earlier
-    call converted (the diag entries first, as one fresh conversion would)
-    and keeps them for the instance's lifetime.
-    """
-
-    def __init__(self, family: FamilySpec):
-        self.family = family
-        self.diag: List[float] = []
-        self.sub: List[float] = []
-
-    def upto(self, N: int) -> Tuple[List[float], List[float]]:
-        """(diag, sub) lists holding at least the entries k < N."""
-        ks = range(len(self.diag), N)
-        diag = [float(self.family.diag(k)) for k in ks]
-        sub = [float(self.family.sub(k)) for k in ks]
-        self.diag += diag
-        self.sub += sub
-        return self.diag, self.sub
+    [value] = _inner_products(
+        spec, _rule_size(f.degree + g.degree),
+        lambda xs: [(f.evaluate_float(x), g.evaluate_float(x)) for x in xs], [(0, 1)]
+    )
+    return value
 
 
 def _basis_table(
-    recurrence: FloatRecurrence, N: int, points: Sequence[float]
+    recurrence: FloatRecurrence, degrees: range, points: Sequence[float]
 ) -> List[List[float]]:
-    """One row [P_0(x) .. P_N(x)] per x in ``points``, by the float recurrence.
+    """One row [P_k(x) for k in ``degrees``] per x in ``points``, by the
+    float recurrence; ``degrees`` is a range of step 1.
 
     The exact recurrence coefficients are converted to float once per
     ``FloatRecurrence``, then shared by every point.  Recurrence evaluation
     avoids the coefficient cancellation of Horner on expanded monic
     coefficients, which matters for the tiny high-degree norms in the Gram
-    matrix.
+    matrix.  Every step is (x - diag_k) P_k - sub_k P_(k-1) from P_(-1) = 0,
+    P_0 = 1 (sub_0 is 0); the steps below ``degrees`` keep no value.
     """
+    lowest, N = degrees.start, degrees.stop - 1
     diag, sub = recurrence.upto(N)
+    skipped = list(zip(diag[:lowest], sub[:lowest]))
+    kept = list(zip(diag[lowest:N], sub[lowest:N]))
     table = []
     for x in points:
-        values = [1.0]
-        if N >= 1:
-            values.append(x - diag[0])
-        for n in range(1, N):
-            values.append((x - diag[n]) * values[n] - sub[n] * values[n - 1])
-        table.append(values)
+        previous, value = 0.0, 1.0
+        for d, s in skipped:
+            previous, value = value, (x - d) * value - s * previous
+        row = [value]
+        for d, s in kept:
+            previous, value = value, (x - d) * value - s * previous
+            row.append(value)
+        table.append(row)
     return table
-
-
-def _last_two_values(
-    diag: Sequence[float], sub: Sequence[float], n: int, x: float
-) -> Tuple[float, float]:
-    """(P_(n-1)(x), P_n(x)) for n >= 1: the last two entries of the
-    ``_basis_table`` row of x, by the same float operations."""
-    previous, value = 1.0, x - diag[0]
-    for k in range(1, n):
-        previous, value = value, (x - diag[k]) * value - sub[k] * previous
-    return previous, value
 
 
 def gram_matrix(family: FamilySpec, N: int) -> List[List[float]]:
     """[<P_m, P_n>] for m, n = 0..N against the family weight."""
     spec = weight_for(family)
-    rule = gauss_rule(spec.classical_weight, _rule_size(2 * N))
-    us = _branch_points(spec, rule)
-    table = _basis_table(spec.recurrence, N, us + [-u for u in us])
-    # the per-node factors of _branch_sum, formed once for every (m, n)
-    g = float(spec.gamma)
-    per_node = [
-        (w, u + g, u - g, 2.0 * u, pos, neg)
-        for w, u, pos, neg in zip(rule.weights, us, table, table[len(us) :])
-    ]
-    prefactor = spec.reduced_prefactor()
+    pairs = [(m, n) for m in range(N + 1) for n in range(m, N + 1)]
+    products = _inner_products(
+        spec, _rule_size(2 * N), partial(_basis_table, spec.recurrence, range(N + 1)), pairs
+    )
     gram = [[0.0] * (N + 1) for _ in range(N + 1)]
-    for m in range(N + 1):
-        for n in range(m, N + 1):
-            total = 0.0
-            for w, u_plus, u_minus, two_u, pos, neg in per_node:
-                bracket = u_plus * (pos[m] * pos[n]) + u_minus * (neg[m] * neg[n])
-                total += w * bracket / two_u
-            gram[m][n] = gram[n][m] = prefactor * total
+    for (m, n), value in zip(pairs, products):
+        gram[m][n] = gram[n][m] = value
     return gram
 
 
@@ -644,41 +654,27 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
 def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     """(exact ratio, quadrature ratio) of consecutive squared norms.
 
-    The quadrature side evaluates only P_n and P_(n-1) at the branch points
-    of the Gauss nodes, through the float recurrence
-    (``_last_two_values``), so both norms keep full relative accuracy even
-    when they are geometrically small; a norm that is not finite raises
-    ``OverflowError``.  The weight's Jacobi matrix and the
-    family's recurrence are converted to float once per ``spec``
+    The quadrature side is <P_n, P_n> / <P_(n-1), P_(n-1)> from the one
+    inner-product kernel, over the rows P_(n-1), P_n of the float
+    recurrence at the branch points: the rule and values of
+    ``gram_matrix(family, n)``.  A norm that is not finite raises
+    ``OverflowError``.  The weight's Jacobi matrix and the family's
+    recurrence are converted to float once per ``spec``
     (``classical_weight``, ``recurrence``): a norms request passes one spec
     to every degree, and each degree grows both by the entries it needs.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
     exact = norm_ratio_exact(spec.family, n)
-    rule = gauss_rule(spec.classical_weight, _rule_size(2 * n))
-    us = _branch_points(spec, rule)
-    diag, sub = spec.recurrence.upto(n)
-    rows = [_last_two_values(diag, sub, n, x) for x in us + [-u for u in us]]
-    rows_pos, rows_neg = rows[: len(us)], rows[len(us) :]
-    norms = [
-        _branch_sum(spec, rule, us, [row[k] * row[k] for row in rows_pos],
-                    [row[k] * row[k] for row in rows_neg])
-        for k in (1, 0)
-    ]
+    # rows of P_(n-1), P_n only: a degree stores O(n) floats, not O(n^2)
+    norms = _inner_products(
+        spec, _rule_size(2 * n), partial(_basis_table, spec.recurrence, range(n - 1, n + 1)),
+        [(1, 1), (0, 0)],
+    )
     if not all(map(math.isfinite, norms)):
         raise OverflowError(f"quadrature norms of P_{n} and P_{n - 1} are "
                             f"{norms[0]!r}, {norms[1]!r}")
     return exact, norms[0] / norms[1]
-
-
-def norm_head(family: FamilySpec) -> float:
-    """Absolute <P_0, P_0> from the closed-form constants (Gamma evaluation)."""
-    spec = WeightSpec(family)
-    if spec.classical_weight.kind.finite:
-        return spec.classical_weight.moments(1)[0]
-    g = float(spec.gamma)
-    return math.exp(-g * g) * math.gamma(float(family.p["mu"]) + 0.5)
 
 
 # -- Pearson verification -----------------------------------------------------------
@@ -711,9 +707,9 @@ def verify_pearson(
     equals the first-order coefficient demanded by operator symmetry,
     alpha/(x-gamma) + (alpha+1)/(x+gamma) - 2 beta x/(gamma^2+1-x^2).
 
-    (ii) In float, on >= ``samples_per_side`` interior points of each
-    support component: (x+gamma) w(-x) + (-x+gamma) w(x) = 0 within
-    ``tolerance * |w(x)|``.
+    (ii) In float, at the ``samples_per_side`` midpoints of each support
+    component (``WeightSpec.midpoints``): (x+gamma) w(-x) + (-x+gamma) w(x)
+    = 0 within ``tolerance * |w(x)|``.
     """
     if family.name != "chihara":
         raise ValueError("the Pearson conditions are carried for the chihara family")
@@ -741,14 +737,12 @@ def verify_pearson(
         weight_value = spec.weight_value
         worst = 0.0
         count = 0
-        for lo, hi in spec.support_intervals():
-            for i in range(samples_per_side):
-                xx = lo + (hi - lo) * (i + 0.5) / samples_per_side
-                wx = weight_value(xx)
-                wmx = weight_value(-xx)
-                relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
-                worst = max(worst, relative)
-                count += 1
+        for xx in spec.midpoints(samples_per_side):
+            wx = weight_value(xx)
+            wmx = weight_value(-xx)
+            relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
+            worst = max(worst, relative)
+            count += 1
     return PearsonReport(
         ode_residual=str(residual),
         ode_exact=ode_exact,

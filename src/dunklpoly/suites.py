@@ -600,30 +600,16 @@ def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]
     """
     spec = weight_for(family)
     rows = []
-    for lo, hi in spec.support_intervals():
-        lo, hi = _finite_window(lo, hi)
-        for j in range(points):
-            x = lo + (j + 0.5) * (hi - lo) / points
-            with _in_double_range(family, f"weight at x={x!r}"):
-                try:
-                    value = spec.weight_value(x)
-                except ZeroDivisionError:
-                    if x != 0.0:
-                        raise
-                    value = math.inf
-                rows.append((x, value))
+    for x in spec.midpoints(points):
+        with _in_double_range(family, f"weight at x={x!r}"):
+            try:
+                value = spec.weight_value(x)
+            except ZeroDivisionError:
+                if x != 0.0:
+                    raise
+                value = math.inf
+            rows.append((x, value))
     return rows
-
-
-def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
-    """Clip an unbounded support component to a Gaussian-decay window."""
-    if math.isinf(lo) and math.isinf(hi):
-        return -8.0, 8.0
-    if math.isinf(lo):
-        return hi - 8.0, hi
-    if math.isinf(hi):
-        return lo, lo + 8.0
-    return lo, hi
 
 
 def suite_pearson() -> List[VerificationRecord]:

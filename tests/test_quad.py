@@ -33,7 +33,6 @@ from dunklpoly.quad import (
     gram_matrix,
     gram_offdiag_worst,
     inner_product,
-    norm_head,
     norm_ratio_check,
     norm_ratio_exact,
     raw_inner_product,
@@ -497,27 +496,50 @@ _quadrature_families = st.one_of(
 @given(
     family=_quadrature_families,
     N=st.integers(0, 20),
+    lowest=st.integers(0, 20),
     points=st.lists(st.floats(-4, 4), max_size=8),
 )
-def test_basis_table_equals_per_node_recurrence(family, N, points):
-    # same floats in the same operation order: equal bit for bit
-    table = _basis_table(quad.FloatRecurrence(family), N, points)
-    assert table == [_per_node_basis_values(family, N, x) for x in points]
+def test_basis_table_equals_per_node_recurrence(family, N, lowest, points):
+    # same floats in the same operation order: equal bit for bit, also for
+    # rows that start above degree 0
+    lowest = min(lowest, N)
+    recurrence = quad.FloatRecurrence(lambda k: (family.diag(k), family.sub(k)))
+    table = [_per_node_basis_values(family, N, x) for x in points]
+    assert _basis_table(recurrence, range(N + 1), points) == table
+    assert _basis_table(recurrence, range(lowest, N + 1), points) == [
+        row[lowest:] for row in table
+    ]
+
+
+def _branch_points(spec, rule):
+    """Reference: u_i = sqrt(t_i + gamma^2) per Gauss node."""
+    g = float(spec.gamma)
+    return [math.sqrt(t + g * g) for t in rule.nodes]
+
+
+def _per_node_branch_sum(spec, rule, pos, neg):
+    """Reference: sum_i w_i [(u_i+gamma) pos_i + (u_i-gamma) neg_i] / (2 u_i),
+    prefactored, with the node factors formed afresh for every sum."""
+    g = float(spec.gamma)
+    total = 0.0
+    for w, u, p_val, n_val in zip(rule.weights, _branch_points(spec, rule), pos, neg):
+        total += w * ((u + g) * p_val + (u - g) * n_val) / (2.0 * u)
+    return spec.reduced_prefactor() * total
 
 
 def _pairwise_gram_matrix(family, N):
-    """Reference: the Gram matrix from the full basis table, one
-    ``_branch_sum`` with freshly built product lists per (m, n)."""
+    """Reference: the Gram matrix from per-node basis values, one branch
+    sum with freshly built product lists per (m, n)."""
     spec = weight_for(family)
     rule = gauss_rule(spec.classical_weight, quad._rule_size(2 * N))
-    us = quad._branch_points(spec, rule)
-    table = _basis_table(quad.FloatRecurrence(family), N, us + [-u for u in us])
-    pos, neg = table[: len(us)], table[len(us) :]
+    us = _branch_points(spec, rule)
+    pos = [_per_node_basis_values(family, N, u) for u in us]
+    neg = [_per_node_basis_values(family, N, -u) for u in us]
     gram = [[0.0] * (N + 1) for _ in range(N + 1)]
     for m in range(N + 1):
         for n in range(m, N + 1):
-            gram[m][n] = gram[n][m] = quad._branch_sum(
-                spec, rule, us, [r[m] * r[n] for r in pos], [r[m] * r[n] for r in neg]
+            gram[m][n] = gram[n][m] = _per_node_branch_sum(
+                spec, rule, [r[m] * r[n] for r in pos], [r[m] * r[n] for r in neg]
             )
     return gram
 
@@ -599,12 +621,12 @@ def _per_degree_norm_ratio(family, n):
     mu0 = CLASSICAL[weight_class[0]].zeroth_moment(*weight_class[1:])
     rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts),
                           weight_class, 2 * n + 3)
-    us = quad._branch_points(spec, rule)
-    rows = [_per_node_basis_values(family, n, x) for x in us + [-u for u in us]]
-    pos, neg = rows[: len(us)], rows[len(us) :]
+    us = _branch_points(spec, rule)
+    pos = [_per_node_basis_values(family, n, u) for u in us]
+    neg = [_per_node_basis_values(family, n, -u) for u in us]
     norms = [
-        quad._branch_sum(spec, rule, us, [r[k] * r[k] for r in pos],
-                         [r[k] * r[k] for r in neg])
+        _per_node_branch_sum(spec, rule, [r[k] * r[k] for r in pos],
+                             [r[k] * r[k] for r in neg])
         for k in (n, n - 1)
     ]
     return norm_ratio_exact(family, n), norms[0] / norms[1]
@@ -626,6 +648,15 @@ def test_shared_norm_tables_equal_per_degree_route(family, cap):
     # grown tables still lend each degree its own leading block
     for n in range(cap - 1, 0, -1):
         assert norm_ratio_check(spec, n) == _per_degree_norm_ratio(family, n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=_quadrature_families, n=st.integers(1, 16))
+def test_norm_ratio_is_the_gram_diagonal_ratio(family, n):
+    # one kernel, rule and basis table: the quadrature ratio is the ratio
+    # of the Gram diagonal entries bit for bit
+    gram = gram_matrix(family, n)
+    assert norm_ratio_check(weight_for(family), n)[1] == gram[n][n] / gram[n - 1][n - 1]
 
 
 # -- norms -----------------------------------------------------------------------------
@@ -705,9 +736,11 @@ def test_norm_ratio_quadrature_agreement(fam):
 
 
 def test_norm_head_matches_quadrature():
+    # the norm head <P_0, P_0> in closed form: prefactor times Gamma values
     one = LaurentPoly.one()
-    for fam in (chihara_family(1, 1, F(1, 2)), ext_hermite_family(F(3, 2), F(1, 2))):
-        head = norm_head(fam)
+    heads = [(chihara_family(1, 1, F(1, 2)), math.gamma(2.0) ** 2 / math.gamma(4.0)),
+             (ext_hermite_family(F(3, 2), F(1, 2)), math.exp(-0.25) * math.gamma(2.0))]
+    for fam, head in heads:
         assert inner_product(weight_for(fam), one, one) == pytest.approx(head, rel=1e-12)
 
 
@@ -718,13 +751,10 @@ def test_beta_function_past_the_gamma_range():
     exact = F(math.factorial(b))
     for k in range(1, b + 2):
         exact /= a + k
-    fam = chihara_family(a, b, F(-5, 2))
-    head = norm_head(fam)
-    assert head == CLASSICAL["jacobi"].zeroth_moment(a, b)
-    assert head == pytest.approx(float(exact), rel=1e-11)
+    zeroth_moment = CLASSICAL["jacobi"].zeroth_moment
+    assert zeroth_moment(a, b) == pytest.approx(float(exact), rel=1e-11)
     # inside the range the Gamma product is kept bit for bit
-    small = chihara_family(F(1, 2), 3, F(1, 3))
-    assert norm_head(small) == math.gamma(1.5) * math.gamma(4.0) / math.gamma(5.5)
+    assert zeroth_moment(F(1, 2), 3) == math.gamma(1.5) * math.gamma(4.0) / math.gamma(5.5)
 
 
 # -- weights ----------------------------------------------------------------------------
@@ -800,9 +830,8 @@ _PER_FAMILY_SUPPORT_TEXT = {
 
 def _per_family_weight(fam):
     """Reference: (support intervals, reduced class, prefactor, support
-    text, norm head) by one branch per family name."""
+    text) by one branch per family name."""
     p = fam.p
-    f = {key: float(v) for key, v in fam.params}
     gamma = p.get("gamma", F(0))
     g = abs(float(gamma))
     if fam.name == "chihara":
@@ -816,13 +845,10 @@ def _per_family_weight(fam):
         intervals = ((-math.inf, math.inf),)
     if fam.name in ("chihara", "gegenbauer"):
         reduced = ("jacobi", p["alpha"], p["beta"])
-        head = CLASSICAL["jacobi"].zeroth_moment(f["alpha"], f["beta"])
     else:
         reduced = ("generalized_laguerre", p["mu"] - F(1, 2))
-        fg = f.get("gamma", 0.0)
-        head = math.exp(-fg * fg) * math.gamma(f["mu"] + 0.5)
     prefactor = math.exp(-float(gamma) ** 2) if fam.name == "ext_hermite" else 1.0
-    return intervals, reduced, prefactor, _PER_FAMILY_SUPPORT_TEXT[fam.name], head
+    return intervals, reduced, prefactor, _PER_FAMILY_SUPPORT_TEXT[fam.name]
 
 
 def _per_family_norm_ratio(fam, n):
@@ -842,12 +868,11 @@ def _per_family_norm_ratio(fam, n):
 
 def _assert_weight_matches_per_family_branches(fam):
     spec = weight_for(fam)
-    intervals, reduced, prefactor, text, head = _per_family_weight(fam)
+    intervals, reduced, prefactor, text = _per_family_weight(fam)
     assert spec.support_intervals() == intervals
     assert spec.classical_weight == reduced
     assert spec.reduced_prefactor() == prefactor
     assert spec.support == text
-    assert norm_head(fam) == head
     for n in range(1, 31):
         got = norm_ratio_exact(fam, n)
         assert got == _per_family_norm_ratio(fam, n) and type(got) is F, n
