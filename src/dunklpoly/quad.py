@@ -71,7 +71,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import CLASSICAL, FAMILIES, FamilySpec, recurrence_coeffs
+from .families import CLASSICAL, FAMILIES, Family, FamilySpec, recurrence_coeffs
 from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
@@ -368,6 +368,14 @@ def _validate_moments(rule: QuadratureRule) -> None:
 # -- weights of the polynomial families --------------------------------------------
 
 
+def _weighted_entry(family: FamilySpec) -> Family:
+    """The family's ``FAMILIES`` entry, which must carry a weight."""
+    entry = FAMILIES[family.name]
+    if entry.weight is None:
+        raise ValueError(f"no continuous weight carried for family {family.name!r}")
+    return entry
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """The weight of a family: the weight fields of its ``FAMILIES`` entry at
@@ -377,8 +385,7 @@ class WeightSpec:
     family: FamilySpec
 
     def __post_init__(self):
-        if FAMILIES[self.family.name].weight is None:
-            raise ValueError(f"no continuous weight carried for family {self.family.name!r}")
+        _weighted_entry(self.family)
 
     @property
     def support(self) -> str:
@@ -647,8 +654,8 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     of the family's reduced weight, at a cost that does not grow with n."""
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
-    reduced = WeightSpec(family).classical_weight
-    return reduced.kind.norm_ratio(*reduced[1:], n)
+    tag, *params = _weighted_entry(family).reduced(family.p)
+    return CLASSICAL[tag].norm_ratio(*params, n)
 
 
 def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:

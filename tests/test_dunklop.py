@@ -48,6 +48,7 @@ from dunklpoly.suites import EIGEN_CASES, eigen_sweep
 
 F = Fraction
 X = LaurentPoly.x()
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 
 
 # -- involution and parity -------------------------------------------------------
@@ -188,15 +189,7 @@ def test_shift_terms_leave_gaussian_class():
         K.apply_gaussian(GaussianPoly(X))
 
 
-# -- composition -----------------------------------------------------------------
-
-
-def test_compose_matches_sequential_application():
-    Dm = build_operator("dunkl_derivative", mu=F(3, 2))
-    square = Dm.compose(Dm)
-    for j in range(13):
-        mono = LaurentPoly.monomial(j)
-        assert square.apply(mono) == Dm.apply(Dm.apply(mono))
+# -- the eigen-operators built from the Dunkl derivative ---------------------------
 
 
 def test_dunkl_square_eigencheck():
@@ -208,15 +201,30 @@ def test_dunkl_square_eigencheck():
         assert eigencheck(Q, p, lam).is_zero, f"n={n}"
 
 
-def test_dunkl_square_matches_double_application():
-    mu, a = F(3, 2), F(3, 4)
+@settings(deadline=None, max_examples=15)
+@given(mu=_rationals, a=_rationals, eps=_rationals)
+def test_dunkl_square_matches_double_application(mu, a, eps):
+    # gegenbauer_Q and gh_OmegaTilde are built in the closed reflection
+    # form; nested application of D^mu is the independent route, on
+    # polynomials and on the Gaussian class alike
     Q = build_operator("gegenbauer_Q", mu=mu, a=a)
+    Ot = build_operator("gh_OmegaTilde", mu=mu, eps=eps)
     Dm = build_operator("dunkl_derivative", mu=mu)
     w = LaurentPoly({0: 1, 2: -1})
-    for j in range(11):
-        mono = LaurentPoly.monomial(j)
-        direct = w * Dm.apply(Dm.apply(mono)) - 2 * (a + 1) * X * Dm.apply(mono)
-        assert Q.apply(mono) == direct
+    routes = {
+        "apply": lambda op, f: op.apply(f),
+        "apply_gaussian": lambda op, f: op.apply_gaussian(GaussianPoly(f)).poly,
+    }
+    for route, image in routes.items():
+        def d(f):
+            return image(Dm, f)
+
+        for j in range(13):
+            f = LaurentPoly.monomial(j)
+            assert image(Q, f) == w * d(d(f)) - 2 * (a + 1) * X * d(f), (route, j)
+            reflected = f.substitute_affine(-1, 0)
+            want = F(-1, 2) * d(d(f)) + F(1, 2) * X * X * f + eps / 2 * (f - reflected)
+            assert image(Ot, f) == want, (route, j)
 
 
 def test_eigenvalue_table_spot_values():
@@ -305,7 +313,6 @@ TOKEN_PARAMS = {
     "y_Z": ("mu", "gamma", "eps"),
 }
 
-_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 _polys = st.lists(_rationals, max_size=11).map(lambda cs: LaurentPoly(dict(enumerate(cs))))
 
 

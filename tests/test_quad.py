@@ -908,12 +908,18 @@ def test_family_table_matches_builders_and_weights():
 
 
 def test_weight_for_rejects_every_family_without_a_weight():
+    # weight_for and norm_ratio_exact, which reads the FAMILIES entry
+    # without a WeightSpec, give the same error
     rejected = sorted(set(FAMILIES) - set(_PER_FAMILY_SUPPORT_TEXT))
     assert rejected == ["big_m1_jacobi", "big_q_jacobi", "cbi"]
     for name in rejected:
         entry = FAMILIES[name]
-        with pytest.raises(ValueError, match="no continuous weight"):
-            weight_for(entry.build(*[F(1, 2)] * len(entry.params)))
+        fam = entry.build(*[F(1, 2)] * len(entry.params))
+        message = f"^no continuous weight carried for family '{name}'$"
+        with pytest.raises(ValueError, match=message):
+            weight_for(fam)
+        with pytest.raises(ValueError, match=message):
+            norm_ratio_exact(fam, 1)
 
 
 # -- Pearson ---------------------------------------------------------------------------
