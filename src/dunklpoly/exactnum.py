@@ -35,7 +35,7 @@ integer numerators over one common denominator and take one gcd at the end
   the numerator of an operator's image of x^j, with each derivative in
   closed form (or the Gaussian-class step g -> g' - x*g iterated);
 * ``three_term_step``: (x - diag)*p - sub*q, the step of every monic
-  recurrence over the rationals (``families`` and ``transforms``);
+  recurrence over the rationals (``families.monic_list``);
 * ``residual``: a - c*b, an eigen-equation's residual.
 
 Each makes the dict operations of the route it replaces, on values scaled

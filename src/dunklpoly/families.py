@@ -6,7 +6,10 @@ independent ways:
 * through the three-term recurrence
   ``P_{n+1} = (x - diag(n)) P_n - sub(n) P_{n-1}``, each step one call of
   ``exactnum.three_term_step`` on the integer numerators of P_n and
-  P_{n-1}, with one gcd per new polynomial, and
+  P_{n-1}, with one gcd per new polynomial.  ``monic_list`` is this one
+  loop for any coefficient source: a family (``generate_monic``), a
+  ``CLASSICAL`` recurrence in t, or the kernel recurrence of
+  ``transforms``; and
 * where a terminating hypergeometric expression exists, through
   ``explicit_poly``: exact Pochhammer prefactors times a series summed by
   its term ratio.
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction, three_term_step
@@ -195,28 +198,20 @@ def big_q_jacobi_AC(p: Dict[str, Fraction], n: int) -> Tuple[Fraction, Fraction]
 # -- classical weights in t ----------------------------------------------------
 
 
-def jacobi_recurrence(alpha: Fraction, beta: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) in z for the weight (1-z)^alpha (1+z)^beta.
+def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
+    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1].
 
     Raises ``ZeroDivisionError`` where a denominator vanishes.
     """
     if k == 0:
-        return (beta - alpha) / (alpha + beta + 2), Fraction(0)
-    s = 2 * k + alpha + beta
-    diag = (beta * beta - alpha * alpha) / (s * (s + 2))
+        return (a + 1) / (a + b + 2), Fraction(0)
+    s = 2 * k + a + b
+    q = s * (s + 2)
+    diag = (q + a * a - b * b) / (2 * q)
     if k == 1:
-        # k + alpha + beta cancels against s - 1, which is 0 at alpha + beta = -1
-        return diag, 4 * (1 + alpha) * (1 + beta) / ((2 + alpha + beta) ** 2 * (3 + alpha + beta))
-    return diag, 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
-        s * s * (s + 1) * (s - 1)
-    )
-
-
-def _jacobi01_recurrence(a: Fraction, b: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    """Monic recurrence (diag, sub) for the weight t^a (1-t)^b on [0, 1]:
-    the classical Jacobi recurrence for (1-z)^b (1+z)^a under t = (1+z)/2."""
-    diag_z, sub_z = jacobi_recurrence(b, a, k)
-    return (diag_z + 1) / 2, sub_z / 4
+        # k + a + b cancels against s - 1, which is 0 at a + b = -1
+        return diag, (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    return diag, k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1) * (s - 1))
 
 
 def _beta_function(a: Fraction, b: Fraction) -> float:
@@ -378,14 +373,20 @@ def recurrence_coeffs(family: FamilySpec, n: int) -> Tuple[Fraction, Fraction]:
     return family.diag(n), family.sub(n)
 
 
-def generate_monic(family: FamilySpec, N: int) -> List[LaurentPoly]:
-    """P_0 .. P_N through the recurrence; every entry monic of degree n."""
+def monic_list(pair: Callable[[int], Tuple[Fraction, Fraction]], N: int) -> List[LaurentPoly]:
+    """P_0 .. P_N of the monic recurrence whose (diag, sub) at n is ``pair(n)``;
+    every entry monic of degree n."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     polys = [LaurentPoly.zero(), LaurentPoly.one()]   # P_{-1}, P_0
     for n in range(N):
-        polys.append(three_term_step(polys[-1], polys[-2], family.diag(n), family.sub(n)))
+        polys.append(three_term_step(polys[-1], polys[-2], *pair(n)))
     return polys[1:]
+
+
+def generate_monic(family: FamilySpec, N: int) -> List[LaurentPoly]:
+    """P_0 .. P_N of a family through its recurrence."""
+    return monic_list(partial(recurrence_coeffs, family), N)
 
 
 def float_monic(diag: Sequence[float], sub: Sequence[float], N: int) -> List[List[float]]:
@@ -502,16 +503,3 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     pref = num / den
     series = hypergeometric_terminating(upper, lower, z)
     return pref * series * (x - root) if odd else pref * series
-
-
-def classical_jacobi_monic(n: int, alpha: Scalar, beta: Scalar) -> LaurentPoly:
-    """Monic Jacobi polynomial in z for the weight (1-z)^alpha (1+z)^beta."""
-    alpha, beta = _as_fraction(alpha), _as_fraction(beta)
-    prev, cur = LaurentPoly.zero(), LaurentPoly.one()
-    try:
-        for k in range(n):
-            diag, sub = jacobi_recurrence(alpha, beta, k)
-            prev, cur = cur, three_term_step(cur, prev, diag, sub)
-    except ZeroDivisionError:
-        raise DegenerateParameters(f"jacobi({alpha},{beta}) recurrence degenerate at k={k}") from None
-    return cur

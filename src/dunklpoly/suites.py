@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -58,16 +59,17 @@ from .dunklop import (
 )
 from .exactnum import LaurentPoly, NotDivisible, NotPolynomial, RatFunc
 from .families import (
+    CLASSICAL,
     FAMILIES,
     FamilySpec,
     big_m1_jacobi_family,
     chihara_family,
-    classical_jacobi_monic,
     explicit_poly,
     ext_hermite_family,
     gegenbauer_family,
     gen_hermite_family,
     generate_monic,
+    monic_list,
 )
 from .limits import (
     BETA_LIMIT_DEFAULTS,
@@ -400,8 +402,8 @@ def suite_algebra() -> List[VerificationRecord]:
 
 
 # --------------------------------------------------------------------------
-# Criterion: even/odd halves of the Chihara family are rescaled monic
-# Jacobi polynomials in the quadratic variable.
+# Criterion: even/odd halves of the Chihara family are monic Jacobi
+# polynomials in t = x^2 - gamma^2.
 
 
 def suite_jacobi() -> List[VerificationRecord]:
@@ -409,23 +411,19 @@ def suite_jacobi() -> List[VerificationRecord]:
     x = LaurentPoly.x()
     for alpha, beta, gamma in JACOBI_SETS:
         family = chihara_family(alpha, beta, gamma)
+        tag, a, b = FAMILIES["chihara"].reduced(family.p)
+        recurrence = CLASSICAL[tag].recurrence
         with stopwatch() as ms:
             polys = generate_monic(family, 2 * JACOBI_CAP + 1)
-            quad_var = LaurentPoly({0: 1 + 2 * gamma * gamma, 2: F(-2)})
-            ok = True
+            t = x * x - LaurentPoly.const(gamma * gamma)
+            even = monic_list(partial(recurrence, a, b), JACOBI_CAP)
+            odd = monic_list(partial(recurrence, a + 1, b), JACOBI_CAP)
             residual = "0"
             for n in range(JACOBI_CAP + 1):
-                scale = F(-1, 2) ** n
-                even = classical_jacobi_monic(n, alpha, beta).compose(quad_var) * scale
-                if polys[2 * n] != even:
-                    ok = False
+                if polys[2 * n] != even[n].compose(t):
                     residual = f"even half fails at n={n}"
                     break
-                odd = (x - gamma) * (
-                    classical_jacobi_monic(n, alpha + 1, beta).compose(quad_var) * scale
-                )
-                if polys[2 * n + 1] != odd:
-                    ok = False
+                if polys[2 * n + 1] != (x - gamma) * odd[n].compose(t):
                     residual = f"odd half fails at n={n}"
                     break
         records.append(
@@ -435,7 +433,7 @@ def suite_jacobi() -> List[VerificationRecord]:
                 family.label(),
                 f"0..{2 * JACOBI_CAP + 1}",
                 millis=ms[0],
-                passed=ok,
+                passed=residual == "0",
                 residual=residual,
             )
         )

@@ -27,7 +27,8 @@ list is the Chihara list at gamma = -c/s, rescaled.  sigma_n does not
 depend on gamma, and the rescaled list has the recurrence above, whose
 coefficients are rational for every rational c with |c| < 1 even where s
 is not.  ``kernel_to_chihara`` builds the rescaled targets from that
-recurrence and compares them with the kernels exactly, coefficient by
+recurrence with ``families.monic_list``, the loop behind every exact monic
+list, and compares them with the kernels exactly, coefficient by
 coefficient (Vinet-Zhedanov, Trans. AMS 364 (2012); Chihara 1978, ch. I).
 """
 
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div, three_term_step
-from .families import FamilySpec, big_m1_jacobi_AC, chihara_family
+from .exactnum import LaurentPoly, Scalar, _as_fraction, poly_exact_div
+from .families import FamilySpec, big_m1_jacobi_AC, chihara_family, monic_list
 
 
 # -- ratio lists ---------------------------------------------------------------
@@ -136,13 +137,10 @@ def kernel_to_chihara(kmap: KernelMap, kernels: Sequence[LaurentPoly]) -> List[L
     that the kernel list is the rescaled Chihara list at the mapped
     parameters.
     """
+    if not kernels:
+        return []
     c, s_squared = kmap.c, 1 - kmap.c * kmap.c
     sigma = chihara_family(kmap.alpha, kmap.beta, 0)
-    prev, target = LaurentPoly.zero(), LaurentPoly.one()
-    out: List[LaurentPoly] = []
-    for n, kernel in enumerate(kernels):
-        out.append(kernel - target)
-        if n + 1 < len(kernels):
-            diag, sub = (-1) ** (n + 1) * c, s_squared * sigma.sub(n)
-            prev, target = target, three_term_step(target, prev, diag, sub)
-    return out
+    targets = monic_list(
+        lambda n: ((-1) ** (n + 1) * c, s_squared * sigma.sub(n)), len(kernels) - 1)
+    return [kernel - target for kernel, target in zip(kernels, targets)]

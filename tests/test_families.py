@@ -8,6 +8,7 @@ before this module was implemented.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
+    CLASSICAL,
     FAMILIES,
     DegenerateParameters,
     big_m1_jacobi_AC,
@@ -22,13 +24,13 @@ from dunklpoly.families import (
     big_q_jacobi_family,
     cbi_family,
     chihara_family,
-    classical_jacobi_monic,
     explicit_poly,
     ext_hermite_family,
     gegenbauer_family,
     gen_hermite_family,
     generate_monic,
     hypergeometric_terminating,
+    monic_list,
     pochhammer,
     recurrence_coeffs,
 )
@@ -322,28 +324,87 @@ def test_gamma_reflection_parity():
         assert minus[n].substitute_affine(-1, 0) * (-1) ** n == plus[n]
 
 
-# -- classical monic Jacobi ------------------------------------------------------
+# -- classical monic Jacobi in t ---------------------------------------------------
+
+
+def _t_jacobi(a, b, N: int):
+    """Monic R_0 .. R_N for t^a (1-t)^b on [0, 1], the recurrence the Gauss
+    rules and the jacobi suite read."""
+    return monic_list(partial(CLASSICAL["jacobi"].recurrence, F(a), F(b)), N)
 
 
 def test_classical_jacobi_frozen_values():
-    assert coeffs_desc(classical_jacobi_monic(2, 0, 0), 2) == [1, 0, F(-1, 3)]
-    assert coeffs_desc(classical_jacobi_monic(3, 1, 2), 3) == [1, F(-1, 3), F(-1, 3), F(1, 21)]
-    assert coeffs_desc(classical_jacobi_monic(4, F(1, 2), F(3, 4)), 4) == [
+    # 2^(-n) times the classical monic Jacobi polynomial in z for
+    # (1-z)^b (1+z)^a, at z = 2t - 1
+    assert coeffs_desc(_t_jacobi(0, 0, 2)[2], 2) == [1, -1, F(1, 6)]
+    assert coeffs_desc(_t_jacobi(1, 2, 3)[3], 3) == [1, F(-4, 3), F(1, 2), F(-1, 21)]
+    assert coeffs_desc(_t_jacobi(F(1, 2), F(3, 4), 4)[4], 4) == [
         1,
-        F(-4, 37),
-        F(-294, 407),
-        F(548, 11803),
-        F(3383, 59015),
+        F(-72, 37),
+        F(504, 407),
+        F(-3360, 11803),
+        F(1008, 59015),
     ]
 
 
 def test_classical_jacobi_chebyshev_alpha_plus_beta_minus_one():
-    # alpha + beta = -1 zeroes the factor s - 1 of the general sub formula at
-    # k = 1; the monic Chebyshev polynomials 2^(1-n) T_n must still come out
+    # a + b = -1 zeroes the factor s - 1 of the general sub formula at k = 1;
+    # the monic shifted Chebyshev polynomials 2^(1-2n) T_n(2t - 1) must still
+    # come out
     half = F(-1, 2)
-    assert coeffs_desc(classical_jacobi_monic(2, half, half), 2) == [1, 0, F(-1, 2)]
-    assert coeffs_desc(classical_jacobi_monic(3, half, half), 3) == [1, 0, F(-3, 4), 0]
-    assert coeffs_desc(classical_jacobi_monic(4, half, half), 4) == [1, 0, -1, 0, F(1, 8)]
+    monic = _t_jacobi(half, half, 8)
+    assert coeffs_desc(monic[2], 2) == [1, -1, F(1, 8)]
+    assert coeffs_desc(monic[3], 3) == [1, F(-3, 2), F(9, 16), F(-1, 32)]
+    assert coeffs_desc(monic[4], 4) == [1, -2, F(5, 4), F(-1, 4), F(1, 128)]
+    z = X * 2 - 1
+    cheb = [LaurentPoly.one(), z]
+    for _ in range(7):
+        cheb.append(z * cheb[-1] * 2 - cheb[-2])
+    assert monic[0] == cheb[0]
+    for n in range(1, 9):
+        assert monic[n] == cheb[n] * F(1, 2 ** (2 * n - 1))
+
+
+def _z_route(a: Fraction, b: Fraction, k: int):
+    """The t recurrence through the classical Jacobi recurrence in z for
+    (1-z)^alpha (1+z)^beta, (alpha, beta) = (b, a), under t = (1+z)/2."""
+    alpha, beta = b, a
+    if k == 0:
+        diag, sub = (beta - alpha) / (alpha + beta + 2), Fraction(0)
+    else:
+        s = 2 * k + alpha + beta
+        diag = (beta * beta - alpha * alpha) / (s * (s + 2))
+        if k == 1:
+            sub = 4 * (1 + alpha) * (1 + beta) / ((2 + alpha + beta) ** 2 * (3 + alpha + beta))
+        else:
+            sub = 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (
+                s * s * (s + 1) * (s - 1)
+            )
+    return (diag + 1) / 2, sub / 4
+
+
+def _pair_or_error(recurrence, a, b, k):
+    try:
+        return recurrence(a, b, k)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+_PARITY_GRID = [F(n, 2) for n in range(-6, 6)] + [F(-2, 3), F(-1, 3), F(1, 3), F(5, 3)]
+
+
+def test_jacobi_t_recurrence_matches_z_route():
+    # the grid holds a + b in {-1, -2, -3}, where general formulas cancel
+    # or a denominator vanishes; values and ZeroDivisionError points agree
+    recurrence = CLASSICAL["jacobi"].recurrence
+    sums = set()
+    for a in _PARITY_GRID:
+        for b in _PARITY_GRID:
+            sums.add(a + b)
+            for k in range(9):
+                want = _pair_or_error(_z_route, a, b, k)
+                assert _pair_or_error(recurrence, a, b, k) == want, (a, b, k)
+    assert {-1, -2, -3} <= sums
 
 
 def test_gegenbauer_chebyshev_weight_gives_monic_chebyshev():
@@ -368,34 +429,30 @@ def test_chihara_sub_one_at_alpha_plus_beta_minus_one():
 
 
 def _jacobi_moment(j: int, a: int, b: int) -> Fraction:
-    """Exact integral of z^j (1-z)^a (1+z)^b over [-1, 1] for integer a, b."""
-    from math import comb
+    """Exact integral of t^j t^a (1-t)^b over [0, 1] for integer a, b:
+    B(j+a+1, b+1) = (j+a)! b! / (j+a+b+1)!."""
+    from math import factorial
 
-    total = Fraction(0)
-    for i in range(a + 1):
-        for k in range(b + 1):
-            c = Fraction(comb(a, i) * comb(b, k) * (-1) ** i)
-            e = j + i + k
-            total += c * (1 + (-1) ** e) / (e + 1)
-    return total
+    return Fraction(factorial(j + a) * factorial(b), factorial(j + a + b + 1))
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (1, 2)])
 def test_classical_jacobi_against_gram_schmidt(a, b):
-    # brute-force Gram-Schmidt on {1, z, z^2, z^3} with exact moments
+    # brute-force Gram-Schmidt on {1, t, t^2, t^3} with exact moments
     mom = [_jacobi_moment(j, a, b) for j in range(8)]
 
     def inner(p: LaurentPoly, q: LaurentPoly) -> Fraction:
         prod = p * q
         return sum(c * mom[e] for e, c in prod.items())
 
+    monic = _t_jacobi(a, b, 3)
     basis = []
     for n in range(4):
         v = LaurentPoly.monomial(n)
         for u in basis:
             v = v - inner(v, u) / inner(u, u) * u
         basis.append(v)
-        assert classical_jacobi_monic(n, a, b) == v
+        assert monic[n] == v
 
 
 # -- the three-term step against the composed route ----------------------------

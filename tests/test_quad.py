@@ -312,7 +312,8 @@ def test_rule_invariants(weight_class, n):
 def test_chebyshev_rule_at_a_plus_b_minus_one(n):
     # t^(-1/2) (1-t)^(-1/2) on [0, 1] is Chebyshev's first-kind weight under
     # t = (1+z)/2: nodes sin^2((2k-1) pi / (4n)), weights pi / n.  For n >= 2
-    # the rule reads the k = 1 branch of jacobi_recurrence.
+    # the rule reads the k = 1 branch of the t recurrence
+    # (`families._jacobi01_recurrence`).
     rule = gauss_rule(("jacobi", F(-1, 2), F(-1, 2)), n)
     nodes = [math.sin((2 * k - 1) * math.pi / (4 * n)) ** 2 for k in range(1, n + 1)]
     assert rule.nodes == pytest.approx(nodes, abs=1e-14)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from dunklpoly.families import chihara_family
+from dunklpoly.families import FAMILIES, chihara_family
 from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
 from dunklpoly.suites import (
     ALL_SUITES,
@@ -30,6 +30,7 @@ from dunklpoly.suites import (
     algebra_records,
     pearson_records,
     run_suites,
+    suite_jacobi,
 )
 
 EXPECTED_COUNTS = {
@@ -125,6 +126,22 @@ def test_negative_controls_detect(all_records):
     targets = {r.target for r in all_records["negative-controls"]}
     assert targets == {"perturbed-eigen-operator", "perturbed-transform-ratio"}
     assert all(r.outcome == "exact_pass" for r in all_records["negative-controls"])
+
+
+@pytest.mark.parametrize("bad, residual", [
+    (1, "even half fails at n=1"),
+    (2, "odd half fails at n=1"),
+    (3, "even half fails at n=2"),
+    (4, "odd half fails at n=2"),
+])
+def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
+    # sub(bad) + 1 first corrupts P_(bad+1); the Jacobi side reads the
+    # reduced weight of the same entry, which the patch leaves alone
+    chihara = FAMILIES["chihara"]
+    monkeypatch.setitem(FAMILIES, "chihara", chihara._replace(
+        sub=lambda p, n: chihara.sub(p, n) + (1 if n == bad else 0)))
+    records = suite_jacobi()
+    assert [(r.outcome, r.residual) for r in records] == [("fail", residual)] * 3
 
 
 def test_records_match_golden_digest(all_records):

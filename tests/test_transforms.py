@@ -170,6 +170,10 @@ def test_kernel_to_chihara_exact_at_irrational_scale(c):
     assert all(r.is_zero for r in residuals)
 
 
+def test_kernel_to_chihara_of_no_kernels_is_empty():
+    assert kernel_to_chihara(kernel_map(1, 1, F(3, 5)), []) == []
+
+
 def test_kernel_to_chihara_detects_wrong_c():
     """Kernels at c checked against the map at c + 1/100 leave a residual."""
     c = F(1, 3)
