@@ -431,13 +431,13 @@ class EigenOperator(NamedTuple):
 
 def _chihara_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
     s = p["alpha"] + p["beta"]
-    return m * (m + s + 2) + p["eps"] if odd else Fraction(m) * (m + s + 1)
+    return m * (m + s + 2) + p["eps"] if odd else m * (m + s + 1)
 
 
 def _cbi_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
     g = p["rho1"] + p["rho2"] - p["r1"] - p["r2"]
     if not odd:
-        return Fraction(m) * (m + g + 1)
+        return m * (m + g + 1)
     omega = (
         p["rho1"] * (1 - p["r1"] - p["r2"])
         + p["r1"] * p["r2"]
@@ -451,7 +451,7 @@ def _gegenbauer_q_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fra
     mu, a = p["mu"], p["a"]
     if odd:
         return -(2 * m + 2 * mu + 1) * (2 * m + 2 * a + 2)
-    return Fraction(-2 * m) * (2 * m + 2 * a + 2 * mu + 1)
+    return -2 * m * (2 * m + 2 * a + 2 * mu + 1)
 
 
 def _oscillator_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
@@ -476,11 +476,11 @@ EIGEN_OPERATORS: Dict[str, EigenOperator] = {
         lambda p: gegenbauer_family(p["mu"] - Fraction(1, 2), p["a"]), 16),
     "y_Z": EigenOperator(
         ("mu", "gamma", "eps"), ext_hermite_eigenop,
-        lambda m, odd, p: m + p["eps"] if odd else Fraction(m),
+        lambda m, odd, p: m + p["eps"] if odd else m * Fraction(1),
         lambda p: ext_hermite_family(p["mu"], p["gamma"]), 16),
     "gh_Omega": EigenOperator(
         ("mu", "eps"), gen_hermite_eigenop,
-        lambda m, odd, p: 2 * m + p["eps"] if odd else Fraction(2 * m),
+        lambda m, odd, p: 2 * m + p["eps"] if odd else 2 * m * Fraction(1),
         lambda p: gen_hermite_family(p["mu"]), 16),
     "gh_OmegaTilde": EigenOperator(
         ("mu", "eps"), gen_hermite_oscillator, _oscillator_eigenvalue,

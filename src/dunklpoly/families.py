@@ -17,6 +17,16 @@ independent ways:
 Agreement of the two routes, coefficient by coefficient over the rationals,
 is the construction-equivalence check of the acceptance suite.
 
+The coefficients split by parity: every formula of the tables takes the
+degree n = 2m + odd as (m, odd), ``Family.diag``, ``sub`` and ``series`` as
+(m, odd, p) like the ``dunklop.EIGEN_OPERATORS`` eigenvalues, and only the
+callers split n, with ``divmod(n, 2)``.  The formulas are plain arithmetic
+in m, with no ``Fraction(m)``: one runs at an int m over exact or float
+parameters and at a formal m, an ``exactnum.RatFunc`` in m, where an
+identity among the coefficients holds at every degree.  Branches on an
+integer m stay integer-only.  ``big_q_jacobi`` is the exception: q^n is not
+rational in n, so ``big_q_jacobi_AC`` takes n.
+
 The families are the entries of one table, ``FAMILIES``.  A weighted
 family's entry holds ``reduced(p)``, the classical weight of its even half:
 both halves are monic classical polynomials in t = x^2 - gamma^2 (gamma = 0
@@ -82,7 +92,7 @@ class FamilySpec:
 
     def diag(self, n: int) -> Fraction:
         try:
-            return FAMILIES[self.name].diag(self.p, n)
+            return FAMILIES[self.name].diag(*divmod(n, 2), self.p)
         except ZeroDivisionError:
             raise DegenerateParameters(f"{self.name} diag({n}) denominator vanishes") from None
 
@@ -91,7 +101,7 @@ class FamilySpec:
             # multiplies P_{-1} = 0; value is conventional
             return Fraction(0)
         try:
-            return FAMILIES[self.name].sub(self.p, n)
+            return FAMILIES[self.name].sub(*divmod(n, 2), self.p)
         except ZeroDivisionError:
             raise DegenerateParameters(f"{self.name} sub({n}) denominator vanishes") from None
 
@@ -137,11 +147,10 @@ def big_q_jacobi_family(qalpha: Scalar, qbeta: Scalar, qgamma: Scalar, q: Scalar
 # -- recurrence coefficients -------------------------------------------------
 
 
-def _chihara_sigma(p: Dict[str, Fraction], n: int) -> Fraction:
+def _chihara_sigma(m: int, odd: int, p: Dict[str, Fraction]) -> Fraction:
     alpha, beta = p["alpha"], p["beta"]
-    m = n // 2
-    if n % 2 == 0:
-        return Fraction(m) * (m + beta) / ((2 * m + alpha + beta) * (2 * m + alpha + beta + 1))
+    if not odd:
+        return m * (m + beta) / ((2 * m + alpha + beta) * (2 * m + alpha + beta + 1))
     if m == 0 and alpha + beta + 1 == 0:
         # the alpha + beta + 1 factors cancel, here as 0/0; elsewhere the
         # uncancelled form stays, since float limit sources must keep its bits
@@ -151,12 +160,11 @@ def _chihara_sigma(p: Dict[str, Fraction], n: int) -> Fraction:
     )
 
 
-def _cbi_tau(p: Dict[str, Fraction], n: int) -> Fraction:
+def _cbi_tau(m: int, odd: int, p: Dict[str, Fraction]) -> Fraction:
     rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
     g = rho1 + rho2 - r1 - r2
-    m = n // 2
-    if n % 2 == 0:
-        return -Fraction(m) * (m + rho1 - r1 + Fraction(1, 2)) * (
+    if not odd:
+        return -m * (m + rho1 - r1 + Fraction(1, 2)) * (
             m + rho1 - r2 + Fraction(1, 2)
         ) * (m - r1 - r2) / ((2 * m + g) * (2 * m + g + 1))
     return -(m + g + 1) * (m + rho1 + rho2 + 1) * (m + rho2 - r1 + Fraction(1, 2)) * (
@@ -164,26 +172,23 @@ def _cbi_tau(p: Dict[str, Fraction], n: int) -> Fraction:
     ) / ((2 * m + g + 1) * (2 * m + g + 2))
 
 
-def _ext_hermite_theta(p: Dict[str, Fraction], n: int) -> Fraction:
-    mu = p["mu"]
-    m = n // 2
-    return Fraction(m) if n % 2 == 0 else m + mu + Fraction(1, 2)
+def _ext_hermite_theta(m: int, odd: int, p: Dict[str, Fraction]) -> Fraction:
+    return m + p["mu"] + Fraction(1, 2) if odd else m * Fraction(1)
 
 
-def big_m1_jacobi_AC(p: Dict[str, Fraction], n: int) -> Tuple[Fraction, Fraction]:
+def big_m1_jacobi_AC(m: int, odd: int, p: Dict[str, Fraction]) -> Tuple[Fraction, Fraction]:
     """Christoffel split coefficients A_n, C_n of the big -1 Jacobi family."""
     a, b, c = p["a"], p["b"], p["c"]
-    if n % 2 == 0:
-        A = (1 + c) * (a + n + 1) / (2 * n + a + b + 2)
-        C = (1 - c) * Fraction(n) / (2 * n + a + b)
-    else:
-        A = (1 - c) * (n + a + b + 1) / (2 * n + a + b + 2)
-        C = (1 + c) * (n + b) / (2 * n + a + b)
-    return A, C
+    s = 4 * m + 2 * odd + a + b
+    if odd:
+        return (1 - c) * (2 * m + a + b + 2) / (s + 2), (1 + c) * (2 * m + b + 1) / s
+    return (1 + c) * (2 * m + a + 1) / (s + 2), (1 - c) * 2 * m / s
 
 
 def big_q_jacobi_AC(p: Dict[str, Fraction], n: int) -> Tuple[Fraction, Fraction]:
-    """Recurrence split coefficients (upsilon_n, nu_n) of big q-Jacobi."""
+    """Recurrence split coefficients (upsilon_n, nu_n) of big q-Jacobi.  q^n is
+    not rational in n, so unlike the table's other formulas these take the
+    degree n = 2m + odd itself."""
     al, be, ga, q = p["qalpha"], p["qbeta"], p["qgamma"], p["q"]
     qn = q**n
     ups = (1 - al * qn * q) * (1 - al * be * qn * q) * (1 - ga * qn * q) / (
@@ -224,7 +229,7 @@ def _beta_function(a: Fraction, b: Fraction) -> float:
         return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
-def _jacobi_norm_ratio(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
+def _jacobi_norm_ratio(alpha: Fraction, beta: Fraction, m: int, odd: int) -> Fraction:
     """<P_n, P_n> / <P_(n-1), P_(n-1)> of a family reduced to t^alpha (1-t)^beta.
 
     The Gamma ratios of the closed-form constants cancel into Pochhammer
@@ -233,18 +238,17 @@ def _jacobi_norm_ratio(alpha: Fraction, beta: Fraction, n: int) -> Fraction:
     vanishes (alpha + beta an integer in [-(n+1), -(m+1)], outside every
     integrable weight) it raises ``ZeroDivisionError``, as the products do.
     """
-    m = n // 2
     s = alpha + beta
-    if n == 1 and s + 1 == 0:
+    if m == 0 and odd and s + 1 == 0:
         # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
         return (alpha + 1) / (alpha + beta + 2)
-    if s.denominator == 1 and -(n + 1) <= s <= -(m + 1):
-        raise ZeroDivisionError(f"norm ratio {n} has a zero Pochhammer factor")
-    if n % 2 == 1:
+    if s.denominator == 1 and -(2 * m + odd + 1) <= s <= -(m + 1):
+        raise ZeroDivisionError(f"norm ratio {2 * m + odd} has a zero Pochhammer factor")
+    if odd:
         # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
         return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
     # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
-    return Fraction(m) * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
+    return m * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
 
 
 class Classical(NamedTuple):
@@ -252,7 +256,8 @@ class Classical(NamedTuple):
     named in ``params``, then an index: the monic recurrence (diag, sub),
     mu_j / mu_(j-1), the float mu_0 (no index), R_m's upper series
     parameters beyond -m, and the closed-form norm ratio of a family
-    reduced to it.  ``finite`` tells a bounded support."""
+    reduced to it, at degree n = 2m + odd as (m, odd).  ``finite`` tells a
+    bounded support."""
 
     params: Tuple[str, ...]
     recurrence: Callable[..., Tuple[Fraction, Fraction]]
@@ -272,9 +277,9 @@ CLASSICAL: Dict[str, Classical] = {
     # t^a e^(-t) on [0, inf); the norm ratio is Gamma(m+a+2)/Gamma(m+a+1)
     # at odd n and m!/(m-1)! at even n
     "generalized_laguerre": Classical(
-        ("a",), lambda a, k: (2 * k + a + 1, Fraction(k) * (k + a)), lambda a, j: a + j,
+        ("a",), lambda a, k: (2 * k + a + 1, k * (k + a)), lambda a, j: a + j,
         lambda a: math.gamma(float(a) + 1), lambda a, m: [],
-        lambda a, n: n // 2 + a + 1 if n % 2 == 1 else Fraction(n // 2), False),
+        lambda a, m, odd: m + a + 1 if odd else m * Fraction(1), False),
 }
 
 
@@ -311,7 +316,7 @@ def _gen_hermite_weight(p: Mapping[str, float]) -> Callable[[float], float]:
     return lambda x: abs(x) ** e * math.exp(-x * x)
 
 
-def _cbi_series(p: Mapping[str, Fraction], m: int, odd: int) -> Tuple:
+def _cbi_series(m: int, odd: int, p: Mapping[str, Fraction]) -> Tuple:
     """The complementary Bannai-Ito 4F3 at argument 1, with root rho2."""
     rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
     g = rho1 + rho2 - r1 - r2
@@ -319,52 +324,57 @@ def _cbi_series(p: Mapping[str, Fraction], m: int, odd: int) -> Tuple:
     x = LaurentPoly.x()
     dens = [rho1 + rho2 + 1 + odd, rho2 - r1 + h, rho2 - r2 + h]
     num = pochhammer(dens[0], m) * pochhammer(dens[1], m) * pochhammer(dens[2], m)
-    upper = [Fraction(-m), m + g + 1 + odd, x + rho2 + odd, -x + rho2 + odd]
+    upper = [-m, m + g + 1 + odd, x + rho2 + odd, -x + rho2 + odd]
     return num, pochhammer(m + g + 1 + odd, m), upper, dens, LaurentPoly.one(), rho2
 
 
 class Family(NamedTuple):
     """A builder taking the parameters in ``params`` order, the recurrence
-    ``diag(p, n)`` and ``sub(p, n)``, and the explicit form: a ``reduced(p)``
-    weight, or an own ``series(p, m, odd)`` for P_(2m+odd) as (prefactor
-    numerator and denominator, upper and lower parameters, argument, root).
-    A weighted family has a ``weight`` factory of float parameters and a
-    ``support`` text."""
+    ``diag(m, odd, p)`` and ``sub(m, odd, p)`` at n = 2m + odd, in plain
+    arithmetic on m, and the explicit form: a ``reduced(p)`` weight, or an
+    own ``series(m, odd, p)`` for P_(2m+odd) as (prefactor numerator and
+    denominator, upper and lower parameters, argument, root).  A weighted
+    family has a ``weight`` factory of float parameters and a ``support``
+    text."""
 
     build: Callable[..., FamilySpec]
     params: Tuple[str, ...]
-    diag: Callable[[Mapping[str, Fraction], int], Fraction]
-    sub: Callable[[Mapping[str, Fraction], int], Fraction]
+    diag: Callable[[int, int, Mapping[str, Fraction]], Fraction]
+    sub: Callable[[int, int, Mapping[str, Fraction]], Fraction]
     reduced: Optional[Callable[[Mapping[str, Fraction]], Tuple]] = None
     weight: Optional[Callable[[Mapping[str, float]], Callable[[float], float]]] = None
     support: Optional[str] = None
-    series: Optional[Callable[[Mapping[str, Fraction], int, int], Tuple]] = None
+    series: Optional[Callable[[int, int, Mapping[str, Fraction]], Tuple]] = None
 
 
 #: The family registry, keyed by family name.
 FAMILIES: Dict[str, Family] = {
     "chihara": Family(chihara_family, ("alpha", "beta", "gamma"),
-                      lambda p, n: (-1) ** n * p["gamma"], _chihara_sigma, _jacobi_reduced,
-                      _chihara_weight,
+                      lambda m, odd, p: (-1) ** odd * p["gamma"], _chihara_sigma,
+                      _jacobi_reduced, _chihara_weight,
                       "[-sqrt(1+gamma^2), -|gamma|] U [|gamma|, sqrt(1+gamma^2)]"),
     "gegenbauer": Family(gegenbauer_family, ("alpha", "beta"),
-                         lambda p, n: Fraction(0), _chihara_sigma, _jacobi_reduced,
+                         lambda m, odd, p: Fraction(0), _chihara_sigma, _jacobi_reduced,
                          _gegenbauer_weight, "[-1, 1]"),
     "ext_hermite": Family(ext_hermite_family, ("mu", "gamma"),
-                          lambda p, n: (-1) ** n * p["gamma"], _ext_hermite_theta, _laguerre_reduced,
-                          _ext_hermite_weight, "(-inf, -|gamma|] U [|gamma|, inf)"),
+                          lambda m, odd, p: (-1) ** odd * p["gamma"], _ext_hermite_theta,
+                          _laguerre_reduced, _ext_hermite_weight,
+                          "(-inf, -|gamma|] U [|gamma|, inf)"),
     "gen_hermite": Family(gen_hermite_family, ("mu",),
-                          lambda p, n: Fraction(0), _ext_hermite_theta, _laguerre_reduced,
+                          lambda m, odd, p: Fraction(0), _ext_hermite_theta, _laguerre_reduced,
                           _gen_hermite_weight, "(-inf, inf)"),
     "cbi": Family(cbi_family, ("rho1", "rho2", "r1", "r2"),
-                  lambda p, n: (-1) ** n * p["rho2"], _cbi_tau, series=_cbi_series),
+                  lambda m, odd, p: (-1) ** odd * p["rho2"], _cbi_tau, series=_cbi_series),
     "big_m1_jacobi": Family(
-        big_m1_jacobi_family, ("a", "b", "c"), lambda p, n: 1 - sum(big_m1_jacobi_AC(p, n)),
-        lambda p, n: big_m1_jacobi_AC(p, n - 1)[0] * big_m1_jacobi_AC(p, n)[1]),
+        big_m1_jacobi_family, ("a", "b", "c"),
+        lambda m, odd, p: 1 - sum(big_m1_jacobi_AC(m, odd, p)),
+        lambda m, odd, p: (big_m1_jacobi_AC(m - 1 + odd, 1 - odd, p)[0]
+                           * big_m1_jacobi_AC(m, odd, p)[1])),
     "big_q_jacobi": Family(
         big_q_jacobi_family, ("qalpha", "qbeta", "qgamma", "q"),
-        lambda p, n: 1 - sum(big_q_jacobi_AC(p, n)),
-        lambda p, n: big_q_jacobi_AC(p, n - 1)[0] * big_q_jacobi_AC(p, n)[1]),
+        lambda m, odd, p: 1 - sum(big_q_jacobi_AC(p, 2 * m + odd)),
+        lambda m, odd, p: (big_q_jacobi_AC(p, 2 * m + odd - 1)[0]
+                           * big_q_jacobi_AC(p, 2 * m + odd)[1])),
 }
 
 
@@ -487,11 +497,11 @@ def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:
     x = LaurentPoly.x()
     m, odd = divmod(n, 2)
     if entry.series is not None:
-        num, den, upper, lower, z, root = entry.series(p, m, odd)
+        num, den, upper, lower, z, root = entry.series(m, odd, p)
     elif entry.reduced is not None:
         tag, a, *b = entry.reduced(p)
         a += odd
-        upper, lower = [Fraction(-m), *CLASSICAL[tag].upper(a, *b, m)], [a + 1]
+        upper, lower = [-m, *CLASSICAL[tag].upper(a, *b, m)], [a + 1]
         num = (-1) ** m * pochhammer(a + 1, m)
         den = math.prod(pochhammer(u, m) for u in upper[1:])
         root = p.get("gamma", Fraction(0))

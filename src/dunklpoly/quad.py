@@ -655,7 +655,7 @@ def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
     tag, *params = _weighted_entry(family).reduced(family.p)
-    return CLASSICAL[tag].norm_ratio(*params, n)
+    return CLASSICAL[tag].norm_ratio(*params, *divmod(n, 2))
 
 
 def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:

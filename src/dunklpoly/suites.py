@@ -99,7 +99,6 @@ from .transforms import (
     christoffel,
     geronimus,
     kernel_map,
-    kernel_recurrence_coeffs,
     kernel_to_chihara,
     split_ratios,
 )
@@ -658,7 +657,7 @@ def transform_records(
     with stopwatch() as ms:
         sigma = chihara_family(kmap.alpha, kmap.beta, 0)
         ok = all(
-            sigma.sub(n) * (1 - c * c) == kernel_recurrence_coeffs(a, b, c, n)[1]
+            sigma.sub(n) * (1 - c * c) == a_ratios[n] * c_ratios[n]
             for n in range(1, cap + 1)
         )
     records.append(exact_record("transform", "coefficient-identity", label, f"1..{cap}",

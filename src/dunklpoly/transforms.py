@@ -17,8 +17,8 @@ recurrence has
 
     diag(n) = (-1)^(n+1) c,      sub(n) = f_n = A_n C_n,
 
-and f_n = (1 - c^2) sigma_n(alpha, beta), where sigma_n is the Chihara
-sub-diagonal at
+with A_n and C_n from ``split_ratios``, and f_n = (1 - c^2) sigma_n(alpha,
+beta), where sigma_n is the Chihara sub-diagonal at
 
     alpha = b/2 - 1/2,   beta = a/2 + 1/2.
 
@@ -49,7 +49,7 @@ def split_ratios(family: FamilySpec, N: int) -> Tuple[List[Fraction], List[Fract
     """(A_0..A_N, C_0..C_N) of the big -1 Jacobi recurrence factorization."""
     if family.name != "big_m1_jacobi":
         raise ValueError("split_ratios is defined for the big_m1_jacobi family")
-    pairs = [big_m1_jacobi_AC(family.p, n) for n in range(N + 1)]
+    pairs = [big_m1_jacobi_AC(*divmod(n, 2), family.p) for n in range(N + 1)]
     return [A for A, _ in pairs], [C for _, C in pairs]
 
 
@@ -83,23 +83,6 @@ def geronimus(kernels: Sequence[LaurentPoly], ratios: Sequence[Fraction]) -> Lis
         else:
             out.append(kernel - kernels[n - 1] * _as_fraction(ratios[n]))
     return out
-
-
-# -- kernel recurrence ----------------------------------------------------------
-
-
-def kernel_recurrence_coeffs(a: Scalar, b: Scalar, c: Scalar, n: int) -> Tuple[Fraction, Fraction]:
-    """Exact (diag, sub) of the kernel three-term recurrence at index n."""
-    a, b, c = _as_fraction(a), _as_fraction(b), _as_fraction(c)
-    diag = (-1) ** (n + 1) * c
-    if n == 0:
-        return diag, Fraction(0)
-    denom = (2 * n + a + b) * (2 * n + a + b + 2)
-    if n % 2 == 0:
-        sub = (1 - c * c) * Fraction(n) * (n + a + 1) / denom
-    else:
-        sub = (1 - c * c) * (n + b) * (n + a + b + 1) / denom
-    return diag, sub
 
 
 # -- parameter map ---------------------------------------------------------------

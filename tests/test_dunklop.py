@@ -235,6 +235,64 @@ def test_eigenvalue_table_spot_values():
     assert expected_eigenvalue("gh_OmegaTilde", 0, mu=F(3, 2), eps=0) == 2
 
 
+# The eigenvalues as they were written before the table became arithmetic in
+# m alone, with Fraction(m) on the index: values and types must not move.
+
+
+def _old_chihara_eigenvalue(m, odd, p):
+    s = p["alpha"] + p["beta"]
+    return m * (m + s + 2) + p["eps"] if odd else Fraction(m) * (m + s + 1)
+
+
+def _old_cbi_eigenvalue(m, odd, p):
+    g = p["rho1"] + p["rho2"] - p["r1"] - p["r2"]
+    if not odd:
+        return Fraction(m) * (m + g + 1)
+    omega = (
+        p["rho1"] * (1 - p["r1"] - p["r2"])
+        + p["r1"] * p["r2"]
+        - Fraction(3, 2) * (p["r1"] + p["r2"])
+        + Fraction(5, 4)
+    )
+    return m * (m + g + 2) + omega + p["alpha"]
+
+
+def _old_gegenbauer_q_eigenvalue(m, odd, p):
+    mu, a = p["mu"], p["a"]
+    if odd:
+        return -(2 * m + 2 * mu + 1) * (2 * m + 2 * a + 2)
+    return Fraction(-2 * m) * (2 * m + 2 * a + 2 * mu + 1)
+
+
+def _old_oscillator_eigenvalue(m, odd, p):
+    base = 2 * m + p["mu"] + Fraction(1, 2)
+    return base + 1 + p["eps"] if odd else base
+
+
+_OLD_EIGENVALUES = {
+    "chihara_D": _old_chihara_eigenvalue,
+    "gegenbauer_W": _old_chihara_eigenvalue,
+    "cbi_K": _old_cbi_eigenvalue,
+    "gegenbauer_Q": _old_gegenbauer_q_eigenvalue,
+    "y_Z": lambda m, odd, p: m + p["eps"] if odd else Fraction(m),
+    "gh_Omega": lambda m, odd, p: 2 * m + p["eps"] if odd else Fraction(2 * m),
+    "gh_OmegaTilde": _old_oscillator_eigenvalue,
+}
+
+
+@pytest.mark.parametrize("token", sorted(EIGEN_OPERATORS))
+def test_eigenvalues_match_former_formulas(token):
+    names = EIGEN_OPERATORS[token].params
+    grid = (F(-3, 2), 0, F(2, 3))
+    for i in range(3 ** len(names)):
+        params = {name: grid[i // 3**k % 3] for k, name in enumerate(names)}
+        p = {name: F(v) for name, v in params.items()}
+        for n in range(13):
+            got = expected_eigenvalue(token, n, **params)
+            want = _OLD_EIGENVALUES[token](*divmod(n, 2), p)
+            assert got == want and type(got) is type(want), (params, n)
+
+
 def test_expected_eigenvalue_rejects_non_eigen_token():
     with pytest.raises(ValueError):
         expected_eigenvalue("involution_P", 0, gamma=1)

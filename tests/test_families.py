@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklpoly.exactnum import LaurentPoly
+from dunklpoly.dunklop import EIGEN_OPERATORS
+from dunklpoly.exactnum import LaurentPoly, RatFunc
 from dunklpoly.families import (
     CLASSICAL,
     FAMILIES,
@@ -63,8 +64,8 @@ def test_chihara_generate_monic_matches_oracle():
 
 def test_big_m1_jacobi_values():
     fam = big_m1_jacobi_family(1, 1, F(3, 5))
-    A0, C0 = big_m1_jacobi_AC(fam.p, 0)
-    A1, C1 = big_m1_jacobi_AC(fam.p, 1)
+    A0, C0 = big_m1_jacobi_AC(0, 0, fam.p)
+    A1, C1 = big_m1_jacobi_AC(0, 1, fam.p)
     assert A0 == F(4, 5) and C0 == 0
     assert C1 == F(4, 5)
     assert fam.diag(0) == F(1, 5)
@@ -476,3 +477,188 @@ def test_generate_monic_matches_composed_steps(name, data):
     for got, ref in zip(generate_monic(family, 8), want[1:]):
         assert got._den == ref._den
         assert list(got._nums.items()) == list(ref._nums.items())
+
+
+# -- the tables at a formal half-degree ----------------------------------------
+#
+# Each parity-split formula is arithmetic in m, so it runs on m = the variable
+# of a RatFunc.  An identity among the coefficients that holds there holds at
+# every degree (Chihara 1978, ch. I; Koekoek, Lesky and Swarttouw 2010, §9.8).
+
+M = RatFunc.from_laurent(LaurentPoly.x())
+
+
+def _formal(value):
+    """A table value as a RatFunc in m; a value free of m is a constant."""
+    return value if isinstance(value, RatFunc) else RatFunc.from_laurent(value)
+
+
+def _quadratic_argument(sub, recurrence, a, *rest):
+    """The even and odd halves of a symmetric-type family are monic classical
+    polynomials in t iff the classical recurrences at (a, *rest) and
+    (a + 1, *rest) are these sums and products of the family's sub(m, odd)."""
+    even = (sub(M, 0) + sub(M, 1), sub(M - 1, 1) * sub(M, 0))
+    odd = (sub(M, 1) + sub(M + 1, 0), sub(M, 0) * sub(M, 1))
+    return (tuple(map(_formal, recurrence(a, *rest, M))) == even
+            and tuple(map(_formal, recurrence(a + 1, *rest, M))) == odd)
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [(1, F(2, 3), F(1, 2)), (F(-1, 3), F(5, 7), -1000)])
+def test_chihara_quadratic_argument_at_every_degree(alpha, beta, gamma):
+    fam = chihara_family(alpha, beta, gamma)
+    sub = lambda m, odd: FAMILIES["chihara"].sub(m, odd, fam.p)
+    assert _quadratic_argument(sub, CLASSICAL["jacobi"].recurrence, fam.p["alpha"], fam.p["beta"])
+
+
+def test_chihara_quadratic_argument_detects_moved_beta():
+    fam = chihara_family(1, F(2, 3), F(1, 2))
+    sub = lambda m, odd: FAMILIES["chihara"].sub(m, odd, fam.p)
+    assert not _quadratic_argument(
+        sub, CLASSICAL["jacobi"].recurrence, F(1), F(2, 3) + F(1, 1000))
+
+
+@pytest.mark.parametrize("mu, gamma", [(F(3, 2), F(1, 2)), (F(-1, 4), F(-2, 3))])
+def test_ext_hermite_quadratic_argument_at_every_degree(mu, gamma):
+    fam = ext_hermite_family(mu, gamma)
+    sub = lambda m, odd: FAMILIES["ext_hermite"].sub(m, odd, fam.p)
+    assert _quadratic_argument(sub, CLASSICAL["generalized_laguerre"].recurrence, mu - F(1, 2))
+
+
+@pytest.mark.parametrize("a, b, c", [(F(1), F(1), F(3, 5)), (F(1, 2), F(3, 4), F(5, 13)),
+                                     (F(2), F(1), F(5, 13))])
+def test_christoffel_identity_at_every_degree(a, b, c):
+    # (1 - c^2) sigma_n(b/2 - 1/2, a/2 + 1/2) = A_n C_n, both parities
+    sigma = FAMILIES["chihara"].sub
+    mapped = {"alpha": b / 2 - F(1, 2), "beta": a / 2 + F(1, 2)}
+    p = big_m1_jacobi_family(a, b, c).p
+    for odd in (0, 1):
+        A, C = big_m1_jacobi_AC(M, odd, p)
+        assert (1 - c * c) * sigma(M, odd, mapped) == A * C
+
+
+def _generic(names):
+    """Distinct non-integer rationals in (0, 1), one per parameter name."""
+    return {name: F(2 * i + 1, 3 * i + 7) for i, name in enumerate(names)}
+
+
+_TABLE_FORMULAS = [
+    *((f"{name}.{part}", getattr(entry, part), _generic(entry.params))
+      for name, entry in sorted(FAMILIES.items()) if name != "big_q_jacobi"
+      for part in ("diag", "sub")),
+    *((f"{token}.eigenvalue", op.eigenvalue, _generic(op.params))
+      for token, op in sorted(EIGEN_OPERATORS.items())),
+]
+
+
+@pytest.mark.parametrize("formula, p", [(f, p) for _, f, p in _TABLE_FORMULAS],
+                         ids=[label for label, _, _ in _TABLE_FORMULAS])
+def test_table_formula_at_formal_m_evaluates_to_integer_values(formula, p):
+    for odd in (0, 1):
+        formal = _formal(formula(M, odd, p))
+        for m in range(1, 9):
+            assert formal.evaluate(m) == formula(m, odd, p), (odd, m)
+
+
+# -- parity with the former n-indexed formulas ---------------------------------
+#
+# Copies of the formulas as they were written in n, with n // 2 and n % 2:
+# the (m, odd) table must give the same value, of the same type, and raise
+# DegenerateParameters at the same degrees.
+
+
+def _old_sigma(p, n):
+    alpha, beta = p["alpha"], p["beta"]
+    m = n // 2
+    if n % 2 == 0:
+        return Fraction(m) * (m + beta) / ((2 * m + alpha + beta) * (2 * m + alpha + beta + 1))
+    if m == 0 and alpha + beta + 1 == 0:
+        return (alpha + 1) / (alpha + beta + 2)
+    return (m + alpha + 1) * (m + alpha + beta + 1) / (
+        (2 * m + alpha + beta + 1) * (2 * m + alpha + beta + 2)
+    )
+
+
+def _old_tau(p, n):
+    rho1, rho2, r1, r2 = p["rho1"], p["rho2"], p["r1"], p["r2"]
+    g = rho1 + rho2 - r1 - r2
+    m = n // 2
+    if n % 2 == 0:
+        return -Fraction(m) * (m + rho1 - r1 + Fraction(1, 2)) * (
+            m + rho1 - r2 + Fraction(1, 2)
+        ) * (m - r1 - r2) / ((2 * m + g) * (2 * m + g + 1))
+    return -(m + g + 1) * (m + rho1 + rho2 + 1) * (m + rho2 - r1 + Fraction(1, 2)) * (
+        m + rho2 - r2 + Fraction(1, 2)
+    ) / ((2 * m + g + 1) * (2 * m + g + 2))
+
+
+def _old_theta(p, n):
+    m = n // 2
+    return Fraction(m) if n % 2 == 0 else m + p["mu"] + Fraction(1, 2)
+
+
+def _old_AC(p, n):
+    a, b, c = p["a"], p["b"], p["c"]
+    if n % 2 == 0:
+        A = (1 + c) * (a + n + 1) / (2 * n + a + b + 2)
+        C = (1 - c) * Fraction(n) / (2 * n + a + b)
+    else:
+        A = (1 - c) * (n + a + b + 1) / (2 * n + a + b + 2)
+        C = (1 + c) * (n + b) / (2 * n + a + b)
+    return A, C
+
+
+_OLD_FORMULAS = {
+    "chihara": (lambda p, n: (-1) ** n * p["gamma"], _old_sigma),
+    "gegenbauer": (lambda p, n: Fraction(0), _old_sigma),
+    "cbi": (lambda p, n: (-1) ** n * p["rho2"], _old_tau),
+    "ext_hermite": (lambda p, n: (-1) ** n * p["gamma"], _old_theta),
+    "gen_hermite": (lambda p, n: Fraction(0), _old_theta),
+    "big_m1_jacobi": (lambda p, n: 1 - sum(_old_AC(p, n)),
+                      lambda p, n: _old_AC(p, n - 1)[0] * _old_AC(p, n)[1]),
+}
+
+_JACOBI_GRID = [(a, b) for a in (-2, F(-3, 2), -1, F(-1, 2), 0, F(1, 3), 1)
+                for b in (F(-3, 2), -1, F(-1, 2), 0, F(2, 5), 2)]
+_CBI_GRID = [(rho1, rho2, r1, r2) for rho1 in (0, F(1, 2), 1) for rho2 in (F(-1, 2), F(1, 3), 2)
+             for r1 in (F(1, 2), 1, F(5, 3)) for r2 in (F(1, 5), F(1, 2), F(3, 2))]
+_FORMER_GRID = [
+    *(chihara_family(a, b, F(1, 2)) for a, b in _JACOBI_GRID),
+    *(gegenbauer_family(a, b) for a, b in _JACOBI_GRID),
+    *(cbi_family(*params) for params in _CBI_GRID),
+    *(ext_hermite_family(mu, F(-1, 3)) for mu in (F(-3, 2), F(-1, 2), 0, F(1, 3), F(3, 2))),
+    *(gen_hermite_family(mu) for mu in (F(-3, 2), F(-1, 2), 0, F(1, 3), F(3, 2))),
+    *(big_m1_jacobi_family(a, b, c) for a in (-3, -2, -1, F(-1, 2), 0, 1, F(5, 2))
+      for b in (-3, -1, F(-1, 2), 0, 2) for c in (F(3, 5), 0, F(-1, 3))),
+]
+
+
+def test_former_grid_reaches_the_degenerate_sums():
+    assert {a + b for a, b in _JACOBI_GRID} >= {-1, -2, -3}
+    assert {rho1 + rho2 - r1 - r2 for rho1, rho2, r1, r2 in _CBI_GRID} >= {-1, -2}
+
+
+def _old_value(formula, p, n):
+    try:
+        return formula(p, n)
+    except ZeroDivisionError:
+        return DegenerateParameters
+
+
+def _new_value(method, n):
+    try:
+        return method(n)
+    except DegenerateParameters:
+        return DegenerateParameters
+
+
+@pytest.mark.parametrize("name", sorted(_OLD_FORMULAS))
+def test_table_matches_former_n_indexed_formulas(name):
+    old_diag, old_sub = _OLD_FORMULAS[name]
+    for family in (f for f in _FORMER_GRID if f.name == name):
+        for n in range(13):
+            for got, want in (
+                (_new_value(family.diag, n), _old_value(old_diag, family.p, n)),
+                (_new_value(family.sub, n),
+                 Fraction(0) if n == 0 else _old_value(old_sub, family.p, n)),
+            ):
+                assert got == want and type(got) is type(want), (family.label(), n)

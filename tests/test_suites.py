@@ -139,7 +139,7 @@ def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
     # reduced weight of the same entry, which the patch leaves alone
     chihara = FAMILIES["chihara"]
     monkeypatch.setitem(FAMILIES, "chihara", chihara._replace(
-        sub=lambda p, n: chihara.sub(p, n) + (1 if n == bad else 0)))
+        sub=lambda m, odd, p: chihara.sub(m, odd, p) + (1 if 2 * m + odd == bad else 0)))
     records = suite_jacobi()
     assert [(r.outcome, r.residual) for r in records] == [("fail", residual)] * 3
 

@@ -17,7 +17,6 @@ from dunklpoly.transforms import (
     christoffel,
     geronimus,
     kernel_map,
-    kernel_recurrence_coeffs,
     kernel_to_chihara,
     split_ratios,
 )
@@ -106,11 +105,8 @@ def test_kernel_recurrence_recovered_from_output(a, b, c):
     _, _, kernels, A, C = kernel_pipeline(a, b, c, 13)
     diags, subs = extract_recurrence(kernels)
     for n in range(len(diags)):
-        diag_ref, sub_ref = kernel_recurrence_coeffs(a, b, c, n)
-        assert diags[n] == diag_ref == (-1) ** (n + 1) * c
-        assert subs[n] == sub_ref
-        if n >= 1:
-            assert sub_ref == A[n] * C[n]
+        assert diags[n] == (-1) ** (n + 1) * c
+        assert subs[n] == A[n] * C[n]
 
 
 def test_extract_recurrence_matches_source_family():
@@ -185,20 +181,22 @@ def test_kernel_to_chihara_detects_wrong_c():
 
 @pytest.mark.parametrize("a,b,c", PARAM_SETS)
 def test_mapped_sub_coefficients_consistent(a, b, c):
-    """Chihara sub at the mapped parameters times (1 - c^2) equals kernel sub."""
+    """Chihara sub at the mapped parameters times (1 - c^2) equals the kernel
+    sub A_n C_n."""
     kmap = kernel_map(a, b, c)
     fam = chihara_family(kmap.alpha, kmap.beta, 0)
+    A, C = split_ratios(big_m1_jacobi_family(a, b, c), 12)
     for n in range(1, 13):
-        _, sub_kernel = kernel_recurrence_coeffs(a, b, c, n)
-        assert fam.sub(n) * (1 - c * c) == sub_kernel
+        assert fam.sub(n) * (1 - c * c) == A[n] * C[n]
 
 
 def test_mapped_sigma_worked_value():
-    # c = 3/5: sigma_1 at (alpha, beta) = (0, 1) is 1/3 and f_1 = (1 - c^2)/3.
+    # c = 3/5: sigma_1 at (alpha, beta) = (0, 1) is 1/3 and f_1 = A_1 C_1 = (1 - c^2)/3.
     kmap = kernel_map(1, 1, F(3, 5))
     fam = chihara_family(kmap.alpha, kmap.beta, F(-3, 4))
     assert fam.sub(1) == F(1, 3)
-    assert kernel_recurrence_coeffs(1, 1, F(3, 5), 1)[1] == F(1, 3) * (1 - F(9, 25))
+    A, C = split_ratios(big_m1_jacobi_family(1, 1, F(3, 5)), 1)
+    assert A[1] * C[1] == F(1, 3) * (1 - F(9, 25))
 
 
 # -- negative controls ---------------------------------------------------------------
@@ -247,13 +245,12 @@ def test_round_trip_property(a, b, c):
 def test_kernel_recurrence_property(a, b, c):
     fam = big_m1_jacobi_family(a, b, c)
     polys = generate_monic(fam, 8)
-    A, _ = split_ratios(fam, 8)
+    A, C = split_ratios(fam, 8)
     kernels = christoffel(polys, A)
     diags, subs = extract_recurrence(kernels)
     for n in range(len(diags)):
-        diag_ref, sub_ref = kernel_recurrence_coeffs(a, b, c, n)
-        assert diags[n] == diag_ref
-        assert subs[n] == sub_ref
+        assert diags[n] == (-1) ** (n + 1) * c
+        assert subs[n] == A[n] * C[n]
 
 
 @settings(deadline=None, max_examples=25)
