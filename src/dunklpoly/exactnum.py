@@ -43,6 +43,15 @@ by nonzero integers, so its partial sums reach zero at the same steps: the
 result has the same terms in the same insertion order, and float
 evaluation gives the same bits.
 
+Single terms skip the general routes.  A product with a factor x^k (one
+term, numerator 1, denominator 1) shifts the other factor's exponents, in
+its order and over its denominator, with no product loop and no gcd;
+``one``, ``x`` and ``monomial`` write their fields directly; and
+``map_monomials`` on x^j returns ``image(j)`` itself.  Each gives the
+fields and term order of the general route.  The image is then
+shared with its source (an operator's cached quotient, for one), which is
+safe because a LaurentPoly is never changed once built.
+
 ``exact_polynomial_check`` converts a RatFunc back to a LaurentPoly and
 raises ``NotPolynomial`` otherwise.  That failure is meaningful, not an
 inconvenience: eigenoperator images of polynomials must close among
@@ -56,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from typing import Callable, Dict, Iterable, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 BigRational = Fraction
 
@@ -92,7 +101,7 @@ class LaurentPoly:
     is ``_nums[e] / _den`` and equal polynomials have equal fields.  Results
     keep their terms in the insertion order the coefficient-wise
     computation would give, which fixes the summation order of
-    ``evaluate_float``.
+    ``evaluate_float``.  A constant equals the int or ``Fraction`` it is.
     """
 
     __slots__ = ("_nums", "_den", "_hash")
@@ -125,11 +134,11 @@ class LaurentPoly:
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
+        return _wrap({0: 1}, 1)
 
     @staticmethod
     def x() -> "LaurentPoly":
-        return LaurentPoly({1: 1})
+        return _wrap({1: 1}, 1)
 
     @staticmethod
     def const(c: Scalar) -> "LaurentPoly":
@@ -137,7 +146,11 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(exp: int, c: Scalar = 1) -> "LaurentPoly":
-        return LaurentPoly({exp: c})
+        if not isinstance(exp, int):
+            raise TypeError("exponents must be int")
+        if not isinstance(c, (int, Fraction)):
+            _as_fraction(c)  # raises the TypeError
+        return _wrap({exp: c.numerator}, c.denominator) if c else LaurentPoly()
 
     @staticmethod
     def affine_power(j: int, eps: Scalar, delta: Scalar) -> "LaurentPoly":
@@ -215,6 +228,14 @@ class LaurentPoly:
             p = other.numerator
             return _canonical({e: n * p for e, n in self._nums.items()}, self._den * other.denominator)
         if isinstance(other, LaurentPoly):
+            # a factor x^k only shifts the other's exponents: same order,
+            # same denominator, already canonical
+            k = _unit_exponent(other)
+            if k is not None:
+                return _wrap({e + k: n for e, n in self._nums.items()}, self._den)
+            k = _unit_exponent(self)
+            if k is not None:
+                return _wrap({k + e: n for e, n in other._nums.items()}, other._den)
             return _canonical(_product(self._nums, other._nums), self._den * other._den)
         return NotImplemented
 
@@ -247,13 +268,22 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self._den == other._den and self._nums == other._nums
+        if isinstance(other, (int, Fraction)):
+            # equal to a scalar exactly when self is that constant
+            return self._den == other.denominator and self._nums == (
+                {0: other.numerator} if other else {})
         return NotImplemented
 
     def __hash__(self):
         """The hash of the canonical fields, computed once: equal polynomials
-        have equal fields, so they hash equal."""
+        have equal fields, so they hash equal.  A constant hashes like its
+        ``Fraction``, which it equals."""
         if self._hash is None:
-            self._hash = hash((self._den, tuple(sorted(self._nums.items()))))
+            nums = self._nums
+            if nums.keys() <= {0}:
+                self._hash = hash(Fraction(nums.get(0, 0), self._den))
+            else:
+                self._hash = hash((self._den, tuple(sorted(nums.items()))))
         return self._hash
 
     # -- calculus and substitution -----------------------------------------
@@ -318,8 +348,12 @@ class LaurentPoly:
         sends each x^j to ``image(j)``, applied to self.
 
         ``image`` is called once per term, in ascending exponent order.  The
-        sum runs on integers over the lcm of the images' denominators.
+        sum runs on integers over the lcm of the images' denominators; for
+        self = x^j it is ``image(j)`` itself.
         """
+        j = _unit_exponent(self)
+        if j is not None:
+            return image(j)
         terms = [(n, image(j)) for j, n in sorted(self._nums.items())]
         den = lcm(*(p._den for _, p in terms))
         out: Dict[int, int] = {}
@@ -372,6 +406,15 @@ def _wrap(nums: Dict[int, int], den: int) -> LaurentPoly:
     p._den = den
     p._hash = None
     return p
+
+
+def _unit_exponent(p: LaurentPoly) -> Optional[int]:
+    """k when p is x^k (one term, numerator 1, denominator 1), else None."""
+    if p._den == 1 and len(p._nums) == 1:
+        [(k, n)] = p._nums.items()
+        if n == 1:
+            return k
+    return None
 
 
 def _canonical(nums: Dict[int, int], den: int) -> LaurentPoly:
@@ -635,9 +678,14 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _canonical(a._nums, a._nums[a.degree])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatFunc:
-    """Reduced rational function num/den, den monic, gcd(num, den) = 1."""
+    """Reduced rational function num/den, den monic, gcd(num, den) = 1.
+
+    Equal rational functions have equal fields.  A Laurent polynomial
+    num / x^k also equals the ``LaurentPoly``, int or ``Fraction`` it is,
+    and hashes like it.
+    """
 
     num: LaurentPoly
     den: LaurentPoly
@@ -734,6 +782,21 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return o / self
+
+    def __eq__(self, other):
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction, LaurentPoly)):
+            # a Laurent polynomial is num / x^k with its monic den x^k
+            k = _unit_exponent(self.den)
+            return k is not None and self.num * LaurentPoly.monomial(-k) == other
+        return NotImplemented
+
+    def __hash__(self):
+        k = _unit_exponent(self.den)
+        if k is not None:
+            return hash(self.num * LaurentPoly.monomial(-k))
+        return hash((self.num, self.den))
 
     @property
     def is_zero(self) -> bool:

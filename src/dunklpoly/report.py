@@ -7,7 +7,10 @@ reproducibility), the degree range covered, the outcome, a residual summary,
 the tolerance used, and the wall time.  ``emit`` serializes a record list to
 JSON (an array of flat objects) or CSV (header plus one row per record) with
 the stable field names ``suite, target, params, degrees, outcome, residual,
-tolerance, millis``; ``parse`` inverts it field-for-field.
+tolerance, millis``; ``parse`` inverts it field-for-field.  The JSON writer
+lays the array out itself, and its bytes are those of
+``json.dumps([...], indent=2)``: strings escaped to ASCII, ``millis`` by
+``repr`` (``NaN`` and ``Infinity`` as json writes them), two-space indent.
 
 Outcome vocabulary and the invariants enforced at construction:
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -114,11 +118,39 @@ def _as_row(record: VerificationRecord) -> dict:
     return {name: getattr(record, name) for name in FIELD_NAMES}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+# one record as json.dumps(..., indent=2) lays it out inside the array
+_JSON_ROW = "  {\n" + ",\n".join(
+    f"    {_encode_str(name)}: %s" for name in FIELD_NAMES) + "\n  }"
+
+
+def _json_value(value: object) -> str:
+    """``value`` as json writes it: a str escaped to ASCII, a finite float
+    by ``repr``, anything else (``NaN``, ``Infinity``, an int) by json."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_array(records: List[VerificationRecord]) -> str:
+    """The bytes of ``json.dumps([row, ...], indent=2)``, written directly:
+    json's encoder takes its pure-Python path whenever ``indent`` is set."""
+    if not records:
+        return "[]"
+    rows = ",\n".join(
+        _JSON_ROW % tuple(_json_value(getattr(r, name)) for name in FIELD_NAMES)
+        for r in records)
+    return f"[\n{rows}\n]"
+
+
 def emit(records: Iterable[VerificationRecord], format: str = "json") -> bytes:
     """Serialize records to a JSON or CSV byte stream with stable fields."""
     records = list(records)
     if format == "json":
-        return json.dumps([_as_row(r) for r in records], indent=2).encode()
+        return _json_array(records).encode()
     if format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=FIELD_NAMES, lineterminator="\n")

@@ -17,7 +17,9 @@ from dunklpoly.exactnum import (
     NotPolynomial,
     RatFunc,
     ZeroDenominator,
+    _add_scaled,
     _canonical,
+    _product,
     exact_polynomial_check,
     monomial_numerator,
     poly_divmod,
@@ -777,3 +779,149 @@ def test_residual_matches_composed_route(ta, tb, c):
     assert_identical(got, a - b * c)
     assert_canonical(got)
     assert residual(b * c, b, c).is_zero
+
+
+# -- single-term fast paths -----------------------------------------------------
+# A factor x^k (one term, numerator 1, denominator 1) only shifts the other
+# factor's exponents, and ``map_monomials`` on x^j is image(j) itself.  Both
+# must give what the general routes below give: the same fields in the same
+# order, so the same hash and the same ``evaluate_float`` bits.
+
+
+def general_product(a, b):
+    return _canonical(_product(a._nums, b._nums), a._den * b._den)
+
+
+def general_map_monomials(f, image):
+    terms = [(n, image(j)) for j, n in sorted(f._nums.items())]
+    den = math.lcm(*(p._den for _, p in terms))
+    out = {}
+    for n, p in terms:
+        _add_scaled(out, p._nums, n * (den // p._den))
+    return _canonical(out, den * f._den)
+
+
+_points = st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1), min_size=1, max_size=3)
+
+
+def assert_same_route(new, old, points):
+    assert_identical(new, old)
+    assert hash(new) == hash(old)
+    for x in points:
+        assert new.evaluate_float(x) == old.evaluate_float(x)
+
+
+@pytest.mark.parametrize("exponents", [st.integers(-6, -1), st.just(0), st.integers(1, 6)],
+                         ids=["negative", "zero", "positive"])
+@settings(deadline=None)
+@given(data=st.data(), terms=_term_lists, points=_points)
+def test_monomial_factor_matches_general_product(exponents, data, terms, points):
+    k = data.draw(exponents)
+    mono, f = LaurentPoly.monomial(k), LaurentPoly(terms)   # f may be zero
+    assert mono._den == 1 and mono._nums == {k: 1}
+    assert_same_route(mono * f, general_product(mono, f), points)
+    assert_same_route(f * mono, general_product(f, mono), points)
+    assert_same_route(mono * mono, general_product(mono, mono), points)
+
+
+@settings(deadline=None)
+@given(st.integers(-6, 6), diff_scalars.filter(lambda c: c not in (0, 1)), _term_lists, _points)
+def test_non_unit_single_terms_take_the_general_product(k, c, terms, points):
+    term, f = LaurentPoly.monomial(k, c), LaurentPoly(terms)
+    assert_same_route(term * f, general_product(term, f), points)
+    assert_same_route(f * term, general_product(f, term), points)
+    images = {k: f}
+    assert_same_route(term.map_monomials(images.__getitem__),
+                      general_map_monomials(term, images.__getitem__), points)
+
+
+@settings(deadline=None)
+@given(st.integers(-4, 6), _term_lists, _points)
+def test_map_monomials_of_a_monomial_is_the_image(j, terms, points):
+    target = LaurentPoly(terms)
+    calls = []
+
+    def image(i):
+        calls.append(i)
+        return target
+
+    assert LaurentPoly.monomial(j).map_monomials(image) is target
+    assert calls == [j]
+    assert_same_route(target, general_map_monomials(LaurentPoly.monomial(j), image), points)
+
+
+def test_constructors_build_canonical_fields():
+    for got, want in ((LaurentPoly.one(), {0: 1}), (LaurentPoly.x(), {1: 1}),
+                      (LaurentPoly.monomial(-3), {-3: 1}),
+                      (LaurentPoly.monomial(2, Fraction(1)), {2: 1}),
+                      (LaurentPoly.monomial(2, Fraction(-3, 4)), {2: Fraction(-3, 4)}),
+                      (LaurentPoly.monomial(-1, -5), {-1: -5}),
+                      (LaurentPoly.monomial(4, 0), {})):
+        assert_identical(got, LaurentPoly(want))
+        assert hash(got) == hash(LaurentPoly(want))
+    for bad in (1.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="exponents must be int"):
+            LaurentPoly.monomial(bad)
+        with pytest.raises(TypeError, match="exponents must be int"):
+            LaurentPoly.monomial(bad, 2.0)
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        LaurentPoly.monomial(2, 1.0)
+
+
+# -- scalars ----------------------------------------------------------------------
+# A constant equals the int or Fraction it is, and hashes like it; a
+# rational function num / x^k equals the Laurent polynomial it is.
+
+
+def test_constants_equal_their_scalars():
+    assert LaurentPoly.const(3) == 3
+    assert RatFunc.from_laurent(Fraction(3)) == 3
+    assert RatFunc.from_laurent(0) == 0
+    assert LaurentPoly.zero() == 0 == Fraction(0)
+    assert LaurentPoly.const(Fraction(-2, 7)) == Fraction(-2, 7)
+    assert RatFunc.of(LaurentPoly.x(), LaurentPoly.x()) == 1
+    assert RatFunc.of(X * X - 1, X - 1) == X + 1
+    assert X + 1 == RatFunc.of(X * X - 1, X - 1)
+    assert LaurentPoly.const(3) != Fraction(1, 3)
+    assert LaurentPoly.const(3) != 3.0          # a float is not exact
+    assert LaurentPoly.const(3).__eq__(3.0) is NotImplemented
+    assert RatFunc.from_laurent(3).__eq__(3.0) is NotImplemented
+
+
+def test_a_set_mixes_constants_and_scalars():
+    values = {LaurentPoly.const(3), 3, Fraction(3), RatFunc.from_laurent(3),
+              LaurentPoly.zero(), 0, RatFunc.zero(), Fraction(0),
+              Fraction(1, 2), LaurentPoly.const(Fraction(1, 2)),
+              RatFunc.of(Fraction(1, 2), 1), X, RatFunc.of(X, 1)}
+    assert len(values) == 4
+    assert {3, 0, Fraction(1, 2)} <= values
+    assert LaurentPoly.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert RatFunc.of(X + 3, X) not in values
+
+
+@given(_term_lists, _plain_term_lists, diff_scalars)
+def test_a_non_constant_equals_no_scalar(terms, den_terms, c):
+    p = LaurentPoly(terms)
+    if p._nums.keys() <= {0}:
+        p = p + X
+    assert p != c and c != p
+    den = LaurentPoly(den_terms)
+    if not den.is_zero:
+        r = RatFunc.of(p, den)
+        if r.den.degree or r.num._nums.keys() - {0}:
+            assert r != c and c != r
+        if len(den._nums) == 1:             # p / den is a Laurent polynomial
+            value = p * LaurentPoly({-den.degree: 1 / den.leading_coeff()})
+            assert r == value and value == r and hash(r) == hash(value)
+
+
+def test_laurent_values_equal_their_rational_functions():
+    inv = RatFunc.of(1, X)
+    assert inv == LaurentPoly.monomial(-1) == inv
+    assert hash(inv) == hash(LaurentPoly.monomial(-1))
+    tail = RatFunc.of(X + 1, X * X * 3)
+    laurent = LaurentPoly({-1: Fraction(1, 3), -2: Fraction(1, 3)})
+    assert tail == laurent and laurent == tail and hash(tail) == hash(laurent)
+    assert len({inv, LaurentPoly.monomial(-1), tail, laurent}) == 2
+    assert inv != LaurentPoly.monomial(1) and inv != 1
+    assert RatFunc.of(1, X + 1) != LaurentPoly.monomial(-1)

@@ -159,3 +159,45 @@ def _records(draw):
 @given(st.lists(_records(), max_size=8), st.sampled_from(["json", "csv"]))
 def test_round_trip_property(records, format):
     assert parse(emit(records, format), format) == records
+
+
+# -- the JSON writer ----------------------------------------------------------
+# ``emit`` lays the JSON array out itself; its bytes must be those of
+# ``json.dumps(rows, indent=2)`` on every record, whatever its text holds.
+
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é ☃ 𝄞", " ", ""])
+_millis = st.floats(min_value=0.0) | st.integers(0, 10**20) | st.sampled_from(
+    [0.0, float("inf"), float("nan"), 5e-324, 1e16, 0])
+
+
+@st.composite
+def _any_records(draw):
+    text = [draw(_texts) for _ in range(5)]
+    return VerificationRecord(*text[:4], "fail", text[4], draw(_texts), draw(_millis))
+
+
+def _dumped(records):
+    rows = [{name: getattr(r, name) for name in FIELD_NAMES} for r in records]
+    return json.dumps(rows, indent=2).encode()
+
+
+@given(st.lists(_any_records(), max_size=6))
+def test_json_writer_matches_json_dumps(records):
+    assert emit(records, "json") == _dumped(records)
+
+
+@given(st.lists(_records(), max_size=8))
+def test_json_writer_matches_json_dumps_on_checks(records):
+    assert emit(records, "json") == _dumped(records)
+
+
+def test_json_writer_edge_values():
+    records = [VerificationRecord('a"b\\c\x01é', "t", "p", "d", "fail", "r", "x", m)
+               for m in (0.0, float("inf"), float("nan"), 7, 1e-7)]
+    blob = emit(records, "json")
+    assert blob == _dumped(records)
+    assert b'"millis": Infinity' in blob and b'"millis": NaN' in blob
+    assert b'"millis": 7\n' in blob
+    assert b'"suite": "a\\"b\\\\c\\u0001\\u00e9"' in blob
+    assert emit([], "json") == _dumped([]) == b"[]"
