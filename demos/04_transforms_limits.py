@@ -13,13 +13,14 @@ Two ways the families are related to each other:
 * Three parameter contractions connect the families analytically.  They
   involve irrational scalings, so they are verified in floating point on
   a geometric step grid: errors must shrink monotonically with empirical
-  convergence order near 1.
+  convergence order near 1.  ``limit_check`` runs one and writes its
+  record; the record's outcome is the verdict printed below.
 """
 
 from fractions import Fraction as F
 
 from dunklpoly import big_m1_jacobi_family, generate_monic
-from dunklpoly.limits import bigq_case, cbi_case, run_limit
+from dunklpoly.suites import limit_check
 from dunklpoly.transforms import (
     christoffel,
     geronimus,
@@ -50,21 +51,21 @@ def main() -> None:
     print()
 
     print("contraction limit: shift family -> Chihara (step h -> 0):")
-    report = run_limit(cbi_case())
+    report, record = limit_check("cbi_h_to_0")
     for result in report.results:
         print(f"  h = {result.step:.0e}:  max poly error "
               f"{result.max_poly_error:.3e}")
     print(f"  empirical overall order: {report.overall_order:.3f} "
-          f"(converged: {report.converged})")
+          f"(converged: {record.outcome != 'fail'})")
     print()
 
     print("contraction limit: big q-Jacobi at q -> -1 (step eps -> 0):")
-    report = run_limit(bigq_case())
+    report, record = limit_check("bigq_q_to_minus1")
     for result in report.results:
         print(f"  eps = {result.step:.0e}:  max poly error "
               f"{result.max_poly_error:.3e}")
     print(f"  empirical overall order: {report.overall_order:.3f} "
-          f"(converged: {report.converged})")
+          f"(converged: {record.outcome != 'fail'})")
 
 
 if __name__ == "__main__":

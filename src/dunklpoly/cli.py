@@ -17,7 +17,8 @@ suite          run the pinned verification suites
 Conventions
 -----------
 * Every numeric parameter is an exact rational written ``p/q`` or as an
-  integer.  The only float inputs are limit step grids and tolerances.
+  integer.  The only float inputs are limit step grids (finite and
+  positive) and tolerances (finite and nonnegative).
 * ``--json [PATH]`` / ``--csv [PATH]`` (mutually exclusive) write the
   verification records; with ``-`` or no path the stream replaces the
   human-readable output on stdout, otherwise it is written to PATH and
@@ -73,7 +74,7 @@ from .suites import (
     ORDER_TOLERANCE,
     PEARSON_SAMPLES,
     REFLECTION_TOLERANCE,
-    SUITE_NAMES,
+    ALL_SUITES,
     TRANSFORM_CAP,
     algebra_records,
     eigen_sweep,
@@ -81,7 +82,7 @@ from .suites import (
     limit_check,
     norm_records,
     pearson_records,
-    run_suites,
+    suite_names,
     transform_records,
     weight_samples,
 )
@@ -111,6 +112,17 @@ def _steps(text: str) -> Tuple[float, ...]:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad step list {text!r}") from exc
     return values
+
+
+def _tolerance(text: str) -> float:
+    """An argparse type accepting finite numbers no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 <= value < float("inf"):   # false for nan too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
@@ -261,9 +273,9 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else spec.cap
     label = spec.family(params).label()
     records = []
-    for n, eigenvalue, ok, residual, millis in eigen_sweep(token, params, cap):
+    for n, eigenvalue, residual, millis in eigen_sweep(token, params, cap):
         record = exact_record("eigencheck", token, label, str(n), millis=millis,
-                              passed=ok, residual=residual)
+                              passed=residual == "0", residual=residual)
         records.append(record)
         _say(args, f"n={n:2d} lambda={rational_str(eigenvalue)} {record.outcome}")
     return _finish(records, args)
@@ -319,18 +331,16 @@ def _cmd_limits(args: argparse.Namespace) -> int:
         _say(args, f"step {result.step:.3e}  max poly error "
                    f"{result.max_poly_error:.6e}  max coeff error "
                    f"{result.max_coeff_error:.6e}")
-    order_bits = ", ".join(
-        f"deg {n}: {('%.3f' % o) if o is not None else 'noise floor'}"
-        for n, o in enumerate(report.poly_orders))
-    _say(args, f"empirical orders: {order_bits}")
-    coeff = report.coeff_order
-    overall = report.overall_order
-    _say(args, "coefficient order: "
-               + (f"{coeff:.3f}" if coeff is not None else "noise floor"))
-    _say(args, "overall order: "
-               + (f"{overall:.3f}" if overall is not None else "noise floor"))
+    def order(o: Optional[float]) -> str:
+        return "noise floor" if o is None else f"{o:.3f}"
+
+    _say(args, "empirical orders: " + ", ".join(
+        f"deg {n}: {order(o)}" for n, o in enumerate(report.poly_orders)))
+    _say(args, f"coefficient order: {order(report.coeff_order)}")
+    _say(args, f"overall order: {order(report.overall_order)}")
     _say(args, f"monotone: {'yes' if report.monotone_ok else 'no'}; "
-               f"orders in band: {'yes' if report.orders_ok else 'no'}")
+               f"residual {report.residual:.3e} "
+               f"tolerance {args.tolerance:.1e} {record.outcome}")
     return _finish([record], args)
 
 
@@ -344,20 +354,16 @@ def _cmd_weight_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.all == bool(args.only):
+    if args.all == (args.only is not None):
         raise UsageError("choose exactly one of --all or --only")
-    names = list(SUITE_NAMES) if args.all else args.only.split(",")
-    unknown = [n for n in names if n not in SUITE_NAMES]
-    if unknown:
-        raise UsageError(f"unknown suite name(s): {', '.join(unknown)}; "
-                         f"choose from {', '.join(SUITE_NAMES)}")
+    names = suite_names(None if args.all else args.only.split(","))
     width = max(len(n) for n in names)
     _say(args, f"{'suite':{width}s}  records  exact  float  fail      ms")
     records = []
     total_ms = 0.0
     for name in names:
         with stopwatch() as ms:   # the suite's own wall time
-            batch = run_suites(names=[name])
+            batch = ALL_SUITES[name]()
         records += batch
         total_ms += ms[0]
         _say(args, _suite_row(name, width, batch, ms[0]))
@@ -400,7 +406,7 @@ def _algebra_args(p: argparse.ArgumentParser) -> None:
 def _gram_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=_WEIGHTED)
     p.add_argument("--cap", type=_positive_int, default=GRAM_CAP, metavar="N")
-    p.add_argument("--tolerance", type=float, default=GRAM_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=GRAM_TOLERANCE)
     _add_format_flags(p)
 
 
@@ -409,7 +415,7 @@ def _norms_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=_positive_int, default=NORM_CAP, metavar="N")
     p.add_argument("--exact-cap", type=_positive_int, default=NORM_EXACT_CAP,
                    metavar="N")
-    p.add_argument("--tolerance", type=float, default=NORM_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=NORM_TOLERANCE)
     _add_format_flags(p)
 
 
@@ -417,7 +423,7 @@ def _pearson_args(p: argparse.ArgumentParser) -> None:
     _add_family_flags(p, families=("chihara",))
     p.add_argument("--samples", type=_positive_int, default=PEARSON_SAMPLES,
                    help="sample points per support component")
-    p.add_argument("--tolerance", type=float, default=REFLECTION_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=REFLECTION_TOLERANCE)
     _add_format_flags(p)
 
 
@@ -433,7 +439,7 @@ def _limits_args(p: argparse.ArgumentParser) -> None:
                    metavar="s1,s2,...", help="geometric step grid (floats)")
     p.add_argument("--cap", type=_positive_int, default=LIMIT_DEGREE_CAP,
                    metavar="N")
-    p.add_argument("--tolerance", type=float, default=ORDER_TOLERANCE,
+    p.add_argument("--tolerance", type=_tolerance, default=ORDER_TOLERANCE,
                    help="allowed |empirical order - 1|")
     _add_format_flags(p)
 

@@ -530,9 +530,12 @@ class AlgebraRelationReport:
     relation: str
     degree_cap: int
     constants: Tuple[Tuple[str, str], ...]
-    passed: bool
     first_failure: int | None
     millis: float = field(compare=False)  # wall time of this relation's check
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
 
 
 Applier = Callable[[LaurentPoly], LaurentPoly]
@@ -643,7 +646,6 @@ def _relation_report(
         relation=name,
         degree_cap=degree_cap,
         constants=tuple((k, str(v)) for k, v in sorted(constants.items())),
-        passed=first_failure is None,
         first_failure=first_failure,
         millis=ms[0],
     )

@@ -30,9 +30,10 @@ and ``1/h`` scalings that have no exact rational form, while the exact target
 polynomials are converted to float for the comparison.  Each report carries
 the per-degree error ``e(h)`` at every step plus the empirical convergence
 order ``p = log(e(h)/e(rh)) / log(1/r)``, which for all three processes sits
-at 1 to within a few parts in 1e4 on the default grids.  A deliberately
-wrong parameter map (``qgamma = +g``) is detected by the same machinery: the
-odd-degree errors plateau at order ~0 and the report flags non-convergence.
+at 1 to within a few parts in 1e4 on the default grids, and their residual,
+which ``suites.limit_check`` compares with its tolerance.  A deliberately
+wrong parameter map (``qgamma = +g``) fails that way: the odd-degree errors
+plateau at order ~0, so the decay is not monotone and the residual is 1.0.
 
 The weight functions themselves are not limits of the source weights, so no
 weight-level check is attempted here.
@@ -109,9 +110,6 @@ BETA_LIMIT_DEFAULTS: Dict[str, Fraction] = {
 #: which the rescaling reproduces exactly up to 1-2 ulp).
 NOISE_FLOOR = 1e-13
 
-#: Acceptance band for the empirical convergence order.
-ORDER_BAND = (0.8, 1.2)
-
 _GEOMETRIC_RTOL = 1e-9
 
 
@@ -153,8 +151,8 @@ class LimitCase:
         object.__setattr__(self, "steps", steps)
         if len(steps) < 3:
             raise ValueError("a limit case needs at least 3 steps")
-        if any(h <= 0 for h in steps):
-            raise ValueError("step values must be positive")
+        if not all(math.isfinite(h) and h > 0 for h in steps):
+            raise ValueError("step values must be finite and positive")
         ratios = [b / a for a, b in zip(steps, steps[1:])]
         if any(r >= 1 for r in ratios):
             raise ValueError("step sequence must be strictly decreasing")
@@ -217,8 +215,8 @@ def bigq_case(
     Requires ``|g| < 1`` and rational ``sqrt(1 - g^2)`` so the target
     ``chihara(alpha, beta, g/sqrt(1-g^2))`` has exact parameters.  With
     ``wrong_gamma_sign=True`` the source map deliberately uses ``qgamma=+g``
-    instead of ``-g``; the run then serves as a negative control and must be
-    flagged as non-convergent.
+    instead of ``-g``; the run then serves as a negative control whose
+    ``limits`` record must fail.
     """
     alpha, beta, g = (_as_fraction(v) for v in (alpha, beta, g))
     if abs(g) >= 1:
@@ -311,27 +309,23 @@ class StepResult:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Per-step errors, empirical orders, and the convergence verdict.
+    """Per-step errors, empirical orders, and the residual they give.
 
     Orders are Richardson quotients ``log(e(h)/e(rh))/log(1/r)`` from the
     final step pair; entries are ``None`` where either error sits at or below
     ``NOISE_FLOOR`` (already at rounding noise, order meaningless).
-    ``converged`` requires, over degrees up to ``min(cap, 6)`` and the
-    recurrence-coefficient channel: monotone error decay after the first
-    step, and every computable order inside ``ORDER_BAND``.
+    ``monotone_ok``: the errors of degrees up to ``min(cap, 6)`` and of the
+    coefficients decay after the first step.  ``residual``: the worst
+    ``|order - 1|`` over every computable order, or 1.0 when the decay is
+    not monotone or no order is computable.
     """
 
-    case: LimitCase
     results: Tuple[StepResult, ...]
     poly_orders: Tuple[Optional[float], ...]
     coeff_order: Optional[float]
     overall_order: Optional[float]
     monotone_ok: bool
-    orders_ok: bool
-
-    @property
-    def converged(self) -> bool:
-        return self.monotone_ok and self.orders_ok
+    residual: float
 
 
 def _probe(fn: Callable[[int], float], n: int, step: float, what: str) -> float:
@@ -427,16 +421,14 @@ def run_limit(case: LimitCase) -> LimitReport:
         _monotone_after_first([r.poly_errors[n] for r in results]) for n in tracked
     ) and _monotone_after_first([r.max_coeff_error for r in results])
 
-    lo, hi = ORDER_BAND
-    candidate_orders = [poly_orders[n] for n in tracked] + [coeff_order, overall_order]
-    orders_ok = all(lo <= p <= hi for p in candidate_orders if p is not None)
+    orders = [o for o in (*poly_orders, coeff_order, overall_order) if o is not None]
+    residual = max(abs(o - 1.0) for o in orders) if monotone_ok and orders else 1.0
 
     return LimitReport(
-        case=case,
         results=tuple(results),
         poly_orders=poly_orders,
         coeff_order=coeff_order,
         overall_order=overall_order,
         monotone_ok=monotone_ok,
-        orders_ok=orders_ok,
+        residual=residual,
     )

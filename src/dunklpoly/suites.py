@@ -7,7 +7,8 @@ Each check is one function over one instance that returns its records:
 named parameter sets (module constants, so the command-line runner, the
 tests, and the acceptance gate all exercise literally the same instances),
 and the command-line handlers run the same functions over the parameters a
-user gives.  One instance therefore yields the same records either way.
+user gives.  Every pass or fail is decided here, where a record is built;
+the reports of ``dunklop``, ``quad`` and ``limits`` carry measurements only.
 What each eigen-operator token and each algebra means (parameter names,
 builder, eigenvalue, family, default cap) is data in
 ``dunklop.EIGEN_OPERATORS`` and ``dunklop.ALGEBRAS``; the checks here and
@@ -107,6 +108,7 @@ __all__ = [
     "ALL_SUITES",
     "SUITE_NAMES",
     "run_suites",
+    "suite_names",
     "eigen_sweep",
     "algebra_records",
     "gram_records",
@@ -298,11 +300,11 @@ def eigen_sweep(
     params: Mapping[str, Fraction],
     cap: int,
     operator: Optional[DunklOperator] = None,
-) -> Iterator[Tuple[int, Fraction, bool, str, float]]:
+) -> Iterator[Tuple[int, Fraction, str, float]]:
     """Check the eigen-equation of ``token`` on P_0..P_cap, degree by degree.
 
-    Yields ``(n, eigenvalue, ok, residual, millis)`` per degree, where
-    ``residual`` is ``"0"``, ``"nonzero"`` or ``"not a polynomial"``.
+    Yields ``(n, eigenvalue, residual, millis)`` per degree, where
+    ``residual`` is ``"0"`` (it holds), ``"nonzero"`` or ``"not a polynomial"``.
     ``operator`` replaces the operator built from ``token`` and ``params``;
     the negative controls pass a corrupted one.
     """
@@ -314,11 +316,11 @@ def eigen_sweep(
             eigenvalue = expected_eigenvalue(token, n, **params)
             vector = GaussianPoly(poly) if spec.gaussian else poly
             try:
-                ok = eigencheck(operator, vector, eigenvalue).is_zero
-                residual = "0" if ok else "nonzero"
+                zero = eigencheck(operator, vector, eigenvalue).is_zero
+                residual = "0" if zero else "nonzero"
             except NotPolynomial:
-                ok, residual = False, "not a polynomial"
-        yield n, eigenvalue, ok, residual, ms[0]
+                residual = "not a polynomial"
+        yield n, eigenvalue, residual, ms[0]
 
 
 def _eigen_record(token: str, params: Mapping[str, Fraction]) -> VerificationRecord:
@@ -326,8 +328,8 @@ def _eigen_record(token: str, params: Mapping[str, Fraction]) -> VerificationRec
     cap = EIGEN_OPERATORS[token].cap
     passed, residual = True, "0"
     with stopwatch() as ms:
-        for n, _, ok, why, _ in eigen_sweep(token, params, cap):
-            if not ok:
+        for n, _, why, _ in eigen_sweep(token, params, cap):
+            if why != "0":
                 passed, residual = False, f"{why} at n={n}"
                 break
     return exact_record(
@@ -566,7 +568,7 @@ def pearson_records(
     ``PearsonReport.reflection_millis``).
     """
     with _in_double_range(family, "Pearson conditions"):
-        report = verify_pearson(family, samples_per_side=samples, tolerance=tolerance)
+        report = verify_pearson(family, samples_per_side=samples)
     return [
         exact_record(
             "pearson",
@@ -683,24 +685,18 @@ def limit_check(
 ) -> Tuple[LimitReport, VerificationRecord]:
     """Run one contraction limit at its default source parameters.
 
-    The record's residual is the worst ``|order - 1|`` over the computable
-    empirical orders, or 1.0 when the errors do not decay monotonically or
-    no order is computable.  ``label`` defaults to the source parameters at
-    the first step.
+    The record passes when ``LimitReport.residual`` (the worst
+    ``|order - 1|``, or 1.0 when the decay is not monotone or no order is
+    computable) is at most ``tolerance``.  ``label`` defaults to the source
+    parameters at the first step.
     """
     builder, _ = LIMIT_CASES[limit_id]
     with stopwatch() as ms:
         report = run_limit(builder(degree_cap=degree_cap, steps=steps))
-    orders = [o for o in (*report.poly_orders, report.coeff_order, report.overall_order)
-              if o is not None]
-    if report.monotone_ok and orders:
-        residual = max(abs(o - 1.0) for o in orders)
-    else:
-        residual = 1.0
     if label is None:
         label = format_params(report.results[0].source_params)
     record = float_record("limits", limit_id, label, f"0..{degree_cap}",
-                          residual=residual, tolerance=tolerance, millis=ms[0])
+                          residual=report.residual, tolerance=tolerance, millis=ms[0])
     return report, record
 
 
@@ -753,8 +749,8 @@ def suite_negative_controls() -> List[VerificationRecord]:
         bad = build_operator("chihara_D", **params) + DunklOperator(
             (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
         )
-        detected = not all(
-            ok for _, _, ok, _, _ in eigen_sweep("chihara_D", params, 4, operator=bad)
+        detected = any(
+            why != "0" for _, _, why, _ in eigen_sweep("chihara_D", params, 4, operator=bad)
         )
     records.append(
         exact_record(
@@ -816,11 +812,18 @@ ALL_SUITES: Dict[str, Callable[[], List[VerificationRecord]]] = {
 SUITE_NAMES: Tuple[str, ...] = tuple(ALL_SUITES)
 
 
+def suite_names(names: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
+    """The named suites (all by default), each a known name given once."""
+    chosen = SUITE_NAMES if names is None else tuple(names)
+    unknown = [repr(name) for name in chosen if name not in ALL_SUITES]
+    repeated = [name for name in dict.fromkeys(chosen) if chosen.count(name) > 1]
+    if unknown or repeated:
+        bad = (f"unknown suite name(s) {', '.join(unknown)}" if unknown else
+               f"suite name(s) given more than once: {', '.join(repeated)}")
+        raise ValueError(f"{bad}; choose from {', '.join(SUITE_NAMES)}")
+    return chosen
+
+
 def run_suites(names: Optional[Iterable[str]] = None) -> List[VerificationRecord]:
     """Run the named suites (all by default), in order, and return their records."""
-
-    chosen = list(SUITE_NAMES) if names is None else list(names)
-    unknown = [name for name in chosen if name not in ALL_SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
-    return [record for name in chosen for record in ALL_SUITES[name]()]
+    return [record for name in suite_names(names) for record in ALL_SUITES[name]()]

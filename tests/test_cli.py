@@ -23,6 +23,7 @@ from dunklpoly import cli
 from dunklpoly.cli import build_parser, main, run
 from dunklpoly.dunklop import ALGEBRAS, EIGEN_OPERATORS
 from dunklpoly.families import FAMILIES
+from dunklpoly.limits import LIMIT_IDS
 from dunklpoly.report import emit, parse
 from dunklpoly.suites import ALL_SUITES
 
@@ -204,6 +205,21 @@ def test_limits_prints_steps_and_orders(capsys):
     assert "monotone: yes" in out
 
 
+@pytest.mark.parametrize("argv, verdict, code", [
+    # the degree-9 order is 0.708: one computable order is out of the
+    # tolerance while the decay is still monotone
+    (["--case", "bigq_q_to_minus1", "--steps", "0.05,0.025,0.0125", "--cap", "10"],
+     "monotone: yes; residual 2.918e-01 tolerance 2.0e-01 fail", 1),
+    *((["--case", case], "float_pass", 0) for case in LIMIT_IDS),
+])
+def test_limits_verdict_line_agrees_with_exit_status(capsys, argv, verdict, code):
+    status, out, err = _run(capsys, ["limits"] + argv)
+    last = out.splitlines()[-1]
+    assert last.startswith("monotone: ") and last.endswith(verdict)
+    assert status == code
+    assert ("first failing record" in err) == (code == 1)
+
+
 def test_suite_subset_table_and_file_output(capsys, tmp_path):
     out_path = tmp_path / "records.json"
     code, out, _ = _run(capsys, [
@@ -288,6 +304,12 @@ def test_usage_errors_exit_2(capsys):
          "--csv", "-"],                                      # exclusive formats
         ["limits", "--case", "cbi_h_to_0",
          "--steps", "1e-3,1e-4"],                            # too-short grid
+        ["limits", "--case", "cbi_h_to_0",
+         "--steps", "nan,nan,nan"],                          # non-finite steps
+        ["limits", "--case", "cbi_h_to_0",
+         "--steps", "1e-3,1e-4,1e-5,nan"],                   # non-finite step
+        ["limits", "--case", "cbi_h_to_0",
+         "--steps", "inf,inf,inf"],                          # non-finite steps
         ["coeffs", "--family", "chihara", "--alpha", "0",
          "--beta", "-2", "--gamma", "3/4", "--n", "2"],      # degenerate family
         ["coeffs", "--family", "gen_hermite", "--mu", "1/2",
@@ -316,6 +338,36 @@ def test_norms_reject_nonintegrable_weights(family_args, capsys):
     # parameters at which the closed-form ratio raises never reach it
     assert run(["norms"] + family_args + ["--cap", "8"]) == 2
     assert capsys.readouterr().err.strip() == "dunklpoly: error: weight parameters must exceed -1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--family", "gen_hermite", "--mu", "3/2"],
+    ["norms", "--family", "gen_hermite", "--mu", "3/2"],
+    ["pearson", "--family", "chihara", "--alpha", "1", "--beta", "2", "--gamma", "1/3"],
+    ["limits", "--case", "cbi_h_to_0"],
+], ids=lambda argv: argv[0])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv):
+    # an infinite tolerance would pass any finite residual, and a nan or
+    # negative one would fail every record
+    for value in ("inf", "-inf", "nan", "-1e-9", "x"):
+        code, out, err = _run(capsys, argv + [f"--tolerance={value}"])
+        assert code == 2, value
+        assert "argument --tolerance: " in err and out == "", value
+    assert run(argv + ["--tolerance", "0"]) in (0, 1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("only, message", [
+    ("eigen,eigen", "suite name(s) given more than once: eigen; choose from "),
+    ("", "unknown suite name(s) ''; choose from "),
+    ("jacobi,,jacobi", "unknown suite name(s) ''; choose from "),
+    ("jacobi,nonsense", "unknown suite name(s) 'nonsense'; choose from "),
+])
+def test_suite_names_are_checked_once_before_the_table(capsys, only, message):
+    code, out, err = _run(capsys, ["suite", "--only", only])
+    assert code == 2
+    assert out == ""                      # no table header, no row
+    assert err == f"dunklpoly: error: {message}{', '.join(ALL_SUITES)}\n"
 
 
 def test_help_exits_0(capsys):
@@ -654,7 +706,7 @@ def _fuzz_kind(action):
         return tuple(action.choices), ("nope",)
     if action.type is cli._rational:
         return "rational"
-    if action.type is float:
+    if action.type is cli._tolerance:
         return "float"
     if action.type is cli._steps:
         return "steps"

@@ -15,7 +15,8 @@ Richardson orders; the module under test must reproduce them:
   beta (mu=1): |beta*sigma_2 - 1| at beta=1e4 is 4.99788e-4
       (analytically (beta^2+beta)/((beta+5/2)(beta+7/2)) - 1)
   bigq wrong-sign control: odd-degree errors plateau near 2*gamma_C
-      (order ~ -8e-5), even degrees still decay; flagged non-convergent.
+      (order ~ -8e-5), even degrees still decay; the decay is not monotone,
+      so the residual is 1.0 and the record fails.
 """
 
 import math
@@ -34,13 +35,13 @@ from dunklpoly.limits import (
     IrrationalScale,
     LimitCase,
     NOISE_FLOOR,
-    ORDER_BAND,
     SourceStep,
     beta_case,
     bigq_case,
     cbi_case,
     run_limit,
 )
+from dunklpoly.suites import ORDER_TOLERANCE, limit_check
 
 
 # -- construction and validation ----------------------------------------------
@@ -87,6 +88,18 @@ def test_case_rejects_increasing_steps():
 def test_case_rejects_nonpositive_steps():
     with pytest.raises(ValueError, match="positive"):
         LimitCase("cbi_h_to_0", _dummy_source, _TARGET, 4, (1e-2, 1e-3, 0.0))
+
+
+@pytest.mark.parametrize("steps", [
+    (math.nan, math.nan, math.nan),
+    (1e-3, 1e-4, 1e-5, math.nan),
+    (math.inf, math.inf, math.inf),
+    (math.inf, 1e-2, 1e-3),
+])
+def test_case_rejects_non_finite_steps(steps):
+    # every comparison with nan is false, so "positive" alone lets nan in
+    with pytest.raises(ValueError, match="finite and positive"):
+        LimitCase("cbi_h_to_0", _dummy_source, _TARGET, 4, steps)
 
 
 def test_case_rejects_non_geometric_steps():
@@ -242,7 +255,7 @@ def test_cbi_frozen_errors():
     assert first.poly_errors[1] == pytest.approx(1.25e-4, rel=1e-6)
     assert first.poly_errors[6] == pytest.approx(1.192155e-3, rel=1e-4)
     assert first.max_coeff_error == pytest.approx(4.425130e-4, rel=1e-4)
-    assert report.converged
+    assert report.monotone_ok and report.residual <= ORDER_TOLERANCE
 
 
 def test_bigq_frozen_errors():
@@ -250,7 +263,7 @@ def test_bigq_frozen_errors():
     first = report.results[0]
     assert first.poly_errors[1] == pytest.approx(1.750368e-3, rel=1e-4)
     assert first.max_coeff_error == pytest.approx(3.615937e-3, rel=1e-4)
-    assert report.converged
+    assert report.monotone_ok and report.residual <= ORDER_TOLERANCE
 
 
 def test_beta_frozen_errors():
@@ -258,7 +271,7 @@ def test_beta_frozen_errors():
     first = report.results[0]
     assert first.poly_errors[2] == pytest.approx(5.982054e-3, rel=1e-4)
     assert first.max_coeff_error == pytest.approx(3.570237e-2, rel=1e-4)
-    assert report.converged
+    assert report.monotone_ok and report.residual <= ORDER_TOLERANCE
 
 
 def _default_cases():
@@ -268,14 +281,13 @@ def _default_cases():
 def test_default_cases_all_converge_with_unit_order():
     for case in _default_cases():
         report = run_limit(case)
-        assert report.converged, case.limit_id
+        assert report.monotone_ok, case.limit_id
         for p in report.poly_orders:
             if p is not None:
                 assert 0.99 <= p <= 1.01
         assert 0.99 <= report.coeff_order <= 1.01
         assert 0.99 <= report.overall_order <= 1.01
-        lo, hi = ORDER_BAND
-        assert lo <= report.overall_order <= hi
+        assert report.residual <= 0.01, case.limit_id
 
 
 def test_max_errors_decrease():
@@ -293,6 +305,62 @@ def test_monotone_decay_on_longer_grid():
             series = [r.poly_errors[n] for r in report.results]
             for k in range(1, len(series) - 1):
                 assert series[k + 1] < series[k] or series[k + 1] <= NOISE_FLOOR
+
+
+# -- the residual the limits record is built from ----------------------------------
+
+
+def _reference_residual(report, cap):
+    """The residual recomputed from the per-step errors alone: the worst
+    |order - 1| over every computable order of degrees 0..cap, the
+    coefficient order and the overall order, or 1.0 when the errors of
+    degrees 1..min(cap, 6) or of the coefficients do not decay after the
+    first step, or no order is computable."""
+    coarse, fine = report.results[-2], report.results[-1]
+    ratio = fine.step / coarse.step
+
+    def order(a, b):
+        if a <= NOISE_FLOOR or b <= NOISE_FLOOR:
+            return None
+        return math.log(a / b) / math.log(1.0 / ratio)
+
+    def decays(series):
+        return all(b <= NOISE_FLOOR or b < a for a, b in zip(series[1:], series[2:]))
+
+    orders = [order(coarse.poly_errors[n], fine.poly_errors[n]) for n in range(cap + 1)]
+    orders += [order(coarse.max_coeff_error, fine.max_coeff_error),
+               order(coarse.max_poly_error, fine.max_poly_error)]
+    orders = [o for o in orders if o is not None]
+    monotone = all(decays([r.poly_errors[n] for r in report.results])
+                   for n in range(1, min(cap, 6) + 1))
+    monotone = monotone and decays([r.max_coeff_error for r in report.results])
+    return max(abs(o - 1.0) for o in orders) if monotone and orders else 1.0
+
+
+def _assert_residual_matches_record(limit_id, cap, steps):
+    report, record = limit_check(limit_id, cap, steps)
+    assert report.residual == _reference_residual(report, cap)
+    assert record.residual == repr(report.residual)
+    assert record.outcome == ("float_pass" if report.residual <= ORDER_TOLERANCE
+                              else "fail")
+
+
+@pytest.mark.parametrize("limit_id", LIMIT_IDS)
+def test_residual_is_the_record_residual_on_default_cases(limit_id):
+    _assert_residual_matches_record(limit_id, 6, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    limit_id=st.sampled_from(LIMIT_IDS),
+    cap=st.integers(1, 12),
+    first=st.floats(1e-4, 5e-2),
+    ratio=st.floats(0.1, 0.7),
+    count=st.integers(3, 5),
+)
+def test_residual_is_the_record_residual_on_drawn_grids(limit_id, cap, first, ratio, count):
+    _assert_residual_matches_record(
+        limit_id, cap, tuple(first * ratio**k for k in range(count)))
 
 
 # -- the beta -> infinity dual check -------------------------------------------
@@ -327,9 +395,10 @@ def test_beta_sigma_bound_at_beta_1e4():
 
 def test_wrong_gamma_sign_flagged_as_non_convergent():
     report = run_limit(bigq_case(wrong_gamma_sign=True))
-    assert not report.converged
+    # the decay is not monotone, so the residual is 1.0 and fails the
+    # tolerance the limits record is built against
     assert not report.monotone_ok
-    assert not report.orders_ok
+    assert report.residual == 1.0 > ORDER_TOLERANCE
     # odd degrees plateau at O(1): order collapses to ~0
     assert abs(report.poly_orders[1]) < 0.1
     assert report.results[-1].poly_errors[1] > 1.0

@@ -176,6 +176,13 @@ def test_run_suites_rejects_unknown_name():
         run_suites(names=["construction", "nonsense"])
 
 
+def test_run_suites_rejects_repeated_and_empty_names():
+    with pytest.raises(ValueError, match=r"given more than once: jacobi; choose from"):
+        run_suites(names=["jacobi", "construction", "jacobi"])
+    with pytest.raises(ValueError, match=r"unknown suite name\(s\) ''; choose from"):
+        run_suites(names=[""])
+
+
 def test_registry_order_is_criteria_order():
     assert SUITE_NAMES == (
         "construction",
