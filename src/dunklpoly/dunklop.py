@@ -77,13 +77,16 @@ nested application of D^mu.
 (eigenoperator, multiplication by x, P) by applying both sides of each
 relation to every monomial x^j up to a degree cap; all arithmetic is exact,
 so a relation either holds identically on that space or fails at a specific
-monomial.  ``ALGEBRAS`` holds each algebra as data: its parameter names and
-a builder returning K, P, the structure constants and the relations
-``(name, lhs, rhs)``.  Each side maps a word to its coefficient; a word is a
-string over K, X (times x), P and B = KX - XK that acts right to left ("KP"
-is f -> K(P(f)), "" the identity).  A new algebra is one builder, which
-reuses ``_involution_relations``, and one ``ALGEBRAS`` entry; the CLI and
-the algebra suite read its names from there.
+monomial.  ``ALGEBRAS`` holds each algebra as data: the ``EIGEN_OPERATORS``
+token of K, whose parameter names are the algebra's, and a function that
+takes those parameters in order and returns only the relations
+``(name, lhs, rhs)``.  ``verify_algebra`` builds K by its token with
+``build_operator`` and P = ``parity_involution(gamma)``.  Each side maps a
+word to its coefficient; a word is a string over K, X (times x), P and
+B = KX - XK that acts right to left ("KP" is f -> K(P(f)), "" the
+identity).  A new algebra is one relations function, which reuses
+``_involution_relations``, and one ``ALGEBRAS`` entry; the CLI and the
+algebra suite read its names from there.
 """
 
 from __future__ import annotations
@@ -528,8 +531,6 @@ def eigencheck(op: DunklOperator, vec, eigenvalue: Scalar):
 @dataclass(frozen=True)
 class AlgebraRelationReport:
     relation: str
-    degree_cap: int
-    constants: Tuple[Tuple[str, str], ...]
     first_failure: int | None
     millis: float = field(compare=False)  # wall time of this relation's check
 
@@ -544,11 +545,15 @@ Relation = Tuple[str, Combination, Combination]  # (name, lhs, rhs)
 
 
 class Algebra(NamedTuple):
-    """Parameter names, and a builder that takes the parameters in that order
-    and returns (eigenoperator K, involution P, constants, relations)."""
+    """The ``EIGEN_OPERATORS`` token of the eigenoperator K, and a function
+    that takes K's parameters in order and returns the relations."""
 
-    params: Tuple[str, ...]
-    build: Callable[..., Tuple[DunklOperator, DunklOperator, Dict[str, Fraction], List[Relation]]]
+    operator: str
+    relations: Callable[..., List[Relation]]
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        return EIGEN_OPERATORS[self.operator].params
 
 
 def _involution_relations(gamma: Fraction) -> List[Relation]:
@@ -562,42 +567,38 @@ def _involution_relations(gamma: Fraction) -> List[Relation]:
     ]
 
 
-def _chihara_algebra(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fraction):
+def _chihara_relations(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fraction):
     d1 = eps * (alpha + beta + 1 - eps)
     d2 = alpha + beta + Fraction(3, 2) - 2 * eps
     d3 = gamma
     d4 = (gamma**2 + 1) / 2
     d5 = gamma**2 * d2 + alpha + Fraction(1, 2)
     half = Fraction(1, 2)
-    relations = _involution_relations(d3) + [
+    return _involution_relations(d3) + [
         ("bracket-position-commutator", {"BX": 1, "XB": -1},
          {"XX": half, "XXP": d2, "BP": 2 * d3, "P": -d5, "": -d4}),
         ("eigenop-bracket-commutator", {"KB": 1, "BK": -1},
          {"KX": half, "XK": half, "BP": -d2, "KP": -d3, "X": d1, "P": -d1 * d3}),
     ]
-    constants = {"d1": d1, "d2": d2, "d3": d3, "d4": d4, "d5": d5}
-    return chihara_eigenop(alpha, beta, gamma, eps), parity_involution(gamma), constants, relations
 
 
-def _ext_hermite_algebra(mu: Fraction, gamma: Fraction, eps: Fraction):
+def _ext_hermite_relations(mu: Fraction, gamma: Fraction, eps: Fraction):
     # The coefficients of the last two relations are the unique exact fit
     # over Q of these words to the images of the monomials x^j: the linear
     # system has full rank.  The P-coefficients gamma^2(1-2eps)+mu and
     # gamma*eps*(1-eps) follow the gamma != 0 pattern of the chihara algebra.
-    relations = _involution_relations(gamma) + [
+    return _involution_relations(gamma) + [
         ("position-bracket-commutator", {"XB": 1, "BX": -1},
          {"XXP": 2 * eps - 1, "BP": -2 * gamma, "P": gamma**2 * (1 - 2 * eps) + mu,
           "": Fraction(1, 2)}),
         ("bracket-eigenop-commutator", {"BK": 1, "KB": -1},
          {"BP": 1 - 2 * eps, "X": eps * (eps - 1), "P": gamma * eps * (1 - eps)}),
     ]
-    constants = {"gamma": gamma, "mu": mu, "eps": eps}
-    return ext_hermite_eigenop(mu, gamma, eps), parity_involution(gamma), constants, relations
 
 
 ALGEBRAS: Dict[str, Algebra] = {
-    "chihara": Algebra(("alpha", "beta", "gamma", "eps"), _chihara_algebra),
-    "ext_hermite": Algebra(("mu", "gamma", "eps"), _ext_hermite_algebra),
+    "chihara": Algebra("chihara_D", _chihara_relations),
+    "ext_hermite": Algebra("y_Z", _ext_hermite_relations),
 }
 
 
@@ -629,11 +630,7 @@ def _sides(K: DunklOperator, P: DunklOperator, lhs: Combination, rhs: Combinatio
 
 
 def _relation_report(
-    name: str,
-    lhs: Applier,
-    rhs: Applier,
-    degree_cap: int,
-    constants: Dict[str, Fraction],
+    name: str, lhs: Applier, rhs: Applier, degree_cap: int
 ) -> AlgebraRelationReport:
     first_failure = None
     with stopwatch() as ms:
@@ -642,13 +639,7 @@ def _relation_report(
             if lhs(mono) != rhs(mono):
                 first_failure = j
                 break
-    return AlgebraRelationReport(
-        relation=name,
-        degree_cap=degree_cap,
-        constants=tuple((k, str(v)) for k, v in sorted(constants.items())),
-        first_failure=first_failure,
-        millis=ms[0],
-    )
+    return AlgebraRelationReport(relation=name, first_failure=first_failure, millis=ms[0])
 
 
 def verify_algebra(
@@ -667,8 +658,10 @@ def verify_algebra(
     if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")
     spec = ALGEBRAS[which]
-    K, P, constants, relations = spec.build(*(_as_fraction(params[n]) for n in spec.params))
+    p = {n: _as_fraction(params[n]) for n in spec.params}
+    K = build_operator(spec.operator, **p)
+    P = parity_involution(p["gamma"])
     return [
-        _relation_report(name, *_sides(K, P, lhs, rhs), degree_cap, constants)
-        for name, lhs, rhs in relations
+        _relation_report(name, *_sides(K, P, lhs, rhs), degree_cap)
+        for name, lhs, rhs in spec.relations(*p.values())
     ]

@@ -136,15 +136,12 @@ def _source(name: str, params: Dict[str, float], rescale: float) -> SourceStep:
 class LimitCase:
     """One limit process: source model per step, exact target, step grid."""
 
-    limit_id: str
     source: Callable[[float], SourceStep]
     target: FamilySpec
     degree_cap: int
     steps: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.limit_id not in LIMIT_IDS:
-            raise ValueError(f"unknown limit id {self.limit_id!r}")
         if self.degree_cap < 1:
             raise ValueError("degree cap must be at least 1")
         steps = tuple(float(h) for h in self.steps)
@@ -198,8 +195,7 @@ def cbi_case(
         p = {"rho1": a1f / h + b1f, "rho2": a2f / h + b2f, "r1": a1f / h, "r2": a2f / h}
         return _source("cbi", p, sf / h)
 
-    return LimitCase("cbi_h_to_0", source, target, degree_cap,
-                     DEFAULT_STEPS if steps is None else steps)
+    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
 
 
 def bigq_case(
@@ -239,8 +235,7 @@ def bigq_case(
         }
         return _source("big_q_jacobi", p, sf)
 
-    return LimitCase("bigq_q_to_minus1", source, target, degree_cap,
-                     DEFAULT_STEPS if steps is None else steps)
+    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
 
 
 def beta_case(
@@ -265,8 +260,7 @@ def beta_case(
         p = {"alpha": alphaf, "beta": 1.0 / h, "gamma": gammaf * root_h}
         return _source("chihara", p, root_h)
 
-    return LimitCase("chihara_beta_to_inf", source, target, degree_cap,
-                     DEFAULT_STEPS if steps is None else steps)
+    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
 
 
 #: The limit registry: id -> (case builder, default source parameters).

@@ -369,7 +369,7 @@ def algebra_records(
             "algebra",
             f"{which}:{report.relation}",
             label,
-            f"0..{report.degree_cap}",
+            f"0..{cap}",
             millis=report.millis,
             passed=report.passed,
             residual=f"first failure at degree {report.first_failure}",

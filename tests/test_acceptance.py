@@ -16,7 +16,9 @@ Criteria (degree caps / tolerances as encoded in the suites):
  6. norm ratios                quadrature 1e-10, exact identity n <= 30
  7. weight equation            exact at 5 tuples; reflection 1e-12, >= 20/component
  8. kernel transforms          exact round trip, map at c in {3/5, 5/13}
- 9. contraction limits         monotone, order within [0.8, 1.2], stable constant
+ 9. contraction limits         worst |order - 1| over degrees 0..6 <= 0.2 (1.0
+                               if the errors do not decay monotonically);
+                               stable constant
 10. negative controls          seeded corruptions are detected
 """
 

@@ -25,7 +25,6 @@ from dunklpoly.dunklop import (
     ALGEBRAS,
     EIGEN_OPERATORS,
     OPERATOR_TOKENS,
-    Algebra,
     DunklOperator,
     GaussianPoly,
     OperatorTerm,
@@ -44,7 +43,14 @@ from dunklpoly.families import (
     generate_monic,
     ext_hermite_family,
 )
-from dunklpoly.suites import EIGEN_CASES, eigen_sweep
+from dunklpoly.suites import (
+    ALGEBRA_EPS,
+    CHIHARA_SETS,
+    EIGEN_CASES,
+    EIGEN_EPS,
+    EXT_HERMITE_SETS,
+    eigen_sweep,
+)
 
 F = Fraction
 X = LaurentPoly.x()
@@ -100,11 +106,8 @@ def test_chihara_lowest_eigencheck_examples():
     assert eigencheck(D, polys[2], F(1 + 1 + 2)).is_zero
 
 
-CHIHARA_SETS = [(1, 1, F(1, 2)), (F(1, 2), F(3, 4), F(1, 3)), (2, 3, F(-2, 5))]
-
-
 @pytest.mark.parametrize("params", CHIHARA_SETS)
-@pytest.mark.parametrize("eps", [F(0), F(2, 3), F(5)])
+@pytest.mark.parametrize("eps", EIGEN_EPS)
 def test_chihara_eigenchecks(params, eps):
     alpha, beta, gamma = params
     D = build_operator("chihara_D", alpha=alpha, beta=beta, gamma=gamma, eps=eps)
@@ -540,7 +543,7 @@ def test_term_validation():
 
 
 @pytest.mark.parametrize("params", CHIHARA_SETS)
-@pytest.mark.parametrize("eps", [F(2, 3), F(5)])
+@pytest.mark.parametrize("eps", ALGEBRA_EPS)
 def test_chihara_algebra_relations(params, eps):
     alpha, beta, gamma = params
     reports = verify_algebra("chihara", 12, alpha=alpha, beta=beta, gamma=gamma, eps=eps)
@@ -549,8 +552,8 @@ def test_chihara_algebra_relations(params, eps):
         assert r.passed, f"{r.relation} first failure at degree {r.first_failure}"
 
 
-@pytest.mark.parametrize("params", [(F(3, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(5, 2), F(-1, 4))])
-@pytest.mark.parametrize("eps", [F(2, 3), F(5)])
+@pytest.mark.parametrize("params", EXT_HERMITE_SETS)
+@pytest.mark.parametrize("eps", ALGEBRA_EPS)
 def test_ext_hermite_algebra_relations(params, eps):
     mu, gamma = params
     reports = verify_algebra("ext_hermite", 12, mu=mu, gamma=gamma, eps=eps)
@@ -598,27 +601,53 @@ def test_every_rhs_coefficient_is_sharp(monkeypatch, which, index):
     # right-hand side (to the empty word, where the side is empty) must
     # break that relation at degree 0 or 1 and leave the other five intact
     spec, params = ALGEBRAS[which], _ALGEBRA_SETS[which][index]
-    _, _, _, relations = spec.build(*(F(params[n]) for n in spec.params))
+    relations = spec.relations(*(F(params[n]) for n in spec.params))
     for i, (_, _, rhs) in enumerate(relations):
         for word in rhs or {"": 0}:
-            def build(*args, i=i, word=word):
-                K, P, constants, relations = spec.build(*args)
+            def shifted(*args, i=i, word=word):
+                relations = spec.relations(*args)
                 name, lhs, rhs = relations[i]
                 rhs = {**rhs, word: rhs.get(word, 0) + 1}
-                return K, P, constants, [*relations[:i], (name, lhs, rhs), *relations[i + 1:]]
+                return [*relations[:i], (name, lhs, rhs), *relations[i + 1:]]
 
-            monkeypatch.setitem(ALGEBRAS, which, Algebra(spec.params, build))
+            monkeypatch.setitem(ALGEBRAS, which, spec._replace(relations=shifted))
             failures = [r.first_failure for r in verify_algebra(which, 6, **params)]
             assert failures.pop(i) in (0, 1), (i, word)
             assert failures == [None] * 5, (i, word)
 
 
+def test_algebra_params_are_operator_params():
+    for which, spec in ALGEBRAS.items():
+        assert spec.params == EIGEN_OPERATORS[spec.operator].params, which
+
+
+@pytest.mark.parametrize("which", list(ALGEBRAS))
+def test_relations_build_no_operator(monkeypatch, which):
+    # the relation table alone, with every operator builder disabled
+    from dunklpoly import dunklop
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    for token in OPERATOR_TOKENS:
+        monkeypatch.setitem(dunklop._BUILDERS, token, refuse)
+    for name in ("build_operator", "parity_involution", "chihara_eigenop", "ext_hermite_eigenop"):
+        monkeypatch.setattr(dunklop, name, refuse)
+    spec, params = ALGEBRAS[which], _ALGEBRA_SETS[which][0]
+    relations = spec.relations(*(F(params[n]) for n in spec.params))
+    assert len(relations) == len({name for name, _, _ in relations}) == 6
+
+
 def test_algebra_report_shape():
-    rep = verify_algebra("chihara", 4, alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))[4]
-    assert rep.degree_cap == 4
-    assert dict(rep.constants)["d3"] == "1/2"
+    params = dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
+    rep = verify_algebra("chihara", 4, **params)[4]
+    assert rep.relation == "bracket-position-commutator"
     assert rep.first_failure is None
     assert rep.millis > 0
+    # the relation's "BP": 2 * d3, with d3 = gamma
+    spec = ALGEBRAS["chihara"]
+    _, _, rhs = spec.relations(*(F(params[n]) for n in spec.params))[4]
+    assert rhs["BP"] == 2 * params["gamma"]
 
 
 # -- the per-relation application memo of verify_algebra ------------------------
@@ -705,6 +734,6 @@ def _perturbation(m, k):
 def _perturb_chihara(monkeypatch, m, k):
     from dunklpoly import dunklop
 
-    build = dunklop.chihara_eigenop
+    build = dunklop._BUILDERS["chihara_D"]
     extra = _perturbation(m, k)
-    monkeypatch.setattr(dunklop, "chihara_eigenop", lambda *args: build(*args) + extra)
+    monkeypatch.setitem(dunklop._BUILDERS, "chihara_D", lambda **p: build(**p) + extra)

@@ -35,6 +35,7 @@ from dunklpoly.families import (
     pochhammer,
     recurrence_coeffs,
 )
+from dunklpoly.suites import CBI_SETS, CHIHARA_SETS, EXT_HERMITE_SETS
 
 F = Fraction
 X = LaurentPoly.x()
@@ -214,15 +215,6 @@ def test_vanishing_prefactor_raises_degenerate(family):
 
 
 # -- explicit vs recurrence construction -------------------------------------------
-
-
-CHIHARA_SETS = [(1, 1, F(1, 2)), (F(1, 2), F(3, 4), F(1, 3)), (2, 3, F(-2, 5))]
-CBI_SETS = [
-    (1, 2, F(1, 3), F(1, 5)),
-    (F(3, 2), F(1, 2), F(1, 4), F(-1, 3)),
-    (2, 1, F(-1, 2), F(1, 7)),
-]
-EXT_HERMITE_SETS = [(F(3, 2), F(1, 2)), (F(1, 2), F(1, 3)), (F(5, 2), F(-1, 4))]
 
 
 @pytest.mark.parametrize("params", CHIHARA_SETS)

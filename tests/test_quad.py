@@ -23,7 +23,7 @@ from dunklpoly.families import (
     generate_monic,
     pochhammer,
 )
-from dunklpoly import quad
+from dunklpoly import quad, suites
 from dunklpoly.quad import (
     NoConvergence,
     QuadratureRule,
@@ -42,16 +42,8 @@ from dunklpoly.quad import (
 )
 from dunklpoly.suites import norm_records
 
-FAMILY_SETS = [
-    chihara_family(1, 1, F(1, 2)),
-    chihara_family(F(1, 2), F(3, 4), F(-1, 3)),
-    gegenbauer_family(1, 1),
-    gegenbauer_family(F(1, 2), 2),
-    ext_hermite_family(F(3, 2), F(1, 2)),
-    ext_hermite_family(F(1, 2), F(1, 3)),
-    gen_hermite_family(F(1, 2)),
-    gen_hermite_family(F(3, 2)),
-]
+# the Gram and norm families of the pinned suites
+FAMILY_SETS = list(suites._quadrature_families())
 
 
 # -- tridiagonal eigensolver -----------------------------------------------------
