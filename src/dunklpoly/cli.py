@@ -62,7 +62,7 @@ from .families import (
 )
 from .limits import LIMIT_IDS, DegenerateStep
 from .quad import NoConvergence
-from .report import VerificationRecord, emit, exact_record, rational_str, stopwatch
+from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
     GRAM_CAP,
@@ -74,7 +74,6 @@ from .suites import (
     ORDER_TOLERANCE,
     PEARSON_SAMPLES,
     REFLECTION_TOLERANCE,
-    ALL_SUITES,
     TRANSFORM_CAP,
     algebra_records,
     eigen_sweep,
@@ -82,6 +81,7 @@ from .suites import (
     limit_check,
     norm_records,
     pearson_records,
+    run_batches,
     suite_names,
     transform_records,
     weight_samples,
@@ -361,12 +361,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     _say(args, f"{'suite':{width}s}  records  exact  float  fail      ms")
     records = []
     total_ms = 0.0
-    for name in names:
-        with stopwatch() as ms:   # the suite's own wall time
-            batch = ALL_SUITES[name]()
+    for name, batch, millis in run_batches(names):
         records += batch
-        total_ms += ms[0]
-        _say(args, _suite_row(name, width, batch, ms[0]))
+        total_ms += millis
+        _say(args, _suite_row(name, width, batch, millis))
     _say(args, _suite_row("total", width, records, total_ms))
     return _finish(records, args)
 

@@ -616,17 +616,16 @@ def _evaluate(letters: Dict[str, Applier], combination: Combination, f: LaurentP
     return LaurentPoly.zero() if total is None else total
 
 
-def _sides(K: DunklOperator, P: DunklOperator, lhs: Combination, rhs: Combination):
-    """Both sides of one relation as functions of f, over one fresh memo: K,
-    P and B keep their images per input, so each is applied once per input."""
+def _letters(K: DunklOperator, P: DunklOperator) -> Dict[str, Applier]:
+    """The letters over one fresh memo: K, P and B keep their images per
+    input, so each is applied once per input while the memo lives."""
     k = cache(K.apply)
-    letters: Dict[str, Applier] = {
+    return {
         "K": k,
         "X": lambda f: X * f,
         "P": cache(P.apply),
         "B": cache(lambda f: k(X * f) - X * k(f)),
     }
-    return partial(_evaluate, letters, lhs), partial(_evaluate, letters, rhs)
 
 
 def _relation_report(
@@ -650,18 +649,20 @@ def verify_algebra(
     ``params`` holds the algebra's parameters by name.  Both sides of a
     relation are evaluated by nested application, never by symbolic
     multiplication, so the check is an independent route onto the stated
-    structure constants.  Each relation starts with an empty memo of
-    images, but K and P keep their monomial quotient tables across the
-    relations: the first relation fills them, so its ``millis`` includes
-    that cost and the later ones' mostly do not.
+    structure constants.  The relations of one call share one memo of
+    images: K, P and B are each applied at most once per distinct input
+    over the whole call, and K and P fill their monomial quotient tables
+    once.  A relation's ``millis`` therefore includes the images that it
+    is the first to need, and the later relations reuse them.  Nothing
+    carries over into the next call.
     """
     if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")
     spec = ALGEBRAS[which]
     p = {n: _as_fraction(params[n]) for n in spec.params}
-    K = build_operator(spec.operator, **p)
-    P = parity_involution(p["gamma"])
+    letters = _letters(build_operator(spec.operator, **p), parity_involution(p["gamma"]))
     return [
-        _relation_report(name, *_sides(K, P, lhs, rhs), degree_cap)
+        _relation_report(name, partial(_evaluate, letters, lhs),
+                         partial(_evaluate, letters, rhs), degree_cap)
         for name, lhs, rhs in spec.relations(*p.values())
     ]

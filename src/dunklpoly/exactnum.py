@@ -26,7 +26,7 @@ deliberately small and strict:
   one ``poly_divmod`` per monomial cached on the operator (see
   :mod:`dunklpoly.dunklop`), not through RatFunc sums.
 
-Three kernels form whole results that would otherwise be chains of
+Four kernels form whole results that would otherwise be chains of
 canonical LaurentPolys, each with its own gcd.  They work on the raw
 integer numerators over one common denominator and take one gcd at the end
 (Geddes, Czapor and Labahn, ch. 2; Knuth, TAOCP vol. 2, §4.6):
@@ -36,7 +36,11 @@ integer numerators over one common denominator and take one gcd at the end
   closed form (or the Gaussian-class step g -> g' - x*g iterated);
 * ``three_term_step``: (x - diag)*p - sub*q, the step of every monic
   recurrence over the rationals (``families.monic_list``);
-* ``residual``: a - c*b, an eigen-equation's residual.
+* ``residual``: a - c*b, an eigen-equation's residual;
+* ``term_ratio_sum``: t_0 + t_1 + ... with t_k = t_(k-1) * f_k * c_k / d_k
+  for integers c_k and d_k, a series summed by its term ratio
+  (``families.hypergeometric_terminating``), every term over one growing
+  denominator and no gcd before the sum's.
 
 Each makes the dict operations of the route it replaces, on values scaled
 by nonzero integers, so its partial sums reach zero at the same steps: the
@@ -580,6 +584,29 @@ def three_term_step(p: LaurentPoly, q: LaurentPoly, diag: Scalar, sub: Scalar) -
 def residual(a: LaurentPoly, b: LaurentPoly, c: Scalar) -> LaurentPoly:
     """a - c*b, the residual of an eigen-equation a = c*b."""
     return _combine(a, b, -_as_fraction(c))
+
+
+def term_ratio_sum(factors: Iterable[Tuple[LaurentPoly, int, int]]) -> LaurentPoly:
+    """t_0 + t_1 + ... with t_0 = 1 and t_k = t_(k-1) * f_k * c_k / d_k for
+    the polynomials f_k and integers c_k, d_k != 0 of ``factors``: a series
+    summed by its term ratio.
+
+    The numerators of t_k are those of t_(k-1) * f_k times c_k, over the
+    denominator of t_(k-1) times d_k and the denominator of f_k.  Each
+    denominator is a multiple of the one before, so the sum is kept over
+    the latest one; its sign and content go in the one gcd at the end.
+    """
+    term: Dict[int, int] = {0: 1}
+    total: Dict[int, int] = {0: 1}
+    den = 1
+    for f, c, d in factors:
+        term = {e: n * c for e, n in _product(term, f._nums).items()} if c else {}
+        scale = f._den * d
+        if scale != 1:
+            total = {e: n * scale for e, n in total.items()}
+            den *= scale
+        _add_scaled(total, term, 1)
+    return _canonical(total, den)
 
 
 # -- dense polynomial division and gcd (plain polynomials only) -------------

@@ -66,7 +66,14 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exactnum import BigRational, LaurentPoly, Scalar, _as_fraction, three_term_step
+from .exactnum import (
+    BigRational,
+    LaurentPoly,
+    Scalar,
+    _as_fraction,
+    term_ratio_sum,
+    three_term_step,
+)
 from .report import format_params
 
 PolyOrScalar = Union[LaurentPoly, BigRational, int]
@@ -456,7 +463,11 @@ def hypergeometric_terminating(
     (Koekoek, Lesky and Swarttouw 2010, §1.4), so a call takes O(n)
     polynomial products.  (b_i)_k first vanishes at the k whose factor
     b_i + k - 1 is zero, and that factor is checked before the term is
-    formed.
+    formed.  Per k the polynomial factor z prod (a_j + k - 1) over the
+    polynomial a_j, and the rest of the ratio as an integer numerator and
+    denominator (each a_j + k - 1 and b_i + k - 1 over its parameter's
+    denominator, not reduced), go to ``exactnum.term_ratio_sum``, which
+    sums the terms on integer numerators.
     """
     if not num_params:
         raise ValueError("at least one numerator parameter required")
@@ -470,21 +481,23 @@ def hypergeometric_terminating(
     dens = [_as_fraction(b) for b in den_params]
     scalars = [_as_fraction(a) for a in num_params if not isinstance(a, LaurentPoly)]
     polys = [a for a in num_params if isinstance(a, LaurentPoly)]
-    term = total = LaurentPoly.one()
+    factors = []
     for k in range(1, n + 1):
-        ratio = Fraction(1, k)
+        num, den = 1, k
         for b in dens:
-            if b + k - 1 == 0:
+            top = b.numerator + (k - 1) * b.denominator
+            if top == 0:
                 raise DegenerateParameters(f"denominator Pochhammer vanishes at k={k}")
-            ratio /= b + k - 1
+            num *= b.denominator
+            den *= top
         for a in scalars:
-            ratio *= a + k - 1
+            num *= a.numerator + (k - 1) * a.denominator
+            den *= a.denominator
         step = argument
         for a in polys:
             step = step * (a + (k - 1))
-        term = term * (step * ratio)
-        total = total + term
-    return total
+        factors.append((step, num, den))
+    return term_ratio_sum(factors)
 
 
 def explicit_poly(family: FamilySpec, n: int) -> LaurentPoly:

@@ -49,9 +49,13 @@ of the float three-term recurrence (``_basis_table``), and
 ``norm_ratio_check`` for (1, 1) and (0, 0) over its rows P_(n-1), P_n.  The
 family's recurrence and the reduced weight's are one ``FloatRecurrence``
 each, converted on demand and once, so the per-degree rules of a norms
-request, sharing one spec, share every conversion.  All of this performs
-the same float operations in the same order as the straightforward loops,
-so every value is the same bit for bit.
+request, sharing one spec, share every conversion.  A reduced weight also
+keeps each Gauss rule it builds, by size; ``weight_for`` and
+``gram_matrix`` take an optional mapping from reduced weights to
+``ClassicalWeight``, through which the checks of different families with
+one reduced weight share its tables and rules.  All of this performs the
+same float operations in the same order as the straightforward loops, so
+every value is the same bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); the platform Gamma function
@@ -68,7 +72,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
 from .families import CLASSICAL, FAMILIES, Family, FamilySpec, recurrence_coeffs
@@ -270,8 +274,10 @@ class ClassicalWeight(tuple):
     It compares and hashes as the plain tuple.  ``jacobi_matrix(n)`` and
     ``moments(n)`` convert only the entries no earlier call converted and
     keep them, so the rules of growing size built from one instance (one
-    per degree of a norms request) share every conversion.  The entries
-    live as long as the instance.
+    per degree of a norms request) share every conversion.  ``rule(n)``
+    keeps each Gauss rule it builds, by size, so the checks sharing an
+    instance build each rule once.  The entries and rules live as long as
+    the instance.
     """
 
     def __new__(cls, weight_class) -> "ClassicalWeight":
@@ -290,7 +296,15 @@ class ClassicalWeight(tuple):
         self.kind = kind
         self.recurrence = FloatRecurrence(pair)
         self._moments: List[float] = []
+        self._rules: Dict[int, QuadratureRule] = {}
         return self
+
+    def rule(self, n: int) -> QuadratureRule:
+        """The Gauss rule of n nodes, built by ``gauss_rule`` on first use."""
+        rule = self._rules.get(n)
+        if rule is None:
+            rule = self._rules[n] = gauss_rule(self, n)
+        return rule
 
     def jacobi_matrix(self, n: int) -> SymTridiag:
         """The leading n x n block: diagonal ``float(diag_k)``, off-diagonal
@@ -317,7 +331,11 @@ def _check_exponents(weight_class: Tuple) -> None:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule: ascending nodes, positive weights, stated exact degree."""
+    """Gauss rule: ascending nodes, positive weights, stated exact degree.
+
+    ``weight_class`` is the plain tuple: a ``ClassicalWeight`` keeps its
+    rules, which hold no reference back to it, so it is freed as soon as
+    the last check using it is done."""
 
     nodes: Tuple[float, ...]
     weights: Tuple[float, ...]
@@ -346,15 +364,15 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
     rule = QuadratureRule(
         nodes=tuple(values),
         weights=tuple(mu0 * v * v for v in firsts),
-        weight_class=weight_class,
+        weight_class=tuple(weight_class),
         exact_degree=2 * n - 1,
     )
-    _validate_moments(rule)
+    _validate_moments(rule, weight_class)
     return rule
 
 
-def _validate_moments(rule: QuadratureRule) -> None:
-    for j, moment in enumerate(rule.weight_class.moments(min(rule.exact_degree, 8) + 1)):
+def _validate_moments(rule: QuadratureRule, weight: ClassicalWeight) -> None:
+    for j, moment in enumerate(weight.moments(min(rule.exact_degree, 8) + 1)):
         computed = 0.0   # left to right: sum() compensates from Python 3.12 on
         for t, w in zip(rule.nodes, rule.weights):
             computed += w * t**j
@@ -379,13 +397,11 @@ def _weighted_entry(family: FamilySpec) -> Family:
 @dataclass(frozen=True)
 class WeightSpec:
     """The weight of a family: the weight fields of its ``FAMILIES`` entry at
-    the family's parameters, and the float tables that the checks of the
-    family share."""
+    the family's parameters, its reduced weight, and the float tables that
+    the checks of the family share.  ``weight_for`` builds it."""
 
     family: FamilySpec
-
-    def __post_init__(self):
-        _weighted_entry(self.family)
+    classical_weight: ClassicalWeight
 
     @property
     def support(self) -> str:
@@ -417,11 +433,6 @@ class WeightSpec:
         return 1.0 if self.classical_weight.kind.finite else math.exp(-float(self.gamma) ** 2)
 
     @cached_property
-    def classical_weight(self) -> ClassicalWeight:
-        """The ``FAMILIES`` reduced weight, whose float tables its rules share."""
-        return ClassicalWeight(FAMILIES[self.family.name].reduced(self.family.p))
-
-    @cached_property
     def recurrence(self) -> FloatRecurrence:
         """The family's recurrence in float, shared by every check of the spec."""
         return FloatRecurrence(partial(recurrence_coeffs, self.family))
@@ -438,15 +449,23 @@ def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
     return lo, hi
 
 
-def weight_for(family: FamilySpec) -> WeightSpec:
+def weight_for(
+    family: FamilySpec, weights: Optional[Dict[Tuple, ClassicalWeight]] = None
+) -> WeightSpec:
     """The weight specification attached to an orthogonal family.
 
-    Raises ``ValueError`` when the reduced classical weight is not
-    integrable (an exponent at or below -1).
+    Its reduced weight is the ``ClassicalWeight`` of the family's
+    ``FAMILIES`` entry, or the one ``weights`` already holds for that
+    reduced weight: the specs built with one ``weights`` mapping share each
+    reduced weight's float tables and Gauss rules.  Raises ``ValueError``
+    when the family carries no weight, or when the reduced classical weight
+    is not integrable (an exponent at or below -1).
     """
-    spec = WeightSpec(family)
-    _check_exponents(spec.classical_weight)
-    return spec
+    reduced = ClassicalWeight(_weighted_entry(family).reduced(family.p))
+    if weights is not None:
+        reduced = weights.setdefault(reduced, reduced)
+    _check_exponents(reduced)
+    return WeightSpec(family, reduced)
 
 
 # -- inner products through the even/odd reduction -----------------------------------
@@ -497,7 +516,7 @@ def _inner_products(
     pointwise values it keeps tiny inner products accurate: for m = n both
     terms are nonnegative (u_i >= |gamma|), so no cancellation occurs.
     """
-    rule = gauss_rule(spec.classical_weight, size)
+    rule = spec.classical_weight.rule(size)
     g = float(spec.gamma)
     us = [math.sqrt(t + g * g) for t in rule.nodes]
     table = rows(us + [-u for u in us])
@@ -567,9 +586,12 @@ def _basis_table(
     return table
 
 
-def gram_matrix(family: FamilySpec, N: int) -> List[List[float]]:
-    """[<P_m, P_n>] for m, n = 0..N against the family weight."""
-    spec = weight_for(family)
+def gram_matrix(
+    family: FamilySpec, N: int, weights: Optional[Dict[Tuple, ClassicalWeight]] = None
+) -> List[List[float]]:
+    """[<P_m, P_n>] for m, n = 0..N against the family weight, its reduced
+    weight shared through ``weights`` as in ``weight_for``."""
+    spec = weight_for(family, weights)
     pairs = [(m, n) for m in range(N + 1) for n in range(m, N + 1)]
     products = _inner_products(
         spec, _rule_size(2 * N), partial(_basis_table, spec.recurrence, range(N + 1)), pairs

@@ -27,6 +27,22 @@ Design notes
   ``report.stopwatch``.
 * A float check that leaves the double range names the family and the
   degree or sample point in its ``ArithmeticError`` (``_in_double_range``).
+
+One run
+-------
+``run_batches`` is the one runner (``run_suites`` and the ``suite``
+command both go through it).  It gives every suite of one run the same
+``RunMemo``, which holds the exact objects that several checks need, keyed
+by exact value: the monic list P_0..P_N of each ``FamilySpec`` (the
+longest one generated so far serves every shorter request, and each caller
+gets its own list) and one ``quad.ClassicalWeight`` per reduced weight,
+which keeps the Gauss rules it builds by size.  The first check that needs
+a shared object builds it, and its record's ``millis`` includes that work;
+the later checks reuse it.  Nothing outlives the run: a suite or check
+called without a memo uses a fresh one of its own, so the single-check
+commands build what they need as before.  Operators are not shared
+between cases; an algebra check keeps one memo of operator images across
+its own relations (``dunklop.verify_algebra``).
 """
 
 from __future__ import annotations
@@ -80,6 +96,7 @@ from .limits import (
     run_limit,
 )
 from .quad import (
+    ClassicalWeight,
     gram_matrix,
     gram_offdiag_worst,
     inner_product,
@@ -107,6 +124,8 @@ from .transforms import (
 __all__ = [
     "ALL_SUITES",
     "SUITE_NAMES",
+    "RunMemo",
+    "run_batches",
     "run_suites",
     "suite_names",
     "eigen_sweep",
@@ -230,6 +249,27 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
 )
 
 
+class RunMemo:
+    """The exact objects that the checks of one suite run share, keyed by
+    exact value: monic lists per ``FamilySpec`` and one ``ClassicalWeight``
+    per reduced weight (``weights``, in the form ``quad.weight_for`` takes).
+
+    ``generate_monic`` is called by its name at call time, so a wrapper put
+    in its place is called too.
+    """
+
+    def __init__(self) -> None:
+        self._monic: Dict[FamilySpec, List[LaurentPoly]] = {}
+        self.weights: Dict[Tuple, ClassicalWeight] = {}
+
+    def monic(self, family: FamilySpec, N: int) -> List[LaurentPoly]:
+        """A list of its own holding P_0..P_N of ``family``."""
+        polys = self._monic.get(family)
+        if polys is None or len(polys) <= N:
+            polys = self._monic[family] = generate_monic(family, N)
+        return polys[: N + 1]
+
+
 @contextmanager
 def _in_double_range(family: FamilySpec, where: str) -> Iterator[None]:
     """Raise an ``ArithmeticError`` again, same type, naming the family and
@@ -268,13 +308,14 @@ _CONSTRUCTION_SETS: Dict[str, Tuple[Tuple[Fraction, ...], ...]] = {
 # Criterion: explicit hypergeometric formulas match the recurrence exactly.
 
 
-def suite_construction() -> List[VerificationRecord]:
+def suite_construction(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
     records: List[VerificationRecord] = []
     for name, cap in CONSTRUCTION_CAPS:
         for params in _CONSTRUCTION_SETS[name]:
             family = FAMILIES[name].build(*params)
             with stopwatch() as ms:
-                polys = generate_monic(family, cap)
+                polys = memo.monic(family, cap)
                 ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
             records.append(
                 exact_record(
@@ -300,18 +341,20 @@ def eigen_sweep(
     params: Mapping[str, Fraction],
     cap: int,
     operator: Optional[DunklOperator] = None,
+    memo: Optional[RunMemo] = None,
 ) -> Iterator[Tuple[int, Fraction, str, float]]:
     """Check the eigen-equation of ``token`` on P_0..P_cap, degree by degree.
 
     Yields ``(n, eigenvalue, residual, millis)`` per degree, where
     ``residual`` is ``"0"`` (it holds), ``"nonzero"`` or ``"not a polynomial"``.
     ``operator`` replaces the operator built from ``token`` and ``params``;
-    the negative controls pass a corrupted one.
+    the negative controls pass a corrupted one.  The polynomials come from
+    ``memo``, a fresh one by default.
     """
     spec = EIGEN_OPERATORS[token]
     if operator is None:
         operator = build_operator(token, **params)
-    for n, poly in enumerate(generate_monic(spec.family(params), cap)):
+    for n, poly in enumerate((memo or RunMemo()).monic(spec.family(params), cap)):
         with stopwatch() as ms:
             eigenvalue = expected_eigenvalue(token, n, **params)
             vector = GaussianPoly(poly) if spec.gaussian else poly
@@ -323,12 +366,14 @@ def eigen_sweep(
         yield n, eigenvalue, residual, ms[0]
 
 
-def _eigen_record(token: str, params: Mapping[str, Fraction]) -> VerificationRecord:
+def _eigen_record(
+    token: str, params: Mapping[str, Fraction], memo: RunMemo
+) -> VerificationRecord:
     """The sweep to the token's default cap, stopped at the first failure."""
     cap = EIGEN_OPERATORS[token].cap
     passed, residual = True, "0"
     with stopwatch() as ms:
-        for n, _, why, _ in eigen_sweep(token, params, cap):
+        for n, _, why, _ in eigen_sweep(token, params, cap, memo=memo):
             if why != "0":
                 passed, residual = False, f"{why} at n={n}"
                 break
@@ -343,9 +388,10 @@ def _eigen_record(token: str, params: Mapping[str, Fraction]) -> VerificationRec
     )
 
 
-def suite_eigen() -> List[VerificationRecord]:
+def suite_eigen(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
     return [
-        _eigen_record(token, dict(zip(EIGEN_OPERATORS[token].params, values)))
+        _eigen_record(token, dict(zip(EIGEN_OPERATORS[token].params, values)), memo)
         for token, values in EIGEN_CASES
     ]
 
@@ -378,7 +424,7 @@ def algebra_records(
     ]
 
 
-def suite_algebra() -> List[VerificationRecord]:
+def suite_algebra(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
     cases = [("chihara", (*abc, eps)) for abc in CHIHARA_SETS for eps in ALGEBRA_EPS]
     cases += [("ext_hermite", (*mu_gamma, eps))
               for mu_gamma in EXT_HERMITE_SETS for eps in ALGEBRA_EPS]
@@ -407,7 +453,8 @@ def suite_algebra() -> List[VerificationRecord]:
 # polynomials in t = x^2 - gamma^2.
 
 
-def suite_jacobi() -> List[VerificationRecord]:
+def suite_jacobi(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
     records: List[VerificationRecord] = []
     x = LaurentPoly.x()
     for alpha, beta, gamma in JACOBI_SETS:
@@ -415,7 +462,7 @@ def suite_jacobi() -> List[VerificationRecord]:
         tag, a, b = FAMILIES["chihara"].reduced(family.p)
         recurrence = CLASSICAL[tag].recurrence
         with stopwatch() as ms:
-            polys = generate_monic(family, 2 * JACOBI_CAP + 1)
+            polys = memo.monic(family, 2 * JACOBI_CAP + 1)
             t = x * x - LaurentPoly.const(gamma * gamma)
             even = monic_list(partial(recurrence, a, b), JACOBI_CAP)
             odd = monic_list(partial(recurrence, a + 1, b), JACOBI_CAP)
@@ -451,10 +498,12 @@ def gram_records(
     cap: int = GRAM_CAP,
     tolerance: float = GRAM_TOLERANCE,
     suite: str = "orthogonality",
+    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
+    weights = (memo or RunMemo()).weights
     with stopwatch() as ms, _in_double_range(family, f"Gram matrix 0..{cap}"):
-        worst = gram_offdiag_worst(gram_matrix(family, cap))
+        worst = gram_offdiag_worst(gram_matrix(family, cap, weights))
     return [
         float_record(
             suite,
@@ -468,10 +517,11 @@ def gram_records(
     ]
 
 
-def suite_orthogonality() -> List[VerificationRecord]:
+def suite_orthogonality(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
     records: List[VerificationRecord] = []
     for family in _quadrature_families():
-        records += gram_records(family)
+        records += gram_records(family, memo=memo)
     # Cross-check the quadrature reduction against a direct adaptive
     # integral on generic (non-orthogonal) integrands.
     probe = LaurentPoly({0: F(1), 2: F(1), 3: F(1)})
@@ -479,7 +529,7 @@ def suite_orthogonality() -> List[VerificationRecord]:
     for alpha, beta, gamma in ((F(1), F(1), F(1, 2)), (F(1, 2), F(3, 4), F(1, 3))):
         family = chihara_family(alpha, beta, gamma)
         with stopwatch() as ms:
-            spec = weight_for(family)
+            spec = weight_for(family, memo.weights)
             reduced = inner_product(spec, probe, mate)
             raw = raw_inner_product(spec, probe, mate)
             rel = abs(reduced - raw) / max(abs(raw), 1e-300)
@@ -507,12 +557,13 @@ def norm_records(
     cap: int = NORM_CAP,
     exact_cap: int = NORM_EXACT_CAP,
     tolerance: float = NORM_TOLERANCE,
+    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Quadrature norm ratios against the closed form for n = 1..cap, then
     the closed form against the recurrence coefficient for n = 1..exact_cap."""
     with stopwatch() as ms:
         worst = 0.0
-        spec = weight_for(family)
+        spec = weight_for(family, (memo or RunMemo()).weights)
         for n in range(1, cap + 1):
             with _in_double_range(family, f"norm ratio at degree {n}"):
                 exact, quad = norm_ratio_check(spec, n)
@@ -547,8 +598,9 @@ def norm_records(
     return records
 
 
-def suite_norms() -> List[VerificationRecord]:
-    return [r for family in _quadrature_families() for r in norm_records(family)]
+def suite_norms(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
+    return [r for family in _quadrature_families() for r in norm_records(family, memo=memo)]
 
 
 # --------------------------------------------------------------------------
@@ -611,7 +663,7 @@ def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]
     return rows
 
 
-def suite_pearson() -> List[VerificationRecord]:
+def suite_pearson(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
     return [r for abc in PEARSON_SETS for r in pearson_records(chihara_family(*abc))]
 
 
@@ -625,6 +677,7 @@ def transform_records(
     b: Fraction,
     c: Fraction,
     cap: int = TRANSFORM_CAP,
+    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Kernel-transform checks on big -1 Jacobi (a, b, c) up to degree cap.
 
@@ -636,7 +689,7 @@ def transform_records(
     family = big_m1_jacobi_family(a, b, c)
     label = family.label()
     with stopwatch() as ms:
-        polys = generate_monic(family, cap + 1)
+        polys = (memo or RunMemo()).monic(family, cap + 1)
         a_ratios, c_ratios = split_ratios(family, cap + 1)
         kernels = christoffel(polys, a_ratios)
         back = geronimus(kernels, c_ratios)
@@ -667,8 +720,9 @@ def transform_records(
     return records
 
 
-def suite_transform() -> List[VerificationRecord]:
-    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc)]
+def suite_transform(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
+    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc, memo=memo)]
 
 
 # --------------------------------------------------------------------------
@@ -700,7 +754,7 @@ def limit_check(
     return report, record
 
 
-def suite_limits() -> List[VerificationRecord]:
+def suite_limits(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     reports: Dict[str, LimitReport] = {}
     for limit_id, (_, defaults) in LIMIT_CASES.items():
@@ -738,7 +792,8 @@ def suite_limits() -> List[VerificationRecord]:
 # have teeth.
 
 
-def suite_negative_controls() -> List[VerificationRecord]:
+def suite_negative_controls(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+    memo = memo or RunMemo()
     records: List[VerificationRecord] = []
 
     # Perturb the reflection-free first-derivative term of the eigenvalue
@@ -750,7 +805,8 @@ def suite_negative_controls() -> List[VerificationRecord]:
             (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
         )
         detected = any(
-            why != "0" for _, _, why, _ in eigen_sweep("chihara_D", params, 4, operator=bad)
+            why != "0"
+            for _, _, why, _ in eigen_sweep("chihara_D", params, 4, operator=bad, memo=memo)
         )
     records.append(
         exact_record(
@@ -769,7 +825,7 @@ def suite_negative_controls() -> List[VerificationRecord]:
     a, b, c = TRANSFORM_SETS[0]
     fam = big_m1_jacobi_family(a, b, c)
     with stopwatch() as ms:
-        polys = generate_monic(fam, 6)
+        polys = memo.monic(fam, 6)
         a_ratios, _ = split_ratios(fam, 6)
         corrupted = list(a_ratios)
         corrupted[2] = corrupted[2] + 1
@@ -796,7 +852,7 @@ def suite_negative_controls() -> List[VerificationRecord]:
 # Runner.
 
 
-ALL_SUITES: Dict[str, Callable[[], List[VerificationRecord]]] = {
+ALL_SUITES: Dict[str, Callable[[Optional[RunMemo]], List[VerificationRecord]]] = {
     "construction": suite_construction,
     "eigen": suite_eigen,
     "algebra": suite_algebra,
@@ -824,6 +880,19 @@ def suite_names(names: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
     return chosen
 
 
+def run_batches(
+    names: Optional[Iterable[str]] = None,
+) -> Iterator[Tuple[str, List[VerificationRecord], float]]:
+    """Run the named suites (all by default), in order, over one
+    ``RunMemo``; yield each suite's name, records and measured wall time."""
+    names = suite_names(names)
+    memo = RunMemo()
+    for name in names:
+        with stopwatch() as ms:
+            batch = ALL_SUITES[name](memo)
+        yield name, batch, ms[0]
+
+
 def run_suites(names: Optional[Iterable[str]] = None) -> List[VerificationRecord]:
     """Run the named suites (all by default), in order, and return their records."""
-    return [record for name in suite_names(names) for record in ALL_SUITES[name]()]
+    return [record for _, batch, _ in run_batches(names) for record in batch]

@@ -650,26 +650,32 @@ def test_algebra_report_shape():
     assert rhs["BP"] == 2 * params["gamma"]
 
 
-# -- the per-relation application memo of verify_algebra ------------------------
+# -- the application memo of verify_algebra ---------------------------------------
 
 
 def _count_applications(monkeypatch):
-    """One dict per relation checked from now on: how often each operator
-    was applied to each input."""
+    """One dict per relation checked from now on: how often each memoized
+    letter (K, P and B) computed an image of each input."""
     from dunklpoly import dunklop
 
     counts = []
-    apply, relation_report = DunklOperator.apply, dunklop._relation_report
+    memoize, relation_report = dunklop.cache, dunklop._relation_report
 
-    def counted_apply(self, f):
-        counts[-1][id(self), f] = counts[-1].get((id(self), f), 0) + 1
-        return apply(self, f)
+    def counted_cache(fn):
+        # K and P are bound ``apply`` methods, B a function of its own
+        letter = id(getattr(fn, "__self__", fn))
+
+        def counted(f):
+            counts[-1][letter, f] = counts[-1].get((letter, f), 0) + 1
+            return fn(f)
+
+        return memoize(counted)
 
     def marked_report(*args, **kwargs):
         counts.append({})
         return relation_report(*args, **kwargs)
 
-    monkeypatch.setattr(DunklOperator, "apply", counted_apply)
+    monkeypatch.setattr(dunklop, "cache", counted_cache)
     monkeypatch.setattr(dunklop, "_relation_report", marked_report)
     return counts
 
@@ -686,15 +692,19 @@ def test_algebra_applies_each_operator_once_per_input(monkeypatch, which, params
     reports = verify_algebra(which, 8, **params)
     assert all(r.passed for r in reports)
     assert len(counts) == len(reports) == 6
+    # one memo for the whole call: K, P and B each compute an image of a
+    # given input at most once over all six relations
+    applied = [key for relation in counts for key in relation]
+    assert all(n == 1 for relation in counts for n in relation.values())
+    assert len(applied) == len(set(applied))
+    assert len({letter for letter, _ in applied}) == 3
+    # the monomials' P images are made by the first relation (PP) and
+    # reused by the later ones
     monomials = {LaurentPoly.monomial(j) for j in range(9)}
-    for report, applied in zip(reports, counts):
-        assert set(applied.values()) == {1}, report.relation
-        # every relation applies P to each monomial itself: no image is
-        # carried over from the relations before it
-        inputs = {}
-        for op, f in applied:
-            inputs.setdefault(op, set()).add(f)
-        assert any(monomials <= seen for seen in inputs.values()), report.relation
+    first = {}
+    for letter, f in counts[0]:
+        first.setdefault(letter, set()).add(f)
+    assert any(monomials <= seen for seen in first.values())
     # nothing carries over into the next call
     verify_algebra(which, 8, **params)
     assert [len(c) for c in counts[6:]] == [len(c) for c in counts[:6]]

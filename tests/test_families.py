@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunklpoly import families
 from dunklpoly.dunklop import EIGEN_OPERATORS
 from dunklpoly.exactnum import LaurentPoly, RatFunc
 from dunklpoly.families import (
@@ -196,6 +198,70 @@ def test_term_ratio_sum_matches_pochhammer_route(n, num_rest, dens, argument):
     num = [F(-n), *num_rest]
     got = _outcome(hypergeometric_terminating, num, dens, argument)
     assert got == _outcome(_pochhammer_per_k, num, dens, argument)
+
+
+def _term_ratio_route(num_params, den_params, argument):
+    """Reference: the series summed as a chain of canonical LaurentPolys,
+    term = term * (step * ratio) and total = total + term."""
+    n = -int(num_params[0])
+    scalars = [F(a) for a in num_params if not isinstance(a, LaurentPoly)]
+    polys = [a for a in num_params if isinstance(a, LaurentPoly)]
+    term = total = LaurentPoly.one()
+    for k in range(1, n + 1):
+        ratio = F(1, k)
+        for b in den_params:
+            if b + k - 1 == 0:
+                raise DegenerateParameters(f"denominator Pochhammer vanishes at k={k}")
+            ratio /= b + k - 1
+        for a in scalars:
+            ratio *= a + k - 1
+        step = argument
+        for a in polys:
+            step = step * (a + (k - 1))
+        term = term * (step * ratio)
+        total = total + term
+    return total
+
+
+def _fields(fn, *args):
+    """The numerators in insertion order and the denominator of the result,
+    or the type and message of the exception."""
+    try:
+        p = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(p._nums.items()), p._den
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 9),
+    st.lists(_series_params, max_size=3),
+    st.lists(_series_dens, max_size=3),
+    _arguments,
+)
+def test_integer_kernel_keeps_the_term_ratio_route_fields(n, num_rest, dens, argument):
+    # same numerators in the same insertion order (so evaluate_float keeps
+    # its bits), same denominator, and the same exception at the same k
+    num = [F(-n), *num_rest]
+    assert _fields(hypergeometric_terminating, num, dens, argument) == _fields(
+        _term_ratio_route, num, dens, argument)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, entry in FAMILIES.items() if entry.reduced or entry.series)
+)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_drawn_explicit_poly_keeps_the_term_ratio_route_fields(name, data):
+    # the families' own series, the cBI polynomial parameters included
+    entry = FAMILIES[name]
+    draw = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    family = entry.build(*(data.draw(draw) for _ in entry.params))
+    n = data.draw(st.integers(0, 14))
+    got = _fields(explicit_poly, family, n)
+    with mock.patch.object(families, "hypergeometric_terminating", _term_ratio_route):
+        assert got == _fields(explicit_poly, family, n)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from dunklpoly import quad, suites
 from dunklpoly.families import FAMILIES, chihara_family
 from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
 from dunklpoly.suites import (
@@ -146,14 +147,17 @@ def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
 
 def test_records_match_golden_digest(all_records):
     # perfbench/golden.json pins the digest of ``suite --all`` records with
-    # the wall time removed; any change to a pinned record shows here.
-    rows = [{name: getattr(r, name) for name in FIELD_NAMES if name != "millis"}
-            for batch in all_records.values() for r in batch]
-    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    # the wall time removed; any change to a pinned record shows here, from
+    # each suite alone and from one ``run_suites()`` call, whose suites
+    # share one run memo.
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
     expected = json.loads(golden.read_text())["pinned-suite"][0]
-    assert len(rows) == sum(EXPECTED_COUNTS.values())
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    for records in ([r for batch in all_records.values() for r in batch], run_suites()):
+        rows = [{name: getattr(r, name) for name in FIELD_NAMES if name != "millis"}
+                for r in records]
+        text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+        assert len(rows) == sum(EXPECTED_COUNTS.values())
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_records_serialize_round_trip(all_records):
@@ -169,6 +173,30 @@ def test_run_suites_subset_preserves_requested_order():
     records = run_suites(names=["jacobi", "construction"])
     suites_seen = [r.suite for r in records]
     assert suites_seen == ["jacobi"] * 3 + ["construction"] * 15
+
+
+def test_one_run_builds_each_shared_object_once(monkeypatch):
+    # within a run every monic list and Gauss rule is built once per key,
+    # and the next run builds them all again: nothing outlives a run
+    calls = []
+
+    def counted(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[-1][name].append(key(*args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(suites, "generate_monic", lambda family, N: (family, N))
+    counted(quad, "gauss_rule", lambda weight, n: (tuple(weight), n))
+    for _ in range(2):
+        calls.append({"generate_monic": [], "gauss_rule": []})
+        run_suites()
+    assert calls[0] == calls[1]
+    for keys in calls[0].values():
+        assert keys and len(keys) == len(set(keys))
 
 
 def test_run_suites_rejects_unknown_name():
