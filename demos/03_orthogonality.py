@@ -33,7 +33,7 @@ def main() -> None:
           f"w(0.9) = {spec.weight_value(0.9):.6f}")
     print()
 
-    gram = gram_matrix(family, 8)
+    gram = gram_matrix(spec, 8)
     print("Gram matrix of P_0..P_8 under the quadrature inner product:")
     print(f"  worst off-diagonal (relative): {gram_offdiag_worst(gram):.3e}")
     print(f"  sample diagonal entries: h_0 = {gram[0][0]:.6f}, "

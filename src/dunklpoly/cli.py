@@ -25,7 +25,8 @@ Conventions
   the usual output is still printed.
 * Exit status: 0 when every check passed, 1 when any verification record
   failed (the first failing record is printed to stderr), 2 for usage
-  errors, 3 for an internal error: an exact division or polynomial check
+  errors (an output PATH that cannot be written among them), 3 for an
+  internal error: an exact division or polynomial check
   that failed outside a sweep (``NotDivisible``, ``NotPolynomial``), an
   eigen-solver that did not converge (``NoConvergence``), a degenerate
   limit step or limit error (``DegenerateStep``) or a float computation
@@ -60,14 +61,13 @@ from .families import (
     generate_monic,
     recurrence_coeffs,
 )
-from .limits import LIMIT_IDS, DegenerateStep
+from .limits import LIMIT_DEGREE_CAP, LIMIT_IDS, DegenerateStep
 from .quad import NoConvergence
 from .report import VerificationRecord, emit, exact_record, rational_str
 from .suites import (
     ALGEBRA_CAP,
     GRAM_CAP,
     GRAM_TOLERANCE,
-    LIMIT_DEGREE_CAP,
     NORM_CAP,
     NORM_EXACT_CAP,
     NORM_TOLERANCE,
@@ -75,6 +75,7 @@ from .suites import (
     PEARSON_SAMPLES,
     REFLECTION_TOLERANCE,
     TRANSFORM_CAP,
+    RunMemo,
     algebra_records,
     eigen_sweep,
     gram_records,
@@ -228,8 +229,11 @@ def _deliver(records: Sequence[VerificationRecord], args: argparse.Namespace) ->
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
     else:
-        with open(dest, "wb") as handle:
-            handle.write(blob)
+        try:
+            with open(dest, "wb") as handle:
+                handle.write(blob)
+        except OSError as exc:
+            raise UsageError(f"cannot write {dest}: {exc.strerror}") from exc
 
 
 def _finish(records: Sequence[VerificationRecord], args: argparse.Namespace) -> int:
@@ -273,7 +277,7 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else spec.cap
     label = spec.family(params).label()
     records = []
-    for n, eigenvalue, residual, millis in eigen_sweep(token, params, cap):
+    for n, eigenvalue, residual, millis in eigen_sweep(token, params, cap, RunMemo()):
         record = exact_record("eigencheck", token, label, str(n), millis=millis,
                               passed=residual == "0", residual=residual)
         records.append(record)
@@ -292,15 +296,15 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    [record] = gram_records(_build_family(args), args.cap, args.tolerance,
-                            suite="gram")
+    [record] = gram_records(_build_family(args), RunMemo(), args.cap,
+                            args.tolerance, suite="gram")
     _say(args, f"offdiag worst {float(record.residual):.3e} "
                f"tolerance {args.tolerance:.1e} {record.outcome}")
     return _finish([record], args)
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    quad_rec, exact_rec = norm_records(_build_family(args), args.cap,
+    quad_rec, exact_rec = norm_records(_build_family(args), RunMemo(), args.cap,
                                        args.exact_cap, args.tolerance)
     _say(args, f"quadrature ratio worst {float(quad_rec.residual):.3e} "
                f"{quad_rec.outcome}")
@@ -319,7 +323,7 @@ def _cmd_pearson(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     params = _collect_params(args, FAMILIES["big_m1_jacobi"].params, "transform")
-    records = transform_records(**params, cap=args.cap)
+    records = transform_records(**params, memo=RunMemo(), cap=args.cap)
     for record in records:
         _say(args, f"{record.target:22s} {record.outcome}")
     return _finish(records, args)

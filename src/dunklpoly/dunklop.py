@@ -642,7 +642,7 @@ def _relation_report(
 
 
 def verify_algebra(
-    which: str, degree_cap: int = 12, **params: Scalar
+    which: str, degree_cap: int, **params: Scalar
 ) -> List[AlgebraRelationReport]:
     """Check the relations of ``ALGEBRAS[which]`` on monomials.
 

@@ -88,6 +88,9 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
 #: Default step grid: 1e-3, 1e-4, 1e-5 (as ``1e-3 * 0.1**k``).
 DEFAULT_STEPS: Tuple[float, ...] = tuple(1e-3 * 0.1**k for k in range(3))
 
+#: Default degree cap of the three standard cases.
+LIMIT_DEGREE_CAP = 6
+
 #: Default parameters of the three standard cases.
 CBI_LIMIT_DEFAULTS: Dict[str, Fraction] = {
     "a1": Fraction(5),
@@ -171,7 +174,7 @@ def cbi_case(
     a2: Scalar = CBI_LIMIT_DEFAULTS["a2"],
     b1: Scalar = CBI_LIMIT_DEFAULTS["b1"],
     b2: Scalar = CBI_LIMIT_DEFAULTS["b2"],
-    degree_cap: int = 6,
+    degree_cap: int = LIMIT_DEGREE_CAP,
     steps: Optional[Sequence[float]] = None,
 ) -> LimitCase:
     """Complementary Bannai-Ito ``h -> 0`` contraction to Chihara.
@@ -202,7 +205,7 @@ def bigq_case(
     alpha: Scalar = BIGQ_LIMIT_DEFAULTS["alpha"],
     beta: Scalar = BIGQ_LIMIT_DEFAULTS["beta"],
     g: Scalar = BIGQ_LIMIT_DEFAULTS["g"],
-    degree_cap: int = 6,
+    degree_cap: int = LIMIT_DEGREE_CAP,
     steps: Optional[Sequence[float]] = None,
     wrong_gamma_sign: bool = False,
 ) -> LimitCase:
@@ -241,7 +244,7 @@ def bigq_case(
 def beta_case(
     mu: Scalar = BETA_LIMIT_DEFAULTS["mu"],
     gamma: Scalar = BETA_LIMIT_DEFAULTS["gamma"],
-    degree_cap: int = 6,
+    degree_cap: int = LIMIT_DEGREE_CAP,
     steps: Optional[Sequence[float]] = None,
 ) -> LimitCase:
     """Chihara ``beta -> infinity`` contraction to the extended Hermite family.

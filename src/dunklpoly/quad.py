@@ -50,12 +50,11 @@ of the float three-term recurrence (``_basis_table``), and
 family's recurrence and the reduced weight's are one ``FloatRecurrence``
 each, converted on demand and once, so the per-degree rules of a norms
 request, sharing one spec, share every conversion.  A reduced weight also
-keeps each Gauss rule it builds, by size; ``weight_for`` and
-``gram_matrix`` take an optional mapping from reduced weights to
-``ClassicalWeight``, through which the checks of different families with
-one reduced weight share its tables and rules.  All of this performs the
-same float operations in the same order as the straightforward loops, so
-every value is the same bit for bit.
+keeps each Gauss rule it builds, by size, so the specs built over one
+``ClassicalWeight`` share its tables and rules; which checks share one is
+decided by the caller (``suites.RunMemo``), not here.  All of this performs
+the same float operations in the same order as the straightforward loops,
+so every value is the same bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); the platform Gamma function
@@ -72,7 +71,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
 from .families import CLASSICAL, FAMILIES, Family, FamilySpec, recurrence_coeffs
@@ -268,8 +267,9 @@ class FloatRecurrence:
 
 class ClassicalWeight(tuple):
     """``("jacobi", a, b)`` or ``("generalized_laguerre", a)`` with exact
-    parameters, carrying its ``families.CLASSICAL`` entry as ``kind`` and
-    its recurrence in float as ``recurrence``.
+    parameters, each above -1 so that the weight is integrable, carrying its
+    ``families.CLASSICAL`` entry as ``kind`` and its recurrence in float as
+    ``recurrence``.
 
     It compares and hashes as the plain tuple.  ``jacobi_matrix(n)`` and
     ``moments(n)`` convert only the entries no earlier call converted and
@@ -286,6 +286,8 @@ class ClassicalWeight(tuple):
             raise ValueError(f"unknown weight class {weight_class!r}")
         self = super().__new__(cls, (weight_class[0],) + tuple(map(_as_fraction, weight_class[1:])))
         params = self[1:]
+        if any(param <= -1 for param in params):
+            raise ValueError("weight parameters must exceed -1")
 
         def pair(k: int) -> Tuple[Fraction, Fraction]:
             diag, sub = kind.recurrence(*params, k)
@@ -322,24 +324,12 @@ class ClassicalWeight(tuple):
         return self._moments[:n]
 
 
-def _check_exponents(weight_class: Tuple) -> None:
-    """Reject a classical weight that is not integrable at its endpoints."""
-    for param in weight_class[1:]:
-        if param <= -1:
-            raise ValueError("weight parameters must exceed -1")
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule: ascending nodes, positive weights, stated exact degree.
-
-    ``weight_class`` is the plain tuple: a ``ClassicalWeight`` keeps its
-    rules, which hold no reference back to it, so it is freed as soon as
-    the last check using it is done."""
+    """Gauss rule: ascending nodes, positive weights, stated exact degree."""
 
     nodes: Tuple[float, ...]
     weights: Tuple[float, ...]
-    weight_class: Tuple
     exact_degree: int
 
 
@@ -358,13 +348,11 @@ def gauss_rule(weight_class, n: int) -> QuadratureRule:
         weight_class = ClassicalWeight(weight_class)
     if n < 1:
         raise ValueError("a Gauss rule needs at least one node")
-    _check_exponents(weight_class)
     values, firsts = symtridiag_eigen(weight_class.jacobi_matrix(n))
     [mu0] = weight_class.moments(1)
     rule = QuadratureRule(
         nodes=tuple(values),
         weights=tuple(mu0 * v * v for v in firsts),
-        weight_class=tuple(weight_class),
         exact_degree=2 * n - 1,
     )
     _validate_moments(rule, weight_class)
@@ -449,23 +437,14 @@ def _finite_window(lo: float, hi: float) -> Tuple[float, float]:
     return lo, hi
 
 
-def weight_for(
-    family: FamilySpec, weights: Optional[Dict[Tuple, ClassicalWeight]] = None
-) -> WeightSpec:
-    """The weight specification attached to an orthogonal family.
+def weight_for(family: FamilySpec) -> WeightSpec:
+    """The weight specification attached to an orthogonal family, over a
+    new ``ClassicalWeight`` of the reduced weight of its ``FAMILIES`` entry.
 
-    Its reduced weight is the ``ClassicalWeight`` of the family's
-    ``FAMILIES`` entry, or the one ``weights`` already holds for that
-    reduced weight: the specs built with one ``weights`` mapping share each
-    reduced weight's float tables and Gauss rules.  Raises ``ValueError``
-    when the family carries no weight, or when the reduced classical weight
-    is not integrable (an exponent at or below -1).
+    Raises ``ValueError`` when the family carries no weight, or when the
+    reduced classical weight is not integrable (an exponent at or below -1).
     """
-    reduced = ClassicalWeight(_weighted_entry(family).reduced(family.p))
-    if weights is not None:
-        reduced = weights.setdefault(reduced, reduced)
-    _check_exponents(reduced)
-    return WeightSpec(family, reduced)
+    return WeightSpec(family, ClassicalWeight(_weighted_entry(family).reduced(family.p)))
 
 
 # -- inner products through the even/odd reduction -----------------------------------
@@ -586,12 +565,8 @@ def _basis_table(
     return table
 
 
-def gram_matrix(
-    family: FamilySpec, N: int, weights: Optional[Dict[Tuple, ClassicalWeight]] = None
-) -> List[List[float]]:
-    """[<P_m, P_n>] for m, n = 0..N against the family weight, its reduced
-    weight shared through ``weights`` as in ``weight_for``."""
-    spec = weight_for(family, weights)
+def gram_matrix(spec: WeightSpec, N: int) -> List[List[float]]:
+    """[<P_m, P_n>] for m, n = 0..N against the weight of ``spec``'s family."""
     pairs = [(m, n) for m in range(N + 1) for n in range(m, N + 1)]
     products = _inner_products(
         spec, _rule_size(2 * N), partial(_basis_table, spec.recurrence, range(N + 1)), pairs
@@ -686,7 +661,7 @@ def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     The quadrature side is <P_n, P_n> / <P_(n-1), P_(n-1)> from the one
     inner-product kernel, over the rows P_(n-1), P_n of the float
     recurrence at the branch points: the rule and values of
-    ``gram_matrix(family, n)``.  A norm that is not finite raises
+    ``gram_matrix(spec, n)``.  A norm that is not finite raises
     ``OverflowError``.  The weight's Jacobi matrix and the family's
     recurrence are converted to float once per ``spec``
     (``classical_weight``, ``recurrence``): a norms request passes one spec
@@ -720,7 +695,7 @@ class PearsonReport:
     reflection_millis: float = field(compare=False)
 
 
-def verify_pearson(family: FamilySpec, samples_per_side: int = 12) -> PearsonReport:
+def verify_pearson(family: FamilySpec, samples_per_side: int) -> PearsonReport:
     """Measure both Pearson conditions of the two-interval weight.
 
     (i) Exactly, as rational functions: the logarithmic derivative of the

@@ -30,19 +30,20 @@ Design notes
 
 One run
 -------
-``run_batches`` is the one runner (``run_suites`` and the ``suite``
-command both go through it).  It gives every suite of one run the same
-``RunMemo``, which holds the exact objects that several checks need, keyed
-by exact value: the monic list P_0..P_N of each ``FamilySpec`` (the
-longest one generated so far serves every shorter request, and each caller
-gets its own list) and one ``quad.ClassicalWeight`` per reduced weight,
-which keeps the Gauss rules it builds by size.  The first check that needs
-a shared object builds it, and its record's ``millis`` includes that work;
-the later checks reuse it.  Nothing outlives the run: a suite or check
-called without a memo uses a fresh one of its own, so the single-check
-commands build what they need as before.  Operators are not shared
-between cases; an algebra check keeps one memo of operator images across
-its own relations (``dunklop.verify_algebra``).
+What one run shares is decided here alone, by ``RunMemo``; every suite
+and every check that builds a shared object takes one.  ``run_batches``
+is the one runner (``run_suites`` and the ``suite`` command both go
+through it) and gives every suite of a run the same memo; each
+single-check command passes a fresh one.  A memo holds the exact objects
+that several checks need, keyed by exact value: the monic list P_0..P_N of
+each ``FamilySpec`` (the longest one generated so far serves every shorter
+request, and each caller gets its own list) and one
+``quad.ClassicalWeight`` per reduced weight, which keeps the Gauss rules
+it builds by size.  The first check that needs a shared object builds it,
+and its record's ``millis`` includes that work; the later checks reuse it.
+Nothing outlives the memo.  Operators are not shared between cases; an
+algebra check keeps one memo of operator images across its own relations
+(``dunklop.verify_algebra``).
 """
 
 from __future__ import annotations
@@ -91,12 +92,14 @@ from .families import (
 from .limits import (
     BETA_LIMIT_DEFAULTS,
     LIMIT_CASES,
+    LIMIT_DEGREE_CAP,
     NOISE_FLOOR,
     LimitReport,
     run_limit,
 )
 from .quad import (
     ClassicalWeight,
+    WeightSpec,
     gram_matrix,
     gram_offdiag_worst,
     inner_product,
@@ -233,7 +236,6 @@ NORM_CAP = 12
 NORM_EXACT_CAP = 30
 PEARSON_SAMPLES = 20
 TRANSFORM_CAP = 12
-LIMIT_DEGREE_CAP = 6
 
 
 # The pinned eigen instances, in record order: (token, parameter values in
@@ -250,9 +252,9 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
 
 
 class RunMemo:
-    """The exact objects that the checks of one suite run share, keyed by
-    exact value: monic lists per ``FamilySpec`` and one ``ClassicalWeight``
-    per reduced weight (``weights``, in the form ``quad.weight_for`` takes).
+    """The exact objects that the checks of one run share, keyed by exact
+    value: monic lists per ``FamilySpec`` and one ``ClassicalWeight`` per
+    reduced weight.  Two memos share nothing.
 
     ``generate_monic`` is called by its name at call time, so a wrapper put
     in its place is called too.
@@ -260,7 +262,7 @@ class RunMemo:
 
     def __init__(self) -> None:
         self._monic: Dict[FamilySpec, List[LaurentPoly]] = {}
-        self.weights: Dict[Tuple, ClassicalWeight] = {}
+        self._weights: Dict[ClassicalWeight, ClassicalWeight] = {}
 
     def monic(self, family: FamilySpec, N: int) -> List[LaurentPoly]:
         """A list of its own holding P_0..P_N of ``family``."""
@@ -268,6 +270,12 @@ class RunMemo:
         if polys is None or len(polys) <= N:
             polys = self._monic[family] = generate_monic(family, N)
         return polys[: N + 1]
+
+    def weight(self, family: FamilySpec) -> WeightSpec:
+        """``quad.weight_for(family)`` over the run's one ``ClassicalWeight``
+        for the family's reduced weight."""
+        reduced = weight_for(family).classical_weight
+        return WeightSpec(family, self._weights.setdefault(reduced, reduced))
 
 
 @contextmanager
@@ -308,8 +316,7 @@ _CONSTRUCTION_SETS: Dict[str, Tuple[Tuple[Fraction, ...], ...]] = {
 # Criterion: explicit hypergeometric formulas match the recurrence exactly.
 
 
-def suite_construction(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
+def suite_construction(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for name, cap in CONSTRUCTION_CAPS:
         for params in _CONSTRUCTION_SETS[name]:
@@ -340,8 +347,8 @@ def eigen_sweep(
     token: str,
     params: Mapping[str, Fraction],
     cap: int,
+    memo: RunMemo,
     operator: Optional[DunklOperator] = None,
-    memo: Optional[RunMemo] = None,
 ) -> Iterator[Tuple[int, Fraction, str, float]]:
     """Check the eigen-equation of ``token`` on P_0..P_cap, degree by degree.
 
@@ -349,12 +356,12 @@ def eigen_sweep(
     ``residual`` is ``"0"`` (it holds), ``"nonzero"`` or ``"not a polynomial"``.
     ``operator`` replaces the operator built from ``token`` and ``params``;
     the negative controls pass a corrupted one.  The polynomials come from
-    ``memo``, a fresh one by default.
+    ``memo``.
     """
     spec = EIGEN_OPERATORS[token]
     if operator is None:
         operator = build_operator(token, **params)
-    for n, poly in enumerate((memo or RunMemo()).monic(spec.family(params), cap)):
+    for n, poly in enumerate(memo.monic(spec.family(params), cap)):
         with stopwatch() as ms:
             eigenvalue = expected_eigenvalue(token, n, **params)
             vector = GaussianPoly(poly) if spec.gaussian else poly
@@ -373,7 +380,7 @@ def _eigen_record(
     cap = EIGEN_OPERATORS[token].cap
     passed, residual = True, "0"
     with stopwatch() as ms:
-        for n, _, why, _ in eigen_sweep(token, params, cap, memo=memo):
+        for n, _, why, _ in eigen_sweep(token, params, cap, memo):
             if why != "0":
                 passed, residual = False, f"{why} at n={n}"
                 break
@@ -388,8 +395,7 @@ def _eigen_record(
     )
 
 
-def suite_eigen(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
+def suite_eigen(memo: RunMemo) -> List[VerificationRecord]:
     return [
         _eigen_record(token, dict(zip(EIGEN_OPERATORS[token].params, values)), memo)
         for token, values in EIGEN_CASES
@@ -424,7 +430,7 @@ def algebra_records(
     ]
 
 
-def suite_algebra(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+def suite_algebra(memo: RunMemo) -> List[VerificationRecord]:
     cases = [("chihara", (*abc, eps)) for abc in CHIHARA_SETS for eps in ALGEBRA_EPS]
     cases += [("ext_hermite", (*mu_gamma, eps))
               for mu_gamma in EXT_HERMITE_SETS for eps in ALGEBRA_EPS]
@@ -453,8 +459,7 @@ def suite_algebra(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
 # polynomials in t = x^2 - gamma^2.
 
 
-def suite_jacobi(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
+def suite_jacobi(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     x = LaurentPoly.x()
     for alpha, beta, gamma in JACOBI_SETS:
@@ -495,15 +500,14 @@ def suite_jacobi(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
 
 def gram_records(
     family: FamilySpec,
+    memo: RunMemo,
     cap: int = GRAM_CAP,
     tolerance: float = GRAM_TOLERANCE,
     suite: str = "orthogonality",
-    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
-    weights = (memo or RunMemo()).weights
     with stopwatch() as ms, _in_double_range(family, f"Gram matrix 0..{cap}"):
-        worst = gram_offdiag_worst(gram_matrix(family, cap, weights))
+        worst = gram_offdiag_worst(gram_matrix(memo.weight(family), cap))
     return [
         float_record(
             suite,
@@ -517,11 +521,10 @@ def gram_records(
     ]
 
 
-def suite_orthogonality(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
+def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for family in _quadrature_families():
-        records += gram_records(family, memo=memo)
+        records += gram_records(family, memo)
     # Cross-check the quadrature reduction against a direct adaptive
     # integral on generic (non-orthogonal) integrands.
     probe = LaurentPoly({0: F(1), 2: F(1), 3: F(1)})
@@ -529,7 +532,7 @@ def suite_orthogonality(memo: Optional[RunMemo] = None) -> List[VerificationReco
     for alpha, beta, gamma in ((F(1), F(1), F(1, 2)), (F(1, 2), F(3, 4), F(1, 3))):
         family = chihara_family(alpha, beta, gamma)
         with stopwatch() as ms:
-            spec = weight_for(family, memo.weights)
+            spec = memo.weight(family)
             reduced = inner_product(spec, probe, mate)
             raw = raw_inner_product(spec, probe, mate)
             rel = abs(reduced - raw) / max(abs(raw), 1e-300)
@@ -554,16 +557,16 @@ def suite_orthogonality(memo: Optional[RunMemo] = None) -> List[VerificationReco
 
 def norm_records(
     family: FamilySpec,
+    memo: RunMemo,
     cap: int = NORM_CAP,
     exact_cap: int = NORM_EXACT_CAP,
     tolerance: float = NORM_TOLERANCE,
-    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Quadrature norm ratios against the closed form for n = 1..cap, then
     the closed form against the recurrence coefficient for n = 1..exact_cap."""
     with stopwatch() as ms:
         worst = 0.0
-        spec = weight_for(family, (memo or RunMemo()).weights)
+        spec = memo.weight(family)
         for n in range(1, cap + 1):
             with _in_double_range(family, f"norm ratio at degree {n}"):
                 exact, quad = norm_ratio_check(spec, n)
@@ -598,9 +601,8 @@ def norm_records(
     return records
 
 
-def suite_norms(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
-    return [r for family in _quadrature_families() for r in norm_records(family, memo=memo)]
+def suite_norms(memo: RunMemo) -> List[VerificationRecord]:
+    return [r for family in _quadrature_families() for r in norm_records(family, memo)]
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +665,7 @@ def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]
     return rows
 
 
-def suite_pearson(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+def suite_pearson(memo: RunMemo) -> List[VerificationRecord]:
     return [r for abc in PEARSON_SETS for r in pearson_records(chihara_family(*abc))]
 
 
@@ -676,8 +678,8 @@ def transform_records(
     a: Fraction,
     b: Fraction,
     c: Fraction,
+    memo: RunMemo,
     cap: int = TRANSFORM_CAP,
-    memo: Optional[RunMemo] = None,
 ) -> List[VerificationRecord]:
     """Kernel-transform checks on big -1 Jacobi (a, b, c) up to degree cap.
 
@@ -689,7 +691,7 @@ def transform_records(
     family = big_m1_jacobi_family(a, b, c)
     label = family.label()
     with stopwatch() as ms:
-        polys = (memo or RunMemo()).monic(family, cap + 1)
+        polys = memo.monic(family, cap + 1)
         a_ratios, c_ratios = split_ratios(family, cap + 1)
         kernels = christoffel(polys, a_ratios)
         back = geronimus(kernels, c_ratios)
@@ -720,9 +722,8 @@ def transform_records(
     return records
 
 
-def suite_transform(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
-    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc, memo=memo)]
+def suite_transform(memo: RunMemo) -> List[VerificationRecord]:
+    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc, memo)]
 
 
 # --------------------------------------------------------------------------
@@ -754,7 +755,7 @@ def limit_check(
     return report, record
 
 
-def suite_limits(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
+def suite_limits(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     reports: Dict[str, LimitReport] = {}
     for limit_id, (_, defaults) in LIMIT_CASES.items():
@@ -792,8 +793,7 @@ def suite_limits(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
 # have teeth.
 
 
-def suite_negative_controls(memo: Optional[RunMemo] = None) -> List[VerificationRecord]:
-    memo = memo or RunMemo()
+def suite_negative_controls(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
 
     # Perturb the reflection-free first-derivative term of the eigenvalue
@@ -806,7 +806,7 @@ def suite_negative_controls(memo: Optional[RunMemo] = None) -> List[Verification
         )
         detected = any(
             why != "0"
-            for _, _, why, _ in eigen_sweep("chihara_D", params, 4, operator=bad, memo=memo)
+            for _, _, why, _ in eigen_sweep("chihara_D", params, 4, memo, operator=bad)
         )
     records.append(
         exact_record(
@@ -852,7 +852,7 @@ def suite_negative_controls(memo: Optional[RunMemo] = None) -> List[Verification
 # Runner.
 
 
-ALL_SUITES: Dict[str, Callable[[Optional[RunMemo]], List[VerificationRecord]]] = {
+ALL_SUITES: Dict[str, Callable[[RunMemo], List[VerificationRecord]]] = {
     "construction": suite_construction,
     "eigen": suite_eigen,
     "algebra": suite_algebra,

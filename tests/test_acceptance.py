@@ -28,7 +28,7 @@ from collections import Counter
 import pytest
 
 from dunklpoly.cli import run as cli_run
-from dunklpoly.suites import ALL_SUITES
+from dunklpoly.suites import ALL_SUITES, RunMemo
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def records_for():
 
     def get(name):
         if name not in cache:
-            cache[name] = ALL_SUITES[name]()
+            cache[name] = ALL_SUITES[name](RunMemo())
         return cache[name]
 
     return get

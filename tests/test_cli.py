@@ -12,7 +12,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -25,7 +27,7 @@ from dunklpoly.dunklop import ALGEBRAS, EIGEN_OPERATORS
 from dunklpoly.families import FAMILIES
 from dunklpoly.limits import LIMIT_IDS
 from dunklpoly.report import emit, parse
-from dunklpoly.suites import ALL_SUITES
+from dunklpoly.suites import ALL_SUITES, RunMemo
 
 
 def _run(capsys, argv):
@@ -270,7 +272,7 @@ def test_cli_records_equal_pinned_suite_records(capsys):
         code, out, _ = _run(capsys, argv + ["--json"])
         assert code == 0, argv
         ignored = {"millis", "suite"} | ({"params"} if suite == "limits" else set())
-        expected = json.loads(emit(ALL_SUITES[suite]()[first:stop]))
+        expected = json.loads(emit(ALL_SUITES[suite](RunMemo())[first:stop]))
         assert _without(json.loads(out), ignored) == _without(expected, ignored), argv
 
 
@@ -286,6 +288,17 @@ def test_failing_check_exits_1_with_first_record(capsys):
     assert "fail" in out
     assert "first failing record" in err
     assert "suite=gram" in err
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, fmt, where):
+    path = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
+    code, _, err = _run(capsys, ["gram", "--family", "gen_hermite", "--mu", "3/2",
+                                 fmt, str(path)])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith(f"dunklpoly: error: cannot write {path}: ")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -763,7 +776,8 @@ def _argvs(draw):
     for dest in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2)):
         add(flags[dest])
     if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "stray", "-h"))))
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ("--bogus", "stray", "no-such-dir/out", "-h"))))
     return argv
 
 
@@ -778,7 +792,15 @@ def _quiet_run(argv):
 @settings(deadline=None, max_examples=300)
 @given(_argvs())
 def test_any_argv_exits_with_a_documented_status(argv):
-    code, err = _quiet_run(argv)
+    # a word read as an output path ("stray") is written into a directory
+    # of the example's own, never into the one the tests run from
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            code, err = _quiet_run(argv)
+        finally:
+            os.chdir(home)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
     if code == 3:

@@ -25,6 +25,7 @@ from dunklpoly.families import (
 )
 from dunklpoly import quad, suites
 from dunklpoly.quad import (
+    ClassicalWeight,
     NoConvergence,
     QuadratureRule,
     SymTridiag,
@@ -40,7 +41,7 @@ from dunklpoly.quad import (
     verify_pearson,
     weight_for,
 )
-from dunklpoly.suites import norm_records
+from dunklpoly.suites import RunMemo, norm_records
 
 # the Gram and norm families of the pinned suites
 FAMILY_SETS = list(suites._quadrature_families())
@@ -319,6 +320,8 @@ def test_chebyshev_rule_at_a_plus_b_minus_one(n):
 
 
 def test_rule_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="^weight parameters must exceed -1$"):
+        ClassicalWeight(("jacobi", -1, 0))
     with pytest.raises(ValueError):
         gauss_rule(("jacobi", -1, 0), 3)
     with pytest.raises(ValueError):
@@ -443,7 +446,7 @@ def test_branch_sum_equals_exact_reduced_integrand():
 
 @pytest.mark.parametrize("fam", FAMILY_SETS)
 def test_gram_matrix_orthogonal_to_tolerance(fam):
-    gram = gram_matrix(fam, 6)
+    gram = gram_matrix(weight_for(fam), 6)
     assert all(gram[n][n] > 0 for n in range(7))
     assert gram_offdiag_worst(gram) <= 1e-10
 
@@ -542,12 +545,17 @@ def _pairwise_gram_matrix(family, N):
 def test_gram_matrix_equals_pairwise_branch_sums(family, N):
     # the per-node factors are formed once, but every entry is the same
     # float operations in the same order
-    assert gram_matrix(family, N) == _pairwise_gram_matrix(family, N)
+    assert gram_matrix(weight_for(family), N) == _pairwise_gram_matrix(family, N)
+
+
+def gram_request(family, N):
+    """One Gram matrix, on a weight of its own."""
+    return gram_matrix(weight_for(family), N)
 
 
 def norm_request(family, cap):
     """One norms request; exact_cap=1 reads sub(1) once more."""
-    return norm_records(family, cap, exact_cap=1)
+    return norm_records(family, RunMemo(), cap, exact_cap=1)
 
 
 def norm_check(family, n):
@@ -556,7 +564,8 @@ def norm_check(family, n):
 
 
 @pytest.mark.parametrize(
-    "check", [gram_matrix, pytest.param(norm_check, id="norm_ratio_check"), norm_request]
+    "check", [pytest.param(gram_request, id="gram_matrix"),
+              pytest.param(norm_check, id="norm_ratio_check"), norm_request]
 )
 @pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
 def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
@@ -600,7 +609,7 @@ def test_moments_converted_once_per_norms_request(fam, monkeypatch):
 
             counted[name] = count
         monkeypatch.setitem(CLASSICAL, tag, entry._replace(**counted))
-    norm_records(fam, 12, exact_cap=1)
+    norm_records(fam, RunMemo(), 12, exact_cap=1)
     assert calls and max(calls.values()) == 1
     assert sum(1 for key in calls if key[0] == "moment_ratio") == 8
 
@@ -612,8 +621,7 @@ def _per_degree_norm_ratio(family, n):
     weight_class = spec.classical_weight
     values, firsts = symtridiag_eigen(_classical_jacobi_matrix(weight_class, n + 2))
     mu0 = CLASSICAL[weight_class[0]].zeroth_moment(*weight_class[1:])
-    rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts),
-                          weight_class, 2 * n + 3)
+    rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts), 2 * n + 3)
     us = _branch_points(spec, rule)
     pos = [_per_node_basis_values(family, n, u) for u in us]
     neg = [_per_node_basis_values(family, n, -u) for u in us]
@@ -636,7 +644,7 @@ def test_shared_norm_tables_equal_per_degree_route(family, cap):
         exact, ratio = norm_ratio_check(spec, n)
         assert (exact, ratio) == _per_degree_norm_ratio(family, n)
         worst = max(worst, abs(ratio / float(exact) - 1.0))
-    [quad_record, _] = norm_records(family, cap, exact_cap=1)
+    [quad_record, _] = norm_records(family, RunMemo(), cap, exact_cap=1)
     assert quad_record.residual == repr(worst)
     # grown tables still lend each degree its own leading block
     for n in range(cap - 1, 0, -1):
@@ -648,7 +656,7 @@ def test_shared_norm_tables_equal_per_degree_route(family, cap):
 def test_norm_ratio_is_the_gram_diagonal_ratio(family, n):
     # one kernel, rule and basis table: the quadrature ratio is the ratio
     # of the Gram diagonal entries bit for bit
-    gram = gram_matrix(family, n)
+    gram = gram_matrix(weight_for(family), n)
     assert norm_ratio_check(weight_for(family), n)[1] == gram[n][n] / gram[n - 1][n - 1]
 
 
@@ -923,14 +931,14 @@ def test_weight_for_rejects_every_family_without_a_weight():
     [(1, 2, F(1, 3)), (1, 1, F(1, 2)), (F(1, 2), F(3, 4), F(1, 3)), (2, 3, F(-2, 5)), (3, 1, F(2, 7))],
 )
 def test_pearson_exact_and_reflection(alpha, beta, gamma):
-    report = verify_pearson(chihara_family(alpha, beta, gamma))
+    report = verify_pearson(chihara_family(alpha, beta, gamma), 12)
     assert report.ode_exact
     assert report.reflection_samples >= 20
     assert report.reflection_worst <= 1e-12
 
 
 def test_pearson_symmetric_point_trivial():
-    report = verify_pearson(chihara_family(1, 1, 0))
+    report = verify_pearson(chihara_family(1, 1, 0), 12)
     assert report.ode_exact
     assert report.reflection_worst == 0.0
 
@@ -964,4 +972,4 @@ def test_pearson_reflection_equals_per_sample_weight_values(alpha, beta, gamma, 
 
 def test_pearson_rejects_other_families():
     with pytest.raises(ValueError):
-        verify_pearson(gen_hermite_family(F(1, 2)))
+        verify_pearson(gen_hermite_family(F(1, 2)), 12)

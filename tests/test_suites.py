@@ -22,12 +22,13 @@ from pathlib import Path
 
 import pytest
 
-from dunklpoly import quad, suites
-from dunklpoly.families import FAMILIES, chihara_family
+from dunklpoly import cli, quad, suites
+from dunklpoly.families import FAMILIES, chihara_family, gegenbauer_family
 from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
 from dunklpoly.suites import (
     ALL_SUITES,
     SUITE_NAMES,
+    RunMemo,
     algebra_records,
     pearson_records,
     run_suites,
@@ -53,7 +54,7 @@ ALL_FLOAT = {"orthogonality", "limits"}
 
 @pytest.fixture(scope="module")
 def all_records():
-    return {name: fn() for name, fn in ALL_SUITES.items()}
+    return {name: fn(RunMemo()) for name, fn in ALL_SUITES.items()}
 
 
 # -- every pinned suite is green -------------------------------------------------
@@ -141,7 +142,7 @@ def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
     chihara = FAMILIES["chihara"]
     monkeypatch.setitem(FAMILIES, "chihara", chihara._replace(
         sub=lambda m, odd, p: chihara.sub(m, odd, p) + (1 if 2 * m + odd == bad else 0)))
-    records = suite_jacobi()
+    records = suite_jacobi(RunMemo())
     assert [(r.outcome, r.residual) for r in records] == [("fail", residual)] * 3
 
 
@@ -175,9 +176,10 @@ def test_run_suites_subset_preserves_requested_order():
     assert suites_seen == ["jacobi"] * 3 + ["construction"] * 15
 
 
-def test_one_run_builds_each_shared_object_once(monkeypatch):
-    # within a run every monic list and Gauss rule is built once per key,
-    # and the next run builds them all again: nothing outlives a run
+@pytest.fixture
+def builds(monkeypatch):
+    """The keys of every monic list and Gauss rule built, one dict per run:
+    append a fresh dict before each run."""
     calls = []
 
     def counted(module, name, key):
@@ -191,12 +193,46 @@ def test_one_run_builds_each_shared_object_once(monkeypatch):
 
     counted(suites, "generate_monic", lambda family, N: (family, N))
     counted(quad, "gauss_rule", lambda weight, n: (tuple(weight), n))
+    return calls
+
+
+def test_one_run_builds_each_shared_object_once(builds):
+    # within a run every monic list and Gauss rule is built once per key,
+    # and the next run builds them all again: nothing outlives a run
     for _ in range(2):
-        calls.append({"generate_monic": [], "gauss_rule": []})
+        builds.append({"generate_monic": [], "gauss_rule": []})
         run_suites()
-    assert calls[0] == calls[1]
-    for keys in calls[0].values():
+    assert builds[0] == builds[1]
+    for keys in builds[0].values():
         assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--family", "chihara", "--alpha", "1", "--beta", "1", "--gamma", "1/2"],
+    ["norms", "--family", "gegenbauer", "--alpha", "1", "--beta", "1"],
+    ["eigencheck", "--operator", "chihara_D", "--alpha", "1", "--beta", "1",
+     "--gamma", "1/2", "--eps", "2/3"],
+    ["transform", "--a", "1", "--b", "1", "--c", "3/5"],
+], ids=lambda argv: argv[0])
+def test_single_check_commands_share_nothing_between_runs(builds, capsys, argv):
+    # each command builds over a memo of its own, so a second identical
+    # command builds the same objects again: nothing outlives a command
+    for _ in range(2):
+        builds.append({"generate_monic": [], "gauss_rule": []})
+        assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert builds[0] == builds[1]
+    assert any(builds[0].values())
+
+
+def test_run_memo_shares_one_classical_weight_per_reduced_weight():
+    # chihara(1, 1, 1/2) and gegenbauer(1, 1) reduce to one Jacobi weight
+    memo, other = RunMemo(), RunMemo()
+    chihara, gegenbauer = chihara_family(1, 1, F(1, 2)), gegenbauer_family(1, 1)
+    shared = memo.weight(chihara).classical_weight
+    assert memo.weight(gegenbauer).classical_weight is shared
+    assert other.weight(gegenbauer).classical_weight is not shared
+    assert memo.weight(chihara) == quad.weight_for(chihara)
 
 
 def test_run_suites_rejects_unknown_name():
