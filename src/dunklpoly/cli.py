@@ -22,7 +22,9 @@ Conventions
 * ``--json [PATH]`` / ``--csv [PATH]`` (mutually exclusive) write the
   verification records; with ``-`` or no path the stream replaces the
   human-readable output on stdout, otherwise it is written to PATH and
-  the usual output is still printed.
+  the usual output is still printed.  PATH is created or truncated before
+  any check runs, so a PATH that cannot be written exits 2 with no check
+  output; the records are written after the checks.
 * Exit status: 0 when every check passed, 1 when any verification record
   failed (the first failing record is printed to stderr), 2 for usage
   errors (an output PATH that cannot be written among them), 3 for an
@@ -224,16 +226,12 @@ def _deliver(records: Sequence[VerificationRecord], args: argparse.Namespace) ->
     fmt, dest = _format_destination(args)
     if fmt is None:
         return
-    blob = emit(records, fmt) + b"\n"
-    if dest == "-":
-        sys.stdout.buffer.write(blob)
-        sys.stdout.buffer.flush()
-    else:
-        try:
-            with open(dest, "wb") as handle:
-                handle.write(blob)
-        except OSError as exc:
-            raise UsageError(f"cannot write {dest}: {exc.strerror}") from exc
+    out = args._out or sys.stdout.buffer
+    try:
+        out.write(emit(records, fmt) + b"\n")
+        out.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest}: {exc.strerror}") from exc
 
 
 def _finish(records: Sequence[VerificationRecord], args: argparse.Namespace) -> int:
@@ -517,7 +515,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     fmt, dest = _format_destination(args)
     args._quiet = fmt is not None and dest == "-"
+    args._out = None
     try:
+        if fmt is not None and dest != "-":
+            try:
+                args._out = open(dest, "wb")
+            except OSError as exc:
+                raise UsageError(f"cannot write {dest}: {exc.strerror}") from exc
         return args.handler(args)
     except (NotPolynomial, NotDivisible, NoConvergence, DegenerateStep,
             ArithmeticError) as exc:
@@ -526,6 +530,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DegenerateParameters, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args._out is not None:
+            args._out.close()
 
 
 def main() -> None:

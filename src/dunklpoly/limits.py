@@ -32,8 +32,9 @@ the per-degree error ``e(h)`` at every step plus the empirical convergence
 order ``p = log(e(h)/e(rh)) / log(1/r)``, which for all three processes sits
 at 1 to within a few parts in 1e4 on the default grids, and their residual,
 which ``suites.limit_check`` compares with its tolerance.  A deliberately
-wrong parameter map (``qgamma = +g``) fails that way: the odd-degree errors
-plateau at order ~0, so the decay is not monotone and the residual is 1.0.
+wrong parameter map (``qgamma = +g``, a negative control in the tests) fails
+that way: the odd-degree errors plateau at order ~0, so the decay is not
+monotone and the residual is 1.0.
 
 The weight functions themselves are not limits of the source weights, so no
 weight-level check is attempted here.
@@ -45,11 +46,14 @@ otherwise; the default grids use Pythagorean choices (``a1=5, a2=3``;
 ``g=3/5``).  Building the targets in the rescaled variable, as
 ``transforms.kernel_to_chihara`` does, would need only ``s^2``.
 
-Each case builder maps a step to a ``SourceStep``: the source ``FamilySpec``
-at float parameters (its coefficients come from the table in ``families``)
-and the rescale factor ``sigma``.  ``LIMIT_CASES`` maps each limit id to its
-builder and default parameters; builders run on ``DEFAULT_STEPS`` unless
-given a grid, and ``LimitCase`` validates every grid.
+``LIMIT_CASES`` holds one entry per limit id: its default source
+parameters as exact rationals, and its parameter map.  The map checks the
+parameters and returns the exact target ``FamilySpec`` and the step map,
+which takes a step to a ``SourceStep``: the source ``FamilySpec`` at float
+parameters (its coefficients come from the table in ``families``) and the
+rescale factor ``sigma``.  ``limit_case`` merges given parameters over an
+entry's defaults and builds the ``LimitCase``, on ``DEFAULT_STEPS`` unless
+given a grid; ``LimitCase`` validates every grid.
 """
 
 from __future__ import annotations
@@ -88,25 +92,9 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
 #: Default step grid: 1e-3, 1e-4, 1e-5 (as ``1e-3 * 0.1**k``).
 DEFAULT_STEPS: Tuple[float, ...] = tuple(1e-3 * 0.1**k for k in range(3))
 
-#: Default degree cap of the three standard cases.
+#: Default degree cap of every case, and the highest degree whose errors
+#: ``run_limit`` requires to decay.
 LIMIT_DEGREE_CAP = 6
-
-#: Default parameters of the three standard cases.
-CBI_LIMIT_DEFAULTS: Dict[str, Fraction] = {
-    "a1": Fraction(5),
-    "a2": Fraction(3),
-    "b1": Fraction(3, 2),
-    "b2": Fraction(1, 2),
-}
-BIGQ_LIMIT_DEFAULTS: Dict[str, Fraction] = {
-    "alpha": Fraction(1),
-    "beta": Fraction(1),
-    "g": Fraction(3, 5),
-}
-BETA_LIMIT_DEFAULTS: Dict[str, Fraction] = {
-    "mu": Fraction(3, 2),
-    "gamma": Fraction(1, 2),
-}
 
 #: Errors at or below this magnitude are treated as float rounding noise and
 #: exempted from monotonicity and order checks (e.g. the beta->inf diagonal,
@@ -129,6 +117,10 @@ class SourceStep:
 
     family: FamilySpec
     rescale: float
+
+
+#: What a parameter map returns: the exact target and the step map.
+LimitMap = Tuple[FamilySpec, Callable[[float], SourceStep]]
 
 
 def _source(name: str, params: Dict[str, float], rescale: float) -> SourceStep:
@@ -160,29 +152,16 @@ class LimitCase:
         if any(abs(r - first) > _GEOMETRIC_RTOL * first for r in ratios):
             raise ValueError("step sequence must be geometric (constant ratio)")
 
-    @property
-    def ratio(self) -> float:
-        """The constant ratio of consecutive steps (< 1)."""
-        return self.steps[1] / self.steps[0]
+
+# -- the limit table: each parameter map takes exact rationals -----------------
 
 
-# -- case constructors --------------------------------------------------------
-
-
-def cbi_case(
-    a1: Scalar = CBI_LIMIT_DEFAULTS["a1"],
-    a2: Scalar = CBI_LIMIT_DEFAULTS["a2"],
-    b1: Scalar = CBI_LIMIT_DEFAULTS["b1"],
-    b2: Scalar = CBI_LIMIT_DEFAULTS["b2"],
-    degree_cap: int = LIMIT_DEGREE_CAP,
-    steps: Optional[Sequence[float]] = None,
-) -> LimitCase:
+def _cbi_map(a1: Fraction, a2: Fraction, b1: Fraction, b2: Fraction) -> LimitMap:
     """Complementary Bannai-Ito ``h -> 0`` contraction to Chihara.
 
     Requires ``a1^2 - a2^2 > 0`` and rational ``s = sqrt(a1^2 - a2^2)`` so
     the target ``chihara(b2 - 1/2, b1 + 1/2, a2/s)`` has exact parameters.
     """
-    a1, a2, b1, b2 = (_as_fraction(v) for v in (a1, a2, b1, b2))
     s_squared = a1 * a1 - a2 * a2
     if s_squared <= 0:
         raise ValueError("cbi_h_to_0 requires a1^2 - a2^2 > 0")
@@ -198,26 +177,15 @@ def cbi_case(
         p = {"rho1": a1f / h + b1f, "rho2": a2f / h + b2f, "r1": a1f / h, "r2": a2f / h}
         return _source("cbi", p, sf / h)
 
-    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
+    return target, source
 
 
-def bigq_case(
-    alpha: Scalar = BIGQ_LIMIT_DEFAULTS["alpha"],
-    beta: Scalar = BIGQ_LIMIT_DEFAULTS["beta"],
-    g: Scalar = BIGQ_LIMIT_DEFAULTS["g"],
-    degree_cap: int = LIMIT_DEGREE_CAP,
-    steps: Optional[Sequence[float]] = None,
-    wrong_gamma_sign: bool = False,
-) -> LimitCase:
+def _bigq_map(alpha: Fraction, beta: Fraction, g: Fraction) -> LimitMap:
     """Big q-Jacobi ``q -> -1`` contraction to Chihara.
 
     Requires ``|g| < 1`` and rational ``sqrt(1 - g^2)`` so the target
-    ``chihara(alpha, beta, g/sqrt(1-g^2))`` has exact parameters.  With
-    ``wrong_gamma_sign=True`` the source map deliberately uses ``qgamma=+g``
-    instead of ``-g``; the run then serves as a negative control whose
-    ``limits`` record must fail.
+    ``chihara(alpha, beta, g/sqrt(1-g^2))`` has exact parameters.
     """
-    alpha, beta, g = (_as_fraction(v) for v in (alpha, beta, g))
     if abs(g) >= 1:
         raise ValueError("bigq_q_to_minus1 requires |g| < 1")
     s = _rational_sqrt(1 - g * g)
@@ -227,26 +195,20 @@ def bigq_case(
         )
     target = chihara_family(alpha, beta, g / s)
     alphaf, betaf, gf, sf = float(alpha), float(beta), float(g), float(s)
-    sign = 1.0 if wrong_gamma_sign else -1.0
 
     def source(eps: float) -> SourceStep:
         p = {
             "qalpha": math.exp(2 * eps * betaf),
             "qbeta": -math.exp(eps * (2 * alphaf + 1)),
-            "qgamma": sign * gf,
+            "qgamma": -gf,
             "q": -math.exp(eps),
         }
         return _source("big_q_jacobi", p, sf)
 
-    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
+    return target, source
 
 
-def beta_case(
-    mu: Scalar = BETA_LIMIT_DEFAULTS["mu"],
-    gamma: Scalar = BETA_LIMIT_DEFAULTS["gamma"],
-    degree_cap: int = LIMIT_DEGREE_CAP,
-    steps: Optional[Sequence[float]] = None,
-) -> LimitCase:
+def _beta_map(mu: Fraction, gamma: Fraction) -> LimitMap:
     """Chihara ``beta -> infinity`` contraction to the extended Hermite family.
 
     The step parameter is ``h = 1/beta``; the source runs at
@@ -254,7 +216,6 @@ def beta_case(
     ``x -> x sqrt(h)`` with coefficient scaling ``h^{-n/2}`` against the
     target ``ext_hermite(mu, gamma)``.
     """
-    mu, gamma = _as_fraction(mu), _as_fraction(gamma)
     target = ext_hermite_family(mu, gamma)
     alphaf, gammaf = float(mu) - 0.5, float(gamma)
 
@@ -263,16 +224,41 @@ def beta_case(
         p = {"alpha": alphaf, "beta": 1.0 / h, "gamma": gammaf * root_h}
         return _source("chihara", p, root_h)
 
-    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
+    return target, source
 
 
-#: The limit registry: id -> (case builder, default source parameters).
-LIMIT_CASES: Dict[str, Tuple[Callable[..., LimitCase], Dict[str, Fraction]]] = {
-    "cbi_h_to_0": (cbi_case, CBI_LIMIT_DEFAULTS),
-    "bigq_q_to_minus1": (bigq_case, BIGQ_LIMIT_DEFAULTS),
-    "chihara_beta_to_inf": (beta_case, BETA_LIMIT_DEFAULTS),
+#: The limit table: id -> (default source parameters, parameter map).
+LIMIT_CASES: Dict[str, Tuple[Dict[str, Fraction], Callable[..., LimitMap]]] = {
+    "cbi_h_to_0": (
+        {"a1": Fraction(5), "a2": Fraction(3), "b1": Fraction(3, 2), "b2": Fraction(1, 2)},
+        _cbi_map,
+    ),
+    "bigq_q_to_minus1": (
+        {"alpha": Fraction(1), "beta": Fraction(1), "g": Fraction(3, 5)},
+        _bigq_map,
+    ),
+    "chihara_beta_to_inf": ({"mu": Fraction(3, 2), "gamma": Fraction(1, 2)}, _beta_map),
 }
 LIMIT_IDS = tuple(LIMIT_CASES)
+
+
+def limit_case(
+    limit_id: str,
+    degree_cap: int = LIMIT_DEGREE_CAP,
+    steps: Optional[Sequence[float]] = None,
+    **params: Scalar,
+) -> LimitCase:
+    """The ``LIMIT_CASES`` entry ``limit_id`` at its default source
+    parameters, with ``params`` over them, on ``DEFAULT_STEPS`` unless given
+    a grid.  A parameter the entry does not name is a ``TypeError``.
+    """
+    defaults, parameter_map = LIMIT_CASES[limit_id]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise TypeError(f"{limit_id} has no parameter {unknown[0]!r}")
+    merged = {name: _as_fraction(params.get(name, value)) for name, value in defaults.items()}
+    target, source = parameter_map(**merged)
+    return LimitCase(source, target, degree_cap, DEFAULT_STEPS if steps is None else steps)
 
 
 # -- running a case -----------------------------------------------------------
@@ -311,7 +297,8 @@ class LimitReport:
     Orders are Richardson quotients ``log(e(h)/e(rh))/log(1/r)`` from the
     final step pair; entries are ``None`` where either error sits at or below
     ``NOISE_FLOOR`` (already at rounding noise, order meaningless).
-    ``monotone_ok``: the errors of degrees up to ``min(cap, 6)`` and of the
+    ``monotone_ok``: the errors of degrees up to
+    ``min(cap, LIMIT_DEGREE_CAP)`` and of the
     coefficients decay after the first step.  ``residual``: the worst
     ``|order - 1|`` over every computable order, or 1.0 when the decay is
     not monotone or no order is computable.
@@ -413,7 +400,7 @@ def run_limit(case: LimitCase) -> LimitReport:
     coeff_order = _order(coarse.max_coeff_error, fine.max_coeff_error, ratio)
     overall_order = _order(coarse.max_poly_error, fine.max_poly_error, ratio)
 
-    tracked = range(1, min(cap, 6) + 1)
+    tracked = range(1, min(cap, LIMIT_DEGREE_CAP) + 1)
     monotone_ok = all(
         _monotone_after_first([r.poly_errors[n] for r in results]) for n in tracked
     ) and _monotone_after_first([r.max_coeff_error for r in results])

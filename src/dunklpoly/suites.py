@@ -90,11 +90,11 @@ from .families import (
     monic_list,
 )
 from .limits import (
-    BETA_LIMIT_DEFAULTS,
     LIMIT_CASES,
     LIMIT_DEGREE_CAP,
     NOISE_FLOOR,
     LimitReport,
+    limit_case,
     run_limit,
 )
 from .quad import (
@@ -745,9 +745,8 @@ def limit_check(
     computable) is at most ``tolerance``.  ``label`` defaults to the source
     parameters at the first step.
     """
-    builder, _ = LIMIT_CASES[limit_id]
     with stopwatch() as ms:
-        report = run_limit(builder(degree_cap=degree_cap, steps=steps))
+        report = run_limit(limit_case(limit_id, degree_cap, steps))
     if label is None:
         label = format_params(report.results[0].source_params)
     record = float_record("limits", limit_id, label, f"0..{degree_cap}",
@@ -758,7 +757,7 @@ def limit_check(
 def suite_limits(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     reports: Dict[str, LimitReport] = {}
-    for limit_id, (_, defaults) in LIMIT_CASES.items():
+    for limit_id, (defaults, _) in LIMIT_CASES.items():
         reports[limit_id], record = limit_check(
             limit_id, label=format_params(defaults.items()))
         records.append(record)
@@ -777,7 +776,7 @@ def suite_limits(memo: RunMemo) -> List[VerificationRecord]:
         float_record(
             "limits",
             "beta-constant-stability",
-            format_params(BETA_LIMIT_DEFAULTS.items()),
+            format_params(LIMIT_CASES["chihara_beta_to_inf"][0].items()),
             f"{len(constants)} steps",
             residual=spread if finite else 1.0,
             tolerance=CONSTANT_SPREAD_TOLERANCE,

@@ -294,11 +294,23 @@ def test_failing_check_exits_1_with_first_record(capsys):
 @pytest.mark.parametrize("where", ["missing directory", "existing directory"])
 def test_unwritable_output_path_exits_2(capsys, tmp_path, fmt, where):
     path = tmp_path / "missing" / "out" if where == "missing directory" else tmp_path
-    code, _, err = _run(capsys, ["gram", "--family", "gen_hermite", "--mu", "3/2",
-                                 fmt, str(path)])
+    code, out, err = _run(capsys, ["gram", "--family", "gen_hermite", "--mu", "3/2",
+                                   fmt, str(path)])
     assert code == 2
+    # the path is opened before the check runs, so no check output is printed
+    assert out == ""
     [line] = err.splitlines()
     assert line.startswith(f"dunklpoly: error: cannot write {path}: ")
+
+
+def test_unwritable_output_path_runs_no_suite(capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_batches", lambda names: ran.append(names) or [])
+    path = tmp_path / "missing" / "x"
+    code, out, err = _run(capsys, ["suite", "--all", "--json", str(path)])
+    assert code == 2
+    assert ran == [] and out == ""
+    assert err.startswith(f"dunklpoly: error: cannot write {path}: ")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -30,15 +30,14 @@ from dunklpoly.families import DegenerateParameters, FamilySpec, chihara_family
 from dunklpoly.limits import (
     DEFAULT_STEPS,
     LIMIT_CASES,
+    LIMIT_DEGREE_CAP,
     LIMIT_IDS,
     DegenerateStep,
     IrrationalScale,
     LimitCase,
     NOISE_FLOOR,
     SourceStep,
-    beta_case,
-    bigq_case,
-    cbi_case,
+    limit_case,
     run_limit,
 )
 from dunklpoly.suites import ORDER_TOLERANCE, limit_check
@@ -53,14 +52,20 @@ def test_geometric_steps_default():
     assert DEFAULT_STEPS[0] == pytest.approx(1e-3)
     assert DEFAULT_STEPS[1] / DEFAULT_STEPS[0] == pytest.approx(0.1)
     assert DEFAULT_STEPS[2] / DEFAULT_STEPS[1] == pytest.approx(0.1)
-    for make in (cbi_case, bigq_case, beta_case):
-        assert make().steps == DEFAULT_STEPS
+    for limit_id in LIMIT_IDS:
+        assert limit_case(limit_id).steps == DEFAULT_STEPS
 
 
 def test_limit_registry_builds_every_id():
     assert LIMIT_IDS == ("cbi_h_to_0", "bigq_q_to_minus1", "chihara_beta_to_inf")
-    for limit_id, (builder, defaults) in LIMIT_CASES.items():
-        assert isinstance(builder(**defaults), LimitCase), limit_id
+    for limit_id, (defaults, _) in LIMIT_CASES.items():
+        assert isinstance(limit_case(limit_id, **defaults), LimitCase), limit_id
+
+
+@pytest.mark.parametrize("limit_id", LIMIT_IDS)
+def test_limit_case_rejects_an_unknown_parameter(limit_id):
+    with pytest.raises(TypeError, match="'nope'"):
+        limit_case(limit_id, nope=1)
 
 
 def _dummy_source(h):
@@ -108,45 +113,44 @@ def test_case_rejects_zero_degree_cap():
 
 
 def test_cbi_case_default_target():
-    case = cbi_case()
+    case = limit_case("cbi_h_to_0")
     assert case.target.name == "chihara"
     assert case.target.p == {"alpha": F(0), "beta": F(2), "gamma": F(3, 4)}
-    assert case.ratio == pytest.approx(0.1)
 
 
 def test_cbi_case_rejects_negative_gap():
     with pytest.raises(ValueError):
-        cbi_case(a1=3, a2=5)
+        limit_case("cbi_h_to_0", a1=3, a2=5)
 
 
 def test_cbi_case_rejects_irrational_scale():
     with pytest.raises(IrrationalScale):
-        cbi_case(a1=2, a2=1)
+        limit_case("cbi_h_to_0", a1=2, a2=1)
 
 
 def test_bigq_case_default_target():
-    case = bigq_case()
+    case = limit_case("bigq_q_to_minus1")
     assert case.target.p == {"alpha": F(1), "beta": F(1), "gamma": F(3, 4)}
 
 
 def test_bigq_case_rejects_large_g():
     with pytest.raises(ValueError):
-        bigq_case(g=F(7, 5))
+        limit_case("bigq_q_to_minus1", g=F(7, 5))
 
 
 def test_bigq_case_rejects_irrational_scale():
     with pytest.raises(IrrationalScale):
-        bigq_case(g=F(1, 3))
+        limit_case("bigq_q_to_minus1", g=F(1, 3))
 
 
 def test_beta_case_default_target():
-    case = beta_case()
+    case = limit_case("chihara_beta_to_inf")
     assert case.target.name == "ext_hermite"
     assert case.target.p == {"mu": F(3, 2), "gamma": F(1, 2)}
 
 
 def test_source_params_echo():
-    step = cbi_case().source(1e-3)
+    step = limit_case("cbi_h_to_0").source(1e-3)
     assert step.family.name == "cbi"
     p = step.family.p
     assert p["rho1"] == pytest.approx(5001.5)
@@ -181,13 +185,17 @@ def _old_cbi_source(h, a1=5.0, a2=3.0, b1=1.5, b2=0.5):
             lambda n: 0.0 if n == 0 else float(tau(n)))
 
 
-def _old_bigq_source(eps, alpha=1.0, beta=1.0, g=0.6, sign=-1.0):
-    p = {
+def _old_bigq_params(eps, alpha=1.0, beta=1.0, g=0.6, sign=-1.0):
+    return {
         "qalpha": math.exp(2 * eps * beta),
         "qbeta": -math.exp(eps * (2 * alpha + 1)),
         "qgamma": sign * g,
         "q": -math.exp(eps),
     }
+
+
+def _old_bigq_source(eps, alpha=1.0, beta=1.0, g=0.6):
+    p = _old_bigq_params(eps, alpha, beta, g)
 
     def ac(n):
         al, be, ga, q = p["qalpha"], p["qbeta"], p["qgamma"], p["q"]
@@ -221,15 +229,16 @@ def _old_beta_source(h, mu=1.5, gamma=0.5):
 
 
 @pytest.mark.parametrize("case, old", [
-    (cbi_case(), _old_cbi_source),
-    (cbi_case(a1=13, a2=5, b1=F(3, 4), b2=F(5, 2)),
+    (limit_case("cbi_h_to_0"), _old_cbi_source),
+    (limit_case("cbi_h_to_0", a1=13, a2=5, b1=F(3, 4), b2=F(5, 2)),
      lambda h: _old_cbi_source(h, 13.0, 5.0, 0.75, 2.5)),
-    (bigq_case(), _old_bigq_source),
-    (bigq_case(alpha=F(1, 2), beta=3, g=F(5, 13), wrong_gamma_sign=True),
-     lambda eps: _old_bigq_source(eps, 0.5, 3.0, 5 / 13, 1.0)),
-    (beta_case(), _old_beta_source),
-    (beta_case(mu=F(3, 4), gamma=F(-2)), lambda h: _old_beta_source(h, 0.75, -2.0)),
-], ids=["cbi", "cbi-13-5", "bigq", "bigq-wrong-sign", "beta", "beta-3/4"])
+    (limit_case("bigq_q_to_minus1"), _old_bigq_source),
+    (limit_case("bigq_q_to_minus1", alpha=F(1, 2), beta=3, g=F(5, 13)),
+     lambda eps: _old_bigq_source(eps, 0.5, 3.0, 5 / 13)),
+    (limit_case("chihara_beta_to_inf"), _old_beta_source),
+    (limit_case("chihara_beta_to_inf", mu=F(3, 4), gamma=F(-2)),
+     lambda h: _old_beta_source(h, 0.75, -2.0)),
+], ids=["cbi", "cbi-13-5", "bigq", "bigq-5/13", "beta", "beta-3/4"])
 def test_source_coefficients_bit_identical_to_former_closures(case, old):
     for h in (0.3, 1e-2, 1e-3, 1e-4, 1e-5, 1e-7):
         family = case.source(h).family
@@ -243,7 +252,7 @@ def test_source_coefficients_bit_identical_to_former_closures(case, old):
 
 
 def test_cbi_frozen_errors():
-    report = run_limit(cbi_case())
+    report = run_limit(limit_case("cbi_h_to_0"))
     first = report.results[0]
     assert first.step == pytest.approx(1e-3)
     # degree-1 error is exactly |b2*h/s| = 0.5e-3/4
@@ -254,7 +263,7 @@ def test_cbi_frozen_errors():
 
 
 def test_bigq_frozen_errors():
-    report = run_limit(bigq_case())
+    report = run_limit(limit_case("bigq_q_to_minus1"))
     first = report.results[0]
     assert first.poly_errors[1] == pytest.approx(1.750368e-3, rel=1e-4)
     assert first.max_coeff_error == pytest.approx(3.615937e-3, rel=1e-4)
@@ -262,7 +271,7 @@ def test_bigq_frozen_errors():
 
 
 def test_beta_frozen_errors():
-    report = run_limit(beta_case())
+    report = run_limit(limit_case("chihara_beta_to_inf"))
     first = report.results[0]
     assert first.poly_errors[2] == pytest.approx(5.982054e-3, rel=1e-4)
     assert first.max_coeff_error == pytest.approx(3.570237e-2, rel=1e-4)
@@ -270,7 +279,7 @@ def test_beta_frozen_errors():
 
 
 def _default_cases():
-    return {limit_id: builder(**defaults) for limit_id, (builder, defaults) in LIMIT_CASES.items()}
+    return {limit_id: limit_case(limit_id) for limit_id in LIMIT_IDS}
 
 
 def test_default_cases_all_converge_with_unit_order():
@@ -292,10 +301,10 @@ def test_max_errors_decrease():
 
 
 def test_monotone_decay_on_longer_grid():
-    for make in (cbi_case, bigq_case, beta_case):
-        case = make(steps=tuple(1e-2 * 0.1**k for k in range(5)))
+    for limit_id in LIMIT_IDS:
+        case = limit_case(limit_id, steps=tuple(1e-2 * 0.1**k for k in range(5)))
         report = run_limit(case)
-        assert report.monotone_ok, make.__name__
+        assert report.monotone_ok, limit_id
         for n in range(1, case.degree_cap + 1):
             series = [r.poly_errors[n] for r in report.results]
             for k in range(1, len(series) - 1):
@@ -362,7 +371,7 @@ def test_residual_is_the_record_residual_on_drawn_grids(limit_id, cap, first, ra
 
 
 def test_beta_case_checks_both_coefficient_and_polynomial_limits():
-    report = run_limit(beta_case())
+    report = run_limit(limit_case("chihara_beta_to_inf"))
     for result in report.results:
         beta = 1.0 / result.step
         # diagonal is reproduced exactly by the rescaling (pure rounding)
@@ -378,7 +387,7 @@ def test_beta_case_checks_both_coefficient_and_polynomial_limits():
 def test_beta_sigma_bound_at_beta_1e4():
     # alpha = mu - 1/2 = 1/2: |beta*sigma_2(beta) - 1| at beta = 1e4 equals
     # 1 - (beta^2+beta)/((beta+5/2)(beta+7/2)) = 4.99788e-4 <= 1e-3
-    report = run_limit(beta_case(mu=1, gamma=F(1, 2)))
+    report = run_limit(limit_case("chihara_beta_to_inf", mu=1, gamma=F(1, 2)))
     middle = report.results[1]
     assert middle.step == pytest.approx(1e-4)
     assert middle.sub_errors[2] == pytest.approx(4.99788e-4, rel=1e-3)
@@ -389,7 +398,14 @@ def test_beta_sigma_bound_at_beta_1e4():
 
 
 def test_wrong_gamma_sign_flagged_as_non_convergent():
-    report = run_limit(bigq_case(wrong_gamma_sign=True))
+    # the default q -> -1 case with qgamma = +g in place of -g
+    def wrong_sign(eps):
+        params = _old_bigq_params(eps, sign=1.0)
+        return SourceStep(FamilySpec("big_q_jacobi", tuple(sorted(params.items()))), 0.8)
+
+    case = LimitCase(wrong_sign, chihara_family(1, 1, F(3, 4)), LIMIT_DEGREE_CAP,
+                     DEFAULT_STEPS)
+    report = run_limit(case)
     # the decay is not monotone, so the residual is 1.0 and fails the
     # tolerance the limits record is built against
     assert not report.monotone_ok
@@ -424,19 +440,19 @@ def test_non_finite_source_sub_raises():
 def test_underflowing_rescale_square_raises_degenerate_step():
     # sigma = 4/h = 4e-200 at h = 1e200: sigma^2 underflows to 0
     with pytest.raises(DegenerateStep, match=r"rescale factor squared underflows at step 1e\+200"):
-        run_limit(cbi_case(degree_cap=1, steps=(1e200, 1e199, 1e198)))
+        run_limit(limit_case("cbi_h_to_0", degree_cap=1, steps=(1e200, 1e199, 1e198)))
 
 
 def test_overflowing_steps_raise_degenerate_step():
     # tau ~ (a1*a2)/h^2 overflows past 1e308 for h ~ 1e-155
     with pytest.raises(DegenerateStep):
-        run_limit(cbi_case(steps=(1e-155, 1e-156, 1e-157)))
+        run_limit(limit_case("cbi_h_to_0", steps=(1e-155, 1e-156, 1e-157)))
 
 
 def test_degenerate_target_raises_family_error():
     # b1 = -5/2 makes the *target* chihara(0, -2, 3/4) recurrence degenerate
     with pytest.raises(DegenerateParameters):
-        run_limit(cbi_case(b1=F(-5, 2)))
+        run_limit(limit_case("cbi_h_to_0", b1=F(-5, 2)))
 
 
 # -- property: the contractions converge across the parameter windows -----------
@@ -452,7 +468,8 @@ _RATIONAL_G = [F(3, 5), F(5, 13), F(8, 17), F(4, 5)]
     b2=st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4),
 )
 def test_cbi_property_monotone_and_at_least_first_order(pair, b1, b2):
-    report = run_limit(cbi_case(a1=pair[0], a2=pair[1], b1=b1, b2=b2, degree_cap=4))
+    report = run_limit(limit_case("cbi_h_to_0", a1=pair[0], a2=pair[1], b1=b1, b2=b2,
+                                  degree_cap=4))
     assert report.monotone_ok
     for p in report.poly_orders:
         if p is not None:
@@ -466,7 +483,7 @@ def test_cbi_property_monotone_and_at_least_first_order(pair, b1, b2):
     beta=st.fractions(min_value=F(1, 4), max_value=F(4), max_denominator=4),
 )
 def test_bigq_property_monotone_and_at_least_first_order(g, alpha, beta):
-    report = run_limit(bigq_case(alpha=alpha, beta=beta, g=g, degree_cap=4))
+    report = run_limit(limit_case("bigq_q_to_minus1", alpha=alpha, beta=beta, g=g, degree_cap=4))
     assert report.monotone_ok
     for p in report.poly_orders:
         if p is not None:
@@ -479,7 +496,7 @@ def test_bigq_property_monotone_and_at_least_first_order(g, alpha, beta):
     gamma=st.fractions(min_value=F(-2), max_value=F(2), max_denominator=4),
 )
 def test_beta_property_monotone_and_at_least_first_order(mu, gamma):
-    report = run_limit(beta_case(mu=mu, gamma=gamma, degree_cap=4))
+    report = run_limit(limit_case("chihara_beta_to_inf", mu=mu, gamma=gamma, degree_cap=4))
     assert report.monotone_ok
     for p in report.poly_orders:
         if p is not None:
