@@ -39,7 +39,9 @@ Conventions
   prints the CSV.  Identical argv produce identical
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
-  :mod:`dunklpoly.suites`, the same code the pinned suites use.
+  :mod:`dunklpoly.suites`, the same code the pinned suites use, and
+  every record comes from there (``eigencheck`` prints its lines from the
+  records of ``suites.eigen_records``).
 * The parser of a request holds only the invoked subcommand: ``run``
   builds the subparser that ``argv[0]`` names and no other.  Top-level
   help, a missing command and an unknown one get the parser of every
@@ -54,7 +56,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from .dunklop import ALGEBRAS, EIGEN_OPERATORS
+from .dunklop import ALGEBRAS, EIGEN_OPERATORS, expected_eigenvalue
 from .exactnum import NotDivisible, NotPolynomial
 from .families import (
     FAMILIES,
@@ -65,7 +67,7 @@ from .families import (
 )
 from .limits import LIMIT_DEGREE_CAP, LIMIT_IDS, DegenerateStep
 from .quad import NoConvergence
-from .report import VerificationRecord, emit, exact_record, rational_str
+from .report import VerificationRecord, emit, rational_str
 from .suites import (
     ALGEBRA_CAP,
     GRAM_CAP,
@@ -79,7 +81,7 @@ from .suites import (
     TRANSFORM_CAP,
     RunMemo,
     algebra_records,
-    eigen_sweep,
+    eigen_records,
     gram_records,
     limit_check,
     norm_records,
@@ -273,12 +275,10 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
     spec = EIGEN_OPERATORS[token]
     params = _collect_params(args, spec.params, f"--operator {token}")
     cap = args.cap if args.cap is not None else spec.cap
-    label = spec.family(params).label()
-    records = []
-    for n, eigenvalue, residual, millis in eigen_sweep(token, params, cap, RunMemo()):
-        record = exact_record("eigencheck", token, label, str(n), millis=millis,
-                              passed=residual == "0", residual=residual)
-        records.append(record)
+    records = eigen_records(token, params, cap, RunMemo())
+    for record in records:
+        n = int(record.degrees)
+        eigenvalue = expected_eigenvalue(token, n, **params)
         _say(args, f"n={n:2d} lambda={rational_str(eigenvalue)} {record.outcome}")
     return _finish(records, args)
 

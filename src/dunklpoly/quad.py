@@ -333,19 +333,17 @@ class QuadratureRule:
     exact_degree: int
 
 
-def gauss_rule(weight_class, n: int) -> QuadratureRule:
-    """Gauss rule with n nodes for ``("jacobi", a, b)`` on [0, 1] with weight
-    t^a (1-t)^b, or ``("generalized_laguerre", a)`` on [0, inf) with weight
-    t^a e^(-t).
+def gauss_rule(weight_class: ClassicalWeight, n: int) -> QuadratureRule:
+    """Gauss rule with n nodes for a ``ClassicalWeight``: ``("jacobi", a, b)``
+    on [0, 1] with weight t^a (1-t)^b, or ``("generalized_laguerre", a)`` on
+    [0, inf) with weight t^a e^(-t).
 
     Nodes are Jacobi-matrix eigenvalues; weights are mu0 times the squared
     first eigenvector components.  The rule is validated against the exact
     moments of its weight up to degree min(2n-1, 8) before being returned.
-    A ``ClassicalWeight`` passed in lends its converted Jacobi matrix, so
-    rules built from one instance share the conversions.
+    The weight lends its converted Jacobi matrix, so rules built from one
+    instance share the conversions.
     """
-    if not isinstance(weight_class, ClassicalWeight):
-        weight_class = ClassicalWeight(weight_class)
     if n < 1:
         raise ValueError("a Gauss rule needs at least one node")
     values, firsts = symtridiag_eigen(weight_class.jacobi_matrix(n))

@@ -1,14 +1,18 @@
 """The check layer: one function per check, and the pinned suites over it.
 
 Each check is one function over one instance that returns its records:
-``eigen_sweep`` (per degree), ``algebra_records``, ``gram_records``,
-``norm_records``, ``pearson_records``, ``transform_records`` and
-``limit_check``.  The ``suite_*`` functions run the checks over fixed,
-named parameter sets (module constants, so the command-line runner, the
-tests, and the acceptance gate all exercise literally the same instances),
-and the command-line handlers run the same functions over the parameters a
-user gives.  Every pass or fail is decided here, where a record is built;
-the reports of ``dunklop``, ``quad`` and ``limits`` carry measurements only.
+``eigen_records`` (per degree), ``algebra_records`` (per relation),
+``gram_records``, ``norm_records``, ``pearson_records``,
+``transform_records`` and ``limit_check``.  The ``suite_*`` functions run
+the checks over fixed, named parameter sets and pass the module constants
+(caps, tolerances, sample counts) at call time, so the command-line
+runner, the tests, and the acceptance gate all exercise literally the same
+instances; the command-line handlers run the same functions over the
+parameters a user gives.  The ``eigen`` and ``algebra`` suites fold the
+records of one instance into one, timed as a whole, whose residual names
+the first failing degree or relation.  Every pass or fail is decided here,
+where a record is built; the command line builds no record, and the
+reports of ``dunklop``, ``quad`` and ``limits`` carry measurements only.
 What each eigen-operator token and each algebra means (parameter names,
 builder, eigenvalue, family, default cap) is data in
 ``dunklop.EIGEN_OPERATORS`` and ``dunklop.ALGEBRAS``; the checks here and
@@ -131,7 +135,7 @@ __all__ = [
     "run_batches",
     "run_suites",
     "suite_names",
-    "eigen_sweep",
+    "eigen_records",
     "algebra_records",
     "gram_records",
     "norm_records",
@@ -343,25 +347,27 @@ def suite_construction(memo: RunMemo) -> List[VerificationRecord]:
 # residual on the matching polynomial family.
 
 
-def eigen_sweep(
+def eigen_records(
     token: str,
     params: Mapping[str, Fraction],
     cap: int,
     memo: RunMemo,
     operator: Optional[DunklOperator] = None,
-) -> Iterator[Tuple[int, Fraction, str, float]]:
-    """Check the eigen-equation of ``token`` on P_0..P_cap, degree by degree.
+) -> List[VerificationRecord]:
+    """The eigen-equation of ``token`` on P_0..P_cap: one record per degree.
 
-    Yields ``(n, eigenvalue, residual, millis)`` per degree, where
-    ``residual`` is ``"0"`` (it holds), ``"nonzero"`` or ``"not a polynomial"``.
+    A failing record's residual is ``"nonzero"`` or ``"not a polynomial"``.
     ``operator`` replaces the operator built from ``token`` and ``params``;
     the negative controls pass a corrupted one.  The polynomials come from
     ``memo``.
     """
     spec = EIGEN_OPERATORS[token]
+    family = spec.family(params)
+    label = family.label()
     if operator is None:
         operator = build_operator(token, **params)
-    for n, poly in enumerate(memo.monic(spec.family(params), cap)):
+    records = []
+    for n, poly in enumerate(memo.monic(family, cap)):
         with stopwatch() as ms:
             eigenvalue = expected_eigenvalue(token, n, **params)
             vector = GaussianPoly(poly) if spec.gaussian else poly
@@ -370,36 +376,32 @@ def eigen_sweep(
                 residual = "0" if zero else "nonzero"
             except NotPolynomial:
                 residual = "not a polynomial"
-        yield n, eigenvalue, residual, ms[0]
+        records.append(exact_record("eigencheck", token, label, str(n), millis=ms[0],
+                                    passed=residual == "0", residual=residual))
+    return records
 
 
-def _eigen_record(
-    token: str, params: Mapping[str, Fraction], memo: RunMemo
-) -> VerificationRecord:
-    """The sweep to the token's default cap, stopped at the first failure."""
-    cap = EIGEN_OPERATORS[token].cap
-    passed, residual = True, "0"
+def _summary(suite: str, target: str, params: Mapping[str, Fraction], cap: int,
+             check: Callable[[], List[VerificationRecord]],
+             why: Callable[[VerificationRecord], str]) -> VerificationRecord:
+    """One record for the records of ``check()``, timed as a whole: it
+    passes when they all pass, else ``why`` names the first that fails."""
     with stopwatch() as ms:
-        for n, _, why, _ in eigen_sweep(token, params, cap, memo):
-            if why != "0":
-                passed, residual = False, f"{why} at n={n}"
-                break
-    return exact_record(
-        "eigen",
-        token,
-        format_params(params.items()),
-        f"0..{cap}",
-        millis=ms[0],
-        passed=passed,
-        residual=residual,
-    )
+        first = next((r for r in check() if r.outcome == "fail"), None)
+    return exact_record(suite, target, format_params(params.items()), f"0..{cap}",
+                        millis=ms[0], passed=first is None,
+                        residual=why(first) if first else "")
 
 
 def suite_eigen(memo: RunMemo) -> List[VerificationRecord]:
-    return [
-        _eigen_record(token, dict(zip(EIGEN_OPERATORS[token].params, values)), memo)
-        for token, values in EIGEN_CASES
-    ]
+    records: List[VerificationRecord] = []
+    for token, values in EIGEN_CASES:
+        spec = EIGEN_OPERATORS[token]
+        params = dict(zip(spec.params, values))
+        records.append(_summary("eigen", token, params, spec.cap,
+                                partial(eigen_records, token, params, spec.cap, memo),
+                                lambda r: f"{r.residual} at n={r.degrees}"))
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -437,20 +439,9 @@ def suite_algebra(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for which, values in cases:
         params = dict(zip(ALGEBRAS[which].params, values))
-        with stopwatch() as ms:
-            reports = verify_algebra(which, ALGEBRA_CAP, **params)
-        bad = next((r.relation for r in reports if not r.passed), None)
-        records.append(
-            exact_record(
-                "algebra",
-                which,
-                format_params(params.items()),
-                f"0..{ALGEBRA_CAP}",
-                millis=ms[0],
-                passed=bad is None,
-                residual=f"fails {bad}",
-            )
-        )
+        records.append(_summary("algebra", which, params, ALGEBRA_CAP,
+                                partial(algebra_records, which, ALGEBRA_CAP, params),
+                                lambda r: f"fails {r.target.split(':', 1)[1]}"))
     return records
 
 
@@ -501,9 +492,9 @@ def suite_jacobi(memo: RunMemo) -> List[VerificationRecord]:
 def gram_records(
     family: FamilySpec,
     memo: RunMemo,
-    cap: int = GRAM_CAP,
-    tolerance: float = GRAM_TOLERANCE,
-    suite: str = "orthogonality",
+    cap: int,
+    tolerance: float,
+    suite: str,
 ) -> List[VerificationRecord]:
     """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
     with stopwatch() as ms, _in_double_range(family, f"Gram matrix 0..{cap}"):
@@ -524,7 +515,7 @@ def gram_records(
 def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for family in _quadrature_families():
-        records += gram_records(family, memo)
+        records += gram_records(family, memo, GRAM_CAP, GRAM_TOLERANCE, "orthogonality")
     # Cross-check the quadrature reduction against a direct adaptive
     # integral on generic (non-orthogonal) integrands.
     probe = LaurentPoly({0: F(1), 2: F(1), 3: F(1)})
@@ -558,9 +549,9 @@ def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
 def norm_records(
     family: FamilySpec,
     memo: RunMemo,
-    cap: int = NORM_CAP,
-    exact_cap: int = NORM_EXACT_CAP,
-    tolerance: float = NORM_TOLERANCE,
+    cap: int,
+    exact_cap: int,
+    tolerance: float,
 ) -> List[VerificationRecord]:
     """Quadrature norm ratios against the closed form for n = 1..cap, then
     the closed form against the recurrence coefficient for n = 1..exact_cap."""
@@ -602,7 +593,8 @@ def norm_records(
 
 
 def suite_norms(memo: RunMemo) -> List[VerificationRecord]:
-    return [r for family in _quadrature_families() for r in norm_records(family, memo)]
+    return [r for family in _quadrature_families()
+            for r in norm_records(family, memo, NORM_CAP, NORM_EXACT_CAP, NORM_TOLERANCE)]
 
 
 # --------------------------------------------------------------------------
@@ -611,9 +603,7 @@ def suite_norms(memo: RunMemo) -> List[VerificationRecord]:
 
 
 def pearson_records(
-    family: FamilySpec,
-    samples: int = PEARSON_SAMPLES,
-    tolerance: float = REFLECTION_TOLERANCE,
+    family: FamilySpec, samples: int, tolerance: float
 ) -> List[VerificationRecord]:
     """The exact weight equation and the reflection samples of one weight.
 
@@ -666,7 +656,9 @@ def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]
 
 
 def suite_pearson(memo: RunMemo) -> List[VerificationRecord]:
-    return [r for abc in PEARSON_SETS for r in pearson_records(chihara_family(*abc))]
+    return [r for abc in PEARSON_SETS
+            for r in pearson_records(chihara_family(*abc), PEARSON_SAMPLES,
+                                     REFLECTION_TOLERANCE)]
 
 
 # --------------------------------------------------------------------------
@@ -679,7 +671,7 @@ def transform_records(
     b: Fraction,
     c: Fraction,
     memo: RunMemo,
-    cap: int = TRANSFORM_CAP,
+    cap: int,
 ) -> List[VerificationRecord]:
     """Kernel-transform checks on big -1 Jacobi (a, b, c) up to degree cap.
 
@@ -723,7 +715,7 @@ def transform_records(
 
 
 def suite_transform(memo: RunMemo) -> List[VerificationRecord]:
-    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc, memo)]
+    return [r for abc in TRANSFORM_SETS for r in transform_records(*abc, memo, TRANSFORM_CAP)]
 
 
 # --------------------------------------------------------------------------
@@ -804,8 +796,8 @@ def suite_negative_controls(memo: RunMemo) -> List[VerificationRecord]:
             (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
         )
         detected = any(
-            why != "0"
-            for _, _, why, _ in eigen_sweep("chihara_D", params, 4, memo, operator=bad)
+            r.outcome == "fail"
+            for r in eigen_records("chihara_D", params, 4, memo, operator=bad)
         )
     records.append(
         exact_record(

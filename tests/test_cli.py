@@ -274,6 +274,25 @@ def test_cli_records_equal_pinned_suite_records(capsys):
         ignored = {"millis", "suite"} | ({"params"} if suite == "limits" else set())
         expected = json.loads(emit(ALL_SUITES[suite](RunMemo())[first:stop]))
         assert _without(json.loads(out), ignored) == _without(expected, ignored), argv
+    # eigencheck and algebra emit one record per degree or relation; the
+    # suite folds them into one record over the instance's degree range
+    for argv, suite in [
+        (["eigencheck", "--operator", "chihara_D", "--alpha", "1", "--beta", "1",
+          "--gamma", "1/2", "--eps", "0"], "eigen"),
+        (["algebra", "--which", "chihara", "--alpha", "1", "--beta", "1",
+          "--gamma", "1/2", "--eps", "2/3"], "algebra"),
+    ]:
+        code, out, _ = _run(capsys, argv + ["--json"])
+        assert code == 0, argv
+        rows = json.loads(out)
+        assert {row["outcome"] for row in rows} == {"exact_pass"}, argv
+        last = rows[-1]["degrees"].rsplit(".", 1)[-1]   # "16", or "12" of "0..12"
+        folded = {"suite": suite, "target": argv[2],
+                  "params": ",".join(f"{k[2:]}={v}" for k, v in zip(argv[3::2], argv[4::2])),
+                  "degrees": f"0..{last}", "outcome": "exact_pass", "residual": "0",
+                  "tolerance": "exact"}
+        expected = json.loads(emit(ALL_SUITES[suite](RunMemo())[:1]))
+        assert [folded] == _without(expected, {"millis"}), argv
 
 
 # -- exit statuses ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from dunklpoly.suites import (
     EIGEN_EPS,
     EXT_HERMITE_SETS,
     RunMemo,
-    eigen_sweep,
+    eigen_records,
 )
 
 F = Fraction
@@ -310,14 +310,14 @@ def test_every_eigenvalue_branch_is_sharp(monkeypatch, token):
     spec = EIGEN_OPERATORS[token]
     values = next(v for t, v in EIGEN_CASES if t == token)
     params = dict(zip(spec.params, values))
-    assert all(residual == "0" for _, _, residual, _ in eigen_sweep(token, params, 3, RunMemo()))
+    assert all(r.outcome != "fail" for r in eigen_records(token, params, 3, RunMemo()))
     for bumped in (0, 1):
         def eigenvalue(m, odd, p, bumped=bumped):
             return spec.eigenvalue(m, odd, p) + (1 if odd == bumped else 0)
 
         monkeypatch.setitem(EIGEN_OPERATORS, token, spec._replace(eigenvalue=eigenvalue))
-        failures = [n for n, _, residual, _ in eigen_sweep(token, params, 3, RunMemo())
-                    if residual != "0"]
+        failures = [int(r.degrees) for r in eigen_records(token, params, 3, RunMemo())
+                    if r.outcome == "fail"]
         assert failures == [bumped, bumped + 2], bumped
 
 

@@ -41,7 +41,7 @@ from dunklpoly.quad import (
     verify_pearson,
     weight_for,
 )
-from dunklpoly.suites import RunMemo, norm_records
+from dunklpoly.suites import NORM_TOLERANCE, RunMemo, norm_records
 
 # the Gram and norm families of the pinned suites
 FAMILY_SETS = list(suites._quadrature_families())
@@ -262,28 +262,28 @@ def test_early_exit_node_check_equals_full_count():
 
 
 def test_uniform_rule_one_node():
-    rule = gauss_rule(("jacobi", 0, 0), 1)
+    rule = gauss_rule(ClassicalWeight(("jacobi", 0, 0)), 1)
     assert rule.nodes[0] == pytest.approx(0.5, abs=1e-15)
     assert rule.weights[0] == pytest.approx(1.0, abs=1e-15)
     assert rule.exact_degree == 1
 
 
 def test_uniform_rule_two_nodes():
-    rule = gauss_rule(("jacobi", 0, 0), 2)
+    rule = gauss_rule(ClassicalWeight(("jacobi", 0, 0)), 2)
     off = 1 / (2 * math.sqrt(3))
     assert rule.nodes == pytest.approx([0.5 - off, 0.5 + off], abs=1e-14)
     assert rule.weights == pytest.approx([0.5, 0.5], abs=1e-14)
 
 
 def test_laguerre_rule_one_node():
-    rule = gauss_rule(("generalized_laguerre", 0), 1)
+    rule = gauss_rule(ClassicalWeight(("generalized_laguerre", 0)), 1)
     assert rule.nodes[0] == pytest.approx(1.0, abs=1e-14)
     assert rule.weights[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_laguerre_rule_one_node_shifted():
     # mu_0 = Gamma(a+1), mu_1 = Gamma(a+2) force the node to a+1.
-    rule = gauss_rule(("generalized_laguerre", F(3, 2)), 1)
+    rule = gauss_rule(ClassicalWeight(("generalized_laguerre", F(3, 2))), 1)
     assert rule.nodes[0] == pytest.approx(2.5, abs=1e-13)
     assert rule.weights[0] == pytest.approx(math.gamma(2.5), rel=1e-14)
 
@@ -294,7 +294,7 @@ def test_laguerre_rule_one_node_shifted():
 )
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_rule_invariants(weight_class, n):
-    rule = gauss_rule(weight_class, n)
+    rule = gauss_rule(ClassicalWeight(weight_class), n)
     assert list(rule.nodes) == sorted(rule.nodes)
     assert all(w > 0 for w in rule.weights)
     lo, hi = (0.0, 1.0) if weight_class[0] == "jacobi" else (0.0, math.inf)
@@ -307,7 +307,7 @@ def test_chebyshev_rule_at_a_plus_b_minus_one(n):
     # t = (1+z)/2: nodes sin^2((2k-1) pi / (4n)), weights pi / n.  For n >= 2
     # the rule reads the k = 1 branch of the t recurrence
     # (`families._jacobi01_recurrence`).
-    rule = gauss_rule(("jacobi", F(-1, 2), F(-1, 2)), n)
+    rule = gauss_rule(ClassicalWeight(("jacobi", F(-1, 2), F(-1, 2))), n)
     nodes = [math.sin((2 * k - 1) * math.pi / (4 * n)) ** 2 for k in range(1, n + 1)]
     assert rule.nodes == pytest.approx(nodes, abs=1e-14)
     assert rule.weights == pytest.approx([math.pi / n] * n, rel=1e-13)
@@ -321,15 +321,13 @@ def test_chebyshev_rule_at_a_plus_b_minus_one(n):
 
 def test_rule_rejects_bad_parameters():
     with pytest.raises(ValueError, match="^weight parameters must exceed -1$"):
-        ClassicalWeight(("jacobi", -1, 0))
-    with pytest.raises(ValueError):
-        gauss_rule(("jacobi", -1, 0), 3)
-    with pytest.raises(ValueError):
-        gauss_rule(("generalized_laguerre", F(-5, 4)), 3)
-    with pytest.raises(ValueError):
-        gauss_rule(("jacobi", 0, 0), 0)
-    with pytest.raises(ValueError):
-        gauss_rule(("chebyshev",), 3)
+        gauss_rule(ClassicalWeight(("jacobi", -1, 0)), 3)
+    with pytest.raises(ValueError, match="^weight parameters must exceed -1$"):
+        gauss_rule(ClassicalWeight(("generalized_laguerre", F(-5, 4))), 3)
+    with pytest.raises(ValueError, match="^a Gauss rule needs at least one node$"):
+        gauss_rule(ClassicalWeight(("jacobi", 0, 0)), 0)
+    with pytest.raises(ValueError, match=r"^unknown weight class \('chebyshev',\)$"):
+        gauss_rule(ClassicalWeight(("chebyshev",)), 3)
 
 
 @settings(deadline=None, max_examples=30)
@@ -340,7 +338,7 @@ def test_rule_rejects_bad_parameters():
 )
 def test_rule_moment_property(a, b, n):
     # gauss_rule validates its own moments to 1e-13 relative at build time.
-    rule = gauss_rule(("jacobi", a, b), n)
+    rule = gauss_rule(ClassicalWeight(("jacobi", a, b)), n)
     assert rule.exact_degree == 2 * n - 1
 
 
@@ -352,7 +350,7 @@ def test_weights_equal_christoffel_numbers():
     for _ in range(60):
         weight_class = _random_weight_class(rng)
         n = rng.randint(1, 40)
-        rule = gauss_rule(weight_class, n)
+        rule = gauss_rule(ClassicalWeight(weight_class), n)
         T = _classical_jacobi_matrix(weight_class, n)
         mu0 = CLASSICAL[weight_class[0]].zeroth_moment(*weight_class[1:])
         for node, w in zip(rule.nodes, rule.weights):
@@ -555,7 +553,7 @@ def gram_request(family, N):
 
 def norm_request(family, cap):
     """One norms request; exact_cap=1 reads sub(1) once more."""
-    return norm_records(family, RunMemo(), cap, exact_cap=1)
+    return norm_records(family, RunMemo(), cap, 1, NORM_TOLERANCE)
 
 
 def norm_check(family, n):
@@ -609,7 +607,7 @@ def test_moments_converted_once_per_norms_request(fam, monkeypatch):
 
             counted[name] = count
         monkeypatch.setitem(CLASSICAL, tag, entry._replace(**counted))
-    norm_records(fam, RunMemo(), 12, exact_cap=1)
+    norm_records(fam, RunMemo(), 12, 1, NORM_TOLERANCE)
     assert calls and max(calls.values()) == 1
     assert sum(1 for key in calls if key[0] == "moment_ratio") == 8
 
@@ -644,7 +642,7 @@ def test_shared_norm_tables_equal_per_degree_route(family, cap):
         exact, ratio = norm_ratio_check(spec, n)
         assert (exact, ratio) == _per_degree_norm_ratio(family, n)
         worst = max(worst, abs(ratio / float(exact) - 1.0))
-    [quad_record, _] = norm_records(family, RunMemo(), cap, exact_cap=1)
+    [quad_record, _] = norm_records(family, RunMemo(), cap, 1, NORM_TOLERANCE)
     assert quad_record.residual == repr(worst)
     # grown tables still lend each degree its own leading block
     for n in range(cap - 1, 0, -1):

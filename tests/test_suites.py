@@ -23,8 +23,16 @@ from pathlib import Path
 import pytest
 
 from dunklpoly import cli, quad, suites
+from dunklpoly.dunklop import ALGEBRAS, EIGEN_OPERATORS
 from dunklpoly.families import FAMILIES, chihara_family, gegenbauer_family
-from dunklpoly.report import FIELD_NAMES, emit, parse, stopwatch, worst_outcome
+from dunklpoly.report import (
+    FIELD_NAMES,
+    emit,
+    format_params,
+    parse,
+    stopwatch,
+    worst_outcome,
+)
 from dunklpoly.suites import (
     ALL_SUITES,
     SUITE_NAMES,
@@ -144,6 +152,43 @@ def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
         sub=lambda m, odd, p: chihara.sub(m, odd, p) + (1 if 2 * m + odd == bad else 0)))
     records = suite_jacobi(RunMemo())
     assert [(r.outcome, r.residual) for r in records] == [("fail", residual)] * 3
+
+
+def test_eigen_and_algebra_records_name_the_first_failure_of_the_command(
+        monkeypatch, capsys):
+    # bump the odd branch of chihara_D's eigenvalue, and the constants of two
+    # chihara relations: the pinned record of the first instance names the
+    # first failing degree or relation among the command's records for it
+    eigen = EIGEN_OPERATORS["chihara_D"]
+    monkeypatch.setitem(EIGEN_OPERATORS, "chihara_D", eigen._replace(
+        eigenvalue=lambda m, odd, p: eigen.eigenvalue(m, odd, p) + odd))
+    algebra = ALGEBRAS["chihara"]
+
+    def relations(*params):
+        table = algebra.relations(*params)
+        for i in (-2, -1):
+            name, lhs, rhs = table[i]
+            table[i] = (name, lhs, {**rhs, "": rhs.get("", 0) + 1})
+        return table
+
+    monkeypatch.setitem(ALGEBRAS, "chihara", algebra._replace(relations=relations))
+    values = (*suites.CHIHARA_SETS[0], suites.EIGEN_EPS[0])
+    algebra_values = (*suites.CHIHARA_SETS[0], suites.ALGEBRA_EPS[0])
+    named = []
+    for command, name, params, suite, why in [
+        ("eigencheck --operator", "chihara_D", dict(zip(eigen.params, values)),
+         suites.suite_eigen, lambda r: f"{r.residual} at n={r.degrees}"),
+        ("algebra --which", "chihara", dict(zip(algebra.params, algebra_values)),
+         suites.suite_algebra, lambda r: f"fails {r.target.split(':', 1)[1]}"),
+    ]:
+        argv = command.split() + [name] + [f"--{k}={v}" for k, v in params.items()]
+        assert cli.run(argv + ["--json"]) == 1
+        first = next(r for r in parse(capsys.readouterr().out) if r.outcome == "fail")
+        [record] = [r for r in suite(RunMemo())
+                    if (r.target, r.params) == (name, format_params(params.items()))]
+        assert (record.outcome, record.residual) == ("fail", why(first))
+        named.append(record.residual)
+    assert named == ["nonzero at n=1", "fails bracket-position-commutator"]
 
 
 def test_records_match_golden_digest(all_records):
@@ -277,7 +322,8 @@ def test_pearson_records_time_each_condition():
     # the weight equation and the reflection samples are timed on their own,
     # not given half each of the whole call
     with stopwatch() as ms:
-        records = pearson_records(chihara_family(1, 2, F(1, 3)), samples=200)
+        records = pearson_records(chihara_family(1, 2, F(1, 3)), 200,
+                                  suites.REFLECTION_TOLERANCE)
     assert [r.target for r in records] == ["weight-equation", "reflection-samples"]
     assert all(r.millis > 0 for r in records)
     assert records[0].millis != records[1].millis
