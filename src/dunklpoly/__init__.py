@@ -46,7 +46,7 @@ from .dunklop import (
     expected_eigenvalue,
     verify_algebra,
 )
-from .report import VerificationRecord, emit, parse, worst_outcome
+from .report import VerificationRecord, emit, parse
 from .suites import ALL_SUITES, SUITE_NAMES, run_suites
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "VerificationRecord",
     "emit",
     "parse",
-    "worst_outcome",
     "ALL_SUITES",
     "SUITE_NAMES",
     "run_suites",

@@ -19,7 +19,8 @@ Outcome vocabulary and the invariants enforced at construction:
 * ``float_pass``  -- a floating-point residual was at or below the stated
   tolerance (both serialized losslessly via ``repr``).
 * ``fail``        -- anything else; residual and tolerance record what was
-  measured against what.
+  measured against what.  An exact fail (tolerance ``"exact"``) never
+  carries the residual ``"0"``.
 
 Rationals are serialized as canonical ``p/q`` strings, never floats, so the
 audit trail of exact suites is lossless.  Collection is append-only behind a
@@ -80,17 +81,17 @@ class VerificationRecord:
         if self.outcome == "float_pass":
             if float(self.residual) > float(self.tolerance):
                 raise ValueError("float_pass requires residual <= tolerance")
+        if self.outcome == "fail" and self.tolerance == "exact" and self.residual == "0":
+            raise ValueError("an exact fail requires a nonzero residual")
 
 
 def exact_record(suite: str, target: str, params: str, degrees: str,
-                 millis: float = 0.0, passed: bool = True,
-                 residual: str = "0") -> VerificationRecord:
-    """Record of an exact rational check (outcome fail if ``passed`` False)."""
-    if passed:
-        return VerificationRecord(suite, target, params, degrees,
-                                  "exact_pass", "0", "exact", millis)
-    return VerificationRecord(suite, target, params, degrees,
-                              "fail", residual, "exact", millis)
+                 millis: float = 0.0, residual: str = "0") -> VerificationRecord:
+    """Record of an exact rational check: ``exact_pass`` exactly when its
+    ``residual`` is ``"0"``, else ``fail`` carrying the residual."""
+    outcome = "exact_pass" if residual == "0" else "fail"
+    return VerificationRecord(suite, target, params, degrees, outcome, residual,
+                              "exact", millis)
 
 
 def float_record(suite: str, target: str, params: str, degrees: str,
@@ -176,16 +177,6 @@ def parse(blob: Union[bytes, str], format: str = "json") -> List[VerificationRec
         kwargs["millis"] = float(kwargs["millis"])
         out.append(VerificationRecord(**kwargs))
     return out
-
-
-def worst_outcome(records: Iterable[VerificationRecord]) -> str:
-    """``fail`` if any record failed, else the weakest pass seen."""
-    ranking = {"exact_pass": 0, "float_pass": 1, "fail": 2}
-    worst = "exact_pass"
-    for record in records:
-        if ranking[record.outcome] > ranking[worst]:
-            worst = record.outcome
-    return worst
 
 
 assert tuple(f.name for f in fields(VerificationRecord)) == FIELD_NAMES

@@ -1,6 +1,6 @@
 """The check layer: one function per check, and the pinned suites over it.
 
-Each check is one function over one instance that returns its records:
+Each public check is one function over one instance that returns its records:
 ``eigen_records`` (per degree), ``algebra_records`` (per relation),
 ``gram_records``, ``norm_records``, ``pearson_records``,
 ``transform_records`` and ``limit_check``.  The ``suite_*`` functions run
@@ -20,15 +20,23 @@ the command line read it from there.
 
 Design notes
 ------------
-* Exact checks (construction equivalence, eigen-equations, algebra
-  relations, the Jacobi connection, transform round-trips) produce
-  ``exact_pass``/``fail`` records: the residual is an exact object and the
-  test is ``is_zero`` / ``==``, never a float comparison.
-* Float checks (Gram matrices, norm ratios, weight reflection samples,
-  limit convergence orders) produce ``float_pass``/``fail`` records whose
-  residual and tolerance are recorded verbatim.
-* Every record carries the wall time of the work behind it, measured with
-  ``report.stopwatch``.
+* Behind each record is one check: a private function that returns the
+  record's residual (nested in ``transform_records``, whose four checks
+  share the round trip's lists).  An exact check (construction
+  equivalence, eigen-equations, the Jacobi connection, transform
+  round-trips, exact norm ratios, the negative controls) tests with
+  ``is_zero`` / ``==``, never a float comparison, and returns ``"0"`` when
+  it holds, else what failed: ``"nonzero"``, ``"not a polynomial"``,
+  ``"even half fails at n=..."``, ``"undetected"``.  A float check (Gram
+  matrices, norm ratios, the reduction oracle) returns the measured float.
+* Two builders, ``_timed_exact`` and ``_timed_float``, run one check under
+  one ``report.stopwatch`` and build its record, so every record carries
+  the wall time of the work behind it.  An exact record passes exactly
+  when its residual is ``"0"``; a float record when its residual is at
+  most the tolerance, both recorded verbatim.  ``algebra_records`` and
+  ``pearson_records`` take their times from the reports of ``dunklop``
+  and ``quad``, and ``limit_check`` and the beta-stability record keep
+  their own stopwatch.
 * A float check that leaves the double range names the family and the
   degree or sample point in its ``ArithmeticError`` (``_in_double_range``).
 
@@ -307,6 +315,22 @@ def _quadrature_families() -> Tuple[FamilySpec, ...]:
     )
 
 
+def _timed_exact(suite: str, target: str, params: str, degrees: str,
+                 check: Callable[..., str], *args: object) -> VerificationRecord:
+    """The record of ``check(*args)``, an exact residual, timed."""
+    with stopwatch() as ms:
+        residual = check(*args)
+    return exact_record(suite, target, params, degrees, ms[0], residual)
+
+
+def _timed_float(suite: str, target: str, params: str, degrees: str, tolerance: float,
+                 check: Callable[..., float], *args: object) -> VerificationRecord:
+    """The record of ``check(*args)``, a float residual against ``tolerance``, timed."""
+    with stopwatch() as ms:
+        residual = check(*args)
+    return float_record(suite, target, params, degrees, residual, tolerance, ms[0])
+
+
 _CONSTRUCTION_SETS: Dict[str, Tuple[Tuple[Fraction, ...], ...]] = {
     "chihara": CHIHARA_SETS,
     "cbi": CBI_SETS,
@@ -320,25 +344,19 @@ _CONSTRUCTION_SETS: Dict[str, Tuple[Tuple[Fraction, ...], ...]] = {
 # Criterion: explicit hypergeometric formulas match the recurrence exactly.
 
 
+def _construction(family: FamilySpec, cap: int, memo: RunMemo) -> str:
+    polys = memo.monic(family, cap)
+    ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
+    return "0" if ok else "nonzero"
+
+
 def suite_construction(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     for name, cap in CONSTRUCTION_CAPS:
         for params in _CONSTRUCTION_SETS[name]:
             family = FAMILIES[name].build(*params)
-            with stopwatch() as ms:
-                polys = memo.monic(family, cap)
-                ok = all(explicit_poly(family, n) == polys[n] for n in range(cap + 1))
-            records.append(
-                exact_record(
-                    "construction",
-                    family.name,
-                    family.label(),
-                    f"0..{cap}",
-                    millis=ms[0],
-                    passed=ok,
-                    residual="nonzero",
-                )
-            )
+            records.append(_timed_exact("construction", family.name, family.label(),
+                                        f"0..{cap}", _construction, family, cap, memo))
     return records
 
 
@@ -366,19 +384,25 @@ def eigen_records(
     label = family.label()
     if operator is None:
         operator = build_operator(token, **params)
-    records = []
-    for n, poly in enumerate(memo.monic(family, cap)):
-        with stopwatch() as ms:
-            eigenvalue = expected_eigenvalue(token, n, **params)
-            vector = GaussianPoly(poly) if spec.gaussian else poly
-            try:
-                zero = eigencheck(operator, vector, eigenvalue).is_zero
-                residual = "0" if zero else "nonzero"
-            except NotPolynomial:
-                residual = "not a polynomial"
-        records.append(exact_record("eigencheck", token, label, str(n), millis=ms[0],
-                                    passed=residual == "0", residual=residual))
-    return records
+    return [_timed_exact("eigencheck", token, label, str(n), _eigen_equation,
+                         token, params, operator, spec.gaussian, n, poly)
+            for n, poly in enumerate(memo.monic(family, cap))]
+
+
+def _eigen_equation(token: str, params: Mapping[str, Fraction], operator: DunklOperator,
+                    gaussian: bool, n: int, poly: LaurentPoly) -> str:
+    eigenvalue = expected_eigenvalue(token, n, **params)
+    vector = GaussianPoly(poly) if gaussian else poly
+    try:
+        return "0" if eigencheck(operator, vector, eigenvalue).is_zero else "nonzero"
+    except NotPolynomial:
+        return "not a polynomial"
+
+
+def _first_failure(check: Callable[[], List[VerificationRecord]],
+                   why: Callable[[VerificationRecord], str]) -> str:
+    first = next((r for r in check() if r.outcome == "fail"), None)
+    return why(first) if first else "0"
 
 
 def _summary(suite: str, target: str, params: Mapping[str, Fraction], cap: int,
@@ -386,11 +410,8 @@ def _summary(suite: str, target: str, params: Mapping[str, Fraction], cap: int,
              why: Callable[[VerificationRecord], str]) -> VerificationRecord:
     """One record for the records of ``check()``, timed as a whole: it
     passes when they all pass, else ``why`` names the first that fails."""
-    with stopwatch() as ms:
-        first = next((r for r in check() if r.outcome == "fail"), None)
-    return exact_record(suite, target, format_params(params.items()), f"0..{cap}",
-                        millis=ms[0], passed=first is None,
-                        residual=why(first) if first else "")
+    return _timed_exact(suite, target, format_params(params.items()), f"0..{cap}",
+                        _first_failure, check, why)
 
 
 def suite_eigen(memo: RunMemo) -> List[VerificationRecord]:
@@ -419,15 +440,9 @@ def algebra_records(
     reports = verify_algebra(which, cap, **params)
     label = format_params(params.items())
     return [
-        exact_record(
-            "algebra",
-            f"{which}:{report.relation}",
-            label,
-            f"0..{cap}",
-            millis=report.millis,
-            passed=report.passed,
-            residual=f"first failure at degree {report.first_failure}",
-        )
+        exact_record("algebra", f"{which}:{report.relation}", label, f"0..{cap}",
+                     report.millis,
+                     "0" if report.passed else f"first failure at degree {report.first_failure}")
         for report in reports
     ]
 
@@ -450,37 +465,31 @@ def suite_algebra(memo: RunMemo) -> List[VerificationRecord]:
 # polynomials in t = x^2 - gamma^2.
 
 
+def _jacobi_halves(family: FamilySpec, cap: int, memo: RunMemo, x: LaurentPoly,
+                   recurrence: Callable[..., Tuple[Fraction, Fraction]],
+                   a: Fraction, b: Fraction) -> str:
+    gamma = family.p["gamma"]
+    polys = memo.monic(family, 2 * cap + 1)
+    t = x * x - LaurentPoly.const(gamma * gamma)
+    even = monic_list(partial(recurrence, a, b), cap)
+    odd = monic_list(partial(recurrence, a + 1, b), cap)
+    for n in range(cap + 1):
+        if polys[2 * n] != even[n].compose(t):
+            return f"even half fails at n={n}"
+        if polys[2 * n + 1] != (x - gamma) * odd[n].compose(t):
+            return f"odd half fails at n={n}"
+    return "0"
+
+
 def suite_jacobi(memo: RunMemo) -> List[VerificationRecord]:
     records: List[VerificationRecord] = []
     x = LaurentPoly.x()
     for alpha, beta, gamma in JACOBI_SETS:
         family = chihara_family(alpha, beta, gamma)
         tag, a, b = FAMILIES["chihara"].reduced(family.p)
-        recurrence = CLASSICAL[tag].recurrence
-        with stopwatch() as ms:
-            polys = memo.monic(family, 2 * JACOBI_CAP + 1)
-            t = x * x - LaurentPoly.const(gamma * gamma)
-            even = monic_list(partial(recurrence, a, b), JACOBI_CAP)
-            odd = monic_list(partial(recurrence, a + 1, b), JACOBI_CAP)
-            residual = "0"
-            for n in range(JACOBI_CAP + 1):
-                if polys[2 * n] != even[n].compose(t):
-                    residual = f"even half fails at n={n}"
-                    break
-                if polys[2 * n + 1] != (x - gamma) * odd[n].compose(t):
-                    residual = f"odd half fails at n={n}"
-                    break
-        records.append(
-            exact_record(
-                "jacobi",
-                "chihara",
-                family.label(),
-                f"0..{2 * JACOBI_CAP + 1}",
-                millis=ms[0],
-                passed=residual == "0",
-                residual=residual,
-            )
-        )
+        records.append(_timed_exact("jacobi", "chihara", family.label(),
+                                    f"0..{2 * JACOBI_CAP + 1}", _jacobi_halves, family,
+                                    JACOBI_CAP, memo, x, CLASSICAL[tag].recurrence, a, b))
     return records
 
 
@@ -497,19 +506,21 @@ def gram_records(
     suite: str,
 ) -> List[VerificationRecord]:
     """Worst off-diagonal entry of the quadrature Gram matrix of P_0..P_cap."""
-    with stopwatch() as ms, _in_double_range(family, f"Gram matrix 0..{cap}"):
-        worst = gram_offdiag_worst(gram_matrix(memo.weight(family), cap))
-    return [
-        float_record(
-            suite,
-            family.name,
-            family.label(),
-            f"0..{cap}",
-            residual=worst,
-            tolerance=tolerance,
-            millis=ms[0],
-        )
-    ]
+    return [_timed_float(suite, family.name, family.label(), f"0..{cap}", tolerance,
+                         _gram_worst, family, memo, cap)]
+
+
+def _gram_worst(family: FamilySpec, memo: RunMemo, cap: int) -> float:
+    with _in_double_range(family, f"Gram matrix 0..{cap}"):
+        return gram_offdiag_worst(gram_matrix(memo.weight(family), cap))
+
+
+def _reduction_error(family: FamilySpec, memo: RunMemo, probe: LaurentPoly,
+                     mate: LaurentPoly) -> float:
+    spec = memo.weight(family)
+    reduced = inner_product(spec, probe, mate)
+    raw = raw_inner_product(spec, probe, mate)
+    return abs(reduced - raw) / max(abs(raw), 1e-300)
 
 
 def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
@@ -522,22 +533,9 @@ def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
     mate = LaurentPoly({1: F(1), 2: F(1)})
     for alpha, beta, gamma in ((F(1), F(1), F(1, 2)), (F(1, 2), F(3, 4), F(1, 3))):
         family = chihara_family(alpha, beta, gamma)
-        with stopwatch() as ms:
-            spec = memo.weight(family)
-            reduced = inner_product(spec, probe, mate)
-            raw = raw_inner_product(spec, probe, mate)
-            rel = abs(reduced - raw) / max(abs(raw), 1e-300)
-        records.append(
-            float_record(
-                "orthogonality",
-                "reduction-oracle",
-                family.label(),
-                "integrand deg 3",
-                residual=rel,
-                tolerance=REDUCTION_TOLERANCE,
-                millis=ms[0],
-            )
-        )
+        records.append(_timed_float("orthogonality", "reduction-oracle", family.label(),
+                                    "integrand deg 3", REDUCTION_TOLERANCE,
+                                    _reduction_error, family, memo, probe, mate))
     return records
 
 
@@ -555,41 +553,28 @@ def norm_records(
 ) -> List[VerificationRecord]:
     """Quadrature norm ratios against the closed form for n = 1..cap, then
     the closed form against the recurrence coefficient for n = 1..exact_cap."""
-    with stopwatch() as ms:
-        worst = 0.0
-        spec = memo.weight(family)
-        for n in range(1, cap + 1):
-            with _in_double_range(family, f"norm ratio at degree {n}"):
-                exact, quad = norm_ratio_check(spec, n)
-                worst = max(worst, abs(quad / float(exact) - 1.0))
-    records = [
-        float_record(
-            "norms",
-            family.name,
-            family.label(),
-            f"1..{cap}",
-            residual=worst,
-            tolerance=tolerance,
-            millis=ms[0],
-        )
+    label = family.label()
+    return [
+        _timed_float("norms", family.name, label, f"1..{cap}", tolerance,
+                     _norm_ratio_worst, family, memo, cap),
+        _timed_exact("norms", family.name + "-ratio-identity", label, f"1..{exact_cap}",
+                     _norm_ratio_identity, family, exact_cap),
     ]
-    with stopwatch() as ms:
-        ok = all(
-            norm_ratio_exact(family, n) == family.sub(n)
-            for n in range(1, exact_cap + 1)
-        )
-    records.append(
-        exact_record(
-            "norms",
-            family.name + "-ratio-identity",
-            family.label(),
-            f"1..{exact_cap}",
-            millis=ms[0],
-            passed=ok,
-            residual="nonzero",
-        )
-    )
-    return records
+
+
+def _norm_ratio_worst(family: FamilySpec, memo: RunMemo, cap: int) -> float:
+    worst = 0.0
+    spec = memo.weight(family)
+    for n in range(1, cap + 1):
+        with _in_double_range(family, f"norm ratio at degree {n}"):
+            exact, quad = norm_ratio_check(spec, n)
+            worst = max(worst, abs(quad / float(exact) - 1.0))
+    return worst
+
+
+def _norm_ratio_identity(family: FamilySpec, exact_cap: int) -> str:
+    ok = all(norm_ratio_exact(family, n) == family.sub(n) for n in range(1, exact_cap + 1))
+    return "0" if ok else "nonzero"
 
 
 def suite_norms(memo: RunMemo) -> List[VerificationRecord]:
@@ -614,24 +599,11 @@ def pearson_records(
     with _in_double_range(family, "Pearson conditions"):
         report = verify_pearson(family, samples_per_side=samples)
     return [
-        exact_record(
-            "pearson",
-            "weight-equation",
-            family.label(),
-            "weight",
-            millis=report.ode_millis,
-            passed=report.ode_exact,
-            residual="nonzero",
-        ),
-        float_record(
-            "pearson",
-            "reflection-samples",
-            family.label(),
-            f"{report.reflection_samples} points",
-            residual=report.reflection_worst,
-            tolerance=tolerance,
-            millis=report.reflection_millis,
-        ),
+        exact_record("pearson", "weight-equation", family.label(), "weight",
+                     report.ode_millis, "0" if report.ode_exact else "nonzero"),
+        float_record("pearson", "reflection-samples", family.label(),
+                     f"{report.reflection_samples} points", report.reflection_worst,
+                     tolerance, report.reflection_millis),
     ]
 
 
@@ -682,35 +654,42 @@ def transform_records(
     """
     family = big_m1_jacobi_family(a, b, c)
     label = family.label()
-    with stopwatch() as ms:
+    # P_0..P_cap+1, their ratios and the kernels K_0..K_cap, built by the
+    # round trip and read by the other three checks
+    polys: List[LaurentPoly] = []
+    a_ratios: List[Fraction] = []
+    c_ratios: List[Fraction] = []
+    kernels: List[LaurentPoly] = []
+
+    def roundtrip() -> str:
+        nonlocal polys, a_ratios, c_ratios, kernels
         polys = memo.monic(family, cap + 1)
         a_ratios, c_ratios = split_ratios(family, cap + 1)
         kernels = christoffel(polys, a_ratios)
         back = geronimus(kernels, c_ratios)
-        ok = all(back[n] == polys[n] for n in range(len(back)))
-    records = [exact_record("transform", "roundtrip", label, f"0..{len(back) - 1}",
-                            millis=ms[0], passed=ok, residual="nonzero")]
-    with stopwatch() as ms:
-        ok = all(
-            polys[n + 1].evaluate(F(1)) == a_ratios[n] * polys[n].evaluate(F(1))
-            for n in range(cap + 1)
-        )
-    records.append(exact_record("transform", "evaluation-at-one", label, f"0..{cap}",
-                                millis=ms[0], passed=ok, residual="nonzero"))
-    kmap = kernel_map(a, b, c)
-    with stopwatch() as ms:
-        ok = all(r.is_zero for r in kernel_to_chihara(kmap, kernels))
-    records.append(exact_record("transform", "chihara-map", label,
-                                f"0..{len(kernels) - 1}", millis=ms[0], passed=ok,
-                                residual="nonzero"))
-    with stopwatch() as ms:
+        return "0" if all(back[n] == polys[n] for n in range(len(back))) else "nonzero"
+
+    def evaluation_at_one() -> str:
+        ok = all(polys[n + 1].evaluate(F(1)) == a_ratios[n] * polys[n].evaluate(F(1))
+                 for n in range(cap + 1))
+        return "0" if ok else "nonzero"
+
+    def chihara_map() -> str:
+        return "0" if all(r.is_zero for r in kernel_to_chihara(kmap, kernels)) else "nonzero"
+
+    def coefficient_identity() -> str:
         sigma = chihara_family(kmap.alpha, kmap.beta, 0)
-        ok = all(
-            sigma.sub(n) * (1 - c * c) == a_ratios[n] * c_ratios[n]
-            for n in range(1, cap + 1)
-        )
-    records.append(exact_record("transform", "coefficient-identity", label, f"1..{cap}",
-                                millis=ms[0], passed=ok, residual="nonzero"))
+        ok = all(sigma.sub(n) * (1 - c * c) == a_ratios[n] * c_ratios[n]
+                 for n in range(1, cap + 1))
+        return "0" if ok else "nonzero"
+
+    records = [_timed_exact("transform", "roundtrip", label, f"0..{cap}", roundtrip),
+               _timed_exact("transform", "evaluation-at-one", label, f"0..{cap}",
+                            evaluation_at_one)]
+    kmap = kernel_map(a, b, c)
+    records.append(_timed_exact("transform", "chihara-map", label, f"0..{cap}", chihara_map))
+    records.append(_timed_exact("transform", "coefficient-identity", label, f"1..{cap}",
+                                coefficient_identity))
     return records
 
 
@@ -784,59 +763,41 @@ def suite_limits(memo: RunMemo) -> List[VerificationRecord]:
 # have teeth.
 
 
-def suite_negative_controls(memo: RunMemo) -> List[VerificationRecord]:
-    records: List[VerificationRecord] = []
+def _perturbed_eigen_operator(params: Mapping[str, Fraction], memo: RunMemo) -> str:
+    """Perturb the reflection-free first-derivative term of the eigenvalue
+    operator by one unit and confirm the eigen-equation check fails."""
+    bad = build_operator("chihara_D", **params) + DunklOperator(
+        (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
+    )
+    records = eigen_records("chihara_D", params, 4, memo, operator=bad)
+    return "0" if any(r.outcome == "fail" for r in records) else "undetected"
 
-    # Perturb the reflection-free first-derivative term of the eigenvalue
-    # operator by one unit and confirm the eigen-equation check fails.
+
+def _perturbed_transform_ratio(family: FamilySpec, memo: RunMemo) -> str:
+    """Perturb one Christoffel ratio by one unit and confirm the kernel
+    construction rejects the now-inconsistent division."""
+    polys = memo.monic(family, 6)
+    a_ratios, _ = split_ratios(family, 6)
+    corrupted = list(a_ratios)
+    corrupted[2] = corrupted[2] + 1
+    try:
+        christoffel(polys, corrupted)
+    except NotDivisible:
+        return "0"
+    return "undetected"
+
+
+def suite_negative_controls(memo: RunMemo) -> List[VerificationRecord]:
     alpha, beta, gamma = CHIHARA_SETS[0]
     params = {"alpha": alpha, "beta": beta, "gamma": gamma, "eps": F(2, 3)}
-    with stopwatch() as ms:
-        bad = build_operator("chihara_D", **params) + DunklOperator(
-            (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
-        )
-        detected = any(
-            r.outcome == "fail"
-            for r in eigen_records("chihara_D", params, 4, memo, operator=bad)
-        )
-    records.append(
-        exact_record(
-            "negative-controls",
-            "perturbed-eigen-operator",
-            format_params(params.items()),
-            "0..4",
-            millis=ms[0],
-            passed=detected,
-            residual="undetected",
-        )
-    )
-
-    # Perturb one Christoffel ratio by one unit and confirm the kernel
-    # construction rejects the now-inconsistent division.
-    a, b, c = TRANSFORM_SETS[0]
-    fam = big_m1_jacobi_family(a, b, c)
-    with stopwatch() as ms:
-        polys = memo.monic(fam, 6)
-        a_ratios, _ = split_ratios(fam, 6)
-        corrupted = list(a_ratios)
-        corrupted[2] = corrupted[2] + 1
-        detected = False
-        try:
-            christoffel(polys, corrupted)
-        except NotDivisible:
-            detected = True
-    records.append(
-        exact_record(
-            "negative-controls",
-            "perturbed-transform-ratio",
-            fam.label(),
-            "0..5",
-            millis=ms[0],
-            passed=detected,
-            residual="undetected",
-        )
-    )
-    return records
+    family = big_m1_jacobi_family(*TRANSFORM_SETS[0])
+    return [
+        _timed_exact("negative-controls", "perturbed-eigen-operator",
+                     format_params(params.items()), "0..4",
+                     _perturbed_eigen_operator, params, memo),
+        _timed_exact("negative-controls", "perturbed-transform-ratio", family.label(),
+                     "0..5", _perturbed_transform_ratio, family, memo),
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dunklpoly.report import (
@@ -17,7 +17,6 @@ from dunklpoly.report import (
     parse,
     rational_str,
     stopwatch,
-    worst_outcome,
 )
 
 
@@ -60,10 +59,6 @@ def test_csv_row_count_and_header():
 def test_mixed_outcomes():
     records = _mixed_records()
     assert [r.outcome for r in records] == ["exact_pass", "float_pass", "fail"]
-    assert worst_outcome(records) == "fail"
-    assert worst_outcome(records[:2]) == "float_pass"
-    assert worst_outcome(records[:1]) == "exact_pass"
-    assert worst_outcome([]) == "exact_pass"
 
 
 @pytest.mark.parametrize("format", ["json", "csv"])
@@ -90,6 +85,17 @@ def test_exact_pass_requires_zero_residual():
         VerificationRecord("s", "t", "p", "0..4", "exact_pass", "0.1", "exact", 0.0)
     with pytest.raises(ValueError):
         VerificationRecord("s", "t", "p", "0..4", "exact_pass", "0", "1e-10", 0.0)
+
+
+def test_exact_fail_requires_nonzero_residual():
+    with pytest.raises(ValueError, match="nonzero residual"):
+        VerificationRecord("s", "t", "p", "0..4", "fail", "0", "exact", 0.0)
+    row = ('[{"suite": "s", "target": "t", "params": "p", "degrees": "0..4", '
+           '"outcome": "fail", "residual": "0", "tolerance": "exact", "millis": 0.0}]')
+    with pytest.raises(ValueError, match="nonzero residual"):
+        parse(row)
+    # a float fail may read "0" against any tolerance text
+    VerificationRecord("s", "t", "p", "0..4", "fail", "0", "x", 0.0)
 
 
 def test_float_pass_requires_residual_within_tolerance():
@@ -123,10 +129,19 @@ def test_float_record_outcome_split():
 
 
 def test_failed_exact_record_carries_residual():
-    record = exact_record("s", "t", "p", "0..4", passed=False, residual="1/2")
+    record = exact_record("s", "t", "p", "0..4", residual="1/2")
     assert record.outcome == "fail"
     assert record.residual == "1/2"
     assert record.tolerance == "exact"
+
+
+def test_exact_record_passes_exactly_on_zero_residual():
+    # millis keeps its place, so a positional wall time still means millis
+    assert exact_record("s", "t", "p", "0..4", 2.5, "0") == VerificationRecord(
+        "s", "t", "p", "0..4", "exact_pass", "0", "exact", 2.5)
+    for residual in ("nonzero", "not a polynomial", "undetected", "", "0.0"):
+        record = exact_record("s", "t", "p", "0..4", 2.5, residual)
+        assert (record.outcome, record.residual, record.millis) == ("fail", residual, 2.5)
 
 
 def test_stopwatch_measures_nonnegative_millis():
@@ -173,8 +188,9 @@ _millis = st.floats(min_value=0.0) | st.integers(0, 10**20) | st.sampled_from(
 
 @st.composite
 def _any_records(draw):
-    text = [draw(_texts) for _ in range(5)]
-    return VerificationRecord(*text[:4], "fail", text[4], draw(_texts), draw(_millis))
+    text = [draw(_texts) for _ in range(6)]
+    assume(text[4:] != ["0", "exact"])   # the one self-contradictory fail
+    return VerificationRecord(*text[:4], "fail", *text[4:], draw(_millis))
 
 
 def _dumped(records):

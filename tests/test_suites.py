@@ -17,6 +17,7 @@ Expected record counts are frozen from the pinned parameter tables:
 
 import hashlib
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -31,16 +32,18 @@ from dunklpoly.report import (
     format_params,
     parse,
     stopwatch,
-    worst_outcome,
 )
 from dunklpoly.suites import (
     ALL_SUITES,
     SUITE_NAMES,
     RunMemo,
     algebra_records,
+    gram_records,
     pearson_records,
     run_suites,
+    suite_construction,
     suite_jacobi,
+    transform_records,
 )
 
 EXPECTED_COUNTS = {
@@ -97,8 +100,8 @@ def test_outcome_kinds(all_records):
     for name in ALL_FLOAT:
         assert {r.outcome for r in all_records[name]} == {"float_pass"}
     # Mixed suites pair one exact check with one float check per instance.
-    assert worst_outcome(all_records["norms"]) == "float_pass"
-    assert worst_outcome(all_records["pearson"]) == "float_pass"
+    assert {r.outcome for r in all_records["norms"]} == {"exact_pass", "float_pass"}
+    assert {r.outcome for r in all_records["pearson"]} == {"exact_pass", "float_pass"}
     assert sum(r.outcome == "exact_pass" for r in all_records["norms"]) == 8
     assert sum(r.outcome == "exact_pass" for r in all_records["pearson"]) == 5
 
@@ -152,6 +155,39 @@ def test_jacobi_suite_detects_corrupted_sub(monkeypatch, bad, residual):
         sub=lambda m, odd, p: chihara.sub(m, odd, p) + (1 if 2 * m + odd == bad else 0)))
     records = suite_jacobi(RunMemo())
     assert [(r.outcome, r.residual) for r in records] == [("fail", residual)] * 3
+
+
+def _plus_one(check):
+    return lambda *args: check(*args) + 1
+
+
+def _each_plus_one(check):
+    return lambda *args: [value + 1 for value in check(*args)]
+
+
+@pytest.mark.parametrize("name, corrupt, suite, target, residual", [
+    ("explicit_poly", _plus_one, "construction", "", "nonzero"),
+    ("norm_ratio_exact", _plus_one, "norms", "-ratio-identity", "nonzero"),
+    ("geronimus", _each_plus_one, "transform", "roundtrip", "nonzero"),
+    ("kernel_to_chihara", _each_plus_one, "transform", "chihara-map", "nonzero"),
+    # christoffel no longer rejects the perturbed ratio
+    ("christoffel", lambda check: lambda *args: [], "negative-controls",
+     "perturbed-transform-ratio", "undetected"),
+    # the eigen-equations run on the unperturbed operator and all pass
+    ("eigen_records", lambda check: lambda token, params, cap, memo, operator:
+     check(token, params, cap, memo), "negative-controls", "perturbed-eigen-operator",
+     "undetected"),
+], ids=["explicit_poly", "norm_ratio_exact", "geronimus", "kernel_to_chihara",
+        "christoffel", "eigen_records"])
+def test_exact_checks_name_their_failing_residual(monkeypatch, name, corrupt, suite,
+                                                  target, residual):
+    # a corrupted step of one exact check fails that check's records with
+    # its residual, and leaves the other records of the suite passing
+    monkeypatch.setattr(suites, name, corrupt(getattr(suites, name)))
+    records = ALL_SUITES[suite](RunMemo())
+    hit = [(r.outcome, r.residual) for r in records if r.target.endswith(target)]
+    assert hit and set(hit) == {("fail", residual)}
+    assert all(r.outcome != "fail" for r in records if not r.target.endswith(target))
 
 
 def test_eigen_and_algebra_records_name_the_first_failure_of_the_command(
@@ -328,3 +364,34 @@ def test_pearson_records_time_each_condition():
     assert all(r.millis > 0 for r in records)
     assert records[0].millis != records[1].millis
     assert sum(r.millis for r in records) <= ms[0]
+
+
+def test_transform_records_time_each_check():
+    # the round trip, evaluation, Chihara map and coefficient identity are
+    # each timed on their own
+    with stopwatch() as ms:
+        records = transform_records(F(1), F(1), F(3, 5), RunMemo(), 6)
+    assert [r.target for r in records] == [
+        "roundtrip", "evaluation-at-one", "chihara-map", "coefficient-identity"]
+    assert all(r.millis > 0 for r in records)
+    assert sum(r.millis for r in records) <= ms[0]
+
+
+@pytest.mark.parametrize("name, check", [
+    ("explicit_poly", suite_construction),
+    ("gram_offdiag_worst", lambda memo: gram_records(
+        chihara_family(1, 1, F(1, 2)), memo, 4, suites.GRAM_TOLERANCE, "gram")),
+], ids=["construction", "gram"])
+def test_record_time_covers_its_check(monkeypatch, name, check):
+    # a sleep in the check's work shows in the record's wall time; the
+    # construction suite shrinks to three records of one degree each
+    monkeypatch.setattr(suites, "CONSTRUCTION_CAPS", (("gen_hermite", 0),))
+    work = getattr(suites, name)
+
+    def slow(*args):
+        time.sleep(0.02)
+        return work(*args)
+
+    monkeypatch.setattr(suites, name, slow)
+    records = check(RunMemo())
+    assert records and all(r.millis >= 20 for r in records)
