@@ -36,7 +36,10 @@ Conventions
   non-finite Gram entry or norm, or a division by a value that underflowed
   to zero; the check layer names the family and the degree, entry or
   sample point).  ``weight-sample`` evaluates every sample before it
-  prints the CSV.  Identical argv produce identical
+  prints the CSV.  Standard output closed by its reader before the output
+  is written (``| head -1``) exits 141, the 128 + SIGPIPE a shell reports
+  for a tool that signal ended, with nothing on stderr; the rest of the
+  output is dropped.  Identical argv produce identical
   records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use, and
@@ -51,6 +54,7 @@ Conventions
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -95,6 +99,7 @@ from .suites import (
 __all__ = ["run", "main", "build_parser"]
 
 PROG = "dunklpoly"
+STDOUT_CLOSED = 141   # 128 + SIGPIPE
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -233,6 +238,8 @@ def _deliver(records: Sequence[VerificationRecord], args: argparse.Namespace) ->
         out.write(emit(records, fmt) + b"\n")
         out.flush()
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError) and args._out is None:
+            raise   # stdout's reader went away: ``run`` exits STDOUT_CLOSED
         raise UsageError(f"cannot write {dest}: {exc.strerror}") from exc
 
 
@@ -506,7 +513,32 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse argv and execute; returns the exit status (0, 1, 2 or 3)."""
+    """Parse argv and execute; returns the exit status (0, 1, 2, 3 or 141).
+    What the request wrote to stdout is flushed before it returns."""
+    try:
+        status = _run(argv)
+        if sys.stdout is not None:   # None when the process began with no stdout
+            sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return STDOUT_CLOSED
+    return status
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at ``os.devnull``, so that the
+    interpreter's final flush of what stdout still buffers is silent.  An
+    in-process stream with no descriptor is left to its owner."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):   # io.UnsupportedOperation is a ValueError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     try:

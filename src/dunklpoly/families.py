@@ -303,9 +303,16 @@ def _laguerre_reduced(p: Mapping[str, Fraction]) -> Tuple:
 
 def _chihara_weight(p: Mapping[str, float]) -> Callable[[float], float]:
     g, a, b = p["gamma"], p["alpha"], p["beta"]
-    return lambda x: (
-        math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
-    )
+    gg = g * g
+    edge = 1 + gg
+    copysign = math.copysign
+
+    def weight(x: float) -> float:
+        # sign(x) (x+g) (x^2-g^2)^a (1+g^2-x^2)^b, each square formed once
+        xx = x * x
+        return copysign(1.0, x) * (x + g) * (xx - gg) ** a * (edge - xx) ** b
+
+    return weight
 
 
 def _gegenbauer_weight(p: Mapping[str, float]) -> Callable[[float], float]:

@@ -29,9 +29,9 @@ deflation at off-diagonal entries below 1e-15 of the matrix scale (sweep
 cap 10^4).  Nodes are the eigenvalues, weights ``mu0`` times the squared
 first eigenvector components; only that first row is rotated, so a rule
 costs O(n^2).  Every node is checked by Sturm counts (the inertia of
-``T - x I`` within 1e-12 of the scale on either side), each stopping once
-it reaches i + 1, the only value it is compared with, and every rule
-against closed-form moments up to degree ``min(2n-1, 8)``.
+``T - x I`` within 1e-12 of the scale on either side): one pass over the
+rows runs the pivot chains of both brackets of a node, and every rule is
+checked against closed-form moments up to degree ``min(2n-1, 8)``.
 
 The formulas are data in ``families``: a family's ``FAMILIES`` entry holds
 its reduced weight, pointwise weight and support text, and the ``CLASSICAL``
@@ -52,9 +52,11 @@ each, converted on demand and once, so the per-degree rules of a norms
 request, sharing one spec, share every conversion.  A reduced weight also
 keeps each Gauss rule it builds, by size, so the specs built over one
 ``ClassicalWeight`` share its tables and rules; which checks share one is
-decided by the caller (``suites.RunMemo``), not here.  All of this performs
-the same float operations in the same order as the straightforward loops,
-so every value is the same bit for bit.
+decided by the caller (``suites.RunMemo``), not here.  All of this, the QL
+sweep (which carries ``d[i+1]`` and ``z[i+1]`` between rotations in locals)
+and the one-pass node brackets included, performs the same float operations
+in the same order as the straightforward loops, so every value, and every
+error raised, is the same bit for bit.
 
 Gamma functions are avoided in all norm *ratios* (they cancel into
 Pochhammer products over the rationals); the platform Gamma function
@@ -101,8 +103,8 @@ class SymTridiag:
     def __post_init__(self):
         if len(self.offdiag) != max(len(self.diag) - 1, 0):
             raise ValueError("offdiag must be one entry shorter than diag")
-        object.__setattr__(self, "diag", tuple(float(v) for v in self.diag))
-        object.__setattr__(self, "offdiag", tuple(float(v) for v in self.offdiag))
+        object.__setattr__(self, "diag", tuple(map(float, self.diag)))
+        object.__setattr__(self, "offdiag", tuple(map(float, self.offdiag)))
 
     @property
     def scale(self) -> float:
@@ -119,17 +121,16 @@ class SymTridiag:
         return worst
 
 
-def symtridiag_eigen(
-    T: SymTridiag, max_sweeps: int = MAX_SWEEPS
-) -> Tuple[List[float], List[float]]:
+def symtridiag_eigen(T: SymTridiag) -> Tuple[List[float], List[float]]:
     """Eigenvalues (ascending) and first components of the unit eigenvectors.
 
     Implicit-shift QL with deflation at off-diagonal entries below
     ``1e-15 * scale``.  Only row 0 of the eigenvector matrix is rotated: a
     Givens rotation acts on each row on its own, so the first components are
     bit for bit those of the full-matrix iteration, at O(n^2) work.  Each
-    eigenvalue is verified by Sturm counts (``_check_nodes``); a sweep-cap
-    overflow or a failed count raises ``NoConvergence``.
+    eigenvalue is verified by Sturm counts (``_check_nodes``); more than
+    ``MAX_SWEEPS`` sweeps (read at call time) or a failed count raises
+    ``NoConvergence``.
     """
     n = len(T.diag)
     if n == 0:
@@ -141,25 +142,32 @@ def symtridiag_eigen(
     e = list(T.offdiag) + [0.0]
     z = [1.0] + [0.0] * (n - 1)
     threshold = SPLIT_THRESHOLD * scale
-    hypot = math.hypot
+    below = -threshold
+    max_sweeps = MAX_SWEEPS
+    hypot, copysign = math.hypot, math.copysign
+    last = n - 1
     sweeps = 0
     for l in range(n):
         while True:
+            # |e[m]| > threshold as two comparisons; a nan ends the scan
             m = l
-            while m < n - 1 and abs(e[m]) > threshold:
+            while m < last and (e[m] > threshold or e[m] < below):
                 m += 1
             if m == l:
                 break
             sweeps += 1
             if sweeps > max_sweeps:
                 raise NoConvergence(f"QL sweep cap {max_sweeps} exceeded")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            d_l = d[l]
+            e_l = e[l]
+            g = (d[l + 1] - d_l) / (2.0 * e_l)
             r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            # d_next and z_next carry d[i + 1] and z[i + 1] between rotations;
+            # each is stored once the sweep moves past it
+            d_next = d[m]
+            g = d_next - d_l + e_l / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            # z_next carries z[i + 1] between rotations; it is stored once
-            # the sweep moves past it
             z_next = z[m]
             for i in range(m - 1, l - 1, -1):
                 e_i = e[i]
@@ -168,16 +176,18 @@ def symtridiag_eigen(
                 r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
-                    d[i + 1] -= p
+                    d[i + 1] = d_next - p
                     e[m] = 0.0
                     z[i + 1] = z_next
                     break
                 s = f / r
                 c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                g = d_next - p
+                d_i = d[i]
+                r = (d_i - g) * s + 2.0 * c * b
                 p = s * r
                 d[i + 1] = g + p
+                d_next = d_i
                 g = c * r - b
                 f = z_next
                 z_i = z[i]
@@ -185,54 +195,49 @@ def symtridiag_eigen(
                 z_next = c * z_i - s * f
             else:
                 z[l] = z_next
-                d[l] -= p
+                d[l] = d_next - p
                 e[l] = g
                 e[m] = 0.0
-    order = sorted(range(n), key=lambda i: d[i])
+    order = sorted(range(n), key=d.__getitem__)
     values = [d[i] for i in order]
     _check_nodes(T, values, scale)
     return values, [z[i] for i in order]
 
 
-def _sturm_pairs(T: SymTridiag) -> List[Tuple[float, float]]:
-    """(diag_k, offdiag_(k-1)^2) per row of T, with 0.0 for row 0."""
-    return list(zip(T.diag, [0.0] + [b * b for b in T.offdiag]))
-
-
-def _negative_pivots(pairs: Sequence[Tuple[float, float]], x: float, stop: int) -> int:
-    """Negative pivots of the LDL^T factorization of T - x I, counted up to
-    ``stop``: the number of eigenvalues of T below x when that is smaller
-    (Sylvester inertia; Golub & Van Loan, §8.4)."""
-    count = 0
-    pivot = 1.0
-    for a, bb in pairs:
-        pivot = a - x - bb / pivot
-        if pivot == 0.0:
-            pivot = -sys.float_info.min
-        if pivot < 0.0:
-            count += 1
-            if count == stop:
-                break
-    return count
-
-
-def _sturm_count(T: SymTridiag, x: float) -> int:
-    """Number of eigenvalues of T below x."""
-    return _negative_pivots(_sturm_pairs(T), x, len(T.diag) + 1)
-
-
 def _check_nodes(T: SymTridiag, values: Sequence[float], scale: float) -> None:
     """Each ascending eigenvalue lambda_i must bracket eigenvalue i of T:
     fewer than i + 1 below lambda_i - delta, at least i + 1 below
-    lambda_i + delta, with delta = ``NODE_MARGIN * scale``.  Both tests only
-    compare a count with i + 1, so each count stops when it reaches i + 1."""
+    lambda_i + delta, with delta = ``NODE_MARGIN * scale``.
+
+    A count below x is the number of negative pivots of the LDL^T
+    factorization of T - x I (Sylvester inertia; Golub & Van Loan, §8.4),
+    a zero pivot replaced by the negative ``-float_info.min``.  One pass over
+    the rows runs both pivot chains of a node.  A count only grows, so its
+    comparison with i + 1 reads the same at the last row as at the row
+    where it first reaches i + 1.
+    """
     delta = NODE_MARGIN * scale
-    pairs = _sturm_pairs(T)
+    rows = list(zip(T.diag, [0.0] + [b * b for b in T.offdiag]))
+    tiny = -sys.float_info.min
     for i, lam in enumerate(values):
-        if (
-            _negative_pivots(pairs, lam - delta, i + 1) > i
-            or _negative_pivots(pairs, lam + delta, i + 1) < i + 1
-        ):
+        lo = lam - delta
+        hi = lam + delta
+        below_lo = below_hi = 0
+        pivot_lo = pivot_hi = 1.0
+        for a, bb in rows:
+            pivot_lo = a - lo - bb / pivot_lo
+            if pivot_lo < 0.0:
+                below_lo += 1
+            elif pivot_lo == 0.0:
+                pivot_lo = tiny
+                below_lo += 1
+            pivot_hi = a - hi - bb / pivot_hi
+            if pivot_hi < 0.0:
+                below_hi += 1
+            elif pivot_hi == 0.0:
+                pivot_hi = tiny
+                below_hi += 1
+        if below_lo > i or below_hi < i + 1:
             raise NoConvergence(
                 f"node {i} at {lam!r} fails the Sturm count within "
                 f"{NODE_MARGIN:.0e} * {scale:.3e}"
@@ -350,7 +355,7 @@ def gauss_rule(weight_class: ClassicalWeight, n: int) -> QuadratureRule:
     [mu0] = weight_class.moments(1)
     rule = QuadratureRule(
         nodes=tuple(values),
-        weights=tuple(mu0 * v * v for v in firsts),
+        weights=tuple([mu0 * v * v for v in firsts]),
         exact_degree=2 * n - 1,
     )
     _validate_moments(rule, weight_class)
@@ -734,7 +739,8 @@ def verify_pearson(family: FamilySpec, samples_per_side: int) -> PearsonReport:
             wx = weight_value(xx)
             wmx = weight_value(-xx)
             relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
-            worst = max(worst, relative)
+            if relative > worst:   # as max(worst, relative): a nan is skipped
+                worst = relative
             count += 1
     return PearsonReport(
         ode_exact=ode_exact,

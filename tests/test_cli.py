@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -476,6 +477,94 @@ def test_weight_sample_prints_nothing_when_a_sample_fails(capsys):
     assert code == 3
     assert out == ""
     assert "OverflowError" in err
+
+
+class _ClosedPipe(io.RawIOBase):
+    """Raw stdout whose reader is gone: each write raises BrokenPipeError
+    until ``reader_gone`` is cleared."""
+
+    reader_gone = True
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.reader_gone:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(data)
+
+
+@pytest.mark.parametrize("argv", [
+    # the table's header line, printed through ``_say``
+    ["suite", "--only", "jacobi"],
+    # the records, written by ``_deliver``; the one failing record is not
+    # reported once stdout is gone
+    ["suite", "--only", "jacobi", "--json", "-"],
+    ["gram", "--family", "gen_hermite", "--mu", "3/2", "--cap", "4", "--tolerance", "0",
+     "--csv", "-"],
+    ["weight-sample", "--family", "gen_hermite", "--mu", "3/2", "--points", "2"],
+    ["gram", "--help"],
+])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    raw = _ClosedPipe()
+    out = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", line_buffering=True)
+    err = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    raw.reader_gone = False   # lets ``out`` close without a second error
+    out.close()
+    assert code == cli.STDOUT_CLOSED == 141
+    assert err.getvalue() == ""
+
+
+def test_a_process_without_stdout_runs_as_before(monkeypatch):
+    # started with descriptor 1 closed, the interpreter sets sys.stdout to
+    # None and print writes nothing; run must not flush it
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run(["coeffs", "--family", "chihara", "--alpha", "1", "--beta", "1",
+                "--gamma", "1/2", "--n", "2"]) == 0
+
+
+def _closed_early(argv, lines, unbuffered):
+    """Run the console entry point, read ``lines`` lines of its stdout, close
+    that pipe and wait: (exit status, stderr).  With ``unbuffered`` each
+    write reaches the pipe at once, as under PYTHONUNBUFFERED=1; without it
+    stdout is block-buffered, as it is by default on a pipe."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from dunklpoly.cli import main; main()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("argv, lines, unbuffered", [
+    # 40,001 lines, far more than a pipe holds: the writer meets the closed
+    # pipe whatever the timing
+    (["weight-sample", "--family", "gen_hermite", "--mu", "3/2", "--points", "20000"], 1, True),
+    # closed before the interpreter has even imported the package, so the
+    # one write of the records meets the closed pipe
+    (["suite", "--only", "jacobi,pearson", "--json", "-"], 0, True),
+    # block-buffered: the output meets the closed pipe in ``run``'s flush,
+    # not in the interpreter's final one
+    (["coeffs", "--family", "chihara", "--alpha", "1", "--beta", "1", "--gamma", "1/2",
+      "--n", "2"], 0, False),
+    (["gram", "--help"], 0, False),
+])
+def test_closed_stdout_pipe_ends_the_process_quietly(argv, lines, unbuffered):
+    code, err = _closed_early(argv, lines, unbuffered)
+    assert code == 141
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

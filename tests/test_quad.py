@@ -5,7 +5,9 @@ import inspect
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -90,9 +92,11 @@ def test_eigen_random_trace_and_frobenius():
         assert sum(v * v for v in values) == pytest.approx(frobenius, rel=1e-11)
 
 
-def test_eigen_sweep_cap_raises():
-    with pytest.raises(NoConvergence):
-        symtridiag_eigen(SymTridiag((0.0, 0.0), (1.0,)), max_sweeps=0)
+def test_eigen_sweep_cap_raises(monkeypatch):
+    # the cap is read at call time
+    monkeypatch.setattr(quad, "MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence, match="^QL sweep cap 0 exceeded$"):
+        symtridiag_eigen(SymTridiag((0.0, 0.0), (1.0,)))
 
 
 def test_symtridiag_shape_validation():
@@ -208,11 +212,32 @@ def test_moved_node_fails_symtridiag_eigen(monkeypatch):
         symtridiag_eigen(T)
 
 
+def _negative_pivots(T, x, stop):
+    """Reference: negative pivots of the LDL^T factorization of T - x I,
+    a zero pivot replaced by -float_info.min, counted up to ``stop``."""
+    count = 0
+    pivot = 1.0
+    for a, bb in zip(T.diag, [0.0] + [b * b for b in T.offdiag]):
+        pivot = a - x - bb / pivot
+        if pivot == 0.0:
+            pivot = -sys.float_info.min
+        if pivot < 0.0:
+            count += 1
+            if count == stop:
+                break
+    return count
+
+
+def _sturm_count(T, x):
+    """Reference: the number of eigenvalues of T below x, every pivot counted."""
+    return _negative_pivots(T, x, len(T.diag) + 1)
+
+
 def test_sturm_count_brackets_closed_form_eigenvalues():
     # eigenvalues of the 3 x 3 matrix with zero diagonal: 0, +-a sqrt 2
     T = SymTridiag((0.0, 0.0, 0.0), (0.7, 0.7))
     edge = 0.7 * math.sqrt(2)
-    counts = [quad._sturm_count(T, x) for x in (-2.0, -edge + 1e-9, 1e-9, edge + 1e-9)]
+    counts = [_sturm_count(T, x) for x in (-2.0, -edge + 1e-9, 1e-9, edge + 1e-9)]
     assert counts == [0, 1, 2, 3]
 
 
@@ -221,7 +246,7 @@ def _full_count_check_nodes(T, values, scale):
     sequences before comparing with i + 1."""
     delta = quad.NODE_MARGIN * scale
     for i, lam in enumerate(values):
-        if quad._sturm_count(T, lam - delta) > i or quad._sturm_count(T, lam + delta) < i + 1:
+        if _sturm_count(T, lam - delta) > i or _sturm_count(T, lam + delta) < i + 1:
             raise NoConvergence(
                 f"node {i} at {lam!r} fails the Sturm count within "
                 f"{quad.NODE_MARGIN:.0e} * {scale:.3e}"
@@ -971,3 +996,313 @@ def test_pearson_reflection_equals_per_sample_weight_values(alpha, beta, gamma, 
 def test_pearson_rejects_other_families():
     with pytest.raises(ValueError):
         verify_pearson(gen_hermite_family(F(1, 2)), 12)
+
+
+# -- the tuned loops against their plain forms -----------------------------------------
+# Test-local copies of the loops that ``symtridiag_eigen``, ``_check_nodes``,
+# ``gauss_rule``, ``verify_pearson`` and the chihara weight ran before the
+# interpreter work around their float operations was cut.  The operations,
+# their operands and their order are the same, so each result must be the
+# same bit for bit and each exception the same, message included.
+
+
+def _plain_eigen(T):
+    """Reference: the QL sweep that read every d[i] from the list, scanned
+    for a split with ``abs`` and sorted with a lambda."""
+    n = len(T.diag)
+    if n == 0:
+        return [], []
+    scale = T.scale
+    if scale == 0.0:
+        return [0.0] * n, [1.0] + [0.0] * (n - 1)
+    d = list(T.diag)
+    e = list(T.offdiag) + [0.0]
+    z = [1.0] + [0.0] * (n - 1)
+    threshold = quad.SPLIT_THRESHOLD * scale
+    max_sweeps = quad.MAX_SWEEPS
+    sweeps = 0
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > threshold:
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > max_sweeps:
+                raise NoConvergence(f"QL sweep cap {max_sweeps} exceeded")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            z_next = z[m]
+            for i in range(m - 1, l - 1, -1):
+                e_i = e[i]
+                f = s * e_i
+                b = c * e_i
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    z[i + 1] = z_next
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z_next
+                z_i = z[i]
+                z[i + 1] = s * z_i + c * f
+                z_next = c * z_i - s * f
+            else:
+                z[l] = z_next
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    order = sorted(range(n), key=lambda i: d[i])
+    values = [d[i] for i in order]
+    _plain_check_nodes(T, values, scale)
+    return values, [z[i] for i in order]
+
+
+def _plain_check_nodes(T, values, scale):
+    """Reference: one pivot chain per count, each stopping at i + 1."""
+    delta = quad.NODE_MARGIN * scale
+    for i, lam in enumerate(values):
+        if (
+            _negative_pivots(T, lam - delta, i + 1) > i
+            or _negative_pivots(T, lam + delta, i + 1) < i + 1
+        ):
+            raise NoConvergence(
+                f"node {i} at {lam!r} fails the Sturm count within "
+                f"{quad.NODE_MARGIN:.0e} * {scale:.3e}"
+            )
+
+
+def _plain_gauss_rule(weight, n):
+    """Reference: ``gauss_rule`` over the plain sweep, weights from a generator."""
+    values, firsts = _plain_eigen(weight.jacobi_matrix(n))
+    [mu0] = weight.moments(1)
+    rule = QuadratureRule(tuple(values), tuple(mu0 * v * v for v in firsts), 2 * n - 1)
+    quad._validate_moments(rule, weight)
+    return rule
+
+
+def _plain_chihara_weight(p):
+    """Reference: the chihara weight as one lambda."""
+    g, a, b = p["gamma"], p["alpha"], p["beta"]
+    return lambda x: (
+        math.copysign(1.0, x) * (x + g) * (x * x - g * g) ** a * (1 + g * g - x * x) ** b
+    )
+
+
+def _plain_reflection(family, samples_per_side, weight=_plain_chihara_weight):
+    """Reference: condition (ii) of ``verify_pearson`` over the lambda weight,
+    the worst ratio kept by ``max``: (samples, worst)."""
+    spec = weight_for(family)
+    g = float(spec.gamma)
+    weight_value = weight({key: float(v) for key, v in family.params})
+    worst = 0.0
+    count = 0
+    for xx in spec.midpoints(samples_per_side):
+        wx = weight_value(xx)
+        wmx = weight_value(-xx)
+        relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
+        worst = max(worst, relative)
+        count += 1
+    return count, worst
+
+
+def _bits(value):
+    """Floats as ``float.hex`` (so -0.0 and nan count), containers element
+    by element, anything else (a complex power) by ``repr``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+def _outcome(call, *args):
+    """("ok", bits of the result) or (exception type, message)."""
+    try:
+        result = call(*args)
+    except (ArithmeticError, NoConvergence, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, QuadratureRule):
+        result = (result.nodes, result.weights, result.exact_degree)
+    return "ok", _bits(result)
+
+
+_above_minus_one = st.fractions(min_value=-1, max_value=12, max_denominator=16).filter(
+    lambda v: v > -1)
+_reduced_weights = st.one_of(
+    st.tuples(st.just("jacobi"), _above_minus_one, _above_minus_one),
+    st.tuples(st.just("generalized_laguerre"), _above_minus_one),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(weight_class=_reduced_weights, n=st.integers(1, 60))
+def test_tuned_gauss_rule_equals_plain_loops(weight_class, n):
+    weight = ClassicalWeight(weight_class)
+    T = weight.jacobi_matrix(n)
+    assert _outcome(symtridiag_eigen, T) == _outcome(_plain_eigen, T)
+    # fresh instances: ``rule`` would hand back the rule of the first call
+    assert (_outcome(gauss_rule, ClassicalWeight(weight_class), n)
+            == _outcome(_plain_gauss_rule, ClassicalWeight(weight_class), n))
+
+
+# zeros, subnormals and the smallest normal: with every entry this small the
+# split threshold underflows to 0.0, and rotations meet r == 0.0
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-310, 2.2250738585072014e-308)
+_tiny_or_plain = st.sampled_from(_TINY) | st.floats(-2, 2)
+
+
+@st.composite
+def _tridiagonals(draw):
+    entries = _tiny_or_plain if draw(st.booleans()) else st.sampled_from(_TINY)
+    n = draw(st.integers(1, 10))
+    return SymTridiag(tuple(draw(st.lists(entries, min_size=n, max_size=n))),
+                      tuple(draw(st.lists(entries, min_size=n - 1, max_size=n - 1))))
+
+
+@settings(deadline=None, max_examples=120)
+@given(T=_tridiagonals(), cap=st.sampled_from((0, 1, 3, quad.MAX_SWEEPS)))
+def test_tuned_sweep_equals_plain_loop_on_tiny_entries(T, cap):
+    with mock.patch.object(quad, "MAX_SWEEPS", cap):
+        assert _outcome(symtridiag_eigen, T) == _outcome(_plain_eigen, T)
+
+
+def _zero_rotation_lines():
+    """Line numbers of the ``r == 0.0`` branch of ``symtridiag_eigen``."""
+    lines, start = inspect.getsourcelines(symtridiag_eigen)
+    return {start + k for k, line in enumerate(lines) if "d[i + 1] = d_next - p" in line}
+
+
+@pytest.mark.parametrize("T", [
+    SymTridiag((1e-320, -5e-324, 2.2250738585072014e-308), (2.2250738585072014e-308, 1e-320)),
+    SymTridiag((-0.0, 5e-324, -5e-324), (1e-310, -5e-324)),
+    SymTridiag((0.0, 0.0, 0.0, 5e-324, 5e-324), (0.0, 0.0, 1e-310, -5e-324)),
+    SymTridiag((-5e-324, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308),
+               (1e-320, 1e-320, 1e-320, -0.0)),
+])
+def test_zero_rotation_branch_is_taken_and_equals_plain_loop(T):
+    branch, seen = _zero_rotation_lines(), set()
+    code = symtridiag_eigen.__code__
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def lines(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return lines
+        return lines
+
+    sys.settrace(trace)
+    try:
+        tuned = _outcome(symtridiag_eigen, T)
+    finally:
+        sys.settrace(None)
+    assert branch and branch <= seen
+    assert tuned == _outcome(_plain_eigen, T)
+
+
+@st.composite
+def _moved_nodes(draw):
+    if draw(st.booleans()):
+        T = ClassicalWeight(draw(_reduced_weights)).jacobi_matrix(draw(st.integers(1, 30)))
+    else:
+        n = draw(st.integers(1, 12))
+        diag = st.floats(-2, 2) | st.just(-0.0)
+        T = SymTridiag(tuple(draw(st.lists(diag, min_size=n, max_size=n))),
+                       tuple(draw(st.lists(st.floats(-2, 2), min_size=n - 1, max_size=n - 1))))
+    try:
+        values, _ = _plain_eigen(T)
+    except NoConvergence:   # a drawn matrix whose own nodes fail
+        values = sorted(T.diag)
+    moves = draw(st.lists(st.tuples(
+        st.integers(0, len(values) - 1),
+        st.sampled_from((1e-14, -1e-14, 1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3)),
+    ), max_size=3))
+    for i, shift in moves:
+        values[i] += shift * T.scale
+    # a node where one chain runs at x = 0.0, so that a diagonal -0.0 makes
+    # a -0.0 pivot, or a node that is not finite
+    special = (quad.NODE_MARGIN * T.scale, -quad.NODE_MARGIN * T.scale,
+               math.nan, math.inf, -math.inf)
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(special))
+    return T, values
+
+
+@settings(deadline=None, max_examples=100)
+@given(_moved_nodes())
+def test_one_pass_node_check_equals_two_early_stop_counts(case):
+    T, values = case
+    assert (_outcome(quad._check_nodes, T, values, T.scale)
+            == _outcome(_plain_check_nodes, T, values, T.scale))
+
+
+def _reflection(family, samples):
+    report = verify_pearson(family, samples)
+    return report.reflection_samples, report.reflection_worst
+
+
+@pytest.mark.parametrize("T", [SymTridiag((-0.0,), ()), SymTridiag((-0.0, 1.0), (0.5,)),
+                               SymTridiag((-0.0, 0.0, -0.0), (0.0, 0.5))])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_node_check_replaces_a_negative_zero_pivot(T, side):
+    # node 0 at -+delta runs one chain at x = 0.0 exactly, where the
+    # diagonal -0.0 gives the pivot -0.0 - 0.0 - 0.0 / 1.0 = -0.0
+    delta = quad.NODE_MARGIN * T.scale
+    values = [side * delta] + sorted(T.diag)[1:]
+    assert (_outcome(quad._check_nodes, T, values, T.scale)
+            == _outcome(_plain_check_nodes, T, values, T.scale))
+
+
+_pearson_exponent = _above_minus_one | st.sampled_from((F(1000), F(-999, 1000)))
+_pearson_gamma = st.fractions(min_value=-3, max_value=3, max_denominator=12) | st.sampled_from(
+    (F(1000), F(-1000), F(1, 1000)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(alpha=_pearson_exponent, beta=_pearson_exponent, gamma=_pearson_gamma,
+       samples=st.integers(1, 60))
+def test_pearson_reflection_equals_plain_max_loop(alpha, beta, gamma, samples):
+    family = chihara_family(alpha, beta, gamma)
+    assert _outcome(_reflection, family, samples) == _outcome(_plain_reflection, family, samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("where", [0, 1, 5])
+def test_pearson_reflection_skips_nan_as_max_does(bad, where, monkeypatch):
+    # a weight that is nan, inf or 0.0 at one sample: inf / inf is a nan
+    # ratio, which ``max`` and the comparison both skip; 0.0 divides by zero
+    def weight(p):
+        plain = _plain_chihara_weight(p)
+        xs = list(spec.midpoints(4))
+        return lambda x: bad if x == xs[where] else plain(x)
+
+    family = chihara_family(1, 2, F(1, 3))
+    spec = weight_for(family)
+    monkeypatch.setitem(FAMILIES, "chihara", FAMILIES["chihara"]._replace(weight=weight))
+    assert _outcome(_reflection, family, 4) == _outcome(_plain_reflection, family, 4, weight)
+
+
+@settings(deadline=None, max_examples=150)
+@given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3), gamma=st.floats(-3, 3),
+       x=st.floats(-4, 4) | st.sampled_from((0.0, -0.0, 1.0, -1.0)))
+def test_chihara_weight_equals_plain_lambda(alpha, beta, gamma, x):
+    # x anywhere, in the support or not: a negative base gives a complex
+    # power and 0.0 to a negative power raises, in both forms alike
+    p = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    assert (_outcome(FAMILIES["chihara"].weight(p), x)
+            == _outcome(_plain_chihara_weight(p), x))
