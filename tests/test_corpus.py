@@ -3,10 +3,11 @@ stdout, stderr and ``--json -`` records held in ``data/corpus_golden.json``.
 
 Each argv runs in-process through ``cli.run``; a command that writes records
 runs a second time with ``--json -`` appended, unless the argv already picks
-a format.  The golden file holds the sha256 of each stream, the three timing
-fields masked: JSON ``"millis"``, the last column of CSV records and the
-``ms`` column of the ``suite`` table.  The test names the first argv and
-stream that differ.
+a format.  The word ``PATH`` in an argv stands for a fresh temporary path,
+and the file written there is digested as a fourth stream.  The golden file
+holds the sha256 of each stream, the three timing fields masked: JSON
+``"millis"``, the last column of CSV records and the ``ms`` column of the
+``suite`` table.  The test names the first argv and stream that differ.
 
 The golden file changes only with a deliberate change of behaviour, and
 then every argv whose entry changed is listed in CHANGES.md.  This file
@@ -20,6 +21,7 @@ import hashlib
 import io
 import json
 import re
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -75,9 +77,14 @@ def observe(line):
     """The golden entry of one corpus line."""
     argv = line.split()
     command = argv[0]
-    status, out, err = _run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records"
+        argv = [str(path) if word == "PATH" else word for word in argv]
+        status, out, err = _run(argv)
+        written = path.read_bytes() if path.exists() else None
     entry = {"status": status, "stdout": _digest(command, out),
-             "stderr": _digest(command, err), "records": None}
+             "stderr": _digest(command, err), "records": None,
+             "file": None if written is None else _digest(command, written)}
     if _writes_records(command) and not {"--json", "--csv"} & set(argv):
         entry["records"] = _digest(command, _run(argv + ["--json", "-"])[1])
     return entry
