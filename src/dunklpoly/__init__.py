@@ -41,6 +41,7 @@ from .dunklop import (
     EIGEN_OPERATORS,
     DunklOperator,
     GaussianPoly,
+    algebra_relations,
     build_operator,
     eigencheck,
     expected_eigenvalue,
@@ -73,6 +74,7 @@ __all__ = [
     "build_operator",
     "expected_eigenvalue",
     "eigencheck",
+    "algebra_relations",
     "verify_algebra",
     "ALGEBRAS",
     "EIGEN_OPERATORS",

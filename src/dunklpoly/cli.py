@@ -231,8 +231,8 @@ def _format_destination(args: argparse.Namespace) -> Tuple[Optional[str], Option
 
 def _deliver(records: Sequence[VerificationRecord], args: argparse.Namespace) -> None:
     fmt, dest = _format_destination(args)
-    if fmt is None:
-        return
+    if fmt is None or (args._out is None and sys.stdout is None):
+        return   # no stdout to write to, as for ``print``
     out = args._out or sys.stdout.buffer
     try:
         out.write(emit(records, fmt) + b"\n")

@@ -73,28 +73,30 @@ it through the closed square
 so no operator is composed symbolically; the tests check both against
 nested application of D^mu.
 
-``verify_algebra`` checks the quadratic algebra relations satisfied by
-(eigenoperator, multiplication by x, P) by applying both sides of each
-relation to every monomial x^j up to a degree cap; all arithmetic is exact,
-so a relation either holds identically on that space or fails at a specific
+The quadratic algebra relations satisfied by (eigenoperator,
+multiplication by x, P) are checked by applying both sides of each relation
+to every monomial x^j up to a degree cap; all arithmetic is exact, so a
+relation either holds identically on that space or fails at a specific
 monomial.  ``ALGEBRAS`` holds each algebra as data: the ``EIGEN_OPERATORS``
 token of K, whose parameter names are the algebra's, and a function that
 takes those parameters in order and returns only the relations
-``(name, lhs, rhs)``.  ``verify_algebra`` builds K by its token with
-``build_operator`` and P = ``parity_involution(gamma)``.  Each side maps a
-word to its coefficient; a word is a string over K, X (times x), P and
-B = KX - XK that acts right to left ("KP" is f -> K(P(f)), "" the
-identity).  A new algebra is one relations function, which reuses
+``(name, lhs, rhs)``.  Each side maps a word to its coefficient; a word is
+a string over K, X (times x), P and B = KX - XK that acts right to left
+("KP" is f -> K(P(f)), "" the identity).  ``algebra_relations`` builds K by
+its token with ``build_operator`` and P = ``parity_involution(gamma)``, and
+turns each side into a function on polynomials; ``verify_algebra`` runs one
+relation over the monomials and returns the first degree where its sides
+differ.  A new algebra is one relations function, which reuses
 ``_involution_relations``, and one ``ALGEBRAS`` entry; the CLI and the
 algebra suite read its names from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (
     LaurentPoly,
@@ -116,7 +118,6 @@ from .families import (
     gegenbauer_family,
     gen_hermite_family,
 )
-from .report import stopwatch
 
 X = LaurentPoly.x()
 
@@ -528,17 +529,6 @@ def eigencheck(op: DunklOperator, vec, eigenvalue: Scalar):
 # -- quadratic algebra relations ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraRelationReport:
-    relation: str
-    first_failure: int | None
-    millis: float = field(compare=False)  # wall time of this relation's check
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
-
-
 Applier = Callable[[LaurentPoly], LaurentPoly]
 Combination = Dict[str, Scalar]  # word over K, X, P, B -> coefficient
 Relation = Tuple[str, Combination, Combination]  # (name, lhs, rhs)
@@ -628,41 +618,33 @@ def _letters(K: DunklOperator, P: DunklOperator) -> Dict[str, Applier]:
     }
 
 
-def _relation_report(
-    name: str, lhs: Applier, rhs: Applier, degree_cap: int
-) -> AlgebraRelationReport:
-    first_failure = None
-    with stopwatch() as ms:
-        for j in range(degree_cap + 1):
-            mono = LaurentPoly.monomial(j)
-            if lhs(mono) != rhs(mono):
-                first_failure = j
-                break
-    return AlgebraRelationReport(relation=name, first_failure=first_failure, millis=ms[0])
+def algebra_relations(which: str, **params: Scalar) -> List[Tuple[str, Applier, Applier]]:
+    """The relations of ``ALGEBRAS[which]`` as ``(name, lhs, rhs)``, each
+    side a function on polynomials.
 
-
-def verify_algebra(
-    which: str, degree_cap: int, **params: Scalar
-) -> List[AlgebraRelationReport]:
-    """Check the relations of ``ALGEBRAS[which]`` on monomials.
-
-    ``params`` holds the algebra's parameters by name.  Both sides of a
-    relation are evaluated by nested application, never by symbolic
-    multiplication, so the check is an independent route onto the stated
-    structure constants.  The relations of one call share one memo of
-    images: K, P and B are each applied at most once per distinct input
-    over the whole call, and K and P fill their monomial quotient tables
-    once.  A relation's ``millis`` therefore includes the images that it
-    is the first to need, and the later relations reuse them.  Nothing
-    carries over into the next call.
+    ``params`` holds the algebra's parameters by name.  Both sides are
+    evaluated by nested application, never by symbolic multiplication, so
+    the check is an independent route onto the stated structure constants.
+    The sides of all relations share one memo of images: K, P and B are
+    each applied at most once per distinct input while the returned
+    functions live, and K and P fill their monomial quotient tables once.
+    A relation checked first makes the images that the later ones reuse.
+    Nothing carries over into the next call.
     """
     if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")
     spec = ALGEBRAS[which]
     p = {n: _as_fraction(params[n]) for n in spec.params}
     letters = _letters(build_operator(spec.operator, **p), parity_involution(p["gamma"]))
-    return [
-        _relation_report(name, partial(_evaluate, letters, lhs),
-                         partial(_evaluate, letters, rhs), degree_cap)
-        for name, lhs, rhs in spec.relations(*p.values())
-    ]
+    return [(name, partial(_evaluate, letters, lhs), partial(_evaluate, letters, rhs))
+            for name, lhs, rhs in spec.relations(*p.values())]
+
+
+def verify_algebra(lhs: Applier, rhs: Applier, degree_cap: int) -> Optional[int]:
+    """The first degree j <= ``degree_cap`` with lhs(x^j) != rhs(x^j), or
+    None when the relation holds on every monomial up to the cap."""
+    for j in range(degree_cap + 1):
+        mono = LaurentPoly.monomial(j)
+        if lhs(mono) != rhs(mono):
+            return j
+    return None

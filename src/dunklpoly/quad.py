@@ -70,14 +70,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import LaurentPoly, RatFunc, _as_fraction
 from .families import CLASSICAL, FAMILIES, Family, FamilySpec, recurrence_coeffs
-from .report import stopwatch
 
 SPLIT_THRESHOLD = 1e-15
 NODE_MARGIN = 1e-12
@@ -687,65 +686,49 @@ def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
 # -- Pearson verification -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PearsonReport:
-    """The two weight-function conditions as measured, each with its wall time."""
-
-    ode_exact: bool
-    reflection_samples: int
-    reflection_worst: float
-    ode_millis: float = field(compare=False)
-    reflection_millis: float = field(compare=False)
-
-
-def verify_pearson(family: FamilySpec, samples_per_side: int) -> PearsonReport:
-    """Measure both Pearson conditions of the two-interval weight.
-
-    (i) Exactly, as rational functions: the logarithmic derivative of the
-    weight, 1/(x+gamma) + 2 alpha x/(x^2-gamma^2) - 2 beta x/(1+gamma^2-x^2),
-    equals the first-order coefficient demanded by operator symmetry,
-    alpha/(x-gamma) + (alpha+1)/(x+gamma) - 2 beta x/(gamma^2+1-x^2).
-
-    (ii) In float, at the ``samples_per_side`` midpoints of each support
-    component (``WeightSpec.midpoints``): (x+gamma) w(-x) + (-x+gamma) w(x)
-    = 0, measured as the worst |(x+gamma) w(-x) + (-x+gamma) w(x)| / |w(x)|.
-    """
+def _chihara_parameters(family: FamilySpec) -> Tuple[Fraction, Fraction, Fraction]:
+    """alpha, beta, gamma of a chihara family, the one family whose Pearson
+    conditions are carried."""
     if family.name != "chihara":
         raise ValueError("the Pearson conditions are carried for the chihara family")
-    p = family.p
-    alpha, beta, gamma = p["alpha"], p["beta"], p["gamma"]
-    with stopwatch() as ode_ms:
-        x = LaurentPoly.x()
-        one = LaurentPoly.one()
-        log_derivative = (
-            RatFunc.of(one, x + gamma)
-            + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
-            - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
-        )
-        symmetry_side = (
-            RatFunc.of(one * alpha, x - gamma)
-            + RatFunc.of(one * (alpha + 1), x + gamma)
-            - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
-        )
-        ode_exact = (log_derivative - symmetry_side).is_zero
+    return family.p["alpha"], family.p["beta"], family.p["gamma"]
 
-    with stopwatch() as reflection_ms:
-        spec = weight_for(family)
-        g = float(gamma)
-        weight_value = spec.weight_value
-        worst = 0.0
-        count = 0
-        for xx in spec.midpoints(samples_per_side):
-            wx = weight_value(xx)
-            wmx = weight_value(-xx)
-            relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
-            if relative > worst:   # as max(worst, relative): a nan is skipped
-                worst = relative
-            count += 1
-    return PearsonReport(
-        ode_exact=ode_exact,
-        reflection_samples=count,
-        reflection_worst=worst,
-        ode_millis=ode_ms[0],
-        reflection_millis=reflection_ms[0],
+
+def pearson_weight_equation(family: FamilySpec) -> bool:
+    """Condition (i), exactly, as rational functions: the logarithmic
+    derivative of the weight, 1/(x+gamma) + 2 alpha x/(x^2-gamma^2)
+    - 2 beta x/(1+gamma^2-x^2), equals the first-order coefficient demanded
+    by operator symmetry, alpha/(x-gamma) + (alpha+1)/(x+gamma)
+    - 2 beta x/(gamma^2+1-x^2)."""
+    alpha, beta, gamma = _chihara_parameters(family)
+    x = LaurentPoly.x()
+    one = LaurentPoly.one()
+    log_derivative = (
+        RatFunc.of(one, x + gamma)
+        + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
+        - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
     )
+    symmetry_side = (
+        RatFunc.of(one * alpha, x - gamma)
+        + RatFunc.of(one * (alpha + 1), x + gamma)
+        - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
+    )
+    return (log_derivative - symmetry_side).is_zero
+
+
+def verify_pearson(family: FamilySpec, samples_per_side: int) -> float:
+    """Condition (ii), in float, at the ``samples_per_side`` midpoints of
+    each of the two support components (``WeightSpec.midpoints``):
+    (x+gamma) w(-x) + (-x+gamma) w(x) = 0, measured as the worst
+    |(x+gamma) w(-x) + (-x+gamma) w(x)| / |w(x)|."""
+    g = float(_chihara_parameters(family)[2])
+    spec = weight_for(family)
+    weight_value = spec.weight_value
+    worst = 0.0
+    for xx in spec.midpoints(samples_per_side):
+        wx = weight_value(xx)
+        wmx = weight_value(-xx)
+        relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
+        if relative > worst:   # as max(worst, relative): a nan is skipped
+            worst = relative
+    return worst

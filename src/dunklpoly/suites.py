@@ -11,8 +11,9 @@ instances; the command-line handlers run the same functions over the
 parameters a user gives.  The ``eigen`` and ``algebra`` suites fold the
 records of one instance into one, timed as a whole, whose residual names
 the first failing degree or relation.  Every pass or fail is decided here,
-where a record is built; the command line builds no record, and the
-reports of ``dunklop``, ``quad`` and ``limits`` carry measurements only.
+where a record is built and timed; the command line builds no record,
+the functions of ``dunklop`` and ``quad`` return measurements only, and
+no module below this one runs a stopwatch.
 What each eigen-operator token and each algebra means (parameter names,
 builder, eigenvalue, family, default cap) is data in
 ``dunklop.EIGEN_OPERATORS`` and ``dunklop.ALGEBRAS``; the checks here and
@@ -23,20 +24,21 @@ Design notes
 * Behind each record is one check: a private function that returns the
   record's residual (nested in ``transform_records``, whose four checks
   share the round trip's lists).  An exact check (construction
-  equivalence, eigen-equations, the Jacobi connection, transform
-  round-trips, exact norm ratios, the negative controls) tests with
+  equivalence, eigen-equations, algebra relations, the Jacobi connection,
+  the weight equation, transform round-trips, exact norm ratios, the
+  negative controls) tests with
   ``is_zero`` / ``==``, never a float comparison, and returns ``"0"`` when
   it holds, else what failed: ``"nonzero"``, ``"not a polynomial"``,
   ``"even half fails at n=..."``, ``"undetected"``.  A float check (Gram
-  matrices, norm ratios, the reduction oracle) returns the measured float.
+  matrices, norm ratios, the reflection samples, the reduction oracle)
+  returns the measured float.
 * Two builders, ``_timed_exact`` and ``_timed_float``, run one check under
   one ``report.stopwatch`` and build its record, so every record carries
   the wall time of the work behind it.  An exact record passes exactly
   when its residual is ``"0"``; a float record when its residual is at
-  most the tolerance, both recorded verbatim.  ``algebra_records`` and
-  ``pearson_records`` take their times from the reports of ``dunklop``
-  and ``quad``, and ``limit_check`` and the beta-stability record keep
-  their own stopwatch.
+  most the tolerance, both recorded verbatim.  Only ``limit_check`` and
+  the beta-stability record keep a stopwatch of their own, because their
+  label and degree count come from the run they time.
 * A float check that leaves the double range names the family and the
   degree or sample point in its ``ArithmeticError`` (``_in_double_range``).
 
@@ -55,7 +57,7 @@ it builds by size.  The first check that needs a shared object builds it,
 and its record's ``millis`` includes that work; the later checks reuse it.
 Nothing outlives the memo.  Operators are not shared between cases; an
 algebra check keeps one memo of operator images across its own relations
-(``dunklop.verify_algebra``).
+(``dunklop.algebra_relations``).
 """
 
 from __future__ import annotations
@@ -79,8 +81,10 @@ from typing import (
 from .dunklop import (
     ALGEBRAS,
     EIGEN_OPERATORS,
+    Applier,
     DunklOperator,
     GaussianPoly,
+    algebra_relations,
     build_operator,
     eigencheck,
     expected_eigenvalue,
@@ -117,6 +121,7 @@ from .quad import (
     inner_product,
     norm_ratio_check,
     norm_ratio_exact,
+    pearson_weight_equation,
     raw_inner_product,
     verify_pearson,
     weight_for,
@@ -433,18 +438,18 @@ def suite_eigen(memo: RunMemo) -> List[VerificationRecord]:
 def algebra_records(
     which: str, cap: int, params: Mapping[str, Fraction]
 ) -> List[VerificationRecord]:
-    """One record per structure relation of the ``which`` operator algebra.
-
-    Each record carries the measured wall time of its own relation.
-    """
-    reports = verify_algebra(which, cap, **params)
+    """One record per structure relation of the ``which`` operator algebra,
+    in table order; a relation's record includes the operator images that
+    it is the first to need (``dunklop.algebra_relations``)."""
     label = format_params(params.items())
-    return [
-        exact_record("algebra", f"{which}:{report.relation}", label, f"0..{cap}",
-                     report.millis,
-                     "0" if report.passed else f"first failure at degree {report.first_failure}")
-        for report in reports
-    ]
+    return [_timed_exact("algebra", f"{which}:{name}", label, f"0..{cap}",
+                         _relation_holds, lhs, rhs, cap)
+            for name, lhs, rhs in algebra_relations(which, **params)]
+
+
+def _relation_holds(lhs: Applier, rhs: Applier, cap: int) -> str:
+    first = verify_algebra(lhs, rhs, cap)
+    return "0" if first is None else f"first failure at degree {first}"
 
 
 def suite_algebra(memo: RunMemo) -> List[VerificationRecord]:
@@ -590,21 +595,24 @@ def suite_norms(memo: RunMemo) -> List[VerificationRecord]:
 def pearson_records(
     family: FamilySpec, samples: int, tolerance: float
 ) -> List[VerificationRecord]:
-    """The exact weight equation and the reflection samples of one weight.
-
-    Both come from one ``verify_pearson`` call; each record carries the
-    measured wall time of its own condition (``PearsonReport.ode_millis``,
-    ``PearsonReport.reflection_millis``).
-    """
-    with _in_double_range(family, "Pearson conditions"):
-        report = verify_pearson(family, samples_per_side=samples)
+    """The exact weight equation and the reflection samples of one weight,
+    ``samples`` on each of its two support components."""
+    label = family.label()
     return [
-        exact_record("pearson", "weight-equation", family.label(), "weight",
-                     report.ode_millis, "0" if report.ode_exact else "nonzero"),
-        float_record("pearson", "reflection-samples", family.label(),
-                     f"{report.reflection_samples} points", report.reflection_worst,
-                     tolerance, report.reflection_millis),
+        _timed_exact("pearson", "weight-equation", label, "weight",
+                     _weight_equation, family),
+        _timed_float("pearson", "reflection-samples", label, f"{2 * samples} points",
+                     tolerance, _reflection_worst, family, samples),
     ]
+
+
+def _weight_equation(family: FamilySpec) -> str:
+    return "0" if pearson_weight_equation(family) else "nonzero"
+
+
+def _reflection_worst(family: FamilySpec, samples: int) -> float:
+    with _in_double_range(family, "Pearson conditions"):
+        return verify_pearson(family, samples)
 
 
 def weight_samples(family: FamilySpec, points: int) -> List[Tuple[float, float]]:

@@ -525,20 +525,29 @@ def test_a_process_without_stdout_runs_as_before(monkeypatch):
                 "--gamma", "1/2", "--n", "2"]) == 0
 
 
+_ENTRY_POINT = [sys.executable, "-c", "from dunklpoly.cli import main; main()"]
+
+
+def _entry_point_env():
+    """The environment for the console entry point: this package first on
+    the path, stdout buffered as the interpreter does by default."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def _closed_early(argv, lines, unbuffered):
     """Run the console entry point, read ``lines`` lines of its stdout, close
     that pipe and wait: (exit status, stderr).  With ``unbuffered`` each
     write reaches the pipe at once, as under PYTHONUNBUFFERED=1; without it
     stdout is block-buffered, as it is by default on a pipe."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    env.pop("PYTHONUNBUFFERED", None)
+    env = _entry_point_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from dunklpoly.cli import main; main()", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([*_ENTRY_POINT, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     for _ in range(lines):
         proc.stdout.readline()
     proc.stdout.close()
@@ -565,6 +574,26 @@ def test_closed_stdout_pipe_ends_the_process_quietly(argv, lines, unbuffered):
     assert code == 141
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == ""
+
+
+_GEN_HERMITE_JSON = ["gram", "--family", "gen_hermite", "--mu", "3/2", "--json", "-"]
+
+
+@pytest.mark.parametrize("argv, status, stderr", [
+    (_GEN_HERMITE_JSON, 0, ""),
+    (_GEN_HERMITE_JSON + ["--tolerance", "0"], 1,
+     "dunklpoly: first failing record: suite=gram target=gen_hermite params=mu=3/2 "
+     "degrees=0..12 residual="),
+], ids=["passing", "failing"])
+def test_records_with_stdout_closed_at_start(argv, status, stderr):
+    # started with descriptor 1 closed, the interpreter sets sys.stdout to
+    # None: the records are written nowhere, as print writes nothing, and
+    # the exit status and stderr follow the records
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', *_ENTRY_POINT, *argv],
+                          stderr=subprocess.PIPE, env=_entry_point_env(), timeout=60)
+    err = proc.stderr.decode()
+    assert proc.returncode == status, err
+    assert err.startswith(stderr) and err.count("\n") == (status != 0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,6 +29,7 @@ from dunklpoly.dunklop import (
     GaussianPoly,
     OperatorTerm,
     UnsupportedTermForGaussianClass,
+    algebra_relations,
     build_operator,
     eigencheck,
     expected_eigenvalue,
@@ -543,24 +544,34 @@ def test_term_validation():
 # -- quadratic algebra -------------------------------------------------------------
 
 
+def _first_failures(which, cap, **params):
+    """(relation name, first failing degree or None), in table order;
+    ``verify_algebra`` is looked up on its module, so a wrapper put in its
+    place is called."""
+    from dunklpoly import dunklop
+
+    return [(name, dunklop.verify_algebra(lhs, rhs, cap))
+            for name, lhs, rhs in algebra_relations(which, **params)]
+
+
 @pytest.mark.parametrize("params", CHIHARA_SETS)
 @pytest.mark.parametrize("eps", ALGEBRA_EPS)
 def test_chihara_algebra_relations(params, eps):
     alpha, beta, gamma = params
-    reports = verify_algebra("chihara", 12, alpha=alpha, beta=beta, gamma=gamma, eps=eps)
-    assert len(reports) == 6
-    for r in reports:
-        assert r.passed, f"{r.relation} first failure at degree {r.first_failure}"
+    failures = _first_failures("chihara", 12, alpha=alpha, beta=beta, gamma=gamma, eps=eps)
+    assert len(failures) == 6
+    for name, first in failures:
+        assert first is None, f"{name} first failure at degree {first}"
 
 
 @pytest.mark.parametrize("params", EXT_HERMITE_SETS)
 @pytest.mark.parametrize("eps", ALGEBRA_EPS)
 def test_ext_hermite_algebra_relations(params, eps):
     mu, gamma = params
-    reports = verify_algebra("ext_hermite", 12, mu=mu, gamma=gamma, eps=eps)
-    assert len(reports) == 6
-    for r in reports:
-        assert r.passed, f"{r.relation} first failure at degree {r.first_failure}"
+    failures = _first_failures("ext_hermite", 12, mu=mu, gamma=gamma, eps=eps)
+    assert len(failures) == 6
+    for name, first in failures:
+        assert first is None, f"{name} first failure at degree {first}"
 
 
 def test_algebra_constants_are_sharp():
@@ -612,7 +623,7 @@ def test_every_rhs_coefficient_is_sharp(monkeypatch, which, index):
                 return [*relations[:i], (name, lhs, rhs), *relations[i + 1:]]
 
             monkeypatch.setitem(ALGEBRAS, which, spec._replace(relations=shifted))
-            failures = [r.first_failure for r in verify_algebra(which, 6, **params)]
+            failures = [first for _, first in _first_failures(which, 6, **params)]
             assert failures.pop(i) in (0, 1), (i, word)
             assert failures == [None] * 5, (i, word)
 
@@ -641,17 +652,18 @@ def test_relations_build_no_operator(monkeypatch, which):
 
 def test_algebra_report_shape():
     params = dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
-    rep = verify_algebra("chihara", 4, **params)[4]
-    assert rep.relation == "bracket-position-commutator"
-    assert rep.first_failure is None
-    assert rep.millis > 0
+    name, lhs, rhs = algebra_relations("chihara", **params)[4]
+    assert name == "bracket-position-commutator"
+    assert verify_algebra(lhs, rhs, 4) is None
+    # a side maps a polynomial to a polynomial
+    assert isinstance(lhs(LaurentPoly.monomial(2)), LaurentPoly)
     # the relation's "BP": 2 * d3, with d3 = gamma
     spec = ALGEBRAS["chihara"]
     _, _, rhs = spec.relations(*(F(params[n]) for n in spec.params))[4]
     assert rhs["BP"] == 2 * params["gamma"]
 
 
-# -- the application memo of verify_algebra ---------------------------------------
+# -- the application memo of algebra_relations ------------------------------------
 
 
 def _count_applications(monkeypatch):
@@ -660,7 +672,7 @@ def _count_applications(monkeypatch):
     from dunklpoly import dunklop
 
     counts = []
-    memoize, relation_report = dunklop.cache, dunklop._relation_report
+    memoize, check = dunklop.cache, dunklop.verify_algebra
 
     def counted_cache(fn):
         # K and P are bound ``apply`` methods, B a function of its own
@@ -672,12 +684,12 @@ def _count_applications(monkeypatch):
 
         return memoize(counted)
 
-    def marked_report(*args, **kwargs):
+    def marked_check(*args, **kwargs):
         counts.append({})
-        return relation_report(*args, **kwargs)
+        return check(*args, **kwargs)
 
     monkeypatch.setattr(dunklop, "cache", counted_cache)
-    monkeypatch.setattr(dunklop, "_relation_report", marked_report)
+    monkeypatch.setattr(dunklop, "verify_algebra", marked_check)
     return counts
 
 
@@ -690,9 +702,9 @@ def _count_applications(monkeypatch):
 )
 def test_algebra_applies_each_operator_once_per_input(monkeypatch, which, params):
     counts = _count_applications(monkeypatch)
-    reports = verify_algebra(which, 8, **params)
-    assert all(r.passed for r in reports)
-    assert len(counts) == len(reports) == 6
+    failures = _first_failures(which, 8, **params)
+    assert all(first is None for _, first in failures)
+    assert len(counts) == len(failures) == 6
     # one memo for the whole call: K, P and B each compute an image of a
     # given input at most once over all six relations
     applied = [key for relation in counts for key in relation]
@@ -707,7 +719,7 @@ def test_algebra_applies_each_operator_once_per_input(monkeypatch, which, params
         first.setdefault(letter, set()).add(f)
     assert any(monomials <= seen for seen in first.values())
     # nothing carries over into the next call
-    verify_algebra(which, 8, **params)
+    _first_failures(which, 8, **params)
     assert [len(c) for c in counts[6:]] == [len(c) for c in counts[:6]]
 
 
@@ -727,14 +739,14 @@ _PERTURBED_FAILURES = {
 )
 def test_perturbed_algebra_fails_where_it_did(monkeypatch, mk, params):
     _perturb_chihara(monkeypatch, *mk)
-    reports = verify_algebra("chihara", 12, **params)
-    assert [r.first_failure for r in reports] == _PERTURBED_FAILURES[mk]
+    failures = _first_failures("chihara", 12, **params)
+    assert [first for _, first in failures] == _PERTURBED_FAILURES[mk]
 
 
 def test_perturbed_algebra_raises_where_it_did(monkeypatch):
     _perturb_chihara(monkeypatch, 0, 1)
     with pytest.raises(NotPolynomial, match="^denominator x does not cancel$"):
-        verify_algebra("chihara", 12, alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
+        _first_failures("chihara", 12, alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
 
 
 def _perturbation(m, k):

@@ -38,6 +38,7 @@ from dunklpoly.quad import (
     inner_product,
     norm_ratio_check,
     norm_ratio_exact,
+    pearson_weight_equation,
     raw_inner_product,
     symtridiag_eigen,
     verify_pearson,
@@ -954,16 +955,15 @@ def test_weight_for_rejects_every_family_without_a_weight():
     [(1, 2, F(1, 3)), (1, 1, F(1, 2)), (F(1, 2), F(3, 4), F(1, 3)), (2, 3, F(-2, 5)), (3, 1, F(2, 7))],
 )
 def test_pearson_exact_and_reflection(alpha, beta, gamma):
-    report = verify_pearson(chihara_family(alpha, beta, gamma), 12)
-    assert report.ode_exact
-    assert report.reflection_samples >= 20
-    assert report.reflection_worst <= 1e-12
+    family = chihara_family(alpha, beta, gamma)
+    assert pearson_weight_equation(family)
+    assert verify_pearson(family, 12) <= 1e-12
 
 
 def test_pearson_symmetric_point_trivial():
-    report = verify_pearson(chihara_family(1, 1, 0), 12)
-    assert report.ode_exact
-    assert report.reflection_worst == 0.0
+    family = chihara_family(1, 1, 0)
+    assert pearson_weight_equation(family)
+    assert verify_pearson(family, 12) == 0.0
 
 
 def _per_sample_reflection(family, samples_per_side):
@@ -988,14 +988,16 @@ def _per_sample_reflection(family, samples_per_side):
     samples=st.integers(1, 40),
 )
 def test_pearson_reflection_equals_per_sample_weight_values(alpha, beta, gamma, samples):
-    report = verify_pearson(chihara_family(alpha, beta, gamma), samples)
     worst = _per_sample_reflection(chihara_family(alpha, beta, gamma), samples)
-    assert report.reflection_worst == worst
+    assert verify_pearson(chihara_family(alpha, beta, gamma), samples) == worst
 
 
 def test_pearson_rejects_other_families():
-    with pytest.raises(ValueError):
+    message = "^the Pearson conditions are carried for the chihara family$"
+    with pytest.raises(ValueError, match=message):
         verify_pearson(gen_hermite_family(F(1, 2)), 12)
+    with pytest.raises(ValueError, match=message):
+        pearson_weight_equation(gen_hermite_family(F(1, 2)))
 
 
 # -- the tuned loops against their plain forms -----------------------------------------
@@ -1103,19 +1105,17 @@ def _plain_chihara_weight(p):
 
 def _plain_reflection(family, samples_per_side, weight=_plain_chihara_weight):
     """Reference: condition (ii) of ``verify_pearson`` over the lambda weight,
-    the worst ratio kept by ``max``: (samples, worst)."""
+    the worst ratio kept by ``max``."""
     spec = weight_for(family)
     g = float(spec.gamma)
     weight_value = weight({key: float(v) for key, v in family.params})
     worst = 0.0
-    count = 0
     for xx in spec.midpoints(samples_per_side):
         wx = weight_value(xx)
         wmx = weight_value(-xx)
         relative = abs((xx + g) * wmx + (-xx + g) * wx) / abs(wx)
         worst = max(worst, relative)
-        count += 1
-    return count, worst
+    return worst
 
 
 def _bits(value):
@@ -1251,11 +1251,6 @@ def test_one_pass_node_check_equals_two_early_stop_counts(case):
             == _outcome(_plain_check_nodes, T, values, T.scale))
 
 
-def _reflection(family, samples):
-    report = verify_pearson(family, samples)
-    return report.reflection_samples, report.reflection_worst
-
-
 @pytest.mark.parametrize("T", [SymTridiag((-0.0,), ()), SymTridiag((-0.0, 1.0), (0.5,)),
                                SymTridiag((-0.0, 0.0, -0.0), (0.0, 0.5))])
 @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -1278,7 +1273,7 @@ _pearson_gamma = st.fractions(min_value=-3, max_value=3, max_denominator=12) | s
        samples=st.integers(1, 60))
 def test_pearson_reflection_equals_plain_max_loop(alpha, beta, gamma, samples):
     family = chihara_family(alpha, beta, gamma)
-    assert _outcome(_reflection, family, samples) == _outcome(_plain_reflection, family, samples)
+    assert _outcome(verify_pearson, family, samples) == _outcome(_plain_reflection, family, samples)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -1294,7 +1289,7 @@ def test_pearson_reflection_skips_nan_as_max_does(bad, where, monkeypatch):
     family = chihara_family(1, 2, F(1, 3))
     spec = weight_for(family)
     monkeypatch.setitem(FAMILIES, "chihara", FAMILIES["chihara"]._replace(weight=weight))
-    assert _outcome(_reflection, family, 4) == _outcome(_plain_reflection, family, 4, weight)
+    assert _outcome(verify_pearson, family, 4) == _outcome(_plain_reflection, family, 4, weight)
 
 
 @settings(deadline=None, max_examples=150)

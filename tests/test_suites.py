@@ -15,7 +15,10 @@ Expected record counts are frozen from the pinned parameter tables:
 * negative-controls: perturbed operator + perturbed ratio    -> 2
 """
 
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import time
 from fractions import Fraction as F
@@ -377,21 +380,55 @@ def test_transform_records_time_each_check():
     assert sum(r.millis for r in records) <= ms[0]
 
 
-@pytest.mark.parametrize("name, check", [
-    ("explicit_poly", suite_construction),
-    ("gram_offdiag_worst", lambda memo: gram_records(
+@pytest.mark.parametrize("names, check", [
+    (("explicit_poly",), suite_construction),
+    (("gram_offdiag_worst",), lambda memo: gram_records(
         chihara_family(1, 1, F(1, 2)), memo, 4, suites.GRAM_TOLERANCE, "gram")),
-], ids=["construction", "gram"])
-def test_record_time_covers_its_check(monkeypatch, name, check):
-    # a sleep in the check's work shows in the record's wall time; the
+    (("verify_algebra",), lambda memo: algebra_records(
+        "ext_hermite", 2, {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)})),
+    (("pearson_weight_equation", "verify_pearson"), lambda memo: pearson_records(
+        chihara_family(1, 2, F(1, 3)), 4, suites.REFLECTION_TOLERANCE)),
+], ids=["construction", "gram", "algebra", "pearson"])
+def test_record_time_covers_its_check(monkeypatch, names, check):
+    # a sleep in each check's work shows in its record's wall time; the
     # construction suite shrinks to three records of one degree each
     monkeypatch.setattr(suites, "CONSTRUCTION_CAPS", (("gen_hermite", 0),))
-    work = getattr(suites, name)
+    for name in names:
+        work = getattr(suites, name)
 
-    def slow(*args):
-        time.sleep(0.02)
-        return work(*args)
+        def slow(*args, work=work):
+            time.sleep(0.02)
+            return work(*args)
 
-    monkeypatch.setattr(suites, name, slow)
+        monkeypatch.setattr(suites, name, slow)
     records = check(RunMemo())
     assert records and all(r.millis >= 20 for r in records)
+
+
+def test_pearson_records_count_the_samples():
+    # the reflection record names the number of points sampled: samples on
+    # each of the two support components of the chihara weight
+    for abc in suites.PEARSON_SETS:
+        family = chihara_family(*abc)
+        points = len(list(quad.weight_for(family).midpoints(7)))
+        record = pearson_records(family, 7, suites.REFLECTION_TOLERANCE)[1]
+        assert record.degrees == f"{points} points" == "14 points"
+
+
+@pytest.mark.parametrize("name", ["dunklop", "quad", "limits", "transforms", "families",
+                                  "exactnum"])
+def test_no_module_below_suites_times_a_check(name):
+    # every record's wall time is measured here, by the timed builders, so
+    # the layers below hold no stopwatch and no clock; dunklop and quad
+    # take nothing from report at all
+    module = importlib.import_module(f"dunklpoly.{name}")
+    assert not hasattr(module, "stopwatch")
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "time" not in imported
+    if name in ("dunklop", "quad"):
+        assert "report" not in imported and "dunklpoly.report" not in imported
