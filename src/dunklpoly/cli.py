@@ -283,10 +283,11 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
     params = _collect_params(args, spec.params, f"--operator {token}")
     cap = args.cap if args.cap is not None else spec.cap
     records = eigen_records(token, params, cap, RunMemo())
-    for record in records:
-        n = int(record.degrees)
-        eigenvalue = expected_eigenvalue(token, n, **params)
-        _say(args, f"n={n:2d} lambda={rational_str(eigenvalue)} {record.outcome}")
+    if not args._quiet:
+        for record in records:
+            n = int(record.degrees)
+            eigenvalue = expected_eigenvalue(token, n, **params)
+            print(f"n={n:2d} lambda={rational_str(eigenvalue)} {record.outcome}")
     return _finish(records, args)
 
 

@@ -21,8 +21,7 @@ common denominator, with one gcd: each derivative by its closed form
 eps^k j!/(j-k)! (eps*x + delta)^(j-k), whose binomial coefficients are
 written down, not multiplied out.  Division by the fixed L is linear, so
 each N_j is divided once, N_j = Q_j L + R_j, and the pair (Q_j, R_j) is
-cached on the operator per exponent j (the Gaussian class
-below keeps its own table).  The image of f is sum_j f_j Q_j with
+cached on the operator per exponent j.  The image of f is sum_j f_j Q_j with
 remainder sum_j f_j R_j.  When every R_j that f uses is zero, as for every
 eigenoperator and every P here, applying the operator divides nothing
 beyond filling the table.  A nonzero remainder sends the numerator
@@ -32,11 +31,12 @@ primary detector for a mistranscribed coefficient.  The tables keep each
 remainder beside its quotient, so they stay correct when the image of a
 single monomial is not a polynomial, and they are invisible to ``==`` and
 ``hash``.  Besides plain polynomials the module supports the class
-e^{-x^2/2} * poly, which is closed under every shift-free operator here
-(``apply_gaussian``); there d/dx acts on the polynomial factor as
-g -> g' - x*g, a step ``monomial_numerator`` iterates on the numerators,
-and a negative power of x, whose N_j poly_divmod refuses, keeps all of N_j
-as its R_j.  ``eigencheck`` forms its residual op(P) - lambda*P with
+e^{-x^2/2} * poly, which every shift-free operator here preserves
+(``apply_gaussian``).  Conjugating by the Gaussian turns each d^k into
+(d - x)^k (Rosenblum, "Generalized Hermite polynomials and the Bose-like
+oscillator calculus", 1994), so the operator's conjugate, built once,
+acts on the polynomial factor through ``apply`` and its own table.
+``eigencheck`` forms its residual op(P) - lambda*P with
 ``exactnum.residual``, one canonical form for the result.
 
 ``build_operator`` builds each operator by its token:
@@ -63,10 +63,11 @@ names, its builder, its eigenvalue on the n-th polynomial, its polynomial
 family, its default sweep cap and whether it acts on the Gaussian class.
 ``build_operator``, ``expected_eigenvalue``, the eigen suite and the
 ``eigencheck`` command all read it, so a new eigen operator is one entry.
-The six shift-free eigen-operators share one shape,
-S d^2 + T d R + U d + V (I - R), written once as ``_reflection_form``;
-gh_OmegaTilde adds the identity term x^2/2.  The two built from D^mu reach
-it through the closed square
+Every shift-free operator here, the six eigen-operators, D^mu, P and the
+parity projector, shares one shape, S d^2 + T d R + U d + V (I - R),
+written once as ``_reflection_form``; gh_OmegaTilde adds the identity term
+x^2/2 and P adds R.  The two eigen-operators built from D^mu reach it
+through the closed square
 
     (D^mu)^2 = d^2 + (2 mu/x) d - (mu/x^2)(I - R),
 
@@ -151,21 +152,59 @@ class DunklOperator:
     terms: Tuple[OperatorTerm, ...]
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """Exact image of a polynomial; raises NotPolynomial if it is not one."""
+        """Exact image of a polynomial; raises NotPolynomial if it is not one.
+
+        The image is sum_j f_j Q_j, where N_j = Q_j L + R_j is L times the
+        image of x^j; (Q_j, R_j) is cached per exponent j."""
         if not f.is_polynomial:
             raise ValueError("operators act on true polynomials here")
-        return self._image(f, self._quotients, False)
+        L, multipliers = self._common
+        quotients = self._quotients
+        leftover = []
+
+        def quotient(j: int) -> LaurentPoly:
+            pair = quotients.get(j)
+            if pair is None:
+                terms = [(m, t.k, t.eps, t.delta) for t, m in zip(self.terms, multipliers)]
+                pair = quotients[j] = poly_divmod(monomial_numerator(j, terms), L)
+            if not pair[1].is_zero:
+                leftover.append(j)
+            return pair[0]
+
+        image = f.map_monomials(quotient)
+        if not leftover:
+            return image
+        remainder = f.map_monomials(lambda j: quotients[j][1])
+        if remainder.is_zero:
+            return image
+        # a pole is left: the numerator L * image + remainder goes through
+        # RatFunc, which names the leftover denominator
+        return exact_polynomial_check(RatFunc(L * image + remainder, L))
 
     def apply_gaussian(self, f: "GaussianPoly") -> "GaussianPoly":
-        """Image of e^{-x^2/2} p(x); defined for shift-free operators."""
+        """Image of e^{-x^2/2} p(x), for a polynomial p and a shift-free
+        operator: the conjugate e^{x^2/2} op e^{-x^2/2} applied to p."""
+        return GaussianPoly(self._conjugate.apply(f.poly))
+
+    @cached_property
+    def _conjugate(self) -> "DunklOperator":
+        """e^{x^2/2} op e^{-x^2/2}.  The Gaussian is even, so x -> eps*x
+        passes through it, and d/dx [e^{-x^2/2} g] = e^{-x^2/2} (d - x) g:
+        each term c d^k becomes c (d - x)^k = sum_j c a_j d^j."""
+        terms = []
+        zero = LaurentPoly.zero()
         for t in self.terms:
             if t.delta != 0:
                 raise UnsupportedTermForGaussianClass(
                     f"shift delta={t.delta} leaves the class e^(-x^2/2)*poly"
                 )
-        # e^{-x^2/2} is even, so substitution only touches the factor p, and
-        # d/dx [e^{-x^2/2} g] = e^{-x^2/2} (g' - x g)
-        return GaussianPoly(self._image(f.poly, self._gaussian_quotients, True))
+            a = [LaurentPoly.one()]
+            for _ in range(t.k):
+                # (d - x) sum_j a_j d^j = sum_j (a_j' - x a_j + a_(j-1)) d^j
+                a = [p.derivative() - X * p + q for p, q in zip(a + [zero], [zero] + a)]
+            terms += [OperatorTerm(t.coeff * a[j], j, t.eps, t.delta)
+                      for j in reversed(range(t.k + 1))]
+        return _merge(terms)
 
     @cached_property
     def _common(self) -> Tuple[LaurentPoly, Tuple[LaurentPoly, ...]]:
@@ -178,47 +217,6 @@ class DunklOperator:
     @cached_property
     def _quotients(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
         return {}
-
-    @cached_property
-    def _gaussian_quotients(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
-        return {}
-
-    def _image(
-        self,
-        f: LaurentPoly,
-        quotients: Dict[int, Tuple[LaurentPoly, LaurentPoly]],
-        gaussian: bool,
-    ) -> LaurentPoly:
-        """sum_j f_j Q_j, where N_j = Q_j L + R_j is L times the image of x^j;
-        (Q_j, R_j) is cached in ``quotients``."""
-        L, multipliers = self._common
-        leftover = []
-
-        def quotient(j: int) -> LaurentPoly:
-            pair = quotients.get(j)
-            if pair is None:
-                terms = [(m, t.k, t.eps, t.delta) for t, m in zip(self.terms, multipliers)]
-                numerator = monomial_numerator(j, terms, gaussian)
-                # a negative power handed to apply_gaussian can leave
-                # negative powers, which poly_divmod refuses: R_j = N_j
-                if numerator.is_polynomial:
-                    pair = poly_divmod(numerator, L)
-                else:
-                    pair = (LaurentPoly.zero(), numerator)
-                quotients[j] = pair
-            if not pair[1].is_zero:
-                leftover.append(j)
-            return pair[0]
-
-        image = f.map_monomials(quotient)
-        if not leftover:
-            return image
-        remainder = f.map_monomials(lambda j: quotients[j][1])
-        if remainder.is_zero:
-            return image
-        # a pole is left, or a Laurent term: the numerator L * image +
-        # remainder goes through RatFunc, which names the leftover denominator
-        return exact_polynomial_check(RatFunc(L * image + remainder, L))
 
     def __add__(self, other: "DunklOperator") -> "DunklOperator":
         return _merge(self.terms + other.terms)
@@ -278,7 +276,7 @@ def _chihara_coeffs(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fract
 
 def _reflection_form(S: RatFunc, T: RatFunc, U: RatFunc, V: RatFunc) -> DunklOperator:
     """S d^2 + T d R + U d + V (I - R), the shape of every shift-free
-    eigen-operator here; a zero coefficient drops its term."""
+    operator here; a zero coefficient drops its term."""
     zero = Fraction(0)
     return _merge(
         (
@@ -332,15 +330,9 @@ def cbi_eigenop(rho1: Scalar, rho2: Scalar, r1: Scalar, r2: Scalar, alpha: Scala
 
 
 def dunkl_derivative(mu: Scalar) -> DunklOperator:
-    mu = _as_fraction(mu)
-    m = RatFunc.of(LaurentPoly.const(mu), X)
-    return DunklOperator(
-        (
-            OperatorTerm(RatFunc.from_laurent(LaurentPoly.one()), 1, 1, Fraction(0)),
-            OperatorTerm(m, 0, 1, Fraction(0)),
-            OperatorTerm(-m, 0, -1, Fraction(0)),
-        )
-    )
+    """D^mu = d/dx + (mu/x)(I - R)."""
+    return _reflection_form(RatFunc.zero(), RatFunc.zero(), RatFunc.from_laurent(1),
+                            RatFunc.of(_as_fraction(mu), X))
 
 
 def gegenbauer_dunkl_square(mu: Scalar, a: Scalar) -> DunklOperator:
@@ -400,20 +392,16 @@ def gen_hermite_oscillator(mu: Scalar, eps: Scalar) -> DunklOperator:
 
 
 def parity_involution(gamma: Scalar) -> DunklOperator:
-    gamma = _as_fraction(gamma)
-    g = RatFunc.of(LaurentPoly.const(gamma), X)
-    r = RatFunc.of(X - gamma, X)
-    return DunklOperator(
-        (OperatorTerm(g, 0, 1, Fraction(0)), OperatorTerm(r, 0, -1, Fraction(0)))
-    )
+    """P = R + (gamma/x)(I - R)."""
+    zero = RatFunc.zero()
+    projector = _reflection_form(zero, zero, zero, RatFunc.of(_as_fraction(gamma), X))
+    return projector + DunklOperator((term(1, eps=-1),))
 
 
 def reflection_component(gamma: Scalar) -> DunklOperator:
-    gamma = _as_fraction(gamma)
-    c = RatFunc.of(X - gamma, 2 * X)
-    return DunklOperator(
-        (OperatorTerm(c, 0, 1, Fraction(0)), OperatorTerm(-c, 0, -1, Fraction(0)))
-    )
+    """(x - gamma)/(2x) (I - R)."""
+    zero = RatFunc.zero()
+    return _reflection_form(zero, zero, zero, RatFunc.of(X - _as_fraction(gamma), 2 * X))
 
 
 # -- the eigen-operator table -----------------------------------------------------

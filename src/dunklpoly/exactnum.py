@@ -33,7 +33,7 @@ integer numerators over one common denominator and take one gcd at the end
 
 * ``monomial_numerator``: N_j = sum_i m_i * d^{k_i}[(eps_i*x + delta_i)^j],
   the numerator of an operator's image of x^j, with each derivative in
-  closed form (or the Gaussian-class step g -> g' - x*g iterated);
+  closed form;
 * ``three_term_step``: (x - diag)*p - sub*q, the step of every monic
   recurrence over the rationals (``families.monic_list``);
 * ``residual``: a - c*b, an eigen-equation's residual;
@@ -523,36 +523,22 @@ def _coerce_poly(value):
 # -- integer-numerator kernels (see the module docstring) ----------------------
 
 
-def monomial_numerator(
-    j: int, terms: Iterable[Tuple[LaurentPoly, int, Scalar, Scalar]], gaussian: bool = False
-) -> LaurentPoly:
+def monomial_numerator(j: int, terms: Iterable[Tuple[LaurentPoly, int, Scalar, Scalar]]) -> LaurentPoly:
     """N_j = sum_i m_i * d^{k_i}[(eps_i*x + delta_i)^j] for the terms
     (m_i, k_i, eps_i, delta_i): L times an operator's image of x^j.
 
-    d/dx is the plain derivative, with the closed form
-    d^k (eps*x + delta)^j = eps^k j!/(j-k)! (eps*x + delta)^(j-k); or, with
-    ``gaussian``, the step g -> g' - x*g that d/dx makes on the factor g of
-    e^(-x^2/2) g, iterated on the numerators.  The terms are summed in
-    order, as ``zero + m_1*g_1 + m_2*g_2 + ...``.
+    Each derivative takes its closed form
+    d^k (eps*x + delta)^j = eps^k j!/(j-k)! (eps*x + delta)^(j-k).  The terms
+    are summed in order, as ``zero + m_1*g_1 + m_2*g_2 + ...``.
     """
     out: Dict[int, int] = {}
     den = 1
     for m, k, eps, delta in terms:
-        if gaussian:
-            nums, gden = _affine_terms(j, eps, delta)
-            for _ in range(k):
-                step = {e - 1: n * e for e, n in nums.items() if e}
-                _add_scaled(step, {e + 1: n for e, n in nums.items()}, -1)
-                nums = step
-        else:
-            falling = prod(range(j - k + 1, j + 1))   # j!/(j-k)!, 0 for 0 <= j < k
-            if not falling:
-                continue
-            nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
-            gden *= eps.denominator**k
-        if not nums:
+        falling = prod(range(j - k + 1, j + 1))   # j!/(j-k)!, 0 for 0 <= j < k
+        if not falling:
             continue
-        pden = m._den * gden
+        nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
+        pden = m._den * gden * eps.denominator**k
         g = gcd(den, pden)
         ma = pden // g
         if ma != 1:

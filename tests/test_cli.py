@@ -111,6 +111,30 @@ def test_eigencheck_json_stream(capsys):
     assert out.lstrip().startswith("[")
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_eigencheck_stream_computes_no_unprinted_eigenvalue(capsys, monkeypatch, fmt):
+    # under --json - and --csv - the n=.. lambda=.. lines are not printed,
+    # so their eigenvalues are not computed a second time
+    argv = ["eigencheck", "--operator", "gh_OmegaTilde", "--mu", "3/2", "--eps", "1/4",
+            "--cap", "3", fmt, "-"]
+    _, want, _ = _run(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalue computed for a line that is not printed")
+
+    monkeypatch.setattr(cli, "expected_eigenvalue", refuse)
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+
+    def untimed(stream):
+        if fmt == "--json":
+            return [dict(row, millis=None) for row in json.loads(stream)]
+        return [line.rsplit(",", 1)[0] for line in stream.splitlines() if line]
+
+    assert untimed(out) == untimed(want)
+    assert len(untimed(out)) == (4 if fmt == "--json" else 5)
+
+
 # one value per parameter name of any ALGEBRAS entry
 _ALGEBRA_VALUES = {"alpha": "1", "beta": "1", "gamma": "1/2", "eps": "2/3", "mu": "3/2"}
 

@@ -167,10 +167,36 @@ def test_gaussian_derivative_example():
     assert got.poly == LaurentPoly({1: -1})
 
 
+def test_gaussian_derivative_of_a_polynomial():
+    # d/dx [e^(-x^2/2) x^2] = e^(-x^2/2) (2x - x^3)
+    d = DunklOperator((term(1, k=1),))
+    got = d.apply_gaussian(GaussianPoly(X * X))
+    assert got.poly == LaurentPoly({1: 2, 3: -1})
+
+
 def test_gaussian_dunkl_derivative_example():
     Dm = build_operator("dunkl_derivative", mu=F(3, 2))
     got = Dm.apply_gaussian(GaussianPoly(X))
     assert got.poly == LaurentPoly({0: 4, 2: -1})  # 1 - x^2 + 2 mu
+
+
+def test_gaussian_class_takes_polynomial_factors_only():
+    # the conjugate acts through apply, which refuses a Laurent factor
+    Ot = build_operator("gh_OmegaTilde", mu=F(3, 2), eps=F(2, 3))
+    with pytest.raises(ValueError, match="operators act on true polynomials here") as caught:
+        Ot.apply_gaussian(GaussianPoly(LaurentPoly.monomial(-1)))
+    assert type(caught.value) is ValueError
+
+
+@pytest.mark.parametrize("mu", [F(1, 2), F(3, 2), F(-1, 4), F(7, 3)])
+@pytest.mark.parametrize("eps", [F(0), F(2, 3), F(5)])
+def test_oscillator_conjugate_is_shifted_gh_omega(mu, eps):
+    # e^(x^2/2) OmegaTilde e^(-x^2/2) = gh_Omega(mu, eps + 1) + (mu + 1/2) I
+    Ot = build_operator("gh_OmegaTilde", mu=mu, eps=eps)
+    Om = build_operator("gh_Omega", mu=mu, eps=eps + 1)
+    for j in range(13):
+        f = LaurentPoly.monomial(j)
+        assert Ot._conjugate.apply(f) == Om.apply(f) + (mu + F(1, 2)) * f, j
 
 
 def test_oscillator_ground_state():
@@ -412,8 +438,6 @@ def test_apply_matches_ratfunc_route(token, data):
     for f in (data.draw(_polys), data.draw(_polys)):
         assert _outcome(op.apply, f) == _outcome(_ratfunc_route, op, f)
         if shift_free:
-            # the Gaussian class also takes a Laurent factor
-            f = f * LaurentPoly.monomial(-data.draw(st.integers(0, 2)))
             got = _outcome(lambda g: op.apply_gaussian(GaussianPoly(g)).poly, f)
             assert got == _outcome(_ratfunc_route, op, f, True)
     # the per-operator caches are invisible to equality and hashing
@@ -460,7 +484,6 @@ def _assert_same_images(op, data):
     for f in (data.draw(_polys), data.draw(_polys), data.draw(_polys)):
         same(op.apply, lambda p: _numerator_route(op, p), f)
         if shift_free:
-            f = f * LaurentPoly.monomial(-data.draw(st.integers(0, 2)))
             same(lambda p: op.apply_gaussian(GaussianPoly(p)).poly,
                  lambda p: _numerator_route(op, p, True), f)
 
@@ -481,7 +504,7 @@ def test_perturbed_apply_matches_numerator_route(mk, data):
     _assert_same_images(build_operator("chihara_D", **params) + _perturbation(*mk), data)
 
 
-def _composed_numerator(op, j, gaussian):
+def _composed_numerator(op, j):
     """N_j as a sum of canonical LaurentPolys: the route ``monomial_numerator``
     replaces in the table fill."""
     L, multipliers = op._common
@@ -489,7 +512,7 @@ def _composed_numerator(op, j, gaussian):
     for t, m in zip(op.terms, multipliers):
         g = LaurentPoly.affine_power(j, t.eps, t.delta)
         for _ in range(t.k):
-            g = g.derivative() - X * g if gaussian else g.derivative()
+            g = g.derivative()
         numerator = numerator + m * g
     return numerator
 
@@ -498,16 +521,14 @@ def _composed_numerator(op, j, gaussian):
 @settings(deadline=None, max_examples=10)
 @given(data=st.data())
 def test_monomial_numerators_match_composed_route(token, data):
-    # cbi_K carries the shifts; a shift-free operator also takes the
-    # Gaussian class, down to negative powers
+    # cbi_K carries the shifts
     params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
     op = build_operator(token, **params)
     L, multipliers = op._common
     terms = [(m, t.k, t.eps, t.delta) for t, m in zip(op.terms, multipliers)]
-    gaussian = all(t.delta == 0 for t in op.terms) and data.draw(st.booleans())
-    for j in data.draw(st.lists(st.integers(-3 if gaussian else 0, 14), min_size=1, max_size=4)):
-        got = monomial_numerator(j, terms, gaussian)
-        want = _composed_numerator(op, j, gaussian)
+    for j in data.draw(st.lists(st.integers(0, 14), min_size=1, max_size=4)):
+        got = monomial_numerator(j, terms)
+        want = _composed_numerator(op, j)
         assert got._den == want._den
         assert list(got._nums.items()) == list(want._nums.items())
 
@@ -539,6 +560,23 @@ def test_term_validation():
         OperatorTerm(RatFunc.from_laurent(X), -1, 1, F(0))
     with pytest.raises(ValueError):
         OperatorTerm(RatFunc.from_laurent(X), 0, 2, F(0))
+
+
+def test_first_order_builders_write_their_terms_in_order():
+    # D^mu = d + (mu/x)(I - R), P = (gamma/x) I + ((x - gamma)/x) R and
+    # ((x - gamma)/(2x))(I - R), through _reflection_form
+    m, c = RatFunc.of(F(3, 2), X), RatFunc.of(X - F(1, 3), 2 * X)
+    assert build_operator("dunkl_derivative", mu=F(3, 2)).terms == (
+        term(1, k=1), term(m), term(-m, eps=-1))
+    assert build_operator("involution_P", gamma=F(1, 3)).terms == (
+        term(RatFunc.of(F(1, 3), X)), term(RatFunc.of(X - F(1, 3), X), eps=-1))
+    assert build_operator("reflection_component", gamma=F(1, 3)).terms == (
+        term(c), term(-c, eps=-1))
+
+
+def test_zero_parameter_drops_zero_terms():
+    assert build_operator("dunkl_derivative", mu=0).terms == (term(1, k=1),)
+    assert build_operator("involution_P", gamma=0).terms == (term(1, eps=-1),)
 
 
 # -- quadratic algebra -------------------------------------------------------------

@@ -550,8 +550,7 @@ def test_hash_is_the_hash_of_items(coeffs):
 def test_affine_power_frozen_examples():
     assert LaurentPoly.affine_power(3, -1, 2) == lp({3: -1, 2: 6, 1: -12, 0: 8})
     assert LaurentPoly.affine_power(0, 1, Fraction(1, 2)) == LaurentPoly.one()
-    # Laurent powers at delta == 0, as the Gaussian class hands them over:
-    # exact coefficients, never floats
+    # Laurent powers at delta == 0: exact coefficients, never floats
     assert LaurentPoly.affine_power(-3, -1, 0) == lp({-3: -1})
     assert LaurentPoly.affine_power(-2, Fraction(2, 3), 0) == lp({-2: Fraction(9, 4)})
     assert all(type(c) is Fraction for _, c in LaurentPoly.affine_power(-4, -1, 0).items())
@@ -703,12 +702,12 @@ def composed_step(p, q, diag, sub):
     return (X - diag) * p - sub * q
 
 
-def composed_numerator(j, terms, gaussian=False):
+def composed_numerator(j, terms):
     numerator = LaurentPoly.zero()
     for m, k, eps, delta in terms:
         g = LaurentPoly.affine_power(j, eps, delta)
         for _ in range(k):
-            g = g.derivative() - X * g if gaussian else g.derivative()
+            g = g.derivative()
         numerator = numerator + m * g
     return numerator
 
@@ -744,16 +743,16 @@ _term_shapes = st.tuples(
 
 
 @settings(deadline=None)
-@given(st.lists(_term_shapes, min_size=1, max_size=4), st.integers(-4, 12), st.booleans())
-def test_monomial_numerator_matches_composed_route(shapes, j, gaussian):
+@given(st.lists(_term_shapes, min_size=1, max_size=4), st.integers(-4, 12))
+def test_monomial_numerator_matches_composed_route(shapes, j):
     terms = [(LaurentPoly(tm), k, eps, delta) for tm, k, eps, delta in shapes]
     try:
-        want = composed_numerator(j, terms, gaussian)
+        want = composed_numerator(j, terms)
     except ValueError as exc:   # a negative power of a shifted argument
         with pytest.raises(ValueError, match=str(exc)):
-            monomial_numerator(j, terms, gaussian)
+            monomial_numerator(j, terms)
         return
-    got = monomial_numerator(j, terms, gaussian)
+    got = monomial_numerator(j, terms)
     assert_identical(got, want)
     assert_canonical(got)
 
@@ -763,8 +762,6 @@ def test_monomial_numerator_frozen_examples():
     # d^2 (-x + 1)^4 = 12 (-x + 1)^2, and 2 d^0 (x - 1/2)^4 beside it
     got = monomial_numerator(4, [(one, 2, -1, 1), (2 * one, 0, 1, Fraction(-1, 2))])
     assert got == 12 * lp({2: 1, 1: -2, 0: 1}) + 2 * lp({1: 1, 0: Fraction(-1, 2)}) ** 4
-    # the Gaussian class at a negative power: d/dx [e^(-x^2/2) x^-2]
-    assert monomial_numerator(-2, [(one, 1, 1, 0)], gaussian=True) == lp({-3: -2, -1: -1})
     # a derivative order above the power leaves nothing of the term
     assert monomial_numerator(1, [(X, 2, 1, 1)]).is_zero
     with pytest.raises(ValueError, match="negative powers need delta == 0"):
