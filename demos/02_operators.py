@@ -57,8 +57,10 @@ def main() -> None:
     values = {"alpha": alpha, "beta": beta, "gamma": gamma, "eps": eps, "mu": mu}
     for which, spec in ALGEBRAS.items():
         params = {name: values[name] for name in spec.params}
+        K = build_operator(spec.operator, **params)
+        P = build_operator("involution_P", gamma=params["gamma"])
         print(f"quadratic algebra relations of {which} on monomials up to degree 8:")
-        for name, lhs, rhs in algebra_relations(which, **params):
+        for name, lhs, rhs in algebra_relations(which, K, P, **params):
             print(f"  {name:12s} holds: {verify_algebra(lhs, rhs, 8) is None}")
 
 

@@ -37,10 +37,10 @@ Conventions
   to zero; the check layer names the family and the degree, entry or
   sample point).  ``weight-sample`` evaluates every sample before it
   prints the CSV.  Standard output closed by its reader before the output
-  is written (``| head -1``) exits 141, the 128 + SIGPIPE a shell reports
-  for a tool that signal ended, with nothing on stderr; the rest of the
-  output is dropped.  Identical argv produce identical
-  records and, aside from the wall-time field, byte-identical JSON.
+  is written (``| head -1``), the help included, exits 141, the
+  128 + SIGPIPE a shell reports for a tool that signal ended, with nothing
+  on stderr; the rest of the output is dropped.  Identical argv produce
+  identical records and, aside from the wall-time field, byte-identical JSON.
 * Handlers only parse arguments and print; every check runs in
   :mod:`dunklpoly.suites`, the same code the pinned suites use, and
   every record comes from there (``eigencheck`` prints its lines from the
@@ -106,6 +106,22 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 class UsageError(ValueError):
     """Bad command-line input combinations (exit status 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a help or usage message written to a
+    closed pipe raises ``BrokenPipeError``, so ``run`` exits 141 whether
+    stdout is buffered or not.  argparse drops every ``OSError`` there; this
+    parser drops only the ``AttributeError`` of a missing stream
+    (``sys.stdout`` is None), as ``print`` writes nothing then.  Its
+    subparsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                (file or sys.stderr).write(message)
+            except AttributeError:
+                pass
 
 
 def _rational(text: str) -> Fraction:
@@ -294,7 +310,7 @@ def _cmd_eigencheck(args: argparse.Namespace) -> int:
 def _cmd_algebra(args: argparse.Namespace) -> int:
     params = _collect_params(args, ALGEBRAS[args.which].params,
                              f"--which {args.which}")
-    records = algebra_records(args.which, args.cap, params)
+    records = algebra_records(args.which, args.cap, params, RunMemo())
     for record in records:
         relation = record.target.split(":", 1)[1]
         _say(args, f"{relation:12s} {record.outcome}")
@@ -496,7 +512,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     keeps the default, so a missing command is still reported as
     ``command``.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Exact and float verification checks for -1 orthogonal "
                     "polynomial families.",

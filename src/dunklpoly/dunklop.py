@@ -13,8 +13,9 @@ the reflection R is (1, 0, -1, 0), the shifts T^+ / T^- are
 
 Applying an operator to a polynomial works over one common denominator.
 Each operator, on first use, takes the monic lcm L of its term
-denominators and turns every term coefficient num_i/den_i into the
-polynomial multiplier num_i * L/den_i.  The image of x^j times L is then the
+denominators (for a shift-free operator, the highest power of x among
+them) and turns every term coefficient num_i/den_i into the polynomial
+multiplier num_i * L/den_i.  The image of x^j times L is then the
 polynomial N_j = sum_i mult_i * d^{k_i}[(eps_i*x + delta_i)^j].
 ``exactnum.monomial_numerator`` forms N_j on integer numerators over one
 common denominator, with one gcd: each derivative by its closed form
@@ -28,10 +29,11 @@ beyond filling the table.  A nonzero remainder sends the numerator
 L * sum_j f_j Q_j + sum_j f_j R_j through ``RatFunc``, which raises
 ``NotPolynomial`` with the reduced leftover denominator.  That error is the
 primary detector for a mistranscribed coefficient.  The tables keep each
-remainder beside its quotient, so they stay correct when the image of a
-single monomial is not a polynomial, and they are invisible to ``==`` and
-``hash``.  Besides plain polynomials the module supports the class
-e^{-x^2/2} * poly, which every shift-free operator here preserves
+remainder beside its quotient (a zero one is the module's one zero, since
+a run keeps its operators' tables), so they stay correct when the image
+of a single monomial is not a polynomial, and they are invisible to
+``==`` and ``hash``.  Besides plain polynomials the module supports the
+class e^{-x^2/2} * poly, which every shift-free operator here preserves
 (``apply_gaussian``).  Conjugating by the Gaussian turns each d^k into
 (d - x)^k (Rosenblum, "Generalized Hermite polynomials and the Bose-like
 oscillator calculus", 1994), so the operator's conjugate, built once,
@@ -66,8 +68,11 @@ family, its default sweep cap and whether it acts on the Gaussian class.
 Every shift-free operator here, the six eigen-operators, D^mu, P and the
 parity projector, shares one shape, S d^2 + T d R + U d + V (I - R),
 written once as ``_reflection_form``; gh_OmegaTilde adds the identity term
-x^2/2 and P adds R.  The two eigen-operators built from D^mu reach it
-through the closed square
+x^2/2 and P adds R.  Every pole of S, T, U and V is at x = 0, so the
+builders sum them as Laurent polynomials (x^-k is a term like any other)
+and ``_reflection_form`` wraps each in one ``RatFunc``; only cbi_K, whose
+shift coefficients have poles at -1 and +-1/2, sums ``RatFunc``s.  The two
+eigen-operators built from D^mu reach it through the closed square
 
     (D^mu)^2 = d^2 + (2 mu/x) d - (mu/x^2)(I - R),
 
@@ -83,13 +88,14 @@ token of K, whose parameter names are the algebra's, and a function that
 takes those parameters in order and returns only the relations
 ``(name, lhs, rhs)``.  Each side maps a word to its coefficient; a word is
 a string over K, X (times x), P and B = KX - XK that acts right to left
-("KP" is f -> K(P(f)), "" the identity).  ``algebra_relations`` builds K by
-its token with ``build_operator`` and P = ``parity_involution(gamma)``, and
-turns each side into a function on polynomials; ``verify_algebra`` runs one
-relation over the monomials and returns the first degree where its sides
-differ.  A new algebra is one relations function, which reuses
-``_involution_relations``, and one ``ALGEBRAS`` entry; the CLI and the
-algebra suite read its names from there.
+("KP" is f -> K(P(f)), "" the identity).  ``algebra_relations`` takes K,
+built by its token, and P = ``parity_involution(gamma)`` from its caller,
+so a run builds each once for its eigen checks and its algebras
+(``suites.RunMemo``); it turns each side into a function on polynomials,
+and ``verify_algebra`` runs one relation over the monomials and returns
+the first degree where its sides differ.  A new algebra is one relations
+function, which reuses ``_involution_relations``, and one ``ALGEBRAS``
+entry; the CLI and the algebra suite read its names from there.
 """
 
 from __future__ import annotations
@@ -105,6 +111,7 @@ from .exactnum import (
     Scalar,
     _as_fraction,
     exact_polynomial_check,
+    linear_combination,
     monomial_numerator,
     poly_divmod,
     poly_exact_div,
@@ -121,13 +128,14 @@ from .families import (
 )
 
 X = LaurentPoly.x()
+_ZERO = LaurentPoly.zero()
 
 
 class UnsupportedTermForGaussianClass(ValueError):
     """Raised when a shifted term is applied to e^{-x^2/2} * poly."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorTerm:
     coeff: RatFunc
     k: int
@@ -166,7 +174,10 @@ class DunklOperator:
             pair = quotients.get(j)
             if pair is None:
                 terms = [(m, t.k, t.eps, t.delta) for t, m in zip(self.terms, multipliers)]
-                pair = quotients[j] = poly_divmod(monomial_numerator(j, terms), L)
+                pair = poly_divmod(monomial_numerator(j, terms), L)
+                if pair[1].is_zero:   # a table may live as long as its run
+                    pair = (pair[0], _ZERO)
+                quotients[j] = pair
             if not pair[1].is_zero:
                 leftover.append(j)
             return pair[0]
@@ -208,11 +219,19 @@ class DunklOperator:
 
     @cached_property
     def _common(self) -> Tuple[LaurentPoly, Tuple[LaurentPoly, ...]]:
-        """The lcm L of the term denominators and the multipliers num_i L/den_i."""
+        """The lcm L of the term denominators and the multipliers num_i L/den_i.
+        When every denominator is a power of x, as for every shift-free
+        operator here, L is the highest and no division is needed."""
+        dens = [t.coeff.den for t in self.terms]
+        powers = [d.degree for d in dens]
+        if all(d == LaurentPoly.monomial(k) for d, k in zip(dens, powers)):
+            top = max(powers, default=0)
+            return LaurentPoly.monomial(top), tuple(
+                t.coeff.num * LaurentPoly.monomial(top - k) for t, k in zip(self.terms, powers))
         L = LaurentPoly.one()
-        for t in self.terms:
-            L = L * poly_exact_div(t.coeff.den, poly_gcd(L, t.coeff.den))
-        return L, tuple(t.coeff.num * poly_exact_div(L, t.coeff.den) for t in self.terms)
+        for den in dens:
+            L = L * poly_exact_div(den, poly_gcd(L, den))
+        return L, tuple(t.coeff.num * poly_exact_div(L, d) for t, d in zip(self.terms, dens))
 
     @cached_property
     def _quotients(self) -> Dict[int, Tuple[LaurentPoly, LaurentPoly]]:
@@ -252,39 +271,42 @@ class GaussianPoly:
 # -- operator builders ---------------------------------------------------------
 
 
+def _over_x(p: LaurentPoly | Scalar, k: int, c: int = 1) -> LaurentPoly:
+    """p / (c x^k), a Laurent polynomial for every k."""
+    return LaurentPoly.monomial(-k, Fraction(1, c)) * p
+
+
 def _chihara_coeffs(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fraction):
-    g2 = LaurentPoly.const(gamma**2)
-    r = X * X - g2            # x^2 - gamma^2
+    r = X * X - gamma**2      # x^2 - gamma^2
     r1 = r - 1                # x^2 - gamma^2 - 1
-    ab = alpha + beta + Fraction(3, 2)
-    ah = alpha + Fraction(1, 2)
-    S = RatFunc.of(r * r1, 4 * X**2)
-    T = RatFunc.of(gamma * (X - gamma) * r1, 4 * X**3)
-    U = (
-        RatFunc.of(gamma * r1 * (2 * gamma - X), 4 * X**3)
-        + RatFunc.of(r * ab, 2 * X)
-        - RatFunc.of(LaurentPoly.const(ah), 2 * X)
-    )
+    gr1 = r1 * gamma
+    xg = X - gamma
+    w = r * (alpha + beta + Fraction(3, 2)) - (alpha + Fraction(1, 2))
+    S = _over_x(r * r1, 2, 4)
+    T = _over_x(gr1 * xg, 3, 4)
+    U = _over_x(gr1 * (2 * gamma - X), 3, 4) + _over_x(w, 1, 2)
     V = (
-        RatFunc.of(gamma * r1 * (X - Fraction(3, 2) * gamma), 4 * X**4)
-        - RatFunc.of(r * ab, 4 * X**2)
-        + RatFunc.of(LaurentPoly.const(ah), 4 * X**2)
-        + RatFunc.of(eps * (X - gamma), 2 * X)
+        _over_x(gr1 * (X - Fraction(3, 2) * gamma), 4, 4)
+        - _over_x(w, 2, 4)
+        + _over_x(xg * eps, 1, 2)
     )
     return S, T, U, V
 
 
-def _reflection_form(S: RatFunc, T: RatFunc, U: RatFunc, V: RatFunc) -> DunklOperator:
+def _reflection_form(S: LaurentPoly, T: LaurentPoly, U: LaurentPoly,
+                     V: LaurentPoly) -> DunklOperator:
     """S d^2 + T d R + U d + V (I - R), the shape of every shift-free
-    operator here; a zero coefficient drops its term."""
+    operator here.  Its coefficients are Laurent polynomials, since every
+    pole is at x = 0; each becomes one ``RatFunc``, and a zero coefficient
+    drops its term."""
     zero = Fraction(0)
     return _merge(
         (
-            OperatorTerm(S, 2, 1, zero),
-            OperatorTerm(T, 1, -1, zero),
-            OperatorTerm(U, 1, 1, zero),
-            OperatorTerm(V, 0, 1, zero),
-            OperatorTerm(-V, 0, -1, zero),
+            OperatorTerm(RatFunc.from_laurent(S), 2, 1, zero),
+            OperatorTerm(RatFunc.from_laurent(T), 1, -1, zero),
+            OperatorTerm(RatFunc.from_laurent(U), 1, 1, zero),
+            OperatorTerm(RatFunc.from_laurent(V), 0, 1, zero),
+            OperatorTerm(RatFunc.from_laurent(-V), 0, -1, zero),
         )
     )
 
@@ -298,6 +320,8 @@ def chihara_eigenop(alpha: Scalar, beta: Scalar, gamma: Scalar, eps: Scalar) -> 
 
 
 def cbi_eigenop(rho1: Scalar, rho2: Scalar, r1: Scalar, r2: Scalar, alpha: Scalar) -> DunklOperator:
+    """The one builder with poles off x = 0 (at -1 and +-1/2), so its
+    coefficients are ``RatFunc`` sums."""
     rho1, rho2, r1, r2 = map(_as_fraction, (rho1, rho2, r1, r2))
     alpha = _as_fraction(alpha)
     h = Fraction(1, 2)
@@ -331,8 +355,7 @@ def cbi_eigenop(rho1: Scalar, rho2: Scalar, r1: Scalar, r2: Scalar, alpha: Scala
 
 def dunkl_derivative(mu: Scalar) -> DunklOperator:
     """D^mu = d/dx + (mu/x)(I - R)."""
-    return _reflection_form(RatFunc.zero(), RatFunc.zero(), RatFunc.from_laurent(1),
-                            RatFunc.of(_as_fraction(mu), X))
+    return _reflection_form(_ZERO, _ZERO, LaurentPoly.one(), _over_x(_as_fraction(mu), 1))
 
 
 def gegenbauer_dunkl_square(mu: Scalar, a: Scalar) -> DunklOperator:
@@ -341,41 +364,34 @@ def gegenbauer_dunkl_square(mu: Scalar, a: Scalar) -> DunklOperator:
     mu, a = _as_fraction(mu), _as_fraction(a)
     w = 1 - X * X
     return _reflection_form(
-        RatFunc.from_laurent(w),
-        RatFunc.zero(),
-        RatFunc.of(2 * mu * w - 2 * (a + 1) * X * X, X),
-        RatFunc.of(-mu * w - 2 * (a + 1) * mu * X * X, X**2),
+        w,
+        _ZERO,
+        _over_x(2 * mu * w - 2 * (a + 1) * X * X, 1),
+        _over_x(-mu * w - 2 * (a + 1) * mu * X * X, 2),
     )
 
 
 def ext_hermite_eigenop(mu: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator:
     mu, gamma, eps = _as_fraction(mu), _as_fraction(gamma), _as_fraction(eps)
     mg = mu + gamma**2
-    S = RatFunc.of(gamma**2 - X * X, 4 * X**2)
-    T = RatFunc.of(gamma * (X - gamma), 4 * X**3)
-    U = (
-        RatFunc.of(X, 2)
-        + RatFunc.of(LaurentPoly.const(gamma), 4 * X**2)
-        - RatFunc.of(LaurentPoly.const(gamma**2), 2 * X**3)
-        - RatFunc.of(LaurentPoly.const(mg), 2 * X)
-    )
+    S = _over_x(gamma**2 - X * X, 2, 4)
+    T = _over_x(gamma * (X - gamma), 3, 4)
+    U = X / 2 + _over_x(gamma, 2, 4) - _over_x(gamma**2, 3, 2) - _over_x(mg, 1, 2)
     V = (
-        RatFunc.of(LaurentPoly.const(3 * gamma**2), 8 * X**4)
-        - RatFunc.of(LaurentPoly.const(gamma), 4 * X**3)
-        + RatFunc.of(LaurentPoly.const(mg), 4 * X**2)
-        + RatFunc.of(eps * (X - gamma), 2 * X)
-        - RatFunc.from_laurent(LaurentPoly.const(Fraction(1, 4)))
+        _over_x(3 * gamma**2, 4, 8)
+        - _over_x(gamma, 3, 4)
+        + _over_x(mg, 2, 4)
+        + _over_x(eps * (X - gamma), 1, 2)
+        - Fraction(1, 4)
     )
     return _reflection_form(S, -T, U, V)
 
 
 def gen_hermite_eigenop(mu: Scalar, eps: Scalar) -> DunklOperator:
     mu, eps = _as_fraction(mu), _as_fraction(eps)
-    W = RatFunc.of(LaurentPoly.const(mu), 2 * X**2) + RatFunc.from_laurent(
-        LaurentPoly.const((eps - 1) / 2)
-    )
-    S = RatFunc.from_laurent(LaurentPoly.const(Fraction(-1, 2)))
-    return _reflection_form(S, RatFunc.zero(), RatFunc.of(X * X - mu, X), W)
+    W = _over_x(mu, 2, 2) + (eps - 1) / 2
+    S = LaurentPoly.const(Fraction(-1, 2))
+    return _reflection_form(S, _ZERO, _over_x(X * X - mu, 1), W)
 
 
 def gen_hermite_oscillator(mu: Scalar, eps: Scalar) -> DunklOperator:
@@ -384,24 +400,22 @@ def gen_hermite_oscillator(mu: Scalar, eps: Scalar) -> DunklOperator:
     square; ``+`` merges x^2/2 into the I part of V (I - R)."""
     mu, eps = _as_fraction(mu), _as_fraction(eps)
     return _reflection_form(
-        RatFunc.from_laurent(Fraction(-1, 2)),
-        RatFunc.zero(),
-        RatFunc.of(-mu, X),
-        RatFunc.of(mu + eps * X * X, 2 * X**2),
+        LaurentPoly.const(Fraction(-1, 2)),
+        _ZERO,
+        _over_x(-mu, 1),
+        _over_x(mu + eps * X * X, 2, 2),
     ) + DunklOperator((term(X * X / 2),))
 
 
 def parity_involution(gamma: Scalar) -> DunklOperator:
     """P = R + (gamma/x)(I - R)."""
-    zero = RatFunc.zero()
-    projector = _reflection_form(zero, zero, zero, RatFunc.of(_as_fraction(gamma), X))
+    projector = _reflection_form(_ZERO, _ZERO, _ZERO, _over_x(_as_fraction(gamma), 1))
     return projector + DunklOperator((term(1, eps=-1),))
 
 
 def reflection_component(gamma: Scalar) -> DunklOperator:
     """(x - gamma)/(2x) (I - R)."""
-    zero = RatFunc.zero()
-    return _reflection_form(zero, zero, zero, RatFunc.of(X - _as_fraction(gamma), 2 * X))
+    return _reflection_form(_ZERO, _ZERO, _ZERO, _over_x(X - _as_fraction(gamma), 1, 2))
 
 
 # -- the eigen-operator table -----------------------------------------------------
@@ -581,17 +595,10 @@ ALGEBRAS: Dict[str, Algebra] = {
 
 
 def _evaluate(letters: Dict[str, Applier], combination: Combination, f: LaurentPoly) -> LaurentPoly:
-    """The sum of c * word(f), folded from the first term; a coefficient of
-    +1 or -1 costs no scalar product."""
-    total = None
-    for word, c in combination.items():
-        g = reduce(lambda g, letter: letters[letter](g), reversed(word), f)
-        if c == -1 and total is not None:
-            total = total - g
-        else:
-            g = g if c == 1 else c * g
-            total = g if total is None else total + g
-    return LaurentPoly.zero() if total is None else total
+    """The sum of c * word(f) over the combination, in its order."""
+    return linear_combination(
+        (c, reduce(lambda g, letter: letters[letter](g), reversed(word), f))
+        for word, c in combination.items())
 
 
 def _letters(K: DunklOperator, P: DunklOperator) -> Dict[str, Applier]:
@@ -606,10 +613,15 @@ def _letters(K: DunklOperator, P: DunklOperator) -> Dict[str, Applier]:
     }
 
 
-def algebra_relations(which: str, **params: Scalar) -> List[Tuple[str, Applier, Applier]]:
+def algebra_relations(which: str, K: DunklOperator, P: DunklOperator,
+                      **params: Scalar) -> List[Tuple[str, Applier, Applier]]:
     """The relations of ``ALGEBRAS[which]`` as ``(name, lhs, rhs)``, each
     side a function on polynomials.
 
+    ``K`` is the algebra's eigenoperator, built by the token
+    ``ALGEBRAS[which].operator`` at ``params``, and ``P`` is
+    ``parity_involution(gamma)``; the caller builds them, so one run can
+    share them with its eigen checks.
     ``params`` holds the algebra's parameters by name.  Both sides are
     evaluated by nested application, never by symbolic multiplication, so
     the check is an independent route onto the stated structure constants.
@@ -617,13 +629,14 @@ def algebra_relations(which: str, **params: Scalar) -> List[Tuple[str, Applier, 
     each applied at most once per distinct input while the returned
     functions live, and K and P fill their monomial quotient tables once.
     A relation checked first makes the images that the later ones reuse.
-    Nothing carries over into the next call.
+    No image carries over into the next call; the quotient tables live on
+    K and P.
     """
     if which not in ALGEBRAS:
         raise ValueError(f"no algebra table for {which!r}")
     spec = ALGEBRAS[which]
     p = {n: _as_fraction(params[n]) for n in spec.params}
-    letters = _letters(build_operator(spec.operator, **p), parity_involution(p["gamma"]))
+    letters = _letters(K, P)
     return [(name, partial(_evaluate, letters, lhs), partial(_evaluate, letters, rhs))
             for name, lhs, rhs in spec.relations(*p.values())]
 

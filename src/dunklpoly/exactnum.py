@@ -26,17 +26,20 @@ deliberately small and strict:
   one ``poly_divmod`` per monomial cached on the operator (see
   :mod:`dunklpoly.dunklop`), not through RatFunc sums.
 
-Four kernels form whole results that would otherwise be chains of
+Five kernels form whole results that would otherwise be chains of
 canonical LaurentPolys, each with its own gcd.  They work on the raw
 integer numerators over one common denominator and take one gcd at the end
 (Geddes, Czapor and Labahn, ch. 2; Knuth, TAOCP vol. 2, §4.6):
 
 * ``monomial_numerator``: N_j = sum_i m_i * d^{k_i}[(eps_i*x + delta_i)^j],
   the numerator of an operator's image of x^j, with each derivative in
-  closed form;
+  closed form; a shift-free term (delta = 0, eps = +-1) adds a shifted,
+  scaled copy of its multiplier m_i, with no product;
 * ``three_term_step``: (x - diag)*p - sub*q, the step of every monic
   recurrence over the rationals (``families.monic_list``);
 * ``residual``: a - c*b, an eigen-equation's residual;
+* ``linear_combination``: c_1*p_1 + c_2*p_2 + ..., a side of an algebra
+  relation (``dunklop.algebra_relations``);
 * ``term_ratio_sum``: t_0 + t_1 + ... with t_k = t_(k-1) * f_k * c_k / d_k
   for integers c_k and d_k, a series summed by its term ratio
   (``families.hypergeometric_terminating``), every term over one growing
@@ -50,8 +53,10 @@ evaluation gives the same bits.
 Single terms skip the general routes.  A product with a factor x^k (one
 term, numerator 1, denominator 1) shifts the other factor's exponents, in
 its order and over its denominator, with no product loop and no gcd;
-``one``, ``x`` and ``monomial`` write their fields directly; and
-``map_monomials`` on x^j returns ``image(j)`` itself.  Each gives the
+``one``, ``x`` and ``monomial`` write their fields directly;
+``map_monomials`` on x^j returns ``image(j)`` itself; and a ``RatFunc``
+num / x^k with no power of x to cancel from both parts (a Laurent
+polynomial over 1, for one) only shifts num, with no gcd.  Each gives the
 fields and term order of the general route.  The image is then
 shared with its source (an operator's cached quotient, for one), which is
 safe because a LaurentPoly is never changed once built.
@@ -146,7 +151,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c: Scalar) -> "LaurentPoly":
-        return LaurentPoly({0: c})
+        return LaurentPoly.monomial(0, c)
 
     @staticmethod
     def monomial(exp: int, c: Scalar = 1) -> "LaurentPoly":
@@ -529,7 +534,11 @@ def monomial_numerator(j: int, terms: Iterable[Tuple[LaurentPoly, int, Scalar, S
 
     Each derivative takes its closed form
     d^k (eps*x + delta)^j = eps^k j!/(j-k)! (eps*x + delta)^(j-k).  The terms
-    are summed in order, as ``zero + m_1*g_1 + m_2*g_2 + ...``.
+    are summed in order, as ``zero + m_1*g_1 + m_2*g_2 + ...``.  A
+    shift-free term (delta = 0, eps = +-1) has the image c x^(j-k) with
+    c = eps^j j!/(j-k)!, so its product with m is m's numerators times c,
+    shifted by j - k, in m's order: the terms of the general product,
+    added without forming it.
     """
     out: Dict[int, int] = {}
     den = 1
@@ -537,13 +546,30 @@ def monomial_numerator(j: int, terms: Iterable[Tuple[LaurentPoly, int, Scalar, S
         falling = prod(range(j - k + 1, j + 1))   # j!/(j-k)!, 0 for 0 <= j < k
         if not falling:
             continue
-        nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
-        pden = m._den * gden * eps.denominator**k
+        shift_free = not delta and (eps == 1 or eps == -1)
+        if shift_free:
+            pden = m._den
+        else:
+            nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
+            pden = m._den * gden * eps.denominator**k
         g = gcd(den, pden)
         ma = pden // g
         if ma != 1:
             out = {e: n * ma for e, n in out.items()}
-        _add_scaled(out, _product(m._nums, nums), den // g)
+        if shift_free:
+            # _add_scaled of the shifted, scaled m, written out
+            scale = (-falling if eps == -1 and j % 2 else falling) * (den // g)
+            shift = j - k
+            get = out.get
+            for e, n in m._nums.items():
+                e += shift
+                s = get(e, 0) + scale * n
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        else:
+            _add_scaled(out, _product(m._nums, nums), den // g)
         den *= ma
     return _canonical(out, den)
 
@@ -570,6 +596,25 @@ def three_term_step(p: LaurentPoly, q: LaurentPoly, diag: Scalar, sub: Scalar) -
 def residual(a: LaurentPoly, b: LaurentPoly, c: Scalar) -> LaurentPoly:
     """a - c*b, the residual of an eigen-equation a = c*b."""
     return _combine(a, b, -_as_fraction(c))
+
+
+def linear_combination(terms: Iterable[Tuple[Scalar, LaurentPoly]]) -> LaurentPoly:
+    """c_1*p_1 + c_2*p_2 + ... for the pairs (c_i, p_i), summed in order.
+
+    The numerators of each c_i*p_i are added over the lcm of the
+    denominators so far, as ``zero + c_1*p_1 + c_2*p_2 + ...`` adds them.
+    """
+    out: Dict[int, int] = {}
+    den = 1
+    for c, p in terms:
+        pden = p._den * c.denominator
+        g = gcd(den, pden)
+        ma = pden // g
+        if ma != 1:
+            out = {e: n * ma for e, n in out.items()}
+        _add_scaled(out, p._nums, c.numerator * (den // g))
+        den *= ma
+    return _canonical(out, den)
 
 
 def term_ratio_sum(factors: Iterable[Tuple[LaurentPoly, int, int]]) -> LaurentPoly:
@@ -691,7 +736,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _canonical(a._nums, a._nums[a.degree])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RatFunc:
     """Reduced rational function num/den, den monic, gcd(num, den) = 1.
 
@@ -707,6 +752,15 @@ class RatFunc:
         num, den = self.num, self.den
         if den.is_zero:
             raise ZeroDenominator("rational function with zero denominator")
+        k = _unit_exponent(den)
+        if k is not None and not num.is_zero and min(k, num.min_exp) <= 0:
+            # num / x^k with no power of x to divide out of both parts (a
+            # Laurent polynomial over 1, for one): the shift below is the
+            # whole normalisation, so no gcd
+            v = min(k, num.min_exp)
+            object.__setattr__(self, "num", num * LaurentPoly.monomial(-v))
+            object.__setattr__(self, "den", LaurentPoly.monomial(k - v))
+            return
         if not (num.is_polynomial and den.is_polynomial):
             # Clear common powers of x so both parts are true polynomials.
             shift = min(num.min_exp if not num.is_zero else 0, den.min_exp)

@@ -53,11 +53,16 @@ that several checks need, keyed by exact value: the monic list P_0..P_N of
 each ``FamilySpec`` (the longest one generated so far serves every shorter
 request, and each caller gets its own list) and one
 ``quad.ClassicalWeight`` per reduced weight, which keeps the Gauss rules
-it builds by size.  The first check that needs a shared object builds it,
-and its record's ``millis`` includes that work; the later checks reuse it.
-Nothing outlives the memo.  Operators are not shared between cases; an
-algebra check keeps one memo of operator images across its own relations
-(``dunklop.algebra_relations``).
+it builds by size, and one operator per ``EIGEN_OPERATORS`` token and
+parameters and one involution P per gamma.  An operator keeps its quotient
+table, so the ``eigen``, ``algebra`` and ``negative-controls`` suites fill
+one table per operator: the Chihara operator of an eigen case is the K of
+the algebra at the same parameters, and the negative control adds its bad
+term to the shared operator, which makes a new one.  The first check that
+needs a shared object builds it, and its record's ``millis`` includes that
+work; the later checks reuse it.  Nothing outlives the memo.  An algebra
+check also keeps one memo of operator images across its own relations
+(``dunklop.algebra_relations``); those images are not shared further.
 """
 
 from __future__ import annotations
@@ -83,11 +88,12 @@ from .dunklop import (
     EIGEN_OPERATORS,
     Applier,
     DunklOperator,
+    EigenOperator,
     GaussianPoly,
     algebra_relations,
     build_operator,
     eigencheck,
-    expected_eigenvalue,
+    parity_involution,
     term,
     verify_algebra,
 )
@@ -270,16 +276,21 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
 
 class RunMemo:
     """The exact objects that the checks of one run share, keyed by exact
-    value: monic lists per ``FamilySpec`` and one ``ClassicalWeight`` per
-    reduced weight.  Two memos share nothing.
+    value: monic lists per ``FamilySpec``, one ``ClassicalWeight`` per
+    reduced weight, and one operator per eigen-operator token and
+    parameters and one involution per gamma, each with its quotient table.
+    Two memos share nothing.
 
-    ``generate_monic`` is called by its name at call time, so a wrapper put
-    in its place is called too.
+    ``generate_monic``, ``build_operator`` and ``parity_involution`` are
+    called by their names at call time, so a wrapper put in their place is
+    called too.
     """
 
     def __init__(self) -> None:
         self._monic: Dict[FamilySpec, List[LaurentPoly]] = {}
         self._weights: Dict[ClassicalWeight, ClassicalWeight] = {}
+        self._operators: Dict[Tuple[object, ...], DunklOperator] = {}
+        self._involutions: Dict[Fraction, DunklOperator] = {}
 
     def monic(self, family: FamilySpec, N: int) -> List[LaurentPoly]:
         """A list of its own holding P_0..P_N of ``family``."""
@@ -293,6 +304,22 @@ class RunMemo:
         for the family's reduced weight."""
         reduced = weight_for(family).classical_weight
         return WeightSpec(family, self._weights.setdefault(reduced, reduced))
+
+    def operator(self, token: str, params: Mapping[str, Fraction]) -> DunklOperator:
+        """The run's one ``build_operator(token, **params)`` for an
+        ``EIGEN_OPERATORS`` token and exact parameters."""
+        key = (token, *(params[name] for name in EIGEN_OPERATORS[token].params))
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = build_operator(token, **params)
+        return op
+
+    def involution(self, gamma: Fraction) -> DunklOperator:
+        """The run's one ``parity_involution(gamma)``."""
+        op = self._involutions.get(gamma)
+        if op is None:
+            op = self._involutions[gamma] = parity_involution(gamma)
+        return op
 
 
 @contextmanager
@@ -380,24 +407,24 @@ def eigen_records(
     """The eigen-equation of ``token`` on P_0..P_cap: one record per degree.
 
     A failing record's residual is ``"nonzero"`` or ``"not a polynomial"``.
-    ``operator`` replaces the operator built from ``token`` and ``params``;
-    the negative controls pass a corrupted one.  The polynomials come from
-    ``memo``.
+    ``params`` are exact.  ``operator`` replaces the memo's operator for
+    ``token`` and ``params``; the negative controls pass a corrupted one.
+    The operator and the polynomials come from ``memo``.
     """
     spec = EIGEN_OPERATORS[token]
     family = spec.family(params)
     label = family.label()
     if operator is None:
-        operator = build_operator(token, **params)
+        operator = memo.operator(token, params)
     return [_timed_exact("eigencheck", token, label, str(n), _eigen_equation,
-                         token, params, operator, spec.gaussian, n, poly)
+                         spec, params, operator, n, poly)
             for n, poly in enumerate(memo.monic(family, cap))]
 
 
-def _eigen_equation(token: str, params: Mapping[str, Fraction], operator: DunklOperator,
-                    gaussian: bool, n: int, poly: LaurentPoly) -> str:
-    eigenvalue = expected_eigenvalue(token, n, **params)
-    vector = GaussianPoly(poly) if gaussian else poly
+def _eigen_equation(spec: EigenOperator, params: Mapping[str, Fraction],
+                    operator: DunklOperator, n: int, poly: LaurentPoly) -> str:
+    eigenvalue = spec.eigenvalue(*divmod(n, 2), params)
+    vector = GaussianPoly(poly) if spec.gaussian else poly
     try:
         return "0" if eigencheck(operator, vector, eigenvalue).is_zero else "nonzero"
     except NotPolynomial:
@@ -436,15 +463,18 @@ def suite_eigen(memo: RunMemo) -> List[VerificationRecord]:
 
 
 def algebra_records(
-    which: str, cap: int, params: Mapping[str, Fraction]
+    which: str, cap: int, params: Mapping[str, Fraction], memo: RunMemo
 ) -> List[VerificationRecord]:
     """One record per structure relation of the ``which`` operator algebra,
     in table order; a relation's record includes the operator images that
-    it is the first to need (``dunklop.algebra_relations``)."""
+    it is the first to need (``dunklop.algebra_relations``).  K and P come
+    from ``memo``."""
     label = format_params(params.items())
+    K = memo.operator(ALGEBRAS[which].operator, params)
+    P = memo.involution(params["gamma"])
     return [_timed_exact("algebra", f"{which}:{name}", label, f"0..{cap}",
                          _relation_holds, lhs, rhs, cap)
-            for name, lhs, rhs in algebra_relations(which, **params)]
+            for name, lhs, rhs in algebra_relations(which, K, P, **params)]
 
 
 def _relation_holds(lhs: Applier, rhs: Applier, cap: int) -> str:
@@ -460,7 +490,7 @@ def suite_algebra(memo: RunMemo) -> List[VerificationRecord]:
     for which, values in cases:
         params = dict(zip(ALGEBRAS[which].params, values))
         records.append(_summary("algebra", which, params, ALGEBRA_CAP,
-                                partial(algebra_records, which, ALGEBRA_CAP, params),
+                                partial(algebra_records, which, ALGEBRA_CAP, params, memo),
                                 lambda r: f"fails {r.target.split(':', 1)[1]}"))
     return records
 
@@ -773,8 +803,9 @@ def suite_limits(memo: RunMemo) -> List[VerificationRecord]:
 
 def _perturbed_eigen_operator(params: Mapping[str, Fraction], memo: RunMemo) -> str:
     """Perturb the reflection-free first-derivative term of the eigenvalue
-    operator by one unit and confirm the eigen-equation check fails."""
-    bad = build_operator("chihara_D", **params) + DunklOperator(
+    operator by one unit and confirm the eigen-equation check fails.  The
+    sum is a new operator; the memo's stays as it was."""
+    bad = memo.operator("chihara_D", params) + DunklOperator(
         (term(RatFunc.of(LaurentPoly.const(F(-1)), 2 * LaurentPoly.x()), k=1),)
     )
     records = eigen_records("chihara_D", params, 4, memo, operator=bad)

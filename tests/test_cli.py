@@ -541,6 +541,27 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     assert err.getvalue() == ""
 
 
+class _ClosedUnbufferedStdout(io.TextIOBase):
+    """Unbuffered stdout whose reader is gone, as under PYTHONUNBUFFERED=1:
+    each write raises BrokenPipeError at once and nothing waits for a flush."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_help_into_a_closed_unbuffered_stdout_exits_141():
+    # the help's one write meets the closed pipe itself; argparse drops
+    # that error, and the run would exit 0 with the help lost
+    err = io.StringIO()
+    with redirect_stdout(_ClosedUnbufferedStdout()), redirect_stderr(err):
+        code = run(["gram", "--help"])
+    assert code == cli.STDOUT_CLOSED
+    assert err.getvalue() == ""
+
+
 def test_a_process_without_stdout_runs_as_before(monkeypatch):
     # started with descriptor 1 closed, the interpreter sets sys.stdout to
     # None and print writes nothing; run must not flush it
@@ -592,6 +613,8 @@ def _closed_early(argv, lines, unbuffered):
     (["coeffs", "--family", "chihara", "--alpha", "1", "--beta", "1", "--gamma", "1/2",
       "--n", "2"], 0, False),
     (["gram", "--help"], 0, False),
+    # unbuffered: the help's own write meets the closed pipe
+    (["gram", "--help"], 0, True),
 ])
 def test_closed_stdout_pipe_ends_the_process_quietly(argv, lines, unbuffered):
     code, err = _closed_early(argv, lines, unbuffered)

@@ -20,6 +20,8 @@ from dunklpoly.exactnum import (
     exact_polynomial_check,
     monomial_numerator,
     poly_divmod,
+    poly_exact_div,
+    poly_gcd,
 )
 from dunklpoly.dunklop import (
     ALGEBRAS,
@@ -29,6 +31,7 @@ from dunklpoly.dunklop import (
     GaussianPoly,
     OperatorTerm,
     UnsupportedTermForGaussianClass,
+    _merge,
     algebra_relations,
     build_operator,
     eigencheck,
@@ -445,6 +448,23 @@ def test_apply_matches_ratfunc_route(token, data):
     assert op == fresh and hash(op) == hash(fresh)
 
 
+@pytest.mark.parametrize("token", OPERATOR_TOKENS)
+@settings(deadline=None, max_examples=12)
+@given(data=st.data())
+def test_common_denominator_matches_lcm_route(token, data):
+    # powers of x take a shortcut; an extra c/(x - r) term or cbi_K's
+    # shifts take the lcm loop: the same fields in the same order
+    params = {name: data.draw(_rationals) for name in TOKEN_PARAMS[token]}
+    op = build_operator(token, **params) + DunklOperator(data.draw(_extra_terms()))
+    L = LaurentPoly.one()
+    for t in op.terms:
+        L = L * poly_exact_div(t.coeff.den, poly_gcd(L, t.coeff.den))
+    want = (L, *(t.coeff.num * poly_exact_div(L, t.coeff.den) for t in op.terms))
+    got = (op._common[0], *op._common[1])
+    assert [(p._den, list(p._nums.items())) for p in got] == [
+        (p._den, list(p._nums.items())) for p in want]
+
+
 # -- cached monomial quotients against one division per input -------------------
 
 
@@ -579,7 +599,99 @@ def test_zero_parameter_drops_zero_terms():
     assert build_operator("involution_P", gamma=0).terms == (term(1, eps=-1),)
 
 
+# -- the Laurent builders against their RatFunc formulas ----------------------------
+# The shift-free builders sum their coefficients as Laurent polynomials and
+# wrap each in one RatFunc.  The RatFunc sums they replace are written out
+# here: every term must be the same, field by field.
+
+
+def _ratfunc_form(S, T, U, V):
+    zero = F(0)
+    return _merge((OperatorTerm(S, 2, 1, zero), OperatorTerm(T, 1, -1, zero),
+                   OperatorTerm(U, 1, 1, zero), OperatorTerm(V, 0, 1, zero),
+                   OperatorTerm(-V, 0, -1, zero)))
+
+
+def _ratfunc_chihara_coeffs(alpha, beta, gamma, eps):
+    r = X * X - LaurentPoly.const(gamma**2)
+    r1 = r - 1
+    ab, ah = alpha + beta + F(3, 2), alpha + F(1, 2)
+    S = RatFunc.of(r * r1, 4 * X**2)
+    T = RatFunc.of(gamma * (X - gamma) * r1, 4 * X**3)
+    U = (RatFunc.of(gamma * r1 * (2 * gamma - X), 4 * X**3) + RatFunc.of(r * ab, 2 * X)
+         - RatFunc.of(LaurentPoly.const(ah), 2 * X))
+    V = (RatFunc.of(gamma * r1 * (X - F(3, 2) * gamma), 4 * X**4)
+         - RatFunc.of(r * ab, 4 * X**2) + RatFunc.of(LaurentPoly.const(ah), 4 * X**2)
+         + RatFunc.of(eps * (X - gamma), 2 * X))
+    return S, T, U, V
+
+
+def _ratfunc_ext_hermite(mu, gamma, eps):
+    mg, c = mu + gamma**2, LaurentPoly.const
+    S = RatFunc.of(gamma**2 - X * X, 4 * X**2)
+    T = RatFunc.of(gamma * (X - gamma), 4 * X**3)
+    U = (RatFunc.of(X, 2) + RatFunc.of(c(gamma), 4 * X**2)
+         - RatFunc.of(c(gamma**2), 2 * X**3) - RatFunc.of(c(mg), 2 * X))
+    V = (RatFunc.of(c(3 * gamma**2), 8 * X**4) - RatFunc.of(c(gamma), 4 * X**3)
+         + RatFunc.of(c(mg), 4 * X**2) + RatFunc.of(eps * (X - gamma), 2 * X)
+         - RatFunc.from_laurent(c(F(1, 4))))
+    return _ratfunc_form(S, -T, U, V)
+
+
+_ZERO = RatFunc.zero()
+_RATFUNC_BUILDERS = {
+    "chihara_D": lambda alpha, beta, gamma, eps: _ratfunc_form(
+        *_ratfunc_chihara_coeffs(alpha, beta, gamma, eps)),
+    "gegenbauer_W": lambda alpha, beta, eps: _ratfunc_form(
+        *_ratfunc_chihara_coeffs(alpha, beta, F(0), eps)),
+    "y_Z": _ratfunc_ext_hermite,
+    "gh_Omega": lambda mu, eps: _ratfunc_form(
+        RatFunc.from_laurent(F(-1, 2)), _ZERO, RatFunc.of(X * X - mu, X),
+        RatFunc.of(LaurentPoly.const(mu), 2 * X**2) + RatFunc.from_laurent((eps - 1) / 2)),
+    "gegenbauer_Q": lambda mu, a: _ratfunc_form(
+        RatFunc.from_laurent(1 - X * X), _ZERO,
+        RatFunc.of(2 * mu * (1 - X * X) - 2 * (a + 1) * X * X, X),
+        RatFunc.of(-mu * (1 - X * X) - 2 * (a + 1) * mu * X * X, X**2)),
+    "gh_OmegaTilde": lambda mu, eps: _ratfunc_form(
+        RatFunc.from_laurent(F(-1, 2)), _ZERO, RatFunc.of(-mu, X),
+        RatFunc.of(mu + eps * X * X, 2 * X**2)) + DunklOperator((term(X * X / 2),)),
+    "dunkl_derivative": lambda mu: _ratfunc_form(
+        _ZERO, _ZERO, RatFunc.from_laurent(1), RatFunc.of(mu, X)),
+    "involution_P": lambda gamma: _ratfunc_form(
+        _ZERO, _ZERO, _ZERO, RatFunc.of(gamma, X)) + DunklOperator((term(1, eps=-1),)),
+    "reflection_component": lambda gamma: _ratfunc_form(
+        _ZERO, _ZERO, _ZERO, RatFunc.of(X - gamma, 2 * X)),
+}
+
+
+def _fields(op):
+    return [(t.coeff.num._den, t.coeff.num._nums, t.coeff.den._den, t.coeff.den._nums,
+             t.k, t.eps, t.delta) for t in op.terms]
+
+
+def test_every_shift_free_token_has_a_ratfunc_reference():
+    assert sorted(_RATFUNC_BUILDERS) == sorted(set(OPERATOR_TOKENS) - {"cbi_K"})
+
+
+@pytest.mark.parametrize("token", sorted(_RATFUNC_BUILDERS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_laurent_builders_equal_ratfunc_formulas(token, data):
+    # zero parameters included: a coefficient that vanishes drops its term
+    # on both routes
+    params = {name: data.draw(st.just(F(0)) | _rationals) for name in TOKEN_PARAMS[token]}
+    got = build_operator(token, **params)
+    assert _fields(got) == _fields(_RATFUNC_BUILDERS[token](**params))
+
+
 # -- quadratic algebra -------------------------------------------------------------
+
+
+def _relations(which, **params):
+    """``algebra_relations`` over a K and P built here, by ``build_operator``."""
+    K = build_operator(ALGEBRAS[which].operator, **params)
+    P = build_operator("involution_P", gamma=params["gamma"])
+    return algebra_relations(which, K, P, **params)
 
 
 def _first_failures(which, cap, **params):
@@ -589,7 +701,7 @@ def _first_failures(which, cap, **params):
     from dunklpoly import dunklop
 
     return [(name, dunklop.verify_algebra(lhs, rhs, cap))
-            for name, lhs, rhs in algebra_relations(which, **params)]
+            for name, lhs, rhs in _relations(which, **params)]
 
 
 @pytest.mark.parametrize("params", CHIHARA_SETS)
@@ -690,7 +802,7 @@ def test_relations_build_no_operator(monkeypatch, which):
 
 def test_algebra_report_shape():
     params = dict(alpha=1, beta=1, gamma=F(1, 2), eps=F(2, 3))
-    name, lhs, rhs = algebra_relations("chihara", **params)[4]
+    name, lhs, rhs = _relations("chihara", **params)[4]
     assert name == "bracket-position-commutator"
     assert verify_algebra(lhs, rhs, 4) is None
     # a side maps a polynomial to a polynomial

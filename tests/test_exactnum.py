@@ -18,9 +18,11 @@ from dunklpoly.exactnum import (
     RatFunc,
     ZeroDenominator,
     _add_scaled,
+    _affine_terms,
     _canonical,
     _product,
     exact_polynomial_check,
+    linear_combination,
     monomial_numerator,
     poly_divmod,
     poly_exact_div,
@@ -677,6 +679,33 @@ def test_single_term_divisor_matches_general_route(ta, k, c, tc):
     assert_same_ratfunc(RatFunc.of(a, b), ref_reduce(ra, rb))
 
 
+def general_ratfunc(num, den):
+    """RatFunc's normalisation by the general route: clear the powers of x,
+    divide out the gcd, make the denominator monic."""
+    if not (num.is_polynomial and den.is_polynomial):
+        mono = LaurentPoly.monomial(-min(num.min_exp if not num.is_zero else 0, den.min_exp))
+        num, den = num * mono, den * mono
+    if num.is_zero:
+        return num, LaurentPoly.one()
+    g = poly_gcd(num, den)
+    if g.degree:
+        num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    inv = 1 / den.leading_coeff()
+    return (num, den) if inv == 1 else (num * inv, den * inv)
+
+
+@settings(deadline=None)
+@given(_term_lists, st.integers(-3, 5))
+def test_power_of_x_denominator_matches_general_route(tn, k):
+    # num / x^k with no power of x left to divide out skips the gcd: the
+    # fields and term order of the general route, Laurent numerators too
+    num, den = LaurentPoly(tn), LaurentPoly.monomial(k)
+    got = RatFunc(num, den)
+    want = general_ratfunc(num, den)
+    assert_identical(got.num, want[0])
+    assert_identical(got.den, want[1])
+
+
 def test_single_term_divisor_frozen_examples():
     a = lp({0: 5, 4: 3, 1: -2, 6: Fraction(1, 2)})
     q, r = poly_divmod(a, lp({2: Fraction(-2, 3)}))
@@ -710,6 +739,25 @@ def composed_numerator(j, terms):
             g = g.derivative()
         numerator = numerator + m * g
     return numerator
+
+
+def affine_route_numerator(j, terms):
+    """``monomial_numerator`` with every term, shift-free ones too, through
+    ``_affine_terms`` and ``_product``: the route its shift-free branch skips."""
+    out, den = {}, 1
+    for m, k, eps, delta in terms:
+        falling = math.prod(range(j - k + 1, j + 1))
+        if not falling:
+            continue
+        nums, gden = _affine_terms(j - k, eps, delta, falling * eps.numerator**k)
+        pden = m._den * gden * eps.denominator**k
+        g = math.gcd(den, pden)
+        ma = pden // g
+        if ma != 1:
+            out = {e: n * ma for e, n in out.items()}
+        _add_scaled(out, _product(m._nums, nums), den // g)
+        den *= ma
+    return _canonical(out, den)
 
 
 _maybe_zero = st.just(0) | diff_scalars
@@ -754,7 +802,29 @@ def test_monomial_numerator_matches_composed_route(shapes, j):
         return
     got = monomial_numerator(j, terms)
     assert_identical(got, want)
+    assert_identical(got, affine_route_numerator(j, terms))
     assert_canonical(got)
+
+
+_shift_free_shapes = st.tuples(
+    _term_lists,
+    st.integers(0, 3),
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.sampled_from([0, Fraction(0)]),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_shift_free_shapes | _term_shapes, min_size=1, max_size=5),
+       st.integers(-4, 12))
+def test_shift_free_numerator_matches_affine_route(shapes, j):
+    # a shift-free term's image is m shifted by j - k and scaled by
+    # eps^j j!/(j-k)!: the fields and the insertion order of the
+    # _affine_terms route, beside shifted terms and for negative j too
+    terms = [(LaurentPoly(tm), k, eps, delta) for tm, k, eps, delta in shapes]
+    if j < 0 and any(delta for _, _, _, delta in terms):
+        return   # a negative power of a shifted argument: the ValueError above
+    assert_identical(monomial_numerator(j, terms), affine_route_numerator(j, terms))
 
 
 def test_monomial_numerator_frozen_examples():
@@ -766,6 +836,18 @@ def test_monomial_numerator_frozen_examples():
     assert monomial_numerator(1, [(X, 2, 1, 1)]).is_zero
     with pytest.raises(ValueError, match="negative powers need delta == 0"):
         monomial_numerator(-1, [(one, 0, 1, 1)])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_maybe_zero | st.sampled_from([1, -1]), _term_lists), max_size=6))
+def test_linear_combination_matches_composed_route(pairs):
+    terms = [(c, LaurentPoly(tp)) for c, tp in pairs]
+    want = LaurentPoly.zero()
+    for c, p in terms:
+        want = want + c * p
+    got = linear_combination(terms)
+    assert_identical(got, want)
+    assert_canonical(got)
 
 
 @settings(deadline=None)

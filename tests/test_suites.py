@@ -26,8 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from dunklpoly import cli, quad, suites
+from dunklpoly import cli, dunklop, quad, suites
 from dunklpoly.dunklop import ALGEBRAS, EIGEN_OPERATORS
+from dunklpoly.exactnum import RatFunc
 from dunklpoly.families import FAMILIES, chihara_family, gegenbauer_family
 from dunklpoly.report import (
     FIELD_NAMES,
@@ -319,6 +320,64 @@ def test_run_memo_shares_one_classical_weight_per_reduced_weight():
     assert memo.weight(chihara) == quad.weight_for(chihara)
 
 
+def test_one_run_builds_each_operator_and_table_entry_once(monkeypatch):
+    # the eigen, algebra and negative-controls suites share the run's
+    # operators: 51 distinct (token, params), the algebras' K among them,
+    # 4 involutions (gamma 1/2, 1/3, -2/5, -1/4) and one quotient table per
+    # operator; the counts take in both module references, so a build
+    # inside dunklop counts too
+    built = {"build_operator": [], "parity_involution": [], "monomial_numerator": []}
+    keys = {"build_operator": lambda token, **params: (token, *params.values()),
+            "parity_involution": lambda gamma: gamma,
+            "monomial_numerator": lambda j, terms: j}
+    for name, key in keys.items():
+        original = getattr(dunklop, name)
+
+        def counted(*args, name=name, key=key, original=original, **kwargs):
+            built[name].append(key(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dunklop, name, counted)
+        monkeypatch.setattr(suites, name, counted, raising=False)
+    ratfuncs = []
+    post_init = RatFunc.__post_init__
+    monkeypatch.setattr(RatFunc, "__post_init__",
+                        lambda self: ratfuncs.append(1) or post_init(self))
+    for _ in suites.run_batches():
+        pass
+    operators = built["build_operator"]
+    assert len(operators) == len(set(operators)) == 51
+    assert set(operators) == {(token, *values) for token, values in suites.EIGEN_CASES}
+    assert sorted(built["parity_involution"]) == [F(-2, 5), F(-1, 4), F(1, 3), F(1, 2)]
+    assert len(built["monomial_numerator"]) == 880
+    assert len(ratfuncs) <= 600
+
+
+def test_run_memo_shares_operators_by_exact_value():
+    memo, other = RunMemo(), RunMemo()
+    params = {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)}
+    shared = memo.operator("y_Z", params)
+    # the key is the token and the values in EIGEN_OPERATORS order
+    assert memo.operator("y_Z", dict(reversed(params.items()))) is shared
+    assert memo.operator("y_Z", {**params, "eps": F(5)}) is not shared
+    assert other.operator("y_Z", params) is not shared
+    assert memo.involution(F(1, 2)) is memo.involution(F(2, 4))
+    assert memo.involution(F(1, 2)) == dunklop.parity_involution(F(1, 2))
+
+
+def test_eigen_records_read_the_eigenvalue_table(monkeypatch):
+    # the params are exact already, so no record converts them again through
+    # expected_eigenvalue
+    def refuse(*args, **kwargs):
+        raise AssertionError("expected_eigenvalue called")
+
+    monkeypatch.setattr(dunklop, "expected_eigenvalue", refuse)
+    monkeypatch.setattr(suites, "expected_eigenvalue", refuse, raising=False)
+    records = suites.suite_eigen(RunMemo())
+    assert len(records) == EXPECTED_COUNTS["eigen"]
+    assert {r.outcome for r in records} == {"exact_pass"}
+
+
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(names=["construction", "nonsense"])
@@ -350,7 +409,7 @@ def test_algebra_records_time_each_relation():
     # each relation is timed on its own, not given a share of the whole call
     params = {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)}
     with stopwatch() as ms:
-        records = algebra_records("ext_hermite", 6, params)
+        records = algebra_records("ext_hermite", 6, params, RunMemo())
     assert len(records) == 6
     assert all(r.millis > 0 for r in records)
     assert len({r.millis for r in records}) > 1
@@ -385,7 +444,7 @@ def test_transform_records_time_each_check():
     (("gram_offdiag_worst",), lambda memo: gram_records(
         chihara_family(1, 1, F(1, 2)), memo, 4, suites.GRAM_TOLERANCE, "gram")),
     (("verify_algebra",), lambda memo: algebra_records(
-        "ext_hermite", 2, {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)})),
+        "ext_hermite", 2, {"mu": F(3, 2), "gamma": F(1, 2), "eps": F(2, 3)}, memo)),
     (("pearson_weight_equation", "verify_pearson"), lambda memo: pearson_records(
         chihara_family(1, 2, F(1, 3)), 4, suites.REFLECTION_TOLERANCE)),
 ], ids=["construction", "gram", "algebra", "pearson"])
