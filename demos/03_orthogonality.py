@@ -7,19 +7,19 @@ evaluates them with Gauss quadrature built from scratch (tridiagonal QL
 eigensolver, no external numerics).  This demo shows:
 
 * the Gram matrix of the first members is diagonal to ~1e-15,
-* quadrature norm ratios reproduce the exact closed forms,
+* quadrature norm ratios reproduce the exact ones, the recurrence
+  coefficients sub(n),
 * the weight satisfies its first-order (Pearson-type) equation exactly
   as a rational-function identity, plus a reflection symmetry check.
 """
 
 from fractions import Fraction as F
 
-from dunklpoly import chihara_family
+from dunklpoly.families import chihara_family, pearson_weight_equation
 from dunklpoly.quad import (
     gram_matrix,
     gram_offdiag_worst,
     norm_ratio_check,
-    pearson_weight_equation,
     verify_pearson,
     weight_for,
 )
@@ -43,7 +43,7 @@ def main() -> None:
 
     print("norm ratios h_n/h_(n-1): quadrature vs exact closed form:")
     for n in (1, 2, 3, 4):
-        exact, quad = norm_ratio_check(spec, n)
+        exact, quad = family.sub(n), norm_ratio_check(spec, n)
         print(f"  n={n}: exact {str(exact):>8s} = {float(exact):.12f}   "
               f"quadrature {quad:.12f}")
     print()

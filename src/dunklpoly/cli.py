@@ -7,7 +7,7 @@ poly           print one monic family polynomial
 eigencheck     sweep an eigenvalue operator over its polynomial family
 algebra        check the operator structure relations on all monomials
 gram           quadrature Gram matrix off-diagonal check
-norms          norm-ratio checks (quadrature vs closed form, exact identity)
+norms          norm-ratio checks (quadrature vs recurrence, exact identity)
 pearson        weight-equation and reflection-symmetry checks
 transform      kernel-transform round trip and parameter-map checks
 limits         run one contraction limit over a step grid

@@ -39,6 +39,8 @@ Lesky and Swarttouw 2010, §§9.8, 9.12).  The entry also holds the family's
 float pointwise ``weight`` and its ``support`` text.  Each reduced kind is
 an entry of ``CLASSICAL``, keyed by its tag: its formulas in t and whether
 its support is finite.  ``quad`` reads both tables and compares no kind.
+The exact work on a weight stays here, ``pearson_weight_equation`` among
+it; ``quad`` does the float work.
 
 Families carried here:
 
@@ -69,6 +71,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from .exactnum import (
     BigRational,
     LaurentPoly,
+    RatFunc,
     Scalar,
     _as_fraction,
     term_ratio_sum,
@@ -236,42 +239,19 @@ def _beta_function(a: Fraction, b: Fraction) -> float:
         return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
-def _jacobi_norm_ratio(alpha: Fraction, beta: Fraction, m: int, odd: int) -> Fraction:
-    """<P_n, P_n> / <P_(n-1), P_(n-1)> of a family reduced to t^alpha (1-t)^beta.
-
-    The Gamma ratios of the closed-form constants cancel into Pochhammer
-    products, telescoped: (a)_m / (a+1)_m = a / (a+m) and (a)_(m-1) / (a)_m
-    = 1 / (a+m-1) with a = m + alpha + beta + 1.  Where a Pochhammer factor
-    vanishes (alpha + beta an integer in [-(n+1), -(m+1)], outside every
-    integrable weight) it raises ``ZeroDivisionError``, as the products do.
-    """
-    s = alpha + beta
-    if m == 0 and odd and s + 1 == 0:
-        # the alpha + beta + 1 factors cancel (Chebyshev-type weights)
-        return (alpha + 1) / (alpha + beta + 2)
-    if s.denominator == 1 and -(2 * m + odd + 1) <= s <= -(m + 1):
-        raise ZeroDivisionError(f"norm ratio {2 * m + odd} has a zero Pochhammer factor")
-    if odd:
-        # (m+alpha+1)/(m+s+1) * (2m+s+1)/(2m+s+2) * ((m+s+1)/(2m+s+1))^2
-        return (m + alpha + 1) * (m + s + 1) / ((2 * m + s + 1) * (2 * m + s + 2))
-    # m (m+beta) (2m+s)/(2m+s+1) * (1/(2m+s))^2
-    return m * (m + beta) / ((2 * m + s) * (2 * m + s + 1))
-
-
 class Classical(NamedTuple):
     """A classical weight in t.  Each formula takes the exact parameters
     named in ``params``, then an index: the monic recurrence (diag, sub),
-    mu_j / mu_(j-1), the float mu_0 (no index), R_m's upper series
-    parameters beyond -m, and the closed-form norm ratio of a family
-    reduced to it, at degree n = 2m + odd as (m, odd).  ``finite`` tells a
-    bounded support."""
+    mu_j / mu_(j-1), the float mu_0 (no index) and R_m's upper series
+    parameters beyond -m.  ``finite`` tells a bounded support.  The
+    recurrence also fixes the norm ratios of a family reduced to the
+    weight (``suites._norm_ratio_identity``)."""
 
     params: Tuple[str, ...]
     recurrence: Callable[..., Tuple[Fraction, Fraction]]
     moment_ratio: Callable[..., Fraction]
     zeroth_moment: Callable[..., float]
     upper: Callable[..., List[Fraction]]
-    norm_ratio: Callable[..., Fraction]
     finite: bool
 
 
@@ -280,13 +260,11 @@ CLASSICAL: Dict[str, Classical] = {
     # t^a (1-t)^b on [0, 1]
     "jacobi": Classical(
         ("a", "b"), _jacobi01_recurrence, lambda a, b, j: (a + j) / (a + b + j + 1),
-        _beta_function, lambda a, b, m: [m + a + b + 1], _jacobi_norm_ratio, True),
-    # t^a e^(-t) on [0, inf); the norm ratio is Gamma(m+a+2)/Gamma(m+a+1)
-    # at odd n and m!/(m-1)! at even n
+        _beta_function, lambda a, b, m: [m + a + b + 1], True),
+    # t^a e^(-t) on [0, inf)
     "generalized_laguerre": Classical(
         ("a",), lambda a, k: (2 * k + a + 1, k * (k + a)), lambda a, j: a + j,
-        lambda a: math.gamma(float(a) + 1), lambda a, m: [],
-        lambda a, m, odd: m + a + 1 if odd else m * Fraction(1), False),
+        lambda a: math.gamma(float(a) + 1), lambda a, m: [], False),
 }
 
 
@@ -390,6 +368,40 @@ FAMILIES: Dict[str, Family] = {
         lambda m, odd, p: (big_q_jacobi_AC(p, 2 * m + odd - 1)[0]
                            * big_q_jacobi_AC(p, 2 * m + odd)[1])),
 }
+
+
+# -- the weight equation --------------------------------------------------------
+
+
+def _chihara_parameters(family: FamilySpec) -> Tuple[Fraction, Fraction, Fraction]:
+    """alpha, beta, gamma of a chihara family, the one family whose Pearson
+    conditions are carried."""
+    if family.name != "chihara":
+        raise ValueError("the Pearson conditions are carried for the chihara family")
+    return family.p["alpha"], family.p["beta"], family.p["gamma"]
+
+
+def pearson_weight_equation(family: FamilySpec) -> bool:
+    """Condition (i), exactly, as rational functions: the logarithmic
+    derivative of the weight, 1/(x+gamma) + 2 alpha x/(x^2-gamma^2)
+    - 2 beta x/(1+gamma^2-x^2), equals the first-order coefficient demanded
+    by operator symmetry, alpha/(x-gamma) + (alpha+1)/(x+gamma)
+    - 2 beta x/(gamma^2+1-x^2).  Condition (ii) is sampled in float by
+    ``quad.verify_pearson``."""
+    alpha, beta, gamma = _chihara_parameters(family)
+    x = LaurentPoly.x()
+    one = LaurentPoly.one()
+    log_derivative = (
+        RatFunc.of(one, x + gamma)
+        + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
+        - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
+    )
+    symmetry_side = (
+        RatFunc.of(one * alpha, x - gamma)
+        + RatFunc.of(one * (alpha + 1), x + gamma)
+        - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
+    )
+    return (log_derivative - symmetry_side).is_zero
 
 
 def recurrence_coeffs(family: FamilySpec, n: int) -> Tuple[Fraction, Fraction]:

@@ -35,10 +35,10 @@ checked against closed-form moments up to degree ``min(2n-1, 8)``.
 
 The formulas are data in ``families``: a family's ``FAMILIES`` entry holds
 its reduced weight, pointwise weight and support text, and the ``CLASSICAL``
-entry of the reduced kind its recurrence, moments, norm ratio and whether
-its support is finite.  A finite support ends at sqrt(1+gamma^2), an
-infinite one carries the prefactor exp(-gamma^2), and a gamma splits the
-support at |gamma|.
+entry of the reduced kind its recurrence, moments and whether its support
+is finite.  A finite support ends at sqrt(1+gamma^2), an infinite one
+carries the prefactor exp(-gamma^2), and a gamma splits the support at
+|gamma|.
 
 Every quadrature inner product goes through one kernel, which builds the
 Gauss rule, forms the per-node factors of the branch sum once and returns
@@ -58,11 +58,11 @@ and the one-pass node brackets included, performs the same float operations
 in the same order as the straightforward loops, so every value, and every
 error raised, is the same bit for bit.
 
-Gamma functions are avoided in all norm *ratios* (they cancel into
-Pochhammer products over the rationals); the platform Gamma function
-enters only through the zeroth moments of the Gauss rules.  Where a Gamma
-value leaves the double range, the Beta function of the Jacobi weights
-comes through ``lgamma`` instead.  A Gram entry or normaliser or a
+Everything here is float work on exact inputs; the exact checks of the
+same weights live in ``families`` and ``suites``.  The platform Gamma
+function enters only through the zeroth moments of the Gauss rules, and
+the Beta function of a Jacobi weight through ``lgamma`` where a Gamma
+value leaves the double range.  A Gram entry or normaliser or a
 quadrature norm that is not finite raises ``OverflowError``.
 """
 
@@ -75,8 +75,8 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import LaurentPoly, RatFunc, _as_fraction
-from .families import CLASSICAL, FAMILIES, Family, FamilySpec, recurrence_coeffs
+from .exactnum import _as_fraction
+from .families import CLASSICAL, FAMILIES, FamilySpec, _chihara_parameters, recurrence_coeffs
 
 SPLIT_THRESHOLD = 1e-15
 NODE_MARGIN = 1e-12
@@ -376,14 +376,6 @@ def _validate_moments(rule: QuadratureRule, weight: ClassicalWeight) -> None:
 # -- weights of the polynomial families --------------------------------------------
 
 
-def _weighted_entry(family: FamilySpec) -> Family:
-    """The family's ``FAMILIES`` entry, which must carry a weight."""
-    entry = FAMILIES[family.name]
-    if entry.weight is None:
-        raise ValueError(f"no continuous weight carried for family {family.name!r}")
-    return entry
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """The weight of a family: the weight fields of its ``FAMILIES`` entry at
@@ -446,34 +438,13 @@ def weight_for(family: FamilySpec) -> WeightSpec:
     Raises ``ValueError`` when the family carries no weight, or when the
     reduced classical weight is not integrable (an exponent at or below -1).
     """
-    return WeightSpec(family, ClassicalWeight(_weighted_entry(family).reduced(family.p)))
+    entry = FAMILIES[family.name]
+    if entry.weight is None:
+        raise ValueError(f"no continuous weight carried for family {family.name!r}")
+    return WeightSpec(family, ClassicalWeight(entry.reduced(family.p)))
 
 
 # -- inner products through the even/odd reduction -----------------------------------
-
-
-def _even_odd_split(product: LaurentPoly) -> Tuple[LaurentPoly, LaurentPoly]:
-    """E, O with product = E(x^2) + x O(x^2)."""
-    even = {}
-    odd = {}
-    for exp, coef in product.items():
-        if exp % 2 == 0:
-            even[exp // 2] = coef
-        else:
-            odd[(exp - 1) // 2] = coef
-    return LaurentPoly(even), LaurentPoly(odd)
-
-
-def reduced_integrand(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """E(t + gamma^2) + gamma O(t + gamma^2), exact over the rationals.
-
-    The polynomial in t whose integral against the reduced classical weight
-    is <f, g>; here f(x) g(x) = E(x^2) + x O(x^2).
-    """
-    even, odd = _even_odd_split(f * g)
-    gamma = spec.gamma
-    shift = gamma * gamma
-    return even.substitute_affine(1, shift) + odd.substitute_affine(1, shift) * gamma
 
 
 def _rule_size(degree: int) -> int:
@@ -516,8 +487,9 @@ def _inner_products(
     return products
 
 
-def inner_product(spec: WeightSpec, f: LaurentPoly, g: LaurentPoly) -> float:
-    """<f, g> against the family weight, via the even/odd reduction.
+def inner_product(spec: WeightSpec, f, g) -> float:
+    """<f, g> against the family weight, via the even/odd reduction, for
+    exact polynomials f and g (``exactnum.LaurentPoly``) read in float.
 
     With f g = E(x^2) + x O(x^2), the two support branches collapse to the
     single classical-weight integral of E(t+gamma^2) + gamma O(t+gamma^2);
@@ -624,9 +596,7 @@ def _adaptive_simpson(
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
-def raw_inner_product(
-    spec: WeightSpec, f: LaurentPoly, g: LaurentPoly, tol: float = 1e-10
-) -> float:
+def raw_inner_product(spec: WeightSpec, f, g, tol: float = 1e-10) -> float:
     """<f, g> by brute-force integration over the raw support, no reduction.
 
     Validation oracle for ``inner_product``.  Infinite support components
@@ -648,30 +618,20 @@ def raw_inner_product(
 # -- norms ------------------------------------------------------------------------------
 
 
-def norm_ratio_exact(family: FamilySpec, n: int) -> Fraction:
-    """<P_n, P_n> / <P_(n-1), P_(n-1)> as an exact rational: the closed form
-    of the family's reduced weight, at a cost that does not grow with n."""
-    if n < 1:
-        raise ValueError("norm ratios start at n = 1")
-    tag, *params = _weighted_entry(family).reduced(family.p)
-    return CLASSICAL[tag].norm_ratio(*params, *divmod(n, 2))
+def norm_ratio_check(spec: WeightSpec, n: int) -> float:
+    """<P_n, P_n> / <P_(n-1), P_(n-1)> by quadrature, to be compared with
+    the exact ratio, the recurrence coefficient sub(n).
 
-
-def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
-    """(exact ratio, quadrature ratio) of consecutive squared norms.
-
-    The quadrature side is <P_n, P_n> / <P_(n-1), P_(n-1)> from the one
-    inner-product kernel, over the rows P_(n-1), P_n of the float
-    recurrence at the branch points: the rule and values of
-    ``gram_matrix(spec, n)``.  A norm that is not finite raises
-    ``OverflowError``.  The weight's Jacobi matrix and the family's
+    The ratio comes from the one inner-product kernel, over the rows
+    P_(n-1), P_n of the float recurrence at the branch points: the rule
+    and values of ``gram_matrix(spec, n)``.  A norm that is not finite
+    raises ``OverflowError``.  The weight's Jacobi matrix and the family's
     recurrence are converted to float once per ``spec``
     (``classical_weight``, ``recurrence``): a norms request passes one spec
     to every degree, and each degree grows both by the entries it needs.
     """
     if n < 1:
         raise ValueError("norm ratios start at n = 1")
-    exact = norm_ratio_exact(spec.family, n)
     # rows of P_(n-1), P_n only: a degree stores O(n) floats, not O(n^2)
     norms = _inner_products(
         spec, _rule_size(2 * n), partial(_basis_table, spec.recurrence, range(n - 1, n + 1)),
@@ -680,47 +640,18 @@ def norm_ratio_check(spec: WeightSpec, n: int) -> Tuple[Fraction, float]:
     if not all(map(math.isfinite, norms)):
         raise OverflowError(f"quadrature norms of P_{n} and P_{n - 1} are "
                             f"{norms[0]!r}, {norms[1]!r}")
-    return exact, norms[0] / norms[1]
+    return norms[0] / norms[1]
 
 
 # -- Pearson verification -----------------------------------------------------------
-
-
-def _chihara_parameters(family: FamilySpec) -> Tuple[Fraction, Fraction, Fraction]:
-    """alpha, beta, gamma of a chihara family, the one family whose Pearson
-    conditions are carried."""
-    if family.name != "chihara":
-        raise ValueError("the Pearson conditions are carried for the chihara family")
-    return family.p["alpha"], family.p["beta"], family.p["gamma"]
-
-
-def pearson_weight_equation(family: FamilySpec) -> bool:
-    """Condition (i), exactly, as rational functions: the logarithmic
-    derivative of the weight, 1/(x+gamma) + 2 alpha x/(x^2-gamma^2)
-    - 2 beta x/(1+gamma^2-x^2), equals the first-order coefficient demanded
-    by operator symmetry, alpha/(x-gamma) + (alpha+1)/(x+gamma)
-    - 2 beta x/(gamma^2+1-x^2)."""
-    alpha, beta, gamma = _chihara_parameters(family)
-    x = LaurentPoly.x()
-    one = LaurentPoly.one()
-    log_derivative = (
-        RatFunc.of(one, x + gamma)
-        + RatFunc.of(x * (2 * alpha), x * x - gamma * gamma)
-        - RatFunc.of(x * (2 * beta), (1 + gamma * gamma) - x * x)
-    )
-    symmetry_side = (
-        RatFunc.of(one * alpha, x - gamma)
-        + RatFunc.of(one * (alpha + 1), x + gamma)
-        - RatFunc.of(x * (2 * beta), (gamma * gamma + 1) - x * x)
-    )
-    return (log_derivative - symmetry_side).is_zero
 
 
 def verify_pearson(family: FamilySpec, samples_per_side: int) -> float:
     """Condition (ii), in float, at the ``samples_per_side`` midpoints of
     each of the two support components (``WeightSpec.midpoints``):
     (x+gamma) w(-x) + (-x+gamma) w(x) = 0, measured as the worst
-    |(x+gamma) w(-x) + (-x+gamma) w(x)| / |w(x)|."""
+    |(x+gamma) w(-x) + (-x+gamma) w(x)| / |w(x)|.  Condition (i) is
+    exact, ``families.pearson_weight_equation``."""
     g = float(_chihara_parameters(family)[2])
     spec = weight_for(family)
     weight_value = spec.weight_value

@@ -51,7 +51,8 @@ through it) and gives every suite of a run the same memo; each
 single-check command passes a fresh one.  A memo holds the exact objects
 that several checks need, keyed by exact value: the monic list P_0..P_N of
 each ``FamilySpec`` (the longest one generated so far serves every shorter
-request, and each caller gets its own list) and one
+request, and each caller gets its own list), one ``quad.WeightSpec`` per
+family, which keeps the family's float recurrence, over one
 ``quad.ClassicalWeight`` per reduced weight, which keeps the Gauss rules
 it builds by size, and one operator per ``EIGEN_OPERATORS`` token and
 parameters and one involution P per gamma.  An operator keeps its quotient
@@ -110,6 +111,7 @@ from .families import (
     gen_hermite_family,
     generate_monic,
     monic_list,
+    pearson_weight_equation,
 )
 from .limits import (
     LIMIT_CASES,
@@ -126,8 +128,6 @@ from .quad import (
     gram_offdiag_worst,
     inner_product,
     norm_ratio_check,
-    norm_ratio_exact,
-    pearson_weight_equation,
     raw_inner_product,
     verify_pearson,
     weight_for,
@@ -276,9 +276,10 @@ EIGEN_CASES: Tuple[Tuple[str, Tuple[Fraction, ...]], ...] = (
 
 class RunMemo:
     """The exact objects that the checks of one run share, keyed by exact
-    value: monic lists per ``FamilySpec``, one ``ClassicalWeight`` per
-    reduced weight, and one operator per eigen-operator token and
-    parameters and one involution per gamma, each with its quotient table.
+    value: monic lists and one ``WeightSpec`` per ``FamilySpec``, one
+    ``ClassicalWeight`` per reduced weight, and one operator per
+    eigen-operator token and parameters and one involution per gamma, each
+    with its quotient table.
     Two memos share nothing.
 
     ``generate_monic``, ``build_operator`` and ``parity_involution`` are
@@ -289,6 +290,7 @@ class RunMemo:
     def __init__(self) -> None:
         self._monic: Dict[FamilySpec, List[LaurentPoly]] = {}
         self._weights: Dict[ClassicalWeight, ClassicalWeight] = {}
+        self._specs: Dict[FamilySpec, WeightSpec] = {}
         self._operators: Dict[Tuple[object, ...], DunklOperator] = {}
         self._involutions: Dict[Fraction, DunklOperator] = {}
 
@@ -300,10 +302,14 @@ class RunMemo:
         return polys[: N + 1]
 
     def weight(self, family: FamilySpec) -> WeightSpec:
-        """``quad.weight_for(family)`` over the run's one ``ClassicalWeight``
-        for the family's reduced weight."""
-        reduced = weight_for(family).classical_weight
-        return WeightSpec(family, self._weights.setdefault(reduced, reduced))
+        """The run's one ``quad.weight_for(family)``, over the run's one
+        ``ClassicalWeight`` for the family's reduced weight."""
+        spec = self._specs.get(family)
+        if spec is None:
+            reduced = weight_for(family).classical_weight
+            reduced = self._weights.setdefault(reduced, reduced)
+            spec = self._specs[family] = WeightSpec(family, reduced)
+        return spec
 
     def operator(self, token: str, params: Mapping[str, Fraction]) -> DunklOperator:
         """The run's one ``build_operator(token, **params)`` for an
@@ -575,8 +581,8 @@ def suite_orthogonality(memo: RunMemo) -> List[VerificationRecord]:
 
 
 # --------------------------------------------------------------------------
-# Criterion: norm ratios from quadrature match the closed forms, and the
-# closed-form ratio equals the recurrence coefficient exactly.
+# Criterion: norm ratios from quadrature match the recurrence coefficients
+# sub(n), and sub(n) are exactly the norm ratios of the reduced weight.
 
 
 def norm_records(
@@ -586,8 +592,9 @@ def norm_records(
     exact_cap: int,
     tolerance: float,
 ) -> List[VerificationRecord]:
-    """Quadrature norm ratios against the closed form for n = 1..cap, then
-    the closed form against the recurrence coefficient for n = 1..exact_cap."""
+    """Quadrature norm ratios against the recurrence coefficients sub(n) for
+    n = 1..cap, then sub(n) against the reduced weight's own recurrence
+    for n = 1..exact_cap."""
     label = family.label()
     return [
         _timed_float("norms", family.name, label, f"1..{cap}", tolerance,
@@ -602,14 +609,29 @@ def _norm_ratio_worst(family: FamilySpec, memo: RunMemo, cap: int) -> float:
     spec = memo.weight(family)
     for n in range(1, cap + 1):
         with _in_double_range(family, f"norm ratio at degree {n}"):
-            exact, quad = norm_ratio_check(spec, n)
-            worst = max(worst, abs(quad / float(exact) - 1.0))
+            ratio = norm_ratio_check(spec, n)
+            # float(sub(n)), from the table the quadrature converts anyway
+            sub = spec.recurrence.upto(n + 1)[1]
+            worst = max(worst, abs(ratio / sub[n] - 1.0))
     return worst
 
 
 def _norm_ratio_identity(family: FamilySpec, exact_cap: int) -> str:
-    ok = all(norm_ratio_exact(family, n) == family.sub(n) for n in range(1, exact_cap + 1))
-    return "0" if ok else "nonzero"
+    """The norm ratios h_n/h_(n-1) are sub(n) (Favard; Chihara 1978, ch. I)
+    exactly when the reduced weight's recurrence is the even/odd split of
+    the family's: diag_J(m) = sub(2m) + sub(2m+1), sub_J(m) = sub(2m-1)
+    sub(2m).  From sub(1) = diag_J(0) = mu_1/mu_0 these fix sub(1..N).
+    The residual names the first degree n that fails."""
+    tag, *params = FAMILIES[family.name].reduced(family.p)
+    recurrence = CLASSICAL[tag].recurrence
+    sub = [family.sub(n) for n in range(exact_cap + 1)]
+    for m in range(exact_cap // 2 + 1):
+        diag_j, sub_j = recurrence(*params, m)
+        if m >= 1 and sub[2 * m - 1] * sub[2 * m] != sub_j:
+            return f"fails at n={2 * m}"
+        if 2 * m + 1 <= exact_cap and sub[2 * m] + sub[2 * m + 1] != diag_j:
+            return f"fails at n={2 * m + 1}"
+    return "0"
 
 
 def suite_norms(memo: RunMemo) -> List[VerificationRecord]:

@@ -17,12 +17,14 @@ from dunklpoly.exactnum import LaurentPoly
 from dunklpoly.families import (
     CLASSICAL,
     FAMILIES,
+    Classical,
     FamilySpec,
     chihara_family,
     ext_hermite_family,
     gegenbauer_family,
     gen_hermite_family,
     generate_monic,
+    pearson_weight_equation,
     pochhammer,
 )
 from dunklpoly import quad, suites
@@ -37,14 +39,12 @@ from dunklpoly.quad import (
     gram_offdiag_worst,
     inner_product,
     norm_ratio_check,
-    norm_ratio_exact,
-    pearson_weight_equation,
     raw_inner_product,
     symtridiag_eigen,
     verify_pearson,
     weight_for,
 )
-from dunklpoly.suites import NORM_TOLERANCE, RunMemo, norm_records
+from dunklpoly.suites import NORM_TOLERANCE, RunMemo, _norm_ratio_identity, norm_records
 
 # the Gram and norm families of the pinned suites
 FAMILY_SETS = list(suites._quadrature_families())
@@ -446,14 +446,33 @@ def test_reduction_matches_brute_force_laguerre_type():
     )
 
 
+def _even_odd_split(product):
+    """E, O with product = E(x^2) + x O(x^2)."""
+    even, odd = {}, {}
+    for exp, coef in product.items():
+        if exp % 2 == 0:
+            even[exp // 2] = coef
+        else:
+            odd[(exp - 1) // 2] = coef
+    return LaurentPoly(even), LaurentPoly(odd)
+
+
+def _reduced_integrand(spec, f, g):
+    """Reference: E(t + gamma^2) + gamma O(t + gamma^2), exact over the
+    rationals, the polynomial in t whose integral against the reduced
+    classical weight is <f, g>; here f(x) g(x) = E(x^2) + x O(x^2)."""
+    even, odd = _even_odd_split(f * g)
+    gamma = spec.gamma
+    shift = gamma * gamma
+    return even.substitute_affine(1, shift) + odd.substitute_affine(1, shift) * gamma
+
+
 def test_branch_sum_equals_exact_reduced_integrand():
     """The pointwise branch-sum form agrees with the exact t-polynomial."""
-    from dunklpoly.quad import reduced_integrand
-
     fam = chihara_family(1, 2, F(1, 3))
     spec = weight_for(fam)
     f, g = LaurentPoly({3: F(1), 0: F(2)}), LaurentPoly({2: F(1), 1: F(-1)})
-    integrand = reduced_integrand(spec, f, g)
+    integrand = _reduced_integrand(spec, f, g)
     gamma = float(spec.gamma)
     for k in range(1, 9):
         t = k / 9.0
@@ -578,7 +597,8 @@ def gram_request(family, N):
 
 
 def norm_request(family, cap):
-    """One norms request; exact_cap=1 reads sub(1) once more."""
+    """One norms request; the exact record's reads of sub(n) are no
+    conversions."""
     return norm_records(family, RunMemo(), cap, 1, NORM_TOLERANCE)
 
 
@@ -593,21 +613,34 @@ def norm_check(family, n):
 )
 @pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
 def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
-    # O(n) coefficient evaluations per call, not O(n) per Gauss node, and a
-    # norms request converts once for all its degrees, not once per degree
+    # O(n) coefficient conversions per call, not O(n) per Gauss node, and a
+    # norms request converts once for all its degrees, not once per degree;
+    # a conversion is an evaluation inside FloatRecurrence.upto, so the
+    # exact norms record's own reads of sub(n) do not count
     calls = {"diag": 0, "sub": 0, "weight": 0}
+    converting = []
+    upto = quad.FloatRecurrence.upto
+
+    def counted_upto(self, N):
+        converting.append(N)
+        try:
+            return upto(self, N)
+        finally:
+            converting.pop()
+
+    monkeypatch.setattr(quad.FloatRecurrence, "upto", counted_upto)
     for name in ("diag", "sub"):
         original = getattr(FamilySpec, name)
 
         def counted(self, k, _name=name, _original=original):
-            calls[_name] += 1
+            calls[_name] += bool(converting)
             return _original(self, k)
 
         monkeypatch.setattr(FamilySpec, name, counted)
     for tag, entry in CLASSICAL.items():
 
         def counted_weight(*args, _original=entry.recurrence):
-            calls["weight"] += 1
+            calls["weight"] += bool(converting)
             return _original(*args)
 
         monkeypatch.setitem(CLASSICAL, tag, entry._replace(recurrence=counted_weight))
@@ -639,8 +672,8 @@ def test_moments_converted_once_per_norms_request(fam, monkeypatch):
 
 
 def _per_degree_norm_ratio(family, n):
-    """Reference: the norm check that converted the weight's recurrence and
-    the family's to float again for every degree."""
+    """Reference: the quadrature norm ratio that converted the weight's
+    recurrence and the family's to float again for every degree."""
     spec = weight_for(family)
     weight_class = spec.classical_weight
     values, firsts = symtridiag_eigen(_classical_jacobi_matrix(weight_class, n + 2))
@@ -654,7 +687,7 @@ def _per_degree_norm_ratio(family, n):
                              [r[k] * r[k] for r in neg])
         for k in (n, n - 1)
     ]
-    return norm_ratio_exact(family, n), norms[0] / norms[1]
+    return norms[0] / norms[1]
 
 
 @settings(deadline=None, max_examples=40)
@@ -665,9 +698,9 @@ def test_shared_norm_tables_equal_per_degree_route(family, cap):
     spec = weight_for(family)
     worst = 0.0
     for n in range(1, cap + 1):
-        exact, ratio = norm_ratio_check(spec, n)
-        assert (exact, ratio) == _per_degree_norm_ratio(family, n)
-        worst = max(worst, abs(ratio / float(exact) - 1.0))
+        ratio = norm_ratio_check(spec, n)
+        assert ratio == _per_degree_norm_ratio(family, n)
+        worst = max(worst, abs(ratio / float(family.sub(n)) - 1.0))
     [quad_record, _] = norm_records(family, RunMemo(), cap, 1, NORM_TOLERANCE)
     assert quad_record.residual == repr(worst)
     # grown tables still lend each degree its own leading block
@@ -681,24 +714,26 @@ def test_norm_ratio_is_the_gram_diagonal_ratio(family, n):
     # one kernel, rule and basis table: the quadrature ratio is the ratio
     # of the Gram diagonal entries bit for bit
     gram = gram_matrix(weight_for(family), n)
-    assert norm_ratio_check(weight_for(family), n)[1] == gram[n][n] / gram[n - 1][n - 1]
+    assert norm_ratio_check(weight_for(family), n) == gram[n][n] / gram[n - 1][n - 1]
 
 
 # -- norms -----------------------------------------------------------------------------
 
 
-def test_norm_ratio_exact_worked_values():
+def test_norm_ratio_worked_values():
     fam = chihara_family(1, 1, F(1, 2))
     # n = 1: (alpha+1)/(alpha+beta+2) = 1/2; n = 2: 1/10.
-    assert norm_ratio_exact(fam, 1) == F(1, 2)
-    assert norm_ratio_exact(fam, 2) == F(1, 10)
+    assert (fam.sub(1), fam.sub(2)) == (F(1, 2), F(1, 10))
     # Laguerre type, mu = 3/2: ratio Gamma(mu+3/2)/Gamma(mu+1/2) = mu + 1/2 = 2.
-    assert norm_ratio_exact(ext_hermite_family(F(3, 2), F(1, 2)), 1) == 2
+    hermite = ext_hermite_family(F(3, 2), F(1, 2))
+    assert hermite.sub(1) == 2
+    for family in (fam, hermite):
+        assert _norm_ratio_identity(family, 2) == "0"
 
 
 def _pochhammer_norm_ratio(family, n):
-    """Reference: the Jacobi-type closed form with its Pochhammer products
-    multiplied out, as it stood before they were telescoped."""
+    """Reference: the Jacobi-type closed-form norm ratio with its Pochhammer
+    products multiplied out."""
     alpha, beta = family.p["alpha"], family.p["beta"]
     m = n // 2
     if n == 1 and alpha + beta + 1 == 0:
@@ -716,6 +751,10 @@ def _pochhammer_norm_ratio(family, n):
 
 
 def test_telescoped_norm_ratio_equals_pochhammer_form():
+    # every sub(n) that the exact norms check accepts is the closed form
+    # with its Pochhammer products multiplied out, for n <= 60, also off
+    # the integrable range; parameters where the closed form has a
+    # vanishing factor at some degree are skipped
     rng = random.Random(2013)
     params = [(F(rng.randint(-40, 40), rng.randint(1, 6)), F(rng.randint(-40, 40), rng.randint(1, 6)))
               for _ in range(30)]
@@ -723,32 +762,71 @@ def test_telescoped_norm_ratio_equals_pochhammer_form():
     # Pochhammer factor vanishes at some degree
     params += [(F(-1, 2), F(-1, 2)), (F(-1, 4), F(-3, 4)), (F(2), F(-3)), (F(5, 3), F(-8, 3))]
     params += [(F(-5), F(2)), (F(1, 2), F(-37, 2)), (F(-20), F(-21)), (F(-1, 3), F(-8, 3))]
-    raised = 0
+    checked = 0
     for alpha, beta in params:
         for fam in (gegenbauer_family(alpha, beta), chihara_family(alpha, beta, F(1, 3))):
-            for n in range(1, 61):
-                try:
-                    expected = _pochhammer_norm_ratio(fam, n)
-                except ArithmeticError as exc:
-                    raised += 1
-                    with pytest.raises(type(exc)):
-                        norm_ratio_exact(fam, n)
-                else:
-                    got = norm_ratio_exact(fam, n)
-                    assert got == expected and type(got) is F, (alpha, beta, n)
-    assert raised > 0
+            try:
+                expected = [_pochhammer_norm_ratio(fam, n) for n in range(1, 61)]
+            except ArithmeticError:
+                continue
+            assert _norm_ratio_identity(fam, 60) == "0", (alpha, beta)
+            got = [fam.sub(n) for n in range(1, 61)]
+            assert got == expected and {type(g) for g in got} == {F}, (alpha, beta)
+            checked += 1
+    assert checked == 60
 
 
 def test_norm_ratio_rejects_n_zero():
-    with pytest.raises(ValueError):
-        norm_ratio_exact(chihara_family(1, 1, F(1, 2)), 0)
+    with pytest.raises(ValueError, match="^norm ratios start at n = 1$"):
+        norm_ratio_check(weight_for(chihara_family(1, 1, F(1, 2))), 0)
 
 
-@pytest.mark.parametrize("fam", FAMILY_SETS)
+# the pinned quadrature families, the |gamma| = 1000 sets where float gram
+# and norms fail, alpha + beta + 1 = 0 on both Jacobi-type families, and
+# negative Hermite exponents
+_IDENTITY_SETS = FAMILY_SETS + [
+    chihara_family(F(-999, 1000), F(99, 100), 1000),
+    chihara_family(F(1, 19), F(-1, 1000), -1000),
+    chihara_family(F(-1, 3), F(-2, 3), 5),
+    gegenbauer_family(F(-1, 2), F(-1, 2)),
+    gegenbauer_family(F(-3, 4), F(-1, 4)),
+    gen_hermite_family(F(-1, 4)),
+    ext_hermite_family(F(7, 4), F(-1, 3)),
+]
+
+
+@pytest.mark.parametrize("fam", _IDENTITY_SETS)
 def test_norm_ratio_equals_recurrence_sub(fam):
-    """The closed-form norm ratio is the recurrence sub-coefficient, n <= 30."""
-    for n in range(1, 31):
-        assert norm_ratio_exact(fam, n) == fam.sub(n)
+    """The exact norms check accepts sub(n), n <= 60, and each is the
+    closed-form norm ratio of the family, the alpha + beta + 1 = 0 branch
+    included."""
+    assert _norm_ratio_identity(fam, 60) == "0"
+    for n in range(1, 61):
+        assert fam.sub(n) == _per_family_norm_ratio(fam, n)
+        if fam.name in ("chihara", "gegenbauer"):
+            assert fam.sub(n) == _pochhammer_norm_ratio(fam, n)
+
+
+@pytest.mark.parametrize("moved, residual", [
+    (1, "fails at n=1"), (2, "fails at n=2"), (7, "fails at n=7"), (30, "fails at n=30")])
+def test_norm_identity_names_the_first_moved_sub(monkeypatch, moved, residual):
+    # sub(n) moved by 1/1000 breaks the identity that first reads it; an
+    # exact cap below the moved degree never reads it
+    chihara = FAMILIES["chihara"]
+    monkeypatch.setitem(FAMILIES, "chihara", chihara._replace(
+        sub=lambda m, odd, p: chihara.sub(m, odd, p) + F(2 * m + odd == moved, 1000)))
+    fam = chihara_family(1, 1, F(1, 2))
+    assert _norm_ratio_identity(fam, 30) == residual
+    assert _norm_ratio_identity(fam, moved - 1) == "0"
+
+
+def test_norm_identity_rejects_another_weights_ratios(monkeypatch):
+    # the sub(n) of chihara (1, 1, 1/2) against the reduced weight of
+    # (1, 2, 1/2): sub(1) = 1/2, but there diag_J(0) = 2/5
+    chihara = FAMILIES["chihara"]
+    monkeypatch.setitem(FAMILIES, "chihara", chihara._replace(
+        reduced=lambda p: chihara.reduced({**p, "beta": p["beta"] + 1})))
+    assert _norm_ratio_identity(chihara_family(1, 1, F(1, 2)), 30) == "fails at n=1"
 
 
 @pytest.mark.parametrize(
@@ -756,8 +834,18 @@ def test_norm_ratio_equals_recurrence_sub(fam):
 )
 def test_norm_ratio_quadrature_agreement(fam):
     for n in range(1, 13):
-        exact, quad = norm_ratio_check(weight_for(fam), n)
-        assert quad == pytest.approx(float(exact), rel=1e-10)
+        ratio = norm_ratio_check(weight_for(fam), n)
+        assert ratio == pytest.approx(float(fam.sub(n)), rel=1e-10)
+
+
+def test_quad_keeps_float_work_only():
+    # the exact work on a weight (the weight equation, the norm-ratio
+    # identity) lives in families and suites, and no CLASSICAL entry
+    # restates the norm ratios its recurrence fixes
+    for name in ("LaurentPoly", "RatFunc", "norm_ratio_exact", "pearson_weight_equation",
+                 "reduced_integrand", "_even_odd_split"):
+        assert not hasattr(quad, name), name
+    assert "norm_ratio" not in Classical._fields
 
 
 def test_norm_head_matches_quadrature():
@@ -877,7 +965,9 @@ def _per_family_weight(fam):
 
 
 def _per_family_norm_ratio(fam, n):
-    """Reference: the closed-form norm ratio by one branch per family name."""
+    """Reference: the closed-form norm ratio by one branch per family name:
+    Pochhammer quotients telescoped for the Jacobi type, Gamma(m+a+2) /
+    Gamma(m+a+1) at odd n and m!/(m-1)! at even n for the Laguerre type."""
     p = fam.p
     m = n // 2
     if fam.name in ("chihara", "gegenbauer"):
@@ -898,8 +988,9 @@ def _assert_weight_matches_per_family_branches(fam):
     assert spec.classical_weight == reduced
     assert spec.reduced_prefactor() == prefactor
     assert spec.support == text
+    assert _norm_ratio_identity(fam, 30) == "0"
     for n in range(1, 31):
-        got = norm_ratio_exact(fam, n)
+        got = fam.sub(n)
         assert got == _per_family_norm_ratio(fam, n) and type(got) is F, n
 
 
@@ -933,8 +1024,6 @@ def test_family_table_matches_builders_and_weights():
 
 
 def test_weight_for_rejects_every_family_without_a_weight():
-    # weight_for and norm_ratio_exact, which reads the FAMILIES entry
-    # without a WeightSpec, give the same error
     rejected = sorted(set(FAMILIES) - set(_PER_FAMILY_SUPPORT_TEXT))
     assert rejected == ["big_m1_jacobi", "big_q_jacobi", "cbi"]
     for name in rejected:
@@ -943,8 +1032,6 @@ def test_weight_for_rejects_every_family_without_a_weight():
         message = f"^no continuous weight carried for family '{name}'$"
         with pytest.raises(ValueError, match=message):
             weight_for(fam)
-        with pytest.raises(ValueError, match=message):
-            norm_ratio_exact(fam, 1)
 
 
 # -- Pearson ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Expected record counts are frozen from the pinned parameter tables:
 """
 
 import ast
+import collections
 import hashlib
 import importlib
 import inspect
@@ -169,9 +170,29 @@ def _each_plus_one(check):
     return lambda *args: [value + 1 for value in check(*args)]
 
 
+def _moved_recurrence(tag, k, which):
+    """A copy of the CLASSICAL table whose ``tag`` recurrence has its diag
+    (``which`` 0) or sub (1) at index k moved by 1/1000."""
+    def corrupt(table):
+        recurrence = table[tag].recurrence
+
+        def moved(*args):
+            pair = list(recurrence(*args))
+            pair[which] += F(args[-1] == k, 1000)
+            return tuple(pair)
+
+        return {**table, tag: table[tag]._replace(recurrence=moved)}
+    return corrupt
+
+
 @pytest.mark.parametrize("name, corrupt, suite, target, residual", [
     ("explicit_poly", _plus_one, "construction", "", "nonzero"),
-    ("norm_ratio_exact", _plus_one, "norms", "-ratio-identity", "nonzero"),
+    # the exact norms check reads suites.CLASSICAL, the Gauss rules of the
+    # float norms records the table itself, which the copy leaves alone
+    ("CLASSICAL", _moved_recurrence("jacobi", 3, 1), "norms",
+     ("chihara-ratio-identity", "gegenbauer-ratio-identity"), "fails at n=6"),
+    ("CLASSICAL", _moved_recurrence("generalized_laguerre", 2, 0), "norms",
+     "hermite-ratio-identity", "fails at n=5"),
     ("geronimus", _each_plus_one, "transform", "roundtrip", "nonzero"),
     ("kernel_to_chihara", _each_plus_one, "transform", "chihara-map", "nonzero"),
     # christoffel no longer rejects the perturbed ratio
@@ -181,8 +202,8 @@ def _each_plus_one(check):
     ("eigen_records", lambda check: lambda token, params, cap, memo, operator:
      check(token, params, cap, memo), "negative-controls", "perturbed-eigen-operator",
      "undetected"),
-], ids=["explicit_poly", "norm_ratio_exact", "geronimus", "kernel_to_chihara",
-        "christoffel", "eigen_records"])
+], ids=["explicit_poly", "jacobi_recurrence", "laguerre_recurrence", "geronimus",
+        "kernel_to_chihara", "christoffel", "eigen_records"])
 def test_exact_checks_name_their_failing_residual(monkeypatch, name, corrupt, suite,
                                                   target, residual):
     # a corrupted step of one exact check fails that check's records with
@@ -192,6 +213,8 @@ def test_exact_checks_name_their_failing_residual(monkeypatch, name, corrupt, su
     hit = [(r.outcome, r.residual) for r in records if r.target.endswith(target)]
     assert hit and set(hit) == {("fail", residual)}
     assert all(r.outcome != "fail" for r in records if not r.target.endswith(target))
+    if name == "CLASSICAL":
+        assert len(hit) == 4
 
 
 def test_eigen_and_algebra_records_name_the_first_failure_of_the_command(
@@ -318,6 +341,29 @@ def test_run_memo_shares_one_classical_weight_per_reduced_weight():
     assert memo.weight(gegenbauer).classical_weight is shared
     assert other.weight(gegenbauer).classical_weight is not shared
     assert memo.weight(chihara) == quad.weight_for(chihara)
+
+
+def test_one_run_builds_each_family_weight_once(monkeypatch):
+    # the gram, norms and reduction-oracle records of a family share one
+    # WeightSpec, and so each conversion of its recurrence to float
+    built = collections.Counter()
+    converted = collections.Counter()
+    weight_for, recurrence_coeffs = suites.weight_for, quad.recurrence_coeffs
+
+    def counted_weight_for(family):
+        built[family] += 1
+        return weight_for(family)
+
+    def counted_coeffs(family, n):
+        converted[family, n] += 1
+        return recurrence_coeffs(family, n)
+
+    monkeypatch.setattr(suites, "weight_for", counted_weight_for)
+    monkeypatch.setattr(quad, "recurrence_coeffs", counted_coeffs)
+    for _ in suites.run_batches():
+        pass
+    assert len(built) == 9 and set(built.values()) == {1}
+    assert converted and set(converted.values()) == {1}
 
 
 def test_one_run_builds_each_operator_and_table_entry_once(monkeypatch):
