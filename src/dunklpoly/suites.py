@@ -609,10 +609,7 @@ def _norm_ratio_worst(family: FamilySpec, memo: RunMemo, cap: int) -> float:
     spec = memo.weight(family)
     for n in range(1, cap + 1):
         with _in_double_range(family, f"norm ratio at degree {n}"):
-            ratio = norm_ratio_check(spec, n)
-            # float(sub(n)), from the table the quadrature converts anyway
-            sub = spec.recurrence.upto(n + 1)[1]
-            worst = max(worst, abs(ratio / sub[n] - 1.0))
+            worst = max(worst, abs(norm_ratio_check(spec, n) / float(family.sub(n)) - 1.0))
     return worst
 
 
@@ -624,13 +621,16 @@ def _norm_ratio_identity(family: FamilySpec, exact_cap: int) -> str:
     The residual names the first degree n that fails."""
     tag, *params = FAMILIES[family.name].reduced(family.p)
     recurrence = CLASSICAL[tag].recurrence
-    sub = [family.sub(n) for n in range(exact_cap + 1)]
+    odd = None  # sub(2m - 1), carried from the step before
     for m in range(exact_cap // 2 + 1):
         diag_j, sub_j = recurrence(*params, m)
-        if m >= 1 and sub[2 * m - 1] * sub[2 * m] != sub_j:
+        even = family.sub(2 * m)
+        if m >= 1 and odd * even != sub_j:
             return f"fails at n={2 * m}"
-        if 2 * m + 1 <= exact_cap and sub[2 * m] + sub[2 * m + 1] != diag_j:
-            return f"fails at n={2 * m + 1}"
+        if 2 * m + 1 <= exact_cap:
+            odd = family.sub(2 * m + 1)
+            if even + odd != diag_j:
+                return f"fails at n={2 * m + 1}"
     return "0"
 
 

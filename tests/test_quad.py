@@ -597,9 +597,9 @@ def gram_request(family, N):
 
 
 def norm_request(family, cap):
-    """One norms request; the exact record's reads of sub(n) are no
-    conversions."""
-    return norm_records(family, RunMemo(), cap, 1, NORM_TOLERANCE)
+    """The float record of one norms request; it also reads sub(n) once
+    per degree, as the denominator of its residual."""
+    return suites._norm_ratio_worst(family, RunMemo(), cap)
 
 
 def norm_check(family, n):
@@ -613,41 +613,29 @@ def norm_check(family, n):
 )
 @pytest.mark.parametrize("fam", [FAMILY_SETS[0], FAMILY_SETS[4]])
 def test_recurrence_coefficients_converted_once_per_call(fam, check, monkeypatch):
-    # O(n) coefficient conversions per call, not O(n) per Gauss node, and a
-    # norms request converts once for all its degrees, not once per degree;
-    # a conversion is an evaluation inside FloatRecurrence.upto, so the
-    # exact norms record's own reads of sub(n) do not count
+    # O(n) coefficient evaluations per call, not O(n) per Gauss node, and a
+    # norms request converts once for all its degrees, not once per degree
     calls = {"diag": 0, "sub": 0, "weight": 0}
-    converting = []
-    upto = quad.FloatRecurrence.upto
-
-    def counted_upto(self, N):
-        converting.append(N)
-        try:
-            return upto(self, N)
-        finally:
-            converting.pop()
-
-    monkeypatch.setattr(quad.FloatRecurrence, "upto", counted_upto)
     for name in ("diag", "sub"):
         original = getattr(FamilySpec, name)
 
         def counted(self, k, _name=name, _original=original):
-            calls[_name] += bool(converting)
+            calls[_name] += 1
             return _original(self, k)
 
         monkeypatch.setattr(FamilySpec, name, counted)
     for tag, entry in CLASSICAL.items():
 
         def counted_weight(*args, _original=entry.recurrence):
-            calls["weight"] += bool(converting)
+            calls["weight"] += 1
             return _original(*args)
 
         monkeypatch.setitem(CLASSICAL, tag, entry._replace(recurrence=counted_weight))
     n = 12
     check(fam, n)
+    denominators = n if check is norm_request else 0
     assert 0 < calls["diag"] <= n + 1
-    assert 0 < calls["sub"] <= n + 1
+    assert 0 < calls["sub"] <= n + 1 + denominators
     # every rule here has at most n + 2 nodes
     assert 0 < calls["weight"] <= n + 2
 
