@@ -54,10 +54,10 @@ gegenbauer_Q       (1-x^2) (D^mu)^2 - 2(a+1) x D^mu, in the reflection form
 dunkl_derivative   D^mu = d/dx + (mu/x)(I - R)
 y_Z                eigenoperator of the extended generalized Hermite family
 gh_Omega           generalized Hermite eigenoperator
-gh_OmegaTilde      oscillator form -(1/2)(D^mu)^2 + x^2/2 + (eps/2)(I - R),
+gh_OmegaTilde      oscillator form -(1/2)(D^mu)^2 + x^2/2 + eps Pi_0,
                    in the reflection form, acting on e^{-x^2/2} * poly
 involution_P       P = R + (gamma/x)(I - R), the algebra involution
-reflection_component  (x-gamma)/(2x) (I - R), the parity projector
+reflection_component  Pi_gamma = (x-gamma)/(2x) (I - R) = (I - P)/2
 =================  ============================================================
 
 ``EIGEN_OPERATORS`` holds each eigen-operator token as data: its parameter
@@ -66,18 +66,29 @@ family, its default sweep cap and whether it acts on the Gaussian class.
 ``build_operator``, ``expected_eigenvalue``, the eigen suite and the
 ``eigencheck`` command all read it, so a new eigen operator is one entry.
 Every shift-free operator here, the six eigen-operators, D^mu, P and the
-parity projector, shares one shape, S d^2 + T d R + U d + V (I - R),
-written once as ``_reflection_form``; gh_OmegaTilde adds the identity term
-x^2/2 and P adds R.  Every pole of S, T, U and V is at x = 0, so the
-builders sum them as Laurent polynomials (x^-k is a term like any other)
-and ``_reflection_form`` wraps each in one ``RatFunc``; only cbi_K, whose
-shift coefficients have poles at -1 and +-1/2, sums ``RatFunc``s.  The two
-eigen-operators built from D^mu reach it through the closed square
+parity projector, shares one shape, S d^2 + T d R + U d + V (I - R) + W,
+and each is one ``_reflection_form`` call; only gh_OmegaTilde (W = x^2/2)
+and P (V = gamma/x - 1, W = 1) have an identity term W.  Every pole of
+S, T, U, V and W is at x = 0, so the builders sum them as Laurent
+polynomials (x^-k is a term like any other) and ``_reflection_form`` wraps
+each in one ``RatFunc``; only cbi_K, whose shift coefficients have poles
+at -1 and +-1/2, sums ``RatFunc``s.  The two eigen-operators built from
+D^mu reach the shape through the closed square
 
     (D^mu)^2 = d^2 + (2 mu/x) d - (mu/x^2)(I - R),
 
 so no operator is composed symbolically; the tests check both against
 nested application of D^mu.
+
+The tokens with a parameter eps depend on it through the parity
+projector alone (gamma = 0 for the Gegenbauer and Hermite tokens):
+K(eps) = K(0) + eps Pi_gamma.  ``_with_parity`` builds each from its
+coefficients at eps = 0 (``_chihara_coeffs`` and its kin), adding
+eps (x - gamma)/(2x) to V, and adds eps to its eigenvalue on odd n, where
+Pi_gamma acts as 1.  Pi_gamma has no derivative and the Gaussian is even,
+so ``apply_gaussian`` conjugates it to itself.  cbi_K obeys the same law
+in alpha with Pi_rho2, but its alpha sits inside a shifted coefficient,
+so it writes the term out.
 
 The quadratic algebra relations satisfied by (eigenoperator,
 multiplication by x, P) are checked by applying both sides of each relation
@@ -276,47 +287,55 @@ def _over_x(p: LaurentPoly | Scalar, k: int, c: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(-k, Fraction(1, c)) * p
 
 
-def _chihara_coeffs(alpha: Fraction, beta: Fraction, gamma: Fraction, eps: Fraction):
-    r = X * X - gamma**2      # x^2 - gamma^2
-    r1 = r - 1                # x^2 - gamma^2 - 1
-    gr1 = r1 * gamma
-    xg = X - gamma
-    w = r * (alpha + beta + Fraction(3, 2)) - (alpha + Fraction(1, 2))
-    S = _over_x(r * r1, 2, 4)
-    T = _over_x(gr1 * xg, 3, 4)
-    U = _over_x(gr1 * (2 * gamma - X), 3, 4) + _over_x(w, 1, 2)
-    V = (
-        _over_x(gr1 * (X - Fraction(3, 2) * gamma), 4, 4)
-        - _over_x(w, 2, 4)
-        + _over_x(xg * eps, 1, 2)
-    )
-    return S, T, U, V
+def _projector(gamma: Fraction) -> LaurentPoly:
+    """(x - gamma)/(2x), the V of Pi_gamma = (x - gamma)/(2x) (I - R)."""
+    return _over_x(X - gamma, 1, 2)
 
 
 def _reflection_form(S: LaurentPoly, T: LaurentPoly, U: LaurentPoly,
-                     V: LaurentPoly) -> DunklOperator:
-    """S d^2 + T d R + U d + V (I - R), the shape of every shift-free
+                     V: LaurentPoly, W: LaurentPoly = _ZERO) -> DunklOperator:
+    """S d^2 + T d R + U d + V (I - R) + W, the shape of every shift-free
     operator here.  Its coefficients are Laurent polynomials, since every
-    pole is at x = 0; each becomes one ``RatFunc``, and a zero coefficient
-    drops its term."""
+    pole is at x = 0; each becomes one ``RatFunc``, the identity term W
+    joins the I part of V (I - R), and a zero coefficient drops its term."""
     zero = Fraction(0)
-    return _merge(
-        (
-            OperatorTerm(RatFunc.from_laurent(S), 2, 1, zero),
-            OperatorTerm(RatFunc.from_laurent(T), 1, -1, zero),
-            OperatorTerm(RatFunc.from_laurent(U), 1, 1, zero),
-            OperatorTerm(RatFunc.from_laurent(V), 0, 1, zero),
-            OperatorTerm(RatFunc.from_laurent(-V), 0, -1, zero),
-        )
-    )
+    return _merge((OperatorTerm(RatFunc.from_laurent(S), 2, 1, zero),
+                   OperatorTerm(RatFunc.from_laurent(T), 1, -1, zero),
+                   OperatorTerm(RatFunc.from_laurent(U), 1, 1, zero),
+                   OperatorTerm(RatFunc.from_laurent(V + W), 0, 1, zero),
+                   OperatorTerm(RatFunc.from_laurent(-V), 0, -1, zero)))
 
 
-def chihara_eigenop(alpha: Scalar, beta: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator:
-    return _reflection_form(
-        *_chihara_coeffs(
-            _as_fraction(alpha), _as_fraction(beta), _as_fraction(gamma), _as_fraction(eps)
-        )
-    )
+def _chihara_coeffs(alpha: Fraction, beta: Fraction, gamma: Fraction):
+    r = X * X - gamma**2      # x^2 - gamma^2
+    r1 = r - 1                # x^2 - gamma^2 - 1
+    gr1 = r1 * gamma
+    w = r * (alpha + beta + Fraction(3, 2)) - (alpha + Fraction(1, 2))
+    S = _over_x(r * r1, 2, 4)
+    T = _over_x(gr1 * (X - gamma), 3, 4)
+    U = _over_x(gr1 * (2 * gamma - X), 3, 4) + _over_x(w, 1, 2)
+    V = _over_x(gr1 * (X - Fraction(3, 2) * gamma), 4, 4) - _over_x(w, 2, 4)
+    return S, T, U, V, _ZERO
+
+
+def _ext_hermite_coeffs(mu: Fraction, gamma: Fraction):
+    mg = mu + gamma**2
+    S = _over_x(gamma**2 - X * X, 2, 4)
+    T = _over_x(gamma * (gamma - X), 3, 4)
+    U = X / 2 + _over_x(gamma, 2, 4) - _over_x(gamma**2, 3, 2) - _over_x(mg, 1, 2)
+    V = _over_x(3 * gamma**2, 4, 8) - _over_x(gamma, 3, 4) + _over_x(mg, 2, 4) - Fraction(1, 4)
+    return S, T, U, V, _ZERO
+
+
+def _gen_hermite_coeffs(mu: Fraction):
+    S = LaurentPoly.const(Fraction(-1, 2))
+    return S, _ZERO, _over_x(X * X - mu, 1), _over_x(mu, 2, 2) - Fraction(1, 2), _ZERO
+
+
+def _oscillator_coeffs(mu: Fraction):
+    # -(1/2)(D^mu)^2 by its closed square, and the identity term W = x^2/2
+    S = LaurentPoly.const(Fraction(-1, 2))
+    return S, _ZERO, _over_x(-mu, 1), _over_x(mu, 2, 2), X * X / 2
 
 
 def cbi_eigenop(rho1: Scalar, rho2: Scalar, r1: Scalar, r2: Scalar, alpha: Scalar) -> DunklOperator:
@@ -363,59 +382,19 @@ def gegenbauer_dunkl_square(mu: Scalar, a: Scalar) -> DunklOperator:
     (D^mu)^2 written out by its closed square (module docstring)."""
     mu, a = _as_fraction(mu), _as_fraction(a)
     w = 1 - X * X
-    return _reflection_form(
-        w,
-        _ZERO,
-        _over_x(2 * mu * w - 2 * (a + 1) * X * X, 1),
-        _over_x(-mu * w - 2 * (a + 1) * mu * X * X, 2),
-    )
-
-
-def ext_hermite_eigenop(mu: Scalar, gamma: Scalar, eps: Scalar) -> DunklOperator:
-    mu, gamma, eps = _as_fraction(mu), _as_fraction(gamma), _as_fraction(eps)
-    mg = mu + gamma**2
-    S = _over_x(gamma**2 - X * X, 2, 4)
-    T = _over_x(gamma * (X - gamma), 3, 4)
-    U = X / 2 + _over_x(gamma, 2, 4) - _over_x(gamma**2, 3, 2) - _over_x(mg, 1, 2)
-    V = (
-        _over_x(3 * gamma**2, 4, 8)
-        - _over_x(gamma, 3, 4)
-        + _over_x(mg, 2, 4)
-        + _over_x(eps * (X - gamma), 1, 2)
-        - Fraction(1, 4)
-    )
-    return _reflection_form(S, -T, U, V)
-
-
-def gen_hermite_eigenop(mu: Scalar, eps: Scalar) -> DunklOperator:
-    mu, eps = _as_fraction(mu), _as_fraction(eps)
-    W = _over_x(mu, 2, 2) + (eps - 1) / 2
-    S = LaurentPoly.const(Fraction(-1, 2))
-    return _reflection_form(S, _ZERO, _over_x(X * X - mu, 1), W)
-
-
-def gen_hermite_oscillator(mu: Scalar, eps: Scalar) -> DunklOperator:
-    """-(1/2)(D^mu)^2 + x^2/2 + (eps/2)(I - R) in the reflection form, for
-    the Gaussian-dressed class, with (D^mu)^2 written out by its closed
-    square; ``+`` merges x^2/2 into the I part of V (I - R)."""
-    mu, eps = _as_fraction(mu), _as_fraction(eps)
-    return _reflection_form(
-        LaurentPoly.const(Fraction(-1, 2)),
-        _ZERO,
-        _over_x(-mu, 1),
-        _over_x(mu + eps * X * X, 2, 2),
-    ) + DunklOperator((term(X * X / 2),))
+    return _reflection_form(w, _ZERO, _over_x(2 * mu * w - 2 * (a + 1) * X * X, 1),
+                            _over_x(-mu * w - 2 * (a + 1) * mu * X * X, 2))
 
 
 def parity_involution(gamma: Scalar) -> DunklOperator:
-    """P = R + (gamma/x)(I - R)."""
-    projector = _reflection_form(_ZERO, _ZERO, _ZERO, _over_x(_as_fraction(gamma), 1))
-    return projector + DunklOperator((term(1, eps=-1),))
+    """P = R + (gamma/x)(I - R) = I - 2 Pi_gamma."""
+    return _reflection_form(_ZERO, _ZERO, _ZERO, -2 * _projector(_as_fraction(gamma)),
+                            LaurentPoly.one())
 
 
 def reflection_component(gamma: Scalar) -> DunklOperator:
-    """(x - gamma)/(2x) (I - R)."""
-    return _reflection_form(_ZERO, _ZERO, _ZERO, _over_x(X - _as_fraction(gamma), 1, 2))
+    """Pi_gamma = (x - gamma)/(2x) (I - R) = (I - P)/2."""
+    return _reflection_form(_ZERO, _ZERO, _ZERO, _projector(_as_fraction(gamma)))
 
 
 # -- the eigen-operator table -----------------------------------------------------
@@ -424,8 +403,8 @@ def reflection_component(gamma: Scalar) -> DunklOperator:
 class EigenOperator(NamedTuple):
     """An eigen-operator token: its parameter names; its builder, which takes
     them by name; its eigenvalue on P_n as ``eigenvalue(m, odd, params)``
-    with n = 2m + odd; its polynomial family; its default sweep cap; and
-    whether its eigenvectors live in the Gaussian class e^(-x^2/2) * poly."""
+    with n = 2m + odd (both by ``_with_parity`` for a token with eps); its
+    family; its default sweep cap; and whether it acts on e^(-x^2/2) * poly."""
 
     params: Tuple[str, ...]
     build: Callable[..., DunklOperator]
@@ -435,9 +414,25 @@ class EigenOperator(NamedTuple):
     gaussian: bool = False
 
 
+def _with_parity(coeffs: Callable[..., Tuple[LaurentPoly, ...]],
+                 eigenvalue: Callable[[int, int, Mapping[str, Fraction]], Fraction]):
+    """Builder and eigenvalue of K(eps) = K(0) + eps Pi_gamma, from K(0)'s
+    (S, T, U, V, W) and eigenvalue; gamma is the parameter of that name, else 0."""
+
+    def build(eps: Fraction, **params: Fraction) -> DunklOperator:
+        S, T, U, V, W = coeffs(**params)
+        return _reflection_form(S, T, U, V + eps * _projector(params.get("gamma", 0)), W)
+
+    def eigen(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
+        lam = eigenvalue(m, odd, p)
+        return lam + p["eps"] if odd else lam
+
+    return build, eigen
+
+
 def _chihara_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
     s = p["alpha"] + p["beta"]
-    return m * (m + s + 2) + p["eps"] if odd else m * (m + s + 1)
+    return m * (m + s + 2) if odd else m * (m + s + 1)
 
 
 def _cbi_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
@@ -460,14 +455,9 @@ def _gegenbauer_q_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fra
     return -2 * m * (2 * m + 2 * a + 2 * mu + 1)
 
 
-def _oscillator_eigenvalue(m: int, odd: int, p: Mapping[str, Fraction]) -> Fraction:
-    base = 2 * m + p["mu"] + Fraction(1, 2)
-    return base + 1 + p["eps"] if odd else base
-
-
 EIGEN_OPERATORS: Dict[str, EigenOperator] = {
     "chihara_D": EigenOperator(
-        ("alpha", "beta", "gamma", "eps"), chihara_eigenop, _chihara_eigenvalue,
+        ("alpha", "beta", "gamma", "eps"), *_with_parity(_chihara_coeffs, _chihara_eigenvalue),
         lambda p: chihara_family(p["alpha"], p["beta"], p["gamma"]), 16),
     "cbi_K": EigenOperator(
         ("rho1", "rho2", "r1", "r2", "alpha"), cbi_eigenop, _cbi_eigenvalue,
@@ -475,26 +465,26 @@ EIGEN_OPERATORS: Dict[str, EigenOperator] = {
     # chihara_D at gamma = 0 (generalized Gegenbauer)
     "gegenbauer_W": EigenOperator(
         ("alpha", "beta", "eps"),
-        lambda alpha, beta, eps: chihara_eigenop(alpha, beta, Fraction(0), eps),
-        _chihara_eigenvalue, lambda p: gegenbauer_family(p["alpha"], p["beta"]), 16),
+        *_with_parity(partial(_chihara_coeffs, gamma=Fraction(0)), _chihara_eigenvalue),
+        lambda p: gegenbauer_family(p["alpha"], p["beta"]), 16),
     "gegenbauer_Q": EigenOperator(
         ("mu", "a"), gegenbauer_dunkl_square, _gegenbauer_q_eigenvalue,
         lambda p: gegenbauer_family(p["mu"] - Fraction(1, 2), p["a"]), 16),
     "y_Z": EigenOperator(
-        ("mu", "gamma", "eps"), ext_hermite_eigenop,
-        lambda m, odd, p: m + p["eps"] if odd else m * Fraction(1),
+        ("mu", "gamma", "eps"),
+        *_with_parity(_ext_hermite_coeffs, lambda m, odd, p: m * Fraction(1)),
         lambda p: ext_hermite_family(p["mu"], p["gamma"]), 16),
     "gh_Omega": EigenOperator(
-        ("mu", "eps"), gen_hermite_eigenop,
-        lambda m, odd, p: 2 * m + p["eps"] if odd else 2 * m * Fraction(1),
+        ("mu", "eps"), *_with_parity(_gen_hermite_coeffs, lambda m, odd, p: 2 * m * Fraction(1)),
         lambda p: gen_hermite_family(p["mu"]), 16),
     "gh_OmegaTilde": EigenOperator(
-        ("mu", "eps"), gen_hermite_oscillator, _oscillator_eigenvalue,
+        ("mu", "eps"),
+        *_with_parity(_oscillator_coeffs, lambda m, odd, p: 2 * m + odd + p["mu"] + Fraction(1, 2)),
         lambda p: gen_hermite_family(p["mu"]), 12, gaussian=True),
 }
 
-# Every token build_operator knows; each builder's parameter names are the
-# token's parameter names.
+# Every token build_operator knows; each builder takes the token's
+# parameters by name.
 _BUILDERS: Dict[str, Callable[..., DunklOperator]] = {
     **{token: op.build for token, op in EIGEN_OPERATORS.items()},
     "dunkl_derivative": dunkl_derivative,

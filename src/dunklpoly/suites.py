@@ -29,9 +29,10 @@ Design notes
   negative controls) tests with
   ``is_zero`` / ``==``, never a float comparison, and returns ``"0"`` when
   it holds, else what failed: ``"nonzero"``, ``"not a polynomial"``,
-  ``"even half fails at n=..."``, ``"undetected"``.  A float check (Gram
-  matrices, norm ratios, the reflection samples, the reduction oracle)
-  returns the measured float.
+  ``"even half fails at n=..."``, ``"not divisible at n=..."``,
+  ``"no kernels"``, ``"undetected"``.  A float check (Gram matrices, norm
+  ratios, the reflection samples, the reduction oracle) returns the
+  measured float.
 * Two builders, ``_timed_exact`` and ``_timed_float``, run one check under
   one ``report.stopwatch`` and build its record, so every record carries
   the wall time of the work behind it.  An exact record passes exactly
@@ -721,20 +722,28 @@ def transform_records(
     c_ratios: List[Fraction] = []
     kernels: List[LaurentPoly] = []
 
+    def off_one() -> Optional[int]:   # where (P_(n+1) - A_n P_n)(1) != 0
+        return next((n for n in range(cap + 1)
+                     if polys[n + 1].evaluate(F(1)) != a_ratios[n] * polys[n].evaluate(F(1))),
+                    None)
+
     def roundtrip() -> str:
         nonlocal polys, a_ratios, c_ratios, kernels
         polys = memo.monic(family, cap + 1)
         a_ratios, c_ratios = split_ratios(family, cap + 1)
-        kernels = christoffel(polys, a_ratios)
+        try:
+            kernels = christoffel(polys, a_ratios)
+        except NotDivisible:
+            return f"not divisible at n={off_one()}"
         back = geronimus(kernels, c_ratios)
         return "0" if all(back[n] == polys[n] for n in range(len(back))) else "nonzero"
 
     def evaluation_at_one() -> str:
-        ok = all(polys[n + 1].evaluate(F(1)) == a_ratios[n] * polys[n].evaluate(F(1))
-                 for n in range(cap + 1))
-        return "0" if ok else "nonzero"
+        return "0" if off_one() is None else "nonzero"
 
     def chihara_map() -> str:
+        if not kernels:   # the round trip could not form them
+            return "no kernels"
         return "0" if all(r.is_zero for r in kernel_to_chihara(kmap, kernels)) else "nonzero"
 
     def coefficient_identity() -> str:

@@ -89,6 +89,48 @@ def test_reflection_parity_identity():
     assert proj.apply(polys[1]) == polys[1]
 
 
+# Each token's parity parameter, whose term is a multiple of the projector
+# Pi_gamma, and the parameter that gives gamma (None: gamma = 0).  cbi_K
+# obeys the law too, though its builder writes the term out.
+_PARITY = {token: ("eps", "gamma" if "gamma" in op.params else None)
+           for token, op in EIGEN_OPERATORS.items() if "eps" in op.params}
+_PARITY["cbi_K"] = ("alpha", "rho2")
+
+
+def test_every_parity_token_is_read_from_the_table():
+    assert sorted(_PARITY) == ["cbi_K", "chihara_D", "gegenbauer_W", "gh_Omega",
+                               "gh_OmegaTilde", "y_Z"]
+
+
+@pytest.mark.parametrize("token", sorted(_PARITY))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_parity_parameter_adds_its_projector(token, data):
+    # K(t) - K(0) = t Pi_gamma on x^0..x^14, and the eigenvalue moves by t
+    # on odd degrees only; Pi at gamma + 1/1000 is a negative control
+    spec, (name, gamma_name) = EIGEN_OPERATORS[token], _PARITY[token]
+    params = {n: data.draw(_rationals) for n in spec.params}
+    t = params[name] = data.draw(_rationals.filter(bool))
+    gamma = params[gamma_name] if gamma_name else F(0)
+    at_zero = {**params, name: F(0)}
+    K, K0 = build_operator(token, **params), build_operator(token, **at_zero)
+
+    def image(op, j):
+        mono = LaurentPoly.monomial(j)
+        if spec.gaussian:
+            return op.apply_gaussian(GaussianPoly(mono)).poly
+        return op.apply(mono)
+
+    diffs = [image(K, j) - image(K0, j) for j in range(15)]
+    for shift, holds in ((0, True), (F(1, 1000), False)):
+        proj = build_operator("reflection_component", gamma=gamma + shift)
+        agree = [d == t * image(proj, j) for j, d in enumerate(diffs)]
+        assert all(agree) if holds else not all(agree), shift
+    for n in range(12):
+        moved = expected_eigenvalue(token, n, **params) - expected_eigenvalue(token, n, **at_zero)
+        assert moved == t * (n % 2), n
+
+
 # -- eigen-equations ---------------------------------------------------------------
 
 
@@ -728,10 +770,10 @@ def test_algebra_constants_are_sharp():
     # shifting the P-coefficient of the position-bracket relation by
     # 2*gamma*eps*(gamma - 1), the gap to the sign-slipped variant of the
     # constant, must break the relation; this pins the implemented constants
-    from dunklpoly.dunklop import ext_hermite_eigenop, parity_involution
+    from dunklpoly.dunklop import parity_involution
 
     mu, gamma, eps = F(3, 2), F(1, 2), F(2, 3)
-    K1 = ext_hermite_eigenop(mu, gamma, eps)
+    K1 = build_operator("y_Z", mu=mu, gamma=gamma, eps=eps)
     P = parity_involution(gamma)
     k1, pp = K1.apply, P.apply
     k2 = lambda f: X * f
@@ -793,7 +835,8 @@ def test_relations_build_no_operator(monkeypatch, which):
 
     for token in OPERATOR_TOKENS:
         monkeypatch.setitem(dunklop._BUILDERS, token, refuse)
-    for name in ("build_operator", "parity_involution", "chihara_eigenop", "ext_hermite_eigenop"):
+    for name in ("build_operator", "parity_involution", "_reflection_form",
+                 "_chihara_coeffs", "_ext_hermite_coeffs"):
         monkeypatch.setattr(dunklop, name, refuse)
     spec, params = ALGEBRAS[which], _ALGEBRA_SETS[which][0]
     relations = spec.relations(*(F(params[n]) for n in spec.params))

@@ -217,6 +217,35 @@ def test_exact_checks_name_their_failing_residual(monkeypatch, name, corrupt, su
         assert len(hit) == 4
 
 
+def test_corrupted_transform_family_fails_its_records_and_aborts_nothing(tmp_path):
+    # big_m1_jacobi's sub(5) moved by 1/1000: the Christoffel division of
+    # every transform set leaves a remainder at n = 5, the first degree with
+    # P_(n+1)(1) != A_n P_n(1).  The round trip names it, the Chihara map
+    # does not pass on the missing kernels, and the run makes every record.
+    entry = FAMILIES["big_m1_jacobi"]
+
+    def sub(m, odd, p):
+        return entry.sub(m, odd, p) + F(isinstance(m, int) and 2 * m + odd == 5, 1000)
+
+    FAMILIES["big_m1_jacobi"] = entry._replace(sub=sub)
+    try:
+        records = run_suites()
+        path = tmp_path / "records.json"
+        status = cli.run(["suite", "--only", "transform", "--json", str(path)])
+    finally:
+        FAMILIES["big_m1_jacobi"] = entry
+    assert len(records) == sum(EXPECTED_COUNTS.values())
+    transform = [(r.target, r.outcome, r.residual) for r in records if r.suite == "transform"]
+    assert transform == [
+        ("roundtrip", "fail", "not divisible at n=5"),
+        ("evaluation-at-one", "fail", "nonzero"),
+        ("chihara-map", "fail", "no kernels"),
+        ("coefficient-identity", "exact_pass", "0"),   # reads A_n and C_n, not sub
+    ] * len(suites.TRANSFORM_SETS)
+    assert status == 1
+    assert [(r.target, r.outcome, r.residual) for r in parse(path.read_text())] == transform
+
+
 def test_eigen_and_algebra_records_name_the_first_failure_of_the_command(
         monkeypatch, capsys):
     # bump the odd branch of chihara_D's eigenvalue, and the constants of two
